@@ -124,7 +124,9 @@ class TwinParityIdentityRule(InvariantRule):
         group, txn = ctx["group"], ctx["txn"]
         (p0, h0) = db.array.peek_twin(group, 0)
         (p1, h1) = db.array.peek_twin(group, 1)
-        committed = db.txns.committed_ids() | {txn}
+        # only the two header owners can matter to the selection
+        committed = {txn} | {h.txn_id for h in (h0, h1)
+                             if db.txns.is_committed(h.txn_id)}
         expected = select_current_twin((h0, h1), committed)
         actual = db.rda.current_twin(group)
         violations: List[Violation] = []

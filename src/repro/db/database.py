@@ -492,6 +492,9 @@ class Database:
             # them against the commit records this trim may discard, so
             # seal them durably first
             self.rda.seal_stale_working_headers()
+        # no header still needs a finished transaction's verdict and the
+        # log is about to drop its records: the registry forgets with it
+        self.txns.forget_finished()
         candidates = [self.undo_log.last_lsn + 1]
         for txn in self.txns.active_transactions():
             lsn = self._bot_lsns.get(txn.txn_id)

@@ -409,14 +409,20 @@ class LogManager:
         best_bytes = b""
         any_bytes = False
         any_clean_stop = not self._devices
+        parsed_blob = None
         for device in self._devices:
             any_bytes = any_bytes or device.size > 0
-            records, prefix_len, clean = self._parse_prefix_with_length(
-                device.contents)
+            blob = device.contents
+            if blob != parsed_blob:
+                # mirrors agree byte for byte unless one was torn or
+                # damaged: an identical copy parses to the same prefix
+                records, prefix_len, clean = \
+                    self._parse_prefix_with_length(blob)
+                parsed_blob = blob
             any_clean_stop = any_clean_stop or clean
             if len(records) > len(best):
                 best = records
-                best_bytes = device.contents[:prefix_len]
+                best_bytes = blob[:prefix_len]
         if any_bytes and not any_clean_stop:
             # every copy dies on a CRC/type error (not a torn crash
             # tail): the log may be missing acknowledged records past

@@ -138,6 +138,49 @@ class TestTwinParityIdentityRule:
         assert any("header" in v.detail for v in found)
 
 
+class TestFlipWithForgottenOwner:
+    """The flip check asks the registry about the two twin-header
+    owners only.  An owner the registry has forgotten must neither
+    raise a false alarm nor blind the rule."""
+
+    @staticmethod
+    def restolen_group():
+        """Group 0 with two WORKING headers: a stale one whose
+        committed owner is already forgotten (no trim, so no seal), and
+        the live steal of a second transaction."""
+        db, first = dirty_db()
+        db.commit(first)
+        db.txns.forget_finished()
+        second = db.begin()
+        db.write_page(second, 0, make_page(b"stolen again"))
+        db.buffer.flush_pages_of(second)
+        owners = {db.array.peek_twin(0, which)[1].txn_id
+                  for which in (0, 1)}
+        assert owners == {first, second}
+        assert not db.txns.is_committed(first)
+        return db, second
+
+    def test_clean_flip_raises_no_alarm(self):
+        db, second = self.restolen_group()
+        db.commit(second)
+        assert db.invariants.barrier_counts["flip"] == 2
+        assert db.invariants.clean
+
+    def test_mutant_still_caught_at_the_flip_barrier(self):
+        db, second = self.restolen_group()
+        TwinParityIdentityRule().mutate(db)
+        found = db.invariants.barrier("flip", group=0, txn=second)
+        assert found and not db.invariants.clean
+
+    def test_wrong_flip_still_caught(self):
+        db, second = self.restolen_group()
+        db.commit(second)
+        db.rda._current[0] = 1 - db.rda.current_twin(0)
+        found = TwinParityIdentityRule()._check_flip(
+            db, {"group": 0, "txn": second})
+        assert {v.kind for v in found} == {"twin-flip-order"}
+
+
 class TestDirtySetBoundRule:
     def test_clean_dirty_group_passes(self):
         db, _txn = dirty_db()

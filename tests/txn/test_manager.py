@@ -21,13 +21,13 @@ class TestLifecycle:
         txn = tm.begin()
         tm.finish(txn.txn_id, TxnState.COMMITTED)
         assert txn.state is TxnState.COMMITTED
-        assert tm.committed_ids() == {txn.txn_id}
+        assert tm.is_committed(txn.txn_id)
 
     def test_abort(self, tm):
         txn = tm.begin()
         tm.finish(txn.txn_id, TxnState.ABORTED)
         assert txn.state is TxnState.ABORTED
-        assert tm.committed_ids() == set()
+        assert not tm.is_committed(txn.txn_id)
 
     def test_finish_requires_active(self, tm):
         txn = tm.begin()
