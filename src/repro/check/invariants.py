@@ -436,14 +436,8 @@ def check_restart(db) -> List[Violation]:
     database (used by the fault-injection harness after every
     surviving replayed restart).  A sharded facade is checked shard by
     shard."""
-    remote = getattr(db, "check_restart_remote", None)
-    if remote is not None:
-        return remote()
-    shards = getattr(db, "shards", None)
-    if shards is not None:
-        found: List[Violation] = []
-        for shard in shards:
-            found.extend(check_restart(shard))
-        return found
+    if getattr(db, "shards", None) is not None:
+        return [violation for found in db._gather("check_restart")
+                for violation in found]
     engine = InvariantEngine(db)
     return engine.barrier("restart")

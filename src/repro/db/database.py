@@ -580,25 +580,55 @@ class Database:
         """Groups whose parity disagrees with their data (should be [])."""
         return self.array.scrub()
 
-    def statistics(self) -> dict:
-        """A monitoring snapshot: transfers, buffer behaviour, steal
-        accounting, log sizes, dirty groups, active transactions."""
-        stats = {
-            "page_transfers": self.stats.total,
+    def snap(self) -> dict:
+        """Every counter the monitoring views read, as one flat dict of
+        plain numbers: the unit a sharded facade sums key-wise and a
+        shard worker ships over its pipe."""
+        buf = self.buffer.stats
+        return {
             "reads": self.stats.reads,
             "writes": self.stats.writes,
-            "buffer_hit_ratio": self.buffer.stats.hit_ratio,
-            "buffer_steals": self.buffer.stats.steals,
-            "unlogged_steals": self.counters.unlogged_steals,
-            "logged_steals": self.counters.logged_steals,
-            "before_images_logged": self.counters.before_images_logged,
-            "promotions": self.counters.promotions,
-            "transactions_committed": self.counters.transactions_committed,
-            "transactions_aborted": self.counters.transactions_aborted,
+            "log_transfers": self.stats.log_transfers,
+            "hits": buf.hits,
+            "misses": buf.misses,
+            "evictions": buf.evictions,
+            "dirty_evictions": buf.dirty_evictions,
+            "buffer_steals": buf.steals,
+            **vars(self.counters),
             "active_transactions": len(self.txns.active_transactions()),
             "undo_log_bytes": self.undo_log.size_bytes,
             "redo_log_bytes": self.redo_log.size_bytes,
             "dirty_groups": (len(self.rda.dirty_set)
                              if self.rda is not None else 0),
         }
-        return stats
+
+    def txn_flags(self, txn_id: int) -> dict:
+        """What a sharded facade's transaction view reads of one
+        registered transaction (raises on an unknown id)."""
+        txn = self.txns.get(txn_id)
+        return {"must_commit": txn.must_commit, "is_active": txn.is_active,
+                "state": txn.state, "is_update": txn.is_update_transaction}
+
+    def statistics(self) -> dict:
+        """A monitoring snapshot: transfers, buffer behaviour, steal
+        accounting, log sizes, dirty groups, active transactions."""
+        return statistics_of(self.snap())
+
+
+def statistics_of(snap: dict) -> dict:
+    """The monitoring view of one :meth:`Database.snap` dict, or of the
+    key-wise sum of several (a sharded facade's)."""
+    references = snap["hits"] + snap["misses"]
+    stats = {
+        "page_transfers": snap["reads"] + snap["writes"],
+        "reads": snap["reads"],
+        "writes": snap["writes"],
+        "buffer_hit_ratio": snap["hits"] / references if references else 0.0,
+    }
+    for key in ("buffer_steals", "unlogged_steals", "logged_steals",
+                "before_images_logged", "promotions",
+                "transactions_committed", "transactions_aborted",
+                "active_transactions", "undo_log_bytes", "redo_log_bytes",
+                "dirty_groups"):
+        stats[key] = snap[key]
+    return stats

@@ -37,15 +37,17 @@ globally committed transaction surfaced as a loser on any shard.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from ..errors import ModelError, RecoveryError, TransactionError
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, LabelledTracer
 from ..storage import IOStats
+from ..storage.iostats import TransferCounts
 from ..wal import CommitRecord, GroupCommitCoordinator, GroupCommitLog
 from .config import DBConfig
-from .database import Database
+from .database import Database, WriteCounters, statistics_of
+from .verify import verify_database
 
 
 class ShardScheduler:
@@ -84,194 +86,220 @@ def shard_config(config: DBConfig, shards: int) -> DBConfig:
                        config.buffer_capacity / shards)))
 
 
+# ---------------------------------------------------------------- the protocol
+
+
+def _method(name: str):
+    """The shard operation that is ``Database.<name>`` (looked up on
+    the instance, so a patched engine keeps its patch)."""
+    return lambda db, *args: getattr(db, name)(*args)
+
+
+def _check_restart(db: Database) -> list:
+    from ..check.invariants import check_restart
+    return check_restart(db)
+
+
+SHARD_OPS: dict = {
+    **{name: _method(name) for name in (
+        "begin", "grants_for", "read_page", "write_page", "read_record",
+        "update_record", "insert_record", "delete_record", "commit", "abort",
+        "checkpoint", "trim_log", "crash", "recover", "media_failure",
+        "media_recover", "load_pages", "format_record_pages", "snap",
+        "txn_flags", "disk_page", "committed_view", "verify_parity")},
+    # the parts of an engine the facade views reach through to
+    "note_work": lambda db, cost: db.checkpointer.note_work(cost),
+    "maybe_checkpoint": lambda db: db.checkpointer.maybe_checkpoint(),
+    "active_txns": lambda db: [t.txn_id
+                               for t in db.txns.active_transactions()],
+    "resident_pages": lambda db: db.buffer.resident_pages(),
+    "in_buffer": lambda db, page: page in db.buffer,
+    "metrics_snapshot": lambda db: (db.metrics.snapshot()
+                                    if db.metrics is not None else {}),
+    "verify": verify_database,
+    "check_restart": _check_restart,
+}
+"""The shard protocol: ``op -> function(db, *args)``, arguments
+positional.  The in-process :meth:`ShardedDatabase._scatter` and the
+worker loop of :mod:`repro.db.workers` both dispatch through this one
+table; an op named like a ``Database`` method *is* that method."""
+
+
+def shard_info(db: Database) -> dict:
+    """The static facts of one shard the facade keeps locally (a worker
+    sends them once, in its handshake)."""
+    return {"num_data_pages": db.num_data_pages,
+            "num_disks": len(db.array.disks),
+            "has_checkpointer": db.checkpointer is not None}
+
+
 # ---------------------------------------------------------------- facade views
 
 
-class _StatsView:
-    """Read-only aggregate of every shard's IOStats plus the commit log's."""
-
-    def __init__(self, parts: list) -> None:
-        self._parts = parts
-
-    @property
-    def reads(self) -> int:
-        return sum(p.reads for p in self._parts)
-
-    @property
-    def writes(self) -> int:
-        return sum(p.writes for p in self._parts)
-
-    @property
-    def total(self) -> int:
-        return self.reads + self.writes
-
-    @property
-    def log_transfers(self) -> int:
-        return sum(p.log_transfers for p in self._parts)
-
-    def snapshot(self):
-        from ..storage.iostats import TransferCounts
-        return TransferCounts(self.reads, self.writes)
+def _total(key: str) -> property:
+    """Read-only attribute: ``key`` of the owner's summed snapshot."""
+    return property(lambda self: self._owner._totals()[key])
 
 
-class _BufferStatsView:
-    """Summed :class:`~repro.buffer.pool.BufferStats` across shards."""
-
-    def __init__(self, shards: list) -> None:
-        self._shards = shards
-
-    def _sum(self, attr: str) -> int:
-        return sum(getattr(s.buffer.stats, attr) for s in self._shards)
-
-    hits = property(lambda self: self._sum("hits"))
-    misses = property(lambda self: self._sum("misses"))
-    evictions = property(lambda self: self._sum("evictions"))
-    dirty_evictions = property(lambda self: self._sum("dirty_evictions"))
-    steals = property(lambda self: self._sum("steals"))
-
-    @property
-    def references(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        if self.references == 0:
-            return 0.0
-        return self.hits / self.references
-
-
-class _BufferFacade:
-    """The slice of the BufferPool API drivers use, globalized."""
+class _View:
+    """A live view: every read gathers fresh per-shard state through
+    the owner's ``_scatter``, one round per attribute access."""
 
     def __init__(self, owner: "ShardedDatabase") -> None:
         self._owner = owner
-        self.stats = _BufferStatsView(owner.shards)
+
+
+class _StatsView(_View):
+    """Read-only aggregate of every shard's IOStats plus the commit log's."""
+
+    reads = _total("reads")
+    writes = _total("writes")
+    log_transfers = _total("log_transfers")
+
+    @property
+    def total(self) -> int:
+        return self.snapshot().total
+
+    def snapshot(self) -> TransferCounts:
+        totals = self._owner._totals()
+        return TransferCounts(totals["reads"], totals["writes"])
+
+
+class _BufferStatsView(_View):
+    """Summed :class:`~repro.buffer.pool.BufferStats` across shards."""
+
+    hits = _total("hits")
+    misses = _total("misses")
+    evictions = _total("evictions")
+    dirty_evictions = _total("dirty_evictions")
+    steals = _total("buffer_steals")
+
+    @property
+    def references(self) -> int:
+        totals = self._owner._totals()
+        return totals["hits"] + totals["misses"]
+
+    @property
+    def hit_ratio(self) -> float:
+        return statistics_of(self._owner._totals())["buffer_hit_ratio"]
+
+
+class _BufferFacade(_View):
+    """The slice of the BufferPool API drivers use, globalized."""
+
+    def __init__(self, owner: "ShardedDatabase") -> None:
+        super().__init__(owner)
+        self.stats = _BufferStatsView(owner)
 
     def resident_pages(self) -> list:
         """Sorted *global* ids of pages buffered on any shard."""
-        owner = self._owner
-        pages = [local * owner.num_shards + i
-                 for i, shard in enumerate(owner.shards)
-                 for local in shard.buffer.resident_pages()]
-        return sorted(pages)
+        return sorted(self._owner.global_page(i, local)
+                      for i, locals_ in enumerate(
+                          self._owner._gather("resident_pages"))
+                      for local in locals_)
 
     def __contains__(self, page: int) -> bool:
         shard, local = self._owner._route(page)
-        return local in self._owner.shards[shard].buffer
+        return self._owner._scatter((shard,), "in_buffer", (local,))[shard]
 
 
-class _TxnView:
-    """One global transaction, seen across its shards."""
+class _TxnView(_View):
+    """One global transaction, seen across its shards.  Every global
+    transaction registers on every shard, so shard 0 is canonical for
+    what all shards agree on (existence, state)."""
 
     def __init__(self, owner: "ShardedDatabase", txn_id: int) -> None:
-        self._owner = owner
+        super().__init__(owner)
         self.txn_id = txn_id
 
-    def _parts(self) -> list:
-        return [shard.txns.get(self.txn_id) for shard in self._owner.shards]
+    def _canonical(self) -> dict:
+        return self._owner._scatter((0,), "txn_flags", (self.txn_id,))[0]
 
     @property
     def must_commit(self) -> bool:
         """Pinned if any shard lost this transaction's undo to media."""
-        return any(t.must_commit for t in self._parts())
+        return any(flags["must_commit"] for flags
+                   in self._owner._gather("txn_flags", (self.txn_id,)))
 
     @property
     def is_active(self) -> bool:
-        return self._parts()[0].is_active
+        return self._canonical()["is_active"]
 
     @property
     def state(self):
-        return self._parts()[0].state
+        return self._canonical()["state"]
 
     @property
     def is_update_transaction(self) -> bool:
-        return any(t.is_update_transaction for t in self._parts())
+        return any(flags["is_update"] for flags
+                   in self._owner._gather("txn_flags", (self.txn_id,)))
 
 
-class _TxnFacade:
+class _TxnFacade(_View):
     """Registry view: ids are global, state is the union of shards."""
 
-    def __init__(self, owner: "ShardedDatabase") -> None:
-        self._owner = owner
-
     def get(self, txn_id: int) -> _TxnView:
-        self._owner.shards[0].txns.get(txn_id)      # raise on unknown id
-        return _TxnView(self._owner, txn_id)
+        view = _TxnView(self._owner, txn_id)
+        view._canonical()                           # raise on unknown id
+        return view
 
     def active_transactions(self) -> list:
-        # every shard registers every global txn, so shard 0 is canonical
-        return [_TxnView(self._owner, t.txn_id)
-                for t in self._owner.shards[0].txns.active_transactions()]
+        return [_TxnView(self._owner, txn_id) for txn_id
+                in self._owner._scatter((0,), "active_txns")[0]]
 
 
-class _CountersView:
-    """Summed :class:`~repro.db.database.WriteCounters` across shards."""
+class _CountersView(_View):
+    """Summed :class:`~repro.db.database.WriteCounters` across shards
+    (global commits and aborts are counted once, not per shard)."""
 
-    def __init__(self, shards: list) -> None:
-        self._shards = shards
+    unlogged_steals = _total("unlogged_steals")
+    logged_steals = _total("logged_steals")
+    committed_writebacks = _total("committed_writebacks")
+    before_images_logged = _total("before_images_logged")
+    promotions = _total("promotions")
+    transactions_committed = _total("transactions_committed")
+    transactions_aborted = _total("transactions_aborted")
 
-    def _sum(self, attr: str) -> int:
-        return sum(getattr(s.counters, attr) for s in self._shards)
-
-    unlogged_steals = property(lambda self: self._sum("unlogged_steals"))
-    logged_steals = property(lambda self: self._sum("logged_steals"))
-    committed_writebacks = property(
-        lambda self: self._sum("committed_writebacks"))
-    before_images_logged = property(
-        lambda self: self._sum("before_images_logged"))
-    promotions = property(lambda self: self._sum("promotions"))
-
-    @property
-    def transactions_committed(self) -> int:
-        # global commits are counted once by the facade, not per shard
-        return self._shards[0].counters.transactions_committed
-
-    @property
-    def transactions_aborted(self) -> int:
-        return self._shards[0].counters.transactions_aborted
+    def _counters(self) -> WriteCounters:
+        totals = self._owner._totals()
+        return WriteCounters(**{f.name: totals[f.name]
+                                for f in fields(WriteCounters)})
 
     @property
     def steals(self) -> int:
-        return self.unlogged_steals + self.logged_steals
+        return self._counters().steals
 
     @property
     def unlogged_fraction(self) -> float:
-        if self.steals == 0:
-            return 0.0
-        return self.unlogged_steals / self.steals
+        return self._counters().unlogged_fraction
 
 
-class _CheckpointerFacade:
+class _CheckpointerFacade(_View):
     """Drives every shard's ACC checkpointer in lockstep."""
 
-    def __init__(self, owner: "ShardedDatabase") -> None:
-        self._owner = owner
-
     def note_work(self, cost: float) -> None:
-        for shard in self._owner.shards:
-            shard.checkpointer.note_work(cost)
+        self._owner._gather("note_work", (cost,))
 
     def maybe_checkpoint(self):
         """Returns the list of shard checkpoint LSNs, or None if no
         shard's interval elapsed (they share one interval, so normally
         all fire together)."""
-        lsns = [shard.checkpointer.maybe_checkpoint()
-                for shard in self._owner.shards]
-        fired = [lsn for lsn in lsns if lsn is not None]
+        fired = [lsn for lsn in self._owner._gather("maybe_checkpoint")
+                 if lsn is not None]
         return fired or None
 
     def checkpoint(self) -> list:
-        return [shard.checkpointer.checkpoint()
-                for shard in self._owner.shards]
+        return self._owner._gather("checkpoint")
 
 
-class _ShardedMetrics:
+class _ShardedMetrics(_View):
     """Merged snapshot: the facade's own registry plus each shard's,
     re-keyed with a ``shard`` label so series never collide."""
 
-    def __init__(self, own: MetricsRegistry, shard_registries: list) -> None:
+    def __init__(self, owner: "ShardedDatabase",
+                 own: MetricsRegistry) -> None:
+        super().__init__(owner)
         self._own = own
-        self._shards = shard_registries
 
     @staticmethod
     def _relabel(key: str, shard: int) -> str:
@@ -283,8 +311,8 @@ class _ShardedMetrics:
 
     def snapshot(self) -> dict:
         merged = self._own.snapshot()
-        for shard, registry in enumerate(self._shards):
-            snap = registry.snapshot()
+        for shard, snap in enumerate(
+                self._owner._gather("metrics_snapshot")):
             for kind, series in snap.items():
                 target = merged.setdefault(kind, {})
                 for key, value in series.items():
@@ -297,6 +325,14 @@ class _ShardedMetrics:
 
 class ShardedDatabase:
     """K independent engines behind the single-engine ``Database`` API.
+
+    Every cross-shard operation and every view is written once, over
+    :meth:`_scatter`; how a scatter *runs* is the transport.  Here the
+    shards are :class:`Database` objects called in order on this
+    thread; :class:`~repro.db.workers.WorkerShardedDatabase` hosts them
+    in worker processes and overrides only the transport section below
+    (plus healing dead workers before :meth:`crash`).  Operations routed
+    to a single shard call ``self.shards[i]`` directly.
 
     Args:
         config: the *global* configuration; groups and buffer frames
@@ -325,24 +361,12 @@ class ShardedDatabase:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.history = history
         self.scheduler = ShardScheduler(shards)
-        self.coordinator = GroupCommitCoordinator(
-            flush_horizon=flush_horizon, metrics=metrics)
-
-        self._own_metrics = metrics
-        shard_registries = ([MetricsRegistry() for _ in range(shards)]
-                            if metrics is not None else [None] * shards)
-        self.metrics = (_ShardedMetrics(metrics, shard_registries)
+        info = self._open(shard_config(config, shards), flush_horizon,
+                          metrics)
+        self.num_data_pages = shards * info["num_data_pages"]
+        self.disks_per_shard = info["num_disks"]
+        self.metrics = (_ShardedMetrics(self, metrics)
                         if metrics is not None else None)
-
-        per_shard = shard_config(config, shards)
-        self.shards = [
-            Database(per_shard,
-                     tracer=(LabelledTracer(self.tracer, shard=i)
-                             if self.tracer.enabled else self.tracer),
-                     metrics=shard_registries[i],
-                     log_factory=self._shard_log_factory)
-            for i in range(shards)
-        ]
 
         # the global commit log: one duplexed record stream of global
         # commit decisions, forced through the same coordinator
@@ -353,17 +377,35 @@ class ShardedDatabase:
             stats=self._commit_stats, metrics=metrics,
             coordinator=self.coordinator)
 
-        self.stats = _StatsView([s.stats for s in self.shards]
-                                + [self._commit_stats])
+        self.stats = _StatsView(self)
         self.buffer = _BufferFacade(self)
         self.txns = _TxnFacade(self)
-        self.counters = _CountersView(self.shards)
+        self.counters = _CountersView(self)
         self.checkpointer = (_CheckpointerFacade(self)
-                             if self.shards[0].checkpointer is not None
-                             else None)
+                             if info["has_checkpointer"] else None)
         self._next_txn = 1
+        # True once a media rebuild may have pinned a transaction
+        # must_commit on some shard (see abort)
+        self._pins_possible = False
 
-    # -- construction helpers ------------------------------------------------
+    # -- the transport -------------------------------------------------------
+
+    def _open(self, per_shard: DBConfig, flush_horizon: int,
+              metrics) -> dict:
+        """Build ``self.coordinator`` and ``self.shards``; returns
+        shard 0's :func:`shard_info` (the shards are identical)."""
+        self.coordinator = GroupCommitCoordinator(
+            flush_horizon=flush_horizon, metrics=metrics)
+        self.shards = [
+            Database(per_shard,
+                     tracer=(LabelledTracer(self.tracer, shard=i)
+                             if self.tracer.enabled else self.tracer),
+                     metrics=MetricsRegistry() if metrics is not None
+                     else None,
+                     log_factory=self._shard_log_factory)
+            for i in range(self.num_shards)
+        ]
+        return shard_info(self.shards[0])
 
     def _shard_log_factory(self, db: Database, name: str) -> GroupCommitLog:
         """Per-shard WALs that defer their forces to the coordinator."""
@@ -372,6 +414,63 @@ class ShardedDatabase:
             transfers_per_log_page=db.config.log_transfers_per_page,
             stats=db.stats, metrics=db.metrics,
             coordinator=self.coordinator)
+
+    def _scatter(self, order, op: str, args: tuple = ()) -> dict:
+        """Run :data:`SHARD_OPS` ``[op]`` on every shard in ``order``;
+        returns ``{shard: result}``.
+
+        **The error rule, the same on both transports:** the command
+        reaches *every* shard in ``order`` even when one of them
+        raises, and the first failure is raised only after the sweep —
+        a worker's death before any engine error, otherwise the first
+        in ``order``.  Worker processes execute a scatter concurrently,
+        so it cannot stop half-way there; holding the in-process loop
+        to the same rule keeps the shards' registries in step (no shard
+        is left without a command its siblings executed).
+        """
+        fn = SHARD_OPS[op]
+        shards = self.shards
+        results: dict = {}
+        error: Exception | None = None
+        for i in order:
+            try:
+                results[i] = fn(shards[i], *args)
+            except Exception as exc:                # noqa: BLE001
+                if error is None:
+                    error = exc
+        if error is not None:
+            raise error
+        return results
+
+    def _gather(self, op: str, args: tuple = ()) -> list:
+        """One scatter over every shard; results in shard order."""
+        order = range(self.num_shards)
+        results = self._scatter(order, op, args)
+        return [results[i] for i in order]
+
+    def _snaps(self) -> list:
+        """One :meth:`Database.snap` per shard, gathered in one scatter."""
+        return self._gather("snap")
+
+    def _totals(self) -> dict:
+        """The facade-wide :meth:`Database.snap`: the shards' summed
+        key-wise, plus the global commit log's transfers.  A global
+        transaction begins and ends on every shard, so the transaction
+        counts are shard 0's, not the sum."""
+        snaps = self._snaps()
+        totals = {key: sum(snap[key] for snap in snaps) for key in snaps[0]}
+        for key in ("transactions_committed", "transactions_aborted",
+                    "active_transactions"):
+            totals[key] = snaps[0][key]
+        commit = self._commit_stats
+        totals["reads"] += commit.reads
+        totals["writes"] += commit.writes
+        totals["log_transfers"] += commit.log_transfers
+        return totals
+
+    def _transport_statistics(self) -> dict:
+        """What the transport adds to :meth:`statistics`."""
+        return {}
 
     # -- routing -------------------------------------------------------------
 
@@ -384,11 +483,6 @@ class ShardedDatabase:
     def global_page(self, shard: int, local: int) -> int:
         """Inverse of :meth:`_route`."""
         return local * self.num_shards + shard
-
-    @property
-    def num_data_pages(self) -> int:
-        """S: logical pages across every shard."""
-        return self.num_shards * self.shards[0].num_data_pages
 
     # -- history (global ids) ------------------------------------------------
 
@@ -431,14 +525,13 @@ class ShardedDatabase:
         if txn_id is None:
             txn_id = self._next_txn
         self._next_txn = max(self._next_txn, txn_id + 1)
-        for shard in self.shards:
-            shard.begin(txn_id=txn_id)
+        self._gather("begin", (txn_id,))
         self._h("begin", txn=txn_id)
         return txn_id
 
     def grants_for(self, txn_id: int) -> bool:
         """True when no shard holds a pending wait for the transaction."""
-        return all(shard.grants_for(txn_id) for shard in self.shards)
+        return all(self._gather("grants_for", (txn_id,)))
 
     def read_page(self, txn_id: int, page: int) -> bytes:
         shard, local = self._route(page)
@@ -486,8 +579,7 @@ class ShardedDatabase:
         appended and the whole batch rides the next horizon flush.
         """
         with self.coordinator.deferred():
-            for i in self.scheduler.order():
-                self.shards[i].commit(txn_id)
+            self._scatter(self.scheduler.order(), "commit", (txn_id,))
             self.commit_log.append(CommitRecord(txn_id=txn_id))
             self.commit_log.force()
         self.coordinator.note_commit()
@@ -495,9 +587,19 @@ class ShardedDatabase:
 
     def abort(self, txn_id: int) -> None:
         """Roll back on every shard.  Never deferred: abort undo must be
-        durable before the facade acknowledges (the WAL rule)."""
-        for i in self.scheduler.order():
-            self.shards[i].abort(txn_id)
+        durable before the facade acknowledges (the WAL rule).
+
+        A transaction one shard has pinned ``must_commit`` is refused
+        *before* any shard is touched: the pinned shard would refuse on
+        its own, but only after its siblings had rolled back, leaving a
+        transaction that can neither commit nor abort.  Pins come only
+        from an adopting media rebuild, so the flags are gathered only
+        once one has run."""
+        if self._pins_possible and _TxnView(self, txn_id).must_commit:
+            raise RecoveryError(
+                f"transaction {txn_id} lost its parity-encoded before-image "
+                "to a media failure and can no longer abort")
+        self._scatter(self.scheduler.order(), "abort", (txn_id,))
         self._h("abort", txn=txn_id)
 
     # -- checkpoints ---------------------------------------------------------
@@ -517,8 +619,7 @@ class ShardedDatabase:
         and draining keeps every log's forced horizon pointing at
         bytes that actually exist."""
         self.coordinator.flush()
-        return sum(shard.trim_log(archive_floor=archive_floor)
-                   for shard in self.shards)
+        return sum(self._gather("trim_log", (archive_floor,)))
 
     # -- failures ------------------------------------------------------------
 
@@ -532,9 +633,9 @@ class ShardedDatabase:
         self.tracer.emit("db.crash")
         self._h("crash")
         self.coordinator.flush()
-        for shard in self.shards:
-            shard.crash()
+        self._gather("crash")
         self.commit_log.crash()
+        self._pins_possible = False     # pins die with their transactions
 
     def recover(self, fault_hook=None) -> dict:
         """Restart every shard independently, then cross-check.
@@ -553,11 +654,8 @@ class ShardedDatabase:
             self.commit_log.after_crash()
             global_winners = {r.txn_id
                               for r in self.commit_log.scan(CommitRecord)}
-            per_shard = []
-            for i in self.scheduler.order():
-                per_shard.append((i, self.shards[i].recover(
-                    fault_hook=fault_hook)))
-            per_shard.sort(key=lambda item: item[0])
+            per_shard = sorted(self._scatter(
+                self.scheduler.order(), "recover", (fault_hook,)).items())
 
             winners: set = set(global_winners)
             losers: set = set()
@@ -585,10 +683,6 @@ class ShardedDatabase:
         }
 
     @property
-    def disks_per_shard(self) -> int:
-        return len(self.shards[0].array.disks)
-
-    @property
     def num_disks(self) -> int:
         """Disks across every shard (global disk-id space)."""
         return self.num_shards * self.disks_per_shard
@@ -611,8 +705,9 @@ class ShardedDatabase:
     def media_recover(self, disk_id: int, on_lost_undo: str = "raise"):
         """Rebuild one failed disk within its shard's parity domain."""
         shard, local = self._route_disk(disk_id)
-        return self.shards[shard].media_recover(local,
-                                                on_lost_undo=on_lost_undo)
+        if on_lost_undo != "raise":
+            self._pins_possible = True
+        return self.shards[shard].media_recover(local, on_lost_undo)
 
     # -- inspection ----------------------------------------------------------
 
@@ -631,29 +726,12 @@ class ShardedDatabase:
 
     def statistics(self) -> dict:
         """Aggregated monitoring snapshot plus sharding/commit extras."""
-        stats = {
-            "page_transfers": self.stats.total,
-            "reads": self.stats.reads,
-            "writes": self.stats.writes,
-            "buffer_hit_ratio": self.buffer.stats.hit_ratio,
-            "buffer_steals": self.buffer.stats.steals,
-            "unlogged_steals": self.counters.unlogged_steals,
-            "logged_steals": self.counters.logged_steals,
-            "before_images_logged": self.counters.before_images_logged,
-            "promotions": self.counters.promotions,
-            "transactions_committed": self.counters.transactions_committed,
-            "transactions_aborted": self.counters.transactions_aborted,
-            "active_transactions": len(self.txns.active_transactions()),
-            "undo_log_bytes": sum(s.undo_log.size_bytes
-                                  for s in self.shards),
-            "redo_log_bytes": sum(s.redo_log.size_bytes
-                                  for s in self.shards),
-            "dirty_groups": sum(len(s.rda.dirty_set) for s in self.shards
-                                if s.rda is not None),
+        return {
+            **statistics_of(self._totals()),
             "shards": self.num_shards,
             "flush_horizon": self.coordinator.flush_horizon,
             "commit_log_bytes": self.commit_log.size_bytes,
             "deferred_forces": self.coordinator.deferred_forces,
             "batched_flushes": self.coordinator.flushes,
+            **self._transport_statistics(),
         }
-        return stats

@@ -29,17 +29,12 @@ def verify_database(db) -> list:
     shard (violations are prefixed with the shard index) plus its
     global commit log's duplex integrity.
     """
-    # worker-process facades verify each shard inside its worker (the
-    # engines live across a pipe, not in this address space); checked
-    # before the shards attribute, which they also expose (as proxies)
-    remote = getattr(db, "verify_remote", None)
-    if remote is not None:
-        return remote()
-    shards = getattr(db, "shards", None)
-    if shards is not None:
+    if getattr(db, "shards", None) is not None:
+        # through the facade's scatter: worker-process shards verify
+        # inside their workers, concurrently
         problems = [f"shard {i}: {problem}"
-                    for i, shard in enumerate(shards)
-                    for problem in verify_database(shard)]
+                    for i, found in enumerate(db._gather("verify"))
+                    for problem in found]
         problems += _check_log(db.commit_log)
         return problems
     problems = []

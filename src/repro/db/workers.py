@@ -1,16 +1,19 @@
 """True multicore sharding: each shard engine in its own worker process.
 
 The in-process :class:`~repro.db.sharded.ShardedDatabase` runs K shard
-engines on one Python thread, taking turns.  This module keeps the
-exact same facade API and semantics but hosts each shard
-:class:`~repro.db.database.Database` in a separate OS process, driven
-over a typed command/reply protocol — Wu et al.'s per-core-logging
-blueprint (*Fast Failure Recovery for Main-Memory DBMSs on
-Multicores*): per-shard WALs, one cross-shard barrier, and restart
-recovery that fans out to every worker concurrently.
+engines on one Python thread, taking turns.  This module is its second
+*transport*: the facade, its views and every cross-shard operation are
+the inherited ones, but each shard :class:`~repro.db.database.Database`
+lives in a separate OS process, driven over a typed command/reply
+protocol — Wu et al.'s per-core-logging blueprint (*Fast Failure
+Recovery for Main-Memory DBMSs on Multicores*): per-shard WALs, one
+cross-shard barrier, and restart recovery that fans out to every worker
+concurrently.
 
 **Protocol.**  One duplex pipe per worker.  A command is
-``(op, args)``; a reply is ``(status, value, events, gc)`` where
+``(op, args)``, ``op`` a key of the shared
+:data:`~repro.db.sharded.SHARD_OPS` table (or one of the few
+worker-only ``_WORKER_OPS``); a reply is ``(status, value, events, gc)`` where
 ``status`` is ``"ok"``/``"err"`` (``value`` is the result or the
 pickled exception, re-raised at the facade), ``events`` is the batch of
 tracer events the command produced (merged into the facade trace via
@@ -60,13 +63,10 @@ import weakref
 from ..errors import ModelError, RecoveryError
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..storage import IOStats
-from ..storage.iostats import TransferCounts
-from ..wal import CommitRecord, GroupCommitCoordinator, GroupCommitLog
+from ..wal import GroupCommitCoordinator, GroupCommitLog
 from .config import DBConfig
 from .database import Database
-from .sharded import (ShardedDatabase, ShardScheduler, _ShardedMetrics,
-                      shard_config)
+from .sharded import SHARD_OPS, ShardedDatabase, shard_info
 
 
 def _truthy(value: str | None) -> bool:
@@ -178,38 +178,6 @@ def _h_gc_flush(state: _WorkerState) -> int:
     return state.coordinator.flush()
 
 
-def _h_recover(state: _WorkerState) -> dict:
-    return state.db.recover()
-
-
-def _h_txn_flags(state: _WorkerState, txn_id: int) -> dict:
-    txn = state.db.txns.get(txn_id)
-    return {"must_commit": txn.must_commit, "is_active": txn.is_active,
-            "state": txn.state, "is_update": txn.is_update_transaction}
-
-
-def _h_snap(state: _WorkerState) -> dict:
-    db = state.db
-    buf = db.buffer.stats
-    counters = dataclasses.asdict(db.counters)
-    return {
-        "reads": db.stats.reads,
-        "writes": db.stats.writes,
-        "log_transfers": db.stats.log_transfers,
-        "hits": buf.hits,
-        "misses": buf.misses,
-        "evictions": buf.evictions,
-        "dirty_evictions": buf.dirty_evictions,
-        "buffer_steals": buf.steals,
-        **counters,
-        "active_transactions": len(db.txns.active_transactions()),
-        "undo_log_bytes": db.undo_log.size_bytes,
-        "redo_log_bytes": db.redo_log.size_bytes,
-        "dirty_groups": (len(db.rda.dirty_set)
-                         if db.rda is not None else 0),
-    }
-
-
 def _h_attach_invariants(state: _WorkerState, rules) -> bool:
     from ..check.invariants import InvariantEngine
     InvariantEngine.attach(state.db, rules)
@@ -223,60 +191,13 @@ def _h_invariant_state(state: _WorkerState) -> tuple:
     return list(engine.violations), dict(engine.barrier_counts)
 
 
-def _h_check_restart(state: _WorkerState) -> list:
-    from ..check.invariants import check_restart
-    return check_restart(state.db)
-
-
-def _h_verify(state: _WorkerState) -> list:
-    from .verify import verify_database
-    return verify_database(state.db)
-
-
-_HANDLERS = {
-    # transaction API
-    "begin": lambda s, txn_id: s.db.begin(txn_id=txn_id),
-    "grants_for": lambda s, txn_id: s.db.grants_for(txn_id),
-    "read_page": lambda s, t, p: s.db.read_page(t, p),
-    "write_page": lambda s, t, p, d: s.db.write_page(t, p, d),
-    "read_record": lambda s, t, p, sl: s.db.read_record(t, p, sl),
-    "update_record": lambda s, t, p, sl, d: s.db.update_record(t, p, sl, d),
-    "insert_record": lambda s, t, p, d: s.db.insert_record(t, p, d),
-    "delete_record": lambda s, t, p, sl: s.db.delete_record(t, p, sl),
-    "commit": _h_commit,
-    "abort": lambda s, txn_id: s.db.abort(txn_id),
-    # checkpoints / log hygiene
-    "ckpt_note": lambda s, cost: s.db.checkpointer.note_work(cost),
-    "ckpt_maybe": lambda s: s.db.checkpointer.maybe_checkpoint(),
-    "ckpt_do": lambda s: s.db.checkpointer.checkpoint(),
-    "trim": lambda s, floor: s.db.trim_log(archive_floor=floor),
-    # group commit barrier
-    "gc_flush": _h_gc_flush,
-    # failures
-    "crash": lambda s: s.db.crash(),
-    "recover": _h_recover,
-    "media_failure": lambda s, disk: s.db.media_failure(disk),
-    "media_recover": lambda s, disk, mode: s.db.media_recover(
-        disk, on_lost_undo=mode),
-    # bulk loading
-    "load_pages": lambda s, payloads: s.db.load_pages(payloads),
-    "format_pages": lambda s, pages: s.db.format_record_pages(pages),
-    # inspection / conformance
-    "snap": _h_snap,
-    "txn_flags": _h_txn_flags,
-    "active_txns": lambda s: [t.txn_id
-                              for t in s.db.txns.active_transactions()],
-    "resident_pages": lambda s: s.db.buffer.resident_pages(),
-    "in_buffer": lambda s, page: page in s.db.buffer,
-    "disk_page": lambda s, page: s.db.disk_page(page),
-    "committed_view": lambda s, page: s.db.committed_view(page),
-    "verify_parity": lambda s: s.db.verify_parity(),
-    "verify": _h_verify,
-    "metrics_snapshot": lambda s: (s.db.metrics.snapshot()
-                                   if s.db.metrics is not None else {}),
+# What only a worker does, ``op -> function(state, *args)``; every other
+# op is looked up in the shared :data:`~repro.db.sharded.SHARD_OPS`.
+_WORKER_OPS = {
+    "commit": _h_commit,            # opens the local deferral window
+    "gc_flush": _h_gc_flush,        # the facade coordinator's broadcast
     "attach_invariants": _h_attach_invariants,
     "invariant_state": _h_invariant_state,
-    "check_restart": _h_check_restart,
     "ping": lambda s: "pong",
 }
 
@@ -289,9 +210,10 @@ _HANDLERS = {
 _MUTATING = frozenset({
     "begin", "read_page", "write_page", "read_record", "update_record",
     "insert_record", "delete_record", "commit", "abort",
-    "ckpt_note", "ckpt_maybe", "ckpt_do", "trim", "gc_flush",
+    "note_work", "maybe_checkpoint", "checkpoint", "trim_log", "gc_flush",
     "crash", "recover", "media_failure", "media_recover",
-    "load_pages", "format_pages", "committed_view", "attach_invariants",
+    "load_pages", "format_record_pages", "committed_view",
+    "attach_invariants",
 })
 
 
@@ -329,13 +251,8 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
                   log_factory=log_factory)
     state = _WorkerState(db, coordinator, sink)
 
-    info = {
-        "num_data_pages": db.num_data_pages,
-        "disks_per_shard": len(db.array.disks),
-        "has_checkpointer": db.checkpointer is not None,
-    }
     events = sink.drain() if sink is not None else ()
-    conn.send(("ok", info, events, coordinator.deferred_forces))
+    conn.send(("ok", shard_info(db), events, coordinator.deferred_forces))
 
     # clean exits *return* rather than os._exit: the multiprocessing
     # bootstrap then finishes normally, letting subprocess coverage
@@ -363,7 +280,9 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
         if state.die_on == "next_command":
             _die()
         try:
-            value = _HANDLERS[op](state, *args)
+            handler = _WORKER_OPS.get(op)
+            value = (handler(state, *args) if handler is not None
+                     else SHARD_OPS[op](db, *args))
             status = "ok"
         except Exception as exc:                    # noqa: BLE001
             value = _picklable(exc)
@@ -647,283 +566,24 @@ class WorkerSupervisor:
 
 
 class ShardProxy:
-    """The slice of the ``Database`` API the facade's inherited routed
-    paths use, forwarded over the worker pipe one command per call."""
+    """A shard engine across the pipe: ``proxy.<op>(*args)`` is one
+    command / one reply for any op of the shard protocol, so the
+    facade's routed paths call it like the ``Database`` it stands for
+    (positional arguments only)."""
 
     def __init__(self, handle: _WorkerHandle) -> None:
         self._handle = handle
         self.num_data_pages = handle.info["num_data_pages"]
 
-    def begin(self, txn_id=None):
-        return self._handle.call("begin", txn_id)
-
-    def grants_for(self, txn_id):
-        return self._handle.call("grants_for", txn_id)
-
-    def read_page(self, txn_id, page):
-        return self._handle.call("read_page", txn_id, page)
-
-    def write_page(self, txn_id, page, payload):
-        return self._handle.call("write_page", txn_id, page, payload)
-
-    def read_record(self, txn_id, page, slot):
-        return self._handle.call("read_record", txn_id, page, slot)
-
-    def update_record(self, txn_id, page, slot, data):
-        return self._handle.call("update_record", txn_id, page, slot, data)
-
-    def insert_record(self, txn_id, page, data):
-        return self._handle.call("insert_record", txn_id, page, data)
-
-    def delete_record(self, txn_id, page, slot):
-        return self._handle.call("delete_record", txn_id, page, slot)
-
-    def commit(self, txn_id):
-        return self._handle.call("commit", txn_id)
-
-    def abort(self, txn_id):
-        return self._handle.call("abort", txn_id)
-
-    def trim_log(self, archive_floor=None):
-        return self._handle.call("trim", archive_floor)
-
-    def crash(self):
-        return self._handle.call("crash")
-
-    def recover(self, fault_hook=None):
-        if fault_hook is not None:
-            raise ModelError(
-                "worker-process shards cannot ship a fault_hook across "
-                "the pipe; use the in-process ShardedDatabase for "
-                "recovery fault injection")
-        return self._handle.call("recover")
-
-    def media_failure(self, disk_id):
-        return self._handle.call("media_failure", disk_id)
-
-    def media_recover(self, disk_id, on_lost_undo="raise"):
-        return self._handle.call("media_recover", disk_id, on_lost_undo)
-
-    def load_pages(self, payloads):
-        return self._handle.call("load_pages", payloads)
-
-    def format_record_pages(self, pages):
-        return self._handle.call("format_pages", list(pages))
-
-    def disk_page(self, page):
-        return self._handle.call("disk_page", page)
-
-    def committed_view(self, page):
-        return self._handle.call("committed_view", page)
-
-    def verify_parity(self):
-        return self._handle.call("verify_parity")
-
-    def snap(self) -> dict:
-        return self._handle.call("snap")
-
-
-# ---------------------------------------------------------------- facade views
-
-
-class _WStatsView:
-    """`_StatsView` shape over one scatter-gathered worker snapshot."""
-
-    def __init__(self, owner: "WorkerShardedDatabase") -> None:
-        self._owner = owner
-
-    def _sum(self, *keys):
-        snaps = self._owner._snaps()
-        commit = self._owner._commit_stats
-        own = {"reads": commit.reads, "writes": commit.writes,
-               "log_transfers": commit.log_transfers}
-        values = [sum(snap[key] for snap in snaps) + own[key]
-                  for key in keys]
-        return values[0] if len(values) == 1 else values
-
-    @property
-    def reads(self) -> int:
-        return self._sum("reads")
-
-    @property
-    def writes(self) -> int:
-        return self._sum("writes")
-
-    @property
-    def total(self) -> int:
-        reads, writes = self._sum("reads", "writes")
-        return reads + writes
-
-    @property
-    def log_transfers(self) -> int:
-        return self._sum("log_transfers")
-
-    def snapshot(self) -> TransferCounts:
-        reads, writes = self._sum("reads", "writes")
-        return TransferCounts(reads, writes)
-
-
-class _WBufferStatsView:
-    def __init__(self, owner: "WorkerShardedDatabase") -> None:
-        self._owner = owner
-
-    def _sum(self, *keys):
-        snaps = self._owner._snaps()
-        values = [sum(snap[key] for snap in snaps) for key in keys]
-        return values[0] if len(values) == 1 else values
-
-    hits = property(lambda self: self._sum("hits"))
-    misses = property(lambda self: self._sum("misses"))
-    evictions = property(lambda self: self._sum("evictions"))
-    dirty_evictions = property(lambda self: self._sum("dirty_evictions"))
-    steals = property(lambda self: self._sum("buffer_steals"))
-
-    @property
-    def references(self) -> int:
-        hits, misses = self._sum("hits", "misses")
-        return hits + misses
-
-    @property
-    def hit_ratio(self) -> float:
-        hits, misses = self._sum("hits", "misses")
-        if hits + misses == 0:
-            return 0.0
-        return hits / (hits + misses)
-
-
-class _WBufferFacade:
-    def __init__(self, owner: "WorkerShardedDatabase") -> None:
-        self._owner = owner
-        self.stats = _WBufferStatsView(owner)
-
-    def resident_pages(self) -> list:
-        owner = self._owner
-        results = owner.supervisor.scatter(range(owner.num_shards),
-                                           "resident_pages")
-        return sorted(local * owner.num_shards + i
-                      for i, locals_ in sorted(results.items())
-                      for local in locals_)
-
-    def __contains__(self, page: int) -> bool:
-        shard, local = self._owner._route(page)
-        return self._owner.shards[shard]._handle.call("in_buffer", local)
-
-
-class _WTxnView:
-    """Live view of one global transaction across the workers."""
-
-    def __init__(self, owner: "WorkerShardedDatabase", txn_id: int) -> None:
-        self._owner = owner
-        self.txn_id = txn_id
-
-    def _flags(self) -> list:
-        results = self._owner.supervisor.scatter(
-            range(self._owner.num_shards), "txn_flags", (self.txn_id,))
-        return [results[i] for i in sorted(results)]
-
-    @property
-    def must_commit(self) -> bool:
-        return any(f["must_commit"] for f in self._flags())
-
-    @property
-    def is_active(self) -> bool:
-        return self._owner.shards[0]._handle.call(
-            "txn_flags", self.txn_id)["is_active"]
-
-    @property
-    def state(self):
-        return self._owner.shards[0]._handle.call(
-            "txn_flags", self.txn_id)["state"]
-
-    @property
-    def is_update_transaction(self) -> bool:
-        return any(f["is_update"] for f in self._flags())
-
-
-class _WTxnFacade:
-    def __init__(self, owner: "WorkerShardedDatabase") -> None:
-        self._owner = owner
-
-    def get(self, txn_id: int) -> _WTxnView:
-        # raise on unknown id, like the in-process facade (shard 0 is
-        # canonical: every global txn registers on every shard)
-        self._owner.shards[0]._handle.call("txn_flags", txn_id)
-        return _WTxnView(self._owner, txn_id)
-
-    def active_transactions(self) -> list:
-        ids = self._owner.shards[0]._handle.call("active_txns")
-        return [_WTxnView(self._owner, txn_id) for txn_id in ids]
-
-
-class _WCountersView:
-    def __init__(self, owner: "WorkerShardedDatabase") -> None:
-        self._owner = owner
-
-    def _sum(self, key: str) -> int:
-        return sum(snap[key] for snap in self._owner._snaps())
-
-    unlogged_steals = property(lambda self: self._sum("unlogged_steals"))
-    logged_steals = property(lambda self: self._sum("logged_steals"))
-    committed_writebacks = property(
-        lambda self: self._sum("committed_writebacks"))
-    before_images_logged = property(
-        lambda self: self._sum("before_images_logged"))
-    promotions = property(lambda self: self._sum("promotions"))
-
-    @property
-    def transactions_committed(self) -> int:
-        return self._owner._snaps()[0]["transactions_committed"]
-
-    @property
-    def transactions_aborted(self) -> int:
-        return self._owner._snaps()[0]["transactions_aborted"]
-
-    @property
-    def steals(self) -> int:
-        snaps = self._owner._snaps()
-        return sum(s["unlogged_steals"] + s["logged_steals"] for s in snaps)
-
-    @property
-    def unlogged_fraction(self) -> float:
-        snaps = self._owner._snaps()
-        unlogged = sum(s["unlogged_steals"] for s in snaps)
-        logged = sum(s["logged_steals"] for s in snaps)
-        if unlogged + logged == 0:
-            return 0.0
-        return unlogged / (unlogged + logged)
-
-
-class _WCheckpointerFacade:
-    """Scatter-gather ACC checkpoints: all workers fire concurrently."""
-
-    def __init__(self, owner: "WorkerShardedDatabase") -> None:
-        self._owner = owner
-
-    def note_work(self, cost: float) -> None:
-        self._owner.supervisor.scatter(range(self._owner.num_shards),
-                                       "ckpt_note", (cost,))
-
-    def maybe_checkpoint(self):
-        results = self._owner.supervisor.scatter(
-            range(self._owner.num_shards), "ckpt_maybe")
-        fired = [lsn for _, lsn in sorted(results.items())
-                 if lsn is not None]
-        return fired or None
-
-    def checkpoint(self) -> list:
-        results = self._owner.supervisor.scatter(
-            range(self._owner.num_shards), "ckpt_do")
-        return [results[i] for i in sorted(results)]
-
-
-class _RemoteRegistry:
-    """`.snapshot()`-shaped handle on one worker's metrics registry."""
-
-    def __init__(self, handle: _WorkerHandle) -> None:
-        self._handle = handle
-
-    def snapshot(self) -> dict:
-        return self._handle.call("metrics_snapshot")
+    def __getattr__(self, op: str):
+        if op not in SHARD_OPS:
+            raise AttributeError(op)
+        handle = self._handle
+
+        def forward(*args):
+            return handle.call(op, *args)
+        setattr(self, op, forward)      # looked up once per op
+        return forward
 
 
 class WorkerInvariantCollector:
@@ -941,9 +601,7 @@ class WorkerInvariantCollector:
         self._owner = owner
 
     def _state(self) -> list:
-        results = self._owner.supervisor.scatter(
-            range(self._owner.num_shards), "invariant_state")
-        return [results[i] for i in sorted(results)]
+        return self._owner._gather("invariant_state")
 
     @property
     def violations(self) -> list:
@@ -994,58 +652,39 @@ class _FacadeCoordinator(GroupCommitCoordinator):
 
 
 class WorkerShardedDatabase(ShardedDatabase):
-    """`ShardedDatabase` semantics with one OS process per shard.
+    """`ShardedDatabase` with one OS process per shard.
 
-    Construction, cross-shard dispatch, and aggregation are replaced
-    with scatter-gather over the worker supervisor; routing, history,
-    and the crash/recover contracts are inherited unchanged.  Use as a
-    context manager (or call :meth:`close`) to reap the workers; a GC
-    finalizer backstops leaked instances.
+    Only the transport differs: the shards are spawned under a
+    :class:`WorkerSupervisor`, and :meth:`_scatter` sends a command to
+    every worker before collecting any reply, so all K engines execute
+    it concurrently.  Every operation and view is the inherited one.
+    Use as a context manager (or call :meth:`close`) to reap the
+    workers; a GC finalizer backstops leaked instances.
     """
 
-    def __init__(self, config: DBConfig, shards: int = 2,
-                 flush_horizon: int = 1, tracer=None, metrics=None,
-                 history=None) -> None:
-        if shards < 1:
-            raise ModelError("shards (K) must be at least 1")
-        self.config = config
-        self.num_shards = shards
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.history = history
-        self.scheduler = ShardScheduler(shards)
-        self.coordinator = _FacadeCoordinator(
-            flush_horizon=flush_horizon, metrics=metrics)
-        self._own_metrics = metrics
-
-        per_shard = shard_config(config, shards)
-        self.supervisor = WorkerSupervisor(
-            per_shard, shards, tracer=self.tracer,
-            coordinator=self.coordinator,
-            with_metrics=metrics is not None)
-        self.coordinator.supervisor = self.supervisor
+    def _open(self, per_shard: DBConfig, flush_horizon: int,
+              metrics) -> dict:
+        coordinator = _FacadeCoordinator(flush_horizon=flush_horizon,
+                                         metrics=metrics)
+        self.supervisor = coordinator.supervisor = WorkerSupervisor(
+            per_shard, self.num_shards, tracer=self.tracer,
+            coordinator=coordinator, with_metrics=metrics is not None)
+        self.coordinator = coordinator
         self.shards = [ShardProxy(handle)
                        for handle in self.supervisor.handles]
-        self.metrics = (_ShardedMetrics(
-            metrics, [_RemoteRegistry(h) for h in self.supervisor.handles])
-            if metrics is not None else None)
-
-        self._commit_stats = IOStats()
-        self.commit_log = GroupCommitLog(
-            name="gcommit", page_size=config.log_page_size,
-            transfers_per_log_page=config.log_transfers_per_page,
-            stats=self._commit_stats, metrics=metrics,
-            coordinator=self.coordinator)
-
-        self.stats = _WStatsView(self)
-        self.buffer = _WBufferFacade(self)
-        self.txns = _WTxnFacade(self)
-        self.counters = _WCountersView(self)
-        self.checkpointer = (
-            _WCheckpointerFacade(self)
-            if self.supervisor.handles[0].info["has_checkpointer"]
-            else None)
-        self._next_txn = 1
         self._finalizer = weakref.finalize(self, _reap, self.supervisor.procs)
+        return self.supervisor.handles[0].info
+
+    def _scatter(self, order, op: str, args: tuple = ()) -> dict:
+        if op == "recover" and args != (None,):
+            raise ModelError(
+                "worker-process shards cannot ship a fault_hook across "
+                "the pipe; use the in-process ShardedDatabase for "
+                "recovery fault injection")
+        return self.supervisor.scatter(order, op, args)
+
+    def _transport_statistics(self) -> dict:
+        return {"workers": True, "worker_deaths": self.worker_deaths}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -1066,179 +705,18 @@ class WorkerShardedDatabase(ShardedDatabase):
         """Worker processes lost and healed so far."""
         return self.supervisor.worker_deaths
 
-    # -- helpers -------------------------------------------------------------
-
-    def _snaps(self) -> list:
-        """One statistics snapshot per shard, gathered in one scatter."""
-        results = self.supervisor.scatter(range(self.num_shards), "snap")
-        return [results[i] for i in sorted(results)]
-
-    @property
-    def disks_per_shard(self) -> int:
-        return self.supervisor.handles[0].info["disks_per_shard"]
-
-    # -- cross-shard operations (scatter-gather) -----------------------------
-
-    def begin(self, txn_id: int | None = None) -> int:
-        if txn_id is None:
-            txn_id = self._next_txn
-        self._next_txn = max(self._next_txn, txn_id + 1)
-        self.supervisor.scatter(range(self.num_shards), "begin", (txn_id,))
-        self._h("begin", txn=txn_id)
-        return txn_id
-
-    def grants_for(self, txn_id: int) -> bool:
-        results = self.supervisor.scatter(range(self.num_shards),
-                                          "grants_for", (txn_id,))
-        return all(results.values())
-
-    def commit(self, txn_id: int) -> None:
-        """Commit on every shard inside one group-commit window.
-
-        The scatter puts all K workers into commit processing
-        concurrently; each worker's local coordinator absorbs its log
-        forces, the facade appends + defers the global commit record,
-        and the horizon flush later drains workers-then-commit-log."""
-        with self.coordinator.deferred():
-            self.supervisor.scatter(self.scheduler.order(), "commit",
-                                    (txn_id,))
-            self.commit_log.append(CommitRecord(txn_id=txn_id))
-            self.commit_log.force()
-        self.coordinator.note_commit()
-        self._h("commit", txn=txn_id)
-
-    def abort(self, txn_id: int) -> None:
-        """Roll back on every shard — never deferred (the WAL rule):
-        each worker forces its abort records before replying."""
-        self.supervisor.scatter(self.scheduler.order(), "abort", (txn_id,))
-        self._h("abort", txn=txn_id)
-
-    def trim_log(self, archive_floor: int | None = None) -> int:
-        self.coordinator.flush()
-        results = self.supervisor.scatter(range(self.num_shards), "trim",
-                                          (archive_floor,))
-        return sum(results.values())
-
     def crash(self) -> None:
-        """Lose main memory on every shard, coordinator drained first.
-
-        Dead workers are healed (journal replay) *before* the drain, so
-        the battery-backed-buffer contract covers commits acknowledged
-        right up to a worker's death."""
+        """Dead workers are healed (journal replay) *before* the drain,
+        so the battery-backed-buffer contract covers commits
+        acknowledged right up to a worker's death."""
         self.supervisor.heal_dead()
-        self.tracer.emit("db.crash")
-        self._h("crash")
-        self.coordinator.flush()
-        self.supervisor.scatter(range(self.num_shards), "crash")
-        self.commit_log.crash()
-
-    def recover(self, fault_hook=None) -> dict:
-        """Parallel restart: every shard runs analysis/media-scan/redo/
-        undo concurrently in its worker; the facade span still reads as
-        one crash-to-ready MTTR interval."""
-        if fault_hook is not None:
-            raise ModelError(
-                "worker-process shards cannot ship a fault_hook across "
-                "the pipe; use the in-process ShardedDatabase for "
-                "recovery fault injection")
-        with self.tracer.span("recovery.restart", stats=self.stats,
-                              log_split=True, shards=self.num_shards,
-                              workers=True):
-            self.commit_log.after_crash()
-            global_winners = {r.txn_id
-                              for r in self.commit_log.scan(CommitRecord)}
-            results = self.supervisor.scatter(self.scheduler.order(),
-                                              "recover")
-            per_shard = sorted(results.items())
-
-            winners: set = set(global_winners)
-            losers: set = set()
-            totals = dict.fromkeys(
-                ("sectors_repaired", "parity_resynced",
-                 "parity_undone_pages", "redo_applied", "log_undo_applied",
-                 "page_transfers"), 0)
-            for i, stats in per_shard:
-                winners.update(stats["winners"])
-                losers.update(stats["losers"])
-                for key in totals:
-                    totals[key] += stats[key]
-                torn = global_winners.intersection(stats["losers"])
-                if torn:
-                    raise RecoveryError(
-                        f"shard {i} lost globally committed transaction(s) "
-                        f"{sorted(torn)}: the group-commit crash contract "
-                        "was violated")
-            self._h("restart")
-        return {
-            "winners": sorted(winners),
-            "losers": sorted(losers - winners),
-            **totals,
-            "shards": {i: stats for i, stats in per_shard},
-        }
-
-    # -- conformance seams ---------------------------------------------------
+        super().crash()
 
     def attach_invariants(self, rules=None) -> WorkerInvariantCollector:
         """Wire an :class:`~repro.check.invariants.InvariantEngine` into
         every worker (``InvariantEngine.attach`` delegates here); rules
         cross the pipe by pickle, so they must be module-level classes."""
-        self.supervisor.scatter(range(self.num_shards),
-                                "attach_invariants", (rules,))
+        self._gather("attach_invariants", (rules,))
         collector = WorkerInvariantCollector(self)
         self.invariants = collector
         return collector
-
-    def verify_remote(self) -> list:
-        """`verify_database` delegate: each worker verifies its shard
-        in-process; the facade checks the global commit log."""
-        from .verify import _check_log
-        results = self.supervisor.scatter(range(self.num_shards), "verify")
-        problems = [f"shard {i}: {problem}"
-                    for i in sorted(results)
-                    for problem in results[i]]
-        problems += _check_log(self.commit_log)
-        return problems
-
-    def check_restart_remote(self) -> list:
-        """`check_restart` delegate: one-shot restart barrier per worker."""
-        results = self.supervisor.scatter(range(self.num_shards),
-                                          "check_restart")
-        return [violation for i in sorted(results)
-                for violation in results[i]]
-
-    # -- monitoring ----------------------------------------------------------
-
-    def statistics(self) -> dict:
-        snaps = self._snaps()
-
-        def total(key):
-            return sum(snap[key] for snap in snaps)
-
-        commit = self._commit_stats
-        references = total("hits") + total("misses")
-        return {
-            "page_transfers": (total("reads") + total("writes")
-                               + commit.reads + commit.writes),
-            "reads": total("reads") + commit.reads,
-            "writes": total("writes") + commit.writes,
-            "buffer_hit_ratio": (total("hits") / references
-                                 if references else 0.0),
-            "buffer_steals": total("buffer_steals"),
-            "unlogged_steals": total("unlogged_steals"),
-            "logged_steals": total("logged_steals"),
-            "before_images_logged": total("before_images_logged"),
-            "promotions": total("promotions"),
-            "transactions_committed": snaps[0]["transactions_committed"],
-            "transactions_aborted": snaps[0]["transactions_aborted"],
-            "active_transactions": snaps[0]["active_transactions"],
-            "undo_log_bytes": total("undo_log_bytes"),
-            "redo_log_bytes": total("redo_log_bytes"),
-            "dirty_groups": total("dirty_groups"),
-            "shards": self.num_shards,
-            "flush_horizon": self.coordinator.flush_horizon,
-            "commit_log_bytes": self.commit_log.size_bytes,
-            "deferred_forces": self.coordinator.deferred_forces,
-            "batched_flushes": self.coordinator.flushes,
-            "workers": True,
-            "worker_deaths": self.worker_deaths,
-        }

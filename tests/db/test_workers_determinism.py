@@ -20,6 +20,7 @@ from repro.check import HistoryRecorder, run_conformance
 from repro.db import (ShardedDatabase, WorkerShardedDatabase, make_sharded,
                       preset, verify_database)
 from repro.sim import Simulator, WorkloadSpec
+from repro.storage.page import make_page
 
 RDA_PRESETS = ("page-force-rda", "page-noforce-rda",
                "record-force-rda", "record-noforce-rda")
@@ -113,6 +114,70 @@ def test_worker_statistics_match_in_process():
         assert worker[3][key] == value, f"statistics[{key!r}] diverged"
     assert worker[3]["workers"] is True
     assert worker[3]["worker_deaths"] == 0
+
+
+def _views_in_flight(cls):
+    """Every facade view, read while transactions are in flight."""
+    db = cls(preset("page-noforce-rda", group_size=5, num_groups=12,
+                    buffer_capacity=6, checkpoint_interval=50),
+             shards=2, flush_horizon=4)
+    try:
+        done = db.begin()
+        db.write_page(done, 3, make_page(b"done"))
+        db.commit(done)
+        writer, reader, idle = db.begin(), db.begin(), db.begin()
+        for page in range(10, 24):          # past both shards' buffers
+            db.write_page(writer, page, make_page(b"w%d" % page))
+        db.read_page(reader, 3)
+        stats, buffer, counters = db.stats, db.buffer.stats, db.counters
+        seen = {
+            "txns": {txn: (view.is_active, view.state, view.must_commit,
+                           view.is_update_transaction)
+                     for txn in (done, writer, reader, idle)
+                     for view in [db.txns.get(txn)]},
+            "active": [view.txn_id
+                       for view in db.txns.active_transactions()],
+            "buffered": [page in db.buffer for page in range(30)],
+            "resident": db.buffer.resident_pages(),
+            "stats": (stats.reads, stats.writes, stats.total,
+                      stats.log_transfers, stats.snapshot()),
+            "buffer.stats": (buffer.hits, buffer.misses, buffer.evictions,
+                             buffer.dirty_evictions, buffer.steals,
+                             buffer.references, buffer.hit_ratio),
+            "counters": (counters.unlogged_steals, counters.logged_steals,
+                         counters.committed_writebacks,
+                         counters.before_images_logged, counters.promotions,
+                         counters.transactions_committed,
+                         counters.transactions_aborted, counters.steals,
+                         counters.unlogged_fraction),
+            "statistics": {key: value
+                           for key, value in db.statistics().items()
+                           if key not in ("workers", "worker_deaths")},
+        }
+        checkpointer = db.checkpointer
+        seen["checkpointer"] = (checkpointer.maybe_checkpoint(),
+                                checkpointer.note_work(60),
+                                checkpointer.maybe_checkpoint(),
+                                checkpointer.checkpoint())
+        seen["after checkpoint"] = (stats.total, buffer.steals,
+                                    db.buffer.resident_pages())
+    finally:
+        if hasattr(db, "close"):
+            db.close()
+    return seen
+
+
+def test_worker_views_match_in_process_mid_run():
+    """The views agree while transactions are in flight, not only in
+    the end-of-run statistics: transaction flags, the active list,
+    buffer membership, every stats/buffer.stats/counters attribute and
+    the checkpointer facade's return values."""
+    inproc = _views_in_flight(ShardedDatabase)
+    worker = _views_in_flight(WorkerShardedDatabase)
+    assert inproc["counters"][7] > 0, "the scenario must steal pages"
+    assert inproc["checkpointer"][2] is not None
+    for key, value in inproc.items():
+        assert worker[key] == value, f"{key} diverged"
 
 
 @pytest.mark.parametrize("name", RDA_PRESETS)
