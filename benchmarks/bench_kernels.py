@@ -1,9 +1,10 @@
-"""Microbenchmarks for the vectorized page-kernel tiers.
+"""Microbenchmarks for the page-kernel tiers.
 
-Measures every kernel operation (whole-page XOR, batched k-page XOR
-reduction, GF(256) scalar-times-page, batched Q-syndrome accumulation,
-two-erasure solve) on each registered tier, plus two end-to-end
-episodes that dominate the paper's recovery costs:
+Measures every kernel operation (whole-page XOR, k-page XOR reduction,
+GF(256) scalar-times-page, Q-syndrome accumulation, two-erasure solve)
+on whatever ``kernels.available_tiers()`` returns — the production
+``stdlib`` tier and the ``reference`` loops it is judged against — plus
+two end-to-end episodes that dominate the paper's recovery costs:
 
 * a full twin-RAID-5 media **rebuild** (degraded reads + parity
   recomputation for every slot of a failed disk), and
@@ -53,7 +54,7 @@ MAX_TRACER_OVERHEAD = 1.05
 episode by at most 5% over the untraced run (acceptance criterion of
 the observability layer)."""
 
-GROUP = 8          # pages per batched reduction
+GROUP = 8          # pages per reduction
 TARGET_SECONDS = 0.08   # calibration budget per measurement
 QUICK_TARGET_SECONDS = 0.02
 
@@ -190,7 +191,6 @@ def run(quick: bool = False) -> dict:
         "group_pages": GROUP,
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "numpy_available": "numpy" in tiers,
         "default_tier": kernels.active_tier(),
         "tiers": list(tiers),
         "micro_ns": micro,

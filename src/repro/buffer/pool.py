@@ -10,10 +10,12 @@ paper builds on (Section 2):
 * **FORCE / NO-FORCE** — whether a committing transaction's pages are
   flushed at EOT (:meth:`BufferPool.flush_pages_of`).
 
-The pool is storage-agnostic: misses call ``fetch_fn(page_id)`` and
-write-backs call ``writeback_fn(page_id, payload, modifiers)``.  The
-recovery layer supplies a ``writeback_fn`` that decides between UNDO
-logging and parity protection — the paper's central decision point.
+The pool is storage-agnostic: misses call ``fetch_fn(page_id)``, an
+eviction or single-page flush calls ``writeback_fn(page_id, payload,
+modifiers)``, and a commit window or checkpoint hands all its dirty
+pages to ``writeback_window_fn`` in one call.  The recovery layer
+supplies both write-back callables; they decide between UNDO logging
+and parity protection — the paper's central decision point.
 """
 
 from __future__ import annotations
@@ -61,6 +63,13 @@ class BufferPool:
             used when a dirty frame is evicted or flushed.  ``modifiers``
             is the set of transactions with uncommitted changes to the
             page at write-back time — non-empty means this is a *steal*.
+        writeback_window_fn: ``([(page_id, payload, modifiers), ...]) ->
+            None`` used by :meth:`flush_pages_of` and
+            :meth:`flush_all_dirty`: the whole window of dirty pages, in
+            frame order.  The callee writes each page back and calls
+            :meth:`mark_clean` per page as it goes, so frame state
+            tracks the write schedule; a page it leaves unmarked stays
+            dirty.
         policy: ``"lru"`` (default) or ``"clock"``.
         steal: allow eviction of uncommitted-dirty frames (STEAL).
         tracer: event tracer (eviction/steal events only; hits and
@@ -69,13 +78,14 @@ class BufferPool:
     """
 
     def __init__(self, capacity: int, fetch_fn, writeback_fn,
-                 policy: str = "lru", steal: bool = True,
-                 tracer=None, metrics=None) -> None:
+                 writeback_window_fn, policy: str = "lru",
+                 steal: bool = True, tracer=None, metrics=None) -> None:
         if capacity < 1:
             raise ValueError("buffer capacity must be at least 1")
         self.capacity = capacity
         self._fetch = fetch_fn
         self._writeback = writeback_fn
+        self._writeback_window = writeback_window_fn
         self._policy = make_policy(policy)
         self.steal = steal
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -100,7 +110,6 @@ class BufferPool:
         self._txn_pages: dict = {}
         # memoized sorted(self._table); dropped whenever residency changes
         self._resident_cache = None
-        self._writeback_batch = None
         # write-behind propagation gate (REDO-only recovery class):
         # when set, a dirty frame may only be written back if
         # filter(page_id, frame) is True — pages whose redo chain is
@@ -186,16 +195,6 @@ class BufferPool:
 
     # -- flushing and invalidation ------------------------------------------------------
 
-    def set_batch_writeback(self, writeback_batch_fn) -> None:
-        """Enable commit-window batching: ``flush_pages_of`` and
-        ``flush_all_dirty`` hand the whole window of dirty pages —
-        ``[(page_id, payload, modifiers), ...]`` in frame order — to
-        ``writeback_batch_fn`` in one call.  The callee writes each page
-        back and calls :meth:`mark_clean` per page as it goes, so frame
-        state tracks the write schedule exactly as on the per-page path.
-        """
-        self._writeback_batch = writeback_batch_fn
-
     def set_writeback_filter(self, filter_fn) -> None:
         """Install the write-behind propagation gate: ``filter_fn(page_id,
         frame) -> bool`` is consulted before any dirty frame is written
@@ -207,8 +206,8 @@ class BufferPool:
         self._writeback_filter = filter_fn
 
     def mark_clean(self, page_id: int) -> None:
-        """The page was just written back (batched path): its frame
-        stays resident and becomes clean."""
+        """The page was just written back by the window callable: its
+        frame stays resident and becomes clean."""
         index = self._table.get(page_id)
         if index is None:
             return
@@ -253,43 +252,29 @@ class BufferPool:
         table = self._table
         flushed = sorted(pages, key=table.__getitem__)   # frame order
         gate = self._writeback_filter
-        if self._writeback_batch is not None:
-            entries = []
-            for page_id in flushed:
-                frame = self._frames[table[page_id]]
-                if frame.dirty and (gate is None or gate(page_id, frame)):
-                    entries.append((page_id, frame.payload,
-                                    frozenset(frame.modifiers)))
-            if entries:
-                self._writeback_batch(entries)
-            return flushed
+        entries = []
         for page_id in flushed:
-            self.flush_page(page_id)
+            frame = self._frames[table[page_id]]
+            if frame.dirty and (gate is None or gate(page_id, frame)):
+                entries.append((page_id, frame.payload,
+                                frozenset(frame.modifiers)))
+        if entries:
+            self._writeback_window(entries)
         return flushed
 
     def flush_all_dirty(self) -> list:
         """Checkpoint helper: write back every dirty frame (frames the
         write-behind gate refuses are skipped and stay dirty)."""
         gate = self._writeback_filter
-        if self._writeback_batch is not None:
-            entries = []
-            flushed = []
-            for frame in self._frames:
-                if frame.in_use and frame.dirty \
-                        and (gate is None or gate(frame.page_id, frame)):
-                    entries.append((frame.page_id, frame.payload,
-                                    frozenset(frame.modifiers)))
-                    flushed.append(frame.page_id)
-            if entries:
-                self._writeback_batch(entries)
-            return flushed
-        flushed = []
-        for frame in list(self._frames):
+        entries = []
+        for frame in self._frames:
             if frame.in_use and frame.dirty \
                     and (gate is None or gate(frame.page_id, frame)):
-                self.flush_page(frame.page_id)
-                flushed.append(frame.page_id)
-        return flushed
+                entries.append((frame.page_id, frame.payload,
+                                frozenset(frame.modifiers)))
+        if entries:
+            self._writeback_window(entries)
+        return [entry[0] for entry in entries]
 
     def clear_modifier(self, txn_id: int) -> None:
         """Commit bookkeeping: the transaction's buffered changes are no
@@ -395,18 +380,18 @@ class BufferPool:
                         and not gate(frame.page_id, frame):
                     continue
                 return index
-            raise BufferFullError(
-                "buffer full: every frame is pinned"
-                + ("" if steal else " or protected by NO-STEAL")
-                + ("" if gate is None else " or held by the write-behind gate")
-            )
+            raise self._buffer_full()
         candidates = self._evictable()
         if not candidates:
-            raise BufferFullError(
-                "buffer full: every frame is pinned"
-                + ("" if self.steal else " or protected by NO-STEAL")
-            )
+            raise self._buffer_full()
         return policy.choose_victim(candidates)
+
+    def _buffer_full(self) -> BufferFullError:
+        return BufferFullError(
+            "buffer full: every frame is pinned"
+            + ("" if self.steal else " or protected by NO-STEAL")
+            + ("" if self._writeback_filter is None
+               else " or held by the write-behind gate"))
 
     def _evict(self) -> int:
         index = self._choose_victim()

@@ -180,7 +180,7 @@ class RDAManager:
             working_timestamp=stamp))
 
     def write_batch(self, items: list, on_page=None) -> None:
-        """A commit window of write-backs, batched through
+        """A commit window of write-backs, through
         :meth:`~repro.storage.twin_array.TwinParityArray.small_write_batch`.
 
         ``items`` carry ``kind`` (``"steal"`` — an unlogged first steal
@@ -193,11 +193,12 @@ class RDAManager:
         committed write into a *clean* group.
 
         Timestamps are allocated in item order before any I/O — the
-        same sequence the per-page path would produce, since nothing
-        else touches the clock inside a window.  Per-page bookkeeping
-        (header cache, Dirty_Set, ``on_page``) runs from the array's
-        ``on_op`` callback, interleaved with the write schedule exactly
-        as on the legacy path; only the trace stream is coalesced.
+        same sequence :meth:`write_uncommitted` / :meth:`write_committed`
+        would produce page by page, since nothing else touches the
+        clock inside a window.  Per-page bookkeeping (header cache,
+        Dirty_Set, ``on_page``) runs from the array's ``on_op``
+        callback, interleaved with the write schedule; only the trace
+        stream is coalesced.
         """
         array = self.array
         geometry = array.geometry

@@ -55,13 +55,6 @@ class DBConfig:
         backend: storage-backend registry name
             (:func:`repro.storage.backend_names`); None selects the
             legacy default implied by ``rda`` ("twin" / "single").
-        batched: use the batched hot path (commit-window write-back
-            runs vectorized through one parity-kernel call per window).
-            Semantically identical to the per-page path — same disk
-            schedule, same histories — just faster; ``False`` keeps the
-            legacy loop (the determinism tests diff the two).  The
-            ``REPRO_HOTPATH=legacy`` environment variable overrides
-            this to False at engine construction.
         redo_only: the fifth (beyond-paper) recovery class: no undo
             log at all.  Redo records are threaded into per-page
             chains and dirty pages may only reach disk once their
@@ -85,7 +78,6 @@ class DBConfig:
     log_page_size: int = 2020
     log_transfers_per_page: int = 1
     backend: str | None = None
-    batched: bool = True
     redo_only: bool = False
 
     def __post_init__(self) -> None:

@@ -24,7 +24,6 @@ durable before-image first (the WAL rule is enforced in
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from ..buffer import BufferPool
@@ -116,7 +115,8 @@ class Database:
                                     tracer=self.tracer, metrics=metrics)
         self.rda = self.policy.protection.make_rda(self)
         self.buffer = BufferPool(config.buffer_capacity, self._fetch,
-                                 self._writeback, policy=config.replacement,
+                                 self._writeback, self._writeback_batch,
+                                 policy=config.replacement,
                                  steal=config.steal, tracer=self.tracer,
                                  metrics=metrics)
         self.locks = LockManager()
@@ -129,22 +129,13 @@ class Database:
         self.recovery = RecoveryManager(self)
         self.counters = WriteCounters()
 
-        # batched hot path: commit-window write-back runs vectorized
-        # through one parity-kernel call per window (semantics and disk
-        # schedule identical to the per-page loop; see
-        # RecoveryPolicy.writeback_batch and docs/performance.md)
-        self.batched = (config.batched
-                        and os.environ.get("REPRO_HOTPATH", "") != "legacy")
-        if self.batched:
-            self.buffer.set_batch_writeback(self._writeback_batch)
         self._m_steals_unlogged = (
             metrics.counter("db.steals").labels(mode="unlogged")
             if metrics is not None else None)
         self._slotted_cache: dict = {}   # page -> (buffered bytes, SlottedPage)
         if self.tracer.enabled:
             self.tracer.emit("kernel.tier", tier=active_tier(),
-                             available=list(available_tiers()),
-                             batched=self.batched)
+                             available=list(available_tiers()))
 
         # per-transaction bookkeeping (all lost in a crash)
         self._before_images: dict = {}   # (txn, page) -> pre-txn page bytes
@@ -238,7 +229,7 @@ class Database:
         self.policy.writeback(self, page, payload, modifiers)
 
     def _writeback_batch(self, entries: list) -> None:
-        """Batched decision point: one commit window of dirty frames
+        """The same decision for one commit window of dirty frames
         (see :meth:`RecoveryPolicy.writeback_batch`)."""
         self.policy.writeback_batch(self, entries)
 

@@ -33,7 +33,7 @@ from .slotted_page import SlottedPage
 
 
 class BatchWriteItem:
-    """One page of a commit-window write-back run (batched hot path).
+    """One page of a commit-window write-back run.
 
     ``kind`` is ``"steal"`` (unlogged first steal or re-steal by
     ``txn``) or ``"committed"`` (clean-group committed write-back);
@@ -205,9 +205,28 @@ class RecordLogging:
             # write below would silently invalidate its parity-undo
             # baseline, so promote that steal to logged undo first
             db.policy.protection.maybe_promote(db, page, txn_id)
+            # the corrected payload still carries the uncommitted slots
+            # of every other modifier of the frame: they stay modifiers,
+            # so the flush is a steal and the Figure 3 / WAL rule makes
+            # their undo information durable — never a committed write
+            others = db.buffer.modifiers_of(page) - {txn_id}
             db.buffer.invalidate(page)
             db.buffer.put_page(page, touched[page], None)
+            for other in sorted(others):
+                db.buffer.put_page(page, touched[page], other)
+            if others and (txn_id, page) in db._logged_stolen:
+                # the disk copy holds this transaction's stolen values,
+                # so a twin-covered steal would keep them as the page's
+                # before-image and restart's parity undo would bring
+                # them back; as with residue, the log must carry the undo
+                db._residue.add(page)
             db.buffer.flush_page(page)
+            # the disk copy just changed under every transaction that
+            # stole this page earlier: refresh the old-image shortcut
+            # (_old_disk_version) their next small write of it will use
+            for key in db._last_stolen:
+                if key[1] == page and key[0] != txn_id:
+                    db._last_stolen[key] = touched[page]
 
 
 class RedoPageLogging(PageLogging):
@@ -572,14 +591,14 @@ class RdaProtection:
         return db.rda.abort_txn(txn_id, buffered=buffered)
 
     def write_back_run(self, db, run: list) -> None:
-        """Execute one batched run of :class:`BatchWriteItem`.
+        """Execute one run of :class:`BatchWriteItem` (see
+        :meth:`~repro.core.rda.RDAManager.write_batch`).
 
-        The parity math is vectorized across the run (see
-        :meth:`~repro.core.rda.RDAManager.write_batch`); the per-page
-        bookkeeping below runs from the array's per-op callback, after
-        that page's writes and ``twin_write`` barrier, so counters,
-        history events and invariant probes fire in exactly the legacy
-        order.
+        The per-page bookkeeping below runs from the array's per-op
+        callback, after that page's writes and ``twin_write`` barrier,
+        so counters, history events and invariant probes interleave
+        with the write schedule as they do in :meth:`RecoveryPolicy.
+        writeback`.
         """
         def on_page(i):
             item = run[i]
@@ -885,20 +904,22 @@ class RecoveryPolicy:
             db, page, single, page in db._residue)
 
     def writeback_batch(self, db, entries: list) -> None:
-        """Write back a commit window of dirty pages, batching what the
-        Figure 3 rule allows.
+        """Write back a commit window of dirty pages — the buffer
+        pool's window callable, and the only path a FORCE commit or a
+        checkpoint takes (eviction and ``flush_page`` stay on
+        :meth:`writeback`).
 
         ``entries`` is ``[(page, payload, modifiers), ...]`` in the
-        buffer's frame order (the legacy flush order).  Consecutive
-        pages that are unlogged steals or clean-group committed writes
-        into *distinct* parity groups accumulate into a run executed by
-        one vectorized array call; anything else — a group collision,
+        buffer's frame order.  Consecutive pages that are unlogged
+        steals or clean-group committed writes into *distinct* parity
+        groups accumulate into a run executed by one array call (one
+        costed trace event per run); anything else — a group collision,
         a logged steal, a dirty-group committed write, a degraded array
-        — flushes the pending run and takes the per-page path.  Either
-        way the disk write schedule, transfer counts and history events
-        are byte-identical to calling :meth:`writeback` per page; each
-        page's buffer frame is marked clean right after its write-back,
-        as on the legacy path.
+        — flushes the pending run and goes through :meth:`writeback`,
+        whose general small write handles two twins and failed disks.
+        Either way each page sees the decision, disk writes, transfer
+        counts and history events :meth:`writeback` would give it, and
+        its buffer frame is marked clean right after its write-back.
         """
         protection = self.protection
         buffer = db.buffer

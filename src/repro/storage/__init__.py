@@ -15,7 +15,7 @@ Public surface:
   :func:`~repro.storage.backend.register_backend`) the database engine
   constructs its array through;
 * :class:`~repro.storage.iostats.IOStats` page-transfer accounting;
-* vectorized page kernels with runtime tier selection
+* the page kernels — one production tier plus the reference oracle
   (:mod:`repro.storage.kernels`: :func:`~repro.storage.kernels.active_tier`,
   :func:`~repro.storage.kernels.available_tiers`,
   :func:`~repro.storage.kernels.set_kernel`,

@@ -71,7 +71,7 @@ class DiskArray:
 
     @property
     def any_failed(self) -> bool:
-        """True while any disk is failed (gates the batched write path,
+        """True while any disk is failed (gates the commit-window run,
         which assumes an intact array)."""
         return any(d.failed for d in self.disks)
 

@@ -8,33 +8,26 @@ primitives over :data:`~repro.storage.page.PAGE_SIZE`-byte payloads:
 * whole-page XOR (GF(2) addition), and
 * GF(256) scalar-times-page multiplication (Reed-Solomon weighting).
 
-This module provides both in three interchangeable **tiers**, selected
-once at import time and overridable per call site for tests and
-benchmarks:
-
-``numpy``
-    Pages viewed as ``uint8`` vectors; XOR is ``np.bitwise_xor`` and
-    GF(256) multiply is a row of a precomputed 256×256 product table
-    indexed by the page bytes.  Registered only when numpy imports.
+This module provides both in two interchangeable **tiers**:
 
 ``stdlib``
-    No third-party code.  Whole-page XOR runs as one arbitrary-precision
-    integer XOR (``int.from_bytes(a) ^ int.from_bytes(b)``); GF(256)
+    The production tier, and the only one the engine runs on.
+    Whole-page XOR runs as one arbitrary-precision integer XOR
+    (``int.from_bytes(a) ^ int.from_bytes(b)``); GF(256)
     scalar-times-page runs as ``page.translate(table)`` against one of
     256 precomputed translation tables.  Both execute in C inside the
     interpreter, tens of times faster than a Python byte loop.
 
 ``reference``
     The original pure-Python byte loops, kept as the executable
-    specification.  The other tiers are property-tested against it
+    specification.  The stdlib tier is property-tested against it
     byte-for-byte (``tests/storage/test_kernels.py``).
 
-Tier selection: the best available tier wins (numpy > stdlib), unless
-the environment variable :data:`TIER_ENV_VAR` (``REPRO_KERNEL_TIER``)
-names one of ``numpy``/``stdlib``/``reference``/``auto``, or the
-program calls :func:`set_kernel` / :func:`use_kernel`.  Setting
-``REPRO_NO_NUMPY=1`` hides numpy even when importable — CI uses it to
-exercise the fallback path.
+``stdlib`` is active from import; :func:`use_kernel` (or
+:func:`set_kernel`) swaps the active tier for tests and benchmarks —
+``use_kernel("reference")`` is how a test runs the engine on the
+oracle, and the ledger swaps in a counting stand-in the same way.
+Callers therefore fetch :func:`get_kernel` at call time.
 
 Each tier exposes the same six static operations; callers validate
 page lengths (hoisted out of the hot loops) and the kernels assume
@@ -43,31 +36,22 @@ well-formed input:
 * ``xor(a, b)`` — two-operand XOR (truncates to the shorter operand,
   matching the historical ``zip`` semantics of ``gf256.page_xor``);
 * ``xor_blocks(a, b)`` — equal-length multi-page blobs XORed in one
-  call (the commit-window batching primitive: K pages' deltas or
-  parity twins per invocation instead of K kernel calls);
-* ``xor_accumulate(pages, size)`` — one batched k-page XOR reduction
-  (the rebuild/degraded-read hot path); zero pages → the zero page;
+  call; accepts any buffer type, always returns ``bytes``.  Nothing
+  under ``src/`` calls it any more: the performance ledger
+  (``benchmarks/ledger/spans.py``), which wraps all six operations by
+  name, is its remaining caller;
+* ``xor_accumulate(pages, size)`` — one k-page XOR reduction (the
+  small-write, rebuild and degraded-read hot path); zero pages → the
+  zero page;
 * ``xor_inplace(accumulator, page)`` — XOR into a ``bytearray``;
 * ``gf_scale(coefficient, page)`` — GF(256) scalar × page;
-* ``gf_scale_accumulate(pairs, size)`` — batched ``Σ c_i · D_i``
+* ``gf_scale_accumulate(pairs, size)`` — ``Σ c_i · D_i`` in one call
   (the Q-syndrome / two-erasure hot path).
-
-``xor_blocks`` accepts any buffer type (``bytes``, ``bytearray``,
-``memoryview``) so pooled slabs from :mod:`repro.storage.pagebuf` feed
-it without copies; it always returns ``bytes``.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from contextlib import contextmanager
-
-TIER_ENV_VAR = "REPRO_KERNEL_TIER"
-"""Environment variable naming the tier to activate at import time."""
-
-NO_NUMPY_ENV_VAR = "REPRO_NO_NUMPY"
-"""Set to ``1`` to pretend numpy is not installed (CI fallback leg)."""
 
 
 # -- GF(256) product tables ------------------------------------------------------------
@@ -125,6 +109,7 @@ class ReferenceKernel:
 
     @staticmethod
     def xor_blocks(a, b) -> bytes:
+        # remaining caller: benchmarks/ledger/spans.py (see module doc)
         return bytes(x ^ y for x, y in zip(a, b))
 
     @staticmethod
@@ -181,6 +166,7 @@ class StdlibKernel:
 
     @staticmethod
     def xor_blocks(a, b) -> bytes:
+        # remaining caller: benchmarks/ledger/spans.py (see module doc)
         return (int.from_bytes(a, "little")
                 ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
@@ -219,129 +205,23 @@ class StdlibKernel:
         return acc.to_bytes(size, "little")
 
 
-# -- numpy tier ------------------------------------------------------------------------
-
-
-def _make_numpy_kernel():
-    """Build the numpy tier, or return None when numpy is unavailable."""
-    if os.environ.get(NO_NUMPY_ENV_VAR, "").strip() in ("1", "true", "yes"):
-        return None
-    try:
-        import numpy as np
-    except ImportError:
-        return None
-
-    mul_matrix = np.frombuffer(b"".join(MUL_TABLES),
-                               dtype=np.uint8).reshape(256, 256)
-
-    class NumpyKernel:
-        """Pages as ``uint8`` vectors; GF(256) via a 256×256 product table."""
-
-        name = "numpy"
-
-        @staticmethod
-        def xor(a: bytes, b: bytes) -> bytes:
-            n = min(len(a), len(b))
-            va = np.frombuffer(a, dtype=np.uint8, count=n)
-            vb = np.frombuffer(b, dtype=np.uint8, count=n)
-            return np.bitwise_xor(va, vb).tobytes()
-
-        @staticmethod
-        def xor_blocks(a, b) -> bytes:
-            va = np.frombuffer(a, dtype=np.uint8)
-            vb = np.frombuffer(b, dtype=np.uint8)
-            return np.bitwise_xor(va, vb).tobytes()
-
-        @staticmethod
-        def xor_accumulate(pages, size: int) -> bytes:
-            pages = list(pages)
-            if not pages:
-                return bytes(size)
-            stacked = np.frombuffer(b"".join(pages),
-                                    dtype=np.uint8).reshape(len(pages), size)
-            return np.bitwise_xor.reduce(stacked, axis=0).tobytes()
-
-        @staticmethod
-        def xor_inplace(accumulator: bytearray, page: bytes) -> None:
-            acc = np.frombuffer(accumulator, dtype=np.uint8)
-            acc ^= np.frombuffer(page, dtype=np.uint8, count=len(accumulator))
-
-        @staticmethod
-        def gf_scale(coefficient: int, page: bytes) -> bytes:
-            if coefficient == 0:
-                return bytes(len(page))
-            if coefficient == 1:
-                return bytes(page)
-            view = np.frombuffer(page, dtype=np.uint8)
-            return mul_matrix[coefficient][view].tobytes()
-
-        @staticmethod
-        def gf_scale_accumulate(pairs, size: int) -> bytes:
-            pairs = list(pairs)
-            if not pairs:
-                return bytes(size)
-            coefficients = np.fromiter((c for c, _ in pairs), dtype=np.uint8,
-                                       count=len(pairs))
-            stacked = np.frombuffer(b"".join(p for _, p in pairs),
-                                    dtype=np.uint8).reshape(len(pairs), size)
-            weighted = mul_matrix[coefficients[:, None], stacked]
-            return np.bitwise_xor.reduce(weighted, axis=0).tobytes()
-
-    return NumpyKernel
-
-
 # -- registry and selection ------------------------------------------------------------
 
 KERNELS = {
-    ReferenceKernel.name: ReferenceKernel,
     StdlibKernel.name: StdlibKernel,
+    ReferenceKernel.name: ReferenceKernel,
 }
 
-_numpy_kernel = _make_numpy_kernel()
-if _numpy_kernel is not None:
-    KERNELS[_numpy_kernel.name] = _numpy_kernel
-
-
-def numpy_available() -> bool:
-    """Whether the numpy tier is registered.
-
-    The probe (import attempt + :data:`NO_NUMPY_ENV_VAR` check) runs
-    exactly once, at module import; this answers from the registry and
-    never re-imports, so tier selection — including every later
-    :func:`set_kernel` call — is allocation-free.
-    """
-    return "numpy" in KERNELS
+_active = StdlibKernel
 
 
 def available_tiers() -> tuple:
-    """Registered tier names, fastest first."""
-    order = ("numpy", "stdlib", "reference")
-    return tuple(name for name in order if name in KERNELS)
-
-
-def _select_default():
-    """Apply the env-var override, else pick the fastest available tier."""
-    requested = os.environ.get(TIER_ENV_VAR, "auto").strip().lower()
-    if requested in ("", "auto"):
-        return KERNELS[available_tiers()[0]]
-    if requested in KERNELS:
-        return KERNELS[requested]
-    if requested == "numpy":
-        warnings.warn(
-            f"{TIER_ENV_VAR}=numpy but numpy is unavailable; "
-            "falling back to the stdlib kernel tier",
-            RuntimeWarning, stacklevel=2)
-        return KERNELS["stdlib"]
-    raise ValueError(
-        f"{TIER_ENV_VAR}={requested!r} names no kernel tier; "
-        f"choose from {('auto',) + tuple(sorted(KERNELS))}")
-
-
-_active = _select_default()
+    """The tier names, production tier first."""
+    return (StdlibKernel.name, ReferenceKernel.name)
 
 
 def get_kernel():
-    """The active kernel tier (class with the five static operations)."""
+    """The active kernel tier (class with the six static operations)."""
     return _active
 
 
@@ -351,18 +231,10 @@ def active_tier() -> str:
 
 
 def set_kernel(name: str) -> str:
-    """Activate a tier by name; returns the previously active name.
-
-    ``"auto"`` re-selects the fastest registered tier using the
-    memoized import-time probe (see :func:`numpy_available`) — no
-    import machinery runs.  This is the programmatic/config override
-    of the import-time selection; tests and benchmarks prefer
-    :func:`use_kernel`.
-    """
+    """Activate a registered tier by name; returns the previously
+    active name.  Tests and benchmarks prefer :func:`use_kernel`."""
     global _active
-    if name == "auto":
-        name = available_tiers()[0]
-    elif name not in KERNELS:
+    if name not in KERNELS:
         raise ValueError(
             f"unknown kernel tier {name!r}; available: {available_tiers()}")
     previous = _active.name

@@ -145,26 +145,6 @@ def xor_into(accumulator: bytearray, page: bytes) -> None:
     _kernels.get_kernel().xor_inplace(accumulator, page)
 
 
-def xor_blocks(a, b) -> bytes:
-    """XOR two equal-length multi-page blobs in one kernel call.
-
-    The commit-window batching primitive: a window's K old images and K
-    new images are laid side by side in pooled slabs (see
-    :mod:`repro.storage.pagebuf`) and all K per-page deltas come back
-    from a single vector op.  Operands may be ``bytes``, ``bytearray``
-    or ``memoryview``; the length must be a whole number of pages.
-
-    Raises:
-        ValueError: on length mismatch or a partial-page length.
-    """
-    n = len(a)
-    if len(b) != n:
-        raise ValueError(f"xor_blocks operands differ: {n} vs {len(b)} bytes")
-    if n % PAGE_SIZE:
-        raise ValueError(f"xor_blocks length {n} is not a whole number of pages")
-    return _kernels.get_kernel().xor_blocks(a, b)
-
-
 def make_page(fill: bytes | str | int = b"") -> bytes:
     """Build a :data:`PAGE_SIZE` page from a short fill pattern.
 

@@ -5,9 +5,8 @@ striping interleaves consecutive logical pages round-robin across the
 disks, so large accesses engage every arm; the rotated parity avoids the
 dedicated-parity-disk bottleneck of RAID-4.
 
-Parity arithmetic in both organizations runs on the vectorized page
-kernels of :mod:`repro.storage.kernels` (numpy or stdlib C-speed tier,
-selected at import time).
+Parity arithmetic in both organizations runs on the page kernels of
+:mod:`repro.storage.kernels` (the stdlib C-speed tier).
 """
 
 from __future__ import annotations

@@ -32,8 +32,7 @@ from ..errors import UnrecoverableDataError
 from .array import DiskArray
 from .geometry import Geometry
 from .page import (PAGE_SIZE, ParityHeader, TwinState, compute_parity,
-                   xor_blocks, xor_pages)
-from .pagebuf import POOL
+                   xor_pages)
 
 
 @dataclass(frozen=True)
@@ -313,145 +312,72 @@ class TwinParityArray(DiskArray):
 
     def small_write_batch(self, ops: list, on_op=None,
                           event_attrs=None) -> None:
-        """A commit window of single-twin small writes, batched.
+        """A commit window of single-twin small writes.
 
-        ``event_attrs`` lets the caller fold its own per-window
-        bookkeeping (e.g. the recovery policy's ``first_steals``) into
-        the single costed trace event this window emits, instead of
-        paying for a second event per window.
-
-        Semantically identical to calling :meth:`small_write` once per
-        :class:`BatchTwinWrite` — same disk writes in the same order,
-        same transfer counts, same per-page ``twin_write`` barrier —
-        but the parity math runs as two pooled-slab kernel calls for
-        the whole window (all K deltas, then all K new twin payloads)
-        instead of 2K per-page ops, and the reads are hoisted ahead of
-        the writes.  Read *order* is the only observable difference,
-        which the conformance layer permits: the fault schedules and
-        write-ordering invariants are defined over writes.
+        Each :class:`BatchTwinWrite` is the single-twin case of
+        :meth:`small_write` on a healthy array — same reads, same
+        writes in the same order, same transfer counts, same per-page
+        ``twin_write`` barrier — without the per-page trace event and
+        the degraded-disk and second-twin handling the general path
+        carries.  With tracing on, the whole window emits one costed
+        ``array.small_write_batch`` event; ``event_attrs`` lets the
+        caller fold its own per-window bookkeeping (e.g. the RDA
+        manager's ``first_steals``) into that event instead of paying
+        for a second one.
 
         The caller must guarantee: no failed disks, every op touches a
-        distinct parity group, and exactly one twin update per op
-        (the batched-run accumulation rules in
+        distinct parity group, and exactly one twin update per op (the
+        run-accumulation rules in
         :meth:`repro.db.policy.RecoveryPolicy.writeback_batch`).
 
         ``on_op(i)`` runs after op ``i``'s writes and barrier, so
         per-page bookkeeping (Dirty_Set, history events, invariant
-        probes) interleaves with the write schedule exactly as on the
-        legacy path.
+        probes) interleaves with the write schedule.
         """
-        if self.tracer.enabled:
-            with self.stats.window() as window:
-                self._small_write_batch_inner(ops, on_op)
-            attrs = event_attrs if event_attrs is not None else {}
-            attrs["pages"] = len(ops)
-            attrs["buffered_pages"] = sum(1 for op in ops
-                                          if op.old_data is not None)
-            self.tracer.emit_costed("array.small_write_batch", window,
-                                    **attrs)
-        else:
-            self._small_write_batch_inner(ops, on_op)
-
-    def _small_write_batch_inner(self, ops: list, on_op) -> None:
-        geometry = self.geometry
+        traced = self.tracer.enabled
+        before = self.stats.snapshot() if traced else None
+        hist = self._xfer_hist if traced else None
         disks = self.disks
-        data_address = geometry.data_address
-        parity_addresses = geometry.parity_addresses
-        k = len(ops)
-        if k == 1:
-            # a one-page window pays slab checkout/fill for nothing —
-            # about one in seven commit windows on the reference
-            # workload; do the page math directly
-            self._small_write_single(ops[0], on_op)
-            return
-        pool = POOL
-        olds = pool.checkout(k)
-        news = pool.checkout(k)
-        twins = pool.checkout(k)
-        costs = []
-        addrs = []       # (data PhysAddr, target twin PhysAddr) per op
-        try:
-            offset = 0
-            for op in ops:
-                if len(op.new_data) != PAGE_SIZE:
-                    raise ValueError(f"page payload must be {PAGE_SIZE} bytes")
-                end = offset + PAGE_SIZE
-                addr = data_address(op.page)
-                parity = parity_addresses(op.group)
-                update = op.update
-                addrs.append((addr, parity[update.target]))
-                if op.old_data is None:
-                    olds[offset:end] = disks[addr.disk].read(addr.slot)
-                    costs.append(4)     # old read + twin read + 2 writes
-                else:
-                    olds[offset:end] = op.old_data
-                    costs.append(3)
-                news[offset:end] = op.new_data
-                src = parity[update.source]
-                payload, _ = disks[src.disk].read_with_header(src.slot)
-                twins[offset:end] = payload
-                offset = end
-            deltas = xor_blocks(olds, news)
-            twin_blob = xor_blocks(twins, deltas)
-        finally:
-            pool.giveback(olds)
-            pool.giveback(news)
-            pool.giveback(twins)
-
-        hist = self._xfer_hist if self.tracer.enabled else None
+        data_address = self.geometry.data_address
+        parity_addresses = self.geometry.parity_addresses
         barrier = self.barrier_hook
-        offset = 0
         for i, op in enumerate(ops):
-            twin_payload = twin_blob[offset:offset + PAGE_SIZE]
-            addr, taddr = addrs[i]
+            new_data = op.new_data
+            if len(new_data) != PAGE_SIZE:
+                raise ValueError(f"page payload must be {PAGE_SIZE} bytes")
+            addr = data_address(op.page)
+            parity = parity_addresses(op.group)
+            update = op.update
+            data_disk = disks[addr.disk]
+            old = op.old_data
+            if old is None:
+                old = data_disk.read(addr.slot)
+            source = parity[update.source]
+            twin, _ = disks[source.disk].read_with_header(source.slot)
+            new_twin = xor_pages(old, new_data, twin)
+            target = parity[update.target]
             if op.twin_first:
-                disks[taddr.disk].write_with_header(taddr.slot, twin_payload,
-                                                    op.update.header)
-                disks[addr.disk].write(addr.slot, op.new_data)
+                disks[target.disk].write_with_header(target.slot, new_twin,
+                                                     update.header)
+                data_disk.write(addr.slot, new_data)
             else:
-                disks[addr.disk].write(addr.slot, op.new_data)
-                disks[taddr.disk].write_with_header(taddr.slot, twin_payload,
-                                                    op.update.header)
+                data_disk.write(addr.slot, new_data)
+                disks[target.disk].write_with_header(target.slot, new_twin,
+                                                     update.header)
             if hist is not None:
-                hist.observe(costs[i])
+                # twin read + two writes, + the old-data read unless buffered
+                hist.observe(3 if op.old_data is not None else 4)
             if barrier is not None:
                 barrier("twin_write", page=op.page)
             if on_op is not None:
                 on_op(i)
-            offset += PAGE_SIZE
-
-    def _small_write_single(self, op, on_op) -> None:
-        """One-op window: same schedule as the slab path, no slabs."""
-        if len(op.new_data) != PAGE_SIZE:
-            raise ValueError(f"page payload must be {PAGE_SIZE} bytes")
-        disks = self.disks
-        addr = self.geometry.data_address(op.page)
-        parity = self.geometry.parity_addresses(op.group)
-        update = op.update
-        taddr = parity[update.target]
-        if op.old_data is None:
-            old = disks[addr.disk].read(addr.slot)
-            cost = 4            # old read + twin read + 2 writes
-        else:
-            old = op.old_data
-            cost = 3
-        src = parity[update.source]
-        twin, _ = disks[src.disk].read_with_header(src.slot)
-        twin_payload = xor_pages(old, op.new_data, twin)
-        if op.twin_first:
-            disks[taddr.disk].write_with_header(taddr.slot, twin_payload,
-                                                update.header)
-            disks[addr.disk].write(addr.slot, op.new_data)
-        else:
-            disks[addr.disk].write(addr.slot, op.new_data)
-            disks[taddr.disk].write_with_header(taddr.slot, twin_payload,
-                                                update.header)
-        if self.tracer.enabled and self._xfer_hist is not None:
-            self._xfer_hist.observe(cost)
-        if self.barrier_hook is not None:
-            self.barrier_hook("twin_write", page=op.page)
-        if on_op is not None:
-            on_op(0)
+        if traced:
+            attrs = dict(event_attrs) if event_attrs else {}
+            attrs["pages"] = len(ops)
+            attrs["buffered_pages"] = sum(1 for op in ops
+                                          if op.old_data is not None)
+            self.tracer.emit_costed("array.small_write_batch",
+                                    self.stats.snapshot() - before, **attrs)
 
     def write_data_only(self, page: int, payload: bytes) -> None:
         """Write a data page WITHOUT touching parity (1 page transfer).

@@ -28,7 +28,14 @@ def backing():
 
 
 def make_pool(backing, capacity=3, **kwargs):
-    return BufferPool(capacity, backing.fetch, backing.writeback, **kwargs)
+    def writeback_window(entries):
+        for page_id, payload, modifiers in entries:
+            backing.writeback(page_id, payload, modifiers)
+            pool.mark_clean(page_id)
+
+    pool = BufferPool(capacity, backing.fetch, backing.writeback,
+                      writeback_window, **kwargs)
+    return pool
 
 
 class TestBasics:

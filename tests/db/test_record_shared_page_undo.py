@@ -20,11 +20,26 @@ Both fixes route shared-page conflicts through steal promotion: the
 outstanding steal's per-slot before-entries become durable log undo,
 the parity group is cleaned, and every undo is applied record-by-record
 against the page's *current* contents.
+
+3. An abort's corrected-page flush went out as a *committed* write even
+   when another transaction still had uncommitted slots in the frame, so
+   a loser's update became durable with no undo record behind it.  The
+   co-modifiers now stay on the re-installed frame and the flush is a
+   steal: twin-covered, or logged when the disk copy still holds the
+   aborting transaction's own stolen values.
+
+4. The same flush changes the disk copy under every transaction that
+   stole the page earlier; their buffered old image for the next small
+   write went stale and corrupted the group's parity.
 """
 
 import pytest
 
 from repro.db import Database, preset
+from repro.db.config import extended_preset_names
+
+RECORD_PRESETS = [name for name in extended_preset_names()
+                  if preset(name).record_logging]
 
 
 def _seeded_db():
@@ -113,3 +128,82 @@ def test_crash_between_aborts_recovers_both_records():
     assert _read_slots(db) == {0: b"seed0", 1: b"seed1"}
     db.buffer.flush_all_dirty()
     assert db.verify_parity() == []
+
+
+# -- an abort's flush with other modifiers still on the page ------------------
+
+
+def _two_records(name, checkpointed):
+    """One page, two committed records; optionally a checkpoint, so a
+    ¬FORCE restart cannot paper over a bad page by redoing the seed."""
+    db = Database(preset(name, num_groups=4, buffer_capacity=8))
+    db.format_record_pages([0])
+    seeder = db.begin()
+    for i in range(2):
+        db.insert_record(seeder, 0, b"seed%d" % i)
+    db.commit(seeder)
+    if checkpointed and db.checkpointer is not None:
+        db.checkpoint()
+    return db
+
+
+def _crash_and_read(db):
+    db.crash()
+    stats = db.recover()
+    state = _read_slots(db)
+    db.buffer.flush_all_dirty()
+    assert db.verify_parity() == []
+    return stats, state
+
+
+@pytest.mark.parametrize("checkpointed", [False, True])
+@pytest.mark.parametrize("name", RECORD_PRESETS)
+def test_abort_flush_keeps_co_modifier_undoable(name, checkpointed):
+    """Bug 3: t3's abort flushes a page carrying t2's uncommitted slot;
+    t2 is a loser at restart and its update must be gone."""
+    db = _two_records(name, checkpointed)
+    t2 = db.begin()
+    db.update_record(t2, 0, 0, b"T2-dirty")
+    t3 = db.begin()
+    db.delete_record(t3, 0, 1)
+    db.abort(t3)
+    stats, state = _crash_and_read(db)
+    assert t2 in stats["losers"]
+    assert state == {0: b"seed0", 1: b"seed1"}
+
+
+@pytest.mark.parametrize("checkpointed", [False, True])
+@pytest.mark.parametrize("name", RECORD_PRESETS)
+def test_abort_flush_after_own_logged_steal(name, checkpointed):
+    """Bug 3, the case the twins must *not* cover: t3's value is on disk
+    (a logged steal with two modifiers) when it aborts, so a parity
+    before-image of the abort's flush would resurrect it at restart."""
+    db = _two_records(name, checkpointed)
+    t2 = db.begin()
+    db.update_record(t2, 0, 0, b"T2-first")
+    t3 = db.begin()
+    db.update_record(t3, 0, 1, b"T3-dirty")
+    db.buffer.flush_page(0)
+    db.update_record(t2, 0, 0, b"T2-again")
+    db.abort(t3)
+    _, state = _crash_and_read(db)
+    assert state == {0: b"seed0", 1: b"seed1"}
+
+
+@pytest.mark.parametrize("name", RECORD_PRESETS)
+def test_abort_flush_refreshes_other_stealers_old_image(name):
+    """Bug 4: t2 stole the page, t3's abort rewrote it on disk; t2's
+    next small write must XOR out the rewritten page, not its own stale
+    copy."""
+    db = _two_records(name, checkpointed=True)
+    t2 = db.begin()
+    db.update_record(t2, 0, 0, b"T2-first")
+    t3 = db.begin()
+    db.update_record(t3, 0, 1, b"T3-dirty")
+    db.buffer.flush_page(0)
+    db.abort(t3)
+    db.update_record(t2, 0, 0, b"T2-again")
+    db.buffer.flush_page(0)
+    assert db.verify_parity() == []
+    _, state = _crash_and_read(db)
+    assert state == {0: b"seed0", 1: b"seed1"}

@@ -32,10 +32,9 @@ SPEC = WorkloadSpec(concurrency=4, pages_per_txn=5,
 OVERRIDES = dict(group_size=5, num_groups=12, buffer_capacity=16)
 
 
-def one_run(name, seed, crash_every=None, batched=True):
+def one_run(name, seed, crash_every=None):
     recorder = HistoryRecorder()
-    db = Database(preset(name, batched=batched, **OVERRIDES),
-                  history=recorder)
+    db = Database(preset(name, **OVERRIDES), history=recorder)
     simulator = Simulator(db, SPEC, seed=seed)
     if db.config.record_logging:
         simulator.seed_records()
@@ -57,28 +56,6 @@ def test_same_seed_same_run_with_crashes(name):
     first = one_run(name, seed=11, crash_every=7)
     second = one_run(name, seed=11, crash_every=7)
     assert first == second
-
-
-@pytest.mark.parametrize("name", RECOVERY_CLASSES)
-def test_batched_hot_path_matches_legacy(name):
-    """The batched engine (commit-window write-back, pooled slabs,
-    coalesced dispatch) is an *encoding* of the legacy per-page path,
-    not a semantic change: same seed, batched on vs off, must produce a
-    byte-identical SimulationReport and recorded history."""
-    batched = one_run(name, seed=11, batched=True)
-    legacy = one_run(name, seed=11, batched=False)
-    assert batched[0] == legacy[0], "SimulationReport diverged"
-    assert batched[1] == legacy[1], "recorded history diverged"
-
-
-@pytest.mark.parametrize("name", RECOVERY_CLASSES)
-def test_batched_hot_path_matches_legacy_with_crashes(name):
-    """Same equivalence through the crash/recover cycle — recovery
-    reads the on-disk state the batched path wrote, so any divergence
-    in write ordering or parity placement surfaces here."""
-    batched = one_run(name, seed=11, crash_every=7, batched=True)
-    legacy = one_run(name, seed=11, crash_every=7, batched=False)
-    assert batched == legacy
 
 
 def test_different_seeds_differ():
