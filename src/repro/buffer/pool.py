@@ -10,12 +10,12 @@ paper builds on (Section 2):
 * **FORCE / NO-FORCE** — whether a committing transaction's pages are
   flushed at EOT (:meth:`BufferPool.flush_pages_of`).
 
-The pool is storage-agnostic: misses call ``fetch_fn(page_id)``, an
-eviction or single-page flush calls ``writeback_fn(page_id, payload,
-modifiers)``, and a commit window or checkpoint hands all its dirty
-pages to ``writeback_window_fn`` in one call.  The recovery layer
-supplies both write-back callables; they decide between UNDO logging
-and parity protection — the paper's central decision point.
+The pool is storage-agnostic: misses call ``fetch_fn(page_id)`` and
+every write-back — an eviction, a single-page flush, a commit window, a
+checkpoint — hands ``writeback_fn`` a list of ``(page_id, payload,
+modifiers)``, one entry or many.  The recovery layer supplies the
+callable; it decides, page by page, between UNDO logging and parity
+protection — the paper's central decision point.
 """
 
 from __future__ import annotations
@@ -59,15 +59,14 @@ class BufferPool:
     Args:
         capacity: number of frames (the model's ``B``).
         fetch_fn: ``page_id -> bytes`` used on a miss.
-        writeback_fn: ``(page_id, payload, modifiers: frozenset) -> None``
-            used when a dirty frame is evicted or flushed.  ``modifiers``
-            is the set of transactions with uncommitted changes to the
-            page at write-back time — non-empty means this is a *steal*.
-        writeback_window_fn: ``([(page_id, payload, modifiers), ...]) ->
-            None`` used by :meth:`flush_pages_of` and
-            :meth:`flush_all_dirty`: the whole window of dirty pages, in
-            frame order.  The callee writes each page back and calls
-            :meth:`mark_clean` per page as it goes, so frame state
+        writeback_fn: ``([(page_id, payload, modifiers: frozenset), ...])
+            -> None``: the dirty pages to write back, in frame order —
+            one entry for an eviction or :meth:`flush_page`, the whole
+            window for :meth:`flush_pages_of` and :meth:`flush_all_dirty`.
+            ``modifiers`` is the set of transactions with uncommitted
+            changes to the page at write-back time — non-empty means
+            this is a *steal*.  The callee writes each page back and
+            calls :meth:`mark_clean` per page as it goes, so frame state
             tracks the write schedule; a page it leaves unmarked stays
             dirty.
         policy: ``"lru"`` (default) or ``"clock"``.
@@ -78,14 +77,13 @@ class BufferPool:
     """
 
     def __init__(self, capacity: int, fetch_fn, writeback_fn,
-                 writeback_window_fn, policy: str = "lru",
-                 steal: bool = True, tracer=None, metrics=None) -> None:
+                 policy: str = "lru", steal: bool = True, tracer=None,
+                 metrics=None) -> None:
         if capacity < 1:
             raise ValueError("buffer capacity must be at least 1")
         self.capacity = capacity
         self._fetch = fetch_fn
         self._writeback = writeback_fn
-        self._writeback_window = writeback_window_fn
         self._policy = make_policy(policy)
         self.steal = steal
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -206,8 +204,8 @@ class BufferPool:
         self._writeback_filter = filter_fn
 
     def mark_clean(self, page_id: int) -> None:
-        """The page was just written back by the window callable: its
-        frame stays resident and becomes clean."""
+        """The page was just written back by the write-back callable:
+        its frame stays resident and becomes clean."""
         index = self._table.get(page_id)
         if index is None:
             return
@@ -227,7 +225,8 @@ class BufferPool:
 
     def flush_page(self, page_id: int) -> bool:
         """Write back the page if buffered and dirty; returns True if a
-        write-back happened.  The frame stays resident and becomes clean."""
+        write-back happened.  The frame stays resident and becomes clean
+        (the callee marks it, as in a window)."""
         index = self._table.get(page_id)
         if index is None:
             return False
@@ -237,11 +236,9 @@ class BufferPool:
         if self._writeback_filter is not None \
                 and not self._writeback_filter(page_id, frame):
             return False
-        self._writeback(page_id, frame.payload, frozenset(frame.modifiers))
-        frame.dirty = False
-        if frame.modifiers:
-            self._drop_modifiers(frame)
-        return True
+        self._writeback([(page_id, frame.payload,
+                          frozenset(frame.modifiers))])
+        return not frame.dirty
 
     def flush_pages_of(self, txn_id: int) -> list:
         """FORCE discipline: write back every page the transaction has
@@ -259,7 +256,7 @@ class BufferPool:
                 entries.append((page_id, frame.payload,
                                 frozenset(frame.modifiers)))
         if entries:
-            self._writeback_window(entries)
+            self._writeback(entries)
         return flushed
 
     def flush_all_dirty(self) -> list:
@@ -273,7 +270,7 @@ class BufferPool:
                 entries.append((frame.page_id, frame.payload,
                                 frozenset(frame.modifiers)))
         if entries:
-            self._writeback_window(entries)
+            self._writeback(entries)
         return [entry[0] for entry in entries]
 
     def clear_modifier(self, txn_id: int) -> None:
@@ -409,8 +406,14 @@ class BufferPool:
             self.stats.dirty_evictions += 1
             if frame.uncommitted:
                 self.stats.steals += 1
-            self._writeback(frame.page_id, frame.payload,
-                            frozenset(frame.modifiers))
+            self._writeback([(frame.page_id, frame.payload,
+                              frozenset(frame.modifiers))])
+            if frame.dirty:
+                # the callee may skip a page (it stays dirty); dropping
+                # the frame now would lose its contents
+                raise BufferFullError(
+                    f"write-back left eviction victim page "
+                    f"{frame.page_id} dirty")
         del self._table[frame.page_id]
         self._resident_cache = None
         self._policy.forget(index)

@@ -5,7 +5,7 @@ correctness argument makes a claim about durable state:
 
 ``steal``
     A buffer-pool writeback of uncommitted data just finished
-    (:meth:`Database._writeback`).
+    (:meth:`RecoveryPolicy.writeback`, once per stolen page).
 ``twin_write``
     A twin-parity small write just landed (inside a steal; the
     Dirty_Set may not reflect it yet, so only stateless-against-the-

@@ -30,9 +30,8 @@ from __future__ import annotations
 from ..errors import ParityGroupError, RecoveryError
 from ..storage.page import (NO_PAGE, NO_TXN, ParityHeader, TwinState,
                             compute_parity, xor_pages)
-from ..storage.twin_array import (BatchTwinWrite, DirtyGroupInfo,
-                                  TwinParityArray, TwinUpdate,
-                                  select_current_twin)
+from ..storage.twin_array import (DirtyGroupInfo, TwinParityArray,
+                                  TwinUpdate, select_current_twin)
 from .parity_group import DirtyEntry, DirtySet
 
 
@@ -121,26 +120,23 @@ class RDAManager:
         Raises:
             ParityGroupError: unlogged write violating the rule.
         """
-        group = self.array.geometry.group_of(page)
         if logged:
-            self._parity_tracking_write(group, page, payload, old_data)
+            self.write_committed(page, payload, old_data)
             return
+        group = self.array.geometry.group_of(page)
         entry = self.dirty_set.get(group)
         if entry is None:
-            self._first_steal(group, page, payload, txn_id, old_data)
+            # first steal: the committed twin seeds the free one
+            source = self.current_twin(group)
+            target = 1 - source
         elif entry.page_id == page and entry.txn_id == txn_id:
-            self._resteal(entry, payload, old_data)
+            source = target = entry.working_twin        # re-steal
         else:
             raise ParityGroupError(
                 f"unlogged write of page {page} (txn {txn_id}) into dirty "
                 f"group {group} (page {entry.page_id}, txn {entry.txn_id})"
             )
-
-    def _first_steal(self, group: int, page: int, payload: bytes, txn_id: int,
-                     old_data: bytes | None) -> None:
         headers = self._cached_headers(group)
-        current = self.current_twin(group)
-        target = 1 - current
         stamp = self.array.next_timestamp()
         index = self.array.geometry.index_in_group(page)
         header = ParityHeader(timestamp=stamp, txn_id=txn_id,
@@ -149,134 +145,31 @@ class RDAManager:
         # so it must reach disk before the data overwrite (the parity
         # analogue of the WAL rule)
         self.array.small_write(page, payload,
-                               [TwinUpdate(current, target, header)],
+                               [TwinUpdate(source, target, header)],
                                old_data=old_data, twin_first=True)
         headers[target] = header
         self.dirty_set.mark_dirty(DirtyEntry(
             group=group, txn_id=txn_id, page_id=page, page_index=index,
             working_twin=target, working_timestamp=stamp))
+        if entry is not None:
+            return
         self._note_dirty_gauge()
-        if self.tracer.enabled:
+        window = self.array.window
+        if window is not None:
+            # rides on the window's one costed event; the aggregator
+            # expands it back into rda.group_dirty rows
+            window.first_steals += 1
+        elif self.tracer.enabled:
             self.tracer.emit("rda.group_dirty", group=group, page=page,
                              txn=txn_id)
         if self._m_unlogged is not None:
             self._m_unlogged.inc()
-
-    def _resteal(self, entry: DirtyEntry, payload: bytes,
-                 old_data: bytes | None) -> None:
-        headers = self._cached_headers(entry.group)
-        stamp = self.array.next_timestamp()
-        header = ParityHeader(timestamp=stamp, txn_id=entry.txn_id,
-                              dirty_page_index=entry.page_index,
-                              state=TwinState.WORKING)
-        which = entry.working_twin
-        self.array.small_write(entry.page_id, payload,
-                               [TwinUpdate(which, which, header)],
-                               old_data=old_data, twin_first=True)
-        headers[which] = header
-        self.dirty_set.mark_dirty(DirtyEntry(
-            group=entry.group, txn_id=entry.txn_id, page_id=entry.page_id,
-            page_index=entry.page_index, working_twin=which,
-            working_timestamp=stamp))
-
-    def write_batch(self, items: list, on_page=None) -> None:
-        """A commit window of write-backs, through
-        :meth:`~repro.storage.twin_array.TwinParityArray.small_write_batch`.
-
-        ``items`` carry ``kind`` (``"steal"`` — an unlogged first steal
-        or re-steal — or ``"committed"`` — a clean-group committed
-        write-back), ``page``, ``group``, ``payload``, ``old`` (buffered
-        before-image or None) and ``txn`` (steals only).  The caller
-        (:meth:`repro.db.policy.RecoveryPolicy.writeback_batch`)
-        guarantees the batchability rules: distinct groups, no failed
-        disks, every steal legal under the Figure 3 rule, every
-        committed write into a *clean* group.
-
-        Timestamps are allocated in item order before any I/O — the
-        same sequence :meth:`write_uncommitted` / :meth:`write_committed`
-        would produce page by page, since nothing else touches the
-        clock inside a window.  Per-page bookkeeping (header cache,
-        Dirty_Set, ``on_page``) runs from the array's ``on_op``
-        callback, interleaved with the write schedule; only the trace
-        stream is coalesced.
-        """
-        array = self.array
-        geometry = array.geometry
-        cached_headers = self._cached_headers
-        dirty_get = self.dirty_set.get
-        next_timestamp = array.next_timestamp
-        current_twin = self.current_twin
-        ops = []
-        posts = []
-        first_steals = 0
-        for item in items:
-            group = item.group
-            headers = cached_headers(group)
-            if item.kind == "steal":
-                entry = dirty_get(group)
-                stamp = next_timestamp()
-                if entry is None:
-                    current = current_twin(group)
-                    target = 1 - current
-                    index = geometry.index_in_group(item.page)
-                    source = current
-                    first = True
-                    first_steals += 1
-                else:
-                    index = entry.page_index
-                    target = entry.working_twin
-                    source = target
-                    first = False
-                header = ParityHeader(timestamp=stamp, txn_id=item.txn,
-                                      dirty_page_index=index,
-                                      state=TwinState.WORKING)
-                ops.append(BatchTwinWrite(item.page, group, item.payload,
-                                          TwinUpdate(source, target, header),
-                                          item.old, True))
-                posts.append((headers, target, header, DirtyEntry(
-                    group=group, txn_id=item.txn, page_id=item.page,
-                    page_index=index, working_twin=target,
-                    working_timestamp=stamp), first))
-            else:
-                current = current_twin(group)
-                stamp = next_timestamp()
-                header = ParityHeader(timestamp=stamp,
-                                      state=TwinState.COMMITTED)
-                ops.append(BatchTwinWrite(item.page, group, item.payload,
-                                          TwinUpdate(current, current, header),
-                                          item.old, False))
-                posts.append((headers, current, header, None, False))
-
-        traced = self.tracer.enabled
-
-        def _after(i):
-            headers, target, header, entry, first = posts[i]
-            headers[target] = header
-            if entry is not None:
-                self.dirty_set.mark_dirty(entry)
-                if first:
-                    self._note_dirty_gauge()
-            if on_page is not None:
-                on_page(i)
-
-        # first_steals rides on the array's costed window event (one
-        # trace event per window, not two); the aggregator expands it
-        # back into rda.group_dirty rows
-        array.small_write_batch(
-            ops, on_op=_after,
-            event_attrs={"first_steals": first_steals} if traced else None)
-        if self._m_unlogged is not None and first_steals:
-            self._m_unlogged.inc(first_steals)
 
     def write_committed(self, page: int, payload: bytes,
                         old_data: bytes | None = None) -> None:
         """Write back a page whose changes are committed (or UNDO-logged):
         parity tracks the data; no undo information is consumed."""
         group = self.array.geometry.group_of(page)
-        self._parity_tracking_write(group, page, payload, old_data)
-
-    def _parity_tracking_write(self, group: int, page: int, payload: bytes,
-                               old_data: bytes | None) -> None:
         headers = self._cached_headers(group)
         entry = self.dirty_set.get(group)
         if entry is None:

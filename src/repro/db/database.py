@@ -16,10 +16,11 @@ RecoveryPolicy`; the facade just routes.  The axes:
   the parity twins (no UNDO logging when the Figure 3 rule allows) or by
   classical before-image logging.
 
-The write-back hook (:meth:`Database._writeback`) is the paper's
-decision point: every steal either rides the parity twins or pays for a
-durable before-image first (the WAL rule is enforced in
-:meth:`~repro.db.policy.RecoveryPolicy.writeback`).
+The buffer pool's one write-back callable (:meth:`Database.
+_writeback_batch`) leads to the paper's decision point: every steal
+either rides the parity twins or pays for a durable before-image first
+(the WAL rule is enforced, page by page, in :meth:`~repro.db.policy.
+RecoveryPolicy.writeback`).
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class Database:
                                     tracer=self.tracer, metrics=metrics)
         self.rda = self.policy.protection.make_rda(self)
         self.buffer = BufferPool(config.buffer_capacity, self._fetch,
-                                 self._writeback, self._writeback_batch,
+                                 self._writeback_batch,
                                  policy=config.replacement,
                                  steal=config.steal, tracer=self.tracer,
                                  metrics=metrics)
@@ -141,7 +142,9 @@ class Database:
         self._before_images: dict = {}   # (txn, page) -> pre-txn page bytes
         self._undo_logged: set = set()   # (txn, page) with before-image in log
         self._logged_stolen: set = set()  # (txn, page) stolen WITH logging
-        self._last_stolen: dict = {}     # (txn, page) -> last on-disk payload
+        # page -> its on-disk bytes, kept while an active transaction
+        # has stolen the page; every write-back of the page refreshes it
+        self._last_written: dict = {}
         self._pending_undo: dict = {}    # txn -> [RecordBeforeEntry] (RDA defer)
         self._pending_redo: dict = {}    # txn -> [RecordRedoEntry] (REDO-only)
         self._bot_written: set = set()
@@ -223,26 +226,21 @@ class Database:
     def _fetch(self, page: int) -> bytes:
         return self.array.read_page(page)
 
-    def _writeback(self, page: int, payload: bytes, modifiers: frozenset) -> None:
-        """The decision point: steal via parity twins or via the log
-        (the tree itself lives in :meth:`RecoveryPolicy.writeback`)."""
-        self.policy.writeback(self, page, payload, modifiers)
-
     def _writeback_batch(self, entries: list) -> None:
-        """The same decision for one commit window of dirty frames
-        (see :meth:`RecoveryPolicy.writeback_batch`)."""
+        """Every write-back the pool asks for — one evicted page or a
+        commit window (see :meth:`RecoveryPolicy.writeback_batch`)."""
         self.policy.writeback_batch(self, entries)
 
     def _old_disk_version(self, txn_id, page: int):
-        """The page's current on-disk bytes, if this transaction knows
-        them (first steal: the captured before-image; re-steal: what it
-        wrote last time).  Saves one read in the small-write protocol —
+        """The page's current on-disk bytes, if known (a page stolen by
+        a still-active transaction: what was written last, by whoever
+        wrote it; a sole modifier's first steal: the captured
+        before-image).  Saves one read in the small-write protocol —
         the model's ``a = 3`` case."""
-        if txn_id is None:
-            return None
+        known = self._last_written.get(page)
+        if known is not None or txn_id is None:
+            return known
         key = (txn_id, page)
-        if key in self._last_stolen:
-            return self._last_stolen[key]
         before = self._before_images.get(key)
         if before is not None and page not in self._residue \
                 and key not in self._logged_stolen:
@@ -264,6 +262,8 @@ class Database:
         """Parity-tracking write of committed (or log-protected) data."""
         self.policy.protection.write_committed(self, page, payload,
                                                old_data=old_data)
+        if page in self._last_written:
+            self._last_written[page] = payload
         if self.policy.redo_only:
             # the page image now reflects its whole chain (chained
             # records exist only for committed transactions, and every
@@ -446,7 +446,7 @@ class Database:
     def _after_image(self, txn_id: int, page: int) -> bytes:
         if page in self.buffer:
             return self.buffer.get_page(page)
-        return self._last_stolen[(txn_id, page)]
+        return self._last_written[page]
 
     def abort(self, txn_id: int) -> None:
         """Roll the transaction back (parity twins and/or log) and
@@ -513,7 +513,7 @@ class Database:
         self._before_images.clear()
         self._undo_logged.clear()
         self._logged_stolen.clear()
-        self._last_stolen.clear()
+        self._last_written.clear()
         self._pending_undo.clear()
         self._pending_redo.clear()
         self._bot_written.clear()
@@ -548,8 +548,13 @@ class Database:
             del self._before_images[key]
         self._undo_logged = {k for k in self._undo_logged if k[0] != txn_id}
         self._logged_stolen = {k for k in self._logged_stolen if k[0] != txn_id}
-        for key in [k for k in self._last_stolen if k[0] == txn_id]:
-            del self._last_stolen[key]
+        stolen = self.txns.get(txn_id).pages_stolen
+        if stolen:
+            # a page's on-disk bytes stay known only while some other
+            # active transaction has stolen it too
+            others = [t.pages_stolen for t in self.txns.active_transactions()]
+            for page in stolen.difference(*others):
+                self._last_written.pop(page, None)
         self._pending_undo.pop(txn_id, None)
         self._pending_redo.pop(txn_id, None)
         self._bot_written.discard(txn_id)

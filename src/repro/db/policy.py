@@ -24,31 +24,14 @@ of a :class:`~repro.db.sharded.ShardedDatabase`.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 from ..core import ACCCheckpointer, RDAManager
 from ..errors import RecoveryError
 from ..wal import (CheckpointRecord, PageAfterImage, PageBeforeImage,
                    PageRedoEntry, RecordAfterEntry, RecordBeforeEntry,
                    RecordRedoEntry)
 from .slotted_page import SlottedPage
-
-
-class BatchWriteItem:
-    """One page of a commit-window write-back run.
-
-    ``kind`` is ``"steal"`` (unlogged first steal or re-steal by
-    ``txn``) or ``"committed"`` (clean-group committed write-back);
-    ``old`` is the buffered before-image or None.
-    """
-
-    __slots__ = ("kind", "page", "group", "payload", "old", "txn")
-
-    def __init__(self, kind, page, group, payload, old, txn):
-        self.kind = kind
-        self.page = page
-        self.group = group
-        self.payload = payload
-        self.old = old
-        self.txn = txn
 
 
 def apply_record_image(page_bytes: bytes, slot: int, image: bytes) -> bytes:
@@ -116,7 +99,7 @@ class PageLogging:
                         f"no before-image for stolen page {page} of "
                         f"transaction {txn_id}")
                 db._write_committed(page, images[page],
-                                    old_data=db._last_stolen.get((txn_id, page)))
+                                    old_data=db._last_written.get(page))
 
         for page in sorted(txn.pages_written):
             if page not in db.buffer:
@@ -221,12 +204,6 @@ class RecordLogging:
                 # them back; as with residue, the log must carry the undo
                 db._residue.add(page)
             db.buffer.flush_page(page)
-            # the disk copy just changed under every transaction that
-            # stole this page earlier: refresh the old-image shortcut
-            # (_old_disk_version) their next small write of it will use
-            for key in db._last_stolen:
-                if key[1] == page and key[0] != txn_id:
-                    db._last_stolen[key] = touched[page]
 
 
 class RedoPageLogging(PageLogging):
@@ -582,49 +559,11 @@ class RdaProtection:
 
     def parity_undo_for_abort(self, db, txn_id: int) -> dict:
         """Rewind the transaction's unlogged stolen pages via the twins."""
-        buffered = {}
-        for group in db.rda.dirty_set.groups_of(txn_id):
-            entry = db.rda.dirty_set.entry(group)
-            known = db._last_stolen.get((txn_id, entry.page_id))
-            if known is not None:
-                buffered[entry.page_id] = known
-        return db.rda.abort_txn(txn_id, buffered=buffered)
-
-    def write_back_run(self, db, run: list) -> None:
-        """Execute one run of :class:`BatchWriteItem` (see
-        :meth:`~repro.core.rda.RDAManager.write_batch`).
-
-        The per-page bookkeeping below runs from the array's per-op
-        callback, after that page's writes and ``twin_write`` barrier,
-        so counters, history events and invariant probes interleave
-        with the write schedule as they do in :meth:`RecoveryPolicy.
-        writeback`.
-        """
-        def on_page(i):
-            item = run[i]
-            if item.kind == "steal":
-                txn = item.txn
-                db.counters.unlogged_steals += 1
-                db.txns.get(txn).note_steal(item.page)
-                db._last_stolen[(txn, item.page)] = item.payload
-                db._h("steal", txn=txn, page=item.page, logged=False)
-                db._barrier("steal", page=item.page, txns=frozenset({txn}),
-                            logged=False)
-            else:
-                db._residue.discard(item.page)
-                db.counters.committed_writebacks += 1
-                if db.policy.redo_only:
-                    # same marker advance as _write_committed: the
-                    # on-disk image now reflects its whole redo chain
-                    db._durable_page_lsn[item.page] = \
-                        db.redo_log.page_chain_head(item.page)
-            db.buffer.mark_clean(item.page)
-
-        db.rda.write_batch(run, on_page=on_page)
-        if db._m_steals_unlogged is not None:
-            steals = sum(1 for item in run if item.kind == "steal")
-            if steals:
-                db._m_steals_unlogged.inc(steals)
+        restored = db.rda.abort_txn(txn_id, buffered=db._last_written)
+        for page, image in restored.items():
+            if page in db._last_written:
+                db._last_written[page] = image
+        return restored
 
     def restart_parity_phase(self, db, winners: set, losers: set,
                              fault) -> tuple:
@@ -757,7 +696,7 @@ class RedoRdaProtection(RdaProtection):
         owner = entry.txn_id
         # the XOR rewind needs the page's *on-disk* bytes (what the
         # steal wrote), not the live buffer, which may be newer
-        on_disk = db._last_stolen.get((owner, page))
+        on_disk = db._last_written.get(page)
         if page in db.buffer:
             current = db.buffer.get_page(page)
         elif on_disk is not None:
@@ -767,15 +706,17 @@ class RedoRdaProtection(RdaProtection):
         # rewind the disk through the twins; the owner's version lives
         # on in the buffer, where the gate will hold it (the frame is
         # about to gain a second modifier)
-        db.rda.undo_group(group, new_data=on_disk)
+        _, db._last_written[page] = db.rda.undo_group(group,
+                                                      new_data=on_disk)
         db.buffer.put_page(page, current, owner)
-        db._last_stolen.pop((owner, page), None)
         db.counters.promotions += 1
         if db.tracer.enabled:
             db.tracer.emit("redo.unsteal", page=page, txn=owner)
 
 
 # ==================== the composed policy ====================
+
+_NO_WINDOW = nullcontext()      # an untraced or one-page write-back
 
 PAGE_LOGGING = PageLogging()
 RECORD_LOGGING = RecordLogging()
@@ -841,18 +782,20 @@ class RecoveryPolicy:
         buffer.  A committed-dirty frame may reach disk only once its
         page's redo chain is durable (``page_lsn <= durable_lsn``)."""
         if frame.modifiers:
-            if len(frame.modifiers) != 1:
-                return False
-            single = next(iter(frame.modifiers))
-            return self.protection.covers_unlogged_steal(
-                db, page, single, page in db._residue)
+            return self._twins_cover(db, page, frame.modifiers)
         return db.redo_log.page_chain_head(page) <= db.redo_log.durable_lsn
+
+    def _twins_cover(self, db, page: int, modifiers) -> bool:
+        """Would a steal of this page ride the parity twins right now?"""
+        single = next(iter(modifiers)) if len(modifiers) == 1 else None
+        return self.protection.covers_unlogged_steal(
+            db, page, single, page in db._residue)
 
     def writeback(self, db, page: int, payload: bytes,
                   modifiers: frozenset) -> None:
-        """The paper's decision point: every steal either rides the
-        parity twins or pays for a durable before-image first (the WAL
-        rule is enforced here)."""
+        """The paper's decision point, for one page: every steal either
+        rides the parity twins or pays for a durable before-image first
+        (the WAL rule is enforced here)."""
         if not modifiers:
             db._residue.discard(page)
             db.counters.committed_writebacks += 1
@@ -867,10 +810,10 @@ class RecoveryPolicy:
             self.protection.write_stolen_unlogged(db, page, payload, single,
                                                   old)
             db.counters.unlogged_steals += 1
-            if db.metrics is not None:
-                db.metrics.counter("db.steals").labels(mode="unlogged").inc()
+            if db._m_steals_unlogged is not None:
+                db._m_steals_unlogged.inc()
             db.txns.get(single).note_steal(page)
-            db._last_stolen[(single, page)] = payload
+            db._last_written[page] = payload
             db._h("steal", txn=single, page=page, logged=False)
             db._barrier("steal", page=page, txns=frozenset({single}),
                         logged=False)
@@ -883,97 +826,40 @@ class RecoveryPolicy:
         self.protection.write_stolen_logged(db, page, payload, modifiers,
                                             single, old)
         db.counters.logged_steals += 1
+        db._last_written[page] = payload
         for txn_id in modifiers:
             db.txns.get(txn_id).note_steal(page)
             db._logged_stolen.add((txn_id, page))
-            db._last_stolen[(txn_id, page)] = payload
             db._h("steal", txn=txn_id, page=page, logged=True)
         db._barrier("steal", page=page, txns=frozenset(modifiers),
                     logged=True)
 
-    def _batch_gate_stale(self, db, page: int, modifiers: frozenset) -> bool:
-        """Batched flush admitted this modifier frame through the gate,
-        but execution-time state (a steal earlier in the same batch, a
-        degraded array) may have withdrawn the twin cover.  REDO-only
-        has no undo log to fall back to, so a stale admission means
-        *skip* — the frame stays dirty behind the gate."""
-        if self.logging.logs_undo:
-            return False
-        single = next(iter(modifiers)) if len(modifiers) == 1 else None
-        return not self.protection.covers_unlogged_steal(
-            db, page, single, page in db._residue)
-
     def writeback_batch(self, db, entries: list) -> None:
-        """Write back a commit window of dirty pages — the buffer
-        pool's window callable, and the only path a FORCE commit or a
-        checkpoint takes (eviction and ``flush_page`` stay on
-        :meth:`writeback`).
+        """The buffer pool's write-back callable: :meth:`writeback` for
+        each ``(page, payload, modifiers)`` of ``entries`` in turn — one
+        entry for an eviction or ``flush_page``, a FORCE commit's or a
+        checkpoint's whole window in frame order.
 
-        ``entries`` is ``[(page, payload, modifiers), ...]`` in the
-        buffer's frame order.  Consecutive pages that are unlogged
-        steals or clean-group committed writes into *distinct* parity
-        groups accumulate into a run executed by one array call (one
-        costed trace event per run); anything else — a group collision,
-        a logged steal, a dirty-group committed write, a degraded array
-        — flushes the pending run and goes through :meth:`writeback`,
-        whose general small write handles two twins and failed disks.
-        Either way each page sees the decision, disk writes, transfer
-        counts and history events :meth:`writeback` would give it, and
-        its buffer frame is marked clean right after its write-back.
+        Each page's frame is marked clean right after its write-back,
+        so frame state tracks the write schedule, and its header-cache
+        and Dirty_Set updates are complete before the next page is
+        decided — two pages of one parity group need no special case.
+        With tracing on, a window of several pages coalesces its
+        single-twin small writes into one costed event (see
+        :meth:`~repro.storage.twin_array.TwinParityArray.traced_window`).
         """
-        protection = self.protection
-        buffer = db.buffer
-        if (db.rda is None or not protection.uses_twins
-                or db.array.any_failed):
+        redo_only = self.redo_only
+        mark_clean = db.buffer.mark_clean
+        coalesce = (len(entries) > 1 and db.rda is not None
+                    and db.tracer.enabled)
+        with db.array.traced_window() if coalesce else _NO_WINDOW:
             for page, payload, modifiers in entries:
-                if modifiers and self._batch_gate_stale(db, page, modifiers):
+                if redo_only and modifiers \
+                        and not self._twins_cover(db, page, modifiers):
+                    # the write-behind gate admitted this frame, but an
+                    # earlier page of the window claimed its parity
+                    # group; with no undo log to fall back to, it stays
+                    # dirty behind the gate for a later flush
                     continue
                 self.writeback(db, page, payload, modifiers)
-                buffer.mark_clean(page)
-            return
-        geometry = db.array.geometry
-        dirty_set = db.rda.dirty_set
-        run = []
-        run_groups = set()
-
-        def flush_run():
-            protection.write_back_run(db, run)
-            run.clear()
-            run_groups.clear()
-
-        for page, payload, modifiers in entries:
-            group = geometry.group_of(page)
-            if group in run_groups:
-                flush_run()
-            if not modifiers:
-                if dirty_set.get(group) is None:
-                    run.append(BatchWriteItem("committed", page, group,
-                                              payload, None, None))
-                    run_groups.add(group)
-                    continue
-                # dirty-group committed write: updates both twins
-            else:
-                single = (next(iter(modifiers)) if len(modifiers) == 1
-                          else None)
-                was_residue = page in db._residue
-                if protection.covers_unlogged_steal(db, page, single,
-                                                    was_residue):
-                    old = db._old_disk_version(single, page)
-                    db._residue.discard(page)
-                    run.append(BatchWriteItem("steal", page, group, payload,
-                                              old, single))
-                    run_groups.add(group)
-                    continue
-                if not self.logging.logs_undo:
-                    # REDO-only: the write-behind gate admitted this
-                    # frame, but an earlier steal in the same batch
-                    # claimed its parity group (Figure 3 rule) — there
-                    # is no undo log to promote to, so the frame just
-                    # stays dirty behind the gate for a later flush
-                    continue
-            if run:
-                flush_run()
-            self.writeback(db, page, payload, modifiers)
-            buffer.mark_clean(page)
-        if run:
-            flush_run()
+                mark_clean(page)

@@ -103,8 +103,8 @@ def aggregate_events(events) -> dict:
         if name == "array.small_write_batch":
             # one coalesced window event stands in for per-page
             # small-write events; expand it back into the model-priced
-            # variants (batched ops are always single-twin, and cost
-            # exactly 3 buffered / 4 unbuffered transfers)
+            # variants (only inline single-twin writes are coalesced,
+            # and they cost exactly 3 buffered / 4 unbuffered transfers)
             buffered = attrs.get("buffered_pages", 0)
             plain = attrs.get("pages", 0) - buffered
             if buffered:
@@ -116,8 +116,8 @@ def aggregate_events(events) -> dict:
                     reads=2 * plain, writes=2 * plain, transfers=4 * plain)
             first = attrs.get("first_steals", 0)
             if first:
-                # the recovery policy's per-window bookkeeping rides on
-                # this event; each first steal stands in for one legacy
+                # the RDA manager's per-window count rides on this
+                # event; each first steal stands in for one
                 # rda.group_dirty marker
                 add("rda.group_dirty", first)
             add(name, 1, dur_ms=attrs.get("dur_ms"))
@@ -131,14 +131,6 @@ def aggregate_events(events) -> dict:
             add(event_key(name, attrs), 1,
                 reads=attrs.get("reads", 0), writes=attrs.get("writes", 0),
                 transfers=attrs.get("transfers"))
-            continue
-        if name == "rda.steal_batch":
-            # the coalesced policy event; first steals each stand in
-            # for one legacy rda.group_dirty marker
-            first = attrs.get("first_steals", 0)
-            if first:
-                add("rda.group_dirty", first)
-            add(name, 1)
             continue
         add(event_key(name, attrs), 1,
             reads=attrs.get("reads", 0) if "transfers" in attrs else None,

@@ -118,13 +118,11 @@ class BufferedJsonlSink:
 
     Events are serialized on arrival (so the caller's dicts may be
     mutated afterwards) but hit the file in chunks of ``flush_every``
-    lines — one ``write`` call per chunk instead of per event.  This is
-    the sinks-ON counterpart of the engine's commit-window batching:
-    with the hot path vectorized, a per-event ``write`` would dominate
-    the profile.  Measured honestly (``benchmarks/bench_hotpath.py``),
-    full tracing + metrics still cost ~25-45% over the sinks-OFF run —
-    the irreducible per-event encode — down from >50% with the
-    unbuffered sink; ``docs/performance.md`` has the breakdown.
+    lines — one ``write`` call per chunk instead of per event; a
+    per-event ``write`` would dominate the profile.  What full tracing
+    + metrics still cost — the irreducible per-event encode — is the
+    ledger's ``force_update_obs`` row read against ``force_update``
+    (``docs/performance.md`` has the cells).
     """
 
     def __init__(self, path, flush_every: int = 1024) -> None:

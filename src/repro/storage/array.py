@@ -69,12 +69,6 @@ class DiskArray:
         """Ids of disks currently failed."""
         return [d.disk_id for d in self.disks if d.failed]
 
-    @property
-    def any_failed(self) -> bool:
-        """True while any disk is failed (gates the commit-window run,
-        which assumes an intact array)."""
-        return any(d.failed for d in self.disks)
-
     def _read_at(self, addr: PhysAddr) -> bytes:
         return self.disks[addr.disk].read(addr.slot)
 

@@ -48,7 +48,7 @@ class SimulatedDisk:
         # a never-written slot has no checksum to contradict.
         self._suspect: dict = {}
         self._written: set = set()
-        self._failed = False
+        self.failed = False     # fail-stop state; fail()/replace()/revive()
         self.read_count = 0
         self.write_count = 0
         self.on_access = None   # optional hook: (disk_id, slot, kind)
@@ -61,14 +61,9 @@ class SimulatedDisk:
 
     # -- failure injection -------------------------------------------------
 
-    @property
-    def failed(self) -> bool:
-        """True while the disk is in the failed state."""
-        return self._failed
-
     def fail(self) -> None:
         """Fail the disk (fail-stop): contents become inaccessible."""
-        self._failed = True
+        self.failed = True
 
     def replace(self) -> None:
         """Swap in a blank replacement disk.
@@ -80,7 +75,7 @@ class SimulatedDisk:
         self._headers.clear()
         self._suspect.clear()
         self._written.clear()
-        self._failed = False
+        self.failed = False
 
     def slot_written(self, slot: int) -> bool:
         """True when the slot has ever stored checksummed bytes.
@@ -107,12 +102,12 @@ class SimulatedDisk:
 
     def revive(self) -> None:
         """Un-fail the disk *keeping* its contents (transient fault model)."""
-        self._failed = False
+        self.failed = False
 
     # -- I/O ----------------------------------------------------------------
 
     def _check(self, slot: int, operation: str) -> None:
-        if self._failed:
+        if self.failed:
             raise DiskFailedError(self.disk_id, operation)
         if not 0 <= slot < self.capacity:
             raise AddressError(
@@ -126,7 +121,7 @@ class SimulatedDisk:
             LatentSectorError: stored checksum does not match — a latent
                 sector error the caller should repair from redundancy.
         """
-        if self._failed:
+        if self.failed:
             raise DiskFailedError(self.disk_id, "read")
         if not 0 <= slot < self.capacity:
             self._check(slot, "read")
@@ -146,7 +141,7 @@ class SimulatedDisk:
 
     def write(self, slot: int, payload: bytes) -> None:
         """Write a full-page payload at ``slot``."""
-        if self._failed:
+        if self.failed:
             raise DiskFailedError(self.disk_id, "write")
         if not 0 <= slot < self.capacity:
             self._check(slot, "write")
@@ -223,5 +218,5 @@ class SimulatedDisk:
                       != expected)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "FAILED" if self._failed else "ok"
+        state = "FAILED" if self.failed else "ok"
         return f"SimulatedDisk(id={self.disk_id}, capacity={self.capacity}, {state})"

@@ -26,11 +26,13 @@ Write-cost accounting matches the paper's model:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..errors import UnrecoverableDataError
 from .array import DiskArray
 from .geometry import Geometry
+from .iostats import TransferCounts
 from .page import (PAGE_SIZE, ParityHeader, TwinState, compute_parity,
                    xor_pages)
 
@@ -52,35 +54,15 @@ class TwinUpdate:
     header: ParityHeader
 
 
-class BatchTwinWrite:
-    """One page's worth of a commit-window batch (see
-    :meth:`TwinParityArray.small_write_batch`).
+class WindowTrace:
+    """What a :meth:`TwinParityArray.traced_window` has written so far
+    through the inline body of ``small_write`` (``first_steals`` is the
+    RDA manager's count)."""
 
-    A plain ``__slots__`` record rather than a dataclass: one is built
-    per write-back on the hot path, and frozen-dataclass construction
-    costs show up in the commit profile.
+    __slots__ = ("pages", "buffered_pages", "first_steals")
 
-    Attributes:
-        page: logical data page to write.
-        group: the page's parity group (precomputed by the caller).
-        new_data: the page payload.
-        update: the single :class:`TwinUpdate` for this page.
-        old_data: buffered before-image, or None to read it from disk.
-        twin_first: write the twin before the data page (steal ordering).
-    """
-
-    __slots__ = ("page", "group", "new_data", "update", "old_data",
-                 "twin_first")
-
-    def __init__(self, page: int, group: int, new_data: bytes,
-                 update: TwinUpdate, old_data: bytes | None = None,
-                 twin_first: bool = True) -> None:
-        self.page = page
-        self.group = group
-        self.new_data = new_data
-        self.update = update
-        self.old_data = old_data
-        self.twin_first = twin_first
+    def __init__(self) -> None:
+        self.pages = self.buffered_pages = self.first_steals = 0
 
 
 @dataclass(frozen=True)
@@ -156,6 +138,7 @@ class TwinParityArray(DiskArray):
         super().__init__(geometry, stats, tracer=tracer, metrics=metrics)
         self._clock = 0
         self.barrier_hook = None    # conformance seam (repro.check)
+        self.window = None          # open WindowTrace (traced_window)
 
     # -- timestamps ---------------------------------------------------------------
 
@@ -250,28 +233,88 @@ class TwinParityArray(DiskArray):
         writes then leaves a WORKING header that restart can see, rather
         than an uncommitted page no recovery source knows about.
 
-        Degraded behaviour: a failed twin disk is skipped (the group
-        loses that twin until rebuild); a failed data disk absorbs the
-        write into the surviving twins.
+        One twin on three healthy disks (data, source twin, target
+        twin) — every unlogged steal and clean-group committed write —
+        takes the body inline: the same reads, writes, order and counts
+        as :meth:`_small_write_inner`, without its two-twin and
+        failed-disk handling.  Anything else takes the general path.
+        Degraded behaviour there: a failed twin disk is skipped (the
+        group loses that twin until rebuild); a failed data disk absorbs
+        the write into the surviving twins.
         """
         if len(new_data) != PAGE_SIZE:
             raise ValueError(f"page payload must be {PAGE_SIZE} bytes")
         if not updates:
             raise ValueError("small_write needs at least one TwinUpdate")
-        if not self.tracer.enabled:
+        disks = self.disks
+        addr = self.geometry.data_address(page)
+        data_disk = disks[addr.disk]
+        inline = len(updates) == 1 and not data_disk.failed
+        if inline:
+            update = updates[0]
+            parity = self.geometry.parity_addresses(
+                self.geometry.group_of(page))
+            source = parity[update.source]
+            target = parity[update.target]
+            source_disk = disks[source.disk]
+            target_disk = disks[target.disk]
+            inline = not (source_disk.failed or target_disk.failed)
+        traced = self.tracer.enabled
+        buffered = old_data is not None
+        if inline:
+            old = old_data if buffered else data_disk.read(addr.slot)
+            twin, _ = source_disk.read_with_header(source.slot)
+            new_twin = xor_pages(old, new_data, twin)
+            if twin_first:
+                target_disk.write_with_header(target.slot, new_twin,
+                                              update.header)
+                data_disk.write(addr.slot, new_data)
+            else:
+                data_disk.write(addr.slot, new_data)
+                target_disk.write_with_header(target.slot, new_twin,
+                                              update.header)
+        else:
+            before = self.stats.snapshot() if traced else None
             self._small_write_inner(page, new_data, updates, old_data,
                                     twin_first)
-        else:
-            with self.stats.window() as window:
-                self._small_write_inner(page, new_data, updates, old_data,
-                                        twin_first)
-            self.tracer.emit_costed("array.small_write", window, page=page,
-                                    buffered=old_data is not None,
-                                    twins=len(updates))
+        if traced:
+            # inline: twin read + two writes, + the old-data read unless
+            # buffered
+            cost = (TransferCounts(2 - buffered, 2) if inline
+                    else self.stats.snapshot() - before)
+            window = self.window
+            if inline and window is not None:
+                window.pages += 1
+                window.buffered_pages += buffered
+            else:
+                self.tracer.emit_costed("array.small_write", cost, page=page,
+                                        buffered=buffered, twins=len(updates))
             if self._xfer_hist is not None:
-                self._xfer_hist.observe(window.total)
+                self._xfer_hist.observe(cost.total)
         if self.barrier_hook is not None:
             self.barrier_hook("twin_write", page=page)
+
+    @contextmanager
+    def traced_window(self):
+        """Coalesce the trace of a multi-page write-back window: while
+        open, inline small writes count themselves into a
+        :class:`WindowTrace` instead of emitting an event each (general-
+        path writes keep theirs); closing emits the one costed
+        ``array.small_write_batch`` event the trace aggregators expand
+        back into per-page rows.  Opened only with tracing on."""
+        window = self.window = WindowTrace()
+        try:
+            yield
+        finally:
+            self.window = None
+            pages = window.pages
+            if pages:
+                self.tracer.emit_costed(
+                    "array.small_write_batch",
+                    TransferCounts(2 * pages - window.buffered_pages,
+                                   2 * pages),
+                    first_steals=window.first_steals, pages=pages,
+                    buffered_pages=window.buffered_pages)
 
     def _small_write_inner(self, page: int, new_data: bytes, updates: list,
                            old_data: bytes | None,
@@ -309,75 +352,6 @@ class TwinParityArray(DiskArray):
                             update.header)
         if twin_first and not data_disk.failed:
             data_disk.write(addr.slot, new_data)
-
-    def small_write_batch(self, ops: list, on_op=None,
-                          event_attrs=None) -> None:
-        """A commit window of single-twin small writes.
-
-        Each :class:`BatchTwinWrite` is the single-twin case of
-        :meth:`small_write` on a healthy array — same reads, same
-        writes in the same order, same transfer counts, same per-page
-        ``twin_write`` barrier — without the per-page trace event and
-        the degraded-disk and second-twin handling the general path
-        carries.  With tracing on, the whole window emits one costed
-        ``array.small_write_batch`` event; ``event_attrs`` lets the
-        caller fold its own per-window bookkeeping (e.g. the RDA
-        manager's ``first_steals``) into that event instead of paying
-        for a second one.
-
-        The caller must guarantee: no failed disks, every op touches a
-        distinct parity group, and exactly one twin update per op (the
-        run-accumulation rules in
-        :meth:`repro.db.policy.RecoveryPolicy.writeback_batch`).
-
-        ``on_op(i)`` runs after op ``i``'s writes and barrier, so
-        per-page bookkeeping (Dirty_Set, history events, invariant
-        probes) interleaves with the write schedule.
-        """
-        traced = self.tracer.enabled
-        before = self.stats.snapshot() if traced else None
-        hist = self._xfer_hist if traced else None
-        disks = self.disks
-        data_address = self.geometry.data_address
-        parity_addresses = self.geometry.parity_addresses
-        barrier = self.barrier_hook
-        for i, op in enumerate(ops):
-            new_data = op.new_data
-            if len(new_data) != PAGE_SIZE:
-                raise ValueError(f"page payload must be {PAGE_SIZE} bytes")
-            addr = data_address(op.page)
-            parity = parity_addresses(op.group)
-            update = op.update
-            data_disk = disks[addr.disk]
-            old = op.old_data
-            if old is None:
-                old = data_disk.read(addr.slot)
-            source = parity[update.source]
-            twin, _ = disks[source.disk].read_with_header(source.slot)
-            new_twin = xor_pages(old, new_data, twin)
-            target = parity[update.target]
-            if op.twin_first:
-                disks[target.disk].write_with_header(target.slot, new_twin,
-                                                     update.header)
-                data_disk.write(addr.slot, new_data)
-            else:
-                data_disk.write(addr.slot, new_data)
-                disks[target.disk].write_with_header(target.slot, new_twin,
-                                                     update.header)
-            if hist is not None:
-                # twin read + two writes, + the old-data read unless buffered
-                hist.observe(3 if op.old_data is not None else 4)
-            if barrier is not None:
-                barrier("twin_write", page=op.page)
-            if on_op is not None:
-                on_op(i)
-        if traced:
-            attrs = dict(event_attrs) if event_attrs else {}
-            attrs["pages"] = len(ops)
-            attrs["buffered_pages"] = sum(1 for op in ops
-                                          if op.old_data is not None)
-            self.tracer.emit_costed("array.small_write_batch",
-                                    self.stats.snapshot() - before, **attrs)
 
     def write_data_only(self, page: int, payload: bytes) -> None:
         """Write a data page WITHOUT touching parity (1 page transfer).

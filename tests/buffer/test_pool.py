@@ -8,11 +8,13 @@ from repro.storage.page import PAGE_SIZE, make_page
 
 
 class Backing:
-    """Fake backing store recording write-backs."""
+    """Fake backing store recording write-backs; pages in ``refuse``
+    are left dirty, as a callee that skips a page leaves them."""
 
     def __init__(self):
         self.pages = {}
         self.writebacks = []
+        self.refuse = set()
 
     def fetch(self, page_id):
         return self.pages.get(page_id, bytes(PAGE_SIZE))
@@ -28,13 +30,14 @@ def backing():
 
 
 def make_pool(backing, capacity=3, **kwargs):
-    def writeback_window(entries):
+    def writeback(entries):
         for page_id, payload, modifiers in entries:
+            if page_id in backing.refuse:
+                continue
             backing.writeback(page_id, payload, modifiers)
             pool.mark_clean(page_id)
 
-    pool = BufferPool(capacity, backing.fetch, backing.writeback,
-                      writeback_window, **kwargs)
+    pool = BufferPool(capacity, backing.fetch, writeback, **kwargs)
     return pool
 
 
@@ -136,6 +139,22 @@ class TestEviction:
             make_pool(backing, policy="fifo")
 
 
+    def test_victim_left_dirty_raises_and_stays_resident(self, backing):
+        pool = make_pool(backing, capacity=1)
+        pool.put_page(1, make_page(b"dirty"), txn_id=5)
+        backing.refuse.add(1)
+        with pytest.raises(BufferFullError):
+            pool.get_page(2)
+        assert 1 in pool and pool.is_dirty(1)
+        assert pool.modifiers_of(1) == frozenset({5})
+        assert pool.get_page(1) == make_page(b"dirty")
+        assert 2 not in pool and backing.writebacks == []
+        # once the callee takes it, the same eviction goes through
+        backing.refuse.clear()
+        pool.get_page(2)
+        assert backing.writebacks == [(1, frozenset({5}))]
+
+
 class TestStealDiscipline:
     def test_no_steal_protects_uncommitted(self, backing):
         pool = make_pool(backing, capacity=2, steal=False)
@@ -167,6 +186,13 @@ class TestFlushing:
         assert backing.pages[1] == make_page(b"a")
         assert not pool.is_dirty(1)
         assert not pool.flush_page(1)   # already clean
+
+    def test_flush_page_reports_a_page_the_callee_skipped(self, backing):
+        pool = make_pool(backing)
+        pool.put_page(1, make_page(b"a"), txn_id=1)
+        backing.refuse.add(1)
+        assert not pool.flush_page(1)
+        assert pool.is_dirty(1) and pool.modifiers_of(1) == frozenset({1})
 
     def test_flush_absent_page(self, backing):
         pool = make_pool(backing)

@@ -171,16 +171,16 @@ class TestHybrid:
         assert verify_database(db) == []
 
     def test_batched_writeback_advances_marker(self):
-        """Regression: the batched RDA write-back path must advance the
-        durable page marker exactly like the per-page path, or trim
-        never frees the chains and restart replays them forever."""
+        """Regression: a checkpoint window's committed write-backs must
+        advance the durable page marker like a single flush does, or
+        trim never frees the chains and restart replays them forever."""
         db = hybrid_db()
         txn = db.begin()
         pages = [0, 5, 10]
         for page in pages:
             db.update_record(txn, page, 0, b"batched")
         db.commit(txn)
-        db.checkpoint()                 # flush_all_dirty -> write_back_run
+        db.checkpoint()                 # flush_all_dirty: one window
         for page in pages:
             assert db._durable_page_lsn[page] == \
                 db.redo_log.page_chain_head(page)

@@ -1,8 +1,8 @@
 """``inspect-trace`` over sharded, batched traces.
 
-The sharded engine emits coalesced ``array.small_write_batch`` window
-events (and ``rda.commit`` events carrying ``groups``) instead of one
-event per page.  :func:`aggregate_events` expands those back into the
+The sharded engine emits one coalesced ``array.small_write_batch``
+event per multi-page write-back window (and ``rda.commit`` events
+carrying ``groups``) instead of one event per page.  :func:`aggregate_events` expands those back into the
 model-priced per-operation variants; these tests pin the contract that
 the expansion prices a batched trace *identically* to a legacy per-op
 trace of the same workload.
@@ -73,13 +73,15 @@ def traces(request):
 
 def test_sharded_run_emits_batched_events(traces):
     batched, _ = traces
-    names = [e["name"] for e in batched]
-    assert "array.small_write_batch" in names
-    # the commit-window hot path is coalesced: per-op small writes may
-    # still appear from unwindowed paths (abort, forced undo) but the
-    # windowed bulk must ride the batch events
-    assert names.count("array.small_write_batch") > \
-        names.count("array.small_write")
+    windows = [e["attrs"] for e in batched
+               if e["name"] == "array.small_write_batch"]
+    # a window event stands for the single-twin pages of a multi-page
+    # write-back; a one-page write-back (a shard's single page of a
+    # commit, an eviction, an abort) and a two-twin write keep their own
+    # per-page event, which names the page
+    assert windows and any(attrs["pages"] > 1 for attrs in windows)
+    assert all("page" in e["attrs"] for e in batched
+               if e["name"] == "array.small_write")
 
 
 def test_batch_expansion_prices_like_legacy_trace(traces):

@@ -334,12 +334,12 @@ def test_twin_undo_identity_random(data):
     assert xor_pages(p1, p0, array.read_page(page)) == before_image
 
 
-# -- the commit window against the general small write ------------------------
+# -- the inline single-twin body against the general small write --------------
 
 _KINDS = ("first_steal", "resteal", "committed")
 
 
-def _window_array(maker, log):
+def _logged_array(maker, log):
     """A loaded array whose group ``g`` (odd ``g``) already carries a
     steal of its first page in twin 1, with every disk access and
     ``twin_write`` barrier appended to ``log``."""
@@ -362,58 +362,89 @@ def _disk_image(array):
              for slot in range(disk.capacity)] for disk in array.disks]
 
 
+def _draw_op(data, array, group):
+    """One single-twin op on ``group``: ``(page, payload, update, old,
+    twin_first)`` — a first steal, a re-steal of the page the set-up
+    stole, or a committed write, with the old image buffered or not."""
+    stolen = group % 2 == 1
+    kind = data.draw(st.sampled_from(_KINDS if stolen else
+                                     ("first_steal", "committed")))
+    pages = array.geometry.group_pages(group)
+    page = pages[0] if kind == "resteal" else data.draw(
+        st.sampled_from(pages))
+    stamp = array.next_timestamp()
+    if kind == "committed":
+        update = TwinUpdate(0, 0, ParityHeader(
+            timestamp=stamp, state=TwinState.COMMITTED))
+    else:
+        header = ParityHeader(
+            timestamp=stamp, txn_id=9, state=TwinState.WORKING,
+            dirty_page_index=array.geometry.index_in_group(page))
+        update = TwinUpdate(1 if kind == "resteal" else 0, 1, header)
+    old = array.peek_page(page) if data.draw(st.booleans()) else None
+    return (page, data.draw(st.binary(min_size=PAGE_SIZE,
+                                      max_size=PAGE_SIZE)),
+            update, old, data.draw(st.booleans()))
+
+
+def _touched_disks(array, page, update):
+    parity = array.geometry.parity_addresses(array.geometry.group_of(page))
+    return [array.geometry.data_address(page).disk,
+            parity[update.source].disk, parity[update.target].disk]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_window_matches_general_small_write(data):
-    """A window of 1…G single-twin ops on distinct groups through
-    ``small_write_batch`` is the same ops issued one by one through the
-    general ``small_write``: same disk slots and twin headers, same
-    ``IOStats``, same access / ``twin_write`` / ``on_op`` order."""
-    from repro.storage.twin_array import BatchTwinWrite
-
+def test_inline_body_matches_general_small_write(data):
+    """1…G single-twin ops on distinct groups through ``small_write``
+    (which takes the inline body on healthy disks) are the same ops
+    through the general ``_small_write_inner``: same disk slots and twin
+    headers, same ``IOStats``, same access / ``twin_write`` order."""
     maker = data.draw(st.sampled_from([make_twin_raid5,
                                        make_twin_parity_striped]))
-    window_log, single_log = [], []
-    window = _window_array(maker, window_log)
-    single = _window_array(maker, single_log)
+    inline_log, general_log = [], []
+    inline = _logged_array(maker, inline_log)
+    general = _logged_array(maker, general_log)
     groups = data.draw(st.lists(
-        st.integers(0, window.geometry.num_groups - 1), min_size=1,
-        max_size=window.geometry.num_groups, unique=True), label="groups")
+        st.integers(0, inline.geometry.num_groups - 1), min_size=1,
+        max_size=inline.geometry.num_groups, unique=True), label="groups")
 
-    ops = []
     for group in groups:
-        stolen = group % 2 == 1
-        kind = data.draw(st.sampled_from(_KINDS if stolen else
-                                         ("first_steal", "committed")))
-        pages = window.geometry.group_pages(group)
-        # a re-steal rewrites the page the set-up stole; any page will
-        # do for the other two kinds
-        page = pages[0] if kind == "resteal" else data.draw(
-            st.sampled_from(pages))
-        stamp = window.next_timestamp()
-        assert single.next_timestamp() == stamp
-        if kind == "committed":
-            update = TwinUpdate(0, 0, ParityHeader(
-                timestamp=stamp, state=TwinState.COMMITTED))
-        else:
-            header = ParityHeader(
-                timestamp=stamp, txn_id=9, state=TwinState.WORKING,
-                dirty_page_index=window.geometry.index_in_group(page))
-            update = TwinUpdate(1 if kind == "resteal" else 0, 1, header)
-        old = window.peek_page(page) if data.draw(st.booleans()) else None
-        ops.append(BatchTwinWrite(
-            page, group,
-            data.draw(st.binary(min_size=PAGE_SIZE, max_size=PAGE_SIZE)),
-            update, old, data.draw(st.booleans())))
+        page, payload, update, old, twin_first = _draw_op(data, inline, group)
+        assert general.next_timestamp() == update.header.timestamp
+        inline.small_write(page, payload, [update], old_data=old,
+                           twin_first=twin_first)
+        general._small_write_inner(page, payload, [update], old, twin_first)
+        # the barrier follows the page's writes on either body
+        general_log.append(("twin_write", page))
 
-    window.small_write_batch(
-        ops, on_op=lambda i: window_log.append(("on_op", i)))
-    for i, op in enumerate(ops):
-        single.small_write(op.page, op.new_data, [op.update],
-                           old_data=op.old_data, twin_first=op.twin_first)
-        single_log.append(("on_op", i))
+    assert _disk_image(inline) == _disk_image(general)
+    assert inline.stats == general.stats
+    assert inline_log == general_log
+    assert inline.scrub() == general.scrub()
 
-    assert _disk_image(window) == _disk_image(single)
-    assert window.stats == single.stats
-    assert window_log == single_log
-    assert window.scrub() == single.scrub()
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_failed_touched_disk_takes_the_general_path(data):
+    """With any one of the three disks an op touches (data, source twin,
+    target twin) failed, ``small_write`` is ``_small_write_inner``."""
+    maker = data.draw(st.sampled_from([make_twin_raid5,
+                                       make_twin_parity_striped]))
+    via_log, direct_log = [], []
+    via = _logged_array(maker, via_log)
+    direct = _logged_array(maker, direct_log)
+    group = data.draw(st.integers(0, via.geometry.num_groups - 1))
+    page, payload, update, old, twin_first = _draw_op(data, via, group)
+    failed = data.draw(st.sampled_from(_touched_disks(via, page, update)))
+    via.fail_disk(failed)
+    direct.fail_disk(failed)
+
+    via.small_write(page, payload, [update], old_data=old,
+                    twin_first=twin_first)
+    direct._small_write_inner(page, payload, [update], old, twin_first)
+    direct_log.append(("twin_write", page))
+
+    assert _disk_image(via) == _disk_image(direct)
+    assert via.stats == direct.stats
+    assert via_log == direct_log
