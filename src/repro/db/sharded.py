@@ -612,14 +612,23 @@ class ShardedDatabase:
         return self.checkpointer.checkpoint()
 
     def trim_log(self, archive_floor: int | None = None) -> int:
-        """Trim every shard's log; returns total records discarded.
+        """Trim every shard's log and the global commit log; returns
+        the records discarded from all of them.
 
         The coordinator is drained first: trimming records whose force
         is still batch-deferred is safe only via the crash contract,
         and draining keeps every log's forced horizon pointing at
-        bytes that actually exist."""
+        bytes that actually exist.
+
+        After the drain every commit-log record names a transaction
+        whose shard commits are durable: no restart can find it a
+        loser, so the cross-check in :meth:`recover` needs none of
+        them and the commit log is emptied — it forgets when the shards
+        forget, and restart stops scanning history."""
         self.coordinator.flush()
-        return sum(self._gather("trim_log", (archive_floor,)))
+        forgotten = self.commit_log.truncate_before(
+            self.commit_log.last_lsn + 1)
+        return forgotten + sum(self._gather("trim_log", (archive_floor,)))
 
     # -- failures ------------------------------------------------------------
 

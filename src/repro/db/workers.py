@@ -10,22 +10,58 @@ Recovery for Main-Memory DBMSs on Multicores*): per-shard WALs, one
 cross-shard barrier, and restart recovery that fans out to every worker
 concurrently.
 
-**Protocol.**  One duplex pipe per worker.  A command is
-``(op, args)``, ``op`` a key of the shared
+**Protocol.**  One duplex pipe per worker; a frame is one plain
+``pickle`` (protocol 5) over ``send_bytes``.  A command is
+``(op, args, oneway)``, ``op`` a key of the shared
 :data:`~repro.db.sharded.SHARD_OPS` table (or one of the few
-worker-only ``_WORKER_OPS``); a reply is ``(status, value, events, gc)`` where
-``status`` is ``"ok"``/``"err"`` (``value`` is the result or the
-pickled exception, re-raised at the facade), ``events`` is the batch of
-tracer events the command produced (merged into the facade trace via
-:meth:`~repro.obs.tracer.Tracer.ingest`, in dispatch order, so the
-merge is deterministic), and ``gc`` is the worker coordinator's
+worker-only ``_WORKER_OPS``); a reply is
+``(status, value, events, gc, failed)`` where ``status`` is
+``"ok"``/``"err"`` (``value`` is the result or the pickled exception,
+re-raised at the facade), ``events`` is the batch of tracer events the
+worker produced since its last reply (merged into the facade trace via
+:meth:`~repro.obs.tracer.Tracer.ingest`, in per-shard dispatch order,
+so the merge is deterministic), ``gc`` is the worker coordinator's
 cumulative deferred-force count (folded into the facade coordinator's
-accounting against a per-worker watermark).  Cross-shard operations
+accounting against a per-worker watermark) and ``failed`` reports
+one-way commands that raised (below).  Cross-shard operations
 (begin/commit/abort/crash/recover/flush) are *scatter-gather*: the
 facade sends the command to every worker before collecting any reply,
 so all K engines execute concurrently; replies are consumed in
 scheduler order, which keeps the observable stream byte-identical to
 the in-process engine.
+
+**One-way commands.**  A round trip costs two cross-CPU wake-ups
+(≈ 75 of its ≈ 95 µs), far more than the command it carries, so a
+command marked ``oneway`` is executed in arrival order and *never
+answered*.  The transport sends a command one-way exactly when it can
+prove, from the commands it has already carried, that nobody needs its
+result and that it cannot raise an error its caller is entitled to see
+at that call:
+
+* ``write_page`` — when no *other* live transaction has sent a
+  ``read_page``/``write_page`` for the page (:class:`_WorkerHandle`
+  keeps that map; every lock request and release of a shard is a
+  command passing through its handle).  The shard's lock table holds
+  entries of live transactions only, so the lock is free or held by
+  the writer alone and :meth:`LockManager.acquire` grants it at once;
+  payload length, page range and "transaction is live" are checked
+  facade-side.  Any other write is a blocking call and raises
+  ``LockWait``/``DeadlockError`` from ``write_page`` itself.
+* ``begin`` — when its id is greater than every id the handle has
+  carried (facade-assigned ids always are), so the shard's registry
+  can neither hold nor have spent it.
+
+Nothing is one-way under NO-STEAL (``BufferFullError`` is the caller's
+to handle) and record operations always block (page overflow and dead
+slots depend on shard state); both are read off the shard's
+``DBConfig``.  What a one-way ``write_page`` can still hit is a storage
+fault on its buffer miss — the class of error that can already strike
+inside commit's FORCE flush.  *Hold-and-fail:* the worker holds such an
+error against the transaction and fails every later command naming it
+— the shard never commits a transaction whose write it lost — until
+``abort`` clears the hold and rolls back; the error also rides the
+``failed`` field of the worker's next reply, and the facade raises it
+from that transaction's next routed call without sending anything.
 
 **The coordinator is the only barrier.**  Each worker owns a *local*
 :class:`~repro.wal.group_commit.GroupCommitCoordinator`; the worker's
@@ -33,22 +69,28 @@ own ``commit`` handler opens the deferral window around its shard
 commit, so WAL-rule forces stay synchronous inside the worker and
 ``durable_lsn``/``covers`` semantics are evaluated where the log lives
 — no per-force message crosses a process boundary.  The facade-side
-:class:`_FacadeCoordinator` counts commits against the flush horizon
-and, on flush, broadcasts one ``gc_flush`` to the workers (draining
-their local pendings) before forcing its own pending global commit log.
+:class:`_FacadeCoordinator` counts commits against the flush horizon.
+The commit that reaches the horizon carries the flush with it (each
+worker drains its pendings right after its shard commit, before the
+facade forces the commit-log record that follows them); every other
+drain — ``crash``, ``trim_log``, an explicit flush — broadcasts one
+``gc_flush``, and only if some worker has deferred a force since it
+last drained.
 
-**Crash propagation.**  Every state-changing command is journaled at
-the facade *before* it is sent.  If a worker dies (nemesis kill, fault
-injection), the supervisor respawns it and replays the journal — the
-engines are deterministic, so the rebuilt worker converges to the state
-in which every journaled command, including one in flight at death,
-has fully executed; a scatter command therefore executes on *all*
-shards or is never sent, preserving cross-shard commit atomicity.  The
-interrupted facade call then raises :class:`WorkerCrashed`, which
-drivers treat like a crash signal: run :meth:`crash` (the group-commit
-drain contract — the healed worker's replayed pending forces are
-flushed before memory is lost) and :meth:`recover`, then resolve any
-in-doubt commit against the recovered winner set.
+**Crash propagation.**  Every state-changing command, one-way or not,
+is journaled at the facade *before* it is sent.  If a worker dies
+(nemesis kill, fault injection), the supervisor respawns it and replays
+the journal — the engines are deterministic, so the rebuilt worker
+converges to the state in which every journaled command, including one
+in flight at death, has fully executed; a scatter command therefore
+executes on *all* shards or is never sent, preserving cross-shard
+commit atomicity.  The interrupted facade call then raises
+:class:`WorkerCrashed` — for a death under a one-way command, the call
+that next reads a reply from that handle (or finds its pipe broken) —
+which drivers treat like a crash signal: run :meth:`crash` (the
+group-commit drain contract — the healed worker's replayed pending
+forces are flushed before memory is lost) and :meth:`recover`, then
+resolve any in-doubt commit against the recovered winner set.
 """
 
 from __future__ import annotations
@@ -63,6 +105,7 @@ import weakref
 from ..errors import ModelError, RecoveryError
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
+from ..storage.page import PAGE_SIZE
 from ..wal import GroupCommitCoordinator, GroupCommitLog
 from .config import DBConfig
 from .database import Database
@@ -159,13 +202,19 @@ def _die() -> None:
     os._exit(17)
 
 
-def _h_commit(state: _WorkerState, txn_id: int) -> None:
+def _h_commit(state: _WorkerState, txn_id: int,
+              drain: bool = False) -> int | None:
+    """``drain``: this is the commit that reaches the facade's flush
+    horizon — force the local pendings right after the shard commit and
+    return how many logs that forced (the horizon flush, folded into
+    the commit message)."""
     if state.die_on == "before_commit":
         _die()                      # mid-commit-window: others may commit
     with state.coordinator.deferred():
         state.db.commit(txn_id)
     if state.die_on == "after_commit":
         _die()                      # committed locally, reply never sent
+    return _h_gc_flush(state) if drain else None
 
 
 def _h_gc_flush(state: _WorkerState) -> int:
@@ -217,6 +266,18 @@ _MUTATING = frozenset({
 })
 
 
+# Commands whose first argument names the transaction they serve: the
+# ones a held one-way failure refuses (``abort`` clears the hold).
+_TXN_OPS = frozenset({
+    "read_page", "write_page", "read_record", "update_record",
+    "insert_record", "delete_record", "commit", "abort",
+})
+
+# The commands that request a page lock in page-logging mode, the only
+# mode that sends writes one-way: ``(txn_id, page, ...)``.
+_PAGE_OPS = frozenset({"read_page", "write_page"})
+
+
 def _picklable(exc: BaseException) -> BaseException:
     """The exception itself if it survives pickling, else a stand-in."""
     try:
@@ -224,6 +285,17 @@ def _picklable(exc: BaseException) -> BaseException:
         return exc
     except Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _send(conn, message: tuple) -> None:
+    """One frame: plain pickle (protocol 5) over ``send_bytes`` —
+    ``Connection.send`` would route every message through the slower
+    ``ForkingPickler``, whose reducers nothing on this pipe needs."""
+    conn.send_bytes(pickle.dumps(message, 5))
+
+
+def _recv(conn) -> tuple:
+    return pickle.loads(conn.recv_bytes())
 
 
 def _worker_main(conn, spec: WorkerSpec) -> None:
@@ -251,8 +323,16 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
                   log_factory=log_factory)
     state = _WorkerState(db, coordinator, sink)
 
-    events = sink.drain() if sink is not None else ()
-    conn.send(("ok", shard_info(db), events, coordinator.deferred_forces))
+    held: dict = {}         # txn -> the error one of its one-way commands raised
+    failed: dict = {}       # the part of ``held`` no reply has reported yet
+
+    def reply(status: str, value) -> None:
+        events = sink.drain() if sink is not None else ()
+        _send(conn, (status, value, events, coordinator.deferred_forces,
+                     failed))
+        failed.clear()
+
+    reply("ok", shard_info(db))
 
     # clean exits *return* rather than os._exit: the multiprocessing
     # bootstrap then finishes normally, letting subprocess coverage
@@ -261,35 +341,44 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
     # deaths (_die) take the hard-exit path.
     while True:
         try:
-            op, args = conn.recv()
+            op, args, oneway = _recv(conn)
         except (EOFError, OSError):
             return
-        if op == "shutdown":
-            try:
-                conn.send(("ok", None, (), coordinator.deferred_forces))
-            except (BrokenPipeError, OSError):
-                pass
-            return
-        if op == "die":
-            when, = args
-            if when == "now":
+        try:
+            if op == "shutdown":
+                reply("ok", None)
+                return
+            if op == "die":
+                when, = args
+                if when == "now":
+                    _die()
+                state.die_on = when
+                reply("ok", when)
+                continue
+            if state.die_on == "next_command":
                 _die()
-            state.die_on = when
-            conn.send(("ok", when, (), coordinator.deferred_forces))
-            continue
-        if state.die_on == "next_command":
-            _die()
-        try:
-            handler = _WORKER_OPS.get(op)
-            value = (handler(state, *args) if handler is not None
-                     else SHARD_OPS[op](db, *args))
-            status = "ok"
-        except Exception as exc:                    # noqa: BLE001
-            value = _picklable(exc)
-            status = "err"
-        events = sink.drain() if sink is not None else ()
-        try:
-            conn.send((status, value, events, coordinator.deferred_forces))
+            try:
+                if op in _TXN_OPS and args[0] in held:
+                    # hold-and-fail: the shard lost one of this
+                    # transaction's writes, so it may roll back, nothing else
+                    if op != "abort":
+                        raise held[args[0]]
+                    del held[args[0]]
+                    failed.pop(args[0], None)
+                handler = _WORKER_OPS.get(op)
+                value = (handler(state, *args) if handler is not None
+                         else SHARD_OPS[op](db, *args))
+                status = "ok"
+                if op == "crash":
+                    held.clear()    # the transactions died with memory
+                    failed.clear()
+            except Exception as exc:                # noqa: BLE001
+                value = _picklable(exc)
+                status = "err"
+            if not oneway:
+                reply(status, value)
+            elif status == "err" and args[0] not in held:
+                held[args[0]] = failed[args[0]] = value
         except (BrokenPipeError, OSError):
             return
 
@@ -320,13 +409,24 @@ def _reap(procs: list) -> None:
 
 
 class _WorkerHandle:
-    """One worker: process + pipe + command journal.
+    """One worker: process + pipe + command journal + the one-way filter.
 
-    The journal holds every state-changing command ever sent.  On
-    death, :meth:`heal` respawns the process and replays it — replies
-    (and their event batches) are discarded, because the facade already
-    consumed the acknowledged prefix and the in-flight command's reply
-    is reported lost via :class:`WorkerCrashed`.
+    The journal holds every state-changing command ever sent, one-way
+    or not.  On death, :meth:`heal` respawns the process and replays it
+    — replies (and their event batches) are discarded, because the
+    facade already consumed the acknowledged prefix and the in-flight
+    command's reply is reported lost via :class:`WorkerCrashed`.
+
+    **The filter.**  Every lock request and release of the shard passes
+    through here as a command, so the handle can tell which pages the
+    shard's *live* transactions may hold or wait for: ``_pages`` maps a
+    page to the transactions that sent ``read_page``/``write_page`` for
+    it (noted at send, so a request that only queued counts), emptied
+    per transaction once its ``commit``/``abort`` is acknowledged and
+    wholesale by ``crash``.  It errs towards "touched" only: a
+    transaction stays in it until the shard has *said* it released.
+    ``_live`` is the opposite bound — transactions proven active (their
+    ``begin`` was acknowledged, or was sent one-way under a fresh id).
     """
 
     def __init__(self, supervisor: "WorkerSupervisor", shard: int,
@@ -334,12 +434,23 @@ class _WorkerHandle:
         self.supervisor = supervisor
         self.shard = shard
         self.spec = spec
-        self.journal: list = []
+        self.journal: list = []             # (op, args, oneway)
         self.info: dict = {}
         self._proc = None
         self._conn = None
         self._reply_lost = False
+        self._awaited: tuple = ()           # args of the command recv() answers
         self._gc_seen = 0
+        self.owes_flush = False             # deferred forces not yet drained
+        # under NO-STEAL a write can raise BufferFullError, which its
+        # caller handles; record operations depend on page contents
+        self._oneway = spec.config.steal
+        self._oneway_writes = self._oneway and not spec.config.record_logging
+        self._pages: dict = {}              # page -> live txns that touched it
+        self._touched: dict = {}            # txn -> pages it touched
+        self._live: set = set()             # txns proven active on the shard
+        self._max_txn = 0                   # highest txn id carried so far
+        self._failed: dict = {}             # txn -> held one-way error
         self._spawn(replaying=False)
 
     # -- lifecycle -----------------------------------------------------------
@@ -355,7 +466,7 @@ class _WorkerHandle:
         self._conn = parent_conn
         self.supervisor.track(proc)
         # handshake: static shard facts + construction events
-        status, info, events, gc = self._conn.recv()
+        status, info, events, gc, _ = _recv(self._conn)
         if status != "ok":                          # pragma: no cover
             raise RecoveryError(f"shard {self.shard} worker failed to start")
         self.info = info
@@ -382,16 +493,19 @@ class _WorkerHandle:
         # loop deadlocks once both OS pipe buffers are full)
         gc = 0
         outstanding = 0
-        for op, args in self.journal:
-            self._conn.send((op, args))
+        for command in self.journal:
+            _send(self._conn, command)
+            if command[2]:
+                continue                    # one-way: nothing comes back
             outstanding += 1
             if outstanding >= 16:
-                _, _, _, gc = self._conn.recv()
+                gc = _recv(self._conn)[3]
                 outstanding -= 1
         while outstanding:
-            _, _, _, gc = self._conn.recv()
+            gc = _recv(self._conn)[3]
             outstanding -= 1
-            # replies discarded: already consumed before the death
+            # replies discarded: already consumed before the death (a
+            # held one-way failure is rebuilt worker-side by the replay)
         # the in-flight command's deferral delta was lost with its
         # reply; reconcile the facade coordinator against the replayed
         # cumulative count so the accounting stays exact
@@ -410,8 +524,8 @@ class _WorkerHandle:
 
     def shutdown(self) -> None:
         try:
-            self._conn.send(("shutdown", ()))
-            self._conn.recv()
+            _send(self._conn, ("shutdown", (), False))
+            _recv(self._conn)
         except (BrokenPipeError, EOFError, OSError):
             pass
         if self._proc is not None:
@@ -425,39 +539,117 @@ class _WorkerHandle:
     # -- protocol ------------------------------------------------------------
 
     def send(self, op: str, args: tuple) -> None:
+        self._reply_lost = self._dispatch(op, args, False)
+        self._awaited = args
+
+    def post(self, op: str, args: tuple) -> None:
+        """Send one-way: journaled and executed like any command, never
+        answered.  A failure is held against its transaction by the
+        worker and rides the next reply (``failed``)."""
+        if self._dispatch(op, args, True):
+            # there is no reply to hang the news on
+            raise WorkerCrashed(self.shard, op)
+
+    def _dispatch(self, op: str, args: tuple, oneway: bool) -> bool:
+        """Journal, note and send one command; True if the pipe was
+        found broken (the worker is healed by then, and its replay has
+        run the command: journaled first)."""
         if op in _MUTATING:
-            self.journal.append((op, args))
+            self.journal.append((op, args, oneway))
+        if op in _PAGE_OPS and len(args) > 1:
+            self._pages.setdefault(args[1], set()).add(args[0])
+            self._touched.setdefault(args[0], set()).add(args[1])
+        elif op == "begin" and args and type(args[0]) is int:
+            # spent from here on, whatever becomes of the reply
+            self._max_txn = max(self._max_txn, args[0])
+            if oneway:
+                self._live.add(args[0])
         try:
-            self._conn.send((op, args))
+            _send(self._conn, (op, args, oneway))
         except (BrokenPipeError, OSError):
-            # journaled first, so the command lands during replay; the
-            # reply is lost either way
             self.heal()
-            self._reply_lost = True
+            return True
+        return False
 
     def recv(self, op: str):
         if self._reply_lost:
             self._reply_lost = False
             raise WorkerCrashed(self.shard, op)
         try:
-            status, value, events, gc = self._conn.recv()
+            status, value, events, gc, failed = _recv(self._conn)
         except (EOFError, OSError):
             self.heal()
             raise WorkerCrashed(self.shard, op) from None
         self._absorb(events, gc)
+        if failed:
+            self._failed.update(failed)
         if status == "err":
             raise value
+        self._settle(op, self._awaited, value)
         return value
 
     def call(self, op: str, *args):
+        if (self._failed and op in _TXN_OPS and op != "abort"
+                and args[0] in self._failed):
+            raise self._failed[args[0]]     # the worker would refuse it too
+        if op == "write_page" and self._write_is_free(*args):
+            return self.post(op, args)
         self.send(op, args)
         return self.recv(op)
+
+    # -- the filter ----------------------------------------------------------
+
+    def begin_is_fresh(self, txn_id=None) -> bool:
+        """True when ``begin(txn_id)`` cannot be refused: the id is past
+        every id this handle has carried, so the shard's registry has
+        neither registered nor spent it."""
+        return (self._oneway and type(txn_id) is int
+                and txn_id > self._max_txn)
+
+    def _write_is_free(self, txn_id, page, payload) -> bool:
+        """True when ``write_page`` can neither wait nor be refused: the
+        transaction is live, the arguments are well-formed, and no
+        *other* live transaction has touched the page — the shard's
+        lock table holds entries of live transactions only, and the
+        sole toucher's S -> X upgrade is immediate."""
+        if not (self._oneway_writes and txn_id in self._live
+                and type(page) is int
+                and 0 <= page < self.info["num_data_pages"]
+                and type(payload) is bytes and len(payload) == PAGE_SIZE):
+            return False
+        touchers = self._pages.get(page)
+        return not touchers or (len(touchers) == 1 and txn_id in touchers)
+
+    def _settle(self, op: str, args: tuple, value) -> None:
+        """What an acknowledged command proves."""
+        if op == "begin":
+            self._live.add(value)
+            self._max_txn = max(self._max_txn, value)
+        elif op == "commit" or op == "abort":
+            txn_id = args[0]
+            self._live.discard(txn_id)
+            self._failed.pop(txn_id, None)
+            for page in self._touched.pop(txn_id, ()):
+                touchers = self._pages[page]
+                touchers.discard(txn_id)
+                if not touchers:
+                    del self._pages[page]
+            if len(args) > 1 and args[1]:
+                self.owes_flush = False     # the commit drained as well
+        elif op == "gc_flush":
+            self.owes_flush = False
+        elif op == "crash":
+            self._pages.clear()
+            self._touched.clear()
+            self._live.clear()
+            self._failed.clear()
 
     def _absorb(self, events, gc_cumulative: int) -> None:
         self.supervisor.absorb(self.shard, events)
         delta = gc_cumulative - self._gc_seen
         self._gc_seen = gc_cumulative
         if delta > 0:
+            self.owes_flush = True
             self.supervisor.coordinator.absorb_deferred(delta)
 
 
@@ -498,16 +690,29 @@ class WorkerSupervisor:
 
     # -- dispatch ------------------------------------------------------------
 
-    def scatter(self, order, op: str, args: tuple = (),
-                args_for=None) -> dict:
+    def scatter(self, order, op: str, args: tuple = ()) -> dict:
         """Send ``op`` to every shard in ``order`` before collecting any
         reply (all workers execute concurrently); gather in the same
         order.  If a worker dies, the remaining replies are still
         drained — the pipes stay in lockstep — and the first death is
-        re-raised after the sweep."""
+        re-raised after the sweep.
+
+        Two commands are recognised.  A ``begin`` under an id every
+        handle can prove fresh cannot be refused, so it goes one-way
+        and nothing is gathered.  The ``commit`` that reaches the flush
+        horizon carries the horizon flush with it: each worker drains
+        its local coordinator right after its shard commit and the
+        forced-log counts are credited to the facade coordinator's
+        next drain."""
         handles = self.handles
+        if op == "begin" and all(handles[i].begin_is_fresh(*args)
+                                 for i in order):
+            return self._post_all(order, op, args)
+        drains = op == "commit" and self.coordinator.at_horizon()
+        if drains:
+            args += (True,)
         for i in order:
-            handles[i].send(op, args_for(i) if args_for is not None else args)
+            handles[i].send(op, args)
         results: dict = {}
         death: WorkerCrashed | None = None
         error: BaseException | None = None
@@ -520,15 +725,35 @@ class WorkerSupervisor:
             except Exception as exc:                # noqa: BLE001
                 if error is None:
                     error = exc
+        if drains:
+            self.coordinator.prepaid += sum(results.values())
         if death is not None:
             raise death
         if error is not None:
             raise error
         return results
 
+    def _post_all(self, order, op: str, args: tuple) -> dict:
+        """The one-way scatter: every shard is sent the command even if
+        a pipe turns out broken on the way (its healed worker replays
+        it), and the first such death is raised after the sweep."""
+        death: WorkerCrashed | None = None
+        for i in order:
+            try:
+                self.handles[i].post(op, args)
+            except WorkerCrashed as crash:
+                if death is None:
+                    death = crash
+        if death is not None:
+            raise death
+        return dict.fromkeys(order, args[0])
+
     def broadcast_flush(self) -> int:
         """Drain every worker's local coordinator; returns how many logs
-        were forced across all workers."""
+        were forced across all workers.  No message is sent when no
+        worker has deferred a force since it last drained."""
+        if not any(handle.owes_flush for handle in self.handles):
+            return 0
         results = self.scatter(range(len(self.handles)), "gc_flush")
         return sum(results.values())
 
@@ -567,9 +792,10 @@ class WorkerSupervisor:
 
 class ShardProxy:
     """A shard engine across the pipe: ``proxy.<op>(*args)`` is one
-    command / one reply for any op of the shard protocol, so the
-    facade's routed paths call it like the ``Database`` it stands for
-    (positional arguments only)."""
+    command for any op of the shard protocol — answered, unless the
+    handle can prove it need not be — so the facade's routed paths call
+    it like the ``Database`` it stands for (positional arguments
+    only)."""
 
     def __init__(self, handle: _WorkerHandle) -> None:
         self._handle = handle
@@ -640,9 +866,17 @@ class _FacadeCoordinator(GroupCommitCoordinator):
     def __init__(self, flush_horizon: int = 1, metrics=None) -> None:
         super().__init__(flush_horizon=flush_horizon, metrics=metrics)
         self.supervisor: WorkerSupervisor | None = None
+        # worker logs already forced inside a commit that carried the
+        # horizon flush, not yet counted by a drain
+        self.prepaid = 0
+
+    def at_horizon(self) -> bool:
+        """True when the next commit is the one whose ``note_commit``
+        flushes."""
+        return self._commits_since_flush + 1 >= self.flush_horizon
 
     def _drain(self) -> int:
-        flushed = 0
+        flushed, self.prepaid = self.prepaid, 0
         if self.supervisor is not None:
             flushed += self.supervisor.broadcast_flush()
         return flushed + super()._drain()

@@ -102,17 +102,26 @@ def test_worker_death_mid_flush_drain_finishes_the_job():
 def test_scatter_death_is_all_or_nothing():
     """A command that kills one worker still lands on every shard: the
     journal was appended before the send, so the healed worker replays
-    it.  No cross-shard divergence is possible."""
+    it.  No cross-shard divergence is possible.
+
+    The scattered ``begin`` is one-way, so nobody is waiting for an
+    answer when worker 0 dies under it: the death is reported by the
+    next reply read from that handle."""
     with build() as db:
         db.supervisor.arm_death(0, "next_command")
-        with pytest.raises(WorkerCrashed):
-            db.begin()                      # scatter: dies on worker 0
+        t = db.begin()                      # scatter: dies on worker 0
+        db.write_page(t, 1, make_page(b"l"))    # shard 1 never noticed
+        with pytest.raises(WorkerCrashed) as excinfo:
+            db.read_page(t, 0)
+        assert excinfo.value.shard == 0
+        assert db.worker_deaths == 1
         # the begin still registered everywhere (replay on 0, live on 1)
-        t = 1
+        assert [flags["is_active"]
+                for flags in db._gather("txn_flags", (t,))] == [True, True]
         db.write_page(t, 0, make_page(b"k"))
-        db.write_page(t, 1, make_page(b"l"))
         db.commit(t)
         assert db.committed_view(0) == make_page(b"k")
+        assert db.committed_view(1) == make_page(b"l")
         assert verify_database(db) == []
 
 
