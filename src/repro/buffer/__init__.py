@@ -1,4 +1,4 @@
-"""Buffer manager: frames, replacement policies, and the pool.
+"""Buffer manager: frames and the LRU pool.
 
 Implements STEAL/NO-STEAL and FORCE/NO-FORCE from the Haerder-Reuter
 taxonomy the paper's Section 2 builds on.
@@ -6,14 +6,9 @@ taxonomy the paper's Section 2 builds on.
 
 from .frame import Frame
 from .pool import BufferPool, BufferStats
-from .replacement import ClockPolicy, LRUPolicy, ReplacementPolicy, make_policy
 
 __all__ = [
     "Frame",
     "BufferPool",
     "BufferStats",
-    "ClockPolicy",
-    "LRUPolicy",
-    "ReplacementPolicy",
-    "make_policy",
 ]

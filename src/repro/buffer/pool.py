@@ -21,12 +21,12 @@ protection — the paper's central decision point.
 from __future__ import annotations
 
 import heapq
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..errors import BufferFullError, PageNotPinnedError
 from ..obs.tracer import NULL_TRACER
 from .frame import Frame
-from .replacement import LRUPolicy, make_policy
 
 
 @dataclass
@@ -54,7 +54,9 @@ class BufferStats:
 
 
 class BufferPool:
-    """Fixed-capacity page buffer with pluggable policy and disciplines.
+    """Fixed-capacity page buffer with LRU replacement — the discipline
+    the paper's model assumes (a referenced page tends to stay buffered
+    until EOT unless stolen under memory pressure).
 
     Args:
         capacity: number of frames (the model's ``B``).
@@ -69,7 +71,6 @@ class BufferPool:
             calls :meth:`mark_clean` per page as it goes, so frame state
             tracks the write schedule; a page it leaves unmarked stays
             dirty.
-        policy: ``"lru"`` (default) or ``"clock"``.
         steal: allow eviction of uncommitted-dirty frames (STEAL).
         tracer: event tracer (eviction/steal events only; hits and
             misses are counted, not traced).
@@ -77,14 +78,12 @@ class BufferPool:
     """
 
     def __init__(self, capacity: int, fetch_fn, writeback_fn,
-                 policy: str = "lru", steal: bool = True, tracer=None,
-                 metrics=None) -> None:
+                 steal: bool = True, tracer=None, metrics=None) -> None:
         if capacity < 1:
             raise ValueError("buffer capacity must be at least 1")
         self.capacity = capacity
         self._fetch = fetch_fn
         self._writeback = writeback_fn
-        self._policy = make_policy(policy)
         self.steal = steal
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if metrics is not None:
@@ -96,7 +95,9 @@ class BufferPool:
             self._m_hits = self._m_misses = None
             self._m_evictions = self._m_steals = None
         self._frames = [Frame() for _ in range(capacity)]
-        self._table: dict = {}
+        # page id -> frame index, least recently used first: every hit
+        # moves its page to the end, every load enters there
+        self._table: OrderedDict = OrderedDict()
         self.stats = BufferStats()
         # free-frame min-heap: the legacy linear probe always picked the
         # lowest-indexed free frame, and a heap preserves that choice in
@@ -147,7 +148,7 @@ class BufferPool:
             self.stats.hits += 1
             if self._m_hits is not None:
                 self._m_hits.inc()
-            self._policy.touch(index)
+            self._table.move_to_end(page_id)
             return self._frames[index].payload
         return self._frame_for(page_id).payload
 
@@ -164,7 +165,7 @@ class BufferPool:
             self.stats.hits += 1
             if self._m_hits is not None:
                 self._m_hits.inc()
-            self._policy.touch(index)
+            self._table.move_to_end(page_id)
             frame = self._frames[index]
         else:
             frame = self._frame_for(page_id, load=False)
@@ -294,7 +295,6 @@ class BufferPool:
         if index is None:
             return
         self._resident_cache = None
-        self._policy.forget(index)
         frame = self._frames[index]
         if frame.modifiers:
             self._drop_modifiers(frame)
@@ -319,7 +319,7 @@ class BufferPool:
             self.stats.hits += 1
             if self._m_hits is not None:
                 self._m_hits.inc()
-            self._policy.touch(index)
+            self._table.move_to_end(page_id)
             return self._frames[index]
         self.stats.misses += 1
         if self._m_misses is not None:
@@ -333,7 +333,6 @@ class BufferPool:
         frame.modifiers = set()
         self._table[page_id] = index
         self._resident_cache = None
-        self._policy.touch(index)
         return frame
 
     def _free_frame(self) -> int:
@@ -344,44 +343,22 @@ class BufferPool:
                 return index
         return self._evict()
 
-    def _evictable(self) -> list:
+    def _choose_victim(self) -> int:
+        """The least recently used frame that is unpinned, stealable
+        and admitted by the write-behind gate."""
+        steal = self.steal
         gate = self._writeback_filter
-        out = []
-        for index, frame in enumerate(self._frames):
-            if not frame.in_use or frame.pin_count > 0:
+        for index in self._table.values():
+            frame = self._frames[index]
+            if frame.pin_count > 0:
                 continue
-            if frame.uncommitted and frame.dirty and not self.steal:
+            if frame.dirty and not steal and frame.modifiers:
                 continue
             if frame.dirty and gate is not None \
                     and not gate(frame.page_id, frame):
                 continue
-            out.append(index)
-        return out
-
-    def _choose_victim(self) -> int:
-        policy = self._policy
-        if type(policy) is LRUPolicy:
-            # every in-use frame is LRU-tracked (touch follows every
-            # load), so the first tracked frame passing the predicate
-            # is the same victim choose_victim would pick — without
-            # materializing the candidate list
-            steal = self.steal
-            gate = self._writeback_filter
-            for index in policy.iter_order():
-                frame = self._frames[index]
-                if frame.pin_count > 0:
-                    continue
-                if frame.dirty and not steal and frame.modifiers:
-                    continue
-                if frame.dirty and gate is not None \
-                        and not gate(frame.page_id, frame):
-                    continue
-                return index
-            raise self._buffer_full()
-        candidates = self._evictable()
-        if not candidates:
-            raise self._buffer_full()
-        return policy.choose_victim(candidates)
+            return index
+        raise self._buffer_full()
 
     def _buffer_full(self) -> BufferFullError:
         return BufferFullError(
@@ -416,7 +393,6 @@ class BufferPool:
                     f"{frame.page_id} dirty")
         del self._table[frame.page_id]
         self._resident_cache = None
-        self._policy.forget(index)
         if frame.modifiers:
             self._drop_modifiers(frame)
         frame.clear()

@@ -107,7 +107,8 @@ class TwinParityIdentityRule(InvariantRule):
                     f"group {entry.group}: working-twin header "
                     f"{h_w} disagrees with Dirty_Set entry {entry} "
                     f"({barrier})"))
-            captured = db._before_images.get((entry.txn_id, entry.page_id))
+            captured = db.txns.get(entry.txn_id).before_images.get(
+                entry.page_id)
             if captured is not None:
                 derived = xor_pages(p_w, p_c, data[entry.page_index])
                 if derived != captured:
@@ -238,7 +239,7 @@ class WalBeforeDataRule(InvariantRule):
         # batched force pending drains at crash, covering its tail
         forced = db.undo_log.durable_lsn
         for txn_id in sorted(txns):
-            pending = [e for e in db._pending_undo.get(txn_id, [])
+            pending = [e for e in db.txns.get(txn_id).pending_undo
                        if e.page_id == page]
             if pending:
                 violations.append(Violation(
@@ -320,7 +321,7 @@ class WriteBehindRule(InvariantRule):
     barriers = ("steal", "commit", "abort", "checkpoint", "restart")
 
     def check(self, db, barrier: str, ctx: dict) -> List[Violation]:
-        if not getattr(db.config, "redo_only", False):
+        if not db.config.redo_only:
             return []
         violations: List[Violation] = []
         if barrier == "steal":
@@ -345,7 +346,7 @@ class WriteBehindRule(InvariantRule):
         return violations
 
     def mutate(self, db) -> str:
-        if not getattr(db.config, "redo_only", False):
+        if not db.config.redo_only:
             raise MutantError(
                 "write-behind only governs REDO-only configurations")
         if not db._durable_page_lsn:

@@ -3,8 +3,9 @@
 This is the paper's contribution (Section 4) as an executable policy
 layer over :class:`~repro.storage.twin_array.TwinParityArray`:
 
-* decide, per write-back, whether UNDO logging is required
-  (:meth:`RDAManager.needs_undo_log` — the Figure 3 rule);
+* hold the Dirty_Set, whose :meth:`~repro.core.parity_group.DirtySet.
+  can_write_without_undo` decides, per write-back, whether UNDO logging
+  is required (the Figure 3 rule);
 * perform uncommitted writes into the free parity twin
   (:meth:`write_uncommitted`), committed/logged writes in place or into
   both twins of a dirty group (:meth:`write_committed`);
@@ -94,35 +95,22 @@ class RDAManager:
         self._headers.clear()
         self._current.clear()
 
-    # -- the write-back rule (paper Figure 3) -----------------------------------------
-
-    def needs_undo_log(self, page: int, txn_id: int) -> bool:
-        """True when writing this uncommitted page back would require an
-        UNDO log record first (the group is dirty with another page or
-        another transaction)."""
-        group = self.array.geometry.group_of(page)
-        return not self.dirty_set.can_write_without_undo(group, page, txn_id)
+    # -- the two writers ------------------------------------------------------------------
 
     def write_uncommitted(self, page: int, payload: bytes, txn_id: int,
-                          old_data: bytes | None = None,
-                          logged: bool = False) -> None:
-        """Write back a page modified by an active transaction.
+                          old_data: bytes | None = None) -> None:
+        """Write back, without UNDO logging, a page modified by an
+        active transaction.
 
-        With ``logged=False`` the write must satisfy the Figure 3 rule
-        (clean group, or re-steal of the same page by the same
-        transaction) and is protected by the parity twins alone; the
-        group becomes (or stays) dirty.  With ``logged=True`` the caller
-        has already made an UNDO record durable, and the write updates
-        the parity like a committed write (both twins if the group is
-        dirty, so the twin-XOR identity keeps isolating the unlogged
-        page).
+        The write must satisfy the Figure 3 rule (clean group, or
+        re-steal of the same page by the same transaction) and is
+        protected by the parity twins alone; the group becomes (or
+        stays) dirty.  A steal whose UNDO record the caller has already
+        made durable is a :meth:`write_committed`.
 
         Raises:
-            ParityGroupError: unlogged write violating the rule.
+            ParityGroupError: the write violates the rule.
         """
-        if logged:
-            self.write_committed(page, payload, old_data)
-            return
         group = self.array.geometry.group_of(page)
         entry = self.dirty_set.get(group)
         if entry is None:

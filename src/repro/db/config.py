@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ModelError
-from ..storage.geometry import Placement
 
 
 @dataclass(frozen=True)
@@ -44,17 +43,16 @@ class DBConfig:
             paper's assumption; RDA exists to make this cheap).  With
             NO-STEAL no undo information is ever needed, but a buffer
             full of uncommitted pages refuses further work.
-        placement: data striping (RAID-5) or parity striping.
-        replacement: buffer replacement policy name.
         checkpoint_interval: cost units between automatic ACC
             checkpoints (None = manual checkpoints only); ignored under
             FORCE.
-        log_page_size: bytes per log page (model constant l_p).
         log_transfers_per_page: page transfers charged per filled log
             page per mirror copy.
         backend: storage-backend registry name
             (:func:`repro.storage.backend_names`); None selects the
             legacy default implied by ``rda`` ("twin" / "single").
+            The name fixes the data placement too (``"parity-striped"``
+            / ``"twin-parity-striped"``: sequential; the rest: striped).
         redo_only: the fifth (beyond-paper) recovery class: no undo
             log at all.  Redo records are threaded into per-page
             chains and dirty pages may only reach disk once their
@@ -72,10 +70,7 @@ class DBConfig:
     force: bool = True
     rda: bool = True
     steal: bool = True
-    placement: Placement = Placement.STRIPED
-    replacement: str = "lru"
     checkpoint_interval: float | None = None
-    log_page_size: int = 2020
     log_transfers_per_page: int = 1
     backend: str | None = None
     redo_only: bool = False
@@ -95,13 +90,6 @@ class DBConfig:
     def num_data_pages(self) -> int:
         """S: the database size in pages."""
         return self.group_size * self.num_groups
-
-    @property
-    def resolved_backend(self) -> str:
-        """The storage-backend name this configuration runs on."""
-        if self.backend is not None:
-            return self.backend
-        return "twin" if self.rda else "single"
 
     @property
     def algorithm_name(self) -> str:

@@ -117,7 +117,6 @@ class Database:
         self.rda = self.policy.protection.make_rda(self)
         self.buffer = BufferPool(config.buffer_capacity, self._fetch,
                                  self._writeback_batch,
-                                 policy=config.replacement,
                                  steal=config.steal, tracer=self.tracer,
                                  metrics=metrics)
         self.locks = LockManager()
@@ -133,22 +132,17 @@ class Database:
         self._m_steals_unlogged = (
             metrics.counter("db.steals").labels(mode="unlogged")
             if metrics is not None else None)
+        self._forced_undo_children: dict = {}   # reason -> rda.forced_undo child
         self._slotted_cache: dict = {}   # page -> (buffered bytes, SlottedPage)
         if self.tracer.enabled:
             self.tracer.emit("kernel.tier", tier=active_tier(),
                              available=list(available_tiers()))
 
-        # per-transaction bookkeeping (all lost in a crash)
-        self._before_images: dict = {}   # (txn, page) -> pre-txn page bytes
-        self._undo_logged: set = set()   # (txn, page) with before-image in log
-        self._logged_stolen: set = set()  # (txn, page) stolen WITH logging
+        # per-page bookkeeping, lost in a crash (per-transaction state
+        # lives on the Transaction objects and is lost with the registry)
         # page -> its on-disk bytes, kept while an active transaction
         # has stolen the page; every write-back of the page refreshes it
         self._last_written: dict = {}
-        self._pending_undo: dict = {}    # txn -> [RecordBeforeEntry] (RDA defer)
-        self._pending_redo: dict = {}    # txn -> [RecordRedoEntry] (REDO-only)
-        self._bot_written: set = set()
-        self._bot_lsns: dict = {}        # txn -> BOT record LSN (for trim_log)
         self._residue: set = set()       # pages with committed-unflushed data
 
         # REDO-only class: the stand-in for each page's on-disk header
@@ -173,7 +167,7 @@ class Database:
         ``factory(db, name)`` while ``db`` is mid-construction (config,
         stats, tracer, and metrics are already set).
         """
-        return LogManager(name=name, page_size=db.config.log_page_size,
+        return LogManager(name=name,
                           transfers_per_log_page=db.config.
                           log_transfers_per_page,
                           stats=db.stats, metrics=db.metrics)
@@ -231,19 +225,18 @@ class Database:
         commit window (see :meth:`RecoveryPolicy.writeback_batch`)."""
         self.policy.writeback_batch(self, entries)
 
-    def _old_disk_version(self, txn_id, page: int):
+    def _old_disk_version(self, txn, page: int):
         """The page's current on-disk bytes, if known (a page stolen by
         a still-active transaction: what was written last, by whoever
-        wrote it; a sole modifier's first steal: the captured
-        before-image).  Saves one read in the small-write protocol —
-        the model's ``a = 3`` case."""
+        wrote it; a sole modifier's — ``txn``'s — first steal: the
+        captured before-image).  Saves one read in the small-write
+        protocol — the model's ``a = 3`` case."""
         known = self._last_written.get(page)
-        if known is not None or txn_id is None:
+        if known is not None or txn is None:
             return known
-        key = (txn_id, page)
-        before = self._before_images.get(key)
+        before = txn.before_images.get(page)
         if before is not None and page not in self._residue \
-                and key not in self._logged_stolen:
+                and page not in txn.logged_stolen:
             return before
         return None
 
@@ -252,7 +245,8 @@ class Database:
         every uncommitted modifier of this page."""
         appended = False
         for txn_id in sorted(modifiers):
-            if self.policy.logging.append_steal_undo(self, txn_id, page):
+            if self.policy.logging.append_steal_undo(
+                    self, self.txns.get(txn_id), page):
                 appended = True
         if appended or self.undo_log.forced_lsn < self.undo_log.last_lsn:
             self.undo_log.force()
@@ -299,11 +293,9 @@ class Database:
         self._h("begin", txn=txn_id)
         return txn_id
 
-    def _ensure_bot(self, txn_id: int) -> None:
-        if txn_id not in self._bot_written:
-            lsn = self.undo_log.append(BOTRecord(txn_id=txn_id))
-            self._bot_written.add(txn_id)
-            self._bot_lsns[txn_id] = lsn
+    def _ensure_bot(self, txn) -> None:
+        if txn.bot_lsn is None:
+            txn.bot_lsn = self.undo_log.append(BOTRecord(txn_id=txn.txn_id))
 
     def read_page(self, txn_id: int, page: int) -> bytes:
         """Read a full page under a shared page lock."""
@@ -324,16 +316,15 @@ class Database:
             raise ValueError(f"page payload must be {PAGE_SIZE} bytes")
         txn = self.txns.require_active(txn_id)
         self._lock(txn_id, ("page", page), LockMode.EXCLUSIVE)
-        self._ensure_bot(txn_id)
+        self._ensure_bot(txn)
         current = self.buffer.get_page(page)
-        key = (txn_id, page)
-        if key not in self._before_images:
-            self._before_images[key] = current
+        if page not in txn.before_images:
+            txn.before_images[page] = current
             if self.policy.log_page_undo_at_first_write:
                 # classical WAL: before-image logged at first modification
                 self.undo_log.append(PageBeforeImage(
                     txn_id=txn_id, page_id=page, image=current))
-                self._undo_logged.add(key)
+                txn.undo_logged.add(page)
                 self.counters.before_images_logged += 1
         self.buffer.put_page(page, payload, txn_id)
         txn.note_write(page)
@@ -368,9 +359,9 @@ class Database:
                        before: bytes, after: bytes, mutate) -> None:
         """Shared tail of update/insert/delete: log, mutate, buffer."""
         txn = self.txns.require_active(txn_id)
-        self._ensure_bot(txn_id)
+        self._ensure_bot(txn)
         self.policy.protection.maybe_promote(self, page, txn_id)
-        self.policy.logging.note_record_modify(self, txn_id, page, slot,
+        self.policy.logging.note_record_modify(self, txn, page, slot,
                                                before, after)
         sp = self._slotted(page)
         # drop the cache entry across the mutation: if ``mutate`` raises
@@ -426,7 +417,7 @@ class Database:
         the EOT record, release locks."""
         txn = self.txns.require_active(txn_id)
         if txn.is_update_transaction:
-            self._ensure_bot(txn_id)
+            self._ensure_bot(txn)
             self.policy.discipline.flush_at_commit(self, txn_id)
             self.policy.logging.append_commit_images(self, txn)
             self.redo_log.append(CommitRecord(txn_id=txn_id))
@@ -438,7 +429,7 @@ class Database:
             self.policy.discipline.note_commit_residue(self, txn)
         self.locks.release_all(txn_id)
         self.txns.finish(txn_id, TxnState.COMMITTED)
-        self._forget(txn_id)
+        self._forget(txn)
         self.counters.transactions_committed += 1
         self._h("commit", txn=txn_id)
         self._barrier("commit", txn=txn_id)
@@ -488,9 +479,8 @@ class Database:
         self.txns.forget_finished()
         candidates = [self.undo_log.last_lsn + 1]
         for txn in self.txns.active_transactions():
-            lsn = self._bot_lsns.get(txn.txn_id)
-            if lsn is not None:
-                candidates.append(lsn)
+            if txn.bot_lsn is not None:
+                candidates.append(txn.bot_lsn)
         if archive_floor is not None:
             candidates.append(archive_floor + 1)
         return self.policy.discipline.trim_log(self, candidates,
@@ -510,14 +500,7 @@ class Database:
         self.undo_log.crash()
         if self.redo_log is not self.undo_log:
             self.redo_log.crash()
-        self._before_images.clear()
-        self._undo_logged.clear()
-        self._logged_stolen.clear()
         self._last_written.clear()
-        self._pending_undo.clear()
-        self._pending_redo.clear()
-        self._bot_written.clear()
-        self._bot_lsns.clear()
         self._residue.clear()
         self._slotted_cache.clear()
         # _durable_page_lsn survives: it models on-disk page headers
@@ -543,22 +526,19 @@ class Database:
 
     # -- bookkeeping --------------------------------------------------------------------------------------------
 
-    def _forget(self, txn_id: int) -> None:
-        for key in [k for k in self._before_images if k[0] == txn_id]:
-            del self._before_images[key]
-        self._undo_logged = {k for k in self._undo_logged if k[0] != txn_id}
-        self._logged_stolen = {k for k in self._logged_stolen if k[0] != txn_id}
-        stolen = self.txns.get(txn_id).pages_stolen
+    def _forget(self, txn) -> None:
+        """A finished transaction stays registered until ``trim_log``;
+        the images it holds must not."""
+        txn.before_images.clear()
+        txn.pending_undo.clear()
+        txn.pending_redo.clear()
+        stolen = txn.pages_stolen
         if stolen:
             # a page's on-disk bytes stay known only while some other
             # active transaction has stolen it too
             others = [t.pages_stolen for t in self.txns.active_transactions()]
             for page in stolen.difference(*others):
                 self._last_written.pop(page, None)
-        self._pending_undo.pop(txn_id, None)
-        self._pending_redo.pop(txn_id, None)
-        self._bot_written.discard(txn_id)
-        self._bot_lsns.pop(txn_id, None)
 
     # -- inspection (tests/examples; uncounted) ------------------------------------------------------------------
 

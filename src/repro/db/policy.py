@@ -18,8 +18,8 @@ A composed :class:`RecoveryPolicy` is what :class:`~repro.db.database.
 Database` and :class:`~repro.db.recovery.RecoveryManager` consult —
 they contain no ``if config.force`` / ``if config.rda`` branching of
 their own.  The strategies are stateless singletons (all state lives on
-the database), so one policy instance is safely shared by every shard
-of a :class:`~repro.db.sharded.ShardedDatabase`.
+the database and its transactions), so one policy instance is safely
+shared by every shard of a :class:`~repro.db.sharded.ShardedDatabase`.
 """
 
 from __future__ import annotations
@@ -57,18 +57,17 @@ class PageLogging:
     record_granularity = False
     logs_undo = True
 
-    def append_steal_undo(self, db, txn_id: int, page: int) -> bool:
+    def append_steal_undo(self, db, txn, page: int) -> bool:
         """Log the before-image covering one modifier of a stolen page
         (once per (txn, page)); returns True if anything was appended."""
-        key = (txn_id, page)
-        if key in db._undo_logged:
+        if page in txn.undo_logged:
             return False
-        image = db._before_images.get(key)
+        image = txn.before_images.get(page)
         if image is None:
             return False
-        db.undo_log.append(PageBeforeImage(txn_id=txn_id, page_id=page,
+        db.undo_log.append(PageBeforeImage(txn_id=txn.txn_id, page_id=page,
                                            image=image))
-        db._undo_logged.add(key)
+        txn.undo_logged.add(page)
         db.counters.before_images_logged += 1
         return True
 
@@ -86,8 +85,8 @@ class PageLogging:
         txn_id = txn.txn_id
         restored = db.policy.protection.parity_undo_for_abort(db, txn_id)
 
-        logged_pages = sorted(page for (t, page) in db._logged_stolen
-                              if t == txn_id and page not in restored)
+        logged_pages = sorted(page for page in txn.logged_stolen
+                              if page not in restored)
         if logged_pages:
             chain = db.undo_log.records_of(txn_id)
             db.undo_log.charge_read(chain)
@@ -105,7 +104,7 @@ class PageLogging:
             if page not in db.buffer:
                 continue
             keep_residue = page in db._residue
-            before = db._before_images.get((txn_id, page))
+            before = txn.before_images.get(page)
             db.buffer.invalidate(page)
             if keep_residue and before is not None:
                 # the frame held committed-but-unflushed data under the
@@ -122,28 +121,27 @@ class RecordLogging:
     record_granularity = True
     logs_undo = True
 
-    def note_record_modify(self, db, txn_id: int, page: int, slot: int,
+    def note_record_modify(self, db, txn, page: int, slot: int,
                            before: bytes, after: bytes) -> None:
         """Stage undo and append redo for one record modification."""
-        undo = RecordBeforeEntry(txn_id=txn_id, page_id=page, slot=slot,
+        undo = RecordBeforeEntry(txn_id=txn.txn_id, page_id=page, slot=slot,
                                  image=before)
-        db.policy.protection.stage_record_undo(db, txn_id, undo)
-        db.redo_log.append(RecordAfterEntry(txn_id=txn_id, page_id=page,
+        db.policy.protection.stage_record_undo(db, txn, undo)
+        db.redo_log.append(RecordAfterEntry(txn_id=txn.txn_id, page_id=page,
                                             slot=slot, image=after))
 
-    def append_steal_undo(self, db, txn_id: int, page: int) -> bool:
+    def append_steal_undo(self, db, txn, page: int) -> bool:
         """Flush this modifier's deferred record before-entries for the
         stolen page; returns True if anything was appended."""
-        pending = db._pending_undo.get(txn_id, [])
         keep, flush = [], []
-        for entry in pending:
+        for entry in txn.pending_undo:
             (flush if entry.page_id == page else keep).append(entry)
         if not flush:
             return False
         for entry in flush:
             db.undo_log.append(entry)
             db.counters.before_images_logged += 1
-        db._pending_undo[txn_id] = keep
+        txn.pending_undo = keep
         return True
 
     def append_commit_images(self, db, txn) -> None:
@@ -164,8 +162,7 @@ class RecordLogging:
         db.undo_log.charge_read(chain)
         logged = [r for r in reversed(chain)
                   if isinstance(r, (RecordBeforeEntry, PageBeforeImage))]
-        pending = list(db._pending_undo.get(txn_id, ()))
-        ordered = logged + pending      # forward order; pending is newest
+        ordered = logged + txn.pending_undo   # forward; pending is newest
 
         touched = {}
         for entry in reversed(ordered):
@@ -197,7 +194,7 @@ class RecordLogging:
             db.buffer.put_page(page, touched[page], None)
             for other in sorted(others):
                 db.buffer.put_page(page, touched[page], other)
-            if others and (txn_id, page) in db._logged_stolen:
+            if others and page in txn.logged_stolen:
                 # the disk copy holds this transaction's stolen values,
                 # so a twin-covered steal would keep them as the page's
                 # before-image and restart's parity undo would bring
@@ -216,7 +213,7 @@ class RedoPageLogging(PageLogging):
     name = "redo-page"
     logs_undo = False
 
-    def append_steal_undo(self, db, txn_id: int, page: int) -> bool:
+    def append_steal_undo(self, db, txn, page: int) -> bool:
         raise RecoveryError(
             "REDO-only class has no undo log: a steal that needs one "
             "escaped the write-behind propagation gate")
@@ -245,25 +242,25 @@ class RedoRecordLogging(RecordLogging):
     name = "redo-record"
     logs_undo = False
 
-    def append_steal_undo(self, db, txn_id: int, page: int) -> bool:
+    def append_steal_undo(self, db, txn, page: int) -> bool:
         raise RecoveryError(
             "REDO-only class has no undo log: a steal that needs one "
             "escaped the write-behind propagation gate")
 
-    def note_record_modify(self, db, txn_id: int, page: int, slot: int,
+    def note_record_modify(self, db, txn, page: int, slot: int,
                            before: bytes, after: bytes) -> None:
         """Stage both directions in memory: undo for a live abort (never
         durable), redo for the commit-time chain append."""
-        db._pending_undo.setdefault(txn_id, []).append(
-            RecordBeforeEntry(txn_id=txn_id, page_id=page, slot=slot,
+        txn.pending_undo.append(
+            RecordBeforeEntry(txn_id=txn.txn_id, page_id=page, slot=slot,
                               image=before))
-        db._pending_redo.setdefault(txn_id, []).append(
-            RecordRedoEntry(txn_id=txn_id, page_id=page, slot=slot,
+        txn.pending_redo.append(
+            RecordRedoEntry(txn_id=txn.txn_id, page_id=page, slot=slot,
                             image=after))
 
     def append_commit_images(self, db, txn) -> None:
         """Drain the staged redo entries into the per-page chains."""
-        staged = db._pending_redo.pop(txn.txn_id, None)
+        staged, txn.pending_redo = txn.pending_redo, []
         if staged:
             db.redo_log.append_batch(staged)
 
@@ -283,9 +280,8 @@ class RedoRecordLogging(RecordLogging):
                 # restored disk image
                 db.buffer.invalidate(page)
 
-        pending = list(db._pending_undo.get(txn_id, ()))
         touched = {}
-        for entry in reversed(pending):
+        for entry in reversed(txn.pending_undo):
             page = entry.page_id
             if page in restored:
                 continue
@@ -300,7 +296,6 @@ class RedoRecordLogging(RecordLogging):
         # uncommitted slots stay tracked so the write-behind gate keeps
         # holding their pages in the buffer
         db.buffer.clear_modifier(txn_id)
-        db._pending_redo.pop(txn_id, None)
 
 
 # ==================== axis 2: commit discipline ====================
@@ -477,11 +472,8 @@ class RdaProtection:
     def covers_unlogged_steal(self, db, page: int, single,
                               was_residue: bool) -> bool:
         return (single is not None and not was_residue
-                and not db.rda.needs_undo_log(page, single))
-
-    def write_stolen_unlogged(self, db, page: int, payload: bytes, single,
-                              old) -> None:
-        db.rda.write_uncommitted(page, payload, single, old_data=old)
+                and db.rda.dirty_set.can_write_without_undo(
+                    db.array.geometry.group_of(page), page, single))
 
     def note_forced_undo(self, db, page: int, single,
                          was_residue: bool) -> None:
@@ -496,29 +488,21 @@ class RdaProtection:
         if db.tracer.enabled:
             db.tracer.emit("wal.forced_undo", page=page, reason=reason)
         if db.metrics is not None:
-            cache = getattr(db, "_forced_undo_children", None)
-            if cache is None:
-                cache = db._forced_undo_children = {}
+            cache = db._forced_undo_children
             child = cache.get(reason)
             if child is None:
                 child = cache[reason] = db.metrics.counter(
                     "rda.forced_undo").labels(reason=reason)
             child.inc()
 
-    def write_stolen_logged(self, db, page: int, payload: bytes, modifiers,
-                            single, old) -> None:
-        owner = single if single is not None else next(iter(modifiers))
-        db.rda.write_uncommitted(page, payload, owner, old_data=old,
-                                 logged=True)
-
     def write_committed(self, db, page: int, payload: bytes,
                         old_data=None) -> None:
         db.rda.write_committed(page, payload, old_data=old_data)
 
-    def stage_record_undo(self, db, txn_id: int, undo) -> None:
+    def stage_record_undo(self, db, txn, undo) -> None:
         """Defer the before-entry: it only reaches the log if the page
         is stolen while the group cannot absorb it."""
-        db._pending_undo.setdefault(txn_id, []).append(undo)
+        txn.pending_undo.append(undo)
 
     def maybe_promote(self, db, page: int, txn_id: int) -> None:
         """If another transaction's unlogged stolen page is about to be
@@ -528,24 +512,22 @@ class RdaProtection:
         if entry is None or entry.page_id != page or entry.txn_id == txn_id:
             return
 
-        if db.policy.logging.record_granularity:
-            # Record mode: a page-level parity image must NOT reach the
-            # log — undoing it would restore the whole page and trample
-            # slots other transactions commit in between.  Flush the
-            # owner's per-slot before-entries instead; rollback then
-            # re-places exactly the owner's slots on the current page.
-            def log_fn(owner, page_id, image):
+        def log_fn(owner_id, page_id, image):
+            owner = db.txns.get(owner_id)
+            if db.policy.logging.record_granularity:
+                # Record mode: a page-level parity image must NOT reach
+                # the log — undoing it would restore the whole page and
+                # trample slots other transactions commit in between.
+                # Flush the owner's per-slot before-entries instead;
+                # rollback then re-places exactly the owner's slots on
+                # the current page.
                 db.policy.logging.append_steal_undo(db, owner, page_id)
-                db.undo_log.force()
-                db._undo_logged.add((owner, page_id))
-                db._logged_stolen.add((owner, page_id))
-        else:
-            def log_fn(owner, page_id, image):
+            else:
                 db.undo_log.append(PageBeforeImage(
-                    txn_id=owner, page_id=page_id, image=image))
-                db.undo_log.force()
-                db._undo_logged.add((owner, page_id))
-                db._logged_stolen.add((owner, page_id))
+                    txn_id=owner_id, page_id=page_id, image=image))
+            db.undo_log.force()
+            owner.undo_logged.add(page_id)
+            owner.logged_stolen.add(page_id)
 
         db.rda.promote_to_logged(group, log_fn)
         db.counters.promotions += 1
@@ -617,24 +599,16 @@ class WalProtection:
                               was_residue: bool) -> bool:
         return False
 
-    def write_stolen_unlogged(self, db, page: int, payload: bytes, single,
-                              old) -> None:
-        raise AssertionError("WAL never steals without logging")
-
     def note_forced_undo(self, db, page: int, single,
                          was_residue: bool) -> None:
         """Under plain WAL a logged steal is the only kind; nothing to
         explain."""
 
-    def write_stolen_logged(self, db, page: int, payload: bytes, modifiers,
-                            single, old) -> None:
-        db.array.write_page(page, payload, old_data=old)
-
     def write_committed(self, db, page: int, payload: bytes,
                         old_data=None) -> None:
         db.array.write_page(page, payload, old_data=old_data)
 
-    def stage_record_undo(self, db, txn_id: int, undo) -> None:
+    def stage_record_undo(self, db, txn, undo) -> None:
         db.undo_log.append(undo)
         db.counters.before_images_logged += 1
 
@@ -741,7 +715,7 @@ class RecoveryPolicy:
 
     @classmethod
     def for_config(cls, config) -> "RecoveryPolicy":
-        if getattr(config, "redo_only", False):
+        if config.redo_only:
             return cls(
                 REDO_RECORD_LOGGING if config.record_logging
                 else REDO_PAGE_LOGGING,
@@ -802,17 +776,17 @@ class RecoveryPolicy:
             db._write_committed(page, payload)
             return
         single = next(iter(modifiers)) if len(modifiers) == 1 else None
-        old = db._old_disk_version(single, page)
+        sole = db.txns.get(single) if single is not None else None
+        old = db._old_disk_version(sole, page)
         was_residue = page in db._residue
         db._residue.discard(page)
         if self.protection.covers_unlogged_steal(db, page, single,
                                                  was_residue):
-            self.protection.write_stolen_unlogged(db, page, payload, single,
-                                                  old)
+            db.rda.write_uncommitted(page, payload, single, old_data=old)
             db.counters.unlogged_steals += 1
             if db._m_steals_unlogged is not None:
                 db._m_steals_unlogged.inc()
-            db.txns.get(single).note_steal(page)
+            sole.note_steal(page)
             db._last_written[page] = payload
             db._h("steal", txn=single, page=page, logged=False)
             db._barrier("steal", page=page, txns=frozenset({single}),
@@ -823,13 +797,13 @@ class RecoveryPolicy:
         if db.metrics is not None:
             db.metrics.counter("db.steals").labels(mode="logged").inc()
         db._ensure_undo_durable(page, modifiers)
-        self.protection.write_stolen_logged(db, page, payload, modifiers,
-                                            single, old)
+        self.protection.write_committed(db, page, payload, old_data=old)
         db.counters.logged_steals += 1
         db._last_written[page] = payload
         for txn_id in modifiers:
-            db.txns.get(txn_id).note_steal(page)
-            db._logged_stolen.add((txn_id, page))
+            txn = db.txns.get(txn_id)
+            txn.note_steal(page)
+            txn.logged_stolen.add(page)
             db._h("steal", txn=txn_id, page=page, logged=True)
         db._barrier("steal", page=page, txns=frozenset(modifiers),
                     logged=True)

@@ -50,13 +50,13 @@ class RecoveryManager:
                 "to a media failure and can no longer abort")
         with db.tracer.span("recovery.abort", stats=db.stats, txn=txn_id):
             if txn.is_update_transaction:
-                db._ensure_bot(txn_id)
+                db._ensure_bot(txn)
                 db.policy.logging.rollback(db, txn)
                 db.undo_log.append(AbortRecord(txn_id=txn_id))
                 db.undo_log.force()
             db.locks.release_all(txn_id)
             db.txns.finish(txn_id, TxnState.ABORTED)
-        db._forget(txn_id)
+        db._forget(txn)
         db.counters.transactions_aborted += 1
 
     # ==================== crash recovery ====================

@@ -372,7 +372,7 @@ class ShardedDatabase:
         # commit decisions, forced through the same coordinator
         self._commit_stats = IOStats()
         self.commit_log = GroupCommitLog(
-            name="gcommit", page_size=config.log_page_size,
+            name="gcommit",
             transfers_per_log_page=config.log_transfers_per_page,
             stats=self._commit_stats, metrics=metrics,
             coordinator=self.coordinator)
@@ -410,7 +410,7 @@ class ShardedDatabase:
     def _shard_log_factory(self, db: Database, name: str) -> GroupCommitLog:
         """Per-shard WALs that defer their forces to the coordinator."""
         return GroupCommitLog(
-            name=name, page_size=db.config.log_page_size,
+            name=name,
             transfers_per_log_page=db.config.log_transfers_per_page,
             stats=db.stats, metrics=db.metrics,
             coordinator=self.coordinator)

@@ -315,7 +315,7 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
 
     def log_factory(db: Database, name: str) -> GroupCommitLog:
         return GroupCommitLog(
-            name=name, page_size=db.config.log_page_size,
+            name=name,
             transfers_per_log_page=db.config.log_transfers_per_page,
             stats=db.stats, metrics=db.metrics, coordinator=coordinator)
 

@@ -364,7 +364,7 @@ def record_fault_setup(ops):
     def setup(db) -> None:
         db.format_record_pages(pages)
         batches = ([[page] for page in pages]
-                   if getattr(db.config, "redo_only", False) else [pages])
+                   if db.config.redo_only else [pages])
         for batch in batches:
             txn = db.begin()
             for page in batch:

@@ -35,7 +35,7 @@ def seeding_batches(db) -> list:
     single transaction, byte-identical to before.
     """
     pages = db.num_data_pages
-    if not getattr(db.config, "redo_only", False):
+    if not db.config.redo_only:
         return [list(range(pages))]
     size = max(db.config.group_size, 1)
     return [list(range(start, min(start + size, pages)))

@@ -35,7 +35,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Protocol,
 
 from ..errors import ModelError
 from .array import SingleParityArray
-from .geometry import Geometry, parity_striping_geometry
+from .geometry import Geometry, parity_striping_geometry, raid5_geometry
 from .iostats import IOStats
 from .raid6 import Raid6Array, raid6_geometry
 from .twin_array import TwinParityArray
@@ -179,15 +179,14 @@ def create_backend(config: "DBConfig", stats: Optional[IOStats] = None,
 
 
 def _make_twin(config, stats, tracer, metrics) -> TwinParityArray:
-    geometry = Geometry(config.group_size, config.num_groups, twin=True,
-                        placement=config.placement)
+    geometry = raid5_geometry(config.group_size, config.num_groups, twin=True)
     return TwinParityArray(geometry, stats=stats, tracer=tracer,
                            metrics=metrics)
 
 
 def _make_single(config, stats, tracer, metrics) -> SingleParityArray:
-    geometry = Geometry(config.group_size, config.num_groups, twin=False,
-                        placement=config.placement)
+    geometry = raid5_geometry(config.group_size, config.num_groups,
+                              twin=False)
     return SingleParityArray(geometry, stats=stats, tracer=tracer,
                              metrics=metrics)
 
@@ -214,11 +213,10 @@ def _make_raid6(config, stats, tracer, metrics) -> Raid6Array:
 
 register_backend(
     "twin", _make_twin, twin=True,
-    description="twin-parity array (RDA recovery substrate); honors "
-                "DBConfig.placement")
+    description="twin-parity array (RDA recovery substrate), data-striped")
 register_backend(
     "single", _make_single, twin=False,
-    description="single-parity RAID-5 array; honors DBConfig.placement")
+    description="single-parity RAID-5 array, data-striped")
 register_backend(
     "parity-striped", _make_parity_striped, twin=False,
     description="Gray parity striping (sequential data placement), "

@@ -49,8 +49,6 @@ class SimulatedDisk:
         self._suspect: dict = {}
         self._written: set = set()
         self.failed = False     # fail-stop state; fail()/replace()/revive()
-        self.read_count = 0
-        self.write_count = 0
         self.on_access = None   # optional hook: (disk_id, slot, kind)
         # fault-injection seam: called before a write lands with
         # (disk_id, slot, payload); may raise to abort the write (nothing
@@ -125,7 +123,6 @@ class SimulatedDisk:
             raise DiskFailedError(self.disk_id, "read")
         if not 0 <= slot < self.capacity:
             self._check(slot, "read")
-        self.read_count += 1
         stats = self.stats       # record_read(disk_id), inlined
         stats.reads += 1
         per_disk = stats.per_disk_reads
@@ -152,7 +149,6 @@ class SimulatedDisk:
             replacement = self.fault_hook(self.disk_id, slot, payload)
             if replacement is not None:
                 stored = replacement
-        self.write_count += 1
         stats = self.stats       # record_write(disk_id), inlined
         stats.writes += 1
         per_disk = stats.per_disk_writes

@@ -185,7 +185,6 @@ class TwinParityArray(DiskArray):
         # an in-controller-cached header sector would
         self.stats.reads -= 1
         self.stats.per_disk_reads[addr.disk] -= 1
-        disk.read_count -= 1
         disk.write_with_header(addr.slot, payload, header)
 
     def peek_twin(self, group: int, which: int) -> tuple:
@@ -252,8 +251,8 @@ class TwinParityArray(DiskArray):
         inline = len(updates) == 1 and not data_disk.failed
         if inline:
             update = updates[0]
-            parity = self.geometry.parity_addresses(
-                self.geometry.group_of(page))
+            # a group is a stripe row: its slot on every disk
+            parity = self.geometry.parity_addresses(addr.slot)
             source = parity[update.source]
             target = parity[update.target]
             source_disk = disks[source.disk]
@@ -263,7 +262,7 @@ class TwinParityArray(DiskArray):
         buffered = old_data is not None
         if inline:
             old = old_data if buffered else data_disk.read(addr.slot)
-            twin, _ = source_disk.read_with_header(source.slot)
+            twin = source_disk.read(source.slot)
             new_twin = xor_pages(old, new_data, twin)
             if twin_first:
                 target_disk.write_with_header(target.slot, new_twin,

@@ -2,9 +2,10 @@
 
 A :class:`Transaction` records what the recovery protocols need: its
 lifecycle state, the pages it has read and written, which of its written
-pages have been *stolen* to disk, and — under record logging — the
-record-level writes.  The object is bookkeeping only; commit/abort work
-is orchestrated by the recovery manager.
+pages have been *stolen* to disk, under record logging the record-level
+writes, and the undo/redo information it holds in main memory until EOT.
+The object is bookkeeping only; commit/abort work is orchestrated by the
+recovery manager.
 """
 
 from __future__ import annotations
@@ -32,6 +33,16 @@ class Transaction:
         pages_written: logical pages with uncommitted modifications.
         pages_stolen: written pages that have reached disk before EOT.
         records_written: ``(page, slot)`` pairs under record logging.
+        before_images: page -> the page's bytes before this
+            transaction's first write to it (page logging).
+        undo_logged: pages whose before-image is in the undo log.
+        logged_stolen: pages stolen *with* undo logging.
+        pending_undo: record before-entries not yet in the log (RDA
+            defers them until a steal the twins cannot cover).
+        pending_redo: record redo entries staged for the commit-time
+            chain append (REDO-only class).
+        bot_lsn: LSN of the BOT record, None until the first update
+            writes one.
         must_commit: set when a media failure destroyed the parity-encoded
             before-image of one of this transaction's stolen pages (see
             ``TwinParityArray.rebuild_disk(on_lost_undo="adopt")``);
@@ -44,6 +55,12 @@ class Transaction:
     pages_written: set = field(default_factory=set)
     pages_stolen: set = field(default_factory=set)
     records_written: set = field(default_factory=set)
+    before_images: dict = field(default_factory=dict)
+    undo_logged: set = field(default_factory=set)
+    logged_stolen: set = field(default_factory=set)
+    pending_undo: list = field(default_factory=list)
+    pending_redo: list = field(default_factory=list)
+    bot_lsn: int | None = None
     must_commit: bool = False
 
     @property

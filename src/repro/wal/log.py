@@ -472,8 +472,3 @@ class LogManager:
                 break
             records.append(record)
         return records, offset, clean
-
-    @classmethod
-    def _parse_prefix(cls, blob: bytes) -> list:
-        """Parse records until the bytes run out or stop making sense."""
-        return cls._parse_prefix_with_length(blob)[0]

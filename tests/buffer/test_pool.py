@@ -127,17 +127,10 @@ class TestEviction:
         with pytest.raises(PageNotPinnedError):
             pool.unpin(1)
 
-    def test_clock_policy_works(self, backing):
-        pool = make_pool(backing, capacity=2, policy="clock")
-        pool.get_page(1)
-        pool.get_page(2)
-        pool.get_page(3)
-        assert len(pool.resident_pages()) == 2
-
     def test_unknown_policy_rejected(self, backing):
-        with pytest.raises(ValueError):
+        # LRU is the pool's own order, not a plug-in: no policy argument
+        with pytest.raises(TypeError):
             make_pool(backing, policy="fifo")
-
 
     def test_victim_left_dirty_raises_and_stays_resident(self, backing):
         pool = make_pool(backing, capacity=1)

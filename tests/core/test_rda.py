@@ -27,23 +27,29 @@ def original(page_id, rda):
     return make_page(bytes([g + 1, i + 1]))
 
 
+def needs_undo_log(rda, page, txn_id):
+    """The Figure 3 question, asked where the engine asks it."""
+    group = rda.array.geometry.group_of(page)
+    return not rda.dirty_set.can_write_without_undo(group, page, txn_id)
+
+
 class TestWriteRule:
     def test_clean_group_needs_no_log(self, rda):
-        assert not rda.needs_undo_log(0, txn_id=1)
+        assert not needs_undo_log(rda, 0, txn_id=1)
 
     def test_dirty_other_page_needs_log(self, rda):
         rda.write_uncommitted(0, make_page(b"x"), txn_id=1)
         group = rda.array.geometry.group_of(0)
         other = next(p for p in rda.array.geometry.group_pages(group) if p != 0)
-        assert rda.needs_undo_log(other, txn_id=1)
+        assert needs_undo_log(rda, other, txn_id=1)
 
     def test_dirty_same_page_same_txn_needs_no_log(self, rda):
         rda.write_uncommitted(0, make_page(b"x"), txn_id=1)
-        assert not rda.needs_undo_log(0, txn_id=1)
+        assert not needs_undo_log(rda, 0, txn_id=1)
 
     def test_dirty_same_page_other_txn_needs_log(self, rda):
         rda.write_uncommitted(0, make_page(b"x"), txn_id=1)
-        assert rda.needs_undo_log(0, txn_id=2)
+        assert needs_undo_log(rda, 0, txn_id=2)
 
     def test_unlogged_violation_raises(self, rda):
         rda.write_uncommitted(0, make_page(b"x"), txn_id=1)
@@ -73,7 +79,7 @@ class TestCosts:
         group = rda.array.geometry.group_of(0)
         other = next(p for p in rda.array.geometry.group_pages(group) if p != 0)
         with rda.array.stats.window() as w:
-            rda.write_uncommitted(other, make_page(b"y"), txn_id=2, logged=True)
+            rda.write_committed(other, make_page(b"y"))   # a logged steal
         assert w.total == 6
 
     def test_commit_costs_zero_transfers(self, rda):
@@ -120,8 +126,7 @@ class TestAbortViaParityAlone:
         group = rda.array.geometry.group_of(0)
         others = [p for p in rda.array.geometry.group_pages(group) if p != 0]
         rda.write_committed(others[0], make_page(b"committed"))
-        rda.write_uncommitted(others[1], make_page(b"logged"), txn_id=2,
-                              logged=True)
+        rda.write_committed(others[1], make_page(b"logged"))
         rda.abort_txn(1)
         assert rda.array.read_page(0) == before
         assert rda.array.read_page(others[0]) == make_page(b"committed")

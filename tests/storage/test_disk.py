@@ -128,5 +128,5 @@ class TestAccounting:
         disk.write(0, make_page(1))
         disk.read(0)
         disk.read(0)
-        assert disk.write_count == 1
-        assert disk.read_count == 2
+        assert disk.stats.per_disk_writes == {disk.disk_id: 1}
+        assert disk.stats.per_disk_reads == {disk.disk_id: 2}

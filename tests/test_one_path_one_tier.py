@@ -1,11 +1,14 @@
 """The design this repo settled on, locked: one write-back path, one
-production kernel tier, and no switch that selects another.
+production kernel tier, no switch that selects another, and no layer on
+the page path that only forwards.
 
 Each assertion names something that used to exist (a ``batched`` config
 field, ``REPRO_HOTPATH`` / ``REPRO_KERNEL_TIER`` / ``REPRO_NO_NUMPY``,
 an optional numpy tier, the plan/execute commit-window machinery beside
-the per-page write-back); bringing any of them back is a design change
-that has to argue with docs/performance.md first.
+the per-page write-back, a pluggable replacement policy, three
+``DBConfig`` fields nobody set, forwarding methods between the Figure 3
+question and the Dirty_Set); bringing any of them back is a design
+change that has to argue with docs/performance.md first.
 """
 
 import dataclasses
@@ -19,8 +22,9 @@ import pytest
 
 import repro
 from repro.buffer import BufferPool
-from repro.db import DBConfig, preset
-from repro.storage import kernels
+from repro.core import RDAManager
+from repro.db import Database, DBConfig, preset
+from repro.storage import kernels, make_page
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 FORBIDDEN = re.compile(
@@ -29,6 +33,12 @@ FORBIDDEN = re.compile(
 WINDOW_MACHINERY = re.compile(
     r"^\s*(?:def|class)\s+(small_write_batch|BatchTwinWrite|write_batch|"
     r"write_back_run|BatchWriteItem|any_failed)\b", re.MULTILINE)
+# the replacement plug-in and the methods that only forwarded or
+# duplicated (PR 17)
+FORWARDERS = re.compile(
+    r"^\s*(?:class\s+(ClockPolicy|LRUPolicy|ReplacementPolicy)|"
+    r"def\s+(make_policy|needs_undo_log|write_stolen_logged|_parse_prefix|"
+    r"_evictable))\b", re.MULTILINE)
 
 
 @pytest.mark.parametrize("numpy_importable", [True, False])
@@ -46,9 +56,12 @@ def test_tiers_do_not_depend_on_numpy(monkeypatch, numpy_importable):
 
 
 def test_no_hot_path_switch_in_the_config():
-    with pytest.raises(TypeError):
-        preset("page-force-rda", batched=False)
-    assert len(dataclasses.fields(DBConfig)) == 14
+    for option in ({"batched": False}, {"replacement": "clock"},
+                   {"placement": "sequential"}, {"log_page_size": 4096}):
+        with pytest.raises(TypeError):
+            preset("page-force-rda", **option)
+    assert len(dataclasses.fields(DBConfig)) == 11
+    assert not hasattr(DBConfig, "resolved_backend")
 
 
 def test_src_names_no_selector_and_no_numpy():
@@ -57,13 +70,75 @@ def test_src_names_no_selector_and_no_numpy():
     assert offenders == []
 
 
-def test_src_defines_no_window_machinery():
-    defined = {str(path.relative_to(SRC)): WINDOW_MACHINERY.findall(
+def _defined(pattern) -> dict:
+    defined = {str(path.relative_to(SRC)): pattern.findall(
         path.read_text(encoding="utf-8")) for path in SRC.rglob("*.py")}
-    assert {path: names for path, names in defined.items() if names} == {}
+    return {path: names for path, names in defined.items() if names}
+
+
+def test_src_defines_no_window_machinery():
+    assert _defined(WINDOW_MACHINERY) == {}
+
+
+def test_src_defines_no_replacement_plugin_and_no_forwarder():
+    assert _defined(FORWARDERS) == {}
+    assert not (SRC / "buffer" / "replacement.py").exists()
+    assert "policy" not in inspect.signature(BufferPool.__init__).parameters
+    assert "logged" not in inspect.signature(
+        RDAManager.write_uncommitted).parameters
 
 
 def test_buffer_pool_takes_one_writeback_callable():
     params = inspect.signature(BufferPool.__init__).parameters
     assert [name for name in params if "writeback" in name] == \
         ["writeback_fn"]
+
+
+# -- the frame budget: layers that went stay gone --------------------------
+
+
+def _src_frames(call, *args) -> int:
+    """Python frames under ``src/repro`` that one call enters."""
+    count = 0
+
+    def profiler(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(str(SRC)):
+            count += 1
+
+    sys.setprofile(profiler)
+    try:
+        call(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def _budget_db():
+    return Database(preset("page-force-rda", group_size=5, num_groups=20,
+                           buffer_capacity=64))
+
+
+def _commit_frames(pages: int) -> int:
+    """A FORCE commit of ``pages`` pages, one per parity group, on an
+    engine that has written those groups before (twin headers cached)."""
+    db = _budget_db()
+    for version in (b"warm", b"timed"):
+        txn = db.begin()
+        for i in range(pages):
+            db.write_page(txn, i * db.config.group_size, make_page(version))
+        if version == b"warm":
+            db.commit(txn)
+    return _src_frames(db.commit, txn)
+
+
+def test_one_more_page_in_a_commit_window_costs_at_most_47_frames():
+    # 49.5 before PR 17; deterministic: tracing off, no history
+    assert (_commit_frames(8) - _commit_frames(4)) / 4 <= 47
+
+
+def test_a_read_page_buffer_hit_costs_at_most_7_frames():
+    db = _budget_db()
+    txn = db.begin()
+    db.read_page(txn, 3)
+    assert _src_frames(db.read_page, txn, 3) <= 7       # 8 before PR 17
