@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 
 from ..errors import BufferFullError, PageNotPinnedError
 from ..obs.tracer import NULL_TRACER
@@ -53,6 +54,10 @@ class BufferStats:
         return self.hits / self.references
 
 
+# the BufferStats fields a registry exports, as ``buffer.<field>``
+_PUBLISHED = ("hits", "misses", "evictions", "steals")
+
+
 class BufferPool:
     """Fixed-capacity page buffer with LRU replacement — the discipline
     the paper's model assumes (a referenced page tends to stay buffered
@@ -74,7 +79,9 @@ class BufferPool:
         steal: allow eviction of uncommitted-dirty frames (STEAL).
         tracer: event tracer (eviction/steal events only; hits and
             misses are counted, not traced).
-        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`.
+        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
+            it reads ``buffer.hits/misses/evictions/steals`` from
+            :attr:`stats` when exported — nothing is pushed per page.
     """
 
     def __init__(self, capacity: int, fetch_fn, writeback_fn,
@@ -86,19 +93,18 @@ class BufferPool:
         self._writeback = writeback_fn
         self.steal = steal
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        if metrics is not None:
-            self._m_hits = metrics.counter("buffer.hits")
-            self._m_misses = metrics.counter("buffer.misses")
-            self._m_evictions = metrics.counter("buffer.evictions")
-            self._m_steals = metrics.counter("buffer.steals")
-        else:
-            self._m_hits = self._m_misses = None
-            self._m_evictions = self._m_steals = None
         self._frames = [Frame() for _ in range(capacity)]
         # page id -> frame index, least recently used first: every hit
         # moves its page to the end, every load enters there
         self._table: OrderedDict = OrderedDict()
         self.stats = BufferStats()
+        # a crash resets ``stats``; a registry's series are lifetime
+        # totals, so what each lost BufferStats had counted is kept here
+        self._lost_counts = dict.fromkeys(_PUBLISHED, 0)
+        if metrics is not None:
+            for field in _PUBLISHED:
+                metrics.counter("buffer." + field).add_source(
+                    partial(self._lifetime_count, field))
         # free-frame min-heap: the legacy linear probe always picked the
         # lowest-indexed free frame, and a heap preserves that choice in
         # O(log B) instead of O(B) per miss
@@ -146,8 +152,6 @@ class BufferPool:
         index = self._table.get(page_id)
         if index is not None:            # hit path, inlined
             self.stats.hits += 1
-            if self._m_hits is not None:
-                self._m_hits.inc()
             self._table.move_to_end(page_id)
             return self._frames[index].payload
         return self._frame_for(page_id).payload
@@ -163,8 +167,6 @@ class BufferPool:
         index = self._table.get(page_id)
         if index is not None:
             self.stats.hits += 1
-            if self._m_hits is not None:
-                self._m_hits.inc()
             self._table.move_to_end(page_id)
             frame = self._frames[index]
         else:
@@ -305,7 +307,12 @@ class BufferPool:
         """Simulate losing main memory in a crash."""
         for page_id in list(self._table):
             self.invalidate(page_id)
+        for field in _PUBLISHED:
+            self._lost_counts[field] += getattr(self.stats, field)
         self.stats = BufferStats()
+
+    def _lifetime_count(self, field: str) -> int:
+        return self._lost_counts[field] + getattr(self.stats, field)
 
     def dirty_pages(self) -> list:
         """Sorted ids of dirty buffered pages."""
@@ -317,13 +324,9 @@ class BufferPool:
         index = self._table.get(page_id)
         if index is not None:
             self.stats.hits += 1
-            if self._m_hits is not None:
-                self._m_hits.inc()
             self._table.move_to_end(page_id)
             return self._frames[index]
         self.stats.misses += 1
-        if self._m_misses is not None:
-            self._m_misses.inc()
         index = self._free_frame()
         frame = self._frames[index]
         frame.page_id = page_id
@@ -371,14 +374,10 @@ class BufferPool:
         index = self._choose_victim()
         frame = self._frames[index]
         self.stats.evictions += 1
-        stolen = frame.dirty and frame.uncommitted
-        if self._m_evictions is not None:
-            self._m_evictions.inc()
-            if stolen:
-                self._m_steals.inc()
         if self.tracer.enabled:
             self.tracer.emit("buffer.evict", page=frame.page_id,
-                             dirty=frame.dirty, steal=stolen)
+                             dirty=frame.dirty,
+                             steal=frame.dirty and frame.uncommitted)
         if frame.dirty:
             self.stats.dirty_evictions += 1
             if frame.uncommitted:

@@ -50,17 +50,17 @@ class RDAManager:
         self.dirty_set = dirty_set if dirty_set is not None else DirtySet()
         self.tracer = array.tracer
         self.metrics = array.metrics
-        self._g_dirty = (self.metrics.gauge("rda.dirty_groups")
-                         if self.metrics is not None else None)
-        self._m_unlogged = (self.metrics.counter("rda.unlogged_steals")
-                            if self.metrics is not None else None)
+        self.first_steals = 0          # clean groups made dirty by a steal
+        self._m_commits = self._m_flips = None   # resolved at first commit
+        if self.metrics is not None:
+            # read when the registry is exported, not pushed per page
+            self.metrics.gauge("rda.dirty_groups").add_source(
+                lambda: len(self.dirty_set))
+            self.metrics.counter("rda.unlogged_steals").add_source(
+                lambda: self.first_steals)
         self._headers: dict = {}       # group -> [header0, header1] cache
         self._current: dict = {}       # group -> current twin index (the bit map)
         self.barrier_hook = None       # conformance seam (repro.check)
-
-    def _note_dirty_gauge(self) -> None:
-        if self._g_dirty is not None:
-            self._g_dirty.set(len(self.dirty_set))
 
     # -- header cache -------------------------------------------------------------
 
@@ -141,7 +141,7 @@ class RDAManager:
             working_twin=target, working_timestamp=stamp))
         if entry is not None:
             return
-        self._note_dirty_gauge()
+        self.first_steals += 1
         window = self.array.window
         if window is not None:
             # rides on the window's one costed event; the aggregator
@@ -150,8 +150,6 @@ class RDAManager:
         elif self.tracer.enabled:
             self.tracer.emit("rda.group_dirty", group=group, page=page,
                              txn=txn_id)
-        if self._m_unlogged is not None:
-            self._m_unlogged.inc()
 
     def write_committed(self, page: int, payload: bytes,
                         old_data: bytes | None = None) -> None:
@@ -203,10 +201,12 @@ class RDAManager:
             # ``rda.twin_flip`` rows (coalesced dispatch)
             self.tracer.emit("rda.commit", txn=txn_id, groups=len(groups),
                              reads=0, writes=0, transfers=0)
-        self._note_dirty_gauge()
         if self.metrics is not None:
-            self.metrics.counter("rda.commits").inc()
-            self.metrics.counter("rda.twin_flips").inc(len(groups))
+            if self._m_commits is None:
+                self._m_commits = self.metrics.counter("rda.commits")
+                self._m_flips = self.metrics.counter("rda.twin_flips")
+            self._m_commits.inc()
+            self._m_flips.inc(len(groups))
         return groups
 
     def abort_txn(self, txn_id: int, buffered=None) -> dict:
@@ -284,7 +284,6 @@ class RDAManager:
             headers[survivor] = promoted
         self._current[group] = survivor
         self.dirty_set.clean(group)
-        self._note_dirty_gauge()
         return entry.page_id, before
 
     def promote_to_logged(self, group: int, log_before_image) -> tuple:
@@ -313,7 +312,6 @@ class RDAManager:
         headers[entry.working_twin] = header
         self._current[group] = entry.working_twin
         self.dirty_set.clean(group)
-        self._note_dirty_gauge()
         if self.tracer.enabled:
             self.tracer.emit("rda.promote", group=group, txn=entry.txn_id,
                              page=entry.page_id)
@@ -423,7 +421,6 @@ class RDAManager:
                               groups=self.array.geometry.num_groups) as span:
             losers = self._crash_scan_inner(committed_txns)
             span.set(losers=len(losers))
-        self._note_dirty_gauge()
         return losers
 
     def _crash_scan_inner(self, committed_txns: set) -> list:
@@ -492,7 +489,6 @@ class RDAManager:
             if self.tracer.enabled:
                 self.tracer.emit("rda.group_clean", group=group,
                                  cause="lost_undo", txn=entry.txn_id)
-        self._note_dirty_gauge()
         # header cache entries for rebuilt parity slots are stale
         for group in self.array.geometry.groups_with_parity_on(disk_id):
             self._headers.pop(group, None)

@@ -129,9 +129,11 @@ class Database:
         self.recovery = RecoveryManager(self)
         self.counters = WriteCounters()
 
-        self._m_steals_unlogged = (
-            metrics.counter("db.steals").labels(mode="unlogged")
-            if metrics is not None else None)
+        if metrics is not None:
+            # read from ``counters`` when the registry is exported
+            metrics.counter("db.steals").labels(mode="unlogged").add_source(
+                lambda: self.counters.unlogged_steals)
+        self._logged_steals_published = False   # its series: at the first one
         self._forced_undo_children: dict = {}   # reason -> rda.forced_undo child
         self._slotted_cache: dict = {}   # page -> (buffered bytes, SlottedPage)
         if self.tracer.enabled:
@@ -239,6 +241,15 @@ class Database:
                 and page not in txn.logged_stolen:
             return before
         return None
+
+    def _publish_logged_steals(self) -> None:
+        """``db.steals{mode=logged}`` joins the registry at the first
+        logged steal (a method of its own: a closure built inside
+        ``RecoveryPolicy.writeback`` would make ``db`` a cell variable
+        of that per-page function)."""
+        self._logged_steals_published = True
+        self.metrics.counter("db.steals").labels(mode="logged").add_source(
+            lambda: self.counters.logged_steals)
 
     def _ensure_undo_durable(self, page: int, modifiers) -> None:
         """Append (if deferred) and force the undo information covering

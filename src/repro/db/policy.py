@@ -784,8 +784,6 @@ class RecoveryPolicy:
                                                  was_residue):
             db.rda.write_uncommitted(page, payload, single, old_data=old)
             db.counters.unlogged_steals += 1
-            if db._m_steals_unlogged is not None:
-                db._m_steals_unlogged.inc()
             sole.note_steal(page)
             db._last_written[page] = payload
             db._h("steal", txn=single, page=page, logged=False)
@@ -794,8 +792,8 @@ class RecoveryPolicy:
             return
         # logged steal: WAL — undo information durable before the write
         self.protection.note_forced_undo(db, page, single, was_residue)
-        if db.metrics is not None:
-            db.metrics.counter("db.steals").labels(mode="logged").inc()
+        if db.metrics is not None and not db._logged_steals_published:
+            db._publish_logged_steals()
         db._ensure_undo_durable(page, modifiers)
         self.protection.write_committed(db, page, payload, old_data=old)
         db.counters.logged_steals += 1

@@ -5,7 +5,7 @@ countable page-transfer event.  This package makes those events
 first-class:
 
 * :class:`~repro.obs.tracer.Tracer` emits typed, timestamped events to a
-  pluggable sink (:class:`~repro.obs.tracer.JsonlSink`,
+  pluggable sink (:class:`~repro.obs.tracer.BufferedJsonlSink`,
   :class:`~repro.obs.tracer.RingBufferSink`,
   :class:`~repro.obs.tracer.NullSink`), with *spans* for multi-step
   operations (recovery phases, checkpoints, rebuilds) that carry their
@@ -38,9 +38,8 @@ from .inspect import (aggregate_events, aggregate_trace_file, event_key,
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       escape_label_value, prometheus_name)
 from .recovery_profile import RecoveryProfile, format_recovery_profile
-from .tracer import (NULL_TRACER, BufferedJsonlSink, JsonlSink,
-                     LabelledTracer, NullSink, RingBufferSink, Span, Tracer,
-                     close_all)
+from .tracer import (NULL_TRACER, BufferedJsonlSink, LabelledTracer,
+                     NullSink, RingBufferSink, Span, Tracer, close_all)
 
 __all__ = [
     "NULL_TRACER",
@@ -49,7 +48,6 @@ __all__ = [
     "Span",
     "NullSink",
     "RingBufferSink",
-    "JsonlSink",
     "BufferedJsonlSink",
     "close_all",
     "Counter",

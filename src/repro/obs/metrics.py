@@ -6,7 +6,15 @@ layer: where the tracer records *what happened*, the registry records
 a counter increment is one dict-free integer add — so they stay enabled
 even when tracing is off.
 
-Labeled children follow the Prometheus idiom::
+A series that mirrors a number a layer keeps anyway is not pushed at
+all: the layer registers a *source* once and the registry reads it when
+the series is exported (docs/observability.md, "What observation
+costs", lists which series are which)::
+
+    registry.counter("buffer.hits").add_source(lambda: pool.stats.hits)
+
+Labeled children follow the Prometheus idiom; a hot path resolves its
+child once and keeps it::
 
     wal = registry.counter("wal.records")
     wal.labels(type="CommitRecord").inc()
@@ -18,6 +26,7 @@ series keyed ``name{k=v,...}`` (label keys sorted).
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 
 
 def _series_key(name: str, labels: dict) -> str:
@@ -53,70 +62,79 @@ def _label_block(labels: dict) -> str:
     return f"{{{inner}}}"
 
 
-class Counter:
-    """Monotonically increasing count (events, transfers, records)."""
+class _Scalar:
+    """What :class:`Counter` and :class:`Gauge` share: one number per
+    label combination, part *pushed* by callers (``inc``/``set``), part
+    *read* from sources when the series is exported.
 
-    __slots__ = ("name", "value", "labels_dict", "_children")
+    A source is a zero-argument callable returning a number a layer
+    keeps anyway (``lambda: pool.stats.hits``): the layer counts once,
+    in its own attribute, and pays nothing per operation for being
+    observed.  Sources add — two engines publishing into one registry
+    sum, like two engines pushing into it would.
+    """
+
+    __slots__ = ("name", "_pushed", "labels_dict", "_children", "_sources")
 
     def __init__(self, name: str, labels_dict=None) -> None:
         self.name = name
-        self.value = 0
+        self._pushed = 0
         self.labels_dict = labels_dict
         self._children: dict = {}
+        self._sources: list = []
+
+    def add_source(self, read) -> None:
+        """Add ``read() -> number`` to the series' value, evaluated at
+        every :attr:`value` read (``snapshot()``, ``to_prometheus()``)."""
+        self._sources.append(read)
+
+    @property
+    def value(self):
+        """Pushed amount plus every source's current reading."""
+        if not self._sources:
+            return self._pushed
+        return self._pushed + sum(read() for read in self._sources)
+
+    def labels(self, **labels):
+        """The child series for one label combination (created lazily)."""
+        key = _series_key(self.name, labels)
+        child = self._children.get(key)
+        if child is None:
+            child = self._children[key] = type(self)(
+                key, labels_dict=dict(labels))
+        return child
+
+    def collect(self, out: dict) -> None:
+        out[self.name] = self.value
+        for child in self._children.values():
+            child.collect(out)
+
+
+class Counter(_Scalar):
+    """Monotonically increasing count (events, transfers, records)."""
+
+    __slots__ = ()
 
     def inc(self, amount: int = 1) -> None:
         """Add ``amount`` (must be non-negative)."""
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease")
-        self.value += amount
-
-    def labels(self, **labels) -> "Counter":
-        """The child counter for one label combination (created lazily)."""
-        key = _series_key(self.name, labels)
-        child = self._children.get(key)
-        if child is None:
-            child = Counter(key, labels_dict=dict(labels))
-            self._children[key] = child
-        return child
-
-    def collect(self, out: dict) -> None:
-        out[self.name] = self.value
-        for child in self._children.values():
-            child.collect(out)
+        self._pushed += amount
 
 
-class Gauge:
+class Gauge(_Scalar):
     """A value that goes up and down (dirty groups, live transactions)."""
 
-    __slots__ = ("name", "value", "labels_dict", "_children")
-
-    def __init__(self, name: str, labels_dict=None) -> None:
-        self.name = name
-        self.value = 0
-        self.labels_dict = labels_dict
-        self._children: dict = {}
+    __slots__ = ()
 
     def set(self, value) -> None:
-        self.value = value
+        self._pushed = value
 
     def inc(self, amount=1) -> None:
-        self.value += amount
+        self._pushed += amount
 
     def dec(self, amount=1) -> None:
-        self.value -= amount
-
-    def labels(self, **labels) -> "Gauge":
-        key = _series_key(self.name, labels)
-        child = self._children.get(key)
-        if child is None:
-            child = Gauge(key, labels_dict=dict(labels))
-            self._children[key] = child
-        return child
-
-    def collect(self, out: dict) -> None:
-        out[self.name] = self.value
-        for child in self._children.values():
-            child.collect(out)
+        self._pushed -= amount
 
 
 DEFAULT_BUCKETS = (1, 2, 3, 4, 5, 6, 8, 12, 16, 32, 64, 128)
@@ -151,11 +169,8 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
+        # first bound >= value; past the last one is the +inf slot
+        self.bucket_counts[bisect_left(self.buckets, value)] += 1
 
     @property
     def mean(self) -> float:

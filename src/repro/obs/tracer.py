@@ -34,9 +34,29 @@ import time
 import weakref
 from collections import deque
 
-_encode = json.JSONEncoder(separators=(",", ":"), default=str).encode
-"""Shared compact encoder: skips the per-call dispatch inside
-``json.dumps`` (the sink serializes tens of thousands of events)."""
+
+def _make_event_encoder():
+    """``encode(event, 0) -> chunks of one compact JSON object``, built
+    once at import.
+
+    ``JSONEncoder.encode`` constructs a fresh C encoder inside every
+    call; a sink serializes tens of thousands of events, so it keeps
+    the one the standard library would have built (same separators,
+    ``default=str``, ASCII escapes — the bytes are identical) and calls
+    it directly.  Events are freshly built dicts of scalars, so the
+    circular-reference markers are off.  Without the C accelerator the
+    public per-call encoder does the same job.
+    """
+    encoder = json.JSONEncoder(separators=(",", ":"), default=str)
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return lambda event, _indent_level: (encoder.encode(event),)
+    return make(None, encoder.default, json.encoder.encode_basestring_ascii,
+                None, encoder.key_separator, encoder.item_separator,
+                encoder.sort_keys, encoder.skipkeys, encoder.allow_nan)
+
+
+_encode_event = _make_event_encoder()
 
 _LIVE_TRACERS: "weakref.WeakSet" = weakref.WeakSet()
 """Every enabled tracer, so an interpreter exit can flush buffered
@@ -46,8 +66,8 @@ sinks (see :func:`close_all`, registered with :mod:`atexit`)."""
 def close_all() -> None:
     """Close every live tracer's sink (idempotent).
 
-    A :class:`BufferedJsonlSink` holds up to ``flush_every`` serialized
-    lines in memory; a ``sys.exit`` mid-run (or any exit path that
+    A :class:`BufferedJsonlSink` holds up to ``flush_every`` events in
+    memory; a ``sys.exit`` mid-run (or any exit path that
     skips ``tracer.close()``) would silently drop that tail and leave a
     trace that parses but under-reports.  Registered with
     :mod:`atexit` as a safety net — orderly code should still close its
@@ -90,39 +110,21 @@ class RingBufferSink:
         pass
 
 
-class JsonlSink:
-    """Appends one compact JSON object per event to a file."""
-
-    def __init__(self, path) -> None:
-        self.path = path
-        self._handle = open(path, "w", encoding="utf-8")
-        self.count = 0
-
-    def emit(self, event: dict) -> None:
-        self._handle.write(_encode(event) + "\n")
-        self.count += 1
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
 class BufferedJsonlSink:
-    """A :class:`JsonlSink` with coalesced dispatch.
+    """Appends one compact JSON object per event to a file, a chunk at
+    a time.
 
-    Events are serialized on arrival (so the caller's dicts may be
-    mutated afterwards) but hit the file in chunks of ``flush_every``
-    lines — one ``write`` call per chunk instead of per event; a
-    per-event ``write`` would dominate the profile.  What full tracing
-    + metrics still cost — the irreducible per-event encode — is the
-    ledger's ``force_update_obs`` row read against ``force_update``
-    (``docs/performance.md`` has the cells).
+    :meth:`emit` only keeps the event: it is encoded — and written,
+    one ``write`` call per chunk — when ``flush_every`` events are
+    pending, at :meth:`flush`, at :meth:`close`, or by the tracer
+    module's ``atexit`` hook if the run never closed its tracer.  The
+    caller therefore hands the dict over for good: an event mutated
+    after ``emit`` is recorded as mutated (``Tracer`` builds a fresh
+    dict per event and nothing in the engine keeps one).  An event that
+    cannot be encoded raises from the flush that reaches it, not from
+    ``emit``, and takes its chunk with it.  What full tracing + metrics
+    cost end to end is the ledger's ``force_update_obs`` row read
+    against ``force_update`` (``docs/performance.md`` has the cells).
     """
 
     def __init__(self, path, flush_every: int = 1024) -> None:
@@ -133,16 +135,19 @@ class BufferedJsonlSink:
         self.count = 0
 
     def emit(self, event: dict) -> None:
-        self._pending.append(_encode(event))
+        self._pending.append(event)
         self.count += 1
         if len(self._pending) >= self._flush_every:
             self.flush()
 
     def flush(self) -> None:
-        """Write buffered lines to the file."""
-        if self._pending:
-            self._handle.write("\n".join(self._pending) + "\n")
-            self._pending.clear()
+        """Encode the pending events and write them to the file."""
+        pending = self._pending
+        if pending:
+            self._pending = []
+            encode = _encode_event
+            self._handle.write("\n".join(
+                ["".join(encode(event, 0)) for event in pending]) + "\n")
 
     def close(self) -> None:
         if not self._handle.closed:

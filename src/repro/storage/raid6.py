@@ -63,15 +63,16 @@ class Raid6Array(DiskArray):
         old data supplied)."""
         if len(new_data) != PAGE_SIZE:
             raise ValueError(f"page payload must be {PAGE_SIZE} bytes")
-        if not self.tracer.enabled:
-            self._write_page_inner(page, new_data, old_data)
-            return
-        with self.stats.window() as window:
-            self._write_page_inner(page, new_data, old_data)
-        self.tracer.emit_costed("array.small_write", window, page=page,
-                                mode="pq", buffered=old_data is not None)
+        stats = self.stats
+        reads, writes = stats.reads, stats.writes
+        self._write_page_inner(page, new_data, old_data)
+        reads, writes = stats.reads - reads, stats.writes - writes
         if self._xfer_hist is not None:
-            self._xfer_hist.observe(window.total)
+            self._xfer_hist.observe(reads + writes)
+        if self.tracer.enabled:
+            self.tracer.emit("array.small_write", page=page, mode="pq",
+                             buffered=old_data is not None, reads=reads,
+                             writes=writes, transfers=reads + writes)
 
     def _write_page_inner(self, page: int, new_data: bytes,
                           old_data: bytes | None) -> None:

@@ -26,13 +26,11 @@ Write-cost accounting matches the paper's model:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..errors import UnrecoverableDataError
 from .array import DiskArray
 from .geometry import Geometry
-from .iostats import TransferCounts
 from .page import (PAGE_SIZE, ParityHeader, TwinState, compute_parity,
                    xor_pages)
 
@@ -55,14 +53,32 @@ class TwinUpdate:
 
 
 class WindowTrace:
-    """What a :meth:`TwinParityArray.traced_window` has written so far
-    through the inline body of ``small_write`` (``first_steals`` is the
-    RDA manager's count)."""
+    """An open :meth:`TwinParityArray.traced_window`: what the window
+    has written so far through the inline body of ``small_write``
+    (``first_steals`` is the RDA manager's count).  While entered it is
+    the array's ``window``; leaving emits the window's one event."""
 
-    __slots__ = ("pages", "buffered_pages", "first_steals")
+    __slots__ = ("_array", "pages", "buffered_pages", "first_steals")
 
-    def __init__(self) -> None:
+    def __init__(self, array: "TwinParityArray") -> None:
+        self._array = array
         self.pages = self.buffered_pages = self.first_steals = 0
+
+    def __enter__(self) -> "WindowTrace":
+        self._array.window = self
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._array.window = None
+        pages = self.pages
+        if pages:
+            # per inline page: twin read + two writes, + the old-data
+            # read unless buffered
+            reads = 2 * pages - self.buffered_pages
+            self._array.tracer.emit(
+                "array.small_write_batch", first_steals=self.first_steals,
+                pages=pages, buffered_pages=self.buffered_pages,
+                reads=reads, writes=2 * pages, transfers=reads + 2 * pages)
 
 
 @dataclass(frozen=True)
@@ -258,7 +274,6 @@ class TwinParityArray(DiskArray):
             source_disk = disks[source.disk]
             target_disk = disks[target.disk]
             inline = not (source_disk.failed or target_disk.failed)
-        traced = self.tracer.enabled
         buffered = old_data is not None
         if inline:
             old = old_data if buffered else data_disk.read(addr.slot)
@@ -272,48 +287,37 @@ class TwinParityArray(DiskArray):
                 data_disk.write(addr.slot, new_data)
                 target_disk.write_with_header(target.slot, new_twin,
                                               update.header)
+            # twin read + two writes, + the old-data read unless buffered
+            reads, writes = 2 - buffered, 2
         else:
-            before = self.stats.snapshot() if traced else None
+            stats = self.stats
+            reads, writes = stats.reads, stats.writes
             self._small_write_inner(page, new_data, updates, old_data,
                                     twin_first)
-        if traced:
-            # inline: twin read + two writes, + the old-data read unless
-            # buffered
-            cost = (TransferCounts(2 - buffered, 2) if inline
-                    else self.stats.snapshot() - before)
+            reads, writes = stats.reads - reads, stats.writes - writes
+        if self._xfer_hist is not None:
+            self._xfer_hist.observe(reads + writes)
+        if self.tracer.enabled:
             window = self.window
             if inline and window is not None:
                 window.pages += 1
                 window.buffered_pages += buffered
             else:
-                self.tracer.emit_costed("array.small_write", cost, page=page,
-                                        buffered=buffered, twins=len(updates))
-            if self._xfer_hist is not None:
-                self._xfer_hist.observe(cost.total)
+                self.tracer.emit("array.small_write", page=page,
+                                 buffered=buffered, twins=len(updates),
+                                 reads=reads, writes=writes,
+                                 transfers=reads + writes)
         if self.barrier_hook is not None:
             self.barrier_hook("twin_write", page=page)
 
-    @contextmanager
-    def traced_window(self):
+    def traced_window(self) -> WindowTrace:
         """Coalesce the trace of a multi-page write-back window: while
-        open, inline small writes count themselves into a
-        :class:`WindowTrace` instead of emitting an event each (general-
-        path writes keep theirs); closing emits the one costed
+        the returned context manager is entered, inline small writes
+        count themselves into it instead of emitting an event each
+        (general-path writes keep theirs); leaving emits the one costed
         ``array.small_write_batch`` event the trace aggregators expand
         back into per-page rows.  Opened only with tracing on."""
-        window = self.window = WindowTrace()
-        try:
-            yield
-        finally:
-            self.window = None
-            pages = window.pages
-            if pages:
-                self.tracer.emit_costed(
-                    "array.small_write_batch",
-                    TransferCounts(2 * pages - window.buffered_pages,
-                                   2 * pages),
-                    first_steals=window.first_steals, pages=pages,
-                    buffered_pages=window.buffered_pages)
+        return WindowTrace(self)
 
     def _small_write_inner(self, page: int, new_data: bytes, updates: list,
                            old_data: bytes | None,

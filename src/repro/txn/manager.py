@@ -43,6 +43,7 @@ class TransactionManager:
         self._stats = stats
         self._m_finished = (metrics.counter("txn.finished")
                             if metrics is not None else None)
+        self._m_outcomes: dict = {}     # outcome -> txn.finished child
         self._spans: dict = {}
 
     def begin(self, txn_id: int | None = None) -> Transaction:
@@ -101,7 +102,11 @@ class TransactionManager:
         if span is not None:
             span.finish(outcome=outcome.value)
         if self._m_finished is not None:
-            self._m_finished.labels(outcome=outcome.value).inc()
+            child = self._m_outcomes.get(outcome)
+            if child is None:
+                child = self._m_outcomes[outcome] = \
+                    self._m_finished.labels(outcome=outcome.value)
+            child.inc()
         return txn
 
     def active_transactions(self) -> list:

@@ -37,9 +37,10 @@ class GroupCommitCoordinator:
     Args:
         flush_horizon: commits per batched force (H).  1 = force at
             every commit (the classical discipline).
-        metrics: optional registry; counts
+        metrics: optional registry; exports
             ``wal.group_commit.deferred_forces`` and
-            ``wal.group_commit.flushes``.
+            ``wal.group_commit.flushes`` (read from the two counters
+            below, not pushed).
     """
 
     def __init__(self, flush_horizon: int = 1, metrics=None) -> None:
@@ -51,10 +52,11 @@ class GroupCommitCoordinator:
         self._commits_since_flush = 0
         self.deferred_forces = 0        # force requests absorbed by batching
         self.flushes = 0                # batched flushes performed
-        self._m_deferred = (metrics.counter("wal.group_commit.deferred_forces")
-                            if metrics is not None else None)
-        self._m_flushes = (metrics.counter("wal.group_commit.flushes")
-                           if metrics is not None else None)
+        if metrics is not None:
+            metrics.counter("wal.group_commit.deferred_forces").add_source(
+                lambda: self.deferred_forces)
+            metrics.counter("wal.group_commit.flushes").add_source(
+                lambda: self.flushes)
 
     @property
     def deferring(self) -> bool:
@@ -81,8 +83,6 @@ class GroupCommitCoordinator:
         if log not in self._pending:
             self._pending.append(log)
         self.deferred_forces += 1
-        if self._m_deferred is not None:
-            self._m_deferred.inc()
 
     def covers(self, log) -> bool:
         """True while ``log`` has a deferred force outstanding — its
@@ -106,8 +106,6 @@ class GroupCommitCoordinator:
         flushed = self._drain()
         if flushed:
             self.flushes += 1
-            if self._m_flushes is not None:
-                self._m_flushes.inc()
         return flushed
 
     def _drain(self) -> int:
@@ -133,8 +131,6 @@ class GroupCommitCoordinator:
         if count <= 0:
             return
         self.deferred_forces += count
-        if self._m_deferred is not None:
-            self._m_deferred.inc(count)
 
 
 class GroupCommitLog(LogManager):

@@ -46,6 +46,40 @@ def test_gauge_moves_both_ways():
     assert g.value == 2
 
 
+def test_sources_are_read_at_export_and_add_to_what_was_pushed():
+    layer = {"hits": 0, "dirty": 0}
+    registry = MetricsRegistry()
+    hits = registry.counter("hits")
+    hits.add_source(lambda: layer["hits"])
+    hits.add_source(lambda: 100)              # a second engine's count
+    hits.inc(5)
+    dirty = registry.gauge("dirty").labels(shard=1)
+    dirty.add_source(lambda: layer["dirty"])
+    assert hits.value == 105 and dirty.value == 0
+    layer.update(hits=7, dirty=3)
+    assert hits.value == 112
+    snap = registry.snapshot()
+    assert snap["counters"]["hits"] == 112
+    assert snap["gauges"]["dirty{shard=1}"] == 3
+    assert "hits 112" in registry.to_prometheus().splitlines()
+
+
+def test_histogram_bucket_is_the_first_bound_not_below_the_value():
+    h = Histogram("xfers", buckets=(1, 2, 4, 8))
+    values = (0, 1, 1.5, 2, 3, 4, 4.0001, 8, 9, 1000)
+    for value in values:
+        h.observe(value)
+    expected = [0] * 5
+    for value in values:                    # the rule, spelled out
+        for index, bound in enumerate(h.buckets):
+            if value <= bound:
+                expected[index] += 1
+                break
+        else:
+            expected[-1] += 1
+    assert h.bucket_counts == expected == [2, 2, 2, 2, 2]
+
+
 def test_histogram_buckets_and_summary():
     h = Histogram("xfers", buckets=(3, 4, 6))
     for value in (3, 4, 4, 5, 100):

@@ -1,0 +1,80 @@
+"""The trace and the registry are the measuring instrument: what they
+report may not move when their cost does.
+
+Each constant below is a sha256 computed **on the commit before PR 18**
+(the last one that serialized every event on arrival and pushed every
+series on the hot path) of a 600-transaction ``--crash-every 150
+--buffer 24 --seed 5`` simulation driven through the CLI: the event
+stream as written by :class:`~repro.obs.BufferedJsonlSink` — key order
+included, only the wall-clock ``ts`` and ``attrs.dur_ms`` stripped —
+and the ``--metrics-out`` snapshot (with ``--drift-check`` attached, so
+the detector's gauges and verdict are pinned too).  K = 2 reads the
+shards' registries through the ``metrics_snapshot`` op on both
+transports.  A change to what is observed must re-pin these on purpose.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.cli import main
+
+K2_SNAPSHOT = "f19e7ad2032df864c36aa70af91bfdacbc1f0000c647f87f4c42be3400131f2e"
+GOLDEN = {      # configuration -> (event stream, metrics snapshot)
+    "page-force-rda": (
+        "72e29ff42376bcbf76deac6447f5fcc51f8ea30427fbf3f232aa710bc6061637",
+        "cd44874b58659078fbffc5db7c582907ccb60a3d69895232e1163f2ec6122c1d"),
+    "record-noforce-rda": (
+        "13c53a799d07b5b0671cbfd5a6a768ba750ed4a19af6e55af13ae0b68b26a11f",
+        "d8d523bd0a0593f099e6c6e205c6a534690ec36c0f880e560b15afd87edccc45"),
+    "page-noforce-rda": (
+        "9d8b0f1414b8de12252506e9b6c1dcdea4363012ffa3a9caa27a5c8d10c1bdbb",
+        "26dba9037e0b65976f29c41a397d08e8c393086bd696e220a09d8897be64b413"),
+    # K = 2: the transports number worker spans differently, so each has
+    # its own stream; the merged snapshot is the same one
+    "--no-workers": (
+        "65065eafba1657fb4ba985eccc21bed1ca94308ee106b0756eb83e3d12140b25",
+        K2_SNAPSHOT),
+    "--workers": (
+        "869bae57d3653741159f8956731af8ef7549bd70412aba8d8411d711ef52de39",
+        K2_SNAPSHOT),
+}
+
+
+def canonical_trace(path) -> str:
+    """sha256 of the event stream minus its two wall-clock fields."""
+    digest = hashlib.sha256()
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            event = json.loads(line)
+            del event["ts"]
+            event.get("attrs", {}).pop("dur_ms", None)
+            digest.update(json.dumps(event, separators=(",", ":")).encode())
+            digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def simulate(tmp_path, preset: str, *extra) -> tuple:
+    trace = tmp_path / "trace.jsonl"
+    snapshot = tmp_path / "metrics.json"
+    code = main(["simulate", "--preset", preset, "--transactions", "600",
+                 "--crash-every", "150", "--buffer", "24", "--seed", "5",
+                 "--drift-check", "--trace-out", str(trace),
+                 "--metrics-out", str(snapshot), *extra])
+    assert code == 0
+    return (canonical_trace(trace),
+            hashlib.sha256(snapshot.read_bytes()).hexdigest())
+
+
+@pytest.mark.parametrize("preset", ["page-force-rda", "record-noforce-rda",
+                                    "page-noforce-rda"])
+def test_trace_and_snapshot_match_the_parent_commit(tmp_path, capsys, preset):
+    assert simulate(tmp_path, preset) == GOLDEN[preset]
+
+
+@pytest.mark.parametrize("transport", ["--no-workers", "--workers"])
+def test_sharded_trace_and_snapshot_match_on_both_transports(
+        tmp_path, capsys, transport):
+    assert simulate(tmp_path, "page-force-rda", "--shards", "2",
+                    "--group-commit", "4", transport) == GOLDEN[transport]

@@ -8,12 +8,15 @@ an optional numpy tier, the plan/execute commit-window machinery beside
 the per-page write-back, a pluggable replacement policy, three
 ``DBConfig`` fields nobody set, forwarding methods between the Figure 3
 question and the Dirty_Set); bringing any of them back is a design
-change that has to argue with docs/performance.md first.
+change that has to argue with docs/performance.md first.  The frame
+budgets at the end hold the page path, and what a tracer and a registry
+may add to it, to the number of Python frames they enter today.
 """
 
 import dataclasses
 import importlib.util
 import inspect
+import json
 import pathlib
 import re
 import sys
@@ -24,6 +27,8 @@ import repro
 from repro.buffer import BufferPool
 from repro.core import RDAManager
 from repro.db import Database, DBConfig, preset
+from repro.obs import (BufferedJsonlSink, MetricsRegistry, Tracer,
+                       load_trace)
 from repro.storage import kernels, make_page
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
@@ -142,3 +147,59 @@ def test_a_read_page_buffer_hit_costs_at_most_7_frames():
     txn = db.begin()
     db.read_page(txn, 3)
     assert _src_frames(db.read_page, txn, 3) <= 7       # 8 before PR 17
+
+
+# -- what being observed may add (PR 18) -----------------------------------
+
+
+def _observed_txn_frames(tmp_path, observed: bool) -> int:
+    """One transaction reading and writing 6 pages, one per parity
+    group, then committing, on an engine that has run it before."""
+    tracer = metrics = None
+    if observed:
+        tracer = Tracer(BufferedJsonlSink(tmp_path / "trace.jsonl"))
+        metrics = MetricsRegistry()
+    db = Database(preset("page-force-rda", group_size=5, num_groups=20,
+                         buffer_capacity=64), tracer=tracer, metrics=metrics)
+
+    def transaction(version: bytes) -> None:
+        txn = db.begin()
+        for i in range(6):
+            db.read_page(txn, i * db.config.group_size)
+            db.write_page(txn, i * db.config.group_size, make_page(version))
+        db.commit(txn)
+
+    transaction(b"warm")
+    return _src_frames(transaction, b"timed")
+
+
+def test_being_observed_costs_a_transaction_at_most_50_frames(tmp_path):
+    # 32 today; 94 before PR 18: counters pushed per page that
+    # mirrored a layer's own, a gauge set per write, a histogram fed
+    # through a TransferCounts, by-name lookups on every commit
+    assert (_observed_txn_frames(tmp_path, True)
+            - _observed_txn_frames(tmp_path, False)) <= 50
+
+
+def test_emit_runs_no_json_frame(tmp_path):
+    """Encoding happens at flush, a chunk at a time — never between an
+    ``emit`` and its return."""
+    json_dir = str(pathlib.Path(json.__file__).parent)
+    in_json = []
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(json_dir):
+            in_json.append(frame.f_code.co_name)
+
+    with Tracer(BufferedJsonlSink(tmp_path / "trace.jsonl")) as tracer:
+        sys.setprofile(profiler)
+        try:
+            tracer.emit("plain", page=3, note="text")
+            with tracer.span("spanned", page=4):
+                tracer.emit("inside")
+        finally:
+            sys.setprofile(None)
+        assert tracer.sink.count == 3
+        assert (tmp_path / "trace.jsonl").read_text() == ""
+    assert in_json == []
+    assert len(load_trace(tmp_path / "trace.jsonl")) == 3
