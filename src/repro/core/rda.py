@@ -377,16 +377,17 @@ class RDAManager:
         holes = []
         geometry = self.array.geometry
         disks = self.array.disks
+        dirty = self.dirty_set
+        to_int = int.from_bytes
         for group in range(geometry.num_groups):
-            if self.dirty_set.get(group) is not None:
+            if group in dirty:
                 continue
-            data = []
-            for page in geometry.group_pages(group):
-                addr = geometry.data_address(page)
-                data.append(disks[addr.disk].peek(addr.slot))
-            payload, _ = self.array.peek_twin(group,
-                                              self.current_twin(group))
-            if payload != compute_parity(data):
+            # a group is a stripe row: its slot on every disk
+            parity = 0
+            for disk in geometry.data_disks(group):
+                parity ^= to_int(disks[disk].peek(group), "little")
+            twin = geometry.parity_addresses(group)[self.current_twin(group)]
+            if to_int(disks[twin.disk].peek(twin.slot), "little") != parity:
                 holes.append(group)
         return holes
 
@@ -425,13 +426,32 @@ class RDAManager:
 
     def _crash_scan_inner(self, committed_txns: set) -> list:
         losers = []
-        for group in range(self.array.geometry.num_groups):
-            (_, h0), (_, h1) = self.array.read_twins(group)
+        array = self.array
+        working, committed = TwinState.WORKING, TwinState.COMMITTED
+        newest = 0
+        for group in range(array.geometry.num_groups):
+            (_, h0), (_, h1) = array.read_twins(group)
             self._headers[group] = [h0, h1]
-            self.array.observe_timestamp(max(h0.timestamp, h1.timestamp))
+            if h0.timestamp > newest:
+                newest = h0.timestamp
+            if h1.timestamp > newest:
+                newest = h1.timestamp
+            s0, s1 = h0.state, h1.state
+            if s0 is not working and s1 is not working and (
+                    s0 is committed or s1 is committed):
+                # no steal to classify: Figure 7 reduces to the
+                # COMMITTED twin, the newer one when both are
+                if s0 is not committed:
+                    self._current[group] = 1
+                elif s1 is not committed:
+                    self._current[group] = 0
+                else:
+                    self._current[group] = \
+                        1 if h1.timestamp > h0.timestamp else 0
+                continue
             active_working = [
                 (which, header) for which, header in enumerate((h0, h1))
-                if header.state is TwinState.WORKING
+                if header.state is working
                 and header.txn_id not in committed_txns
                 and header.txn_id != NO_TXN
             ]
@@ -446,7 +466,7 @@ class RDAManager:
                 if header.dirty_page_index == NO_PAGE:
                     raise RecoveryError(
                         f"group {group}: working twin lacks dirty page index")
-                page = self.array.geometry.group_pages(group)[header.dirty_page_index]
+                page = array.geometry.group_pages(group)[header.dirty_page_index]
                 entry = DirtyEntry(group=group, txn_id=header.txn_id,
                                    page_id=page,
                                    page_index=header.dirty_page_index,
@@ -454,6 +474,7 @@ class RDAManager:
                                    working_timestamp=header.timestamp)
                 self.dirty_set.mark_dirty(entry)
                 losers.append(entry)
+        array.observe_timestamp(newest)
         return losers
 
     # -- media recovery hooks ----------------------------------------------------------------

@@ -107,10 +107,14 @@ class RecoveryManager:
                                                           losers, fault)
 
             cache: dict = {}
+            # what page_base read is still what the disk holds when the
+            # restore loop writes: parity undo and the media scan are
+            # done, and redo/undo below only fill the cache
+            on_disk: dict = {}
 
             def page_base(page: int) -> bytes:
                 if page not in cache:
-                    cache[page] = db.array.read_page(page)
+                    cache[page] = on_disk[page] = db.array.read_page(page)
                 return cache[page]
 
             # 2. REDO committed work since the last checkpoint (¬FORCE only)
@@ -142,7 +146,8 @@ class RecoveryManager:
                                 log_split=True, phase="restore") as span:
                 for page in sorted(cache):
                     fault(f"restore page {page}")
-                    db._write_committed(page, cache[page])
+                    db._write_committed(page, cache[page],
+                                        old_data=on_disk.get(page))
 
                 fault("abort records")
                 for txn_id in sorted(losers):

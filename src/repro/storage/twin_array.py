@@ -178,7 +178,9 @@ class TwinParityArray(DiskArray):
     def read_twins(self, group: int) -> tuple:
         """Read both twins: ``((payload, header), (payload, header))``;
         2 page transfers."""
-        return (self.read_twin(group, 0), self.read_twin(group, 1))
+        first, second = self.geometry.parity_addresses(group)
+        return (self.disks[first.disk].read_with_header(first.slot),
+                self.disks[second.disk].read_with_header(second.slot))
 
     def write_twin(self, group: int, which: int, payload: bytes,
                    header: ParityHeader) -> None:

@@ -462,13 +462,13 @@ class LogManager:
         records = []
         offset = 0
         clean = True
-        while offset < len(blob):
-            try:
+        size = len(blob)
+        try:
+            while offset < size:
                 record, offset = deserialize(blob, offset)
-            except TornRecordError:
-                break
-            except LogCorruptionError:
-                clean = False
-                break
-            records.append(record)
+                records.append(record)
+        except TornRecordError:
+            pass
+        except LogCorruptionError:
+            clean = False
         return records, offset, clean

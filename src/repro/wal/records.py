@@ -38,6 +38,13 @@ _HEADER = struct.Struct("<IqqqII")
 # "<" packing is unpadded, so _PREFIX bytes + "<I" crc == _HEADER bytes
 _PREFIX = struct.Struct("<IqqqI")
 _CRC = struct.Struct("<I")
+# payload layouts of the image-carrying records: these fields, then the
+# image — each class's own field order after (txn_id, lsn, prev_lsn),
+# which is what lets the decode table construct positionally
+_PAGE = struct.Struct("<q")             # page_id
+_SLOT = struct.Struct("<qi")            # page_id, slot
+_PAGE_CHAINED = struct.Struct("<qq")    # page_id, prev_page_lsn
+_SLOT_CHAINED = struct.Struct("<qiq")   # page_id, slot, prev_page_lsn
 
 
 def _record_crc(prefix: bytes, payload: bytes) -> int:
@@ -123,12 +130,7 @@ class AbortRecord(LogRecord):
 
 
 def _pack_page(page_id: int, payload: bytes) -> bytes:
-    return struct.pack("<q", page_id) + payload
-
-
-def _unpack_page(blob: bytes) -> tuple:
-    (page_id,) = struct.unpack_from("<q", blob)
-    return page_id, blob[8:]
+    return _PAGE.pack(page_id) + payload
 
 
 @dataclass
@@ -156,12 +158,7 @@ class PageAfterImage(LogRecord):
 
 
 def _pack_record(page_id: int, slot: int, payload: bytes) -> bytes:
-    return struct.pack("<qi", page_id, slot) + payload
-
-
-def _unpack_record(blob: bytes) -> tuple:
-    page_id, slot = struct.unpack_from("<qi", blob)
-    return page_id, slot, blob[12:]
+    return _SLOT.pack(page_id, slot) + payload
 
 
 @dataclass
@@ -207,7 +204,7 @@ class PageRedoEntry(LogRecord):
     image: bytes = b""
 
     def payload_bytes(self) -> bytes:
-        return struct.pack("<qq", self.page_id, self.prev_page_lsn) + self.image
+        return _PAGE_CHAINED.pack(self.page_id, self.prev_page_lsn) + self.image
 
 
 @dataclass
@@ -222,8 +219,8 @@ class RecordRedoEntry(LogRecord):
     image: bytes = b""
 
     def payload_bytes(self) -> bytes:
-        return (struct.pack("<qiq", self.page_id, self.slot,
-                            self.prev_page_lsn) + self.image)
+        return (_SLOT_CHAINED.pack(self.page_id, self.slot,
+                                   self.prev_page_lsn) + self.image)
 
 
 @dataclass
@@ -245,58 +242,62 @@ class CheckpointRecord(LogRecord):
         return json.dumps(doc, separators=(",", ":")).encode("ascii")
 
 
+def _plain(cls):
+    """Decoder for a record that is its header alone."""
+    return lambda txn_id, lsn, prev_lsn, payload: cls(txn_id, lsn, prev_lsn)
+
+
+def _imaged(cls, layout: struct.Struct):
+    """Decoder for a payload of ``layout`` fields followed by the image."""
+    unpack, size = layout.unpack_from, layout.size
+    return lambda txn_id, lsn, prev_lsn, payload: cls(
+        txn_id, lsn, prev_lsn, *unpack(payload), payload[size:])
+
+
+def _decode_checkpoint(txn_id, lsn, prev_lsn, payload) -> CheckpointRecord:
+    doc = json.loads(payload.decode("ascii"))
+    return CheckpointRecord(txn_id, lsn, prev_lsn, tuple(doc["active"]),
+                            tuple(doc["flushed"]))
+
+
+# raw type value -> decoder(txn_id, lsn, prev_lsn, payload): the one
+# place restart turns a CRC-checked payload back into a record
+_DECODERS = {
+    RecordType.BOT.value: _plain(BOTRecord),
+    RecordType.COMMIT.value: _plain(CommitRecord),
+    RecordType.ABORT.value: _plain(AbortRecord),
+    RecordType.PAGE_BEFORE.value: _imaged(PageBeforeImage, _PAGE),
+    RecordType.PAGE_AFTER.value: _imaged(PageAfterImage, _PAGE),
+    RecordType.RECORD_BEFORE.value: _imaged(RecordBeforeEntry, _SLOT),
+    RecordType.RECORD_AFTER.value: _imaged(RecordAfterEntry, _SLOT),
+    RecordType.CHECKPOINT.value: _decode_checkpoint,
+    RecordType.PAGE_REDO.value: _imaged(PageRedoEntry, _PAGE_CHAINED),
+    RecordType.RECORD_REDO.value: _imaged(RecordRedoEntry, _SLOT_CHAINED),
+}
+
+
 def deserialize(blob: bytes, offset: int = 0) -> tuple:
     """Parse one record at ``offset``; returns ``(record, next_offset)``.
 
     Raises:
         LogCorruptionError: on a truncated or malformed record.
     """
-    if offset + _HEADER.size > len(blob):
+    size = len(blob)
+    start = offset + _HEADER.size
+    if start > size:
         raise TornRecordError("truncated log record header")
     type_value, lsn, txn_id, prev_lsn, payload_len, crc = _HEADER.unpack_from(
         blob, offset)
-    start = offset + _HEADER.size
     end = start + payload_len
-    if end > len(blob):
+    if end > size:
         raise TornRecordError("truncated log record payload")
     payload = blob[start:end]
-    if _record_crc(blob[offset:offset + _PREFIX.size], payload) != crc:
+    # _record_crc, inlined: restart pays this once per record in the log
+    if zlib.crc32(payload,
+                  zlib.crc32(blob[offset:offset + _PREFIX.size])) != crc:
         raise LogCorruptionError("log record CRC mismatch (header or payload)")
     try:
-        rtype = RecordType(type_value)
-    except ValueError:
+        decode = _DECODERS[type_value]
+    except KeyError:
         raise LogCorruptionError(f"unknown record type {type_value}") from None
-
-    common = dict(txn_id=txn_id, lsn=lsn, prev_lsn=prev_lsn)
-    if rtype is RecordType.BOT:
-        record = BOTRecord(**common)
-    elif rtype is RecordType.COMMIT:
-        record = CommitRecord(**common)
-    elif rtype is RecordType.ABORT:
-        record = AbortRecord(**common)
-    elif rtype is RecordType.PAGE_BEFORE:
-        page_id, image = _unpack_page(payload)
-        record = PageBeforeImage(page_id=page_id, image=image, **common)
-    elif rtype is RecordType.PAGE_AFTER:
-        page_id, image = _unpack_page(payload)
-        record = PageAfterImage(page_id=page_id, image=image, **common)
-    elif rtype is RecordType.RECORD_BEFORE:
-        page_id, slot, image = _unpack_record(payload)
-        record = RecordBeforeEntry(page_id=page_id, slot=slot, image=image, **common)
-    elif rtype is RecordType.RECORD_AFTER:
-        page_id, slot, image = _unpack_record(payload)
-        record = RecordAfterEntry(page_id=page_id, slot=slot, image=image, **common)
-    elif rtype is RecordType.PAGE_REDO:
-        page_id, prev_page_lsn = struct.unpack_from("<qq", payload)
-        record = PageRedoEntry(page_id=page_id, prev_page_lsn=prev_page_lsn,
-                               image=payload[16:], **common)
-    elif rtype is RecordType.RECORD_REDO:
-        page_id, slot, prev_page_lsn = struct.unpack_from("<qiq", payload)
-        record = RecordRedoEntry(page_id=page_id, slot=slot,
-                                 prev_page_lsn=prev_page_lsn,
-                                 image=payload[20:], **common)
-    else:
-        doc = json.loads(payload.decode("ascii"))
-        record = CheckpointRecord(active_txns=tuple(doc["active"]),
-                                  flushed_pages=tuple(doc["flushed"]), **common)
-    return record, end
+    return decode(txn_id, lsn, prev_lsn, payload), end

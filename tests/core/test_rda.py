@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from repro.core import DirtySet, RDAManager
 from repro.errors import ParityGroupError, RecoveryError
-from repro.storage import (TwinState, make_page, make_twin_raid5, xor_pages)
+from repro.storage import (ParityHeader, TwinState, compute_parity,
+                           make_page, make_twin_parity_striped,
+                           make_twin_raid5, select_current_twin, xor_pages)
 from repro.storage.page import PAGE_SIZE
 
 
@@ -242,6 +244,70 @@ class TestCrashScan:
         rda.lose_memory()
         rda.crash_scan(committed_txns=set())
         assert rda.array.next_timestamp() > stamp
+
+
+    def test_scan_agrees_with_figure_7_on_every_header_pair(self):
+        """The scan picks a group's current twin from the two header
+        states when neither is WORKING; every pair of states, timestamp
+        order and WORKING owner must come out as ``select_current_twin``
+        says, and only a loser's WORKING twin enters the Dirty_Set."""
+        winner, loser = 7, 8
+
+        def headers_of(state, stamp):
+            if state is not TwinState.WORKING:
+                return [ParityHeader(timestamp=stamp, state=state)]
+            return [ParityHeader(timestamp=stamp, txn_id=txn,
+                                 dirty_page_index=0, state=state)
+                    for txn in (winner, loser)]
+
+        pairs = [(h0, h1)
+                 for s0 in TwinState for s1 in TwinState
+                 for t0, t1 in ((3, 5), (5, 5), (5, 3))
+                 for h0 in headers_of(s0, t0) for h1 in headers_of(s1, t1)
+                 if (h0.txn_id, h1.txn_id) != (loser, loser)]
+        array = make_twin_raid5(4, len(pairs))
+        for group, pair in enumerate(pairs):
+            for which, header in enumerate(pair):
+                array.rewrite_twin_header(group, which, header)
+        rda = RDAManager(array)
+        losers = rda.crash_scan(committed_txns={winner})
+        for group, pair in enumerate(pairs):
+            assert rda.current_twin(group) == select_current_twin(
+                pair, {winner}), pair
+        assert [entry.group for entry in losers] == [
+            group for group, pair in enumerate(pairs)
+            if loser in (pair[0].txn_id, pair[1].txn_id)]
+        assert array.next_timestamp() == 6
+
+
+class TestParityHoleScrub:
+    @pytest.mark.parametrize("make_array", [make_twin_raid5,
+                                            make_twin_parity_striped])
+    def test_finds_exactly_the_clean_groups_with_stale_parity(self, make_array):
+        """The scrub XORs a group as one stripe row; under either page
+        numbering that row must be the group ``compute_parity`` sees."""
+        array = make_array(4, 6)
+        geometry = array.geometry
+        for page in range(geometry.num_data_pages):
+            array.write_page(page, make_page(bytes([page + 1])))
+        rda = RDAManager(array)
+        assert rda.find_parity_holes() == []
+        for group in range(geometry.num_groups):
+            current = rda.current_twin(group)
+            payload, header = array.peek_twin(group, current)
+            assert payload == compute_parity(array.group_data_payloads(group))
+            array.write_twin(group, current, make_page(b"stale"), header)
+            assert rda.find_parity_holes() == [group]
+            rda.resync_group(group)
+        assert rda.find_parity_holes() == []
+
+    def test_skips_dirty_groups(self, rda):
+        rda.write_uncommitted(0, make_page(b"x"), txn_id=1)
+        group = rda.array.geometry.group_of(0)
+        committed = 1 - rda.dirty_set.entry(group).working_twin
+        _, header = rda.array.peek_twin(group, committed)
+        rda.array.write_twin(group, committed, make_page(b"stale"), header)
+        assert rda.find_parity_holes() == []
 
 
 class TestMediaHooks:

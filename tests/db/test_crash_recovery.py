@@ -241,6 +241,35 @@ class TestRecordModeCrash:
             rdb.read_record(t, 0, ghost)
 
 
+def test_restore_reads_each_page_once():
+    """What a record-mode restart transfers: the twin scan (2 per
+    group), the log reads redo charges, and per restored page one read
+    to apply the record images to plus an a = 3 small write — what
+    ``page_base`` read is the write's old data (it was read again by
+    the write, a = 4)."""
+    db = make_db("record-noforce-rda")
+    setup = db.begin()
+    slots = {page: db.insert_record(setup, page, b"v0") for page in (0, 5, 9)}
+    db.commit(setup)
+    db.checkpoint()
+    for page, slot in slots.items():
+        t = db.begin()
+        db.update_record(t, page, slot, b"v1")
+        db.commit(t)                    # ¬FORCE: durable in the log only
+    db.crash()
+    log_before = db.stats.log_transfers
+    stats = db.recover()
+    log_reads = db.stats.log_transfers - log_before
+    assert stats["redo_applied"] == 3 and log_reads > 0
+    groups = db.array.geometry.num_groups
+    assert stats["page_transfers"] == (2 * groups + (1 + 3) * len(slots)
+                                       + log_reads)
+    t = db.begin()
+    for page, slot in slots.items():
+        assert db.read_record(t, page, slot) == b"v1"
+    assert db.verify_parity() == []
+
+
 class TestMediaRecovery:
     @pytest.mark.parametrize("name", PAGE_PRESETS)
     def test_single_disk_failure_full_rebuild(self, name):

@@ -11,6 +11,17 @@ and the ``--metrics-out`` snapshot (with ``--drift-check`` attached, so
 the detector's gauges and verdict are pinned too).  K = 2 reads the
 shards' registries through the ``metrics_snapshot`` op on both
 transports.  A change to what is observed must re-pin these on purpose.
+
+Re-pinned once, on purpose: PR 19 re-pinned the ``record-noforce-rda``
+pair and nothing else.  The restart's restore loop hands each page the
+bytes ``page_base`` already read, so its 124 ``array.small_write``
+events read ``buffered: true, reads: 1, transfers: 3`` (were ``false``,
+2, 4), the three ``restore`` phase spans and ``recovery.restart`` spans
+carry that many fewer reads, ``array.small_write_transfers`` moves 124
+observations from the 4 bucket to the 3 bucket, and the drift detector
+gains its (silent) ``array.small_write[buffered=True,twins=1]`` gauge.
+The other four configurations pass unchanged through the same PR's
+decode table and twin scan: those moved nothing observable.
 """
 
 import hashlib
@@ -26,8 +37,8 @@ GOLDEN = {      # configuration -> (event stream, metrics snapshot)
         "72e29ff42376bcbf76deac6447f5fcc51f8ea30427fbf3f232aa710bc6061637",
         "cd44874b58659078fbffc5db7c582907ccb60a3d69895232e1163f2ec6122c1d"),
     "record-noforce-rda": (
-        "13c53a799d07b5b0671cbfd5a6a768ba750ed4a19af6e55af13ae0b68b26a11f",
-        "d8d523bd0a0593f099e6c6e205c6a534690ec36c0f880e560b15afd87edccc45"),
+        "41860bcd484c9021c66897b33a3c76252a3809e30ede63d24f30fda5e4b6e34d",
+        "84427d63a55d580a7fac3f5b2ba4cdd73ac91355c312621a6ac9aed0c8db96fc"),
     "page-noforce-rda": (
         "9d8b0f1414b8de12252506e9b6c1dcdea4363012ffa3a9caa27a5c8d10c1bdbb",
         "26dba9037e0b65976f29c41a397d08e8c393086bd696e220a09d8897be64b413"),

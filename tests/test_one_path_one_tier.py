@@ -9,8 +9,9 @@ the per-page write-back, a pluggable replacement policy, three
 ``DBConfig`` fields nobody set, forwarding methods between the Figure 3
 question and the Dirty_Set); bringing any of them back is a design
 change that has to argue with docs/performance.md first.  The frame
-budgets at the end hold the page path, and what a tracer and a registry
-may add to it, to the number of Python frames they enter today.
+budgets at the end hold the page path, what a parity group adds to a
+restart, and what a tracer and a registry may add to a transaction, to
+the number of Python frames they enter today.
 """
 
 import dataclasses
@@ -29,7 +30,7 @@ from repro.core import RDAManager
 from repro.db import Database, DBConfig, preset
 from repro.obs import (BufferedJsonlSink, MetricsRegistry, Tracer,
                        load_trace)
-from repro.storage import kernels, make_page
+from repro.storage import TwinState, kernels, make_page
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 FORBIDDEN = re.compile(
@@ -119,9 +120,9 @@ def _src_frames(call, *args) -> int:
     return count
 
 
-def _budget_db():
-    return Database(preset("page-force-rda", group_size=5, num_groups=20,
-                           buffer_capacity=64))
+def _budget_db(num_groups: int = 20):
+    return Database(preset("page-force-rda", group_size=5,
+                           num_groups=num_groups, buffer_capacity=64))
 
 
 def _commit_frames(pages: int) -> int:
@@ -147,6 +148,43 @@ def test_a_read_page_buffer_hit_costs_at_most_7_frames():
     txn = db.begin()
     db.read_page(txn, 3)
     assert _src_frames(db.read_page, txn, 3) <= 7       # 8 before PR 17
+
+
+# -- what one more parity group may add to a restart (PR 19) ---------------
+
+
+def _crashed_db(num_groups: int):
+    """A loaded database, twenty committed one-page transactions, one
+    per parity group, then a crash."""
+    db = _budget_db(num_groups)
+    db.load_pages({page: make_page(b"v0")
+                   for page in range(db.num_data_pages)})
+    for i in range(20):
+        txn = db.begin()
+        db.write_page(txn, i * db.config.group_size, make_page(bytes([i + 1])))
+        db.commit(txn)
+    db.crash()
+    return db
+
+
+def test_one_more_parity_group_costs_a_restart_at_most_22_frames():
+    # 19 today, 38 before PR 19 (24 and 40 for a group never written,
+    # whose twins are both OBSOLETE): the twin scan reads both twins
+    # through one address lookup and picks the current one from the two
+    # header states, the scrub XORs a stripe row without leaving its loop
+    assert (_src_frames(_crashed_db(60).recover)
+            - _src_frames(_crashed_db(20).recover)) / 40 <= 22
+
+
+def test_the_restart_scrub_still_visits_every_clean_group():
+    db = _crashed_db(60)
+    last = db.array.geometry.num_groups - 1
+    _, header = db.array.peek_twin(last, 0)
+    assert header.state is TwinState.COMMITTED      # the current twin
+    db.array.write_twin(last, 0, make_page(b"stale"), header)
+    assert db.rda.find_parity_holes() == [last]
+    assert db.recover()["parity_resynced"] == 1
+    assert db.verify_parity() == []
 
 
 # -- what being observed may add (PR 18) -----------------------------------
