@@ -179,6 +179,29 @@ class RDAManager:
         ], old_data=old_data)
         headers[committed] = committed_header
 
+    def write_group_committed(self, group: int, writes: list,
+                              before_write) -> None:
+        """:meth:`write_committed` for several pages of one group —
+        ``(page, payload, old_data)`` in page order — under one twin
+        read and one twin write: the current twin takes every page's
+        delta and one fresh COMMITTED header.  A dirty group keeps
+        Figure 6's both-twins rule page by page (restart never hands
+        one over: parity undo empties the Dirty_Set before the first
+        restore write).  ``before_write`` is
+        :meth:`~repro.storage.array.DiskArray.write_group`'s."""
+        if group in self.dirty_set:
+            for page, payload, old_data in writes:
+                before_write("page", page)
+                self.write_committed(page, payload, old_data=old_data)
+            return
+        headers = self._cached_headers(group)
+        current = self.current_twin(group)
+        header = ParityHeader(timestamp=self.array.next_timestamp(),
+                              state=TwinState.COMMITTED)
+        self.array.group_small_write(group, writes, current, header,
+                                     before_write)
+        headers[current] = header
+
     # -- EOT processing ------------------------------------------------------------------
 
     def commit_txn(self, txn_id: int) -> list:

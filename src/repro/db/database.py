@@ -275,6 +275,21 @@ class Database:
             # committed change is in the written frame)
             self._durable_page_lsn[page] = self.redo_log.page_chain_head(page)
 
+    def _write_committed_group(self, group: int, writes: list,
+                               before_write) -> None:
+        """:meth:`_write_committed` for the pages restart restores into
+        one parity group (``(page, payload, old_data)`` in page order):
+        the group's parity is read and written once, the bookkeeping
+        stays per page."""
+        self.policy.protection.write_group(self, group, writes, before_write)
+        redo_only = self.policy.redo_only
+        for page, payload, _ in writes:
+            if page in self._last_written:
+                self._last_written[page] = payload
+            if redo_only:
+                self._durable_page_lsn[page] = \
+                    self.redo_log.page_chain_head(page)
+
     def _append_and_force_redo(self, record) -> int:
         lsn = self.redo_log.append(record)
         self.redo_log.force()

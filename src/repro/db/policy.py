@@ -499,6 +499,10 @@ class RdaProtection:
                         old_data=None) -> None:
         db.rda.write_committed(page, payload, old_data=old_data)
 
+    def write_group(self, db, group: int, writes: list,
+                    before_write) -> None:
+        db.rda.write_group_committed(group, writes, before_write)
+
     def stage_record_undo(self, db, txn, undo) -> None:
         """Defer the before-entry: it only reaches the log if the page
         is stolen while the group cannot absorb it."""
@@ -607,6 +611,10 @@ class WalProtection:
     def write_committed(self, db, page: int, payload: bytes,
                         old_data=None) -> None:
         db.array.write_page(page, payload, old_data=old_data)
+
+    def write_group(self, db, group: int, writes: list,
+                    before_write) -> None:
+        db.array.write_group(group, writes, before_write)
 
     def stage_record_undo(self, db, txn, undo) -> None:
         db.undo_log.append(undo)

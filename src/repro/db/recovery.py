@@ -17,8 +17,13 @@ Undo sources, in the order they are applied:
    global LSN order.  Record-level entries store absolute old bytes, so
    re-applying them over an already-rewound page is idempotent.
 
-Steps 2-3 run through a page cache so each touched page is read and
-written once, then flushed via parity-tracking writes.
+Steps 2-3 run through a page cache so each touched page is read at most
+once; the restore then writes the cache back one parity group at a
+time: the group's current parity is read once, every restored page's
+``old ⊕ new`` is folded into it, the data pages are written in page
+order and the parity once — ``2·k + 2 − buffered`` transfers for k
+pages (``buffered`` of them with their base already read), where k small
+writes cost ``4·k − buffered``.
 """
 
 from __future__ import annotations
@@ -68,10 +73,13 @@ class RecoveryManager:
         the page transfers the restart consumed.
 
         ``fault_hook``, if given, is called before every recovery write
-        with a progress label; raising from it models a crash *during*
-        recovery (the tests drive this to prove restart idempotence —
-        recovery applies absolute images and re-derives its work list
-        from durable state, so being interrupted anywhere is safe).
+        with a progress label — in the restore, ``restore page P``
+        immediately before that page's data write and ``restore parity
+        group G`` before the group's parity write; raising from it
+        models a crash *during* recovery (the tests drive this to prove
+        restart idempotence — recovery applies absolute images and
+        re-derives its work list from durable state, so being
+        interrupted anywhere is safe).
         """
         db = self.db
         fault = fault_hook if fault_hook is not None else (lambda label: None)
@@ -144,10 +152,20 @@ class RecoveryManager:
 
             with db.tracer.span("recovery.phase", stats=db.stats,
                                 log_split=True, phase="restore") as span:
+                # by parity group (a dict: parity-striped numbering
+                # does not keep a group's pages adjacent)
+                group_of = db.array.geometry.group_of
+                groups: dict = {}
                 for page in sorted(cache):
-                    fault(f"restore page {page}")
-                    db._write_committed(page, cache[page],
-                                        old_data=on_disk.get(page))
+                    groups.setdefault(group_of(page), []).append(
+                        (page, cache[page], on_disk.get(page)))
+
+                def before_write(what: str, number: int) -> None:
+                    fault(f"restore {what} {number}")
+
+                for group in sorted(groups):
+                    db._write_committed_group(group, groups[group],
+                                              before_write)
 
                 fault("abort records")
                 for txn_id in sorted(losers):

@@ -1,7 +1,8 @@
 """Per-operation transfer costs: the paper's cost table as data.
 
 Section 4 prices every storage primitive in page transfers — a small
-write costs ``a ∈ {3, 4}``, a write into a dirty group ``a + 2``, an
+write costs ``a ∈ {3, 4}``, a write into a dirty group ``a + 2``, k
+pages restored into one group ``2k + 2`` less the old images in hand, an
 RDA commit zero, an undo via the parity twins five to six.  This module
 is the single source of truth for those predictions, shared by
 
@@ -51,6 +52,9 @@ OPERATION_COSTS = (
     OperationCost("array.small_write[mode=small,buffered=False]", "4", 4, 4),
     OperationCost("array.small_write[mode=small,buffered=True]", "3", 3, 3),
     OperationCost("array.small_write[mode=reconstruct", "N+1"),
+    # k pages of one group under one parity read and write: no constant
+    # band, the price moves with the event (group_write_transfers)
+    OperationCost("array.group_write", "2k+2-b"),
     OperationCost("rda.commit", "0", 0, 0),
     OperationCost("rda.twin_flip", "0", 0, 0),
     OperationCost("rda.undo", "5-6", 5, 6),
@@ -74,6 +78,15 @@ MODEL_EXPECTATIONS = tuple(
     (cost.key, cost.prediction) for cost in OPERATION_COSTS)
 """``(variant-key prefix, display prediction)`` pairs (the historical
 :data:`repro.obs.inspect.MODEL_EXPECTATIONS` shape)."""
+
+
+def group_write_transfers(pages: int, buffered_pages: int) -> int:
+    """The model price of one ``array.group_write``: restart restores
+    ``pages`` pages of one parity group under one parity read and one
+    parity write — per page the data write and, unless its old image is
+    among the ``buffered_pages`` already in hand, one read.  k = 1 is
+    the small write's ``a``: 4, or 3 buffered."""
+    return 2 * pages + 2 - buffered_pages
 
 
 def transfer_bands() -> dict:

@@ -14,7 +14,8 @@ per model-priced operation variant, and raises a structured
 :class:`DriftAlarm` when a mean leaves its predicted band by more than
 ``tolerance``.  Operation classes whose price depends on array width N
 (degraded reads, reconstruct-writes) have no constant band and are
-never checked.
+never checked; a group write's price depends on the event (k pages, b of
+them buffered) and is checked against the mean of those prices.
 
 Detected state is exported two ways: per-variant ``model.drift`` gauges
 in a :class:`~repro.obs.metrics.MetricsRegistry` (measured − predicted,
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ..model.operations import predicted_band
+from ..model.operations import group_write_transfers, predicted_band
 from .inspect import event_key
 
 
@@ -50,11 +51,13 @@ class DriftAlarm(NamedTuple):
 
 
 class _Series:
-    __slots__ = ("count", "transfers")
+    __slots__ = ("count", "transfers", "band", "priced")
 
-    def __init__(self) -> None:
+    def __init__(self, band: tuple) -> None:
         self.count = 0
         self.transfers = 0
+        self.band = band        # the model's (lo, hi) for the mean
+        self.priced = 0         # summed per-event prices, where they vary
 
     def add(self, count: int, transfers) -> None:
         self.count += count
@@ -111,6 +114,10 @@ class DriftDetector:
                 self._add("array.small_write[buffered=False,twins=1]",
                           plain, 4 * plain)
             return
+        if name == "array.group_write":
+            self._add(name, 1, attrs["transfers"], price=group_write_transfers(
+                attrs["pages"], attrs["buffered_pages"]))
+            return
         if name == "rda.commit":
             flips = attrs.get("groups", 0)
             if flips:
@@ -121,23 +128,28 @@ class DriftDetector:
             return
         self._add(event_key(name, attrs), 1, attrs["transfers"])
 
-    def _add(self, key: str, count: int, transfers) -> None:
-        band = predicted_band(key)
-        if band is None:
-            return  # unpriced or N-dependent: the model has no number
+    def _add(self, key: str, count: int, transfers, price=None) -> None:
+        """``price``: the model's price of this one event, for a
+        variant whose price is not a constant (the band is then the
+        mean price of the events seen)."""
         series = self._series.get(key)
         if series is None:
-            series = _Series()
-            self._series[key] = series
+            band = predicted_band(key) if price is None else (price, price)
+            if band is None:
+                return  # unpriced or N-dependent: the model has no number
+            series = self._series[key] = _Series(band)
         series.add(count, transfers)
-        self._check(key, series, band)
+        if price is not None:
+            series.priced += price
+            series.band = (series.priced / series.count,) * 2
+        self._check(key, series)
 
     # -- judgement -----------------------------------------------------------
 
-    def _check(self, key: str, series: _Series, band) -> None:
+    def _check(self, key: str, series: _Series) -> None:
         if series.count < self.min_count:
             return
-        lo, hi = band
+        lo, hi = series.band
         slack = self.tolerance * max(hi, 1.0)
         mean = series.mean
         if lo - slack <= mean <= hi + slack:
@@ -186,7 +198,7 @@ class DriftDetector:
             "checked": {
                 key: {"count": series.count,
                       "mean_transfers": round(series.mean, 4),
-                      "band": list(predicted_band(key) or ())}
+                      "band": list(series.band)}
                 for key, series in sorted(self._series.items())
             },
             "alarms": [alarm._asdict() for alarm in self.alarms],

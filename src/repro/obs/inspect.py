@@ -2,8 +2,9 @@
 
 The analytical model (Section 5) predicts a page-transfer cost per
 *operation type*: a small write costs ``a ∈ {3, 4}`` transfers, a write
-into a dirty group ``a + 2``, an RDA commit zero, an undo-via-parity
-five to six.  :func:`aggregate_events` reduces a recorded trace to
+into a dirty group ``a + 2``, k pages restored into one group ``2k + 2``
+less the old images in hand, an RDA commit zero, an undo-via-parity five
+to six.  :func:`aggregate_events` reduces a recorded trace to
 exactly that shape — per event *variant*, the count and the mean
 read/write/transfer cost — so a simulated run can be cross-checked
 against the model event-by-event instead of per-run.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 
 from ..errors import ModelError
-from ..model.operations import MODEL_EXPECTATIONS
+from ..model.operations import MODEL_EXPECTATIONS, group_write_transfers
 
 VARIANT_KEYS = ("mode", "buffered", "twins", "logged", "degraded",
                 "outcome", "reason", "cause", "phase")
@@ -97,9 +98,15 @@ def aggregate_events(events) -> dict:
                 row[field] = value if row[field] is None else row[field] + value
         return row
 
+    group_write_model = 0
     for event in events:
         attrs = event.get("attrs", {})
         name = event["name"]
+        if name == "array.group_write":
+            # priced per event: the model column shows the mean price
+            # of the groups this trace wrote, next to the mean measured
+            group_write_model += group_write_transfers(
+                attrs["pages"], attrs["buffered_pages"])
         if name == "array.small_write_batch":
             # one coalesced window event stands in for per-page
             # small-write events; expand it back into the model-priced
@@ -143,6 +150,9 @@ def aggregate_events(events) -> dict:
             row[f"mean_{field}"] = (round(total / row["count"], 3)
                                     if total is not None else None)
         row["model"] = model_expectation(key)
+    if group_write_model:
+        row = rows["array.group_write"]
+        row["model"] += f" = {round(group_write_model / row['count'], 3):g}"
     return rows
 
 

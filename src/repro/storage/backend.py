@@ -65,6 +65,8 @@ class StorageBackend(Protocol):
     # -- writes -------------------------------------------------------------
     def write_page(self, page: int, new_data: bytes,
                    old_data: Optional[bytes] = None) -> None: ...
+    def write_group(self, group: int, writes: List,
+                    before_write: Callable = ...) -> None: ...
     def full_stripe_write(self, group: int, payloads: List) -> None: ...
     def rewrite_parity(self, group: int, data: List,
                        disk_id: Optional[int] = None) -> None: ...
@@ -86,6 +88,8 @@ class TwinBackend(StorageBackend, Protocol):
     def small_write(self, page: int, new_data: bytes, updates: List,
                     old_data: Optional[bytes] = None,
                     twin_first: bool = False) -> None: ...
+    def group_small_write(self, group: int, writes: List, which: int,
+                          header, before_write: Callable) -> None: ...
     def write_data_only(self, page: int, new_data: bytes) -> None: ...
     def read_twin(self, group: int, which: int) -> Tuple: ...
     def write_twin(self, group: int, which: int, payload: bytes,

@@ -312,6 +312,26 @@ class TwinParityArray(DiskArray):
         if self.barrier_hook is not None:
             self.barrier_hook("twin_write", page=page)
 
+    def group_small_write(self, group: int, writes: list, which: int,
+                          header: ParityHeader, before_write) -> None:
+        """Committed writes of several pages of one group, updating
+        twin ``which`` in place under ``header``: one twin read and one
+        twin write for the group
+        (:meth:`~repro.storage.array.DiskArray._write_group_resident`),
+        the ``twin_write`` barrier once, after the twin write, when the
+        group is consistent again.  With a failed disk in play each page
+        takes :meth:`small_write`'s general path instead."""
+        twin = self.geometry.parity_addresses(group)[which]
+        if self._write_group_resident(group, writes, twin, header,
+                                      before_write):
+            if self.barrier_hook is not None:
+                self.barrier_hook("twin_write", group=group)
+            return
+        updates = [TwinUpdate(which, which, header)]
+        for page, new_data, old_data in writes:
+            before_write("page", page)
+            self.small_write(page, new_data, updates, old_data=old_data)
+
     def traced_window(self) -> WindowTrace:
         """Coalesce the trace of a multi-page write-back window: while
         the returned context manager is entered, inline small writes

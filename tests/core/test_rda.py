@@ -84,6 +84,37 @@ class TestCosts:
             rda.write_committed(other, make_page(b"y"))   # a logged steal
         assert w.total == 6
 
+    def test_group_write_costs_two_per_page_plus_two(self, rda):
+        """k pages of one clean group: one twin read, one twin write —
+        2k + 2, less one per old image in hand; k = 1 is a = 4 / 3."""
+        writes = [(page, make_page(b"r%d" % page), None)
+                  for page in rda.array.geometry.group_pages(1)[:3]]
+        with rda.array.stats.window() as w:
+            rda.write_group_committed(1, writes, lambda *label: None)
+        assert w.total == 2 * 3 + 2
+        page, payload, _ = writes[0]
+        with rda.array.stats.window() as w:
+            rda.write_group_committed(1, [(page, make_page(b"again"), payload)],
+                                      lambda *label: None)
+        assert w.total == 3
+
+    def test_group_write_into_a_dirty_group_keeps_both_twins(self, rda):
+        """Figure 6 page by page (a + 2 each): the twin XOR identity
+        still undoes the stolen page afterwards."""
+        rda.write_uncommitted(0, make_page(b"x"), txn_id=1)
+        group = rda.array.geometry.group_of(0)
+        others = [p for p in rda.array.geometry.group_pages(group) if p != 0]
+        labels = []
+        with rda.array.stats.window() as w:
+            rda.write_group_committed(
+                group, [(page, make_page(b"y%d" % page), None)
+                        for page in others[:2]],
+                lambda *label: labels.append(label))
+        assert w.total == 2 * 6
+        assert labels == [("page", page) for page in others[:2]]
+        assert rda.abort_txn(1) == {0: original(0, rda)}
+        assert rda.array.scrub() == []
+
     def test_commit_costs_zero_transfers(self, rda):
         rda.write_uncommitted(0, make_page(b"x"), txn_id=1)
         with rda.array.stats.window() as w:

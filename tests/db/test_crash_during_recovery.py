@@ -153,11 +153,14 @@ def interrupted(db, at_write: int) -> bool:
 
 @pytest.mark.parametrize("name", RECORD_PRESETS)
 def test_record_restart_reports_every_kind_of_point(name):
-    # FORCE flushed the winner's pages at commit; ¬FORCE redoes them
-    redone = [] if name == "record-force-rda" else ["restore page 5",
-                                                    "restore page 13"]
-    assert restart_points(name) == ["parity-undo group 2", "restore page 0",
-                                    *redone, "abort records"]
+    # FORCE flushed the winner's pages at commit; ¬FORCE redoes them.
+    # Three groups of one page: each data write, then its group's parity
+    redone = [] if name == "record-force-rda" else [
+        "restore page 5", "restore parity group 1",
+        "restore page 13", "restore parity group 3"]
+    assert restart_points(name) == [
+        "parity-undo group 2", "restore page 0", "restore parity group 0",
+        *redone, "abort records"]
 
 
 @pytest.mark.parametrize("name", RECORD_PRESETS)
@@ -183,5 +186,162 @@ def test_record_restart_survives_a_second_interruption(name):
                 break
             db.recover()
             assert_record_state(db, slots)
+            second += 1
+        assert second > 1
+
+
+# -- several restored pages in one parity group: die inside the group body --
+
+GROUP_PRESETS = ["page-noforce-rda", "page-noforce-log", "record-noforce-rda",
+                 "record-force-rda", "record-noforce-rda-redo"]
+# winner and loser share pages 0, 1, 2 (parity group 0) and 5 (group 1)
+SHARED_PAGES = (0, 1, 2, 5)
+
+
+def build_group_scenario(name):
+    """A restart whose restore writes pages 0, 1 and 2 of parity group
+    0, page 5 alone in group 1, and whose parity undo rewinds page 9 in
+    group 2 (``page-noforce-log`` undoes it from the log: a second
+    singleton).  Returns the crashed database and a check of the
+    committed state.
+
+    Page presets: the winner's pages are redone from whole after-images
+    (no base), and page 2 — overwritten by the loser over the winner's
+    unflushed commit, so stolen under a logged before-image — is then
+    undone from a whole ``PageBeforeImage``.  Record presets: winner
+    and loser hold different records of every shared page; ¬FORCE
+    redoes the winner's records onto the base it reads (and undoes the
+    loser's stolen record of page 0), FORCE flushed all four pages at
+    the winner's commit as logged steals and undoes the loser's records.
+    """
+    db = Database(preset(name, group_size=4, num_groups=8,
+                         buffer_capacity=8))
+    if not db.config.record_logging:
+        winner = db.begin()
+        for page in SHARED_PAGES:
+            # a value per page: two equal deltas would cancel in the
+            # parity and hide the hole a death between them leaves
+            db.write_page(winner, page, make_page(b"win%d" % page))
+        db.commit(winner)
+        loser = db.begin()
+        db.write_page(loser, 2, make_page(b"lose"))
+        db.write_page(loser, 9, make_page(b"lose"))
+        assert db.buffer.flush_page(9)
+        assert db.buffer.flush_page(2)      # residue under it: logged steal
+        db.crash()
+
+        def check():
+            t = db.begin()
+            for page in SHARED_PAGES:
+                assert db.read_page(t, page) == make_page(b"win%d" % page)
+            assert db.read_page(t, 9) == bytes(512)
+            db.commit(t)
+        return db, check
+
+    db.format_record_pages(range(db.num_data_pages))
+    setup = db.begin()
+    slots = {(page, who): db.insert_record(setup, page, who.encode() + b"-")
+             for page in (*SHARED_PAGES, 9) for who in ("w", "l")}
+    db.commit(setup)
+    if db.checkpointer is not None:
+        db.checkpoint()
+    winner, loser = db.begin(), db.begin()
+    for page in SHARED_PAGES:       # a value per page, as above
+        db.update_record(winner, page, slots[page, "w"], b"w%d" % page)
+        db.update_record(loser, page, slots[page, "l"], b"l%d" % page)
+    db.update_record(loser, 9, slots[9, "l"], b"l9")
+    assert db.buffer.flush_page(9)          # the unlogged steal
+    db.commit(winner)
+    db.buffer.flush_page(0)     # the loser's record with it (the hybrid's
+    db.crash()                  # gate holds the frame back instead)
+
+    def check():
+        t = db.begin()
+        for page in SHARED_PAGES:
+            assert db.read_record(t, page, slots[page, "w"]) == b"w%d" % page
+        for page in (*SHARED_PAGES, 9):
+            assert db.read_record(t, page, slots[page, "l"]) == b"l-"
+        db.commit(t)
+    return db, check
+
+
+def assert_group_state(db, check):
+    check()
+    assert verify_database(db) == []
+    assert db.verify_parity() == []
+
+
+def group_restart_points(name) -> list:
+    db, check = build_group_scenario(name)
+    labels = []
+    db.recover(fault_hook=labels.append)
+    assert_group_state(db, check)
+    return labels
+
+
+@pytest.mark.parametrize("name", GROUP_PRESETS)
+def test_group_restart_reports_each_physical_write(name):
+    """A label immediately before every data write and before each
+    group's one parity write, in write order."""
+    page_9 = (["restore page 9", "restore parity group 2"]
+              if name == "page-noforce-log" else [])
+    assert group_restart_points(name) == [
+        *([] if page_9 else ["parity-undo group 2"]),
+        "restore page 0", "restore page 1", "restore page 2",
+        "restore parity group 0",
+        "restore page 5", "restore parity group 1",
+        *page_9, "abort records"]
+
+
+def test_a_label_fires_immediately_before_its_write():
+    """Not all of a group's labels before its first write: at ``restore
+    page 2`` pages 0 and 1 are on disk, page 2 and the twin are not."""
+    db, _ = build_group_scenario("page-noforce-rda")
+    twin = db.array.peek_twin(0, db.rda.current_twin(0))
+    seen = {}
+
+    def hook(label):
+        seen[label] = ([db.array.peek_page(page) for page in (0, 1, 2)],
+                       db.array.peek_twin(0, db.rda.current_twin(0)))
+
+    db.recover(fault_hook=hook)
+    win = [make_page(b"win%d" % page) for page in (0, 1, 2)]
+    lose = make_page(b"lose")
+    assert seen["restore page 0"] == ([bytes(512), bytes(512), lose], twin)
+    assert seen["restore page 2"] == ([win[0], win[1], lose], twin)
+    assert seen["restore parity group 0"] == (win, twin)
+    assert seen["restore page 5"][1] != twin
+
+
+@pytest.mark.parametrize("name", GROUP_PRESETS)
+def test_group_restart_survives_interruption_at_every_point(name):
+    points = group_restart_points(name)
+    assert points.index("restore page 2") == \
+        points.index("restore page 0") + 2      # between two data writes
+    for at_write, label in enumerate(points, start=1):
+        db, check = build_group_scenario(name)
+        assert interrupted(db, at_write)
+        stats = db.recover()
+        assert_group_state(db, check)
+        # dead right after a data write, before its group's parity write
+        # (k of those points in a group of k): the data is newer than
+        # the parity, the hole the restart scrub resyncs
+        after_data_write = at_write > 1 and \
+            points[at_write - 2].startswith("restore page")
+        assert stats["parity_resynced"] == after_data_write, label
+
+
+@pytest.mark.parametrize("name", GROUP_PRESETS)
+def test_group_restart_survives_a_second_interruption(name):
+    for first in range(1, len(group_restart_points(name)) + 1):
+        second = 1
+        while True:
+            db, check = build_group_scenario(name)
+            assert interrupted(db, first)
+            if not interrupted(db, second):
+                assert_group_state(db, check)       # it ran to the end
+                break
+            db.recover()
+            assert_group_state(db, check)
             second += 1
         assert second > 1

@@ -81,6 +81,28 @@ class TestJudgement:
         assert checked["array.small_write[buffered=False,twins=1]"][
             "count"] == 15
 
+    def test_group_writes_are_priced_event_by_event(self):
+        """2·pages + 2 − buffered_pages: groups of different sizes share
+        one series whose band is the mean of their prices."""
+        def group_write(pages, buffered, transfers):
+            return {"name": "array.group_write",
+                    "attrs": {"group": 0, "pages": pages,
+                              "buffered_pages": buffered,
+                              "reads": pages + 1 - buffered,
+                              "writes": pages + 1, "transfers": transfers}}
+        priced = [group_write(1, 1, 3), group_write(1, 0, 4),
+                  group_write(3, 1, 7), group_write(5, 5, 7)] * 3
+        detector = check_events(priced)
+        assert detector.clean
+        row = detector.summary()["checked"]["array.group_write"]
+        assert row == {"count": 12, "mean_transfers": 5.25,
+                       "band": [5.25, 5.25]}
+        # a body that read the twin once per page again: 2 (k − 1) over
+        detector = check_events([group_write(3, 1, 11)] * 4)
+        (alarm,) = detector.alarms
+        assert alarm.key == "array.group_write"
+        assert (alarm.measured, alarm.lo, alarm.drift) == (11.0, 7.0, 4.0)
+
     def test_commit_groups_expand_to_twin_flips(self):
         events = [{"name": "rda.commit",
                    "attrs": {"groups": 3, "reads": 0, "writes": 0,

@@ -62,6 +62,27 @@ def test_dirty_group_write_costs_a_plus_two():
         "mean_transfers"] == 6.0
 
 
+def test_group_write_is_one_event_priced_two_k_plus_two():
+    """Three pages of one clean group, one old image in hand: one
+    ``array.group_write`` event (no small-write row per page), 2·3 + 2 −
+    1 transfers, observed once in the transfer histogram."""
+    rda, sink = traced_rda()
+    pages = rda.array.geometry.group_pages(2)[:3]
+    writes = [(page, make_page(b"r%d" % page), None) for page in pages]
+    writes[0] = (*writes[0][:2], rda.array.peek_page(pages[0]))
+    with rda.array.stats.window() as measured:
+        rda.write_group_committed(2, writes, lambda *label: None)
+    (event,) = sink.events()
+    assert event["name"] == "array.group_write"
+    assert event["attrs"] == {"group": 2, "pages": 3, "buffered_pages": 1,
+                              "reads": 3, "writes": 4, "transfers": 7}
+    assert measured.total == 7
+    (row,) = rows_for(sink).values()
+    assert row["mean_transfers"] == 7.0 and row["model"] == "2k+2-b = 7"
+    hist = rda.metrics.snapshot()["histograms"]["array.small_write_transfers"]
+    assert hist["count"] == 1 and hist["max"] == 7
+
+
 def test_rda_commit_costs_zero_transfers():
     rda, sink = traced_rda()
     page = rda.array.geometry.group_pages(2)[0]

@@ -69,6 +69,26 @@ class TestObserverMode:
         # phase must show log reads, split out from page transfers
         assert phases["redo"]["log_transfers"] > 0
 
+    def test_restore_row_carries_the_group_writes(self):
+        """Three redone pages in one parity group: the restore phase
+        row is that group's one write, 2·3 + 2 transfers."""
+        sink = RingBufferSink()
+        tracer = Tracer(sink)
+        db = make_db("page-noforce-rda", tracer)
+        profile = RecoveryProfile().attach(tracer)
+        t = db.begin()
+        for page in db.array.geometry.group_pages(1)[:3]:
+            db.write_page(t, page, make_page(b"y%d" % page))
+        db.commit(t)
+        db.crash()
+        db.recover()
+        (group_write,) = [event["attrs"] for event in sink.events()
+                          if event["name"] == "array.group_write"]
+        restore = profile.to_dict()["phases"]["restore"]
+        assert restore["work"] == {"pages": 3}
+        assert (restore["reads"], restore["writes"]) == \
+            (group_write["reads"], group_write["writes"]) == (4, 4)
+
     def test_sharded_restarts_do_not_close_cycle_early(self):
         tracer = Tracer(RingBufferSink())
         db = make_db("page-force-rda", tracer, shards=2)

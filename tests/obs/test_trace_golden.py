@@ -12,7 +12,7 @@ the detector's gauges and verdict are pinned too).  K = 2 reads the
 shards' registries through the ``metrics_snapshot`` op on both
 transports.  A change to what is observed must re-pin these on purpose.
 
-Re-pinned once, on purpose: PR 19 re-pinned the ``record-noforce-rda``
+Re-pinned twice, on purpose.  PR 19 re-pinned the ``record-noforce-rda``
 pair and nothing else.  The restart's restore loop hands each page the
 bytes ``page_base`` already read, so its 124 ``array.small_write``
 events read ``buffered: true, reads: 1, transfers: 3`` (were ``false``,
@@ -22,6 +22,20 @@ observations from the 4 bucket to the 3 bucket, and the drift detector
 gains its (silent) ``array.small_write[buffered=True,twins=1]`` gauge.
 The other four configurations pass unchanged through the same PR's
 decode table and twin scan: those moved nothing observable.
+
+PR 21 re-pinned the ``record-noforce-rda`` and ``page-noforce-rda`` pairs
+and nothing else: the restore is group-resident.  The three restarts'
+restore writes (124 pages in 67 parity groups; 117 in 68 under page
+logging) are 67 / 68 ``array.group_write`` events where they were 124 /
+117 ``array.small_write`` events; the three ``restore`` phase spans and
+``recovery.restart`` spans carry 2 × (pages − groups) = 114 / 98 fewer
+transfers between them; ``array.small_write_transfers`` observes each
+group's total once (sum 6862 → 6748, 5357 → 5259) and the drift detector
+gains its silent ``array.group_write`` gauge (and, on the record
+preset, loses PR 19's ``buffered=True`` one: the restore was its only
+source).  Every event before the first ``db.crash`` is the one the
+parent wrote.  ``page-force-rda`` restores nothing in these runs
+(``pages: 0``) and passes unchanged, as do both K = 2 transports.
 """
 
 import hashlib
@@ -37,11 +51,11 @@ GOLDEN = {      # configuration -> (event stream, metrics snapshot)
         "72e29ff42376bcbf76deac6447f5fcc51f8ea30427fbf3f232aa710bc6061637",
         "cd44874b58659078fbffc5db7c582907ccb60a3d69895232e1163f2ec6122c1d"),
     "record-noforce-rda": (
-        "41860bcd484c9021c66897b33a3c76252a3809e30ede63d24f30fda5e4b6e34d",
-        "84427d63a55d580a7fac3f5b2ba4cdd73ac91355c312621a6ac9aed0c8db96fc"),
+        "b4dd4a293f045f56b3e36555ed98f6ee78ba76476d649ccca4612aa2f9d154af",
+        "04e6b1c06809e2fa16ac0ff53746cfde02e1ac260e85bd365c80fff4f6a95800"),
     "page-noforce-rda": (
-        "9d8b0f1414b8de12252506e9b6c1dcdea4363012ffa3a9caa27a5c8d10c1bdbb",
-        "26dba9037e0b65976f29c41a397d08e8c393086bd696e220a09d8897be64b413"),
+        "086c76e7b9083672888b9a8a3398c7bf26405468b50364b69f1a570ffc77306e",
+        "f932d81f64ed70e52b362894cc0a64014910c02b10c23b1b20cc5b97bf2dd88c"),
     # K = 2: the transports number worker spans differently, so each has
     # its own stream; the merged snapshot is the same one
     "--no-workers": (

@@ -198,3 +198,90 @@ def test_random_write_sequences_keep_parity(data):
     assert array.scrub() == []
     for page, expected in shadow.items():
         assert array.peek_page(page) == expected
+
+
+# -- the group-resident body against k sequential small writes ---------------
+
+
+def _group_case(data):
+    """Two equally filled arrays, a group, and 1…N writes into it in
+    page order, each old image buffered or not."""
+    maker = data.draw(st.sampled_from([make_raid5, make_parity_striped]))
+    grouped, sequential = maker(4, 8), maker(4, 8)
+    fill(grouped)
+    fill(sequential)
+    group = data.draw(st.integers(0, grouped.geometry.num_groups - 1))
+    pages = sorted(data.draw(st.lists(
+        st.sampled_from(grouped.geometry.group_pages(group)), min_size=1,
+        unique=True), label="pages"))
+    writes = [(page,
+               data.draw(st.binary(min_size=PAGE_SIZE, max_size=PAGE_SIZE)),
+               grouped.peek_page(page) if data.draw(st.booleans()) else None)
+              for page in pages]
+    return grouped, sequential, group, writes
+
+
+def _image(array):
+    return [[disk.peek(slot) for slot in range(disk.capacity)]
+            for disk in array.disks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_group_body_matches_sequential_small_writes(data):
+    """``write_group`` leaves what k ``write_page`` calls leave, for
+    2·(k − 1) fewer transfers (2·k + 2 − buffered), each label
+    immediately before its write."""
+    grouped, sequential, group, writes = _group_case(data)
+    log = []
+    for disk in grouped.disks:
+        disk.on_access = lambda disk_id, slot, kind: log.append(kind)
+    filled = grouped.stats.snapshot()
+    grouped.write_group(group, writes,
+                        lambda what, number: log.append((what, number)))
+    for page, payload, old in writes:
+        sequential.write_page(page, payload, old_data=old)
+
+    assert _image(grouped) == _image(sequential)
+    assert grouped.scrub() == []
+    k = len(writes)
+    buffered = sum(old is not None for _, _, old in writes)
+    cost = grouped.stats.snapshot() - filled
+    assert (cost.reads, cost.writes) == (k + 1 - buffered, k + 1)
+    assert sequential.stats.total - grouped.stats.total == 2 * (k - 1)
+    assert log == (["read"] * (k + 1 - buffered)
+                   + [step for page, _, _ in writes
+                      for step in (("page", page), "write")]
+                   + [("parity group", group), "write"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_group_body_with_a_failed_disk_is_the_per_page_path(data):
+    grouped, sequential, group, writes = _group_case(data)
+    (parity,) = grouped.geometry.parity_addresses(group)
+    failed = data.draw(st.sampled_from(
+        [parity.disk] + [grouped.geometry.data_address(page).disk
+                         for page, _, _ in writes]), label="failed")
+    grouped.fail_disk(failed)
+    sequential.fail_disk(failed)
+    labels = []
+    grouped.write_group(group, writes,
+                        lambda what, number: labels.append((what, number)))
+    for page, payload, old in writes:
+        sequential.write_page(page, payload, old_data=old)
+    assert _image(grouped) == _image(sequential)
+    assert grouped.stats == sequential.stats
+    assert labels == [("page", page) for page, _, _ in writes]
+
+
+def test_a_two_page_group_keeps_the_reconstruct_write():
+    """N = 2: one unbuffered page costs N + 1 = 3 through the per-page
+    path; the group body would read the parity and pay 4."""
+    array = make_raid5(2, 4)
+    fill(array)
+    before = array.stats.total
+    array.write_group(1, [(array.geometry.group_pages(1)[0],
+                           make_page(b"new"), None)])
+    assert array.stats.total - before == 3
+    assert array.scrub() == []

@@ -94,6 +94,19 @@ class TestRaid6Array:
             array.write_page(0, make_page(b"y"), old_data=make_page(b"x"))
         assert w.total == 5
 
+    def test_group_write_is_a_small_write_per_page(self, array):
+        """No group-resident body on P + Q: six transfers a page, a
+        label before each."""
+        pages = array.geometry.group_pages(0)[:2]
+        labels = []
+        with array.stats.window() as w:
+            array.write_group(0, [(page, make_page(b"g%d" % page), None)
+                                  for page in pages],
+                              lambda *label: labels.append(label))
+        assert w.total == 12
+        assert labels == [("page", page) for page in pages]
+        assert array.scrub() == []
+
     def test_single_failure_degraded_read(self, array):
         expected = array.peek_page(0)
         array.fail_disk(array.geometry.data_address(0).disk)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import RDAManager
 from repro.errors import UnrecoverableDataError
 from repro.storage import (DirtyGroupInfo, ParityHeader, TwinState, TwinUpdate,
                            make_page, make_twin_parity_striped, make_twin_raid5,
@@ -448,3 +449,109 @@ def test_failed_touched_disk_takes_the_general_path(data):
     assert _disk_image(via) == _disk_image(direct)
     assert via.stats == direct.stats
     assert via_log == direct_log
+
+
+# -- the group-resident body against k sequential committed writes ------------
+
+
+def _managed(maker):
+    array = maker(4, 8)
+    load(array)
+    return RDAManager(array)
+
+
+def _draw_group_writes(data, array, group):
+    """1…N pages of ``group`` in page order, each with a new payload and
+    its old image buffered or not."""
+    pages = sorted(data.draw(st.lists(
+        st.sampled_from(array.geometry.group_pages(group)), min_size=1,
+        unique=True), label="pages"))
+    return [(page,
+             data.draw(st.binary(min_size=PAGE_SIZE, max_size=PAGE_SIZE)),
+             array.peek_page(page) if data.draw(st.booleans()) else None)
+            for page in pages]
+
+
+def _payloads_and_states(array):
+    """The disk image with header timestamps left out: the group body
+    stamps its twin once where k writes stamped it k times."""
+    return [[(disk.peek(slot), disk.peek_header(slot).state)
+             for slot in range(disk.capacity)] for disk in array.disks]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_group_body_matches_sequential_committed_writes(data):
+    """k pages of one clean group through ``write_group_committed`` leave
+    the data pages, the current twin's payload and header state and the
+    untouched other twin that k ``write_committed`` calls leave, for
+    2·(k − 1) fewer transfers: 2·k + 2 − buffered.  Each label comes
+    immediately before its write, the barrier once, after the twin."""
+    maker = data.draw(st.sampled_from([make_twin_raid5,
+                                       make_twin_parity_striped]))
+    grouped, sequential = _managed(maker), _managed(maker)
+    array = grouped.array
+    group = data.draw(st.integers(0, array.geometry.num_groups - 1))
+    writes = _draw_group_writes(data, array, group)
+    current = grouped.current_twin(group)
+    other_twin = array.peek_twin(group, 1 - current)
+
+    log = []
+    for disk in array.disks:
+        disk.on_access = lambda disk_id, slot, kind: log.append(kind)
+    array.barrier_hook = lambda name, **ctx: log.append((name, ctx["group"]))
+    loaded = array.stats.snapshot()
+    grouped.write_group_committed(
+        group, writes, lambda what, number: log.append((what, number)))
+    for page, payload, old in writes:
+        sequential.write_committed(page, payload, old_data=old)
+
+    assert _payloads_and_states(array) == \
+        _payloads_and_states(sequential.array)
+    assert array.peek_twin(group, 1 - current) == other_twin
+    assert array.scrub() == []
+    k = len(writes)
+    buffered = sum(old is not None for _, _, old in writes)
+    cost = array.stats.snapshot() - loaded
+    assert (cost.reads, cost.writes) == (k + 1 - buffered, k + 1)
+    assert sequential.array.stats.total - array.stats.total == 2 * (k - 1)
+    assert log == (["read"] * (k + 1 - buffered)
+                   + [step for page, _, _ in writes
+                      for step in (("page", page), "write")]
+                   + [("parity group", group), "write",
+                      ("twin_write", group)])
+    # the manager's main-memory map tracks the one header it stamped
+    assert grouped.current_twin(group) == current
+    assert grouped._cached_headers(group)[current] == \
+        array.peek_twin(group, current)[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_group_body_with_a_failed_disk_is_the_sequential_path(data):
+    """A failed data disk under one of the pages, or a failed current
+    twin disk: page by page through the general small write, transfer
+    for transfer what k ``write_committed`` calls do."""
+    maker = data.draw(st.sampled_from([make_twin_raid5,
+                                       make_twin_parity_striped]))
+    grouped, sequential = _managed(maker), _managed(maker)
+    array = grouped.array
+    group = data.draw(st.integers(0, array.geometry.num_groups - 1))
+    writes = _draw_group_writes(data, array, group)
+    twin = array.geometry.parity_addresses(group)[grouped.current_twin(group)]
+    failed = data.draw(st.sampled_from(
+        [twin.disk] + [array.geometry.data_address(page).disk
+                       for page, _, _ in writes]), label="failed")
+    array.fail_disk(failed)
+    sequential.array.fail_disk(failed)
+
+    labels = []
+    grouped.write_group_committed(
+        group, writes, lambda what, number: labels.append((what, number)))
+    for page, payload, old in writes:
+        sequential.write_committed(page, payload, old_data=old)
+
+    assert _payloads_and_states(array) == \
+        _payloads_and_states(sequential.array)
+    assert array.stats == sequential.array.stats
+    assert labels == [("page", page) for page, _, _ in writes]

@@ -9,9 +9,9 @@ the per-page write-back, a pluggable replacement policy, three
 ``DBConfig`` fields nobody set, forwarding methods between the Figure 3
 question and the Dirty_Set); bringing any of them back is a design
 change that has to argue with docs/performance.md first.  The frame
-budgets at the end hold the page path, what a parity group adds to a
-restart, and what a tracer and a registry may add to a transaction, to
-the number of Python frames they enter today.
+budgets at the end hold the page path, what a parity group and a
+restored page add to a restart, and what a tracer and a registry may add
+to a transaction, to the number of Python frames they enter today.
 """
 
 import dataclasses
@@ -185,6 +185,42 @@ def test_the_restart_scrub_still_visits_every_clean_group():
     assert db.rda.find_parity_holes() == [last]
     assert db.recover()["parity_resynced"] == 1
     assert db.verify_parity() == []
+
+
+# -- what one more restored page may add to a restart (PR 21) --------------
+
+
+def _restore_frames(pages) -> int:
+    """Restart after one committed, unflushed ¬FORCE transaction that
+    wrote ``pages``: redo fills the cache, the restore writes it back."""
+    db = Database(preset("page-noforce-rda", group_size=5, num_groups=20,
+                         buffer_capacity=64))
+    db.load_pages({page: make_page(b"v0")
+                   for page in range(db.num_data_pages)})
+    txn = db.begin()
+    for page in pages:
+        db.write_page(txn, page, make_page(b"v%d" % page))
+    db.commit(txn)
+    db.crash()
+    return _src_frames(db.recover)
+
+
+def test_a_restored_page_in_an_open_group_costs_fewer_frames_than_a_new_group():
+    # 13 and 35 today; 28 either way before PR 21, when every page paid
+    # the _write_committed → protection → rda.write_committed →
+    # small_write chain, two disk reads and two writes.  A page that
+    # joins a group the restore already opened adds its read, its
+    # labelled write and nothing else; a page alone in its group pays
+    # the group's chain, twin read and twin write by itself.
+    n = 5
+    in_open_group = (_restore_frames([g * n + i for g in range(4)
+                                      for i in range(3)])
+                     - _restore_frames([g * n for g in range(4)])) / 8
+    in_new_group = (_restore_frames([g * n for g in range(12)])
+                    - _restore_frames([g * n for g in range(4)])) / 8
+    assert in_open_group <= 14
+    assert in_new_group <= 36
+    assert in_open_group < in_new_group
 
 
 # -- what being observed may add (PR 18) -----------------------------------
