@@ -150,7 +150,7 @@ class Database:
         # REDO-only class: the stand-in for each page's on-disk header
         # LSN — page -> highest chain LSN known reflected on disk.  It
         # deliberately survives crash() (it models durable state) and is
-        # advanced only by _write_committed.
+        # advanced only by _write_committed and restart's _note_on_disk.
         self._durable_page_lsn: dict = {}
         if self.policy.redo_only:
             self.buffer.set_writeback_filter(
@@ -282,6 +282,12 @@ class Database:
         the group's parity is read and written once, the bookkeeping
         stays per page."""
         self.policy.protection.write_group(self, group, writes, before_write)
+        self._note_on_disk(writes)
+
+    def _note_on_disk(self, writes: list) -> None:
+        """:meth:`_write_committed`'s bookkeeping for restored pages the
+        disk now holds — the ones :meth:`_write_committed_group` wrote,
+        and the ones restart found already equal to their base."""
         redo_only = self.policy.redo_only
         for page, payload, _ in writes:
             if page in self._last_written:

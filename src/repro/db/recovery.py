@@ -18,12 +18,19 @@ Undo sources, in the order they are applied:
    re-applying them over an already-rewound page is idempotent.
 
 Steps 2-3 run through a page cache so each touched page is read at most
-once; the restore then writes the cache back one parity group at a
-time: the group's current parity is read once, every restored page's
+once.  The restore then compares every cached page with its base — the
+bytes steps 2-3 read, else one read now — and writes only the pages
+that differ: redo replays every winner record since the last ACC
+checkpoint, so most of what it produces is already on disk, and with
+absolute, canonical page images byte equality is the page-LSN test
+these pages have no header for.  What differs goes back one parity
+group at a time: the group's current parity is read once, every page's
 ``old ⊕ new`` is folded into it, the data pages are written in page
-order and the parity once — ``2·k + 2 − buffered`` transfers for k
-pages (``buffered`` of them with their base already read), where k small
-writes cost ``4·k − buffered``.
+order and the parity once.  A group of k restored pages, b of them with
+their base in hand and d of them different, costs ``(k − b)`` base reads
+plus ``d + 2`` transfers when ``d > 0`` — nothing more when the disk
+already holds all k, so a restart that follows a completed restart
+writes no page at all.
 """
 
 from __future__ import annotations
@@ -75,11 +82,18 @@ class RecoveryManager:
         ``fault_hook``, if given, is called before every recovery write
         with a progress label — in the restore, ``restore page P``
         immediately before that page's data write and ``restore parity
-        group G`` before the group's parity write; raising from it
-        models a crash *during* recovery (the tests drive this to prove
-        restart idempotence — recovery applies absolute images and
-        re-derives its work list from durable state, so being
-        interrupted anywhere is safe).
+        group G`` before the group's parity write.  A label fires only
+        before a write that changes the disk: a restored page that
+        already equals its base has no point, a group of such pages
+        none at all.  Raising from the hook models a crash *during*
+        recovery (the tests drive this to prove restart idempotence —
+        recovery applies absolute images and re-derives its work list
+        from durable state, so being interrupted anywhere is safe, and
+        the restart that follows writes only what this one did not
+        reach).
+
+        ``pages_unchanged`` in the result counts the restored pages the
+        disk already held.
         """
         db = self.db
         fault = fault_hook if fault_hook is not None else (lambda label: None)
@@ -152,13 +166,30 @@ class RecoveryManager:
 
             with db.tracer.span("recovery.phase", stats=db.stats,
                                 log_split=True, phase="restore") as span:
-                # by parity group (a dict: parity-striped numbering
-                # does not keep a group's pages adjacent)
-                group_of = db.array.geometry.group_of
+                # every restored page against its base — what redo/undo
+                # read, else one read now, at the disk arm like the
+                # group write that used to make it.  An equal page is
+                # dropped; the rest go by parity group (a dict:
+                # parity-striped numbering does not keep a group's
+                # pages adjacent)
+                array = db.array
+                data_address = array.geometry.data_address
                 groups: dict = {}
+                unchanged = []
                 for page in sorted(cache):
-                    groups.setdefault(group_of(page), []).append(
-                        (page, cache[page], on_disk.get(page)))
+                    payload = cache[page]
+                    base = on_disk.get(page)
+                    addr = data_address(page)
+                    if base is None:
+                        disk = array.disks[addr.disk]
+                        base = (array.read_page(page) if disk.failed
+                                else disk.read(addr.slot))
+                    if payload == base:
+                        unchanged.append((page, payload, base))
+                    else:
+                        # a group is a stripe row: its slot on every disk
+                        groups.setdefault(addr.slot, []).append(
+                            (page, payload, base))
 
                 def before_write(what: str, number: int) -> None:
                     fault(f"restore {what} {number}")
@@ -166,12 +197,16 @@ class RecoveryManager:
                 for group in sorted(groups):
                     db._write_committed_group(group, groups[group],
                                               before_write)
+                # the disk does hold the dropped pages
+                db._note_on_disk(unchanged)
 
                 fault("abort records")
                 for txn_id in sorted(losers):
                     db.undo_log.append(AbortRecord(txn_id=txn_id))
                 db.undo_log.force()
                 span.set(pages=len(cache))
+                if unchanged:
+                    span.set(unchanged=len(unchanged))
         finally:
             restart.__exit__(None, None, None)
 
@@ -184,6 +219,7 @@ class RecoveryManager:
             "parity_undone_pages": parity_undone,
             "redo_applied": redone,
             "log_undo_applied": undone,
+            "pages_unchanged": len(unchanged),
             "page_transfers": delta.total,
         }
 

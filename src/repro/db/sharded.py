@@ -671,7 +671,7 @@ class ShardedDatabase:
             totals = dict.fromkeys(
                 ("sectors_repaired", "parity_resynced",
                  "parity_undone_pages", "redo_applied", "log_undo_applied",
-                 "page_transfers"), 0)
+                 "pages_unchanged", "page_transfers"), 0)
             for i, stats in per_shard:
                 winners.update(stats["winners"])
                 losers.update(stats["losers"])

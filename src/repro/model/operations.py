@@ -85,7 +85,10 @@ def group_write_transfers(pages: int, buffered_pages: int) -> int:
     ``pages`` pages of one parity group under one parity read and one
     parity write — per page the data write and, unless its old image is
     among the ``buffered_pages`` already in hand, one read.  k = 1 is
-    the small write's ``a``: 4, or 3 buffered."""
+    the small write's ``a``: 4, or 3 buffered.  Restart itself always
+    has ``buffered_pages == pages`` (it reads every base first, to write
+    only the pages that differ — those reads sit in the restore phase,
+    outside this event); a caller of ``write_group`` may still pass none."""
     return 2 * pages + 2 - buffered_pages
 
 

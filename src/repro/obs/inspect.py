@@ -2,12 +2,13 @@
 
 The analytical model (Section 5) predicts a page-transfer cost per
 *operation type*: a small write costs ``a ∈ {3, 4}`` transfers, a write
-into a dirty group ``a + 2``, k pages restored into one group ``2k + 2``
-less the old images in hand, an RDA commit zero, an undo-via-parity five
-to six.  :func:`aggregate_events` reduces a recorded trace to
-exactly that shape — per event *variant*, the count and the mean
-read/write/transfer cost — so a simulated run can be cross-checked
-against the model event-by-event instead of per-run.
+into a dirty group ``a + 2``, k pages written into one group ``2k + 2``
+less the old images in hand (restart has all k: it read them to find the
+k that differ), an RDA commit zero, an undo-via-parity five to six.
+:func:`aggregate_events` reduces a recorded trace to exactly that shape
+— per event *variant*, the count and the mean read/write/transfer cost
+— so a simulated run can be cross-checked against the model
+event-by-event instead of per-run.
 
 Event variants: events of the same name are split by the small set of
 discriminating attributes in :data:`VARIANT_KEYS` (e.g.

@@ -38,12 +38,14 @@ RESTART_PHASE_ORDER = ("analysis", "media_scan", "parity_resync",
                        "media_rebuild")
 """Canonical phase ordering for display (execution order at restart)."""
 
-_WORK_ATTRS = ("winners", "losers", "applied", "sectors", "pages", "groups")
+_WORK_ATTRS = ("winners", "losers", "applied", "sectors", "pages", "unchanged",
+               "groups")
 """Span attributes that count *work* (not transfers); accumulated into
 each phase's ``work`` sub-dict."""
 
 _CYCLE_STATS = ("sectors_repaired", "parity_resynced", "parity_undone_pages",
-                "redo_applied", "log_undo_applied", "page_transfers")
+                "redo_applied", "log_undo_applied", "pages_unchanged",
+                "page_transfers")
 """Numeric fields copied from a ``db.recover()`` statistics dict."""
 
 

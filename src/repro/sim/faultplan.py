@@ -524,7 +524,8 @@ def run_plan(make_db, ops, plan: FaultPlan, setup=None) -> PlanOutcome:
         **{key: stats[key]
            for key in ("sectors_repaired", "parity_resynced",
                        "parity_undone_pages", "redo_applied",
-                       "log_undo_applied", "page_transfers")
+                       "log_undo_applied", "pages_unchanged",
+                       "page_transfers")
            if key in stats},
     }
 
@@ -627,6 +628,8 @@ class FaultSweepReport:
             "redo_applied": sum(p.get("redo_applied", 0) for p in profiles),
             "log_undo_applied": sum(p.get("log_undo_applied", 0)
                                     for p in profiles),
+            "pages_unchanged": sum(p.get("pages_unchanged", 0)
+                                   for p in profiles),
         }
 
     def to_dict(self) -> dict:

@@ -345,3 +345,61 @@ def test_group_restart_survives_a_second_interruption(name):
             assert_group_state(db, check)
             second += 1
         assert second > 1
+
+
+# -- the second restore writes what the first did not reach (PR 22) --------
+
+
+def restore_labels(labels) -> list:
+    return [label for label in labels if label.startswith("restore")]
+
+
+@pytest.mark.parametrize("name", GROUP_PRESETS)
+def test_the_next_restore_writes_only_what_the_first_did_not_reach(name):
+    """Die at every restore label: the restart that follows finds the
+    pages already written equal to their base and writes exactly the
+    others — its restore labels are the first run's from the crash point
+    on, minus the parity write of a group whose data was complete (the
+    scrub resynced that one).  Then die at every label of *that*
+    restart too."""
+    points = group_restart_points(name)
+    for at_write, label in enumerate(points, start=1):
+        if not label.startswith("restore"):
+            continue
+        db, check = build_group_scenario(name)
+        assert interrupted(db, at_write)
+        second = []
+        db.recover(fault_hook=second.append)
+        assert_group_state(db, check)
+        unreached = restore_labels(points[at_write - 1:])
+        if label.startswith("restore parity group"):
+            unreached = unreached[1:]
+        assert restore_labels(second) == unreached, label
+        for at_second in range(1, len(second) + 1):
+            db, check = build_group_scenario(name)
+            assert interrupted(db, at_write)
+            assert interrupted(db, at_second)
+            db.recover()
+            assert_group_state(db, check)
+
+
+def test_a_dropped_page_still_advances_its_durable_lsn():
+    """REDO-only: die before group 0's parity write — its three pages
+    are on disk, their durable page LSNs not yet advanced.  The next
+    restart replays their chains, finds every page equal to the disk and
+    drops it, and still records the disk as current: a third restart
+    replays nothing."""
+    name = "record-noforce-rda-redo"
+    points = group_restart_points(name)
+    db, check = build_group_scenario(name)
+    assert interrupted(db, points.index("restore parity group 0") + 1)
+    assert all(db._durable_page_lsn.get(page, 0)
+               < db.redo_log.page_chain_head(page) for page in (0, 1, 2))
+    second = db.recover()
+    assert second["pages_unchanged"] == 3 and second["redo_applied"] >= 3
+    assert all(db._durable_page_lsn[page] == db.redo_log.page_chain_head(page)
+               for page in SHARED_PAGES)
+    db.crash()
+    third = db.recover()
+    assert (third["redo_applied"], third["pages_unchanged"]) == (0, 0)
+    assert_group_state(db, check)

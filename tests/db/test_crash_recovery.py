@@ -5,9 +5,13 @@ effects of committed transactions only (atomicity + durability).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.db import Database, preset
-from repro.storage import make_page
+from repro.db import Database, LockWait, SlottedPage, preset
+from repro.errors import BufferFullError, DeadlockError
+from repro.obs import RingBufferSink, Tracer
+from repro.storage import TwinState, make_page
 
 PAGE_PRESETS = ["page-force-rda", "page-force-log",
                 "page-noforce-rda", "page-noforce-log"]
@@ -15,10 +19,10 @@ RECORD_PRESETS = ["record-force-rda", "record-force-log",
                   "record-noforce-rda", "record-noforce-log"]
 
 
-def make_db(name, **kw):
+def make_db(name, tracer=None, **kw):
     defaults = dict(group_size=4, num_groups=8, buffer_capacity=6)
     defaults.update(kw)
-    db = Database(preset(name, **defaults))
+    db = Database(preset(name, **defaults), tracer=tracer)
     if db.config.record_logging:
         db.format_record_pages(range(db.num_data_pages))
     return db
@@ -300,6 +304,280 @@ def test_restore_reads_and_writes_each_groups_parity_once(name,
     for page, slot in slots.items():
         assert db.read_record(t, page, slot) == b"v1"
     assert db.verify_parity() == []
+
+
+# -- the restore writes only what the disk lacks (PR 22) -------------------
+
+PRICED_PRESETS = ["page-noforce-rda", "page-noforce-log", "record-noforce-rda",
+                  "record-force-rda", "record-noforce-rda-redo"]
+
+
+def restore_spans(db) -> list:
+    """Attributes of the ``restore`` phase span of every restart so far."""
+    return [event["attrs"] for event in db.tracer.sink.events()
+            if event["name"] == "recovery.phase"
+            and event["attrs"]["phase"] == "restore"]
+
+
+def build_priced_restart(name, k: int, u: int):
+    """A crashed database whose restart restores ``k`` pages of parity
+    group 1, ``u`` of which the disk already holds.  Returns it with b,
+    the number of bases redo/undo will have in hand, and the number of
+    pages the restart will count unchanged.
+
+    ¬FORCE: a winner's k pages, u of them evicted to disk after the
+    commit; redo replays all k since no checkpoint followed — whole
+    images under page logging (b = 0), records onto the base it reads
+    otherwise (b = k).  REDO-only knows the u evicted pages current by
+    their durable page LSN and never puts them in the cache.  FORCE
+    redoes nothing: a loser shares the k pages the winner's commit
+    forced to disk, and on u of them it rewrote its record with the
+    bytes it already had, so undoing those changes nothing."""
+    db = make_db(name, tracer=Tracer(RingBufferSink()))
+    pages = db.array.geometry.group_pages(1)[:k]
+    if not db.config.record_logging:
+        winner = db.begin()
+        for page in pages:
+            db.write_page(winner, page, make_page(b"win%d" % page))
+        db.commit(winner)
+        for page in pages[:u]:
+            assert db.buffer.flush_page(page)
+        db.crash()
+        return db, 0, u
+    setup = db.begin()
+    slots = {(page, who): db.insert_record(setup, page, who + b"-")
+             for page in pages for who in (b"w", b"l")}
+    db.commit(setup)
+    if db.checkpointer is None:                 # FORCE
+        winner, loser = db.begin(), db.begin()
+        for i, page in enumerate(pages):
+            db.update_record(winner, page, slots[page, b"w"], b"w%d" % page)
+            db.update_record(loser, page, slots[page, b"l"],
+                             b"l-" if i < u else b"l%d" % page)
+        db.commit(winner)
+        db.crash()
+        return db, k, u
+    db.checkpoint()
+    winner = db.begin()
+    for page in pages:
+        db.update_record(winner, page, slots[page, b"w"], b"w%d" % page)
+    db.commit(winner)
+    for page in pages[:u]:
+        assert db.buffer.flush_page(page)
+    db.crash()
+    if db.policy.redo_only:
+        return db, k - u, 0
+    return db, k, u
+
+
+@pytest.mark.parametrize("name", PRICED_PRESETS)
+@pytest.mark.parametrize("k, u", [(3, 0), (3, 1), (3, 2), (3, 3), (1, 1)])
+def test_restore_costs_its_base_reads_and_what_differs(name, k, u):
+    """k restored pages in one group, b bases in hand, u already on
+    disk: (k − b) base reads, then the group's twin read, k − u data
+    writes and twin write — or nothing at all when u = k.  (Under
+    REDO-only the cache holds k − u pages, all with their base.)"""
+    db, bases, unchanged = build_priced_restart(name, k, u)
+    labels = []
+    stats = db.recover(fault_hook=labels.append)
+    (restore,) = restore_spans(db)
+    cached = k - u if db.policy.redo_only else k
+    assert restore["transfers"] == \
+        (cached - bases) + (k - u > 0) * (k - u + 2)
+    assert restore["writes"] == (k - u > 0) * (k - u + 1)
+    assert stats["pages_unchanged"] == unchanged
+    assert restore["pages"] == cached
+    assert restore.get("unchanged", 0) == unchanged
+    assert [label for label in labels if label.startswith("restore")] == (
+        [f"restore page {page}"
+         for page in db.array.geometry.group_pages(1)[u:k]]
+        + ["restore parity group 1"] * (k > u))
+    assert db.verify_parity() == []
+
+
+def array_writes(db) -> dict:
+    """Data and parity writes per disk (log devices have negative ids)."""
+    return {disk: count for disk, count in db.stats.per_disk_writes.items()
+            if disk >= 0}
+
+
+@pytest.mark.parametrize("name", PRICED_PRESETS)
+def test_a_restart_after_a_completed_restart_writes_nothing(name):
+    """crash, recover, crash, recover with nothing in between: whatever
+    the second restart restores again is what the first left on disk,
+    so it writes no data page and no parity, fires no restore label,
+    and transfers only its twin scan, its log reads and one base read
+    per page."""
+    db, _, _ = build_priced_restart(name, 3, 1)
+    first = db.recover()
+    writes = array_writes(db)
+    db.crash()
+    labels = []
+    log_before = db.stats.log_transfers
+    second = db.recover(fault_hook=labels.append)
+    log_reads = db.stats.log_transfers - log_before
+    assert array_writes(db) == writes
+    assert labels == ["abort records"]
+    # ¬FORCE replays the winner's three pages again; the first restart
+    # aborted the FORCE loser, and advanced REDO-only's page LSNs
+    again = 3 if db.checkpointer is not None and not db.policy.redo_only \
+        else 0
+    assert second["pages_unchanged"] == again
+    assert restore_spans(db)[1]["pages"] == again
+    scan = 2 * db.array.geometry.num_groups if db.array.supports_twins else 0
+    assert second["page_transfers"] == scan + log_reads + again
+    assert second["winners"] == first["winners"]
+    assert db.verify_parity() == []
+
+
+def test_restore_on_a_degraded_array_compares_with_the_reconstructed_base():
+    """The disk of a restored page failed with the crash: its base is a
+    degraded read (mates + parity), and when that equals the redone
+    image the page is dropped like any other — the lost disk gets the
+    page from the rebuild, not from the restore."""
+    db = make_db("page-noforce-log")
+    pages = db.array.geometry.group_pages(1)[:3]
+    winner = db.begin()
+    for page in pages:
+        db.write_page(winner, page, make_page(b"win%d" % page))
+    db.commit(winner)
+    assert db.buffer.flush_page(pages[1])
+    db.crash()
+    victim = db.array.geometry.data_address(pages[1]).disk
+    db.media_failure(victim)
+    labels = []
+    stats = db.recover(fault_hook=labels.append)
+    assert stats["pages_unchanged"] == 1
+    assert f"restore page {pages[1]}" not in labels
+    db.media_recover(victim)
+    for page in pages:
+        assert db.disk_page(page) == make_page(b"win%d" % page)
+    assert db.verify_parity() == []
+
+
+def test_an_unwritten_group_keeps_its_winners_working_header_until_the_seal():
+    """A committed unlogged steal leaves a WORKING header on disk (commit
+    is a memory-only flip).  Redo finds the stolen page already current,
+    so the restore does not write the group and the header stays — the
+    state of any group a restart does not touch: the crash scan resolves
+    it against the commit set, and ``trim_log`` seals it before the
+    commit record can go."""
+    db = make_db("page-noforce-rda")
+    winner = db.begin()
+    db.write_page(winner, 5, make_page(b"stolen"))
+    assert db.buffer.flush_page(5)                  # rides the twins
+    db.commit(winner)
+    group = db.array.geometry.group_of(5)
+    db.crash()
+    labels = []
+    stats = db.recover(fault_hook=labels.append)
+    assert stats["pages_unchanged"] == 1 and labels == ["abort records"]
+    working = [which for which in range(2)
+               if db.array.peek_twin(group, which)[1].state
+               is TwinState.WORKING]
+    assert working == [db.rda.current_twin(group)]
+    db.checkpoint()
+    db.trim_log()
+    assert db.array.peek_twin(group, working[0])[1].state \
+        is TwinState.COMMITTED
+    db.crash()
+    assert db.recover()["parity_undone_pages"] == 0
+    assert db.committed_view(5) == make_page(b"stolen")
+    assert db.verify_parity() == []
+
+
+HISTORY_PRESETS = ["page-force-rda", "page-noforce-rda", "page-noforce-log",
+                   "record-force-rda", "record-noforce-rda",
+                   "record-noforce-rda-redo"]
+
+
+@pytest.mark.parametrize("name", HISTORY_PRESETS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_random_history_restart_leaves_the_oracle_on_disk(name, data):
+    """Committed, aborted and in-flight transactions over a few values
+    (so rewrites of what the disk holds happen), random evictions, then
+    a crash: after the restart every page reads as the oracle says,
+    from a new reader and on the disk itself — the pages the restore
+    wrote and the ones it counted unchanged alike — the parity is
+    consistent, and every restored page was either written or counted."""
+    db = make_db(name, tracer=Tracer(RingBufferSink()), group_size=3,
+                 num_groups=4, buffer_capacity=5)
+    pages = range(db.num_data_pages)
+    if db.config.record_logging:
+        slots = {}
+        for page in pages:      # a transaction a page: the REDO-only
+            setup = db.begin()  # gate holds an uncommitted frame back
+            for i in range(2):
+                slots[page, i] = db.insert_record(setup, page, b"-")
+            db.commit(setup)
+        oracle = dict.fromkeys(slots, b"-")
+
+        def write(txn, cell, value):
+            db.update_record(txn, cell[0], slots[cell], value)
+
+        def read(image, cell):
+            return SlottedPage.from_bytes(image).read(slots[cell])
+    else:
+        oracle = {(page, 0): b"" for page in pages}
+
+        def write(txn, cell, value):
+            db.write_page(txn, cell[0], make_page(value))
+
+        def read(image, cell):
+            return image[:1] if any(image) else b""
+
+    live = {}
+
+    def restart_and_check():
+        db.crash()
+        live.clear()
+        before = [db.disk_page(page) for page in pages]
+        labels = []
+        stats = db.recover(fault_hook=labels.append)
+        for cell, value in oracle.items():
+            assert read(db.committed_view(cell[0]), cell) == value
+            assert read(db.disk_page(cell[0]), cell) == value
+        assert db.verify_parity() == []
+        restore = restore_spans(db)[-1]
+        written = [label for label in labels
+                   if label.startswith("restore page")]
+        assert restore["pages"] == len(written) + stats["pages_unchanged"]
+        assert stats["pages_unchanged"] <= sum(
+            db.disk_page(page) == before[page] for page in pages)
+
+    for _ in range(data.draw(st.integers(5, 30), label="steps")):
+        action = data.draw(st.sampled_from(
+            ["begin", "write", "write", "commit", "abort", "flush",
+             "checkpoint", "restart"]), label="action")
+        if action == "begin" and len(live) < 3:
+            live[db.begin()] = {}
+        elif action == "write" and live:
+            txn = data.draw(st.sampled_from(sorted(live)), label="txn")
+            cell = data.draw(st.sampled_from(sorted(oracle)), label="cell")
+            value = data.draw(st.sampled_from([b"a", b"b", b"-"]),
+                              label="value")
+            try:
+                write(txn, cell, value)
+            except (LockWait, DeadlockError, BufferFullError):
+                continue    # the REDO-only gate can pin a whole small pool
+            live[txn][cell] = value
+        elif action == "commit" and live:
+            txn = data.draw(st.sampled_from(sorted(live)), label="ctxn")
+            db.commit(txn)
+            oracle.update(live.pop(txn))
+        elif action == "abort" and live:
+            txn = data.draw(st.sampled_from(sorted(live)), label="atxn")
+            db.abort(txn)
+            del live[txn]
+        elif action == "flush":
+            db.buffer.flush_page(data.draw(st.sampled_from(pages),
+                                           label="fpage"))
+        elif action == "checkpoint" and db.checkpointer is not None:
+            db.checkpoint()
+        elif action == "restart":
+            restart_and_check()
+    restart_and_check()
 
 
 class TestMediaRecovery:

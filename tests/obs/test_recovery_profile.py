@@ -71,7 +71,9 @@ class TestObserverMode:
 
     def test_restore_row_carries_the_group_writes(self):
         """Three redone pages in one parity group: the restore phase
-        row is that group's one write, 2·3 + 2 transfers."""
+        row is that group's one write, 2·3 + 2 transfers — the three
+        base reads made before the group body (they decide what is
+        written), the twin read and the four writes inside it."""
         sink = RingBufferSink()
         tracer = Tracer(sink)
         db = make_db("page-noforce-rda", tracer)
@@ -86,8 +88,9 @@ class TestObserverMode:
                           if event["name"] == "array.group_write"]
         restore = profile.to_dict()["phases"]["restore"]
         assert restore["work"] == {"pages": 3}
-        assert (restore["reads"], restore["writes"]) == \
-            (group_write["reads"], group_write["writes"]) == (4, 4)
+        assert (restore["reads"], restore["writes"]) == (4, 4)
+        assert (group_write["reads"], group_write["writes"]) == (1, 4)
+        assert group_write["buffered_pages"] == group_write["pages"] == 3
 
     def test_sharded_restarts_do_not_close_cycle_early(self):
         tracer = Tracer(RingBufferSink())

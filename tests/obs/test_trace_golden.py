@@ -12,7 +12,7 @@ the detector's gauges and verdict are pinned too).  K = 2 reads the
 shards' registries through the ``metrics_snapshot`` op on both
 transports.  A change to what is observed must re-pin these on purpose.
 
-Re-pinned twice, on purpose.  PR 19 re-pinned the ``record-noforce-rda``
+Re-pinned three times, on purpose.  PR 19 re-pinned the ``record-noforce-rda``
 pair and nothing else.  The restart's restore loop hands each page the
 bytes ``page_base`` already read, so its 124 ``array.small_write``
 events read ``buffered: true, reads: 1, transfers: 3`` (were ``false``,
@@ -36,6 +36,20 @@ preset, loses PR 19's ``buffered=True`` one: the restore was its only
 source).  Every event before the first ``db.crash`` is the one the
 parent wrote.  ``page-force-rda`` restores nothing in these runs
 (``pages: 0``) and passes unchanged, as do both K = 2 transports.
+
+PR 22 re-pinned the same two pairs and nothing else: the restore
+writes only the pages that differ from their base.  Of the 124 / 117
+restored pages 74 / 70 already match the disk, so 28 / 32 groups are
+not written at all (67 → 39 and 68 → 36 ``array.group_write`` events,
+each now ``buffered_pages == pages``: every base is read before the
+group body, one counted read a page under page logging, which keeps
+none from redo); the three ``restore`` spans carry ``unchanged: 17, 17,
+40`` / ``12, 17, 41`` after ``pages`` and 130 / 134 fewer transfers,
+the ``recovery.restart`` spans the same; ``array.small_write_transfers``
+loses the unwritten groups' observations (sum 6748 → 6618, 5259 → 5008).
+Every event before the first ``db.crash`` is the one the parent wrote;
+``page-force-rda`` and both K = 2 streams restore nothing, so no span of
+theirs gains the attribute.
 """
 
 import hashlib
@@ -51,11 +65,11 @@ GOLDEN = {      # configuration -> (event stream, metrics snapshot)
         "72e29ff42376bcbf76deac6447f5fcc51f8ea30427fbf3f232aa710bc6061637",
         "cd44874b58659078fbffc5db7c582907ccb60a3d69895232e1163f2ec6122c1d"),
     "record-noforce-rda": (
-        "b4dd4a293f045f56b3e36555ed98f6ee78ba76476d649ccca4612aa2f9d154af",
-        "04e6b1c06809e2fa16ac0ff53746cfde02e1ac260e85bd365c80fff4f6a95800"),
+        "ee1a7ae29479c88f064c9b2d95c916833f3e5d2d81cf184b6b2e9299775b0812",
+        "11c1476f8041cf8edc524680b07bcd42bc20ec1618efa6c428a9129183fbaa62"),
     "page-noforce-rda": (
-        "086c76e7b9083672888b9a8a3398c7bf26405468b50364b69f1a570ffc77306e",
-        "f932d81f64ed70e52b362894cc0a64014910c02b10c23b1b20cc5b97bf2dd88c"),
+        "abc21db7d93c59e34d613c5df07a7e0b3a4e1c093dc89272a126545ee2f22436",
+        "c58b6c242c19dcd3f1a38d6517c7974594049996aa2f8380bc9f36ef31c2b8b8"),
     # K = 2: the transports number worker spans differently, so each has
     # its own stream; the merged snapshot is the same one
     "--no-workers": (

@@ -190,37 +190,52 @@ def test_the_restart_scrub_still_visits_every_clean_group():
 # -- what one more restored page may add to a restart (PR 21) --------------
 
 
-def _restore_frames(pages) -> int:
+def _restore_frames(pages, on_disk=()) -> int:
     """Restart after one committed, unflushed ¬FORCE transaction that
-    wrote ``pages``: redo fills the cache, the restore writes it back."""
+    wrote ``pages`` and rewrote ``on_disk`` with the bytes the disk
+    already holds: redo fills the cache, the restore writes back what
+    differs."""
     db = Database(preset("page-noforce-rda", group_size=5, num_groups=20,
                          buffer_capacity=64))
     db.load_pages({page: make_page(b"v0")
                    for page in range(db.num_data_pages)})
     txn = db.begin()
     for page in pages:
-        db.write_page(txn, page, make_page(b"v%d" % page))
+        db.write_page(txn, page, make_page(b"w%d" % page))
+    for page in on_disk:
+        db.write_page(txn, page, make_page(b"v0"))
     db.commit(txn)
     db.crash()
     return _src_frames(db.recover)
 
 
 def test_a_restored_page_in_an_open_group_costs_fewer_frames_than_a_new_group():
-    # 13 and 35 today; 28 either way before PR 21, when every page paid
+    # 13 and 36 today; 28 either way before PR 21, when every page paid
     # the _write_committed → protection → rda.write_committed →
     # small_write chain, two disk reads and two writes.  A page that
-    # joins a group the restore already opened adds its read, its
+    # joins a group the restore already opened adds its base read (at
+    # the disk arm; through ``array.read_page`` it would be 15), its
     # labelled write and nothing else; a page alone in its group pays
-    # the group's chain, twin read and twin write by itself.
+    # the group's chain, twin read, twin write and bookkeeping call by
+    # itself.  Every payload must differ from the ``v0`` the pages were
+    # loaded with, or the page is dropped and takes its group's chain
+    # out of the baseline.
     n = 5
+    sparse = _restore_frames([g * n for g in range(4)])
     in_open_group = (_restore_frames([g * n + i for g in range(4)
-                                      for i in range(3)])
-                     - _restore_frames([g * n for g in range(4)])) / 8
+                                      for i in range(3)]) - sparse) / 8
     in_new_group = (_restore_frames([g * n for g in range(12)])
-                    - _restore_frames([g * n for g in range(4)])) / 8
+                    - sparse) / 8
     assert in_open_group <= 14
     assert in_new_group <= 36
     assert in_open_group < in_new_group
+    # a page the disk already holds costs its read and the comparison:
+    # no write, no label, and alone in its group no group chain either
+    dropped = (_restore_frames([g * n for g in range(4)],
+                               on_disk=[g * n + 1 for g in range(4, 12)])
+               - sparse) / 8
+    assert dropped <= 9            # 8.1 today
+    assert dropped < in_open_group
 
 
 # -- what being observed may add (PR 18) -----------------------------------
