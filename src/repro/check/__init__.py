@@ -17,7 +17,7 @@ as executable oracles:
     classification of a recorded history.
 ``invariants``
     Online invariant engine with pluggable rules evaluated at
-    commit/steal/checkpoint/restart barriers, and one deliberate
+    commit/steal/checkpoint/restart barriers, and a deliberate
     mutant per rule proving the rule fires.
 ``differential``
     Replays the same seeded workload against a dict-based reference
@@ -30,7 +30,7 @@ from .differential import (ConformanceRun, DifferentialMirror,
                            run_conformance)
 from .history import History, HistoryEvent, HistoryRecorder, history_from_trace
 from .invariants import (DirtySetBoundRule, InvariantEngine,
-                         LsnMonotonicityRule, MutantError,
+                         LsnMonotonicityRule, MutantError, TwinPageLsnRule,
                          TwinParityIdentityRule, WalBeforeDataRule,
                          WriteBehindRule, check_restart, default_rules)
 from .serializability import SerializabilityReport, analyze
@@ -47,6 +47,7 @@ __all__ = [
     "MutantError",
     "ReferenceDatabase",
     "SerializabilityReport",
+    "TwinPageLsnRule",
     "TwinParityIdentityRule",
     "WalBeforeDataRule",
     "WriteBehindRule",

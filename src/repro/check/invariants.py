@@ -35,10 +35,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..db.policy import apply_record_image
 from ..sim.faultplan import Violation
 from ..storage.page import TwinState, compute_parity, xor_pages
 from ..storage.twin_array import select_current_twin
-from ..wal import PageBeforeImage, RecordBeforeEntry
+from ..wal import (CommitRecord, PageAfterImage, PageBeforeImage,
+                   PageRedoEntry, RecordAfterEntry, RecordBeforeEntry,
+                   RecordRedoEntry)
 
 BARRIERS = ("steal", "twin_write", "flip", "commit", "abort",
             "checkpoint", "restart")
@@ -357,9 +360,168 @@ class WriteBehindRule(InvariantRule):
                 f"durable redo horizon")
 
 
+class TwinPageLsnRule(InvariantRule):
+    """The page LSNs on the twin headers (what restart's redo skips by)
+    never claim more than the disk holds.
+
+    * Every entry of every selectable twin (COMMITTED or WORKING) is
+      below the redo log's next LSN and — while the record it names is
+      still retained — at or below its durable LSN: a stamp is a forced
+      LSN, and one the log could issue again would vouch for a record
+      not written yet.
+    * For the current twin, the on-disk page reflects every committed
+      record for it at or below its entry: replaying the page's
+      committed records over the disk image gives the same bytes with
+      and without those records.  (Not "replaying them changes
+      nothing": a stamp lags, so the disk may already be past a later
+      record.)  Pages an active transaction has written are skipped —
+      the disk may hold its uncommitted bytes.
+    * The vector moves exactly with the parity: in a dirty group the
+      working twin's entries, the dirty page's aside, are the committed
+      twin's (or unknown, after a media rebuild) — a logged write into
+      the group stamps both twins, as Figure 6 updates both.
+
+    A twin write re-checks its own group (inside a restart the other
+    groups may still hold a loser's logged steal); every other barrier
+    checks them all."""
+
+    name = "twin-page-lsn"
+    barriers = ("twin_write", "steal", "flip", "abort", "checkpoint",
+                "restart")
+
+    def check(self, db, barrier: str, ctx: dict) -> List[Violation]:
+        if db.rda is None:
+            return []
+        geometry = db.array.geometry
+        if barrier == "twin_write":
+            groups = [ctx["group"] if "group" in ctx
+                      else geometry.group_of(ctx["page"])]
+        else:
+            groups = range(geometry.num_groups)
+        log = db.redo_log
+        next_lsn, base_lsn, durable = (log.next_lsn, log.base_lsn,
+                                       log.durable_lsn)
+        violations: List[Violation] = []
+        stamped = {}        # page -> the current twin's entry for it
+        for group in groups:
+            headers = [db.array.peek_twin(group, which)[1]
+                       for which in (0, 1)]
+            for which, header in enumerate(headers):
+                if header.state not in (TwinState.COMMITTED,
+                                        TwinState.WORKING):
+                    continue
+                for lsn in header.page_lsns:
+                    if lsn >= next_lsn or (lsn >= base_lsn
+                                           and lsn > durable):
+                        violations.append(Violation(
+                            "twin-page-lsn",
+                            f"group {group}: twin {which} carries page "
+                            f"LSN {lsn}, beyond the redo log's durable "
+                            f"LSN {durable} / next LSN {next_lsn} "
+                            f"({barrier})"))
+            current = headers[db.rda.current_twin(group)].page_lsns
+            if current:
+                stamped.update(
+                    (page, lsn) for page, lsn
+                    in zip(geometry.group_pages(group), current) if lsn)
+            entry = db.rda.dirty_set.get(group)
+            if entry is not None:
+                size = geometry.group_size
+                working = headers[entry.working_twin].page_lsns \
+                    or (0,) * size
+                committed = headers[1 - entry.working_twin].page_lsns \
+                    or (0,) * size
+                for index in range(size):
+                    if index != entry.page_index and working[index] \
+                            not in (0, committed[index]):
+                        violations.append(Violation(
+                            "twin-page-lsn",
+                            f"group {group}: the twins disagree on page "
+                            f"index {index} ({working[index]} working, "
+                            f"{committed[index]} committed) though only "
+                            f"index {entry.page_index} is dirty "
+                            f"({barrier})"))
+        violations.extend(self._check_contents(db, barrier, stamped))
+        return violations
+
+    @staticmethod
+    def _check_contents(db, barrier: str, stamped: dict) -> List[Violation]:
+        if not stamped:
+            return []
+        uncommitted = set()
+        for txn in db.txns.active_transactions():
+            uncommitted |= txn.pages_written
+        log = db.redo_log
+        committed = {r.txn_id for r in log.scan(CommitRecord)}
+        history: Dict[int, list] = {}
+        for record in log.records():
+            if record.txn_id in committed and record.page_id in stamped \
+                    and isinstance(record, (PageAfterImage, PageRedoEntry,
+                                            RecordAfterEntry,
+                                            RecordRedoEntry)):
+                history.setdefault(record.page_id, []).append(record)
+
+        def replay(image: bytes, records: list) -> bytes:
+            for record in records:
+                if isinstance(record, (PageAfterImage, PageRedoEntry)):
+                    image = record.image
+                else:
+                    image = apply_record_image(image, record.slot,
+                                               record.image)
+            return image
+
+        violations: List[Violation] = []
+        for page, records in sorted(history.items()):
+            lsn = stamped[page]
+            newer = [r for r in records if r.lsn > lsn]
+            if page in uncommitted or len(newer) == len(records):
+                continue
+            on_disk = db.array.peek_page(page)
+            if replay(on_disk, records) != replay(on_disk, newer):
+                violations.append(Violation(
+                    "twin-page-lsn",
+                    f"page {page}: the current twin vouches for LSN {lsn} "
+                    f"but the disk lacks a committed record at or below "
+                    f"it ({barrier})"))
+        return violations
+
+    def mutate(self, db) -> str:
+        """An entry pushed past the durable LSN."""
+        if db.rda is None:
+            raise MutantError("no parity twins to stamp")
+        group = 0
+        which = db.rda.current_twin(group)
+        _payload, header = db.array.peek_twin(group, which)
+        forged = db.redo_log.durable_lsn + 1_000_000
+        db.array.rewrite_twin_header(group, which, header.with_(
+            page_lsns=(forged,) * db.array.geometry.group_size))
+        return (f"stamped group {group}'s current twin with page LSN "
+                f"{forged}, beyond the durable redo horizon")
+
+    def mutate_one_sided_stamp(self, db) -> str:
+        """What a logged write into a dirty group would leave had it
+        stamped only one of the two twins it updates."""
+        entry = self._first_dirty_entry(db)
+        stamp = db.redo_log.durable_lsn
+        _payload, header = db.array.peek_twin(entry.group,
+                                              entry.working_twin)
+        size = db.array.geometry.group_size
+        lsns = list(header.page_lsns or (0,) * size)
+        index = (entry.page_index + 1) % size
+        if not stamp or lsns[index] == stamp:
+            raise MutantError("no durable LSN to stamp one twin with")
+        lsns[index] = stamp
+        db.array.rewrite_twin_header(
+            entry.group, entry.working_twin,
+            header.with_(page_lsns=tuple(lsns)))
+        return (f"stamped page index {index} of dirty group "
+                f"{entry.group} on its working twin only")
+
+
 def default_rules() -> List[InvariantRule]:
     return [TwinParityIdentityRule(), DirtySetBoundRule(),
-            WalBeforeDataRule(), LsnMonotonicityRule(), WriteBehindRule()]
+            WalBeforeDataRule(), LsnMonotonicityRule(), WriteBehindRule(),
+            TwinPageLsnRule()]
 
 
 class InvariantEngine:

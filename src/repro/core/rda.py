@@ -24,6 +24,19 @@ layer over :class:`~repro.storage.twin_array.TwinParityArray`:
 The manager keeps a main-memory cache of twin headers (the paper's
 current-parity bit map plus the twin states of Figure 8); the cache is
 lost in a crash and rebuilt by :meth:`crash_scan`.
+
+Every twin header also carries its group's **page LSNs**
+(:class:`~repro.storage.page.ParityHeader`), and the vector moves
+exactly with the parity: a twin write that absorbs page ``i``'s
+``old ⊕ new`` sets entry ``i`` to the ``lsn`` the caller passes (the
+redo log's forced LSN at the write — never an unforced one, which a
+crash would re-issue) and carries the other entries over from the twin
+its payload was seeded from.  A steal writes the *free* twin and parity
+undo falls back to the committed one, so the vector of the twin restart
+selects always describes the data version that twin's parity describes;
+restart's redo reads it (:meth:`disk_page_lsns`) to skip the records the
+disk already holds.  Paths that rebuild a twin from the data (resync,
+media rebuild) clear the vector; none invents an entry.
 """
 
 from __future__ import annotations
@@ -60,6 +73,11 @@ class RDAManager:
                 lambda: self.first_steals)
         self._headers: dict = {}       # group -> [header0, header1] cache
         self._current: dict = {}       # group -> current twin index (the bit map)
+        # group -> payload of its current twin as crash_scan read it,
+        # for the groups the scan was asked to keep; non-empty only
+        # inside a restart, and an entry goes the moment it can be stale
+        self._scanned: dict = {}
+        self._unknown = (0,) * array.geometry.group_size   # no page LSN known
         self.barrier_hook = None       # conformance seam (repro.check)
 
     # -- header cache -------------------------------------------------------------
@@ -94,11 +112,21 @@ class RDAManager:
         self.dirty_set.lose_memory()
         self._headers.clear()
         self._current.clear()
+        self._scanned.clear()
+
+    def drop_scanned_twins(self) -> None:
+        """End of a restart: forget every twin payload the scan kept."""
+        self._scanned.clear()
+
+    def _with_lsn(self, header: ParityHeader, index: int, lsn: int) -> tuple:
+        """``header``'s page LSNs with entry ``index`` set to ``lsn``."""
+        lsns = header.page_lsns or self._unknown
+        return lsns[:index] + (lsn,) + lsns[index + 1:]
 
     # -- the two writers ------------------------------------------------------------------
 
     def write_uncommitted(self, page: int, payload: bytes, txn_id: int,
-                          old_data: bytes | None = None) -> None:
+                          old_data: bytes | None = None, lsn: int = 0) -> None:
         """Write back, without UNDO logging, a page modified by an
         active transaction.
 
@@ -106,7 +134,8 @@ class RDAManager:
         re-steal of the same page by the same transaction) and is
         protected by the parity twins alone; the group becomes (or
         stays) dirty.  A steal whose UNDO record the caller has already
-        made durable is a :meth:`write_committed`.
+        made durable is a :meth:`write_committed`.  ``lsn`` is the
+        page's new header entry, the others come from the source twin.
 
         Raises:
             ParityGroupError: the write violates the rule.
@@ -125,10 +154,16 @@ class RDAManager:
                 f"group {group} (page {entry.page_id}, txn {entry.txn_id})"
             )
         headers = self._cached_headers(group)
+        if self._scanned:
+            self._scanned.pop(group, None)
         stamp = self.array.next_timestamp()
         index = self.array.geometry.index_in_group(page)
-        header = ParityHeader(timestamp=stamp, txn_id=txn_id,
-                              dirty_page_index=index, state=TwinState.WORKING)
+        # _with_lsn, inlined, and the header built positionally: every
+        # page of a FORCE commit window is a steal and comes through
+        # here, and a helper is a frame a page
+        lsns = headers[source].page_lsns or self._unknown
+        header = ParityHeader(stamp, txn_id, index, TwinState.WORKING,
+                              lsns[:index] + (lsn,) + lsns[index + 1:])
         # twin_first: the working twin is the steal's only undo source,
         # so it must reach disk before the data overwrite (the parity
         # analogue of the WAL rule)
@@ -152,54 +187,79 @@ class RDAManager:
                              txn=txn_id)
 
     def write_committed(self, page: int, payload: bytes,
-                        old_data: bytes | None = None) -> None:
+                        old_data: bytes | None = None, lsn: int = 0) -> None:
         """Write back a page whose changes are committed (or UNDO-logged):
-        parity tracks the data; no undo information is consumed."""
-        group = self.array.geometry.group_of(page)
+        parity tracks the data; no undo information is consumed.  Every
+        twin that absorbs the page's delta takes ``lsn`` as the page's
+        header entry."""
+        geometry = self.array.geometry
+        group = geometry.group_of(page)
         headers = self._cached_headers(group)
+        if self._scanned:
+            self._scanned.pop(group, None)
+        index = geometry.index_in_group(page)
         entry = self.dirty_set.get(group)
         if entry is None:
             current = self.current_twin(group)
             stamp = self.array.next_timestamp()
-            header = ParityHeader(timestamp=stamp, state=TwinState.COMMITTED)
+            # inlined and positional as in write_uncommitted: every
+            # committed write-back of a ¬FORCE engine comes through here
+            lsns = headers[current].page_lsns or self._unknown
+            header = ParityHeader(
+                stamp, NO_TXN, NO_PAGE, TwinState.COMMITTED,
+                lsns[:index] + (lsn,) + lsns[index + 1:])
             self.array.small_write(page, payload,
                                    [TwinUpdate(current, current, header)],
                                    old_data=old_data)
             headers[current] = header
             return
         # dirty group: update BOTH twins so P_w ⊕ P_c stays the dirty
-        # page's delta (paper Figure 6); each twin keeps its role
+        # page's delta (paper Figure 6); each twin keeps its role, and
+        # each now describes the page's new version
         working = entry.working_twin
         committed = 1 - working
-        committed_header = headers[committed].with_(state=TwinState.COMMITTED)
-        working_header = headers[working]
+        committed_header = headers[committed].with_(
+            state=TwinState.COMMITTED,
+            page_lsns=self._with_lsn(headers[committed], index, lsn))
+        working_header = headers[working].with_(
+            page_lsns=self._with_lsn(headers[working], index, lsn))
         self.array.small_write(page, payload, [
             TwinUpdate(committed, committed, committed_header),
             TwinUpdate(working, working, working_header),
         ], old_data=old_data)
         headers[committed] = committed_header
+        headers[working] = working_header
 
     def write_group_committed(self, group: int, writes: list,
-                              before_write) -> None:
+                              before_write, lsn: int = 0) -> None:
         """:meth:`write_committed` for several pages of one group —
         ``(page, payload, old_data)`` in page order — under one twin
-        read and one twin write: the current twin takes every page's
-        delta and one fresh COMMITTED header.  A dirty group keeps
-        Figure 6's both-twins rule page by page (restart never hands
-        one over: parity undo empties the Dirty_Set before the first
-        restore write).  ``before_write`` is
+        write: the current twin takes every page's delta and one fresh
+        COMMITTED header whose entry for each of them is ``lsn``.  The
+        twin's read is saved too when :meth:`crash_scan` kept its
+        payload.  A dirty group keeps Figure 6's both-twins rule page
+        by page (restart never hands one over: parity undo empties the
+        Dirty_Set before the first restore write).  ``before_write`` is
         :meth:`~repro.storage.array.DiskArray.write_group`'s."""
         if group in self.dirty_set:
             for page, payload, old_data in writes:
                 before_write("page", page)
-                self.write_committed(page, payload, old_data=old_data)
+                self.write_committed(page, payload, old_data=old_data,
+                                     lsn=lsn)
             return
         headers = self._cached_headers(group)
         current = self.current_twin(group)
+        # the group's vector, stamped in one pass
+        members = self.array.geometry.group_pages(group)
+        lsns = list(headers[current].page_lsns or self._unknown)
+        for page, _, _ in writes:
+            lsns[members.index(page)] = lsn
         header = ParityHeader(timestamp=self.array.next_timestamp(),
-                              state=TwinState.COMMITTED)
-        self.array.group_small_write(group, writes, current, header,
-                                     before_write)
+                              state=TwinState.COMMITTED,
+                              page_lsns=tuple(lsns))
+        self.array.group_small_write(
+            group, writes, current, header, before_write,
+            parity_in_hand=self._scanned.pop(group, None))
         headers[current] = header
 
     # -- EOT processing ------------------------------------------------------------------
@@ -268,6 +328,10 @@ class RDAManager:
 
     def _undo_group_inner(self, group: int, new_data: bytes | None) -> tuple:
         entry = self.dirty_set.entry(group)
+        # the survivor becomes the current twin: whichever one the scan
+        # kept (the loser's working twin, on a never-written group) is
+        # not the restore's parity any more
+        self._scanned.pop(group, None)
         working_payload, _ = self.array.read_twin(group, entry.working_twin)
         committed_payload, _ = self.array.read_twin(group, 1 - entry.working_twin)
         if working_payload == compute_parity(
@@ -302,7 +366,8 @@ class RDAManager:
             # OBSOLETE header; stamp it COMMITTED so later twin selection
             # (and media reconstruction) can trust it outright
             promoted = ParityHeader(timestamp=self.array.next_timestamp(),
-                                    state=TwinState.COMMITTED)
+                                    state=TwinState.COMMITTED,
+                                    page_lsns=headers[survivor].page_lsns)
             self.array.rewrite_twin_header(group, survivor, promoted)
             headers[survivor] = promoted
         self._current[group] = survivor
@@ -329,9 +394,11 @@ class RDAManager:
         before = xor_pages(working_payload, committed_payload, new_data)
         log_before_image(entry.txn_id, entry.page_id, before)
         stamp = self.array.next_timestamp()
-        header = ParityHeader(timestamp=stamp, state=TwinState.COMMITTED)
-        self.array.rewrite_twin_header(group, entry.working_twin, header)
         headers = self._cached_headers(group)
+        # same payload, same data version: the vector carries over
+        header = ParityHeader(timestamp=stamp, state=TwinState.COMMITTED,
+                              page_lsns=headers[entry.working_twin].page_lsns)
+        self.array.rewrite_twin_header(group, entry.working_twin, header)
         headers[entry.working_twin] = header
         self._current[group] = entry.working_twin
         self.dirty_set.clean(group)
@@ -420,6 +487,9 @@ class RDAManager:
         :meth:`find_parity_holes`."""
         data = self.array.group_data_payloads(group)
         current = self.current_twin(group)
+        self._scanned.pop(group, None)      # its payload is the stale one
+        # a fresh header: whatever made the hole, no page LSN is vouched
+        # for by a parity recomputed from the data
         header = ParityHeader(timestamp=self.array.next_timestamp(),
                               state=TwinState.COMMITTED)
         self.array.write_twin(group, current, compute_parity(data), header)
@@ -427,7 +497,8 @@ class RDAManager:
         if self.tracer.enabled:
             self.tracer.emit("rda.parity_resync", group=group)
 
-    def crash_scan(self, committed_txns: set) -> list:
+    def crash_scan(self, committed_txns: set, keep=(),
+                   next_lsn: int | None = None) -> list:
         """Rebuild the Dirty_Set and current-parity bitmap from disk.
 
         Reads both twins of every group (the background bitmap
@@ -436,6 +507,16 @@ class RDAManager:
         every *loser* transaction's unlogged stolen page in the
         Dirty_Set.  Returns the loser :class:`DirtyEntry` list.
 
+        The scan's reads are spent twice more.  For the groups in
+        ``keep`` — the ones the log can send the restore to, so bounded
+        by the work since the checkpoint, not by G — the current twin's
+        payload is kept for :meth:`write_group_committed`.  And with
+        ``next_lsn`` (the recovered redo log's next LSN) every header is
+        checked against it: a page LSN at or above it names a record the
+        log lost and will issue again, so it is zeroed durably (one
+        counted header rewrite, in this case only) before anything is
+        appended.
+
         Raises:
             RecoveryError: if both twins of a group claim WORKING for
                 uncommitted transactions (protocol violation).
@@ -443,62 +524,108 @@ class RDAManager:
         self.lose_memory()
         with self.tracer.span("recovery.twin_scan", stats=self.array.stats,
                               groups=self.array.geometry.num_groups) as span:
-            losers = self._crash_scan_inner(committed_txns)
+            losers = self._crash_scan_inner(committed_txns, keep, next_lsn)
             span.set(losers=len(losers))
         return losers
 
-    def _crash_scan_inner(self, committed_txns: set) -> list:
+    def _crash_scan_inner(self, committed_txns: set, keep,
+                          next_lsn: int | None) -> list:
         losers = []
         array = self.array
         working, committed = TwinState.WORKING, TwinState.COMMITTED
         newest = 0
         for group in range(array.geometry.num_groups):
-            (_, h0), (_, h1) = array.read_twins(group)
-            self._headers[group] = [h0, h1]
+            (p0, h0), (p1, h1) = array.read_twins(group)
+            self._headers[group] = headers = [h0, h1]
             if h0.timestamp > newest:
                 newest = h0.timestamp
             if h1.timestamp > newest:
                 newest = h1.timestamp
+            if next_lsn is not None:
+                lsns = h0.page_lsns + h1.page_lsns
+                if lsns and max(lsns) >= next_lsn:
+                    self._zero_lost_lsns(group, headers, next_lsn)
             s0, s1 = h0.state, h1.state
             if s0 is not working and s1 is not working and (
                     s0 is committed or s1 is committed):
                 # no steal to classify: Figure 7 reduces to the
                 # COMMITTED twin, the newer one when both are
                 if s0 is not committed:
-                    self._current[group] = 1
+                    current = 1
                 elif s1 is not committed:
-                    self._current[group] = 0
+                    current = 0
                 else:
-                    self._current[group] = \
-                        1 if h1.timestamp > h0.timestamp else 0
-                continue
-            active_working = [
-                (which, header) for which, header in enumerate((h0, h1))
-                if header.state is working
-                and header.txn_id not in committed_txns
-                and header.txn_id != NO_TXN
-            ]
-            if len(active_working) > 1:
-                raise RecoveryError(
-                    f"group {group}: both twins working for uncommitted "
-                    f"transactions {[h.txn_id for _, h in active_working]}"
-                )
-            self._current[group] = select_current_twin((h0, h1), committed_txns)
-            if active_working:
-                which, header = active_working[0]
-                if header.dirty_page_index == NO_PAGE:
-                    raise RecoveryError(
-                        f"group {group}: working twin lacks dirty page index")
-                page = array.geometry.group_pages(group)[header.dirty_page_index]
-                entry = DirtyEntry(group=group, txn_id=header.txn_id,
-                                   page_id=page,
-                                   page_index=header.dirty_page_index,
-                                   working_twin=which,
-                                   working_timestamp=header.timestamp)
-                self.dirty_set.mark_dirty(entry)
-                losers.append(entry)
+                    current = 1 if h1.timestamp > h0.timestamp else 0
+            else:
+                current = self._classify_working(group, h0, h1,
+                                                 committed_txns, losers)
+            self._current[group] = current
+            if group in keep:
+                self._scanned[group] = p1 if current else p0
         array.observe_timestamp(newest)
         return losers
+
+    def _zero_lost_lsns(self, group: int, headers: list,
+                        next_lsn: int) -> None:
+        """Durably zero every page LSN of ``group``'s twins at or above
+        ``next_lsn``: it names a record the log lost and will issue
+        again."""
+        for which, header in enumerate(headers):
+            if any(lsn >= next_lsn for lsn in header.page_lsns):
+                header = header.with_(page_lsns=tuple(
+                    lsn if lsn < next_lsn else 0
+                    for lsn in header.page_lsns))
+                self.array.rewrite_twin_header(group, which, header)
+                headers[which] = header
+
+    def _classify_working(self, group: int, h0: ParityHeader,
+                          h1: ParityHeader, committed_txns: set,
+                          losers: list) -> int:
+        """The scan's general case — a WORKING header, or no COMMITTED
+        one: Figure 7 against the commit set.  Registers an uncommitted
+        owner's steal in the Dirty_Set and ``losers``; returns the
+        current twin."""
+        working = TwinState.WORKING
+        active_working = [
+            (which, header) for which, header in enumerate((h0, h1))
+            if header.state is working
+            and header.txn_id not in committed_txns
+            and header.txn_id != NO_TXN
+        ]
+        if len(active_working) > 1:
+            raise RecoveryError(
+                f"group {group}: both twins working for uncommitted "
+                f"transactions {[h.txn_id for _, h in active_working]}"
+            )
+        if active_working:
+            which, header = active_working[0]
+            if header.dirty_page_index == NO_PAGE:
+                raise RecoveryError(
+                    f"group {group}: working twin lacks dirty page index")
+            page = self.array.geometry.group_pages(group)[
+                header.dirty_page_index]
+            entry = DirtyEntry(group=group, txn_id=header.txn_id,
+                               page_id=page,
+                               page_index=header.dirty_page_index,
+                               working_twin=which,
+                               working_timestamp=header.timestamp)
+            self.dirty_set.mark_dirty(entry)
+            losers.append(entry)
+        return select_current_twin((h0, h1), committed_txns)
+
+    def disk_page_lsns(self, groups) -> dict:
+        """``page -> LSN`` for the pages of ``groups`` the current twin's
+        header vouches for: the on-disk page reflects every committed
+        record for it at or below that LSN.  Read from the header cache
+        :meth:`crash_scan` filled (call it first), so after parity undo
+        it is the survivor's, pre-steal, vector."""
+        known = {}
+        geometry = self.array.geometry
+        for group in groups:
+            lsns = self._headers[group][self._current[group]].page_lsns
+            if lsns:
+                known.update(zip(geometry.group_pages(group), lsns))
+        return known
 
     # -- media recovery hooks ----------------------------------------------------------------
 

@@ -318,9 +318,14 @@ class ForceToc:
     def note_commit_residue(self, db, txn) -> None:
         """FORCE leaves nothing dirty behind a commit."""
 
-    def restart_redo(self, db, winners, cache, page_base, fault) -> int:
+    def redo_tail(self, db, winners) -> list:
         """TOC: committed work is on disk already; nothing to redo."""
-        return 0
+        return []
+
+    def restart_redo(self, db, winners, replay, disk_lsns, cache,
+                     page_base) -> tuple:
+        """Nothing applied, nothing skipped."""
+        return 0, 0
 
     def trim_log(self, db, candidates: list, archive_floor) -> int:
         # FORCE/TOC: the undo log only needs active transactions'
@@ -363,29 +368,45 @@ class NoForceAcc:
             if db.buffer.is_dirty(page):
                 db._residue.add(page)
 
-    def restart_redo(self, db, winners, cache, page_base, fault) -> int:
-        """Replay committed after-images since the last ACC checkpoint."""
-        redone = 0
+    def redo_tail(self, db, winners) -> list:
+        """The records restart reads for REDO: everything since the
+        last ACC checkpoint."""
+        start = 0
+        for record in db.redo_log.scan(CheckpointRecord):
+            start = record.lsn
+        return [r for r in db.redo_log.records() if r.lsn > start]
+
+    def restart_redo(self, db, winners, replay, disk_lsns, cache,
+                     page_base) -> tuple:
+        """Replay the winners' after-images of ``replay``
+        (:meth:`redo_tail`) the disk does not hold yet: a record at or
+        below its page's entry in ``disk_lsns`` — what the steal
+        protection's restart phase read off the disk, nothing under
+        plain WAL — is skipped, and a page all of whose records are
+        never enters ``cache``.  Returns ``(applied, skipped)``."""
+        redone = skipped = 0
         with db.tracer.span("recovery.phase", stats=db.stats,
                             log_split=True, phase="redo") as span:
-            start = 0
-            for record in db.redo_log.scan(CheckpointRecord):
-                start = record.lsn
-            replay = [r for r in db.redo_log.records() if r.lsn > start]
             db.redo_log.charge_read(replay)
+            disk_lsn = disk_lsns.get
             for record in replay:
-                if record.txn_id not in winners:
+                if record.txn_id not in winners or not isinstance(
+                        record, (PageAfterImage, RecordAfterEntry)):
+                    continue
+                page = record.page_id
+                if record.lsn <= disk_lsn(page, 0):
+                    skipped += 1
                     continue
                 if isinstance(record, PageAfterImage):
-                    cache[record.page_id] = record.image
-                    redone += 1
-                elif isinstance(record, RecordAfterEntry):
-                    cache[record.page_id] = apply_record_image(
-                        page_base(record.page_id), record.slot,
-                        record.image)
-                    redone += 1
+                    cache[page] = record.image
+                else:
+                    cache[page] = apply_record_image(
+                        page_base(page), record.slot, record.image)
+                redone += 1
             span.set(applied=redone)
-        return redone
+            if skipped:
+                span.set(skipped=skipped)
+        return redone, skipped
 
     def trim_log(self, db, candidates: list, archive_floor) -> int:
         checkpoint_lsn = None
@@ -406,16 +427,22 @@ class RedoOnlyDiscipline(NoForceAcc):
 
     name = "redo-acc"
 
-    def restart_redo(self, db, winners, cache, page_base, fault) -> int:
-        """Replay winners' per-page chains from each page's on-disk LSN
-        forward (absolute images: idempotent and prefix-closed)."""
+    def redo_tail(self, db, winners) -> list:
+        """Winners' per-page chains from each page's on-disk LSN
+        forward."""
+        durable = db._durable_page_lsn
+        return [r for r in db.redo_log.records()
+                if r.page_chained and r.txn_id in winners
+                and r.lsn > durable.get(r.page_id, 0)]
+
+    def restart_redo(self, db, winners, replay, disk_lsns, cache,
+                     page_base) -> tuple:
+        """Replay ``replay`` (absolute images: idempotent and
+        prefix-closed).  The durable page LSNs already bounded it;
+        ``disk_lsns`` is not consulted."""
         redone = 0
         with db.tracer.span("recovery.phase", stats=db.stats,
                             log_split=True, phase="redo") as span:
-            durable = db._durable_page_lsn
-            replay = [r for r in db.redo_log.records()
-                      if r.page_chained and r.txn_id in winners
-                      and r.lsn > durable.get(r.page_id, 0)]
             db.redo_log.charge_read(replay)
             for record in replay:
                 if isinstance(record, PageRedoEntry):
@@ -426,7 +453,7 @@ class RedoOnlyDiscipline(NoForceAcc):
                         record.image)
                 redone += 1
             span.set(applied=redone)
-        return redone
+        return redone, 0
 
     def trim_log(self, db, candidates: list, archive_floor) -> int:
         """ACC bound plus a chain walk: for every page whose chain head
@@ -497,11 +524,17 @@ class RdaProtection:
 
     def write_committed(self, db, page: int, payload: bytes,
                         old_data=None) -> None:
-        db.rda.write_committed(page, payload, old_data=old_data)
+        # the forced LSN, never the tail's: an unforced LSN is issued
+        # again after a crash
+        db.rda.write_committed(page, payload, old_data=old_data,
+                               lsn=db.redo_log.forced_lsn)
 
     def write_group(self, db, group: int, writes: list,
                     before_write) -> None:
-        db.rda.write_group_committed(group, writes, before_write)
+        """Restart's restore: the pages now reflect the whole recovered
+        log, whose end is its forced LSN."""
+        db.rda.write_group_committed(group, writes, before_write,
+                                     lsn=db.redo_log.forced_lsn)
 
     def stage_record_undo(self, db, txn, undo) -> None:
         """Defer the before-entry: it only reaches the log if the page
@@ -552,7 +585,7 @@ class RdaProtection:
         return restored
 
     def restart_parity_phase(self, db, winners: set, losers: set,
-                             fault) -> tuple:
+                             fault, named) -> tuple:
         """Parity undo of unlogged stolen pages (must precede log
         writes), then write-hole resync of clean groups.
 
@@ -561,11 +594,18 @@ class RdaProtection:
         interrupted *committed* write-back leaves stale parity with no
         header evidence, so the remaining clean groups are scrubbed
         against their data and repaired — the twin-substrate analogue
-        of :class:`WalProtection`'s restart resync."""
+        of :class:`WalProtection`'s restart resync.
+
+        ``named`` are the parity groups the log can make this restart
+        write.  The twin scan keeps their current twins for the restore,
+        and the third result maps their pages to the LSN the current
+        twin's header says the disk holds — read once both phases are
+        done, so a rewound page answers with its pre-steal entry."""
         parity_undone = 0
         with db.tracer.span("recovery.phase", stats=db.stats,
                             log_split=True, phase="parity_undo") as span:
-            for entry in db.rda.crash_scan(winners):
+            for entry in db.rda.crash_scan(winners, keep=named,
+                                           next_lsn=db.redo_log.next_lsn):
                 losers.add(entry.txn_id)
                 fault(f"parity-undo group {entry.group}")
                 db.rda.undo_group(entry.group)
@@ -580,7 +620,12 @@ class RdaProtection:
                     fault(f"parity resync group {group}")
                     db.rda.resync_group(group)
                 span.set(groups=len(holes))
-        return len(holes), parity_undone
+        return len(holes), parity_undone, db.rda.disk_page_lsns(named)
+
+    def end_restart(self, db) -> None:
+        """The twins the scan kept do not outlive the restart, however
+        it ended."""
+        db.rda.drop_scanned_twins()
 
     def media_recover(self, db, disk_id: int, on_lost_undo: str):
         report, must_commit = db.rda.rebuild_disk(
@@ -633,17 +678,18 @@ class WalProtection:
         return {}
 
     def restart_parity_phase(self, db, winners: set, losers: set,
-                             fault) -> tuple:
+                             fault, named) -> tuple:
         """RAID write-hole resync: a crash between a small-write's data
         and parity transfers leaves the parity stale; recovery's own
         small writes assume it is current, so recompute it first.
 
         Detection uses uncounted peeks (the restart scrub); the repair
         writes are counted.  Clean restarts skip the phase entirely.
+        No header says what the disk holds: the third result is empty.
         """
         stale = db.array.scrub()
         if not stale:
-            return 0, 0
+            return 0, 0, {}
         with db.tracer.span("recovery.phase", stats=db.stats,
                             log_split=True, phase="parity_resync") as span:
             for group in stale:
@@ -652,7 +698,10 @@ class WalProtection:
                         for p in db.array.geometry.group_pages(group)]
                 db.array.rewrite_parity(group, data)
             span.set(groups=len(stale))
-        return len(stale), 0
+        return len(stale), 0, {}
+
+    def end_restart(self, db) -> None:
+        """Nothing was kept."""
 
     def media_recover(self, db, disk_id: int, on_lost_undo: str):
         return db.array.rebuild_disk(disk_id)
@@ -790,7 +839,8 @@ class RecoveryPolicy:
         db._residue.discard(page)
         if self.protection.covers_unlogged_steal(db, page, single,
                                                  was_residue):
-            db.rda.write_uncommitted(page, payload, single, old_data=old)
+            db.rda.write_uncommitted(page, payload, single, old_data=old,
+                                     lsn=db.redo_log.forced_lsn)
             db.counters.unlogged_steals += 1
             sole.note_steal(page)
             db._last_written[page] = payload

@@ -47,6 +47,7 @@ from ..storage.iostats import TransferCounts
 from ..wal import CommitRecord, GroupCommitCoordinator, GroupCommitLog
 from .config import DBConfig
 from .database import Database, WriteCounters, statistics_of
+from .recovery import RESTART_COUNTERS
 from .verify import verify_database
 
 
@@ -668,10 +669,7 @@ class ShardedDatabase:
 
             winners: set = set(global_winners)
             losers: set = set()
-            totals = dict.fromkeys(
-                ("sectors_repaired", "parity_resynced",
-                 "parity_undone_pages", "redo_applied", "log_undo_applied",
-                 "pages_unchanged", "page_transfers"), 0)
+            totals = dict.fromkeys(RESTART_COUNTERS, 0)
             for i, stats in per_shard:
                 winners.update(stats["winners"])
                 losers.update(stats["losers"])

@@ -52,9 +52,10 @@ OPERATION_COSTS = (
     OperationCost("array.small_write[mode=small,buffered=False]", "4", 4, 4),
     OperationCost("array.small_write[mode=small,buffered=True]", "3", 3, 3),
     OperationCost("array.small_write[mode=reconstruct", "N+1"),
-    # k pages of one group under one parity read and write: no constant
-    # band, the price moves with the event (group_write_transfers)
-    OperationCost("array.group_write", "2k+2-b"),
+    # k pages of one group under one parity read (none with the parity
+    # in hand) and one parity write: no constant band, the price moves
+    # with the event (group_write_transfers)
+    OperationCost("array.group_write", "2k+2-b-p"),
     OperationCost("rda.commit", "0", 0, 0),
     OperationCost("rda.twin_flip", "0", 0, 0),
     OperationCost("rda.undo", "5-6", 5, 6),
@@ -80,16 +81,19 @@ MODEL_EXPECTATIONS = tuple(
 :data:`repro.obs.inspect.MODEL_EXPECTATIONS` shape)."""
 
 
-def group_write_transfers(pages: int, buffered_pages: int) -> int:
+def group_write_transfers(pages: int, buffered_pages: int,
+                          parity_in_hand: int = 0) -> int:
     """The model price of one ``array.group_write``: restart restores
     ``pages`` pages of one parity group under one parity read and one
     parity write — per page the data write and, unless its old image is
     among the ``buffered_pages`` already in hand, one read.  k = 1 is
-    the small write's ``a``: 4, or 3 buffered.  Restart itself always
-    has ``buffered_pages == pages`` (it reads every base first, to write
+    the small write's ``a``: 4, or 3 buffered.  ``parity_in_hand`` (0 or
+    1) takes the parity read off: on a twin array restart's scan read
+    the group's current twin already.  Restart itself always has
+    ``buffered_pages == pages`` (it reads every base first, to write
     only the pages that differ — those reads sit in the restore phase,
     outside this event); a caller of ``write_group`` may still pass none."""
-    return 2 * pages + 2 - buffered_pages
+    return 2 * pages + 2 - buffered_pages - parity_in_hand
 
 
 def transfer_bands() -> dict:

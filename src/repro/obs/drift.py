@@ -116,7 +116,8 @@ class DriftDetector:
             return
         if name == "array.group_write":
             self._add(name, 1, attrs["transfers"], price=group_write_transfers(
-                attrs["pages"], attrs["buffered_pages"]))
+                attrs["pages"], attrs["buffered_pages"],
+                attrs.get("parity_in_hand", 0)))
             return
         if name == "rda.commit":
             flips = attrs.get("groups", 0)

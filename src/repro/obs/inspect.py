@@ -107,7 +107,8 @@ def aggregate_events(events) -> dict:
             # priced per event: the model column shows the mean price
             # of the groups this trace wrote, next to the mean measured
             group_write_model += group_write_transfers(
-                attrs["pages"], attrs["buffered_pages"])
+                attrs["pages"], attrs["buffered_pages"],
+                attrs.get("parity_in_hand", 0))
         if name == "array.small_write_batch":
             # one coalesced window event stands in for per-page
             # small-write events; expand it back into the model-priced

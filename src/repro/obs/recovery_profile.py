@@ -38,15 +38,10 @@ RESTART_PHASE_ORDER = ("analysis", "media_scan", "parity_resync",
                        "media_rebuild")
 """Canonical phase ordering for display (execution order at restart)."""
 
-_WORK_ATTRS = ("winners", "losers", "applied", "sectors", "pages", "unchanged",
-               "groups")
+_WORK_ATTRS = ("winners", "losers", "applied", "skipped", "sectors", "pages",
+               "unchanged", "groups")
 """Span attributes that count *work* (not transfers); accumulated into
 each phase's ``work`` sub-dict."""
-
-_CYCLE_STATS = ("sectors_repaired", "parity_resynced", "parity_undone_pages",
-                "redo_applied", "log_undo_applied", "pages_unchanged",
-                "page_transfers")
-"""Numeric fields copied from a ``db.recover()`` statistics dict."""
 
 
 def _new_phase() -> dict:
@@ -162,7 +157,9 @@ class RecoveryProfile:
         if cycle.t0 is not None:
             cycle.mttr_ms = (self._clock() - cycle.t0) * 1e3
         if stats:
-            for key in _CYCLE_STATS:
+            # lazy: repro.db imports this package's tracer on its way up
+            from ..db.recovery import RESTART_COUNTERS
+            for key in RESTART_COUNTERS:
                 if key in stats:
                     cycle.stats[key] = stats[key]
             for side in ("winners", "losers"):
@@ -191,6 +188,10 @@ class RecoveryProfile:
             attrs = event.get("attrs") or {}
             cycle = self._ensure_cycle(event)
             cycle.restart_ms += attrs.get("dur_ms") or 0.0
+            if "error" in attrs:
+                # a restart that died (a crash during recovery): not the
+                # ready point — the cycle stays open for the next one
+                return
             if "shard" not in attrs and not cycle.explicit:
                 # observer-only mode: the unlabeled (engine- or
                 # facade-level) restart end is the ready point

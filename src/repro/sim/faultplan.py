@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import NamedTuple
 
+from ..db.recovery import RESTART_COUNTERS
 from ..db.verify import verify_database
 from ..errors import ReproError, UnrecoverableDataError
 from ..storage.page import PAGE_SIZE, ZERO_PAGE, make_page
@@ -521,12 +522,7 @@ def run_plan(make_db, ops, plan: FaultPlan, setup=None) -> PlanOutcome:
         "mttr_ms": round((perf_counter() - recover_t0) * 1e3, 3),
         "winners": len(stats["winners"]),
         "losers": len(stats["losers"]),
-        **{key: stats[key]
-           for key in ("sectors_repaired", "parity_resynced",
-                       "parity_undone_pages", "redo_applied",
-                       "log_undo_applied", "pages_unchanged",
-                       "page_transfers")
-           if key in stats},
+        **{key: stats[key] for key in RESTART_COUNTERS if key in stats},
     }
 
     for problem in verify_database(db):
@@ -619,17 +615,8 @@ class FaultSweepReport:
                 "max": round(max(mttrs), 3),
                 "total": round(sum(mttrs), 3),
             },
-            "page_transfers": sum(p.get("page_transfers", 0)
-                                  for p in profiles),
-            "sectors_repaired": sum(p.get("sectors_repaired", 0)
-                                    for p in profiles),
-            "parity_undone_pages": sum(p.get("parity_undone_pages", 0)
-                                       for p in profiles),
-            "redo_applied": sum(p.get("redo_applied", 0) for p in profiles),
-            "log_undo_applied": sum(p.get("log_undo_applied", 0)
-                                    for p in profiles),
-            "pages_unchanged": sum(p.get("pages_unchanged", 0)
-                                   for p in profiles),
+            **{key: sum(p.get(key, 0) for p in profiles)
+               for key in RESTART_COUNTERS},
         }
 
     def to_dict(self) -> dict:

@@ -32,9 +32,9 @@ from .geometry import (Geometry, PhysAddr, Placement, parity_striping_geometry,
 from .kernels import active_tier, available_tiers, set_kernel, use_kernel
 from .iostats import IOStats, TransferCounts
 from .page import (HEADER_SIZE, NO_PAGE, NO_TXN, PAGE_SIZE, ZERO_PAGE,
-                   ParityHeader, TwinState, compute_parity, make_page,
-                   pack_header, reconstruct_before_image, unpack_header,
-                   xor_pages)
+                   ParityHeader, TwinState, compute_parity, header_size,
+                   make_page, pack_header, reconstruct_before_image,
+                   unpack_header, xor_pages)
 from .parity_striping import make_parity_striped, make_twin_parity_striped
 from .raid5 import make_raid5, make_twin_raid5
 from .raid6 import Raid6Array, make_raid6
@@ -75,6 +75,7 @@ __all__ = [
     "ParityHeader",
     "TwinState",
     "compute_parity",
+    "header_size",
     "make_page",
     "pack_header",
     "reconstruct_before_image",

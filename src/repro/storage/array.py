@@ -209,13 +209,14 @@ class DiskArray:
 
     def _write_group_resident(self, group: int, writes: list,
                               parity_addr: PhysAddr, header,
-                              before_write) -> bool:
+                              before_write, parity_in_hand=None) -> bool:
         """The group-resident body: read the parity page at
-        ``parity_addr`` once, fold ``old ⊕ new`` of every page of
+        ``parity_addr`` once — unless the caller holds its bytes,
+        ``parity_in_hand`` — fold ``old ⊕ new`` of every page of
         ``writes`` into it, write the data pages in order, then write
         the parity once (under ``header`` on a twin array) —
-        ``2·k + 2 − buffered`` transfers where k small writes cost
-        ``4·k − buffered``, and exactly a small write's for k = 1.
+        ``2·k + 2 − buffered − in_hand`` transfers where k small writes
+        cost ``4·k − buffered``, and exactly a small write's for k = 1.
 
         Data-then-parity, the order of every committed small write: a
         crash inside the body leaves up to k data pages newer than the
@@ -237,7 +238,9 @@ class DiskArray:
             else:
                 buffered += 1
             operands += (old_data, new_data)
-        parity = xor_pages(parity_disk.read(parity_addr.slot), *operands)
+        in_hand = parity_in_hand is not None
+        parity = xor_pages(parity_in_hand if in_hand
+                           else parity_disk.read(parity_addr.slot), *operands)
         for (page, new_data, _), addr in zip(writes, addrs):
             before_write("page", page)
             disks[addr.disk].write(addr.slot, new_data)
@@ -247,14 +250,15 @@ class DiskArray:
         else:
             parity_disk.write_with_header(parity_addr.slot, parity, header)
         pages = len(writes)
-        reads = pages + 1 - buffered
+        reads = pages + 1 - buffered - in_hand
         if self._xfer_hist is not None:
             self._xfer_hist.observe(reads + pages + 1)
         if self.tracer.enabled:
             # one costed event for the group, not a small-write row per
             # page that would price the shared twin k times
             self.tracer.emit("array.group_write", group=group, pages=pages,
-                             buffered_pages=buffered, reads=reads,
+                             buffered_pages=buffered,
+                             parity_in_hand=int(in_hand), reads=reads,
                              writes=pages + 1, transfers=reads + pages + 1)
         return True
 

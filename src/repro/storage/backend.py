@@ -89,7 +89,8 @@ class TwinBackend(StorageBackend, Protocol):
                     old_data: Optional[bytes] = None,
                     twin_first: bool = False) -> None: ...
     def group_small_write(self, group: int, writes: List, which: int,
-                          header, before_write: Callable) -> None: ...
+                          header, before_write: Callable,
+                          parity_in_hand: Optional[bytes] = None) -> None: ...
     def write_data_only(self, page: int, new_data: bytes) -> None: ...
     def read_twin(self, group: int, which: int) -> Tuple: ...
     def write_twin(self, group: int, which: int, payload: bytes,

@@ -11,9 +11,13 @@ Section 4.2 of the paper:
 * the **index of the dirty data page** within the parity group (so crash
   recovery knows which page to reconstruct), and
 * the twin **state** (committed / obsolete / working / invalid,
-  Figure 8).
+  Figure 8), and
+* the group's **page LSNs**: per data page, a redo-log LSN the page (in
+  the version this twin's parity describes) is known to have reached —
+  what lets restart's redo skip a record the disk already holds.
 
-Headers pack to :data:`HEADER_SIZE` bytes with :func:`pack_header` /
+Headers pack to :func:`header_size` bytes (:data:`HEADER_SIZE` plus
+eight per page LSN) with :func:`pack_header` /
 :func:`unpack_header`; the simulated disks store them out-of-band next to
 the page payload so that parity XOR stays a whole-page operation (a real
 implementation would reserve the first bytes of the parity sector; the
@@ -23,8 +27,8 @@ separation only simplifies the simulation and is noted in DESIGN.md).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from . import kernels as _kernels
 
@@ -35,10 +39,12 @@ enough that XOR bugs cannot hide in a couple of bytes."""
 ZERO_PAGE = bytes(PAGE_SIZE)
 """The all-zero page: parity identity element and initial disk contents."""
 
-HEADER_SIZE = 28
-"""Packed size of :class:`ParityHeader` (struct ``<qqiiI``)."""
+HEADER_SIZE = 32
+"""Packed size of a :class:`ParityHeader` without page LSNs (struct
+``<qqiiII``: the four fields, the LSN count, the magic trailer)."""
 
-_HEADER_STRUCT = struct.Struct("<qqiiI")
+_HEADER_STRUCT = struct.Struct("<qqiiII")
+_HEADER_MAGIC = 0xDBA5C0DE
 
 NO_TXN = -1
 """Sentinel transaction id for headers not owned by any transaction."""
@@ -62,9 +68,9 @@ class TwinState(Enum):
     INVALID = 3
 
 
-@dataclass(frozen=True)
-class ParityHeader:
-    """Metadata carried by each parity twin.
+class ParityHeader(NamedTuple):
+    """Metadata carried by each parity twin.  Immutable; a named tuple
+    because one is built for every page written back.
 
     Attributes:
         timestamp: monotonically increasing stamp; the twin with the
@@ -75,45 +81,70 @@ class ParityHeader:
             single page written back without UNDO logging, else
             :data:`NO_PAGE`.
         state: the :class:`TwinState` of this twin.
+        page_lsns: one redo-log LSN per data page of the group, in
+            member order; empty means all unknown (0).  Entry ``i`` says
+            the on-disk page ``i`` — in the version this twin's parity
+            describes — reflects every committed record for it with an
+            LSN at or below the entry.  The vector moves exactly with
+            the parity: a twin write that absorbs page ``i``'s delta
+            sets entry ``i`` and carries the others over from the twin
+            its payload was seeded from.
     """
 
     timestamp: int = 0
     txn_id: int = NO_TXN
     dirty_page_index: int = NO_PAGE
     state: TwinState = TwinState.OBSOLETE
+    page_lsns: tuple = ()
 
     def with_(self, **changes) -> "ParityHeader":
         """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
+        return self._replace(**changes)
+
+
+def header_size(page_lsns: int) -> int:
+    """Packed size of a header carrying ``page_lsns`` page LSNs."""
+    return HEADER_SIZE + 8 * page_lsns
 
 
 def pack_header(header: ParityHeader) -> bytes:
-    """Serialize a :class:`ParityHeader` to :data:`HEADER_SIZE` bytes."""
+    """Serialize a :class:`ParityHeader` to :func:`header_size` bytes:
+    the fixed part, then the page LSNs."""
+    lsns = header.page_lsns
     return _HEADER_STRUCT.pack(
         header.timestamp,
         header.txn_id,
         header.dirty_page_index,
         header.state.value,
-        0xDBA5C0DE,
-    )
+        len(lsns),
+        _HEADER_MAGIC,
+    ) + struct.pack(f"<{len(lsns)}q", *lsns)
 
 
 def unpack_header(blob: bytes) -> ParityHeader:
     """Deserialize bytes produced by :func:`pack_header`.
 
     Raises:
-        ValueError: if the magic trailer is wrong or the blob is short.
+        ValueError: if the magic trailer is wrong or the blob is not
+            exactly as long as its LSN count says.
     """
-    if len(blob) != HEADER_SIZE:
-        raise ValueError(f"parity header must be {HEADER_SIZE} bytes, got {len(blob)}")
-    timestamp, txn_id, dirty_index, state_value, magic = _HEADER_STRUCT.unpack(blob)
-    if magic != 0xDBA5C0DE:
+    if len(blob) < HEADER_SIZE:
+        raise ValueError(
+            f"parity header needs {HEADER_SIZE} bytes, got {len(blob)}")
+    timestamp, txn_id, dirty_index, state_value, count, magic = \
+        _HEADER_STRUCT.unpack_from(blob)
+    if magic != _HEADER_MAGIC:
         raise ValueError("bad parity-header magic; header corrupt")
+    if len(blob) != header_size(count):
+        raise ValueError(
+            f"parity header with {count} page LSNs must be "
+            f"{header_size(count)} bytes, got {len(blob)}")
     return ParityHeader(
         timestamp=timestamp,
         txn_id=txn_id,
         dirty_page_index=dirty_index,
         state=TwinState(state_value),
+        page_lsns=struct.unpack_from(f"<{count}q", blob, HEADER_SIZE),
     )
 
 

@@ -313,17 +313,19 @@ class TwinParityArray(DiskArray):
             self.barrier_hook("twin_write", page=page)
 
     def group_small_write(self, group: int, writes: list, which: int,
-                          header: ParityHeader, before_write) -> None:
+                          header: ParityHeader, before_write,
+                          parity_in_hand: bytes | None = None) -> None:
         """Committed writes of several pages of one group, updating
-        twin ``which`` in place under ``header``: one twin read and one
-        twin write for the group
+        twin ``which`` in place under ``header``: one twin read — none
+        when the caller holds the twin's payload, ``parity_in_hand`` —
+        and one twin write for the group
         (:meth:`~repro.storage.array.DiskArray._write_group_resident`),
         the ``twin_write`` barrier once, after the twin write, when the
         group is consistent again.  With a failed disk in play each page
         takes :meth:`small_write`'s general path instead."""
         twin = self.geometry.parity_addresses(group)[which]
         if self._write_group_resident(group, writes, twin, header,
-                                      before_write):
+                                      before_write, parity_in_hand):
             if self.barrier_hook is not None:
                 self.barrier_hook("twin_write", group=group)
             return

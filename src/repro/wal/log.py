@@ -165,7 +165,9 @@ class LogManager:
         self._last_lsn_of_page: dict = {}
         self._next_lsn = 1
         self._base_lsn = 1          # first retained LSN (grows on truncation)
-        self._forced_lsn = NULL_LSN
+        # highest LSN known durable; a plain attribute (read-only to
+        # everyone else): every page write-back stamps it on a twin
+        self.forced_lsn = NULL_LSN
 
     # -- append path -----------------------------------------------------------
 
@@ -241,12 +243,7 @@ class LogManager:
         if self._forces_child is not None:
             self._forces_child.inc()
         if self._records:
-            self._forced_lsn = self._records[-1].lsn
-
-    @property
-    def forced_lsn(self) -> int:
-        """Highest LSN known durable."""
-        return self._forced_lsn
+            self.forced_lsn = self._records[-1].lsn
 
     @property
     def durable_lsn(self) -> int:
@@ -254,7 +251,13 @@ class LogManager:
         the forced LSN; a group-commit log with a batched force pending
         extends it to the tail (the coordinator drains before any crash
         truncates it — see :mod:`repro.wal.group_commit`)."""
-        return self._forced_lsn
+        return self.forced_lsn
+
+    @property
+    def next_lsn(self) -> int:
+        """The LSN the next append gets.  Unlike ``last_lsn + 1`` it
+        keeps counting across a trim that empties the log."""
+        return self._next_lsn
 
     @property
     def last_lsn(self) -> int:
@@ -352,7 +355,7 @@ class LogManager:
             # group-commit force) would otherwise leave forced_lsn
             # beyond the tail, and the next force() has no record to
             # re-anchor it
-            self._forced_lsn = NULL_LSN
+            self.forced_lsn = NULL_LSN
         for device in self._devices:
             device.reset_to(device.contents[byte_offset:])
         for txn_id in [t for t, last in self._last_lsn_of_txn.items()
@@ -450,7 +453,7 @@ class LogManager:
         # the forced horizon can only cover records that still exist —
         # a damaged log that lost its whole tail is durable up to
         # nothing, not up to where the tail used to end
-        self._forced_lsn = best[-1].lsn if best else NULL_LSN
+        self.forced_lsn = best[-1].lsn if best else NULL_LSN
         return len(best)
 
     @staticmethod

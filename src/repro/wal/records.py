@@ -90,6 +90,7 @@ class LogRecord:
 
     record_type = None  # set by subclasses
     page_chained = False  # True for per-page redo-chain record types
+    page_id = None  # the data page a record names; a field where it does
 
     def payload_bytes(self) -> bytes:
         """Type-specific payload; overridden by subclasses."""

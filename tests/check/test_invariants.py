@@ -4,7 +4,7 @@ is caught by its rule, and barriers fire where the protocol says."""
 import pytest
 
 from repro.check import (DirtySetBoundRule, InvariantEngine,
-                         LsnMonotonicityRule, MutantError,
+                         LsnMonotonicityRule, MutantError, TwinPageLsnRule,
                          TwinParityIdentityRule, WalBeforeDataRule,
                          WriteBehindRule, check_restart, default_rules)
 from repro.db import Database, preset
@@ -92,11 +92,11 @@ class TestEngineWiring:
         db.recover()
         assert check_restart(db) == []
 
-    def test_default_rules_cover_all_five(self):
+    def test_default_rules_cover_all_six(self):
         names = {rule.name for rule in default_rules()}
         assert names == {"twin-parity-identity", "dirty-set-bound",
                          "wal-before-data", "lsn-monotonicity",
-                         "write-behind"}
+                         "write-behind", "twin-page-lsn"}
 
 
 class TestTwinParityIdentityRule:
@@ -295,6 +295,111 @@ class TestWriteBehindRule:
                                         {"page": 3, "logged": True,
                                          "txns": {1}})
         assert any("logged undo records" in v.detail for v in found)
+
+
+class TestTwinPageLsnRule:
+    """The page LSNs on the twin headers never claim more than the disk
+    holds (PR 23)."""
+
+    @staticmethod
+    def stamped_db(name="record-noforce-rda"):
+        """Pages 0 and 1 (group 0) committed and flushed, so the current
+        twin vouches for both records; page 1 then stolen unlogged by an
+        active transaction: group 0 is dirty."""
+        db = make_db(name)
+        db.format_record_pages(range(db.num_data_pages))
+        setup = db.begin()
+        slots = {page: db.insert_record(setup, page, b"v0")
+                 for page in (0, 1)}
+        db.commit(setup)
+        for page in slots:
+            assert db.buffer.flush_page(page)
+        thief = db.begin()
+        db.update_record(thief, 1, slots[1], b"v1")
+        assert db.buffer.flush_page(1)
+        assert db.rda.dirty_set.is_dirty(0)
+        return db, thief
+
+    def test_a_stamped_run_is_clean_at_every_barrier(self):
+        db, thief = self.stamped_db()
+        current = db.array.peek_twin(0, db.rda.current_twin(0))[1]
+        assert current.page_lsns[0] > 0          # something is judged
+        db.abort(thief)
+        db.checkpoint()
+        db.crash()
+        db.recover()
+        counts = db.invariants.barrier_counts
+        assert all(counts[name] for name in ("twin_write", "steal", "abort",
+                                             "checkpoint", "restart"))
+        assert db.invariants.clean
+
+    def test_an_entry_past_the_durable_lsn_is_caught(self):
+        db, _thief = self.stamped_db()
+        rule = TwinPageLsnRule()
+        assert rule.check(db, "checkpoint", {}) == []
+        rule.mutate(db)
+        found = rule.check(db, "checkpoint", {})
+        assert found and all(v.kind == "twin-page-lsn" for v in found)
+        assert "beyond the redo log" in found[0].detail
+
+    def test_an_entry_the_trimmed_log_once_issued_is_not(self):
+        """A quiescent trim empties the log and resets its forced LSN:
+        the stamps on disk are above it, and legal — the records they
+        name are gone, not pending."""
+        db = make_db("page-force-rda")
+        for version in (b"a", b"b"):
+            txn = db.begin()
+            db.write_page(txn, 0, make_page(version))
+            db.commit(txn)
+        db.trim_log(archive_floor=1 << 62)
+        assert db.redo_log.durable_lsn == 0 < max(
+            db.array.peek_twin(0, db.rda.current_twin(0))[1].page_lsns)
+        assert TwinPageLsnRule().check(db, "checkpoint", {}) == []
+
+    def test_a_one_sided_stamp_in_a_dirty_group_is_caught(self):
+        db, _thief = self.stamped_db()
+        rule = TwinPageLsnRule()
+        rule.mutate_one_sided_stamp(db)
+        found = rule.check(db, "steal", {})
+        assert found and all("twins disagree" in v.detail for v in found)
+
+    def test_the_real_dirty_group_write_stamps_both_twins(self):
+        """The write the mutant imitates, done right: a logged steal of
+        page 0 into the dirty group (two modifiers, so the twins cannot
+        cover it) stamps both twins."""
+        db, thief = self.stamped_db()
+        setup = db.begin()
+        second = db.insert_record(setup, 0, b"v0")
+        db.commit(setup)
+        db.update_record(thief, 0, 0, b"t1")
+        db.update_record(db.begin(), 0, second, b"t2")
+        before = [db.array.peek_twin(0, which)[1].page_lsns[0]
+                  for which in (0, 1)]
+        assert db.buffer.flush_page(0)
+        after = [db.array.peek_twin(0, which)[1].page_lsns[0]
+                 for which in (0, 1)]
+        assert after[0] == after[1] == db.redo_log.forced_lsn > max(before)
+        assert db.invariants.clean
+
+    def test_a_stamp_the_disk_does_not_back_is_caught(self):
+        """The current twin vouches for page 0's committed record; put
+        the page's older bytes back under it."""
+        db, thief = self.stamped_db()
+        db.abort(thief)
+        rule = TwinPageLsnRule()
+        assert rule.check(db, "restart", {}) == []
+        addr = db.array.geometry.data_address(0)
+        empty = make_db("record-noforce-rda", engine=False)
+        empty.format_record_pages([0])
+        db.array.disks[addr.disk].write(addr.slot, empty.disk_page(0))
+        found = rule.check(db, "restart", {})
+        assert [v.detail for v in found if "disk lacks" in v.detail]
+
+    def test_mutants_need_their_state(self):
+        with pytest.raises(MutantError):
+            TwinPageLsnRule().mutate(make_db("page-force-log"))
+        with pytest.raises(MutantError):
+            TwinPageLsnRule().mutate_one_sided_stamp(make_db())
 
 
 class TestLsnMonotonicityRule:

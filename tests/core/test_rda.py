@@ -311,6 +311,195 @@ class TestCrashScan:
         assert array.next_timestamp() == 6
 
 
+class TestPageLsnVector:
+    """The twin header's page LSNs move exactly with the parity (PR 23):
+    a twin that absorbs page i's delta takes the caller's ``lsn`` as
+    entry i and the other entries from the twin its payload came from."""
+
+    @staticmethod
+    def vectors(rda, group=0):
+        return [rda.array.peek_twin(group, which)[1].page_lsns
+                for which in (0, 1)]
+
+    def test_steal_commit_flip_then_committed_write(self, rda):
+        current = rda.current_twin(0)
+        assert self.vectors(rda) == [(), ()]            # loaded: unknown
+        rda.write_committed(1, make_page(b"c1"), lsn=5)
+        assert self.vectors(rda)[current] == (0, 5, 0, 0)
+        # first steal: into the free twin, seeded from the source twin
+        rda.write_uncommitted(0, make_page(b"s1"), txn_id=1, lsn=7)
+        assert self.vectors(rda)[1 - current] == (7, 5, 0, 0)
+        assert self.vectors(rda)[current] == (0, 5, 0, 0)   # untouched
+        # re-steal: in place on the working twin
+        rda.write_uncommitted(0, make_page(b"s2"), txn_id=1, lsn=9)
+        assert self.vectors(rda)[1 - current] == (9, 5, 0, 0)
+        rda.commit_txn(1)                               # flip: no I/O
+        assert rda.current_twin(0) == 1 - current
+        rda.write_committed(2, make_page(b"c2"), lsn=11)
+        assert self.vectors(rda)[1 - current] == (9, 5, 11, 0)
+        assert self.vectors(rda)[current] == (0, 5, 0, 0)   # superseded
+
+    def test_abort_leaves_the_survivors_pre_steal_entry(self, rda):
+        current = rda.current_twin(0)
+        rda.write_committed(0, make_page(b"c0"), lsn=3)
+        rda.write_uncommitted(0, make_page(b"s"), txn_id=1, lsn=8)
+        rda.abort_txn(1)
+        assert rda.current_twin(0) == current
+        assert self.vectors(rda)[current] == (3, 0, 0, 0)
+        # and it is what a restart sees for the rewound page
+        rda.crash_scan(committed_txns=set())
+        assert rda.disk_page_lsns([0])[0] == 3
+
+    def test_undo_of_a_never_written_group_promotes_with_the_vector(self):
+        """Both twins still wear their formatted OBSOLETE headers: the
+        survivor is re-stamped COMMITTED and carries (no) entries over,
+        not the loser's."""
+        rda = RDAManager(make_twin_raid5(4, 2))
+        rda.write_uncommitted(0, make_page(b"s"), txn_id=1, lsn=8)
+        survivor = 1 - rda.dirty_set.entry(0).working_twin
+        rda.abort_txn(1)
+        _, header = rda.array.peek_twin(0, survivor)
+        assert header.state is TwinState.COMMITTED and header.page_lsns == ()
+
+    def test_logged_write_into_a_dirty_group_stamps_both_twins(self, rda):
+        rda.write_uncommitted(0, make_page(b"s"), txn_id=1, lsn=4)
+        rda.write_committed(2, make_page(b"logged"), lsn=6)
+        working = rda.dirty_set.entry(0).working_twin
+        assert self.vectors(rda)[working] == (4, 0, 6, 0)
+        assert self.vectors(rda)[1 - working] == (0, 0, 6, 0)
+        # either outcome of the steal keeps page 2's entry
+        rda.abort_txn(1)
+        assert self.vectors(rda)[rda.current_twin(0)] == (0, 0, 6, 0)
+
+    def test_promote_to_logged_carries_the_working_vector(self, rda):
+        rda.write_committed(1, make_page(b"c1"), lsn=2)
+        rda.write_uncommitted(0, make_page(b"s"), txn_id=1, lsn=4)
+        working = rda.dirty_set.entry(0).working_twin
+        rda.promote_to_logged(0, lambda *record: None)
+        _, header = rda.array.peek_twin(0, working)
+        assert header.state is TwinState.COMMITTED
+        assert header.page_lsns == (4, 2, 0, 0)         # no new stamp
+
+    def test_seal_keeps_the_vector(self, rda):
+        rda.write_uncommitted(0, make_page(b"s"), txn_id=1, lsn=4)
+        working = rda.dirty_set.entry(0).working_twin
+        rda.commit_txn(1)
+        assert rda.seal_stale_working_headers() == 1
+        _, header = rda.array.peek_twin(0, working)
+        assert header.state is TwinState.COMMITTED
+        assert header.page_lsns == (4, 0, 0, 0)
+
+    def test_group_write_stamps_every_written_page_in_one_header(self, rda):
+        pages = rda.array.geometry.group_pages(1)
+        rda.write_committed(pages[3], make_page(b"c"), lsn=2)
+        writes = [(page, make_page(b"r%d" % page), None)
+                  for page in pages[:2]]
+        rda.write_group_committed(1, writes, lambda *label: None, lsn=9)
+        assert self.vectors(rda, 1)[rda.current_twin(1)] == (9, 9, 0, 2)
+
+    def test_resync_clears_and_never_invents(self, rda):
+        rda.write_committed(0, make_page(b"c"), lsn=5)
+        current = rda.current_twin(0)
+        rda.resync_group(0)
+        assert self.vectors(rda)[current] == ()
+
+    @pytest.mark.parametrize("lost", ["current", "other"])
+    def test_media_rebuild_of_either_twin_clears_it(self, rda, lost):
+        rda.write_committed(0, make_page(b"c"), lsn=5)
+        current = rda.current_twin(0)
+        which = current if lost == "current" else 1 - current
+        disk = rda.array.geometry.parity_addresses(0)[which].disk
+        rda.array.fail_disk(disk)
+        rda.rebuild_disk(disk)
+        assert self.vectors(rda)[which] == ()
+        if lost == "other":
+            assert self.vectors(rda)[current] == (5, 0, 0, 0)
+
+    def test_the_generic_array_write_clears_it(self, rda):
+        rda.write_committed(0, make_page(b"c"), lsn=5)
+        rda.array.write_page(1, make_page(b"plain"))    # a non-RDA engine
+        assert self.vectors(rda)[rda.current_twin(0)] == ()
+
+
+class TestScannedTwins:
+    """What the crash scan keeps for the restore, and for how long."""
+
+    def test_keeps_only_the_groups_asked_for(self, rda):
+        rda.crash_scan(committed_txns=set())
+        assert rda._scanned == {}
+        rda.crash_scan(committed_txns=set(), keep={1, 4})
+        assert set(rda._scanned) == {1, 4}
+        for group, payload in rda._scanned.items():
+            assert payload == rda.array.peek_twin(
+                group, rda.current_twin(group))[0]
+
+    def test_group_write_spends_it_and_reads_no_twin(self, rda):
+        rda.crash_scan(committed_txns=set(), keep={1})
+        page = rda.array.geometry.group_pages(1)[0]
+        writes = [(page, make_page(b"new"), rda.array.peek_page(page))]
+        with rda.array.stats.window() as w:
+            rda.write_group_committed(1, writes, lambda *label: None)
+        assert (w.reads, w.writes) == (0, 2)
+        assert rda._scanned == {}
+        assert rda.array.scrub() == []
+
+    def test_undo_drops_the_losers_working_twin(self):
+        """On a never-written group the scan-time current twin is the
+        loser's WORKING one (the only non-OBSOLETE header); parity undo
+        makes the other twin current, so the kept payload must go."""
+        rda = RDAManager(make_twin_raid5(4, 2))
+        rda.write_uncommitted(0, make_page(b"s"), txn_id=1)
+        working = rda.dirty_set.entry(0).working_twin
+        (loser,) = rda.crash_scan(committed_txns=set(), keep={0})
+        assert rda.current_twin(0) == working and 0 in rda._scanned
+        rda.undo_group(loser.group)
+        assert rda._scanned == {}
+        page = rda.array.geometry.group_pages(0)[1]
+        rda.write_group_committed(0, [(page, make_page(b"r"), None)],
+                                  lambda *label: None)
+        assert rda.array.scrub() == []
+
+    @pytest.mark.parametrize("touch", ["resync", "committed", "uncommitted",
+                                       "lose_memory", "drop"])
+    def test_anything_that_can_stale_it_drops_it(self, rda, touch):
+        rda.crash_scan(committed_txns=set(), keep={0})
+        if touch == "resync":
+            rda.resync_group(0)
+        elif touch == "committed":
+            rda.write_committed(0, make_page(b"c"))
+        elif touch == "uncommitted":
+            rda.write_uncommitted(0, make_page(b"s"), txn_id=1)
+        elif touch == "lose_memory":
+            rda.lose_memory()
+        else:
+            rda.drop_scanned_twins()
+        assert rda._scanned == {}
+
+
+class TestStaleLsnReseal:
+    """A page LSN at or above the recovered log's next LSN names a
+    record the log lost: the scan zeroes it durably, and only it."""
+
+    def test_scan_zeroes_what_the_log_no_longer_backs(self, rda):
+        rda.write_committed(0, make_page(b"a"), lsn=4)
+        rda.write_committed(1, make_page(b"b"), lsn=9)
+        current = rda.current_twin(0)
+        with rda.array.stats.window() as w:
+            rda.crash_scan(committed_txns=set(), next_lsn=9)
+        assert w.writes == 1                 # one header, the stale one
+        assert rda.array.peek_twin(0, current)[1].page_lsns == (4, 0, 0, 0)
+        assert rda.disk_page_lsns([0]) == {0: 4, 1: 0, 2: 0, 3: 0}
+        with rda.array.stats.window() as w:
+            rda.crash_scan(committed_txns=set(), next_lsn=9)
+        assert w.writes == 0                 # durable: nothing left to do
+
+    def test_scan_with_an_intact_log_writes_nothing(self, rda):
+        rda.write_committed(1, make_page(b"b"), lsn=9)
+        with rda.array.stats.window() as w:
+            rda.crash_scan(committed_txns=set(), next_lsn=10)
+        assert w.writes == 0
+
+
 class TestParityHoleScrub:
     @pytest.mark.parametrize("make_array", [make_twin_raid5,
                                             make_twin_parity_striped])

@@ -8,6 +8,7 @@ any number of times — must converge to the same committed state.
 
 import pytest
 
+from repro.check import check_restart
 from repro.db import Database, preset, verify_database
 from repro.storage import make_page
 
@@ -345,6 +346,136 @@ def test_group_restart_survives_a_second_interruption(name):
             assert_group_state(db, check)
             second += 1
         assert second > 1
+
+
+# -- the scan's twins and the headers' page LSNs across two deaths (PR 23) --
+
+
+def build_vouched_scenario(name):
+    """:func:`build_group_scenario` on an array whose headers already
+    vouch for something: a first winner's versions of pages 0, 1 and 5
+    were evicted (stamped on their twins) before the scenario's winner
+    and loser rewrote them, so the restart skips some records by header,
+    restores others into the same groups, rewinds group 2 and keeps the
+    named groups' twins from its scan."""
+    db, check = build_group_scenario(name)
+    # build_group_scenario ends in a crash: restart it once, cleanly, so
+    # its restore stamps what it wrote, then crash with more work on top
+    db.recover()
+    if db.checkpointer is not None:
+        db.checkpoint()
+    if not db.config.record_logging:
+        winner, loser = db.begin(), db.begin()
+        for page in (0, 1, 5):
+            db.write_page(winner, page, make_page(b"new%d" % page))
+        db.commit(winner)
+        assert db.buffer.flush_page(1)          # vouched for by its twin
+        db.write_page(loser, 9, make_page(b"lose"))
+        assert db.buffer.flush_page(9)          # rides group 2's twins
+        db.crash()
+
+        def check_new():
+            t = db.begin()
+            for page in (0, 1, 5):
+                assert db.read_page(t, page) == make_page(b"new%d" % page)
+            assert db.read_page(t, 2) == make_page(b"win2")
+            assert db.read_page(t, 9) == bytes(512)
+            db.commit(t)
+        return db, check_new
+
+    def slot_of(page, who):
+        # the slots build_group_scenario inserted: w then l on each page
+        return 0 if who == "w" else 1
+
+    winner, loser = db.begin(), db.begin()
+    for page in (0, 1, 5):
+        db.update_record(winner, page, slot_of(page, "w"), b"n%d" % page)
+    db.update_record(loser, 0, slot_of(0, "l"), b"l0")
+    db.update_record(loser, 9, slot_of(9, "l"), b"l9")
+    assert db.buffer.flush_page(9)
+    db.commit(winner)           # FORCE: page 0 goes out, a logged steal
+    db.buffer.flush_page(0)     # ¬FORCE: now; the winner's record on it
+    db.buffer.flush_page(1)     # is vouched for, the loser's is undone
+    db.crash()
+
+    def check_new():
+        t = db.begin()
+        for page in (0, 1, 5):
+            assert db.read_record(t, page, slot_of(page, "w")) \
+                == b"n%d" % page
+        assert db.read_record(t, 2, slot_of(2, "w")) == b"w2"
+        for page in (0, 9):
+            assert db.read_record(t, page, slot_of(page, "l")) == b"l-"
+        db.commit(t)
+    return db, check_new
+
+
+def kind_of(label: str) -> str:
+    """A fault label minus its page or group number."""
+    return label.rstrip("0123456789").rstrip()
+
+
+def scanned_twins(db) -> dict:
+    return {} if db.rda is None else db.rda._scanned
+
+
+def die_at(db, at_write: int, kept: list) -> bool:
+    """:func:`interrupted`, also noting how many scanned twins the
+    restart held at each label and that none is left when it dies —
+    before the ``crash()`` that follows, and after it."""
+    crash = crashing_hook(at_write)
+
+    def hook(label):
+        kept.append(len(scanned_twins(db)))
+        crash(label)
+
+    try:
+        db.recover(fault_hook=hook)
+    except MidRecoveryCrash:
+        assert scanned_twins(db) == {}
+        db.crash()
+        assert scanned_twins(db) == {}
+        return True
+    assert scanned_twins(db) == {}
+    return False
+
+
+@pytest.mark.parametrize("name", GROUP_PRESETS)
+def test_vouched_restart_survives_two_interruptions_and_keeps_no_twin(name):
+    """Die at every label of a restart that skips by header, restores
+    with the scan's twins in hand, rewinds a group and (after a death
+    inside a group body) resyncs one — then at every label of the
+    restart that follows.  Each time: the oracle, a consistent parity,
+    page LSNs that vouch for nothing the disk lacks, and no scanned twin
+    outliving the restart it was read for."""
+    db, check = build_vouched_scenario(name)
+    points = []
+    db.recover(fault_hook=points.append)
+    assert_group_state(db, check)
+    kinds = {kind_of(label) for label in points}
+    assert {"restore page", "restore parity group", "abort records"} <= kinds
+    seen = set(kinds)
+    for first in range(1, len(points) + 1):
+        second = 1
+        while True:
+            db, check = build_vouched_scenario(name)
+            kept = []
+            assert die_at(db, first, kept)
+            if db.rda is not None and points[0] != "abort records":
+                assert kept[0] > 0          # the scan did keep some
+            labels = []
+            finished = not die_at(db, second, labels)
+            if not finished:
+                db.recover(fault_hook=lambda label: seen.add(
+                    kind_of(label)))
+            assert_group_state(db, check)
+            assert check_restart(db) == []
+            if finished:
+                break
+            second += 1
+        assert second > 1
+    if db.rda is not None:
+        assert {"parity-undo group", "parity resync group"} <= seen
 
 
 # -- the second restore writes what the first did not reach (PR 22) --------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check import InvariantEngine, TwinPageLsnRule
 from repro.db import Database, LockWait, SlottedPage, preset
 from repro.errors import BufferFullError, DeadlockError
 from repro.obs import RingBufferSink, Tracer
@@ -248,9 +249,11 @@ class TestRecordModeCrash:
 def test_restore_reads_each_page_once():
     """What a record-mode restart transfers: the twin scan (2 per
     group), the log reads redo charges, and per restored page one read
-    to apply the record images to plus an a = 3 small write — what
-    ``page_base`` read is the write's old data (it was read again by
-    the write, a = 4)."""
+    to apply the record images to, its data write and its group's twin
+    write — what ``page_base`` read is the write's old data (it was
+    read again by the write, a = 4, before PR 19) and what the scan
+    read is the write's old parity (read again, a = 3, before PR 23:
+    re-pinned from ``1 + 3`` a page)."""
     db = make_db("record-noforce-rda")
     setup = db.begin()
     slots = {page: db.insert_record(setup, page, b"v0") for page in (0, 5, 9)}
@@ -266,7 +269,7 @@ def test_restore_reads_each_page_once():
     log_reads = db.stats.log_transfers - log_before
     assert stats["redo_applied"] == 3 and log_reads > 0
     groups = db.array.geometry.num_groups
-    assert stats["page_transfers"] == (2 * groups + (1 + 3) * len(slots)
+    assert stats["page_transfers"] == (2 * groups + (1 + 2) * len(slots)
                                        + log_reads)
     t = db.begin()
     for page, slot in slots.items():
@@ -283,7 +286,9 @@ def test_restore_reads_and_writes_each_groups_parity_once(name,
     {9}): the restart transfers 2 × (pages − groups) fewer than the
     per-page restore loop did on this script (41 on the twin array — a
     16-transfer twin scan, one log read, 1 + 3 per page — and 25 on
-    single parity), the same saving on either substrate."""
+    single parity), the same saving on either substrate.  Re-pinned by
+    PR 23: on the twin array each group's one parity read is gone too,
+    the scan already made it."""
     db = make_db(name)
     pages = (0, 1, 2, 5, 6, 9)
     setup = db.begin()
@@ -298,8 +303,9 @@ def test_restore_reads_and_writes_each_groups_parity_once(name,
     stats = db.recover()
     assert stats["redo_applied"] == len(pages)
     groups = {db.array.geometry.group_of(page) for page in pages}
+    in_hand = len(groups) if db.array.supports_twins else 0
     assert stats["page_transfers"] == \
-        parent_transfers - 2 * (len(pages) - len(groups))
+        parent_transfers - 2 * (len(pages) - len(groups)) - in_hand
     t = db.begin()
     for page, slot in slots.items():
         assert db.read_record(t, page, slot) == b"v1"
@@ -309,7 +315,8 @@ def test_restore_reads_and_writes_each_groups_parity_once(name,
 # -- the restore writes only what the disk lacks (PR 22) -------------------
 
 PRICED_PRESETS = ["page-noforce-rda", "page-noforce-log", "record-noforce-rda",
-                  "record-force-rda", "record-noforce-rda-redo"]
+                  "record-noforce-log", "record-force-rda",
+                  "record-noforce-rda-redo"]
 
 
 def restore_spans(db) -> list:
@@ -320,21 +327,26 @@ def restore_spans(db) -> list:
 
 
 def build_priced_restart(name, k: int, u: int):
-    """A crashed database whose restart restores ``k`` pages of parity
-    group 1, ``u`` of which the disk already holds.  Returns it with b,
-    the number of bases redo/undo will have in hand, and the number of
-    pages the restart will count unchanged.
+    """A crashed database whose restart finds ``k`` pages of parity
+    group 1 in its log, ``u`` of which the disk already holds.  Returns
+    it with what the restart will count: the pages in its cache, the
+    bases redo/undo will have in hand, the pages the byte test will
+    drop and the records the header test will skip.
 
     ¬FORCE: a winner's k pages, u of them evicted to disk after the
     commit; redo replays all k since no checkpoint followed — whole
-    images under page logging (b = 0), records onto the base it reads
-    otherwise (b = k).  REDO-only knows the u evicted pages current by
-    their durable page LSN and never puts them in the cache.  FORCE
-    redoes nothing: a loser shares the k pages the winner's commit
-    forced to disk, and on u of them it rewrote its record with the
-    bytes it already had, so undoing those changes nothing."""
+    images under page logging (no base), records onto the base it reads
+    otherwise.  On a twin array the eviction stamped the page's LSN on
+    the twin, so redo skips the u pages' records and they never enter
+    the cache; single parity has no header to ask, caches all k and
+    drops u by their bytes.  REDO-only knows the u evicted pages current
+    by their durable page LSN.  FORCE redoes nothing: a loser shares the
+    k pages the winner's commit forced to disk, and on u of them it
+    rewrote its record with the bytes it already had, so undoing those
+    changes nothing."""
     db = make_db(name, tracer=Tracer(RingBufferSink()))
     pages = db.array.geometry.group_pages(1)[:k]
+    vouched = u if db.array.supports_twins else 0   # by a twin header
     if not db.config.record_logging:
         winner = db.begin()
         for page in pages:
@@ -343,7 +355,7 @@ def build_priced_restart(name, k: int, u: int):
         for page in pages[:u]:
             assert db.buffer.flush_page(page)
         db.crash()
-        return db, 0, u
+        return db, k - vouched, 0, u - vouched, vouched
     setup = db.begin()
     slots = {(page, who): db.insert_record(setup, page, who + b"-")
              for page in pages for who in (b"w", b"l")}
@@ -356,7 +368,7 @@ def build_priced_restart(name, k: int, u: int):
                              b"l-" if i < u else b"l%d" % page)
         db.commit(winner)
         db.crash()
-        return db, k, u
+        return db, k, k, u, 0
     db.checkpoint()
     winner = db.begin()
     for page in pages:
@@ -366,26 +378,30 @@ def build_priced_restart(name, k: int, u: int):
         assert db.buffer.flush_page(page)
     db.crash()
     if db.policy.redo_only:
-        return db, k - u, 0
-    return db, k, u
+        return db, k - u, k - u, 0, 0
+    return db, k - vouched, k - vouched, u - vouched, vouched
 
 
 @pytest.mark.parametrize("name", PRICED_PRESETS)
 @pytest.mark.parametrize("k, u", [(3, 0), (3, 1), (3, 2), (3, 3), (1, 1)])
 def test_restore_costs_its_base_reads_and_what_differs(name, k, u):
-    """k restored pages in one group, b bases in hand, u already on
-    disk: (k − b) base reads, then the group's twin read, k − u data
-    writes and twin write — or nothing at all when u = k.  (Under
-    REDO-only the cache holds k − u pages, all with their base.)"""
-    db, bases, unchanged = build_priced_restart(name, k, u)
+    """k pages of one group in the log, u already on disk: one base
+    read per cached page redo did not read, then k − u data writes and
+    the twin write — or nothing at all when u = k.  Re-pinned by PR 23
+    on the twin presets: the group's twin read is the scan's (``+ 1``
+    where single parity keeps ``+ 2``), and on the two ¬FORCE ones the
+    u pages are skipped by their header, so they cost no base read and
+    ``pages_unchanged`` is 0."""
+    db, cached, bases, unchanged, skipped = build_priced_restart(name, k, u)
     labels = []
     stats = db.recover(fault_hook=labels.append)
     (restore,) = restore_spans(db)
-    cached = k - u if db.policy.redo_only else k
+    twin_read = 0 if db.array.supports_twins else 1
     assert restore["transfers"] == \
-        (cached - bases) + (k - u > 0) * (k - u + 2)
+        (cached - bases) + (k - u > 0) * (k - u + 1 + twin_read)
     assert restore["writes"] == (k - u > 0) * (k - u + 1)
     assert stats["pages_unchanged"] == unchanged
+    assert stats["redo_skipped"] == skipped
     assert restore["pages"] == cached
     assert restore.get("unchanged", 0) == unchanged
     assert [label for label in labels if label.startswith("restore")] == (
@@ -407,8 +423,10 @@ def test_a_restart_after_a_completed_restart_writes_nothing(name):
     the second restart restores again is what the first left on disk,
     so it writes no data page and no parity, fires no restore label,
     and transfers only its twin scan, its log reads and one base read
-    per page."""
-    db, _, _ = build_priced_restart(name, 3, 1)
+    per page.  Re-pinned by PR 23: not even the base reads on the two
+    RDA ¬FORCE presets — the first restart stamped what it restored, so
+    the second skips all three pages' records by their headers."""
+    db, *_ = build_priced_restart(name, 3, 1)
     first = db.recover()
     writes = array_writes(db)
     db.crash()
@@ -420,8 +438,10 @@ def test_a_restart_after_a_completed_restart_writes_nothing(name):
     assert labels == ["abort records"]
     # ¬FORCE replays the winner's three pages again; the first restart
     # aborted the FORCE loser, and advanced REDO-only's page LSNs
-    again = 3 if db.checkpointer is not None and not db.policy.redo_only \
+    replayed = 3 if db.checkpointer is not None and not db.policy.redo_only \
         else 0
+    again = 0 if db.array.supports_twins else replayed
+    assert second["redo_skipped"] == replayed - again
     assert second["pages_unchanged"] == again
     assert restore_spans(db)[1]["pages"] == again
     scan = 2 * db.array.geometry.num_groups if db.array.supports_twins else 0
@@ -578,6 +598,277 @@ def test_random_history_restart_leaves_the_oracle_on_disk(name, data):
         elif action == "restart":
             restart_and_check()
     restart_and_check()
+
+
+# -- spend the scan: the header test and the twin in hand (PR 23) -----------
+
+
+@pytest.mark.parametrize("name", ["page-noforce-rda", "record-noforce-rda"])
+def test_a_committed_steal_is_dropped_by_its_bytes_not_its_header(name):
+    """A page stolen while its writer was active was stamped with the
+    LSN forced *then*, below the records the writer went on to commit:
+    the header cannot vouch for them.  Redo applies them (a base read),
+    and the byte test finds the disk already there."""
+    db = make_db(name)
+    winner = db.begin()
+    if db.config.record_logging:
+        db.insert_record(winner, 5, b"stolen")
+    else:
+        db.write_page(winner, 5, make_page(b"stolen"))
+    assert db.buffer.flush_page(5)                  # rides the twins
+    assert db.counters.unlogged_steals == 1
+    db.commit(winner)
+    db.crash()
+    stats = db.recover()
+    assert (stats["redo_skipped"], stats["redo_applied"],
+            stats["pages_unchanged"]) == (0, 1, 1)
+    assert db.verify_parity() == []
+
+
+def test_a_rewound_page_answers_with_its_pre_steal_lsn():
+    """Page 5 committed and flushed (stamped), then stolen by a loser:
+    parity undo makes the committed twin current again, and its entry —
+    not the working twin's newer one — is what redo asks.  The winner's
+    record is skipped, the loser's steal is gone."""
+    db = make_db("page-noforce-rda")
+    winner = db.begin()
+    db.write_page(winner, 5, make_page(b"kept"))
+    db.commit(winner)
+    assert db.buffer.flush_page(5)
+    loser = db.begin()
+    db.write_page(loser, 5, make_page(b"lost"))
+    assert db.buffer.flush_page(5)
+    assert db.counters.unlogged_steals == 1
+    db.crash()
+    stats = db.recover()
+    assert stats["parity_undone_pages"] == 1
+    assert (stats["redo_skipped"], stats["redo_applied"]) == (1, 0)
+    assert db.disk_page(5) == make_page(b"kept")
+    assert db.verify_parity() == []
+
+
+def lose_log_tail(db, first_lost_lsn: int) -> None:
+    """Both duplex copies lose everything from ``first_lost_lsn`` on —
+    forced or not — in a way restart reads as a torn tail: the record's
+    length field is damaged, so it runs past the end of the log."""
+    log = db.redo_log
+    offset = sum(r.serialized_size for r in log.records()
+                 if r.lsn < first_lost_lsn)
+    for copy in (0, 1):
+        log.damage_copy(copy, offset + 31)      # payload_len's top byte
+
+
+def test_a_stamp_the_log_lost_is_zeroed_before_it_can_lie():
+    """The one way a stamp can lie: the log loses *forced* records, so
+    the LSNs a twin header already carries are issued again.  The crash
+    scan zeroes every entry at or above the recovered log's next LSN and
+    seals the header durably (one counted write) before anything is
+    appended; a later winner that reuses those LSNs is then redone."""
+    db = make_db("record-noforce-rda")
+    setup = db.begin()
+    slot = db.insert_record(setup, 0, b"v0")
+    db.commit(setup)
+    kept = db.redo_log.last_lsn
+    first = db.begin()
+    db.update_record(first, 0, slot, b"v1")
+    db.commit(first)
+    assert db.buffer.flush_page(0)
+    group, current = 0, db.rda.current_twin(0)
+    stamp = db.array.peek_twin(group, current)[1].page_lsns[0]
+    assert stamp == db.redo_log.forced_lsn > kept
+
+    db.crash()
+    lose_log_tail(db, kept + 1)
+    writes = db.stats.writes
+    sealed = []
+
+    def at_first_write(label):
+        if not sealed:          # the scan is done, the restore is not
+            sealed.append((db.array.peek_twin(group, current)[1].page_lsns,
+                           db.stats.writes - writes))
+
+    stats = db.recover(fault_hook=at_first_write)
+    assert stats["winners"] == [setup] and db.redo_log.next_lsn <= stamp
+    # the header's one entry zeroed, by the one write made so far
+    assert sealed == [((0, 0, 0, 0), 1)]
+    # the restart then put back what its log says (the lost update is
+    # lost) and stamped that with the log end it recovered
+    assert db.array.peek_twin(group, current)[1].page_lsns[0] == kept
+
+    second = db.begin()
+    db.update_record(second, 0, slot, b"v2")
+    db.commit(second)                           # not evicted
+    reissued = [r.lsn for r in db.redo_log.records() if r.txn_id == second]
+    assert min(reissued) <= stamp               # the old stamp would cover it
+    db.crash()
+    stats = db.recover()
+    # the update is redone; what is skipped is the setup's insert, which
+    # the first restart's restore wrote and vouched for
+    assert (stats["redo_applied"], stats["redo_skipped"]) == (1, 1)
+    t = db.begin()
+    assert db.read_record(t, 0, slot) == b"v2"
+    assert db.verify_parity() == []
+
+
+@pytest.mark.parametrize("num_groups", [8, 40])
+def test_kept_twins_are_bounded_by_the_log_not_by_g(num_groups):
+    """The scan keeps the current twin of the groups the redo tail and
+    the losers' undo records name, whatever G: none with an empty tail,
+    and none survives the restart's return or a crash()."""
+    kept = []
+    db = make_db("page-noforce-rda", num_groups=num_groups)
+    scan = db.rda.crash_scan
+
+    def spy(*args, **kwargs):
+        losers = scan(*args, **kwargs)
+        kept.append(set(db.rda._scanned))
+        return losers
+
+    db.rda.crash_scan = spy
+    winner = db.begin()
+    for page in (0, 1, 9):
+        db.write_page(winner, page, make_page(b"w%d" % page))
+    db.commit(winner)
+    db.crash()
+    db.recover()
+    group_of = db.array.geometry.group_of
+    assert kept.pop() == {group_of(0), group_of(9)}
+    assert db.rda._scanned == {}                    # all spent
+
+    db.checkpoint()                                 # empties the redo tail
+    db.crash()
+    db.recover()
+    assert kept.pop() == set()
+
+    loser = db.begin()                              # a logged steal: undo
+    db.write_page(loser, 1, make_page(b"lose"))     # names its group
+    db.write_page(loser, 2, make_page(b"lose"))
+    assert db.buffer.flush_page(1) and db.buffer.flush_page(2)
+    db.crash()
+
+    def die(label):
+        if label.startswith("restore"):
+            assert db.rda._scanned == {}    # spent by the group being written
+            raise RuntimeError(label)
+
+    with pytest.raises(RuntimeError):
+        db.recover(fault_hook=die)
+    assert kept.pop() == {group_of(1)} and db.rda._scanned == {}
+    db.crash()
+    db.recover()
+    assert kept.pop() == {group_of(1)} and db.rda._scanned == {}
+    assert db.verify_parity() == []
+
+
+def test_an_interrupted_restarts_span_says_so():
+    """The ``recovery.restart`` span of a restart the fault seam kills
+    carries the exception's name; a completed one carries none."""
+    db = make_db("page-noforce-rda", tracer=Tracer(RingBufferSink()))
+    winner = db.begin()
+    db.write_page(winner, 0, make_page(b"w"))
+    db.commit(winner)
+    db.crash()
+
+    def die(label):
+        raise KeyboardInterrupt(label)
+
+    with pytest.raises(KeyboardInterrupt):
+        db.recover(fault_hook=die)
+    db.crash()
+    db.recover()
+    errors = [event["attrs"].get("error")
+              for event in db.tracer.sink.events()
+              if event["name"] == "recovery.restart"]
+    assert errors == ["KeyboardInterrupt", None]
+
+
+class RestartDied(Exception):
+    pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_shared_page_history_keeps_the_page_lsns_honest(data):
+    """Record mode, 2–4 transactions sharing every page: committed,
+    aborted and in-flight work with random evictions, checkpoints,
+    crashes and crashes inside the restart.  After every step the twin
+    headers vouch for nothing the disk lacks (``twin-page-lsn``, with
+    every other online rule at its barriers); after every restart a new
+    reader sees the oracle."""
+    db = make_db("record-noforce-rda", group_size=3, num_groups=2,
+                 buffer_capacity=4)
+    engine = InvariantEngine.attach(db)
+    rule = TwinPageLsnRule()
+    pages = range(db.num_data_pages)
+    slots = {}
+    for page in pages:
+        setup = db.begin()
+        for i in range(4):
+            slots[page, i] = db.insert_record(setup, page, b"-")
+        db.commit(setup)
+    oracle = dict.fromkeys(slots, b"-")
+    live = {}
+
+    def restart(die_at=None):
+        db.crash()
+        live.clear()
+        if die_at is not None:
+            seen = []
+
+            def hook(label):
+                seen.append(label)
+                if len(seen) == die_at:
+                    raise RestartDied(label)
+            try:
+                db.recover(fault_hook=hook)
+            except RestartDied:
+                assert db.rda._scanned == {}
+                db.crash()
+                db.recover()
+        else:
+            db.recover()
+        for cell, value in oracle.items():
+            image = SlottedPage.from_bytes(db.committed_view(cell[0]))
+            assert image.read(slots[cell]) == value
+        assert db.verify_parity() == []
+
+    for _ in range(data.draw(st.integers(5, 40), label="steps")):
+        action = data.draw(st.sampled_from(
+            ["begin", "write", "write", "write", "commit", "abort", "flush",
+             "flush", "checkpoint", "restart", "die"]), label="action")
+        if action == "begin" and len(live) < 4:
+            live[db.begin()] = {}
+        elif action == "write" and live:
+            txn = data.draw(st.sampled_from(sorted(live)), label="txn")
+            cell = data.draw(st.sampled_from(sorted(oracle)), label="cell")
+            value = data.draw(st.sampled_from([b"a", b"b", b"-"]),
+                              label="value")
+            try:
+                db.update_record(txn, cell[0], slots[cell], value)
+            except (LockWait, DeadlockError, BufferFullError):
+                continue
+            live[txn][cell] = value
+        elif action == "commit" and live:
+            txn = data.draw(st.sampled_from(sorted(live)), label="ctxn")
+            db.commit(txn)
+            oracle.update(live.pop(txn))
+        elif action == "abort" and live:
+            txn = data.draw(st.sampled_from(sorted(live)), label="atxn")
+            db.abort(txn)
+            del live[txn]
+        elif action == "flush":
+            db.buffer.flush_page(data.draw(st.sampled_from(pages),
+                                           label="fpage"))
+        elif action == "checkpoint":
+            db.checkpoint()
+        elif action == "restart":
+            restart()
+        elif action == "die":
+            restart(die_at=data.draw(st.integers(1, 6), label="die_at"))
+        assert rule.check(db, "steal", {}) == []
+        engine.assert_clean()
+    restart()
+    engine.assert_clean()
 
 
 class TestMediaRecovery:

@@ -43,7 +43,9 @@ def test_a_registry_reports_the_same_with_and_without_a_tracer(name):
     assert snapshot == traced.snapshot()
     # the array's histogram used to be fed inside the traced branch only
     transfers = snapshot["histograms"]["array.small_write_transfers"]
-    assert transfers["count"] > 100 and transfers["min"] >= 3
+    # 2 since PR 23: restart restores one page with its base and its
+    # group's twin both in hand — a data write and a twin write
+    assert transfers["count"] > 100 and transfers["min"] >= 2
 
 
 def test_nobody_mutates_an_event_after_emit(tmp_path):

@@ -75,12 +75,34 @@ def test_group_write_is_one_event_priced_two_k_plus_two():
     (event,) = sink.events()
     assert event["name"] == "array.group_write"
     assert event["attrs"] == {"group": 2, "pages": 3, "buffered_pages": 1,
+                              "parity_in_hand": 0,
                               "reads": 3, "writes": 4, "transfers": 7}
     assert measured.total == 7
     (row,) = rows_for(sink).values()
-    assert row["mean_transfers"] == 7.0 and row["model"] == "2k+2-b = 7"
+    assert row["mean_transfers"] == 7.0 and row["model"] == "2k+2-b-p = 7"
     hist = rda.metrics.snapshot()["histograms"]["array.small_write_transfers"]
     assert hist["count"] == 1 and hist["max"] == 7
+
+
+def test_group_write_with_the_parity_in_hand_is_priced_one_less():
+    """The same three pages after a crash scan that kept the group's
+    current twin: the event says so, reads one page less, and the model
+    column prices it 2·3 + 2 − 1 − 1."""
+    rda, sink = traced_rda()
+    pages = rda.array.geometry.group_pages(2)[:3]
+    writes = [(page, make_page(b"r%d" % page), None) for page in pages]
+    writes[0] = (*writes[0][:2], rda.array.peek_page(pages[0]))
+    rda.crash_scan(committed_txns=set(), keep={2})
+    with rda.array.stats.window() as measured:
+        rda.write_group_committed(2, writes, lambda *label: None)
+    event = sink.events()[-1]           # after the scan's span
+    assert event["attrs"] == {"group": 2, "pages": 3, "buffered_pages": 1,
+                              "parity_in_hand": 1,
+                              "reads": 2, "writes": 4, "transfers": 6}
+    assert measured.total == 6
+    (row,) = aggregate_events([event]).values()
+    assert row["mean_transfers"] == 6.0 and row["model"] == "2k+2-b-p = 6"
+    assert rda.array.scrub() == []
 
 
 def test_rda_commit_costs_zero_transfers():

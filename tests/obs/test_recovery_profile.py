@@ -71,9 +71,11 @@ class TestObserverMode:
 
     def test_restore_row_carries_the_group_writes(self):
         """Three redone pages in one parity group: the restore phase
-        row is that group's one write, 2·3 + 2 transfers — the three
+        row is that group's one write, 2·3 + 1 transfers — the three
         base reads made before the group body (they decide what is
-        written), the twin read and the four writes inside it."""
+        written) and the four writes inside it.  Re-pinned by PR 23:
+        the twin read (the event's one read, the row's fourth) is the
+        crash scan's."""
         sink = RingBufferSink()
         tracer = Tracer(sink)
         db = make_db("page-noforce-rda", tracer)
@@ -88,9 +90,47 @@ class TestObserverMode:
                           if event["name"] == "array.group_write"]
         restore = profile.to_dict()["phases"]["restore"]
         assert restore["work"] == {"pages": 3}
-        assert (restore["reads"], restore["writes"]) == (4, 4)
-        assert (group_write["reads"], group_write["writes"]) == (1, 4)
+        assert (restore["reads"], restore["writes"]) == (3, 4)
+        assert (group_write["reads"], group_write["writes"]) == (0, 4)
         assert group_write["buffered_pages"] == group_write["pages"] == 3
+        assert group_write["parity_in_hand"] == 1
+
+    def test_an_interrupted_restart_does_not_close_the_cycle(self):
+        """A restart the fault seam kills is not the ready point: its
+        span carries ``error``, the cycle stays open through the second
+        crash, and MTTR runs from the first crash to the end of the
+        restart that completes."""
+        class MidRecoveryCrash(Exception):
+            pass
+
+        def die(label):
+            raise MidRecoveryCrash(label)
+
+        sink = RingBufferSink()
+        tracer = Tracer(sink)
+        db = make_db("page-noforce-rda", tracer)
+        profile = RecoveryProfile().attach(tracer)
+        t = db.begin()
+        db.write_page(t, 0, make_page(b"y"))
+        db.commit(t)
+        db.crash()
+        with pytest.raises(MidRecoveryCrash):
+            db.recover(fault_hook=die)
+        assert profile.crashes == 0          # still down
+        db.crash()
+        db.recover()
+        assert profile.crashes == 1
+        crash, *_ = [e for e in sink.events() if e["name"] == "db.crash"]
+        died, done = [e for e in sink.events()
+                      if e["name"] == "recovery.restart"]
+        assert died["attrs"]["error"] == "MidRecoveryCrash"
+        assert "error" not in done["attrs"]
+        (cycle,) = profile.to_dict()["cycles"]
+        assert cycle["mttr_ms"] == pytest.approx(
+            (done["ts"] - crash["ts"]) * 1e3, abs=1e-3)
+        assert cycle["restart_ms"] == pytest.approx(
+            died["attrs"]["dur_ms"] + done["attrs"]["dur_ms"], abs=1e-3)
+        assert cycle["phases"]["analysis"]["count"] == 2
 
     def test_sharded_restarts_do_not_close_cycle_early(self):
         tracer = Tracer(RingBufferSink())

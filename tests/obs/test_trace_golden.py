@@ -12,7 +12,7 @@ the detector's gauges and verdict are pinned too).  K = 2 reads the
 shards' registries through the ``metrics_snapshot`` op on both
 transports.  A change to what is observed must re-pin these on purpose.
 
-Re-pinned three times, on purpose.  PR 19 re-pinned the ``record-noforce-rda``
+Re-pinned four times, on purpose.  PR 19 re-pinned the ``record-noforce-rda``
 pair and nothing else.  The restart's restore loop hands each page the
 bytes ``page_base`` already read, so its 124 ``array.small_write``
 events read ``buffered: true, reads: 1, transfers: 3`` (were ``false``,
@@ -50,6 +50,26 @@ loses the unwritten groups' observations (sum 6748 → 6618, 5259 → 5008).
 Every event before the first ``db.crash`` is the one the parent wrote;
 ``page-force-rda`` and both K = 2 streams restore nothing, so no span of
 theirs gains the attribute.
+
+PR 23 re-pinned the same two pairs and nothing else: the scan's reads
+are spent.  Redo skips the winners' records the current twin's header
+vouches for — the three ``redo`` spans carry ``applied: 15, 36, 23``
+and ``skipped: 26, 45, 93`` where they carried ``applied: 41, 81,
+116`` (page logging: 25, 39, 23 and 12, 28, 87 for 37, 67, 110; each
+pair sums to the parent's count) and, on the record preset, 74 fewer
+base reads; the ``restore`` spans hold ``pages: 12, 21, 17`` for 29,
+38, 57 and no ``unchanged`` (page logging 17, 25, 18 with ``unchanged:
+2, 5, 6`` — steals whose writer committed later — for 27, 37, 53 with
+12, 17, 41).  The same 39 / 36 groups are written with the same bytes,
+each ``array.group_write`` event now carrying ``parity_in_hand`` after
+``buffered_pages``: 1 and one read fewer on all 39 / on 34 (two groups
+were rewound by parity undo first, which drops the twin the scan
+kept).  ``recovery.restart`` spans: 125, 150, 167 → 97, 119, 113
+transfers (137, 178, 175 → 115, 153, 131); ``array.small_write_transfers``
+sums 6618 → 6579 and 5008 → 4974, its ``min`` 3 → 2.  Every event
+before the first ``db.crash`` is the one the parent wrote, event counts
+are equal, and ``page-force-rda`` and both K = 2 streams — which redo
+nothing — are byte-identical.
 """
 
 import hashlib
@@ -65,11 +85,11 @@ GOLDEN = {      # configuration -> (event stream, metrics snapshot)
         "72e29ff42376bcbf76deac6447f5fcc51f8ea30427fbf3f232aa710bc6061637",
         "cd44874b58659078fbffc5db7c582907ccb60a3d69895232e1163f2ec6122c1d"),
     "record-noforce-rda": (
-        "ee1a7ae29479c88f064c9b2d95c916833f3e5d2d81cf184b6b2e9299775b0812",
-        "11c1476f8041cf8edc524680b07bcd42bc20ec1618efa6c428a9129183fbaa62"),
+        "3c4f37956c2527a079c0b22fe5743831feadb00760e281e16f31acaa3882a742",
+        "e467ddaed46451a147470b9215943d298cf2229dc8498063417cdcc7110a4cb2"),
     "page-noforce-rda": (
-        "abc21db7d93c59e34d613c5df07a7e0b3a4e1c093dc89272a126545ee2f22436",
-        "c58b6c242c19dcd3f1a38d6517c7974594049996aa2f8380bc9f36ef31c2b8b8"),
+        "2cd65e2dd7663ebb99b11ebceea33cd9a86d53c378c15c329b847322a7387f19",
+        "1815051e8a70f21c7b4638d4b94e113fd62b605a9de72f83958d6102243713a0"),
     # K = 2: the transports number worker spans differently, so each has
     # its own stream; the merged snapshot is the same one
     "--no-workers": (

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.storage.page import (HEADER_SIZE, PAGE_SIZE, ZERO_PAGE, NO_PAGE,
                                 NO_TXN, ParityHeader, TwinState, compute_parity,
-                                make_page, pack_header,
+                                header_size, make_page, pack_header,
                                 reconstruct_before_image, unpack_header,
                                 xor_into, xor_pages)
 
@@ -143,6 +143,26 @@ class TestParityHeader:
     def test_unpack_rejects_short_blob(self):
         with pytest.raises(ValueError):
             unpack_header(b"\x00" * 4)
+
+    @given(st.lists(st.integers(0, 2**62), max_size=12))
+    def test_roundtrip_with_page_lsns(self, lsns):
+        """The packed size is a function of N: the fixed part, then
+        eight bytes a page LSN."""
+        header = ParityHeader(7, 3, 1, TwinState.WORKING, tuple(lsns))
+        blob = pack_header(header)
+        assert len(blob) == header_size(len(lsns)) \
+            == HEADER_SIZE + 8 * len(lsns)
+        assert unpack_header(blob) == header
+
+    def test_default_header_knows_no_page_lsn(self):
+        assert ParityHeader().page_lsns == ()
+        assert ParityHeader().with_(state=TwinState.COMMITTED).page_lsns == ()
+
+    def test_unpack_rejects_a_blob_short_of_its_lsn_count(self):
+        blob = pack_header(ParityHeader(page_lsns=(4, 5, 6)))
+        for cut in (blob[:-1], blob[:-8], blob[:HEADER_SIZE], blob + b"\x00"):
+            with pytest.raises(ValueError):
+                unpack_header(cut)
 
     def test_unpack_rejects_bad_magic(self):
         blob = bytearray(pack_header(ParityHeader()))

@@ -139,7 +139,10 @@ def _commit_frames(pages: int) -> int:
 
 
 def test_one_more_page_in_a_commit_window_costs_at_most_47_frames():
-    # 49.5 before PR 17; deterministic: tracing off, no history
+    # 49.5 before PR 17; deterministic: tracing off, no history.  Still
+    # 43.5 with PR 23's page LSN on the twin header: the log's forced
+    # LSN is a plain attribute and the vector is built inline (with a
+    # property and a helper it read 45.5)
     assert (_commit_frames(8) - _commit_frames(4)) / 4 <= 47
 
 
@@ -210,16 +213,21 @@ def _restore_frames(pages, on_disk=()) -> int:
 
 
 def test_a_restored_page_in_an_open_group_costs_fewer_frames_than_a_new_group():
-    # 13 and 36 today; 28 either way before PR 21, when every page paid
+    # 13 and 37 today; 28 either way before PR 21, when every page paid
     # the _write_committed → protection → rda.write_committed →
     # small_write chain, two disk reads and two writes.  A page that
     # joins a group the restore already opened adds its base read (at
     # the disk arm; through ``array.read_page`` it would be 15), its
     # labelled write and nothing else; a page alone in its group pays
-    # the group's chain, twin read, twin write and bookkeeping call by
-    # itself.  Every payload must differ from the ``v0`` the pages were
-    # loaded with, or the page is dropped and takes its group's chain
-    # out of the baseline.
+    # the group's chain, twin write and bookkeeping call by itself.
+    # Every payload must differ from the ``v0`` the pages were loaded
+    # with, or the page is dropped and takes its group's chain out of
+    # the baseline.  PR 23 re-pinned the new group from 36, measured:
+    # the one frame is ``geometry.group_pages``, the member list
+    # ``write_group_committed`` stamps the group's page LSNs against in
+    # one pass (a helper per page read 19 against 14 in an open group).
+    # Naming the log's pages before the twin scan is free: the address
+    # lookup it makes is the one the restore loop used to make.
     n = 5
     sparse = _restore_frames([g * n for g in range(4)])
     in_open_group = (_restore_frames([g * n + i for g in range(4)
@@ -227,7 +235,7 @@ def test_a_restored_page_in_an_open_group_costs_fewer_frames_than_a_new_group():
     in_new_group = (_restore_frames([g * n for g in range(12)])
                     - sparse) / 8
     assert in_open_group <= 14
-    assert in_new_group <= 36
+    assert in_new_group <= 37
     assert in_open_group < in_new_group
     # a page the disk already holds costs its read and the comparison:
     # no write, no label, and alone in its group no group chain either
