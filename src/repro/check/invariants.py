@@ -452,7 +452,7 @@ class TwinPageLsnRule(InvariantRule):
         for txn in db.txns.active_transactions():
             uncommitted |= txn.pages_written
         log = db.redo_log
-        committed = {r.txn_id for r in log.scan(CommitRecord)}
+        committed = log.txn_ids(CommitRecord)
         history: Dict[int, list] = {}
         for record in log.records():
             if record.txn_id in committed and record.page_id in stamped \

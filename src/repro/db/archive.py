@@ -56,7 +56,7 @@ class ArchiveManager:
 
     def _committed_since(self, dump_lsn: int) -> list:
         """Committed after-images logged after the dump, in LSN order."""
-        winners = {r.txn_id for r in self.db.redo_log.scan(CommitRecord)}
+        winners = self.db.redo_log.txn_ids(CommitRecord)
         out = []
         for record in self.db.redo_log.records():
             if record.lsn <= dump_lsn or record.txn_id not in winners:

@@ -28,9 +28,8 @@ from contextlib import nullcontext
 
 from ..core import ACCCheckpointer, RDAManager
 from ..errors import RecoveryError
-from ..wal import (CheckpointRecord, PageAfterImage, PageBeforeImage,
-                   PageRedoEntry, RecordAfterEntry, RecordBeforeEntry,
-                   RecordRedoEntry)
+from ..wal import (NULL_LSN, PageAfterImage, PageBeforeImage, PageRedoEntry,
+                   RecordAfterEntry, RecordBeforeEntry, RecordRedoEntry)
 from .slotted_page import SlottedPage
 
 
@@ -370,11 +369,10 @@ class NoForceAcc:
 
     def redo_tail(self, db, winners) -> list:
         """The records restart reads for REDO: everything since the
-        last ACC checkpoint."""
-        start = 0
-        for record in db.redo_log.scan(CheckpointRecord):
-            start = record.lsn
-        return [r for r in db.redo_log.records() if r.lsn > start]
+        last ACC checkpoint — the only ones it decodes, beside the
+        losers' chains."""
+        log = db.redo_log
+        return log.records_from(log.last_checkpoint_lsn() + 1)
 
     def restart_redo(self, db, winners, replay, disk_lsns, cache,
                      page_base) -> tuple:
@@ -409,10 +407,8 @@ class NoForceAcc:
         return redone, skipped
 
     def trim_log(self, db, candidates: list, archive_floor) -> int:
-        checkpoint_lsn = None
-        for record in db.redo_log.scan(CheckpointRecord):
-            checkpoint_lsn = record.lsn
-        if checkpoint_lsn is None:
+        checkpoint_lsn = db.redo_log.last_checkpoint_lsn()
+        if checkpoint_lsn == NULL_LSN:
             return 0        # committed data may exist only in the log
         candidates.append(checkpoint_lsn)
         return db.undo_log.truncate_before(min(candidates))
@@ -429,7 +425,9 @@ class RedoOnlyDiscipline(NoForceAcc):
 
     def redo_tail(self, db, winners) -> list:
         """Winners' per-page chains from each page's on-disk LSN
-        forward."""
+        forward.  Unlike :class:`NoForceAcc` this decodes the whole
+        retained log: a page's chain starts at its durable LSN, which
+        no checkpoint bounds."""
         durable = db._durable_page_lsn
         return [r for r in db.redo_log.records()
                 if r.page_chained and r.txn_id in winners
@@ -462,10 +460,8 @@ class RedoOnlyDiscipline(NoForceAcc):
         unsafe here: the gate may have skipped a committed residue page
         at checkpoint time, leaving its older chain records the only
         copy of committed data.)"""
-        checkpoint_lsn = None
-        for record in db.redo_log.scan(CheckpointRecord):
-            checkpoint_lsn = record.lsn
-        if checkpoint_lsn is None:
+        checkpoint_lsn = db.redo_log.last_checkpoint_lsn()
+        if checkpoint_lsn == NULL_LSN:
             return 0        # committed data may exist only in the log
         candidates.append(checkpoint_lsn)
         durable = db._durable_page_lsn

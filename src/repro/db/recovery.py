@@ -58,9 +58,10 @@ from ..wal.records import (AbortRecord, BOTRecord, CommitRecord,
                            PageBeforeImage, RecordBeforeEntry)
 from .policy import apply_record_image
 
-RESTART_COUNTERS = ("sectors_repaired", "parity_resynced",
-                    "parity_undone_pages", "redo_applied", "redo_skipped",
-                    "log_undo_applied", "pages_unchanged", "page_transfers")
+RESTART_COUNTERS = ("log_records", "log_decoded", "sectors_repaired",
+                    "parity_resynced", "parity_undone_pages", "redo_applied",
+                    "redo_skipped", "log_undo_applied", "pages_unchanged",
+                    "page_transfers")
 """The numeric fields of :meth:`RecoveryManager.crash_recover`'s result,
 in its order: what a sharded facade sums per shard and what the fault
 sweep and the recovery profile copy."""
@@ -116,9 +117,13 @@ class RecoveryManager:
         reach).  The ``recovery.restart`` span of an interrupted restart
         carries the exception's name as ``error``.
 
-        In the result ``redo_skipped`` counts the winners' records redo
-        did not apply because the twin header vouched for the page, and
-        ``pages_unchanged`` the restored pages the disk already held.
+        In the result ``log_records`` counts the records analysis
+        recovered, each CRC-checked, and ``log_decoded`` the ones the
+        restart turned into objects — the redo tail since the last
+        checkpoint and the losers' chains; ``redo_skipped`` counts the
+        winners' records redo did not apply because the twin header
+        vouched for the page, and ``pages_unchanged`` the restored pages
+        the disk already held.
         """
         db = self.db
         fault = fault_hook if fault_hook is not None else (lambda label: None)
@@ -136,16 +141,18 @@ class RecoveryManager:
     def _restart(self, fault) -> dict:
         """:meth:`crash_recover`'s phases, inside its span."""
         db = self.db
+        undo_log = db.undo_log
+        logs = ((undo_log,) if db.redo_log is undo_log
+                else (undo_log, db.redo_log))
+        decoded = sum(log.records_decoded for log in logs)
         with db.tracer.span("recovery.phase", stats=db.stats,
                             log_split=True, phase="analysis") as span:
-            db.undo_log.after_crash()
-            if db.redo_log is not db.undo_log:
-                db.redo_log.after_crash()
-
-            winners = {r.txn_id for r in db.redo_log.scan(CommitRecord)}
-            aborted = {r.txn_id for r in db.undo_log.scan(AbortRecord)}
-            bots = {r.txn_id for r in db.undo_log.scan(BOTRecord)}
-            losers = set(bots) - winners - aborted
+            # every record is CRC-checked, none is decoded: the verdicts
+            # come from the headers
+            checked = sum(log.after_crash() for log in logs)
+            winners = db.redo_log.txn_ids(CommitRecord)
+            losers = (undo_log.txn_ids(BOTRecord) - winners
+                      - undo_log.txn_ids(AbortRecord))
             span.set(winners=len(winners), losers=len(losers))
 
         # 0. media scan: repair latent sector errors (torn or corrupt
@@ -160,12 +167,13 @@ class RecoveryManager:
         # twin scan adds below has no durable record — not even its
         # BOT).  Their parity groups, bounded by the work since the
         # checkpoint and not by G, are the ones whose current twin the
-        # scan keeps for the restore and whose page LSNs redo will ask
+        # scan keeps for the restore and whose page LSNs redo will ask.
+        # Both lists are all the records a restart decodes: the tail,
+        # and each loser's prev_lsn chain
         replay = db.policy.discipline.redo_tail(db, winners)
         undo_records = [
-            r for r in db.undo_log.records()
-            if r.txn_id in losers
-            and isinstance(r, (PageBeforeImage, RecordBeforeEntry))
+            r for txn_id in losers for r in undo_log.records_of(txn_id)
+            if isinstance(r, (PageBeforeImage, RecordBeforeEntry))
         ]
         pages = {r.page_id for r in replay}
         pages.update(r.page_id for r in undo_records)
@@ -260,6 +268,8 @@ class RecoveryManager:
         return {
             "winners": sorted(winners),
             "losers": sorted(losers),
+            "log_records": checked,
+            "log_decoded": sum(log.records_decoded for log in logs) - decoded,
             "sectors_repaired": sectors_repaired,
             "parity_resynced": parity_resynced,
             "parity_undone_pages": parity_undone,

@@ -662,8 +662,7 @@ class ShardedDatabase:
         with self.tracer.span("recovery.restart", stats=self.stats,
                               log_split=True, shards=self.num_shards):
             self.commit_log.after_crash()
-            global_winners = {r.txn_id
-                              for r in self.commit_log.scan(CommitRecord)}
+            global_winners = self.commit_log.txn_ids(CommitRecord)
             per_shard = sorted(self._scatter(
                 self.scheduler.order(), "recover", (fault_hook,)).items())
 

@@ -294,12 +294,22 @@ def format_recovery_profile(profile: dict) -> str:
         head += f", availability {availability:.4%}"
     lines = [head]
     phases = profile.get("phases", {})
+    # what analysis checked and the restart decoded: recover()'s counts
+    # (explicit cycle marks carry them), not span attributes
+    log_work = {}
+    for key in ("log_records", "log_decoded"):
+        counts = [cycle["stats"][key] for cycle in profile.get("cycles", ())
+                  if key in cycle.get("stats", {})]
+        if counts:
+            log_work[key] = sum(counts)
     if phases:
         lines.append(f"  {'phase':<14} {'count':>5} {'wall ms':>9} "
                      f"{'xfers':>7} {'log':>5}  work")
         for phase, data in phases.items():
-            work = ",".join(f"{k}={v}" for k, v in sorted(
-                data.get("work", {}).items()))
+            work = dict(data.get("work", {}))
+            if phase == "analysis":
+                work.update(log_work)
+            work = ",".join(f"{k}={v}" for k, v in sorted(work.items()))
             lines.append(
                 f"  {phase:<14} {data['count']:>5} {data['wall_ms']:>9.3f} "
                 f"{data['transfers']:>7} {data['log_transfers']:>5}  {work}")

@@ -423,8 +423,7 @@ class _Campaign:
         # the group-commit crash contract: acknowledged commits must be
         # durable before any shard loses memory
         self.db.coordinator.flush()
-        global_winners = {record.txn_id
-                          for record in self.db.commit_log.scan(CommitRecord)}
+        global_winners = self.db.commit_log.txn_ids(CommitRecord)
         repaired = True
         self.profile.begin_cycle()
         for index in victims:

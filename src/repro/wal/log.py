@@ -13,8 +13,14 @@ the model counts.  :class:`LogManager` therefore:
 * maintains the per-transaction backward chain (``prev_lsn``), so a
   rollback reads only the aborting transaction's records instead of
   scanning the log (the paper's TWIST-style log chain);
-* survives crashes: :meth:`after_crash` re-parses the durable bytes and
-  rebuilds the in-memory index.
+* survives crashes: :meth:`after_crash` re-checks every record of the
+  durable bytes and decodes on read — the rebuilt index holds each
+  record's header fields and byte span, and a record becomes an object
+  the first time :meth:`get`, :meth:`records_of`, :meth:`records_from`,
+  :meth:`records` or :meth:`scan` reads it.  What restart analysis asks
+  of every record — the chain heads, the committed / aborted / begun
+  transaction ids (:meth:`txn_ids`), the last checkpoint
+  (:meth:`last_checkpoint_lsn`) — comes from the headers alone.
 """
 
 from __future__ import annotations
@@ -22,10 +28,28 @@ from __future__ import annotations
 from ..errors import (LogCorruptionError, TornRecordError,
                       UnrecoverableDataError)
 from ..storage.iostats import IOStats
-from .records import NULL_LSN, LogRecord, deserialize
+from .records import (NULL_LSN, PAGE_CHAINED_TYPES, AbortRecord, BOTRecord,
+                      CheckpointRecord, CommitRecord, LogRecord, RecordType,
+                      _DECODERS, chained_page_id, deserialize)
+
+_CHECKPOINT = RecordType.CHECKPOINT.value
+_TXN_ID_TYPES = (BOTRecord, CommitRecord, AbortRecord)
+"""The record types :meth:`LogManager.txn_ids` answers for."""
 
 DEFAULT_LOG_PAGE_SIZE = 2020
 """Physical log page size; the paper's model constant l_p."""
+
+
+def _txn_ids_of(*header_lists) -> dict:
+    """Raw type value of each :data:`_TXN_ID_TYPES` -> the ids of the
+    transactions with such a record, over ``(type, lsn, txn_id, ...)``
+    headers."""
+    ids = {cls.record_type.value: set() for cls in _TXN_ID_TYPES}
+    for headers in header_lists:
+        for header in headers:
+            if header[0] in ids:
+                ids[header[0]].add(header[2])
+    return ids
 
 
 class LogDevice:
@@ -160,14 +184,25 @@ class LogManager:
             self._devices.append(
                 LogDevice(-LogManager._device_counter, page_size,
                           transfers_per_log_page, self.stats))
+        # one slot per retained LSN: its record, or None while a record
+        # recovered by after_crash is undecoded.  The recovered ones
+        # lead, and each keeps its check_only entry into _blob (type,
+        # header fields, byte span) until a trim drops it
         self._records: list = []
+        self._entries: list = []
+        self._blob = b""
         self._last_lsn_of_txn: dict = {}
         self._last_lsn_of_page: dict = {}
+        # txn_ids()'s answer and the (base, next) LSNs it was read at
+        self._txn_ids: dict = {}
+        self._txn_ids_at = None
         self._next_lsn = 1
         self._base_lsn = 1          # first retained LSN (grows on truncation)
         # highest LSN known durable; a plain attribute (read-only to
         # everyone else): every page write-back stamps it on a twin
         self.forced_lsn = NULL_LSN
+        # recovered entries turned into records so far (restart work)
+        self.records_decoded = 0
 
     # -- append path -----------------------------------------------------------
 
@@ -243,7 +278,7 @@ class LogManager:
         if self._forces_child is not None:
             self._forces_child.inc()
         if self._records:
-            self.forced_lsn = self._records[-1].lsn
+            self.forced_lsn = self._next_lsn - 1
 
     @property
     def durable_lsn(self) -> int:
@@ -261,8 +296,8 @@ class LogManager:
 
     @property
     def last_lsn(self) -> int:
-        """Highest LSN appended."""
-        return self._records[-1].lsn if self._records else NULL_LSN
+        """Highest LSN appended (retained LSNs are contiguous)."""
+        return self._next_lsn - 1 if self._records else NULL_LSN
 
     @property
     def size_bytes(self) -> int:
@@ -273,7 +308,16 @@ class LogManager:
 
     def records(self) -> list:
         """All records in append order."""
-        return list(self._records)
+        return self.records_from(self._base_lsn)
+
+    def records_from(self, lsn: int) -> list:
+        """The records with LSN ``lsn`` and up, in append order."""
+        start = max(lsn - self._base_lsn, 0)
+        out = self._records[start:]
+        for i in range(min(len(self._entries) - start, len(out))):
+            if out[i] is None:
+                out[i] = self._decode(start + i)
+        return out
 
     def get(self, lsn: int) -> LogRecord:
         """Record by LSN.
@@ -283,7 +327,17 @@ class LogManager:
         """
         if not self._base_lsn <= lsn < self._next_lsn:
             raise LogCorruptionError(f"{self.name}: no record with lsn {lsn}")
-        return self._records[lsn - self._base_lsn]
+        record = self._records[lsn - self._base_lsn]
+        if record is None:
+            return self._decode(lsn - self._base_lsn)
+        return record
+
+    def _decode(self, index: int) -> LogRecord:
+        """Turn the recovered entry at ``index`` into its record, once."""
+        entry = self._entries[index]
+        record = self._records[index] = _DECODERS[entry[0]](self._blob, entry)
+        self.records_decoded += 1
+        return record
 
     def records_of(self, txn_id: int) -> list:
         """The transaction's records, newest first, via the log chain.
@@ -310,8 +364,19 @@ class LogManager:
     def charge_read(self, records) -> int:
         """Charge page transfers for reading the given records back from
         one log copy (rollback and restart both read the log; the model
-        counts those transfers).  Returns pages charged."""
-        total = sum(r.serialized_size for r in records)
+        counts those transfers).  Returns pages charged.
+
+        A recovered record's size is its entry's span: re-serializing
+        what restart just decoded would cost as much as the decode."""
+        total = 0
+        base, entries = self._base_lsn, self._entries
+        recovered = len(entries)
+        for record in records:
+            index = record.lsn - base
+            if 0 <= index < recovered:
+                total += entries[index][5] - entries[index][4]
+            else:
+                total += record.serialized_size
         if total == 0:
             return 0
         pages = -(-total // self._devices[0].page_size)
@@ -320,9 +385,39 @@ class LogManager:
 
     def scan(self, record_type=None):
         """Iterate records in append order, optionally filtered by type."""
-        for record in self._records:
+        for record in self.records():
             if record_type is None or isinstance(record, record_type):
                 yield record
+
+    def last_checkpoint_lsn(self) -> int:
+        """LSN of the newest retained checkpoint record
+        (:data:`NULL_LSN` if none), found by walking back over the
+        appended records and then the recovered entries: nothing is
+        decoded."""
+        for record in reversed(self._records[len(self._entries):]):
+            if isinstance(record, CheckpointRecord):
+                return record.lsn
+        for entry in reversed(self._entries):
+            if entry[0] == _CHECKPOINT:
+                return entry[1]
+        return NULL_LSN
+
+    def txn_ids(self, record_type) -> set:
+        """Ids of the transactions with a retained ``record_type``
+        record — :class:`BOTRecord`, :class:`CommitRecord` or
+        :class:`AbortRecord` — read off the headers, not decoded.
+
+        :meth:`after_crash` answers it from its own walk; otherwise the
+        answer is re-read when an append or a trim has moved the
+        retained LSNs since it was last asked."""
+        if self._txn_ids_at != (self._base_lsn, self._next_lsn):
+            recovered = len(self._entries)
+            self._txn_ids = _txn_ids_of(
+                self._entries,
+                [(r.record_type.value, r.lsn, r.txn_id)
+                 for r in self._records[recovered:]])
+            self._txn_ids_at = (self._base_lsn, self._next_lsn)
+        return set(self._txn_ids[record_type.record_type.value])
 
     # -- truncation ------------------------------------------------------------------
 
@@ -346,7 +441,16 @@ class LogManager:
         if cut <= 0:
             return 0
         dropped = self._records[:cut]
-        byte_offset = sum(r.serialized_size for r in dropped)
+        byte_offset = 0
+        recovered = self._entries[:cut]
+        if recovered:
+            # the recovered records lead, back to back in _blob
+            byte_offset = recovered[-1][5] - recovered[0][4]
+            dropped = dropped[len(recovered):]
+            self._entries = self._entries[cut:]
+            if not self._entries:
+                self._blob = b""    # no entry left to decode from it
+        byte_offset += sum(r.serialized_size for r in dropped)
         self._records = self._records[cut:]
         self._base_lsn += cut
         if not self._records:
@@ -391,16 +495,20 @@ class LogManager:
         return lost
 
     def after_crash(self) -> int:
-        """Simulate restart: drop the in-memory index and rebuild it by
-        parsing the durable bytes of the mirror copies.
+        """Simulate restart: drop the in-memory index and rebuild it
+        from the durable bytes of the mirror copies.
 
-        Each copy is parsed greedily — a truncated or corrupt tail ends
-        that copy's usable prefix (records are CRC-protected, so silent
-        corruption is caught).  The copy with the longest valid prefix
-        wins, and **every copy is rewound to that prefix**: a torn
-        record fragment left at the tail would otherwise sit in front of
-        post-recovery appends and make them unparseable at the next
-        restart.  Returns the number of records recovered.
+        Each copy is checked greedily — every record's bounds, CRC
+        (header prefix + payload) and type; a truncated or corrupt tail
+        ends that copy's usable prefix (records are CRC-protected, so
+        silent corruption is caught).  The copy with the longest valid
+        prefix wins, and **every copy is rewound to that prefix**: a
+        torn record fragment left at the tail would otherwise sit in
+        front of post-recovery appends and make them unparseable at the
+        next restart.  No record is decoded here: the index keeps each
+        one's ``check_only`` entry (see :func:`~repro.wal.records.
+        deserialize`), and the chain heads and :meth:`txn_ids` come
+        from the same headers.  Returns the number of records recovered.
 
         Raises:
             UnrecoverableDataError: if log bytes exist but every mirror
@@ -409,69 +517,73 @@ class LogManager:
                 drop acknowledged-durable commits.
         """
         best: list = []
-        best_bytes = b""
+        best_blob = b""
         any_bytes = False
         any_clean_stop = not self._devices
-        parsed_blob = None
+        checked_blob = None
         for device in self._devices:
             any_bytes = any_bytes or device.size > 0
             blob = device.contents
-            if blob != parsed_blob:
+            if blob != checked_blob:
                 # mirrors agree byte for byte unless one was torn or
-                # damaged: an identical copy parses to the same prefix
-                records, prefix_len, clean = \
-                    self._parse_prefix_with_length(blob)
-                parsed_blob = blob
+                # damaged: an identical copy checks to the same prefix
+                entries, clean = self._check_prefix(blob)
+                checked_blob = blob
             any_clean_stop = any_clean_stop or clean
-            if len(records) > len(best):
-                best = records
-                best_bytes = blob[:prefix_len]
+            if len(entries) > len(best):
+                best = entries
+                best_blob = blob
         if any_bytes and not any_clean_stop:
             # every copy dies on a CRC/type error (not a torn crash
             # tail): the log may be missing acknowledged records past
             # the damage, so refusing is the only safe answer
             raise UnrecoverableDataError(
                 f"{self.name}: every duplex copy is corrupt")
+        # the prefix starts at byte 0, so the entries' spans hold in it
+        prefix = best_blob[:best[-1][5]] if best else b""
         for device in self._devices:
-            device.reset_to(best_bytes)
-        self._records = best
-        self._last_lsn_of_txn = {}
-        self._last_lsn_of_page = {}
-        for record in best:
-            if record.txn_id:
-                self._last_lsn_of_txn[record.txn_id] = record.lsn
-            if record.page_chained:
-                self._last_lsn_of_page[record.page_id] = record.lsn
+            device.reset_to(prefix)
+        self._records = [None] * len(best)
+        self._entries = best
+        self._blob = prefix
         if best:
-            self._base_lsn = best[0].lsn
-            self._next_lsn = best[-1].lsn + 1
+            self._base_lsn = best[0][1]
+            self._next_lsn = best[-1][1] + 1
         else:
             # the entire retained tail was lost: new appends start at the
             # (unchanged) next position, and the base must follow it or
             # lsn-to-index arithmetic goes negative
             self._base_lsn = self._next_lsn
+        last_of_txn = self._last_lsn_of_txn = {}
+        last_of_page = self._last_lsn_of_page = {}
+        for entry in best:
+            if entry[2]:
+                last_of_txn[entry[2]] = entry[1]
+            if entry[0] in PAGE_CHAINED_TYPES:
+                last_of_page[chained_page_id(prefix, entry)] = entry[1]
+        self._txn_ids = _txn_ids_of(best)
+        self._txn_ids_at = (self._base_lsn, self._next_lsn)
         # the forced horizon can only cover records that still exist —
         # a damaged log that lost its whole tail is durable up to
         # nothing, not up to where the tail used to end
-        self.forced_lsn = best[-1].lsn if best else NULL_LSN
+        self.forced_lsn = best[-1][1] if best else NULL_LSN
         return len(best)
 
     @staticmethod
-    def _parse_prefix_with_length(blob: bytes) -> tuple:
-        """Parse records until the bytes run out or stop making sense;
-        returns ``(records, bytes_consumed, clean_stop)`` where
-        ``clean_stop`` means exhaustion or a torn crash tail (expected),
-        as opposed to a CRC/type failure (corruption)."""
-        records = []
+    def _check_prefix(blob: bytes) -> tuple:
+        """Check records until the bytes run out or stop making sense;
+        returns ``(entries, clean_stop)`` where ``clean_stop`` means
+        exhaustion or a torn crash tail (expected), as opposed to a
+        CRC/type failure (corruption)."""
+        entries = []
         offset = 0
-        clean = True
         size = len(blob)
         try:
             while offset < size:
-                record, offset = deserialize(blob, offset)
-                records.append(record)
+                entry, offset = deserialize(blob, offset, True)  # check_only
+                entries.append(entry)
         except TornRecordError:
             pass
         except LogCorruptionError:
-            clean = False
-        return records, offset, clean
+            return entries, False
+        return entries, True

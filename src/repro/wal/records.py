@@ -245,24 +245,26 @@ class CheckpointRecord(LogRecord):
 
 def _plain(cls):
     """Decoder for a record that is its header alone."""
-    return lambda txn_id, lsn, prev_lsn, payload: cls(txn_id, lsn, prev_lsn)
+    return lambda blob, entry: cls(entry[2], entry[1], entry[3])
 
 
 def _imaged(cls, layout: struct.Struct):
     """Decoder for a payload of ``layout`` fields followed by the image."""
-    unpack, size = layout.unpack_from, layout.size
-    return lambda txn_id, lsn, prev_lsn, payload: cls(
-        txn_id, lsn, prev_lsn, *unpack(payload), payload[size:])
+    unpack, fields = layout.unpack_from, _HEADER.size
+    image = fields + layout.size
+    return lambda blob, entry: cls(
+        entry[2], entry[1], entry[3], *unpack(blob, entry[4] + fields),
+        blob[entry[4] + image:entry[5]])
 
 
-def _decode_checkpoint(txn_id, lsn, prev_lsn, payload) -> CheckpointRecord:
-    doc = json.loads(payload.decode("ascii"))
-    return CheckpointRecord(txn_id, lsn, prev_lsn, tuple(doc["active"]),
-                            tuple(doc["flushed"]))
+def _decode_checkpoint(blob: bytes, entry: tuple) -> CheckpointRecord:
+    doc = json.loads(blob[entry[4] + _HEADER.size:entry[5]].decode("ascii"))
+    return CheckpointRecord(entry[2], entry[1], entry[3],
+                            tuple(doc["active"]), tuple(doc["flushed"]))
 
 
-# raw type value -> decoder(txn_id, lsn, prev_lsn, payload): the one
-# place restart turns a CRC-checked payload back into a record
+# raw type value -> decoder(blob, entry), ``entry`` what deserialize
+# checked: the one place a CRC-checked record becomes an object again
 _DECODERS = {
     RecordType.BOT.value: _plain(BOTRecord),
     RecordType.COMMIT.value: _plain(CommitRecord),
@@ -276,12 +278,26 @@ _DECODERS = {
     RecordType.RECORD_REDO.value: _imaged(RecordRedoEntry, _SLOT_CHAINED),
 }
 
+PAGE_CHAINED_TYPES = frozenset((RecordType.PAGE_REDO.value,
+                                RecordType.RECORD_REDO.value))
+"""Raw type values of the per-page redo-chain records (page id first)."""
 
-def deserialize(blob: bytes, offset: int = 0) -> tuple:
+
+def deserialize(blob: bytes, offset: int = 0,
+                check_only: bool = False) -> tuple:
     """Parse one record at ``offset``; returns ``(record, next_offset)``.
 
+    Every record is bounds-, CRC- and type-checked here.  With
+    ``check_only`` it is not decoded: the first item is its *entry*
+    ``(type, lsn, txn_id, prev_lsn, offset, end)`` instead — the raw
+    type value, the header fields and the record's byte span — which
+    its type's decoder turns into the record later
+    (``_DECODERS[entry[0]](blob, entry)``).
+
     Raises:
-        LogCorruptionError: on a truncated or malformed record.
+        TornRecordError: the header or payload runs past the bytes (a
+            crash tail).
+        LogCorruptionError: a CRC mismatch or an unknown type.
     """
     size = len(blob)
     start = offset + _HEADER.size
@@ -292,13 +308,19 @@ def deserialize(blob: bytes, offset: int = 0) -> tuple:
     end = start + payload_len
     if end > size:
         raise TornRecordError("truncated log record payload")
-    payload = blob[start:end]
     # _record_crc, inlined: restart pays this once per record in the log
-    if zlib.crc32(payload,
+    if zlib.crc32(blob[start:end],
                   zlib.crc32(blob[offset:offset + _PREFIX.size])) != crc:
         raise LogCorruptionError("log record CRC mismatch (header or payload)")
     try:
-        decode = _DECODERS[type_value]
+        decoder = _DECODERS[type_value]
     except KeyError:
         raise LogCorruptionError(f"unknown record type {type_value}") from None
-    return decode(txn_id, lsn, prev_lsn, payload), end
+    entry = (type_value, lsn, txn_id, prev_lsn, offset, end)
+    return (entry if check_only else decoder(blob, entry)), end
+
+
+def chained_page_id(blob: bytes, entry: tuple) -> int:
+    """The page a :data:`PAGE_CHAINED_TYPES` entry names, read from its
+    payload without decoding it."""
+    return _PAGE.unpack_from(blob, entry[4] + _HEADER.size)[0]

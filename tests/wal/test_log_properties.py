@@ -9,10 +9,16 @@ tail, after which its LSN *positions* are legitimately reused — exactly
 like a real WAL overwriting a torn tail.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.wal import BOTRecord, LogManager, PageBeforeImage
+from repro.errors import (LogCorruptionError, TornRecordError,
+                          UnrecoverableDataError)
+from repro.wal import (NULL_LSN, AbortRecord, BOTRecord, CheckpointRecord,
+                       CommitRecord, LogManager, PageAfterImage,
+                       PageBeforeImage, PageRedoEntry, RecordAfterEntry,
+                       RecordBeforeEntry, RecordRedoEntry, deserialize)
 
 
 @settings(max_examples=40, deadline=None)
@@ -72,3 +78,185 @@ def test_log_lifecycle_invariants(data):
     new_lsn = log.append(BOTRecord(txn_id=99))
     assert new_lsn > max(lsns, default=0)
     assert new_lsn not in shadow
+
+
+# -- the lazy index against an eager parse ---------------------------------
+
+TXNS = st.integers(1, 4)
+PAGES = st.integers(0, 5)
+IMAGES = st.binary(max_size=24)
+SLOTS = st.integers(0, 3)
+ANY_RECORD = st.one_of(
+    st.builds(BOTRecord, txn_id=TXNS),
+    st.builds(CommitRecord, txn_id=TXNS),
+    st.builds(AbortRecord, txn_id=TXNS),
+    st.builds(PageBeforeImage, txn_id=TXNS, page_id=PAGES, image=IMAGES),
+    st.builds(PageAfterImage, txn_id=TXNS, page_id=PAGES, image=IMAGES),
+    st.builds(RecordBeforeEntry, txn_id=TXNS, page_id=PAGES, slot=SLOTS,
+              image=IMAGES),
+    st.builds(RecordAfterEntry, txn_id=TXNS, page_id=PAGES, slot=SLOTS,
+              image=IMAGES),
+    st.builds(CheckpointRecord, txn_id=st.just(0),
+              active_txns=st.lists(TXNS, max_size=3).map(tuple),
+              flushed_pages=st.lists(PAGES, max_size=3).map(tuple)),
+    st.builds(PageRedoEntry, txn_id=TXNS, page_id=PAGES, image=IMAGES),
+    st.builds(RecordRedoEntry, txn_id=TXNS, page_id=PAGES, slot=SLOTS,
+              image=IMAGES),
+)
+
+
+def eager_parse(copies: list) -> tuple:
+    """The oracle: every copy parsed record by record with
+    ``deserialize``, the longest valid prefix kept — ``(records,
+    prefix bytes)`` — and a refusal when log bytes exist but every copy
+    ends in a CRC or type failure."""
+    best, prefix, any_clean = [], b"", False
+    for blob in copies:
+        records, offset, clean = [], 0, True
+        try:
+            while offset < len(blob):
+                record, offset = deserialize(blob, offset)
+                records.append(record)
+        except TornRecordError:
+            pass
+        except LogCorruptionError:
+            clean = False
+        any_clean = any_clean or clean
+        if len(records) > len(best):
+            best, prefix = records, blob[:offset]
+    if any(copies) and not any_clean:
+        raise UnrecoverableDataError("every copy is corrupt")
+    return best, prefix
+
+
+class EagerModel:
+    """What a log holding ``records`` (parsed, or appended since) must
+    answer, computed from the record objects alone."""
+
+    def __init__(self, records: list, next_lsn: int, forced_lsn: int,
+                 device_bytes: bytes) -> None:
+        self.records = records
+        self.next_lsn = next_lsn
+        self.base_lsn = records[0].lsn if records else next_lsn
+        self.forced_lsn = forced_lsn
+        self.device_bytes = device_bytes
+
+    def last_of(self, key) -> int:
+        return max((r.lsn for r in self.records if key(r)), default=NULL_LSN)
+
+    def links(self, record) -> tuple:
+        """``(lsn, prev_lsn, prev_page_lsn)`` an append must give the
+        record (``prev_page_lsn`` None for an unchained type)."""
+        prev = (self.last_of(lambda r: r.txn_id == record.txn_id)
+                if record.txn_id else record.prev_lsn)
+        prev_page = (self.last_of(lambda r: r.page_chained
+                                  and r.page_id == record.page_id)
+                     if record.page_chained else None)
+        return self.next_lsn, prev, prev_page
+
+    def add(self, record) -> None:
+        self.next_lsn = record.lsn + 1
+        self.records.append(record)
+        self.device_bytes += record.serialize()
+
+    def truncate_before(self, lsn: int) -> None:
+        lsn = min(max(lsn, self.base_lsn), self.next_lsn)
+        dropped = [r for r in self.records if r.lsn < lsn]
+        self.records = [r for r in self.records if r.lsn >= lsn]
+        self.base_lsn = lsn
+        if not self.records:
+            self.forced_lsn = NULL_LSN
+        cut = sum(r.serialized_size for r in dropped)
+        self.device_bytes = self.device_bytes[cut:]
+
+    def chain(self, txn_id: int) -> list:
+        by_lsn = {r.lsn: r for r in self.records}
+        lsn = self.last_of(lambda r: r.txn_id == txn_id)
+        out = []
+        while lsn in by_lsn:
+            out.append(by_lsn[lsn])
+            lsn = by_lsn[lsn].prev_lsn
+        return out
+
+
+def assert_agrees(log, model: EagerModel) -> None:
+    # the header-only answers first: they decode nothing
+    decoded = log.records_decoded
+    assert log.last_checkpoint_lsn() == model.last_of(
+        lambda r: isinstance(r, CheckpointRecord))
+    for cls in (BOTRecord, CommitRecord, AbortRecord):
+        assert log.txn_ids(cls) == {r.txn_id for r in model.records
+                                    if isinstance(r, cls)}
+    assert log.page_chain_heads() == {
+        r.page_id: r.lsn for r in model.records if r.page_chained}
+    assert (log.base_lsn, log.next_lsn, log.forced_lsn) == (
+        model.base_lsn, model.next_lsn, model.forced_lsn)
+    assert log.last_lsn == (model.records[-1].lsn if model.records
+                            else NULL_LSN)
+    assert [d.contents for d in log._devices] == [model.device_bytes] * 2
+    assert log.records_decoded == decoded
+    for txn_id in range(1, 5):
+        assert log.records_of(txn_id) == model.chain(txn_id)
+    for record in model.records:
+        assert log.get(record.lsn) == record
+    assert log.records() == model.records
+    if model.records:
+        middle = model.records[len(model.records) // 2].lsn
+        assert log.records_from(middle) == [r for r in model.records
+                                            if r.lsn >= middle]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_lazy_index_answers_like_an_eager_parse(data):
+    """Random records of all ten types, forces, trims, crashes with
+    single-byte damage to either copy or both: at every restart the
+    log's answers — records, every LSN, every chain, the header-only
+    analysis answers, the LSN horizons, the device bytes after a trim,
+    the chain links of later appends — are an eager parse's, and it
+    refuses exactly when the parse refuses."""
+    log = LogManager(page_size=data.draw(st.sampled_from([64, 256, 2048]),
+                                         label="page_size"))
+    model = EagerModel([], 1, NULL_LSN, b"")
+    for _ in range(data.draw(st.integers(1, 40), label="steps")):
+        action = data.draw(st.sampled_from(
+            ["append", "append", "append", "force", "truncate", "restart"]),
+            label="action")
+        if action == "append":
+            record = data.draw(ANY_RECORD, label="record")
+            lsn, prev, prev_page = model.links(record)
+            assert log.append(record) == lsn
+            assert record.prev_lsn == prev
+            if prev_page is not None:
+                assert record.prev_page_lsn == prev_page
+            model.add(record)
+        elif action == "force":
+            log.force()
+            if model.records:
+                model.forced_lsn = model.records[-1].lsn
+        elif action == "truncate":
+            cut = data.draw(st.integers(model.base_lsn - 1,
+                                        model.next_lsn + 1), label="cut")
+            log.truncate_before(cut)
+            model.truncate_before(cut)
+        else:
+            log.crash()
+            for copy in data.draw(st.sampled_from([(), (0,), (1,), (0, 1)]),
+                                  label="damaged"):
+                if log.size_bytes:
+                    log.damage_copy(copy, data.draw(
+                        st.integers(0, log.size_bytes - 1), label="offset"))
+            copies = [device.contents for device in log._devices]
+            try:
+                records, prefix = eager_parse(copies)
+            except UnrecoverableDataError:
+                with pytest.raises(UnrecoverableDataError):
+                    log.after_crash()
+                return
+            assert log.after_crash() == len(records)
+            # a log that lost its whole tail keeps counting LSNs on
+            model = EagerModel(records, records[-1].lsn + 1 if records
+                               else model.next_lsn,
+                               records[-1].lsn if records else NULL_LSN,
+                               prefix)
+        assert_agrees(log, model)
