@@ -284,6 +284,7 @@ class LsnMonotonicityRule(InvariantRule):
         if db.redo_log is not db.undo_log:
             logs.append(db.redo_log)
         for log in logs:
+            # lsn-monotonicity judges every retained LSN and the first one
             records = log.records()
             lsns = [record.lsn for record in records]
             if any(b <= a for a, b in zip(lsns, lsns[1:])):
@@ -304,6 +305,7 @@ class LsnMonotonicityRule(InvariantRule):
         return violations
 
     def mutate(self, db) -> str:
+        # lsn-monotonicity's mutant rewinds the last record onto the first
         records = db.undo_log.records()
         if len(records) < 2:
             raise MutantError("undo log needs two records to reorder")
@@ -454,6 +456,7 @@ class TwinPageLsnRule(InvariantRule):
         log = db.redo_log
         committed = log.txn_ids(CommitRecord)
         history: Dict[int, list] = {}
+        # twin-page-lsn: a stamp is judged by its page's records on both sides
         for record in log.records():
             if record.txn_id in committed and record.page_id in stamped \
                     and isinstance(record, (PageAfterImage, PageRedoEntry,

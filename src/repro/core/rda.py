@@ -73,10 +73,6 @@ class RDAManager:
                 lambda: self.first_steals)
         self._headers: dict = {}       # group -> [header0, header1] cache
         self._current: dict = {}       # group -> current twin index (the bit map)
-        # group -> payload of its current twin as crash_scan read it,
-        # for the groups the scan was asked to keep; non-empty only
-        # inside a restart, and an entry goes the moment it can be stale
-        self._scanned: dict = {}
         self._unknown = (0,) * array.geometry.group_size   # no page LSN known
         self.barrier_hook = None       # conformance seam (repro.check)
 
@@ -112,11 +108,6 @@ class RDAManager:
         self.dirty_set.lose_memory()
         self._headers.clear()
         self._current.clear()
-        self._scanned.clear()
-
-    def drop_scanned_twins(self) -> None:
-        """End of a restart: forget every twin payload the scan kept."""
-        self._scanned.clear()
 
     def _with_lsn(self, header: ParityHeader, index: int, lsn: int) -> tuple:
         """``header``'s page LSNs with entry ``index`` set to ``lsn``."""
@@ -154,8 +145,6 @@ class RDAManager:
                 f"group {group} (page {entry.page_id}, txn {entry.txn_id})"
             )
         headers = self._cached_headers(group)
-        if self._scanned:
-            self._scanned.pop(group, None)
         stamp = self.array.next_timestamp()
         index = self.array.geometry.index_in_group(page)
         # _with_lsn, inlined, and the header built positionally: every
@@ -195,8 +184,6 @@ class RDAManager:
         geometry = self.array.geometry
         group = geometry.group_of(page)
         headers = self._cached_headers(group)
-        if self._scanned:
-            self._scanned.pop(group, None)
         index = geometry.index_in_group(page)
         entry = self.dirty_set.get(group)
         if entry is None:
@@ -231,15 +218,17 @@ class RDAManager:
         headers[working] = working_header
 
     def write_group_committed(self, group: int, writes: list,
-                              before_write, lsn: int = 0) -> None:
+                              before_write, lsn: int = 0,
+                              parity_in_hand: bytes | None = None) -> None:
         """:meth:`write_committed` for several pages of one group —
         ``(page, payload, old_data)`` in page order — under one twin
         write: the current twin takes every page's delta and one fresh
         COMMITTED header whose entry for each of them is ``lsn``.  The
-        twin's read is saved too when :meth:`crash_scan` kept its
-        payload.  A dirty group keeps Figure 6's both-twins rule page
-        by page (restart never hands one over: parity undo empties the
-        Dirty_Set before the first restore write).  ``before_write`` is
+        twin's read is saved too when the caller holds its payload
+        (``parity_in_hand``, from :meth:`crash_scan`).  A dirty group
+        keeps Figure 6's both-twins rule page by page (restart never
+        hands one over: parity undo empties the Dirty_Set before the
+        first restore write).  ``before_write`` is
         :meth:`~repro.storage.array.DiskArray.write_group`'s."""
         if group in self.dirty_set:
             for page, payload, old_data in writes:
@@ -259,7 +248,7 @@ class RDAManager:
                               page_lsns=tuple(lsns))
         self.array.group_small_write(
             group, writes, current, header, before_write,
-            parity_in_hand=self._scanned.pop(group, None))
+            parity_in_hand=parity_in_hand)
         headers[current] = header
 
     # -- EOT processing ------------------------------------------------------------------
@@ -328,10 +317,6 @@ class RDAManager:
 
     def _undo_group_inner(self, group: int, new_data: bytes | None) -> tuple:
         entry = self.dirty_set.entry(group)
-        # the survivor becomes the current twin: whichever one the scan
-        # kept (the loser's working twin, on a never-written group) is
-        # not the restore's parity any more
-        self._scanned.pop(group, None)
         working_payload, _ = self.array.read_twin(group, entry.working_twin)
         committed_payload, _ = self.array.read_twin(group, 1 - entry.working_twin)
         if working_payload == compute_parity(
@@ -487,7 +472,6 @@ class RDAManager:
         :meth:`find_parity_holes`."""
         data = self.array.group_data_payloads(group)
         current = self.current_twin(group)
-        self._scanned.pop(group, None)      # its payload is the stale one
         # a fresh header: whatever made the hole, no page LSN is vouched
         # for by a parity recomputed from the data
         header = ParityHeader(timestamp=self.array.next_timestamp(),
@@ -498,19 +482,21 @@ class RDAManager:
             self.tracer.emit("rda.parity_resync", group=group)
 
     def crash_scan(self, committed_txns: set, keep=(),
-                   next_lsn: int | None = None) -> list:
+                   next_lsn: int | None = None) -> tuple:
         """Rebuild the Dirty_Set and current-parity bitmap from disk.
 
         Reads both twins of every group (the background bitmap
         reconstruction the paper schedules in idle periods), classifies
         WORKING twins against the log's commit set, and re-registers
         every *loser* transaction's unlogged stolen page in the
-        Dirty_Set.  Returns the loser :class:`DirtyEntry` list.
+        Dirty_Set.  Returns the loser :class:`DirtyEntry` list and
+        ``{group: current twin payload}``.
 
         The scan's reads are spent twice more.  For the groups in
         ``keep`` — the ones the log can send the restore to, so bounded
         by the work since the checkpoint, not by G — the current twin's
-        payload is kept for :meth:`write_group_committed`.  And with
+        payload goes back to the caller for :meth:`write_group_committed`;
+        the manager keeps none of it.  And with
         ``next_lsn`` (the recovered redo log's next LSN) every header is
         checked against it: a page LSN at or above it names a record the
         log lost and will issue again, so it is zeroed durably (one
@@ -524,13 +510,15 @@ class RDAManager:
         self.lose_memory()
         with self.tracer.span("recovery.twin_scan", stats=self.array.stats,
                               groups=self.array.geometry.num_groups) as span:
-            losers = self._crash_scan_inner(committed_txns, keep, next_lsn)
+            losers, kept = self._crash_scan_inner(committed_txns, keep,
+                                                  next_lsn)
             span.set(losers=len(losers))
-        return losers
+        return losers, kept
 
     def _crash_scan_inner(self, committed_txns: set, keep,
-                          next_lsn: int | None) -> list:
+                          next_lsn: int | None) -> tuple:
         losers = []
+        kept = {}
         array = self.array
         working, committed = TwinState.WORKING, TwinState.COMMITTED
         newest = 0
@@ -561,9 +549,9 @@ class RDAManager:
                                                  committed_txns, losers)
             self._current[group] = current
             if group in keep:
-                self._scanned[group] = p1 if current else p0
+                kept[group] = p1 if current else p0
         array.observe_timestamp(newest)
-        return losers
+        return losers, kept
 
     def _zero_lost_lsns(self, group: int, headers: list,
                         next_lsn: int) -> None:

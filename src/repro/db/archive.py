@@ -56,14 +56,11 @@ class ArchiveManager:
 
     def _committed_since(self, dump_lsn: int) -> list:
         """Committed after-images logged after the dump, in LSN order."""
-        winners = self.db.redo_log.txn_ids(CommitRecord)
-        out = []
-        for record in self.db.redo_log.records():
-            if record.lsn <= dump_lsn or record.txn_id not in winners:
-                continue
-            if isinstance(record, (PageAfterImage, RecordAfterEntry)):
-                out.append(record)
-        return out
+        log = self.db.redo_log
+        winners = log.txn_ids(CommitRecord)
+        return [r for r in log.records_from(dump_lsn + 1)
+                if r.txn_id in winners
+                and isinstance(r, (PageAfterImage, RecordAfterEntry))]
 
     def restore_failed_disk(self, disk_id: int) -> int:
         """Classical media recovery of one failed disk.

@@ -150,7 +150,7 @@ class Database:
         # REDO-only class: the stand-in for each page's on-disk header
         # LSN — page -> highest chain LSN known reflected on disk.  It
         # deliberately survives crash() (it models durable state) and is
-        # advanced only by _write_committed and restart's _note_on_disk.
+        # advanced only by _write_committed and restart's restore.
         self._durable_page_lsn: dict = {}
         if self.policy.redo_only:
             self.buffer.set_writeback_filter(
@@ -274,27 +274,6 @@ class Database:
             # records exist only for committed transactions, and every
             # committed change is in the written frame)
             self._durable_page_lsn[page] = self.redo_log.page_chain_head(page)
-
-    def _write_committed_group(self, group: int, writes: list,
-                               before_write) -> None:
-        """:meth:`_write_committed` for the pages restart restores into
-        one parity group (``(page, payload, old_data)`` in page order):
-        the group's parity is read and written once, the bookkeeping
-        stays per page."""
-        self.policy.protection.write_group(self, group, writes, before_write)
-        self._note_on_disk(writes)
-
-    def _note_on_disk(self, writes: list) -> None:
-        """:meth:`_write_committed`'s bookkeeping for restored pages the
-        disk now holds — the ones :meth:`_write_committed_group` wrote,
-        and the ones restart found already equal to their base."""
-        redo_only = self.policy.redo_only
-        for page, payload, _ in writes:
-            if page in self._last_written:
-                self._last_written[page] = payload
-            if redo_only:
-                self._durable_page_lsn[page] = \
-                    self.redo_log.page_chain_head(page)
 
     def _append_and_force_redo(self, record) -> int:
         lsn = self.redo_log.append(record)

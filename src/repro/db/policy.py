@@ -321,8 +321,7 @@ class ForceToc:
         """TOC: committed work is on disk already; nothing to redo."""
         return []
 
-    def restart_redo(self, db, winners, replay, disk_lsns, cache,
-                     page_base) -> tuple:
+    def restart_redo(self, db, restart) -> tuple:
         """Nothing applied, nothing skipped."""
         return 0, 0
 
@@ -374,21 +373,20 @@ class NoForceAcc:
         log = db.redo_log
         return log.records_from(log.last_checkpoint_lsn() + 1)
 
-    def restart_redo(self, db, winners, replay, disk_lsns, cache,
-                     page_base) -> tuple:
-        """Replay the winners' after-images of ``replay``
+    def restart_redo(self, db, restart) -> tuple:
+        """Replay the winners' after-images of the restart's redo tail
         (:meth:`redo_tail`) the disk does not hold yet: a record at or
-        below its page's entry in ``disk_lsns`` — what the steal
+        below its page's entry in ``restart.disk_lsns`` — what the steal
         protection's restart phase read off the disk, nothing under
         plain WAL — is skipped, and a page all of whose records are
-        never enters ``cache``.  Returns ``(applied, skipped)``."""
+        never enters ``restart.cache``.  Returns ``(applied, skipped)``."""
         redone = skipped = 0
         with db.tracer.span("recovery.phase", stats=db.stats,
                             log_split=True, phase="redo") as span:
-            db.redo_log.charge_read(replay)
-            disk_lsn = disk_lsns.get
-            for record in replay:
-                if record.txn_id not in winners or not isinstance(
+            db.redo_log.charge_read(restart.replay)
+            disk_lsn = restart.disk_lsns.get
+            for record in restart.replay:
+                if record.txn_id not in restart.winners or not isinstance(
                         record, (PageAfterImage, RecordAfterEntry)):
                     continue
                 page = record.page_id
@@ -396,10 +394,10 @@ class NoForceAcc:
                     skipped += 1
                     continue
                 if isinstance(record, PageAfterImage):
-                    cache[page] = record.image
+                    restart.cache[page] = record.image
                 else:
-                    cache[page] = apply_record_image(
-                        page_base(page), record.slot, record.image)
+                    restart.cache[page] = apply_record_image(
+                        restart.base(page), record.slot, record.image)
                 redone += 1
             span.set(applied=redone)
             if skipped:
@@ -425,29 +423,27 @@ class RedoOnlyDiscipline(NoForceAcc):
 
     def redo_tail(self, db, winners) -> list:
         """Winners' per-page chains from each page's on-disk LSN
-        forward.  Unlike :class:`NoForceAcc` this decodes the whole
-        retained log: a page's chain starts at its durable LSN, which
-        no checkpoint bounds."""
+        forward."""
         durable = db._durable_page_lsn
+        # the whole log, decoded: no checkpoint bounds a page's durable LSN
         return [r for r in db.redo_log.records()
                 if r.page_chained and r.txn_id in winners
                 and r.lsn > durable.get(r.page_id, 0)]
 
-    def restart_redo(self, db, winners, replay, disk_lsns, cache,
-                     page_base) -> tuple:
-        """Replay ``replay`` (absolute images: idempotent and
-        prefix-closed).  The durable page LSNs already bounded it;
-        ``disk_lsns`` is not consulted."""
+    def restart_redo(self, db, restart) -> tuple:
+        """Replay the restart's redo tail (absolute images: idempotent
+        and prefix-closed).  The durable page LSNs already bounded it;
+        ``restart.disk_lsns`` is not consulted."""
         redone = 0
         with db.tracer.span("recovery.phase", stats=db.stats,
                             log_split=True, phase="redo") as span:
-            db.redo_log.charge_read(replay)
-            for record in replay:
+            db.redo_log.charge_read(restart.replay)
+            for record in restart.replay:
                 if isinstance(record, PageRedoEntry):
-                    cache[record.page_id] = record.image
+                    restart.cache[record.page_id] = record.image
                 else:
-                    cache[record.page_id] = apply_record_image(
-                        page_base(record.page_id), record.slot,
+                    restart.cache[record.page_id] = apply_record_image(
+                        restart.base(record.page_id), record.slot,
                         record.image)
                 redone += 1
             span.set(applied=redone)
@@ -525,12 +521,14 @@ class RdaProtection:
         db.rda.write_committed(page, payload, old_data=old_data,
                                lsn=db.redo_log.forced_lsn)
 
-    def write_group(self, db, group: int, writes: list,
-                    before_write) -> None:
+    def write_group(self, db, group: int, writes: list, before_write,
+                    parity) -> None:
         """Restart's restore: the pages now reflect the whole recovered
-        log, whose end is its forced LSN."""
+        log, whose end is its forced LSN.  ``parity`` is the group's
+        current twin as the crash scan read it, or None."""
         db.rda.write_group_committed(group, writes, before_write,
-                                     lsn=db.redo_log.forced_lsn)
+                                     lsn=db.redo_log.forced_lsn,
+                                     parity_in_hand=parity)
 
     def stage_record_undo(self, db, txn, undo) -> None:
         """Defer the before-entry: it only reaches the log if the page
@@ -580,8 +578,7 @@ class RdaProtection:
                 db._last_written[page] = image
         return restored
 
-    def restart_parity_phase(self, db, winners: set, losers: set,
-                             fault, named) -> tuple:
+    def restart_parity_phase(self, db, restart, fault) -> tuple:
         """Parity undo of unlogged stolen pages (must precede log
         writes), then write-hole resync of clean groups.
 
@@ -592,19 +589,25 @@ class RdaProtection:
         against their data and repaired — the twin-substrate analogue
         of :class:`WalProtection`'s restart resync.
 
-        ``named`` are the parity groups the log can make this restart
-        write.  The twin scan keeps their current twins for the restore,
-        and the third result maps their pages to the LSN the current
+        ``restart.named`` are the parity groups the log can make this
+        restart write.  The twin scan hands back their current twins
+        into ``restart.twins``, less each group this phase then rewrites,
+        and ``restart.disk_lsns`` maps their pages to the LSN the current
         twin's header says the disk holds — read once both phases are
         done, so a rewound page answers with its pre-steal entry."""
         parity_undone = 0
         with db.tracer.span("recovery.phase", stats=db.stats,
                             log_split=True, phase="parity_undo") as span:
-            for entry in db.rda.crash_scan(winners, keep=named,
-                                           next_lsn=db.redo_log.next_lsn):
-                losers.add(entry.txn_id)
+            losers, restart.twins = db.rda.crash_scan(
+                restart.winners, keep=restart.named,
+                next_lsn=db.redo_log.next_lsn)
+            for entry in losers:
+                restart.losers.add(entry.txn_id)
                 fault(f"parity-undo group {entry.group}")
                 db.rda.undo_group(entry.group)
+                # the other twin is current now (on a never-written
+                # group the kept one is the loser's working twin)
+                restart.twins.pop(entry.group, None)
                 parity_undone += 1
             span.set(pages=parity_undone)
         holes = db.rda.find_parity_holes()
@@ -615,13 +618,10 @@ class RdaProtection:
                 for group in holes:
                     fault(f"parity resync group {group}")
                     db.rda.resync_group(group)
+                    restart.twins.pop(group, None)  # the kept one is stale
                 span.set(groups=len(holes))
-        return len(holes), parity_undone, db.rda.disk_page_lsns(named)
-
-    def end_restart(self, db) -> None:
-        """The twins the scan kept do not outlive the restart, however
-        it ended."""
-        db.rda.drop_scanned_twins()
+        restart.disk_lsns = db.rda.disk_page_lsns(restart.named)
+        return len(holes), parity_undone
 
     def media_recover(self, db, disk_id: int, on_lost_undo: str):
         report, must_commit = db.rda.rebuild_disk(
@@ -653,8 +653,8 @@ class WalProtection:
                         old_data=None) -> None:
         db.array.write_page(page, payload, old_data=old_data)
 
-    def write_group(self, db, group: int, writes: list,
-                    before_write) -> None:
+    def write_group(self, db, group: int, writes: list, before_write,
+                    parity) -> None:
         db.array.write_group(group, writes, before_write)
 
     def stage_record_undo(self, db, txn, undo) -> None:
@@ -673,19 +673,19 @@ class WalProtection:
     def parity_undo_for_abort(self, db, txn_id: int) -> dict:
         return {}
 
-    def restart_parity_phase(self, db, winners: set, losers: set,
-                             fault, named) -> tuple:
+    def restart_parity_phase(self, db, restart, fault) -> tuple:
         """RAID write-hole resync: a crash between a small-write's data
         and parity transfers leaves the parity stale; recovery's own
         small writes assume it is current, so recompute it first.
 
         Detection uses uncounted peeks (the restart scrub); the repair
         writes are counted.  Clean restarts skip the phase entirely.
-        No header says what the disk holds: the third result is empty.
+        No header says what the disk holds: ``restart.disk_lsns`` stays
+        empty.
         """
         stale = db.array.scrub()
         if not stale:
-            return 0, 0, {}
+            return 0, 0
         with db.tracer.span("recovery.phase", stats=db.stats,
                             log_split=True, phase="parity_resync") as span:
             for group in stale:
@@ -694,10 +694,7 @@ class WalProtection:
                         for p in db.array.geometry.group_pages(group)]
                 db.array.rewrite_parity(group, data)
             span.set(groups=len(stale))
-        return len(stale), 0, {}
-
-    def end_restart(self, db) -> None:
-        """Nothing was kept."""
+        return len(stale), 0
 
     def media_recover(self, db, disk_id: int, on_lost_undo: str):
         return db.array.rebuild_disk(disk_id)

@@ -37,15 +37,15 @@ parity, the data pages are written in page order and the parity once,
 under a header that stamps each written page with the recovered log's
 end.  On a twin array the parity's read is the crash scan's: before the
 scan, restart names the parity groups its log can touch (the redo tail's
-pages and the losers' undo records') and the scan keeps those groups'
-current twins — bounded by the work since the checkpoint, not by G, and
-dropped the moment one can be stale (parity undo, a resync) or the
-restart ends.  A group of k cached pages, b of them with their base in
-hand and d of them different, costs ``(k − b)`` base reads plus ``d + 1``
-writes when ``d > 0`` (``d + 2`` transfers on single parity, which reads
-its parity) — nothing when the disk already holds all k, so a restart
-that follows a completed restart skips every record by its header: it
-reads no page and writes none.
+pages and the losers' undo records') and the scan hands back those
+groups' current twins — bounded by the work since the checkpoint, not by
+G.  A group of k cached pages, b of them with their base in hand and d
+of them different, costs ``(k − b)`` base reads plus ``d + 1`` writes
+when ``d > 0`` (``d + 2`` transfers on single parity, which reads its
+parity) — nothing when the disk already holds all k, so a restart that
+follows a completed restart skips every record by its header: it reads
+no page and writes none.  All of one restart's state is one
+:class:`Restart`, gone when the restart returns or dies.
 """
 
 from __future__ import annotations
@@ -64,7 +64,50 @@ RESTART_COUNTERS = ("log_records", "log_decoded", "sectors_repaired",
                     "page_transfers")
 """The numeric fields of :meth:`RecoveryManager.crash_recover`'s result,
 in its order: what a sharded facade sums per shard and what the fault
-sweep and the recovery profile copy."""
+sweep copies."""
+
+
+class Restart:
+    """One crash restart's state: the log's verdicts, the only records
+    the restart decodes (``replay``, the redo tail; ``undo_records``)
+    and the pages and parity groups they name (``where``, ``named``);
+    the named groups' current twins and page LSNs, which the
+    protection's restart phase fills (``twins``, ``disk_lsns``); and
+    the page cache redo and undo fill.  It dies with the restart, so
+    nothing it holds can go stale."""
+
+    def __init__(self, db, winners: set, losers: set) -> None:
+        self.array = db.array
+        self.winners = winners
+        self.losers = losers
+        # a loser the twin scan adds later has no durable record — not
+        # even its BOT
+        self.replay = db.policy.discipline.redo_tail(db, winners)
+        self.undo_records = [
+            r for txn_id in losers for r in db.undo_log.records_of(txn_id)
+            if isinstance(r, (PageBeforeImage, RecordBeforeEntry))
+        ]
+        pages = {r.page_id for r in self.replay}
+        pages.update(r.page_id for r in self.undo_records)
+        pages.discard(None)
+        data_address = db.array.geometry.data_address
+        self.where = {page: data_address(page) for page in pages}
+        # a group is a stripe row: its slot on every disk
+        self.named = {addr.slot for addr in self.where.values()}
+        self.twins: dict = {}
+        self.disk_lsns: dict = {}
+        self.cache: dict = {}
+        # what base() read is still what the disk holds when the restore
+        # writes: parity undo and the media scan are done before the
+        # first read, and redo/undo only fill the cache
+        self.on_disk: dict = {}
+
+    def base(self, page: int) -> bytes:
+        """The page as redo/undo left it, else one read now."""
+        cache = self.cache
+        if page not in cache:
+            cache[page] = self.on_disk[page] = self.array.read_page(page)
+        return cache[page]
 
 
 class RecoveryManager:
@@ -128,13 +171,9 @@ class RecoveryManager:
         db = self.db
         fault = fault_hook if fault_hook is not None else (lambda label: None)
         before = db.stats.snapshot()
-        try:
-            with db.tracer.span("recovery.restart", stats=db.stats,
-                                log_split=True):
-                stats = self._restart(fault)
-        finally:
-            # a twin the scan kept never outlives the restart it fed
-            db.policy.protection.end_restart(db)
+        with db.tracer.span("recovery.restart", stats=db.stats,
+                            log_split=True):
+            stats = self._restart(fault)
         stats["page_transfers"] = (db.stats.snapshot() - before).total
         return stats
 
@@ -161,64 +200,31 @@ class RecoveryManager:
         # single-page recovery (its durable page LSN is reset, so
         # the redo phase below replays its whole retained chain).
         sectors_repaired = self._media_scan(winners, fault)
-
-        # the pages this restart can write are the ones its log names:
-        # the redo tail's and the losers' undo records' (a loser the
-        # twin scan adds below has no durable record — not even its
-        # BOT).  Their parity groups, bounded by the work since the
-        # checkpoint and not by G, are the ones whose current twin the
-        # scan keeps for the restore and whose page LSNs redo will ask.
-        # Both lists are all the records a restart decodes: the tail,
-        # and each loser's prev_lsn chain
-        replay = db.policy.discipline.redo_tail(db, winners)
-        undo_records = [
-            r for txn_id in losers for r in undo_log.records_of(txn_id)
-            if isinstance(r, (PageBeforeImage, RecordBeforeEntry))
-        ]
-        pages = {r.page_id for r in replay}
-        pages.update(r.page_id for r in undo_records)
-        pages.discard(None)
-        data_address = db.array.geometry.data_address
-        where = {page: data_address(page) for page in pages}
-        # a group is a stripe row: its slot on every disk
-        named = {addr.slot for addr in where.values()}
+        restart = Restart(db, winners, losers)
 
         # 0b/1. the protection policy's restart phase: RAID
         # write-hole resync (WAL) or parity undo of unlogged stolen
-        # pages (RDA; must precede log writes).  disk_lsns: page ->
-        # the LSN its twin header says the disk holds
-        parity_resynced, parity_undone, disk_lsns = \
-            db.policy.protection.restart_parity_phase(db, winners, losers,
-                                                      fault, named)
-
-        cache: dict = {}
-        # what page_base read is still what the disk holds when the
-        # restore loop writes: parity undo and the media scan are
-        # done, and redo/undo below only fill the cache
-        on_disk: dict = {}
-
-        def page_base(page: int) -> bytes:
-            if page not in cache:
-                cache[page] = on_disk[page] = db.array.read_page(page)
-            return cache[page]
+        # pages (RDA; must precede log writes)
+        parity_resynced, parity_undone = \
+            db.policy.protection.restart_parity_phase(db, restart, fault)
 
         # 2. REDO committed work since the last checkpoint (¬FORCE
         # only), minus the records the disk already holds
-        redone, redo_skipped = db.policy.discipline.restart_redo(
-            db, winners, replay, disk_lsns, cache, page_base)
+        redone, redo_skipped = db.policy.discipline.restart_redo(db, restart)
 
         # 3. UNDO losers from the log, backward in global LSN order
+        cache = restart.cache
         with db.tracer.span("recovery.phase", stats=db.stats,
                             log_split=True, phase="undo") as span:
-            db.undo_log.charge_read(undo_records)
+            db.undo_log.charge_read(restart.undo_records)
             undone = 0
-            for record in sorted(undo_records, key=lambda r: r.lsn,
+            for record in sorted(restart.undo_records, key=lambda r: r.lsn,
                                  reverse=True):
                 if isinstance(record, PageBeforeImage):
                     cache[record.page_id] = record.image
                 else:
                     cache[record.page_id] = apply_record_image(
-                        page_base(record.page_id), record.slot,
+                        restart.base(record.page_id), record.slot,
                         record.image)
                 undone += 1
             span.set(applied=undone)
@@ -230,20 +236,21 @@ class RecoveryManager:
             # group write that used to make it.  An equal page is
             # dropped; the rest go by parity group (a dict:
             # parity-striped numbering does not keep a group's
-            # pages adjacent)
+            # pages adjacent), with the twin the scan read if the
+            # restart still holds it
             array = db.array
             groups: dict = {}
             unchanged = []
             for page in sorted(cache):
                 payload = cache[page]
-                base = on_disk.get(page)
-                addr = where[page]
+                base = restart.on_disk.get(page)
+                addr = restart.where[page]
                 if base is None:
                     disk = array.disks[addr.disk]
                     base = (array.read_page(page) if disk.failed
                             else disk.read(addr.slot))
                 if payload == base:
-                    unchanged.append((page, payload, base))
+                    unchanged.append(page)
                 else:
                     groups.setdefault(addr.slot, []).append(
                         (page, payload, base))
@@ -251,11 +258,20 @@ class RecoveryManager:
             def before_write(what: str, number: int) -> None:
                 fault(f"restore {what} {number}")
 
+            redo_only = db.policy.redo_only
+            durable, head = db._durable_page_lsn, db.redo_log.page_chain_head
             for group in sorted(groups):
-                db._write_committed_group(group, groups[group],
-                                          before_write)
-            # the disk does hold the dropped pages
-            db._note_on_disk(unchanged)
+                writes = groups[group]
+                db.policy.protection.write_group(db, group, writes,
+                                                 before_write,
+                                                 restart.twins.get(group))
+                if redo_only:
+                    # the disk holds the page's whole chain now
+                    for page, _, _ in writes:
+                        durable[page] = head(page)
+            if redo_only:
+                for page in unchanged:      # and it held the dropped ones
+                    durable[page] = head(page)
 
             fault("abort records")
             for txn_id in sorted(losers):

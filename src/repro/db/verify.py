@@ -101,6 +101,7 @@ def _check_log(log) -> list:
     if not log.verify_duplex():
         problems.append(f"log {log.name}: duplex copies diverge")
     per_txn: dict = {}
+    # verify_database judges BOT/EOT order over every retained record
     for record in log.records():
         if record.txn_id == 0 or record.txn_id == NO_TXN:
             continue

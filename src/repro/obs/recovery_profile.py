@@ -157,11 +157,9 @@ class RecoveryProfile:
         if cycle.t0 is not None:
             cycle.mttr_ms = (self._clock() - cycle.t0) * 1e3
         if stats:
-            # lazy: repro.db imports this package's tracer on its way up
-            from ..db.recovery import RESTART_COUNTERS
-            for key in RESTART_COUNTERS:
-                if key in stats:
-                    cycle.stats[key] = stats[key]
+            for key, value in stats.items():
+                if type(value) is int:
+                    cycle.stats[key] = value
             for side in ("winners", "losers"):
                 if side in stats:
                     cycle.stats[side] = len(stats[side])

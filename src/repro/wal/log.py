@@ -16,8 +16,8 @@ the model counts.  :class:`LogManager` therefore:
 * survives crashes: :meth:`after_crash` re-checks every record of the
   durable bytes and decodes on read — the rebuilt index holds each
   record's header fields and byte span, and a record becomes an object
-  the first time :meth:`get`, :meth:`records_of`, :meth:`records_from`,
-  :meth:`records` or :meth:`scan` reads it.  What restart analysis asks
+  the first time :meth:`get`, :meth:`records_of`, :meth:`records_from`
+  or :meth:`records` reads it.  What restart analysis asks
   of every record — the chain heads, the committed / aborted / begun
   transaction ids (:meth:`txn_ids`), the last checkpoint
   (:meth:`last_checkpoint_lsn`) — comes from the headers alone.
@@ -382,12 +382,6 @@ class LogManager:
         pages = -(-total // self._devices[0].page_size)
         self.stats.record_read(self._devices[0].device_id, pages)
         return pages
-
-    def scan(self, record_type=None):
-        """Iterate records in append order, optionally filtered by type."""
-        for record in self.records():
-            if record_type is None or isinstance(record, record_type):
-                yield record
 
     def last_checkpoint_lsn(self) -> int:
         """LSN of the newest retained checkpoint record

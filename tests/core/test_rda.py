@@ -242,14 +242,14 @@ class TestCrashScan:
         rda.write_uncommitted(rda.array.geometry.group_pages(1)[0],
                               make_page(b"y"), txn_id=2)      # winner
         rda.commit_txn(2)
-        losers = rda.crash_scan(committed_txns={2})
+        losers, _ = rda.crash_scan(committed_txns={2})
         assert [(e.txn_id, e.page_id) for e in losers] == [(1, 0)]
 
     def test_scan_rebuilds_dirty_set_for_undo(self, rda):
         before = original(0, rda)
         rda.write_uncommitted(0, make_page(b"x"), txn_id=1)
         rda.lose_memory()                       # crash
-        losers = rda.crash_scan(committed_txns=set())
+        losers, _ = rda.crash_scan(committed_txns=set())
         assert len(losers) == 1
         rda.abort_txn(1)
         assert rda.array.read_page(0) == before
@@ -301,7 +301,7 @@ class TestCrashScan:
             for which, header in enumerate(pair):
                 array.rewrite_twin_header(group, which, header)
         rda = RDAManager(array)
-        losers = rda.crash_scan(committed_txns={winner})
+        losers, _ = rda.crash_scan(committed_txns={winner})
         for group, pair in enumerate(pairs):
             assert rda.current_twin(group) == select_current_twin(
                 pair, {winner}), pair
@@ -422,58 +422,59 @@ class TestPageLsnVector:
 
 
 class TestScannedTwins:
-    """What the crash scan keeps for the restore, and for how long."""
+    """What the crash scan hands back for the restore.  The manager
+    keeps none of it: the restart that asked holds it, and drops a
+    group's payload when it rewrites that group's parity."""
 
     def test_keeps_only_the_groups_asked_for(self, rda):
-        rda.crash_scan(committed_txns=set())
-        assert rda._scanned == {}
-        rda.crash_scan(committed_txns=set(), keep={1, 4})
-        assert set(rda._scanned) == {1, 4}
-        for group, payload in rda._scanned.items():
+        assert rda.crash_scan(committed_txns=set()) == ([], {})
+        _, kept = rda.crash_scan(committed_txns=set(), keep={1, 4})
+        assert set(kept) == {1, 4}
+        for group, payload in kept.items():
             assert payload == rda.array.peek_twin(
                 group, rda.current_twin(group))[0]
 
     def test_group_write_spends_it_and_reads_no_twin(self, rda):
-        rda.crash_scan(committed_txns=set(), keep={1})
+        _, kept = rda.crash_scan(committed_txns=set(), keep={1})
         page = rda.array.geometry.group_pages(1)[0]
         writes = [(page, make_page(b"new"), rda.array.peek_page(page))]
         with rda.array.stats.window() as w:
-            rda.write_group_committed(1, writes, lambda *label: None)
+            rda.write_group_committed(1, writes, lambda *label: None,
+                                      parity_in_hand=kept[1])
         assert (w.reads, w.writes) == (0, 2)
-        assert rda._scanned == {}
         assert rda.array.scrub() == []
 
     def test_undo_drops_the_losers_working_twin(self):
         """On a never-written group the scan-time current twin is the
         loser's WORKING one (the only non-OBSOLETE header); parity undo
-        makes the other twin current, so the kept payload must go."""
+        makes the other twin current, so the payload the scan handed
+        back is no parity to write with — the restore reads the
+        survivor instead."""
         rda = RDAManager(make_twin_raid5(4, 2))
         rda.write_uncommitted(0, make_page(b"s"), txn_id=1)
         working = rda.dirty_set.entry(0).working_twin
-        (loser,) = rda.crash_scan(committed_txns=set(), keep={0})
-        assert rda.current_twin(0) == working and 0 in rda._scanned
+        (loser,), kept = rda.crash_scan(committed_txns=set(), keep={0})
+        assert rda.current_twin(0) == working
         rda.undo_group(loser.group)
-        assert rda._scanned == {}
+        survivor = rda.current_twin(0)
+        assert survivor != working
+        assert kept[0] != rda.array.peek_twin(0, survivor)[0]
         page = rda.array.geometry.group_pages(0)[1]
         rda.write_group_committed(0, [(page, make_page(b"r"), None)],
                                   lambda *label: None)
         assert rda.array.scrub() == []
 
-    @pytest.mark.parametrize("touch", ["resync", "committed", "uncommitted",
-                                       "lose_memory", "drop"])
-    def test_anything_that_can_stale_it_drops_it(self, rda, touch):
-        rda.crash_scan(committed_txns=set(), keep={0})
-        if touch == "resync":
-            rda.resync_group(0)
-        elif touch == "committed":
-            rda.write_committed(0, make_page(b"c"))
-        elif touch == "uncommitted":
-            rda.write_uncommitted(0, make_page(b"s"), txn_id=1)
-        elif touch == "lose_memory":
-            rda.lose_memory()
-        else:
-            rda.drop_scanned_twins()
-        assert rda._scanned == {}
+    def test_a_resync_stales_the_kept_twin(self, rda):
+        """A resync rewrites the current twin from the data: what the
+        scan read of a group with a parity hole is the stale parity."""
+        current = rda.current_twin(0)
+        _, header = rda.array.peek_twin(0, current)
+        rda.array.write_twin(0, current, make_page(b"stale"), header)
+        _, kept = rda.crash_scan(committed_txns=set(), keep={0})
+        assert rda.find_parity_holes() == [0]
+        rda.resync_group(0)
+        assert kept[0] != rda.array.peek_twin(0, current)[0]
+        assert rda.array.scrub() == []
 
 
 class TestStaleLsnReseal:

@@ -86,6 +86,33 @@ class TestRestore:
         assert db.disk_page(0) == make_page(b"new")
         assert db.verify_parity() == []
 
+    def test_roll_forward_decodes_only_what_follows_the_dump(self):
+        """After a restart the log holds undecoded entries: the roll
+        forward turns only the records past ``dump_lsn`` into objects."""
+        db = make_db()
+        for value in (b"a", b"b", b"c"):
+            t = db.begin()
+            db.write_page(t, 0, make_page(value))
+            db.commit(t)
+        manager = ArchiveManager(db)
+        copy = manager.dump()
+        t = db.begin()
+        db.write_page(t, 0, make_page(b"new"))
+        db.commit(t)
+        db.crash()
+        db.recover()
+        log = db.redo_log
+        assert copy.dump_lsn > log.base_lsn
+        decoded = log.records_decoded
+        victim = db.array.geometry.data_address(0).disk
+        db.media_failure(victim)
+        manager.restore_failed_disk(victim)
+        # the after-image and the commit record of the one transaction
+        assert log.records_decoded - decoded == log.last_lsn - copy.dump_lsn
+        assert log.last_lsn - copy.dump_lsn == 2
+        assert db.disk_page(0) == make_page(b"new")
+        assert db.verify_parity() == []
+
     def test_uncommitted_post_dump_changes_not_restored(self):
         db = make_db()
         manager = ArchiveManager(db)

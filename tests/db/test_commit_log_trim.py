@@ -44,7 +44,8 @@ def restart_footprint(cls, shards: int, segments: int) -> tuple:
             db.write_page(tail[-1], n, make_page(b"tail"))
             db.commit(tail[-1])
         db.crash()
-        scanned = sum(1 for _ in db.commit_log.scan(CommitRecord))
+        scanned = sum(isinstance(r, CommitRecord)
+                      for r in db.commit_log.records())
         tail_bytes = db.commit_log.size_bytes
         winners = db.recover()["winners"]
         assert set(tail) <= set(winners)

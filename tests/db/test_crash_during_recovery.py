@@ -415,33 +415,24 @@ def kind_of(label: str) -> str:
     return label.rstrip("0123456789").rstrip()
 
 
-def scanned_twins(db) -> dict:
-    return {} if db.rda is None else db.rda._scanned
-
-
-def die_at(db, at_write: int, kept: list) -> bool:
-    """:func:`interrupted`, also noting how many scanned twins the
-    restart held at each label and that none is left when it dies —
-    before the ``crash()`` that follows, and after it."""
-    crash = crashing_hook(at_write)
-
-    def hook(label):
-        kept.append(len(scanned_twins(db)))
-        crash(label)
-
+def die_at(db, at_write: int, restarts) -> bool:
+    """:func:`interrupted`, also checking that the restart value —
+    and the scanned twins it holds — is gone once the restart returns
+    or dies."""
     try:
-        db.recover(fault_hook=hook)
+        db.recover(fault_hook=crashing_hook(at_write))
+        died = False
     except MidRecoveryCrash:
-        assert scanned_twins(db) == {}
+        died = True
+    assert restarts.all_gone()
+    if died:
         db.crash()
-        assert scanned_twins(db) == {}
-        return True
-    assert scanned_twins(db) == {}
-    return False
+    return died
 
 
 @pytest.mark.parametrize("name", GROUP_PRESETS)
-def test_vouched_restart_survives_two_interruptions_and_keeps_no_twin(name):
+def test_vouched_restart_survives_two_interruptions_and_keeps_no_twin(
+        name, restarts):
     """Die at every label of a restart that skips by header, restores
     with the scan's twins in hand, rewinds a group and (after a death
     inside a group body) resyncs one — then at every label of the
@@ -449,22 +440,27 @@ def test_vouched_restart_survives_two_interruptions_and_keeps_no_twin(name):
     page LSNs that vouch for nothing the disk lacks, and no scanned twin
     outliving the restart it was read for."""
     db, check = build_vouched_scenario(name)
-    points = []
-    db.recover(fault_hook=points.append)
+    points, kept = [], []
+
+    def note(label):
+        # what the live restart holds at its first label
+        if not points:
+            kept.append(len(restarts[-1]().twins))
+        points.append(label)
+
+    db.recover(fault_hook=note)
     assert_group_state(db, check)
     kinds = {kind_of(label) for label in points}
     assert {"restore page", "restore parity group", "abort records"} <= kinds
+    if db.rda is not None:
+        assert kept[0] > 0                  # the scan did keep some
     seen = set(kinds)
     for first in range(1, len(points) + 1):
         second = 1
         while True:
             db, check = build_vouched_scenario(name)
-            kept = []
-            assert die_at(db, first, kept)
-            if db.rda is not None and points[0] != "abort records":
-                assert kept[0] > 0          # the scan did keep some
-            labels = []
-            finished = not die_at(db, second, labels)
+            assert die_at(db, first, restarts)
+            finished = not die_at(db, second, restarts)
             if not finished:
                 db.recover(fault_hook=lambda label: seen.add(
                     kind_of(label)))

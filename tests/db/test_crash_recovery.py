@@ -713,21 +713,28 @@ def test_a_stamp_the_log_lost_is_zeroed_before_it_can_lie():
     assert db.verify_parity() == []
 
 
-@pytest.mark.parametrize("num_groups", [8, 40])
-def test_kept_twins_are_bounded_by_the_log_not_by_g(num_groups):
-    """The scan keeps the current twin of the groups the redo tail and
-    the losers' undo records name, whatever G: none with an empty tail,
-    and none survives the restart's return or a crash()."""
+def spy_kept_twins(db) -> list:
+    """The groups each crash scan hands back a current twin for."""
     kept = []
-    db = make_db("page-noforce-rda", num_groups=num_groups)
     scan = db.rda.crash_scan
 
     def spy(*args, **kwargs):
-        losers = scan(*args, **kwargs)
-        kept.append(set(db.rda._scanned))
-        return losers
+        losers, twins = scan(*args, **kwargs)
+        kept.append(set(twins))
+        return losers, twins
 
     db.rda.crash_scan = spy
+    return kept
+
+
+@pytest.mark.parametrize("num_groups", [8, 40])
+def test_kept_twins_are_bounded_by_the_log_not_by_g(num_groups, restarts):
+    """The scan keeps the current twin of the groups the redo tail and
+    the losers' undo records name, whatever G: none with an empty tail.
+    The restart value that holds them is gone once the restart returns,
+    or dies."""
+    db = make_db("page-noforce-rda", num_groups=num_groups)
+    kept = spy_kept_twins(db)
     winner = db.begin()
     for page in (0, 1, 9):
         db.write_page(winner, page, make_page(b"w%d" % page))
@@ -736,7 +743,7 @@ def test_kept_twins_are_bounded_by_the_log_not_by_g(num_groups):
     db.recover()
     group_of = db.array.geometry.group_of
     assert kept.pop() == {group_of(0), group_of(9)}
-    assert db.rda._scanned == {}                    # all spent
+    assert restarts.all_gone()
 
     db.checkpoint()                                 # empties the redo tail
     db.crash()
@@ -751,16 +758,75 @@ def test_kept_twins_are_bounded_by_the_log_not_by_g(num_groups):
 
     def die(label):
         if label.startswith("restore"):
-            assert db.rda._scanned == {}    # spent by the group being written
+            # page 1 rode the twins, so parity undo rewrote its group
+            # and the restart dropped the twin the scan kept
+            assert restarts[-1]().twins == {}
             raise RuntimeError(label)
 
     with pytest.raises(RuntimeError):
         db.recover(fault_hook=die)
-    assert kept.pop() == {group_of(1)} and db.rda._scanned == {}
+    assert kept.pop() == {group_of(1)}
+    assert restarts.all_gone()
     db.crash()
     db.recover()
-    assert kept.pop() == {group_of(1)} and db.rda._scanned == {}
+    assert kept.pop() == {group_of(1)}
+    assert restarts.all_gone()
     assert db.verify_parity() == []
+
+
+@pytest.mark.parametrize("case", ["undo", "resync"])
+@pytest.mark.parametrize("name", ["page-noforce-rda", "record-noforce-rda"])
+def test_a_group_the_parity_phase_rewrites_is_restored_with_a_fresh_twin(
+        name, case):
+    """The scan keeps a named group's current twin, then parity undo or
+    a resync rewrites that group's parity: the twin in hand is stale, so
+    the restore must read the group's twin afresh.  Undo: a group never
+    written before (both twins formatted OBSOLETE), whose scan-time
+    current twin is therefore the loser's WORKING one.  Resync: a parity
+    hole, the current twin stale against its data."""
+    db = Database(preset(name, group_size=4, num_groups=8,
+                         buffer_capacity=6), tracer=Tracer(RingBufferSink()))
+    group = 2
+    stolen, redone = db.array.geometry.group_pages(group)[:2]
+
+    def write(txn, page, value):
+        if db.config.record_logging:
+            db.insert_record(txn, page, value)
+        else:
+            db.write_page(txn, page, make_page(value))
+
+    if case == "resync":
+        if db.config.record_logging:
+            db.format_record_pages(range(db.num_data_pages))
+        else:
+            db.load_pages({page: make_page(b"v0")
+                           for page in range(db.num_data_pages)})
+    else:
+        loser = db.begin()
+        write(loser, stolen, b"lose")
+        assert db.buffer.flush_page(stolen)
+        assert db.counters.unlogged_steals == 1
+    winner = db.begin()
+    write(winner, redone, b"win")
+    db.commit(winner)                       # ¬FORCE: only the log has it
+    expected = db.committed_view(redone)
+    if case == "resync":
+        current = db.rda.current_twin(group)
+        _, header = db.array.peek_twin(group, current)
+        db.array.write_twin(group, current, make_page(b"stale"), header)
+    db.crash()
+    kept = spy_kept_twins(db)
+
+    stats = db.recover()
+    assert group in kept.pop()
+    assert (stats["parity_undone_pages"], stats["parity_resynced"]) == (
+        (1, 0) if case == "undo" else (0, 1))
+    (write_event,) = [event for event in db.tracer.sink.events()
+                      if event["name"] == "array.group_write"
+                      and event["attrs"]["group"] == group]
+    assert write_event["attrs"]["parity_in_hand"] == 0
+    assert db.verify_parity() == []
+    assert db.committed_view(redone) == expected
 
 
 def test_an_interrupted_restarts_span_says_so():
@@ -825,7 +891,6 @@ def test_random_shared_page_history_keeps_the_page_lsns_honest(data):
             try:
                 db.recover(fault_hook=hook)
             except RestartDied:
-                assert db.rda._scanned == {}
                 db.crash()
                 db.recover()
         else:

@@ -209,7 +209,8 @@ class TestHybrid:
         db.update_record(txn, 0, 0, b"log only")
         db.commit(txn)                  # ¬FORCE: page still dirty
         head = db.redo_log.page_chain_head(0)
-        checkpoints = [r.lsn for r in db.redo_log.scan(CheckpointRecord)]
+        checkpoints = [r.lsn for r in db.redo_log.records()
+                       if isinstance(r, CheckpointRecord)]
         if checkpoints and min(checkpoints) > head:
             db.trim_log()
             assert db.redo_log.base_lsn <= head

@@ -92,9 +92,10 @@ def test_group_write_with_the_parity_in_hand_is_priced_one_less():
     pages = rda.array.geometry.group_pages(2)[:3]
     writes = [(page, make_page(b"r%d" % page), None) for page in pages]
     writes[0] = (*writes[0][:2], rda.array.peek_page(pages[0]))
-    rda.crash_scan(committed_txns=set(), keep={2})
+    _, kept = rda.crash_scan(committed_txns=set(), keep={2})
     with rda.array.stats.window() as measured:
-        rda.write_group_committed(2, writes, lambda *label: None)
+        rda.write_group_committed(2, writes, lambda *label: None,
+                                  parity_in_hand=kept[2])
     event = sink.events()[-1]           # after the scan's span
     assert event["attrs"] == {"group": 2, "pages": 3, "buffered_pages": 1,
                               "parity_in_hand": 1,

@@ -7,8 +7,9 @@ field, ``REPRO_HOTPATH`` / ``REPRO_KERNEL_TIER`` / ``REPRO_NO_NUMPY``,
 an optional numpy tier, the plan/execute commit-window machinery beside
 the per-page write-back, a pluggable replacement policy, three
 ``DBConfig`` fields nobody set, forwarding methods between the Figure 3
-question and the Dirty_Set); bringing any of them back is a design
-change that has to argue with docs/performance.md first.  The frame
+question and the Dirty_Set, restart state kept outside the restart);
+bringing any of them back is a design change that has to argue with
+docs/performance.md first.  The frame
 budgets at the end hold the page path, what a parity group and a
 restored page add to a restart, and what a tracer and a registry may add
 to a transaction, to the number of Python frames they enter today.
@@ -28,9 +29,13 @@ import repro
 from repro.buffer import BufferPool
 from repro.core import RDAManager
 from repro.db import Database, DBConfig, preset
+from repro.db.policy import (FORCE_TOC, NOFORCE_ACC, RDA_PROTECTION,
+                             REDO_ONLY_DISCIPLINE, WAL_PROTECTION)
+from repro.db.recovery import RecoveryManager
 from repro.obs import (BufferedJsonlSink, MetricsRegistry, Tracer,
                        load_trace)
 from repro.storage import TwinState, kernels, make_page
+from repro.wal import LogManager
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 FORBIDDEN = re.compile(
@@ -45,6 +50,12 @@ FORWARDERS = re.compile(
     r"^\s*(?:class\s+(ClockPolicy|LRUPolicy|ReplacementPolicy)|"
     r"def\s+(make_policy|needs_undo_log|write_stolen_logged|_parse_prefix|"
     r"_evictable))\b", re.MULTILINE)
+# one restart's state lives in its Restart value: the kept-twin cache on
+# the RDA manager, its drop hooks and the restore's own copy of the
+# write-back bookkeeping are gone
+RESTART_LEFTOVERS = re.compile(
+    r"\b(_scanned|drop_scanned_twins|end_restart|_write_committed_group|"
+    r"_note_on_disk)\b")
 
 
 @pytest.mark.parametrize("numpy_importable", [True, False])
@@ -92,6 +103,19 @@ def test_src_defines_no_replacement_plugin_and_no_forwarder():
     assert "policy" not in inspect.signature(BufferPool.__init__).parameters
     assert "logged" not in inspect.signature(
         RDAManager.write_uncommitted).parameters
+
+
+def test_nothing_outlives_a_restart():
+    assert _defined(RESTART_LEFTOVERS) == {}
+    assert not hasattr(LogManager, "scan")
+    assert "finally" not in inspect.getsource(RecoveryManager.crash_recover)
+    for discipline in (FORCE_TOC, NOFORCE_ACC, REDO_ONLY_DISCIPLINE):
+        assert list(inspect.signature(
+            discipline.restart_redo).parameters) == ["db", "restart"]
+    for protection in (RDA_PROTECTION, WAL_PROTECTION):
+        assert list(inspect.signature(
+            protection.restart_parity_phase).parameters) == \
+            ["db", "restart", "fault"]
 
 
 def test_buffer_pool_takes_one_writeback_callable():
@@ -171,12 +195,13 @@ def _crashed_db(num_groups: int):
 
 
 def test_one_more_parity_group_costs_a_restart_at_most_22_frames():
-    # 19 today, 38 before PR 19 (24 and 40 for a group never written,
+    # 19, pinned there (38 with a lookup per twin, a header peek and a
+    # kernel dispatch per group; 24 and 40 for a group never written,
     # whose twins are both OBSOLETE): the twin scan reads both twins
     # through one address lookup and picks the current one from the two
     # header states, the scrub XORs a stripe row without leaving its loop
     assert (_src_frames(_crashed_db(60).recover)
-            - _src_frames(_crashed_db(20).recover)) / 40 <= 22
+            - _src_frames(_crashed_db(20).recover)) / 40 <= 19
 
 
 def test_the_restart_scrub_still_visits_every_clean_group():
@@ -213,36 +238,38 @@ def _restore_frames(pages, on_disk=()) -> int:
 
 
 def test_a_restored_page_in_an_open_group_costs_fewer_frames_than_a_new_group():
-    # 13 and 37 today; 28 either way before PR 21, when every page paid
-    # the _write_committed → protection → rda.write_committed →
-    # small_write chain, two disk reads and two writes.  A page that
+    # 10 and 31, pinned there; 28 either way when every page paid the
+    # _write_committed → protection → rda.write_committed → small_write
+    # chain, two disk reads and two writes.  A page that
     # joins a group the restore already opened adds its base read (at
-    # the disk arm; through ``array.read_page`` it would be 15), its
-    # labelled write and nothing else; a page alone in its group pays
-    # the group's chain, twin write and bookkeeping call by itself.
-    # Every payload must differ from the ``v0`` the pages were loaded
-    # with, or the page is dropped and takes its group's chain out of
-    # the baseline.  PR 23 re-pinned the new group from 36, measured:
-    # the one frame is ``geometry.group_pages``, the member list
-    # ``write_group_committed`` stamps the group's page LSNs against in
-    # one pass (a helper per page read 19 against 14 in an open group).
-    # Naming the log's pages before the twin scan is free: the address
-    # lookup it makes is the one the restore loop used to make.
+    # the disk arm, not through ``array.read_page``), its labelled
+    # write and nothing else; a page alone in its group pays
+    # the group's chain and twin write by itself — the protection's
+    # ``write_group`` straight from the restore, with no database
+    # method around it and no bookkeeping call beside it (34 with
+    # both).  Every payload must differ from the ``v0`` the pages were
+    # loaded with, or the page is dropped and takes its group's chain
+    # out of the baseline.  One frame of the new group is
+    # ``geometry.group_pages``, the member list ``write_group_committed``
+    # stamps the group's page LSNs against in one pass (a helper per
+    # page read 19 against 14 in an open group).  Naming the log's pages
+    # before the twin scan is free: the address lookup it makes is the
+    # one the restore loop used to make.
     n = 5
     sparse = _restore_frames([g * n for g in range(4)])
     in_open_group = (_restore_frames([g * n + i for g in range(4)
                                       for i in range(3)]) - sparse) / 8
     in_new_group = (_restore_frames([g * n for g in range(12)])
                     - sparse) / 8
-    assert in_open_group <= 14
-    assert in_new_group <= 37
+    assert in_open_group <= 10
+    assert in_new_group <= 31
     assert in_open_group < in_new_group
     # a page the disk already holds costs its read and the comparison:
     # no write, no label, and alone in its group no group chain either
     dropped = (_restore_frames([g * n for g in range(4)],
                                on_disk=[g * n + 1 for g in range(4, 12)])
                - sparse) / 8
-    assert dropped <= 9            # 8.1 today
+    assert dropped <= 5.125
     assert dropped < in_open_group
 
 

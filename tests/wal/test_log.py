@@ -47,8 +47,9 @@ class TestAppend:
     def test_scan_filter(self, log):
         log.append(BOTRecord(txn_id=1))
         log.append(PageBeforeImage(txn_id=1, page_id=5, image=b"x"))
-        assert len(list(log.scan(PageBeforeImage))) == 1
-        assert len(list(log.scan())) == 2
+        records = log.records()
+        assert sum(isinstance(r, PageBeforeImage) for r in records) == 1
+        assert len(records) == 2
 
 
 class TestAccounting:
