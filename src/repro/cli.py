@@ -9,8 +9,8 @@
     python -m repro export-trace run.jsonl --out run.perfetto.json
     python -m repro drift-check run.jsonl [--tolerance 0.05]
     python -m repro check [--presets all] [--extended] [--crash-every 10]
+    python -m repro stress [--preset page-force-rda] [--seed 7]
     python -m repro reliability [--disks 200] [--mttr 24]
-    python -m repro demo
 
 ``figures`` regenerates the paper's evaluation tables, ``simulate``
 drives the live system (optionally recording a structured event trace
@@ -22,8 +22,10 @@ paper's model, ``export-trace`` converts a trace to Chrome
 trace-event/Perfetto JSON, ``drift-check`` replays a recorded trace
 through the model-drift detector, ``check`` runs the conformance suite
 (online invariants, differential oracle, serializability analysis)
-across configuration presets, ``reliability`` prints the Section 1
-motivation numbers, and ``demo`` walks the three recovery scenarios.
+across configuration presets, ``stress`` runs nemesis-driven chaos with
+live judging, and ``reliability`` prints the Section 1 motivation
+numbers.  ``examples/quickstart.py`` walks the three recovery
+scenarios.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .obs import (BufferedJsonlSink, DriftDetector, MetricsRegistry,
                   export_trace_file, format_cost_table,
                   format_recovery_profile, load_trace)
 from .sim import Simulator, WorkloadSpec
-from .storage import backend_names, make_page
+from .storage import backend_names
 
 
 def _build_engine(config, args, tracer=None, metrics=None):
@@ -217,9 +219,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fault_sweep(args, overrides) -> int:
     """Exhaustive crash-point enumeration (``simulate --fault-sweep``)."""
-    from .sim import default_fault_workload, run_sweep
-    from .sim.faultplan import (record_fault_setup, record_fault_workload,
-                                shard_aligned_fault_workload)
+    from .sim import fault_workload, record_fault_setup, run_sweep
 
     config = preset(args.preset, **overrides)
     if config.record_logging and args.shards > 1:
@@ -231,18 +231,12 @@ def _cmd_fault_sweep(args, overrides) -> int:
               "pipe; running the sweep in-process")
     args.workers = False
     modes = tuple(m.strip() for m in args.fault_modes.split(",") if m.strip())
-    setup = None
-    if args.shards > 1:
-        ops = shard_aligned_fault_workload(
-            args.shards, transactions=args.fault_transactions,
-            group_size=config.group_size)
-    elif config.record_logging:
-        ops = record_fault_workload(transactions=args.fault_transactions,
-                                    group_size=config.group_size)
-        setup = record_fault_setup(ops)
-    else:
-        ops = default_fault_workload(transactions=args.fault_transactions,
-                                     group_size=config.group_size)
+    record = config.record_logging
+    ops = fault_workload(transactions=args.fault_transactions,
+                         group_size=config.group_size,
+                         shards=max(args.shards, 1),
+                         op="update" if record else "write")
+    setup = record_fault_setup(ops) if record else None
     tracer = (Tracer(BufferedJsonlSink(args.trace_out))
               if args.trace_out is not None else None)
 
@@ -464,35 +458,6 @@ def _cmd_reliability(args) -> int:
     return 0
 
 
-def _cmd_demo(args) -> int:
-    db = Database(preset("page-force-rda", group_size=4, num_groups=16,
-                         buffer_capacity=8))
-    print("1) commit, steal an uncommitted page, abort via parity twins")
-    t = db.begin()
-    db.write_page(t, 0, make_page(b"committed"))
-    db.commit(t)
-    loser = db.begin()
-    db.write_page(loser, 0, make_page(b"scribble"))
-    db.buffer.flush_pages_of(loser)
-    print(f"   on disk while active: {db.disk_page(0)[:9]!r}, "
-          f"undo records: {db.counters.before_images_logged}")
-    db.abort(loser)
-    print(f"   after abort        : {db.disk_page(0)[:9]!r}")
-    print("2) crash with a loser in flight")
-    loser = db.begin()
-    db.write_page(loser, 1, make_page(b"doomed"))
-    db.crash()
-    stats = db.recover()
-    print(f"   recovery: losers={stats['losers']} "
-          f"transfers={stats['page_transfers']}")
-    print("3) media failure")
-    db.media_failure(2)
-    report = db.media_recover(2)
-    print(f"   rebuilt {report.slots_rebuilt} slots; "
-          f"scrub: {db.verify_parity() or 'clean'}")
-    return 0
-
-
 def _add_worker_flags(sub) -> None:
     """``--workers``/``--no-workers`` (default: the REPRO_WORKERS env)."""
     group = sub.add_mutually_exclusive_group()
@@ -680,9 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     reliability.add_argument("--mttr", type=float, default=24.0)
     reliability.add_argument("--group-size", type=int, default=10)
     reliability.set_defaults(func=_cmd_reliability)
-
-    demo = sub.add_parser("demo", help="walk the three recovery scenarios")
-    demo.set_defaults(func=_cmd_demo)
     return parser
 
 

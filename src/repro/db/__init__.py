@@ -2,7 +2,6 @@
 
 from .archive import ArchiveCopy, ArchiveManager
 from .btree import BTree, BTreeError
-from .catalog import Catalog, CatalogError
 from .config import (DBConfig, all_preset_names, extended_preset_names,
                      preset)
 from .database import Database, LockWait, WriteCounters
@@ -20,8 +19,6 @@ __all__ = [
     "ArchiveManager",
     "BTree",
     "BTreeError",
-    "Catalog",
-    "CatalogError",
     "DBConfig",
     "all_preset_names",
     "extended_preset_names",

@@ -48,7 +48,7 @@ class DBConfig:
             FORCE.
         log_transfers_per_page: page transfers charged per filled log
             page per mirror copy.
-        backend: storage-backend registry name
+        backend: storage-backend name
             (:func:`repro.storage.backend_names`); None selects the
             legacy default implied by ``rda`` ("twin" / "single").
             The name fixes the data placement too (``"parity-striped"``

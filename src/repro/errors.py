@@ -37,10 +37,6 @@ class AddressError(StorageError):
     """A page number or physical address is out of range."""
 
 
-class ArrayDegradedError(StorageError):
-    """An operation needs more redundancy than the array currently has."""
-
-
 class UnrecoverableDataError(StorageError):
     """Data loss: more failures than the redundancy can mask."""
 

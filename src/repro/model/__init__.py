@@ -1,6 +1,6 @@
 """The paper's analytical model and figure generators."""
 
-from . import operations, page_logging, record_logging, redo_only
+from . import operations, page_logging, record_logging
 from .figures import (DEFAULT_C_SWEEP, DEFAULT_S_SWEEP, FigureSeries,
                       all_figures, figure9, figure10, figure11, figure12,
                       figure13)
@@ -25,7 +25,6 @@ __all__ = [
     "operations",
     "page_logging",
     "record_logging",
-    "redo_only",
     "MODEL_EXPECTATIONS",
     "OPERATION_COSTS",
     "OperationCost",

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ..model.operations import group_write_transfers, predicted_band
-from .inspect import event_key
+from ..model.operations import predicted_band
+from .inspect import priced_rows
 
 
 class DriftAlarm(NamedTuple):
@@ -99,35 +99,12 @@ class DriftDetector:
     # -- measurement intake --------------------------------------------------
 
     def observe(self, event: dict) -> None:
-        """Tracer-observer hook: fold one event into the per-variant
-        series (expanding coalesced batch events exactly the way
-        :func:`repro.obs.inspect.aggregate_events` prices them)."""
-        name = event.get("name")
-        attrs = event.get("attrs") or {}
-        if name == "array.small_write_batch":
-            buffered = attrs.get("buffered_pages", 0)
-            plain = attrs.get("pages", 0) - buffered
-            if buffered:
-                self._add("array.small_write[buffered=True,twins=1]",
-                          buffered, 3 * buffered)
-            if plain:
-                self._add("array.small_write[buffered=False,twins=1]",
-                          plain, 4 * plain)
-            return
-        if name == "array.group_write":
-            self._add(name, 1, attrs["transfers"], price=group_write_transfers(
-                attrs["pages"], attrs["buffered_pages"],
-                attrs.get("parity_in_hand", 0)))
-            return
-        if name == "rda.commit":
-            flips = attrs.get("groups", 0)
-            if flips:
-                self._add("rda.twin_flip", flips, 0)
-            self._add(event_key(name, attrs), 1, attrs.get("transfers", 0))
-            return
-        if "transfers" not in attrs:
-            return
-        self._add(event_key(name, attrs), 1, attrs["transfers"])
+        """Tracer-observer hook: fold one event's priced rows
+        (:func:`repro.obs.inspect.priced_rows`) into the per-variant
+        series."""
+        for key, count, _, _, transfers, _, price in priced_rows(event):
+            if transfers is not None:
+                self._add(key, count, transfers, price=price)
 
     def _add(self, key: str, count: int, transfers, price=None) -> None:
         """``price``: the model's price of this one event, for a

@@ -75,6 +75,52 @@ def load_trace(path) -> list:
     return events
 
 
+def priced_rows(event):
+    """The model-priced rows one event stands for: ``(key, count,
+    reads, writes, transfers, dur_ms, price)``, the costs None for a
+    pure marker, ``price`` the model's price of this one event where it
+    is not a constant (an ``array.group_write`` of k pages, b of them
+    buffered) and None elsewhere.
+
+    Coalesced events expand back into the variants they stand for: an
+    ``array.small_write_batch`` into per-page small writes (only inline
+    single-twin writes are coalesced, and they cost exactly 3 buffered /
+    4 unbuffered transfers) plus one ``rda.group_dirty`` marker per
+    first steal, an ``rda.commit`` into one zero-cost ``rda.twin_flip``
+    per dirty group it flipped.  :func:`aggregate_events` and
+    :class:`~repro.obs.drift.DriftDetector` both read events through
+    this one expansion.
+    """
+    name = event["name"]
+    attrs = event.get("attrs") or {}
+    if name == "array.small_write_batch":
+        buffered = attrs.get("buffered_pages", 0)
+        plain = attrs.get("pages", 0) - buffered
+        if buffered:
+            yield ("array.small_write[buffered=True,twins=1]", buffered,
+                   buffered, 2 * buffered, 3 * buffered, None, None)
+        if plain:
+            yield ("array.small_write[buffered=False,twins=1]", plain,
+                   2 * plain, 2 * plain, 4 * plain, None, None)
+        first = attrs.get("first_steals", 0)
+        if first:
+            yield ("rda.group_dirty", first, None, None, None, None, None)
+        yield (name, 1, None, None, None, attrs.get("dur_ms"), None)
+        return
+    if name == "rda.commit" and attrs.get("groups", 0):
+        yield ("rda.twin_flip", attrs["groups"], 0, 0, 0, None, None)
+    if "transfers" not in attrs:
+        yield (event_key(name, attrs), 1, None, None, None,
+               attrs.get("dur_ms"), None)
+        return
+    price = (group_write_transfers(attrs["pages"], attrs["buffered_pages"],
+                                   attrs.get("parity_in_hand", 0))
+             if name == "array.group_write" else None)
+    yield (event_key(name, attrs), 1, attrs.get("reads", 0),
+           attrs.get("writes", 0), attrs["transfers"], attrs.get("dur_ms"),
+           price)
+
+
 def aggregate_events(events) -> dict:
     """Reduce events to per-variant cost rows.
 
@@ -84,68 +130,26 @@ def aggregate_events(events) -> dict:
     never carried a cost (pure markers like ``txn.begin``).
     """
     rows: dict = {}
-
-    def add(key, count, reads=None, writes=None, transfers=None,
-            dur_ms=None):
-        row = rows.get(key)
-        if row is None:
-            row = {"count": 0, "reads": None, "writes": None,
-                   "transfers": None, "dur_ms": None}
-            rows[key] = row
-        row["count"] += count
-        for field, value in (("reads", reads), ("writes", writes),
-                             ("transfers", transfers), ("dur_ms", dur_ms)):
-            if value is not None:
-                row[field] = value if row[field] is None else row[field] + value
-        return row
-
     group_write_model = 0
     for event in events:
-        attrs = event.get("attrs", {})
-        name = event["name"]
-        if name == "array.group_write":
-            # priced per event: the model column shows the mean price
-            # of the groups this trace wrote, next to the mean measured
-            group_write_model += group_write_transfers(
-                attrs["pages"], attrs["buffered_pages"],
-                attrs.get("parity_in_hand", 0))
-        if name == "array.small_write_batch":
-            # one coalesced window event stands in for per-page
-            # small-write events; expand it back into the model-priced
-            # variants (only inline single-twin writes are coalesced,
-            # and they cost exactly 3 buffered / 4 unbuffered transfers)
-            buffered = attrs.get("buffered_pages", 0)
-            plain = attrs.get("pages", 0) - buffered
-            if buffered:
-                add("array.small_write[buffered=True,twins=1]", buffered,
-                    reads=buffered, writes=2 * buffered,
-                    transfers=3 * buffered)
-            if plain:
-                add("array.small_write[buffered=False,twins=1]", plain,
-                    reads=2 * plain, writes=2 * plain, transfers=4 * plain)
-            first = attrs.get("first_steals", 0)
-            if first:
-                # the RDA manager's per-window count rides on this
-                # event; each first steal stands in for one
-                # rda.group_dirty marker
-                add("rda.group_dirty", first)
-            add(name, 1, dur_ms=attrs.get("dur_ms"))
-            continue
-        if name == "rda.commit":
-            # each dirty group flipped at this commit stands in for one
-            # legacy rda.twin_flip event (zero transfers by definition)
-            flips = attrs.get("groups", 0)
-            if flips:
-                add("rda.twin_flip", flips, reads=0, writes=0, transfers=0)
-            add(event_key(name, attrs), 1,
-                reads=attrs.get("reads", 0), writes=attrs.get("writes", 0),
-                transfers=attrs.get("transfers"))
-            continue
-        add(event_key(name, attrs), 1,
-            reads=attrs.get("reads", 0) if "transfers" in attrs else None,
-            writes=attrs.get("writes", 0) if "transfers" in attrs else None,
-            transfers=attrs.get("transfers") if "transfers" in attrs else None,
-            dur_ms=attrs.get("dur_ms"))
+        for key, count, reads, writes, transfers, dur_ms, price in \
+                priced_rows(event):
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = {"count": 0, "reads": None,
+                                   "writes": None, "transfers": None,
+                                   "dur_ms": None}
+            row["count"] += count
+            for field, value in (("reads", reads), ("writes", writes),
+                                 ("transfers", transfers),
+                                 ("dur_ms", dur_ms)):
+                if value is not None:
+                    row[field] = (value if row[field] is None
+                                  else row[field] + value)
+            if price is not None:
+                # the model column shows the mean price of the groups
+                # this trace wrote, next to the mean measured
+                group_write_model += price
     for key, row in rows.items():
         for field in ("reads", "writes", "transfers"):
             total = row[field]

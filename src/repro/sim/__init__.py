@@ -1,25 +1,17 @@
-"""Workload generation, simulation driving, and failure campaigns."""
+"""Workload generation, simulation driving, and crash-point fault sweeps."""
 
-from .crash import CampaignResult, crash_campaign, media_campaign
 from .faultplan import (CrashPointReached, FaultInjector, FaultPlan,
                         FaultSweepReport, PlanOutcome, Violation, WriteRecord,
-                        default_fault_workload, record_fault_setup,
-                        record_fault_workload, record_schedule, run_plan,
-                        run_sweep, shard_aligned_fault_workload,
-                        violations_by_kind)
+                        fault_workload, record_fault_setup, record_schedule,
+                        run_plan, run_sweep, violations_by_kind)
 from .metrics import DEFAULT_T, SimulationReport
 from .simulator import Simulator, run_workload
 from .timed import TimedObserver
 from .tpcb import TPCB, TPCBConfig
-from .trace import (ReplaySimulator, TracingSimulator, script_from_json,
-                    script_to_json)
 from .workload import (HIGH_RETRIEVAL, HIGH_UPDATE, Access, TransactionScript,
                        WorkloadGenerator, WorkloadSpec)
 
 __all__ = [
-    "CampaignResult",
-    "crash_campaign",
-    "media_campaign",
     "CrashPointReached",
     "FaultInjector",
     "FaultPlan",
@@ -27,13 +19,11 @@ __all__ = [
     "PlanOutcome",
     "Violation",
     "WriteRecord",
-    "default_fault_workload",
+    "fault_workload",
     "record_fault_setup",
-    "record_fault_workload",
     "record_schedule",
     "run_plan",
     "run_sweep",
-    "shard_aligned_fault_workload",
     "violations_by_kind",
     "DEFAULT_T",
     "SimulationReport",
@@ -42,10 +32,6 @@ __all__ = [
     "TimedObserver",
     "TPCB",
     "TPCBConfig",
-    "ReplaySimulator",
-    "TracingSimulator",
-    "script_from_json",
-    "script_to_json",
     "HIGH_RETRIEVAL",
     "HIGH_UPDATE",
     "Access",

@@ -60,6 +60,7 @@ from time import perf_counter
 from typing import NamedTuple
 
 from ..db.recovery import RESTART_COUNTERS
+from ..db.slotted_page import SlottedPage
 from ..db.verify import verify_database
 from ..errors import ReproError, UnrecoverableDataError
 from ..storage.page import PAGE_SIZE, ZERO_PAGE, make_page
@@ -266,88 +267,44 @@ def record_payload_for(label, page: int, version: int) -> bytes:
     return f"t{label}p{page}v{version}".encode()
 
 
-def default_fault_workload(transactions: int = 2, group_size: int = 4,
-                           pages_per_txn: int = 2) -> list:
+def fault_workload(transactions: int = 2, group_size: int = 4,
+                   pages_per_txn: int = 2, shards: int = 1,
+                   op: str = "write") -> list:
     """The acceptance workload: each transaction writes its own pages
     (one per parity group, so concurrent steals never share a group),
-    rewrites its first page, and — except the first — also rewrites the
-    *previous* transaction's first committed page, exercising
-    cross-transaction overwrites in the oracle.  Every third
-    transaction aborts instead of committing."""
+    rewrites its first page, and also rewrites the first committed page
+    of the transaction ``shards`` places earlier (the previous one on a
+    single engine), exercising cross-transaction overwrites in the
+    oracle.  Every third
+    transaction aborts instead of committing.
 
-    def page_of(t: int, j: int) -> int:
-        return (t * pages_per_txn + j) * group_size
+    ``op="update"`` makes every write a slot-0 record update — record
+    logging (deferred before-entries, staged redo chains) instead of
+    whole-page images; pair it with :func:`record_fault_setup`.
 
-    ops: list = []
-    for t in range(transactions):
-        ops.append(("begin", t))
-        for j in range(pages_per_txn):
-            ops.append(("write", t, page_of(t, j), 1))
-        ops.append(("write", t, page_of(t, 0), 2))
-        if t > 0:
-            ops.append(("write", t, page_of(t - 1, 0), 2 + t))
-        if t % 3 == 2:
-            ops.append(("abort", t))
-        else:
-            ops.append(("commit", t))
-    return ops
-
-
-def shard_aligned_fault_workload(shards: int, transactions: int = 4,
-                                 group_size: int = 4,
-                                 pages_per_txn: int = 2) -> list:
-    """A fault-sweep script for a K-way sharded database.
-
-    Transaction ``t`` writes only pages routing to shard ``t mod K``
-    (global page ``shard + K * local``), one per parity group of that
-    shard, and the cross-transaction overwrite targets transaction
-    ``t - K`` — the previous owner of the *same* shard.  Keeping every
-    transaction single-shard matters: the group-commit crash contract
-    makes acknowledged commits atomic, but a commit *interrupted by the
-    crash point* between shards may surface on some shards only, which
-    a multi-shard transaction would report as a partial state — exactly
+    With ``shards`` = K > 1 the script suits a K-way sharded database:
+    transaction ``t`` writes only pages routing to shard ``t mod K``
+    (global page ``shard + K * local``), so the overwrite targets the
+    previous owner of the *same* shard.  Keeping every transaction
+    single-shard matters: the group-commit crash contract makes
+    acknowledged commits atomic, but a commit *interrupted by the crash
+    point* between shards may surface on some shards only, which a
+    multi-shard transaction would report as a partial state — exactly
     the anomaly the sharded engine documents as out of scope.
     """
 
     def page_of(t: int, j: int) -> int:
-        shard = t % shards
         local = (t // shards * pages_per_txn + j) * group_size
-        return shard + shards * local
+        return t % shards + shards * local
 
     ops: list = []
     for t in range(transactions):
         ops.append(("begin", t))
         for j in range(pages_per_txn):
-            ops.append(("write", t, page_of(t, j), 1))
-        ops.append(("write", t, page_of(t, 0), 2))
+            ops.append((op, t, page_of(t, j), 1))
+        ops.append((op, t, page_of(t, 0), 2))
         if t >= shards:
-            ops.append(("write", t, page_of(t - shards, 0), 2 + t))
-        if t % 3 == 2:
-            ops.append(("abort", t))
-        else:
-            ops.append(("commit", t))
-    return ops
-
-
-def record_fault_workload(transactions: int = 2, group_size: int = 4,
-                          pages_per_txn: int = 2) -> list:
-    """The record-mode acceptance workload: the same shape as
-    :func:`default_fault_workload`, but every write is a slot-0
-    ``update`` — exercising record logging (deferred before-entries,
-    staged redo chains) instead of whole-page images.  Pair with
-    :func:`record_fault_setup`."""
-
-    def page_of(t: int, j: int) -> int:
-        return (t * pages_per_txn + j) * group_size
-
-    ops: list = []
-    for t in range(transactions):
-        ops.append(("begin", t))
-        for j in range(pages_per_txn):
-            ops.append(("update", t, page_of(t, j), 1))
-        ops.append(("update", t, page_of(t, 0), 2))
-        if t > 0:
-            ops.append(("update", t, page_of(t - 1, 0), 2 + t))
+            ops.append((op, t, page_of(t - shards, 0), 2 + t))
         if t % 3 == 2:
             ops.append(("abort", t))
         else:
@@ -451,29 +408,18 @@ def _oracle_sets(commit_spans: dict, plan: FaultPlan) -> tuple:
     return must, may
 
 
-def _expected_state(ops, winner_labels: set) -> dict:
-    """Page image implied by the winning transactions, applied in
-    script commit order."""
-    expected = {page: ZERO_PAGE for page in workload_pages(ops)}
-    writes: dict = {}               # label -> {page: payload}
-    for op in ops:
-        if op[0] == "write":
-            writes.setdefault(op[1], {})[op[2]] = payload_for(op[1], op[2],
-                                                              op[3])
-        elif op[0] == "commit" and op[1] in winner_labels:
-            expected.update(writes.get(op[1], {}))
-    return expected
-
-
-def _expected_records(ops, winner_labels: set) -> dict:
-    """Slot-0 record value implied by the winning transactions, applied
-    in script commit order (record-mode scripts)."""
-    expected = {page: RECORD_SEED for page in workload_pages(ops)}
+def _expected(ops, winner_labels: set, record: bool) -> dict:
+    """Page image — slot-0 record value for a ``record`` script —
+    implied by the winning transactions, applied in script commit
+    order."""
+    initial, value_of = ((RECORD_SEED, record_payload_for) if record
+                         else (ZERO_PAGE, payload_for))
+    expected = {page: initial for page in workload_pages(ops)}
     writes: dict = {}               # label -> {page: value}
     for op in ops:
-        if op[0] == "update":
-            writes.setdefault(op[1], {})[op[2]] = record_payload_for(
-                op[1], op[2], op[3])
+        if op[0] in ("write", "update"):
+            writes.setdefault(op[1], {})[op[2]] = value_of(op[1], op[2],
+                                                           op[3])
         elif op[0] == "commit" and op[1] in winner_labels:
             expected.update(writes.get(op[1], {}))
     return expected
@@ -548,24 +494,17 @@ def run_plan(make_db, ops, plan: FaultPlan, setup=None) -> PlanOutcome:
             f"transaction {label!r} never finished committing "
             "but survived recovery"))
 
-    if any(op[0] == "update" for op in ops):
-        from ..db.slotted_page import SlottedPage
-        for page, value in _expected_records(ops, winner_labels).items():
-            actual = SlottedPage.from_bytes(db.disk_page(page)).read(0)
-            if actual != value:
-                violations.append(Violation(
-                    "state",
-                    f"page {page} slot 0: on-disk record does not match "
-                    f"the oracle (winners "
-                    f"{sorted(winner_labels, key=repr)})"))
-    else:
-        for page, payload in _expected_state(ops, winner_labels).items():
-            actual = db.disk_page(page)
-            if actual != payload:
-                violations.append(Violation(
-                    "state",
-                    f"page {page}: on-disk bytes do not match the oracle "
-                    f"(winners {sorted(winner_labels, key=repr)})"))
+    record = any(op[0] == "update" for op in ops)
+    subject = ("page {} slot 0: on-disk record does" if record
+               else "page {}: on-disk bytes do")
+    for page, value in _expected(ops, winner_labels, record).items():
+        actual = db.disk_page(page)
+        if record:
+            actual = SlottedPage.from_bytes(actual).read(0)
+        if actual != value:
+            violations.append(Violation(
+                "state", f"{subject.format(page)} not match the oracle "
+                f"(winners {sorted(winner_labels, key=repr)})"))
 
     outcome = "violation" if violations else "recovered"
     return PlanOutcome(plan, outcome, violations,

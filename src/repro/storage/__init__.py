@@ -11,9 +11,8 @@ Public surface:
   :class:`~repro.storage.twin_array.TwinParityArray` implementing the
   small-write protocol, degraded reads and rebuild;
 * the :class:`~repro.storage.backend.StorageBackend` protocol and the
-  backend registry (:func:`~repro.storage.backend.create_backend`,
-  :func:`~repro.storage.backend.register_backend`) the database engine
-  constructs its array through;
+  table of built-in arrays the database engine constructs its array
+  from by name (:func:`~repro.storage.backend.create_backend`);
 * :class:`~repro.storage.iostats.IOStats` page-transfer accounting;
 * the page kernels — one production tier plus the reference oracle
   (:mod:`repro.storage.kernels`: :func:`~repro.storage.kernels.active_tier`,
@@ -23,9 +22,7 @@ Public surface:
 """
 
 from .array import DiskArray, SingleParityArray
-from .backend import (BackendSpec, StorageBackend, TwinBackend, backend_names,
-                      backend_spec, create_backend, register_backend,
-                      resolve_backend_name)
+from .backend import StorageBackend, TwinBackend, backend_names, create_backend
 from .disk import SimulatedDisk
 from .geometry import (Geometry, PhysAddr, Placement, parity_striping_geometry,
                        raid5_geometry)
@@ -51,14 +48,10 @@ __all__ = [
     "use_kernel",
     "DiskArray",
     "SingleParityArray",
-    "BackendSpec",
     "StorageBackend",
     "TwinBackend",
     "backend_names",
-    "backend_spec",
     "create_backend",
-    "register_backend",
-    "resolve_backend_name",
     "SimulatedDisk",
     "Geometry",
     "PhysAddr",

@@ -21,8 +21,7 @@ k-1 pairwise passes.
 
 from __future__ import annotations
 
-from ..errors import (AddressError, ArrayDegradedError, LatentSectorError,
-                      UnrecoverableDataError)
+from ..errors import AddressError, LatentSectorError, UnrecoverableDataError
 from ..obs.tracer import NULL_TRACER
 from .disk import SimulatedDisk
 from .geometry import Geometry, PhysAddr
@@ -281,30 +280,6 @@ class DiskArray:
                 repaired.append(page)
         return repaired
 
-    def provision_spares(self, count: int) -> None:
-        """Stock ``count`` hot-spare drives."""
-        if count < 0:
-            raise ValueError("spare count must be non-negative")
-        self._spares = getattr(self, "_spares", 0) + count
-
-    @property
-    def spare_count(self) -> int:
-        """Hot spares remaining."""
-        return getattr(self, "_spares", 0)
-
-    def rebuild_with_spare(self, disk_id: int, **kwargs):
-        """Rebuild a failed disk onto a hot spare (consumes one).
-
-        Raises:
-            ArrayDegradedError: no spare in stock — the array stays
-                degraded until one is provisioned.
-        """
-        if self.spare_count < 1:
-            raise ArrayDegradedError(
-                f"disk {disk_id} failed and no hot spare is available")
-        self._spares -= 1
-        return self.rebuild_disk(disk_id, **kwargs)
-
     def repair_page(self, page: int) -> bytes:
         """Repair a latent sector error on one data page.
 
@@ -317,13 +292,6 @@ class DiskArray:
         addr = self.geometry.data_address(page)
         self.disks[addr.disk].write(addr.slot, payload)
         return payload
-
-    def read_page_healing(self, page: int) -> bytes:
-        """Read a page, transparently repairing a latent sector error."""
-        try:
-            return self.read_page(page)
-        except LatentSectorError:
-            return self.repair_page(page)
 
     # -- verification (uncounted; used by tests and the scrubber) ----------------
 

@@ -1,4 +1,4 @@
-"""The storage-backend protocol and registry.
+"""The storage-backend protocol and the table of built-in arrays.
 
 Every array the engine can run on — twin-parity (RDA), single-parity
 (classical RAID-5), the parity-striped placements of Gray et al., and
@@ -6,9 +6,10 @@ the double-parity RAID-6 tier — presents the same structural surface to
 the database: read (with degraded reconstruction), write, full-stripe
 write, fail/rebuild/scrub, and parity repair.  :class:`StorageBackend`
 states that surface as a :class:`typing.Protocol`, so conformance is
-checked *structurally* (mypy verifies every registered array satisfies
+checked *structurally* (mypy verifies every built-in array satisfies
 it; no inheritance required), and :func:`create_backend` constructs one
-from a :class:`~repro.db.config.DBConfig` by registry name.
+from a :class:`~repro.db.config.DBConfig` by its name in
+:data:`BACKENDS`.
 
 Twin-specific operations (``read_twin``/``write_twin``/``small_write``
 and the Dirty_Set-steered rebuild) form the narrower
@@ -16,28 +17,25 @@ and the Dirty_Set-steered rebuild) form the narrower
 ``supports_twins`` — the capability flag :mod:`repro.db.recovery` and
 the policy layer branch on instead of ``isinstance`` checks.
 
-Adding a backend is ~50 lines: implement the protocol (usually by
-subclassing :class:`~repro.storage.array.DiskArray`), then::
-
-    register_backend("my-layout", _make_my_layout, twin=False,
-                     description="...")
-
-after which ``DBConfig(backend="my-layout")`` and
-``repro simulate --backend my-layout`` reach it with no engine changes.
-See ``docs/architecture.md`` for the worked example.
+Adding a backend: implement the protocol (usually by subclassing
+:class:`~repro.storage.array.DiskArray`), write its factory beside
+:func:`~repro.storage.raid5.make_raid5`, and add one :data:`BACKENDS`
+row; ``DBConfig(backend=...)`` and ``repro simulate --backend ...``
+then reach it with no engine changes (``docs/architecture.md``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Protocol,
                     Tuple, runtime_checkable)
 
 from ..errors import ModelError
 from .array import SingleParityArray
-from .geometry import Geometry, parity_striping_geometry, raid5_geometry
+from .geometry import Geometry
 from .iostats import IOStats
-from .raid6 import Raid6Array, raid6_geometry
+from .parity_striping import make_parity_striped, make_twin_parity_striped
+from .raid5 import make_raid5, make_twin_raid5
+from .raid6 import Raid6Array, make_raid6
 from .twin_array import TwinParityArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,7 +56,6 @@ class StorageBackend(Protocol):
 
     # -- reads (including degraded reconstruction) --------------------------
     def read_page(self, page: int) -> bytes: ...
-    def read_page_healing(self, page: int) -> bytes: ...
     def peek_page(self, page: int) -> bytes: ...
     def group_data_payloads(self, group: int) -> List: ...
 
@@ -101,138 +98,55 @@ class TwinBackend(StorageBackend, Protocol):
     def observe_timestamp(self, stamp: int) -> None: ...
 
 
-BackendFactory = Callable[["DBConfig", Optional[IOStats], object, object],
-                          StorageBackend]
-
-
-@dataclass(frozen=True)
-class BackendSpec:
-    """One registry entry.
-
-    Attributes:
-        name: registry key (the ``DBConfig.backend`` value).
-        factory: builds the array from ``(config, stats, tracer, metrics)``.
-        twin: True when the backend satisfies :class:`TwinBackend`
-            (required for ``rda=True`` configurations).
-        description: one line for ``--help`` and docs.
-    """
-
-    name: str
-    factory: BackendFactory
-    twin: bool
-    description: str
-
-
-_REGISTRY: Dict[str, BackendSpec] = {}
-
-
-def register_backend(name: str, factory: BackendFactory, *, twin: bool,
-                     description: str = "") -> BackendSpec:
-    """Register (or replace) a backend under ``name``."""
-    spec = BackendSpec(name=name, factory=factory, twin=twin,
-                       description=description)
-    _REGISTRY[name] = spec
-    return spec
+BACKENDS: Dict[str, Tuple[Callable[..., StorageBackend], bool, str]] = {
+    "twin": (make_twin_raid5, True,
+             "twin-parity array (RDA recovery substrate), data-striped"),
+    "single": (make_raid5, False, "single-parity RAID-5 array, data-striped"),
+    "parity-striped": (make_parity_striped, False,
+                       "Gray parity striping (sequential data placement), "
+                       "single parity"),
+    "twin-parity-striped": (make_twin_parity_striped, True,
+                            "Gray parity striping with twin parity pages "
+                            "(Figure 5)"),
+    "raid6": (make_raid6, False,
+              "double-parity P+Q array (two-erasure tolerant); "
+              "always data-striped"),
+}
+"""``DBConfig.backend`` name -> ``(factory, twin, description)``: the
+factory builds the array from ``(group_size, num_groups, stats, tracer,
+metrics)``; ``twin`` marks a :class:`TwinBackend` (what ``rda=True``
+needs)."""
 
 
 def backend_names() -> List[str]:
-    """All registered backend names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def backend_spec(name: str) -> BackendSpec:
-    """Look up one registry entry.
-
-    Raises:
-        ModelError: unknown backend name.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ModelError(
-            f"unknown storage backend {name!r}; choose from "
-            f"{backend_names()}") from None
-
-
-def resolve_backend_name(config: "DBConfig") -> str:
-    """The backend a configuration runs on: its explicit ``backend``
-    field, else the legacy default implied by ``rda``."""
-    if config.backend is not None:
-        return config.backend
-    return "twin" if config.rda else "single"
+    """Every backend name, sorted."""
+    return sorted(BACKENDS)
 
 
 def create_backend(config: "DBConfig", stats: Optional[IOStats] = None,
                    tracer=None, metrics=None) -> StorageBackend:
-    """Construct the array for ``config`` via the registry.
+    """Construct the array for ``config``: its ``backend``, else
+    ``twin`` for an RDA configuration and ``single`` for the rest.
 
     Raises:
         ModelError: unknown backend, or ``rda=True`` over a backend
             without twin support.
     """
-    name = resolve_backend_name(config)
-    spec = backend_spec(name)
-    if config.rda and not spec.twin:
+    name = config.backend
+    if name is None:
+        name = "twin" if config.rda else "single"
+    try:
+        factory, twin, _ = BACKENDS[name]
+    except KeyError:
+        raise ModelError(f"unknown storage backend {name!r}; choose from "
+                         f"{backend_names()}") from None
+    if config.rda and not twin:
         raise ModelError(
             f"backend {name!r} has no parity twins; RDA recovery needs a "
             f"twin-capable backend (one of "
-            f"{[s for s in backend_names() if _REGISTRY[s].twin]})")
-    return spec.factory(config, stats, tracer, metrics)
-
-
-# -- built-in backends -------------------------------------------------------
-
-
-def _make_twin(config, stats, tracer, metrics) -> TwinParityArray:
-    geometry = raid5_geometry(config.group_size, config.num_groups, twin=True)
-    return TwinParityArray(geometry, stats=stats, tracer=tracer,
-                           metrics=metrics)
-
-
-def _make_single(config, stats, tracer, metrics) -> SingleParityArray:
-    geometry = raid5_geometry(config.group_size, config.num_groups,
-                              twin=False)
-    return SingleParityArray(geometry, stats=stats, tracer=tracer,
-                             metrics=metrics)
-
-
-def _make_parity_striped(config, stats, tracer, metrics) -> SingleParityArray:
-    geometry = parity_striping_geometry(config.group_size, config.num_groups,
-                                        twin=False)
-    return SingleParityArray(geometry, stats=stats, tracer=tracer,
-                             metrics=metrics)
-
-
-def _make_twin_parity_striped(config, stats, tracer,
-                              metrics) -> TwinParityArray:
-    geometry = parity_striping_geometry(config.group_size, config.num_groups,
-                                        twin=True)
-    return TwinParityArray(geometry, stats=stats, tracer=tracer,
-                           metrics=metrics)
-
-
-def _make_raid6(config, stats, tracer, metrics) -> Raid6Array:
-    geometry = raid6_geometry(config.group_size, config.num_groups)
-    return Raid6Array(geometry, stats=stats, tracer=tracer, metrics=metrics)
-
-
-register_backend(
-    "twin", _make_twin, twin=True,
-    description="twin-parity array (RDA recovery substrate), data-striped")
-register_backend(
-    "single", _make_single, twin=False,
-    description="single-parity RAID-5 array, data-striped")
-register_backend(
-    "parity-striped", _make_parity_striped, twin=False,
-    description="Gray parity striping (sequential data placement), "
-                "single parity")
-register_backend(
-    "twin-parity-striped", _make_twin_parity_striped, twin=True,
-    description="Gray parity striping with twin parity pages (Figure 5)")
-register_backend(
-    "raid6", _make_raid6, twin=False,
-    description="double-parity P+Q array (two-erasure tolerant); "
-                "always data-striped")
+            f"{[other for other in backend_names() if BACKENDS[other][1]]})")
+    return factory(config.group_size, config.num_groups, stats, tracer,
+                   metrics)
 
 
 if TYPE_CHECKING:  # pragma: no cover - static protocol-conformance checks

@@ -18,16 +18,20 @@ from .twin_array import TwinParityArray
 
 
 def make_parity_striped(group_size: int, num_groups: int,
-                        stats: IOStats | None = None) -> SingleParityArray:
+                        stats: IOStats | None = None, tracer=None,
+                        metrics=None) -> SingleParityArray:
     """A parity-striped array (Figure 2): sequential data placement,
     one parity page per group."""
     return SingleParityArray(
-        parity_striping_geometry(group_size, num_groups, twin=False), stats=stats)
+        parity_striping_geometry(group_size, num_groups, twin=False),
+        stats=stats, tracer=tracer, metrics=metrics)
 
 
 def make_twin_parity_striped(group_size: int, num_groups: int,
-                             stats: IOStats | None = None) -> TwinParityArray:
+                             stats: IOStats | None = None, tracer=None,
+                             metrics=None) -> TwinParityArray:
     """Parity striping with twin parity pages for RDA recovery
     (Figure 5)."""
     return TwinParityArray(
-        parity_striping_geometry(group_size, num_groups, twin=True), stats=stats)
+        parity_striping_geometry(group_size, num_groups, twin=True),
+        stats=stats, tracer=tracer, metrics=metrics)

@@ -187,11 +187,6 @@ class TwistStore:
         """Fraction of raw capacity spent on redundancy: always 1/2."""
         return 0.5
 
-    def peek_committed(self, page: int) -> bytes:
-        """Committed contents without accounting (tests)."""
-        disk, slot = self._address(page, self._current[page])
-        return self.disks[disk].peek(slot)
-
     def uncommitted_pages(self) -> list:
         """Pages currently holding an uncommitted version."""
         return sorted(self._owner)

@@ -9,8 +9,7 @@ import pytest
 
 from repro.db import (ShardedDatabase, WorkerShardedDatabase, preset,
                       verify_database)
-from repro.sim.faultplan import (FaultInjector, run_sweep,
-                                 shard_aligned_fault_workload)
+from repro.sim.faultplan import FaultInjector, fault_workload, run_sweep
 from repro.storage import make_page
 from repro.stress import NemesisProfile, StressOptions, StressRunner
 from repro.wal import CommitRecord
@@ -102,7 +101,7 @@ def test_fault_sweep_after_a_trim_still_covers_the_commit_log():
 
     db = make_db()
     assert db.commit_log in FaultInjector(db)._logs()
-    ops = shard_aligned_fault_workload(2, transactions=3)
+    ops = fault_workload(transactions=3, shards=2)
     report = run_sweep(make_db, ops, setup=setup)
     assert report.clean, report.violations[:3]
     # the commit log's two mirror copies are the last aliases handed out

@@ -23,8 +23,7 @@ import pytest
 from repro.db import Database, preset, verify_database
 from repro.db.slotted_page import SlottedPage
 from repro.errors import BufferFullError, RecoveryError
-from repro.sim import (default_fault_workload, record_fault_setup,
-                       record_fault_workload, run_sweep)
+from repro.sim import fault_workload, record_fault_setup, run_sweep
 from repro.storage import make_page
 from repro.storage.page import ZERO_PAGE
 from repro.wal.records import CheckpointRecord
@@ -260,7 +259,7 @@ class TestFaultSweeps:
             return Database(preset("page-noforce-redo", group_size=4,
                                    num_groups=8, buffer_capacity=4,
                                    checkpoint_interval=2))
-        ops = default_fault_workload(transactions=3, group_size=4)
+        ops = fault_workload(transactions=3, group_size=4)
         report = run_sweep(factory, ops)
         assert any(w.kind == "data" for w in report.schedule)
         assert report.clean, [str(v) for v in report.violations]
@@ -271,7 +270,7 @@ class TestFaultSweeps:
             return Database(preset("record-noforce-rda-redo", group_size=4,
                                    num_groups=10, buffer_capacity=4,
                                    checkpoint_interval=6))
-        ops = record_fault_workload(transactions=3, group_size=4)
+        ops = fault_workload(transactions=3, group_size=4, op="update")
         report = run_sweep(factory, ops, setup=record_fault_setup(ops))
         assert any(w.kind == "data" for w in report.schedule)
         assert report.clean, [str(v) for v in report.violations]

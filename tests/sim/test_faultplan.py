@@ -7,8 +7,7 @@ import pytest
 from repro.cli import main
 from repro.db import Database, preset
 from repro.sim import (FaultPlan, FaultSweepReport, Violation,
-                       default_fault_workload, record_schedule, run_plan,
-                       run_sweep)
+                       fault_workload, record_schedule, run_plan, run_sweep)
 
 SIZES = dict(group_size=4, num_groups=8, buffer_capacity=16)
 
@@ -19,7 +18,39 @@ def factory(name="page-force-rda"):
 
 @pytest.fixture
 def ops():
-    return default_fault_workload(transactions=2, group_size=4)
+    return fault_workload(transactions=2, group_size=4)
+
+
+class TestScriptBuilder:
+    """The CLI's three script shapes — page writes, record updates, and
+    single-shard transactions for a K-way engine — are the op lists the
+    three builders the one replaced returned."""
+
+    def test_page_script(self):
+        assert fault_workload(transactions=3, group_size=4) == [
+            ("begin", 0), ("write", 0, 0, 1), ("write", 0, 4, 1),
+            ("write", 0, 0, 2), ("commit", 0),
+            ("begin", 1), ("write", 1, 8, 1), ("write", 1, 12, 1),
+            ("write", 1, 8, 2), ("write", 1, 0, 3), ("commit", 1),
+            ("begin", 2), ("write", 2, 16, 1), ("write", 2, 20, 1),
+            ("write", 2, 16, 2), ("write", 2, 8, 4), ("abort", 2)]
+
+    def test_record_script_updates_the_same_pages(self):
+        pages = fault_workload(transactions=3, group_size=4)
+        records = fault_workload(transactions=3, group_size=4, op="update")
+        assert records == [("update", *op[1:]) if op[0] == "write" else op
+                           for op in pages]
+
+    def test_sharded_script(self):
+        assert fault_workload(transactions=4, group_size=4, shards=2) == [
+            ("begin", 0), ("write", 0, 0, 1), ("write", 0, 8, 1),
+            ("write", 0, 0, 2), ("commit", 0),
+            ("begin", 1), ("write", 1, 1, 1), ("write", 1, 9, 1),
+            ("write", 1, 1, 2), ("commit", 1),
+            ("begin", 2), ("write", 2, 16, 1), ("write", 2, 24, 1),
+            ("write", 2, 16, 2), ("write", 2, 0, 4), ("abort", 2),
+            ("begin", 3), ("write", 3, 17, 1), ("write", 3, 25, 1),
+            ("write", 3, 17, 2), ("write", 3, 1, 5), ("commit", 3)]
 
 
 class TestSchedule:

@@ -16,7 +16,7 @@ import pytest
 from repro.check import HistoryRecorder, run_conformance
 from repro.db import ShardedDatabase, preset
 from repro.sim import Simulator, WorkloadSpec
-from repro.sim.faultplan import run_sweep, shard_aligned_fault_workload
+from repro.sim.faultplan import fault_workload, run_sweep
 
 SPEC = WorkloadSpec(concurrency=4, pages_per_txn=5,
                     update_txn_fraction=0.8, update_probability=0.9,
@@ -69,7 +69,7 @@ def test_two_shard_fault_sweep_recovers_every_crash_point():
     perturbation mode, must recover to the oracle state."""
     config = preset("page-force-rda", group_size=4, num_groups=8,
                     buffer_capacity=8)
-    ops = shard_aligned_fault_workload(2, transactions=3, group_size=4)
+    ops = fault_workload(transactions=3, group_size=4, shards=2)
 
     def make_db():
         return ShardedDatabase(config, shards=2, flush_horizon=2)

@@ -1,10 +1,9 @@
-"""Tests for the simulation driver and failure campaigns."""
+"""Tests for the simulation driver, under crashes and media failures."""
 
 import pytest
 
-from repro.db import Database, preset
-from repro.sim import (SimulationReport, Simulator, WorkloadSpec,
-                       crash_campaign, media_campaign, run_workload)
+from repro.db import Database, preset, verify_database
+from repro.sim import SimulationReport, Simulator, WorkloadSpec, run_workload
 
 
 def make_db(name, **kw):
@@ -93,23 +92,39 @@ class TestCrashDuringLoad:
 
     def test_crash_campaign_clean(self):
         db = make_db("page-noforce-rda", checkpoint_interval=80)
-        result = crash_campaign(db, SPEC, cycles=3,
-                                transactions_per_cycle=20, seed=7)
-        assert result.cycles == 3
-        assert result.clean, result.violations
+        sim = Simulator(db, SPEC, seed=7)
+        for cycle in range(3):
+            sim.run(sim.report.transactions + 20)
+            db.crash()
+            db.recover()
+            assert verify_database(db) == [], cycle
 
     def test_media_campaign_every_disk(self):
         db = make_db("page-force-rda")
-        result = media_campaign(db, SPEC, transactions_per_disk=8, seed=8)
-        assert result.cycles == len(db.array.disks)
-        assert result.clean, result.violations
-        assert result.rebuilt_slots > 0
+        reports = fail_every_disk(db, seed=8)
+        assert len(reports) == len(db.array.disks)
+        assert sum(report.slots_rebuilt for report in reports) > 0
 
     def test_media_campaign_baseline_array(self):
         db = make_db("page-force-log")
-        result = media_campaign(db, SPEC, transactions_per_disk=8, seed=9)
-        assert result.cycles == len(db.array.disks)
-        assert result.clean, result.violations
+        slots = fail_every_disk(db, seed=9)
+        assert len(slots) == len(db.array.disks)
+        assert all(rebuilt > 0 for rebuilt in slots)
+
+
+def fail_every_disk(db, seed):
+    """Fail and rebuild each disk in turn under load, verifying the
+    whole database after every rebuild.  A dirty group whose committed
+    twin was lost adopts the on-disk state.  Returns the rebuild
+    reports."""
+    sim = Simulator(db, SPEC, seed=seed)
+    reports = []
+    for disk_id in range(len(db.array.disks)):
+        sim.run(sim.report.transactions + 8)
+        db.media_failure(disk_id)
+        reports.append(db.media_recover(disk_id, on_lost_undo="adopt"))
+        assert verify_database(db) == [], disk_id
+    return reports
 
 
 class TestMeasuredShape:

@@ -1,10 +1,9 @@
-"""The StorageBackend protocol and registry.
+"""The StorageBackend protocol and the table of built-in arrays.
 
-Covers registry lookup and error paths, the legacy-default resolution
-from DBConfig, structural (runtime) protocol conformance of every
-built-in array, the rda-needs-twins guard, and the full "adding a
-backend in ~50 lines" story: register a custom array and run a
-Database on it with no engine changes.
+Covers the table's names and error paths, the default backend a
+DBConfig without one runs on, structural (runtime) protocol conformance
+of every built-in array, and the rda-needs-twins guard, for a bare
+array and for a Database built from a preset.
 """
 
 import pytest
@@ -13,11 +12,16 @@ from repro.db import Database, preset
 from repro.db.config import DBConfig
 from repro.errors import ModelError
 from repro.storage import (SingleParityArray, StorageBackend, TwinBackend,
-                           TwinParityArray, backend_names, backend_spec,
-                           create_backend, make_page, register_backend,
-                           resolve_backend_name)
-from repro.storage.backend import _REGISTRY
+                           TwinParityArray, backend_names, create_backend)
+from repro.storage.backend import BACKENDS
+from repro.storage.geometry import Placement
 from repro.storage.raid6 import Raid6Array
+
+
+def _build(name):
+    _, twin, _ = BACKENDS[name]
+    return create_backend(DBConfig(rda=twin, backend=name, group_size=4,
+                                   num_groups=4))
 
 
 class TestRegistry:
@@ -26,39 +30,44 @@ class TestRegistry:
                                    "twin", "twin-parity-striped"]
 
     def test_spec_lookup(self):
-        spec = backend_spec("raid6")
-        assert spec.name == "raid6"
-        assert spec.twin is False
-        assert spec.description
+        factory, twin, description = BACKENDS["raid6"]
+        assert callable(factory)
+        assert twin is False
+        assert description
 
     def test_unknown_name(self):
         with pytest.raises(ModelError, match="unknown storage backend"):
-            backend_spec("no-such-layout")
+            create_backend(DBConfig(backend="no-such-layout"))
 
     def test_twin_flags_match_capability(self):
-        for name in backend_names():
-            spec = backend_spec(name)
-            array = spec.factory(
-                DBConfig(rda=spec.twin, backend=name, group_size=4,
-                         num_groups=4), None, None, None)
-            assert array.supports_twins is spec.twin, name
+        for name, (_, twin, description) in BACKENDS.items():
+            assert description, name
+            assert _build(name).supports_twins is twin, name
 
 
 class TestResolution:
     def test_explicit_backend_wins(self):
-        assert resolve_backend_name(
-            DBConfig(rda=True, backend="twin-parity-striped")) == \
-            "twin-parity-striped"
+        array = create_backend(DBConfig(rda=True,
+                                        backend="twin-parity-striped"))
+        assert type(array) is TwinParityArray
+        assert array.geometry.placement is Placement.SEQUENTIAL
 
     def test_legacy_default_rda(self):
-        assert resolve_backend_name(DBConfig(rda=True)) == "twin"
+        array = create_backend(DBConfig(rda=True))
+        assert type(array) is TwinParityArray
+        assert array.geometry.placement is Placement.STRIPED
 
     def test_legacy_default_wal(self):
-        assert resolve_backend_name(DBConfig(rda=False)) == "single"
+        assert type(create_backend(DBConfig(rda=False))) is \
+            SingleParityArray
 
     def test_rda_over_twinless_backend_rejected(self):
         with pytest.raises(ModelError, match="no parity twins"):
             create_backend(DBConfig(rda=True, backend="raid6"))
+
+    def test_rda_preset_rejects_twinless_backend(self):
+        with pytest.raises(ModelError, match="no parity twins"):
+            Database(preset("page-force-rda", backend="parity-striped"))
 
     def test_create_builds_expected_classes(self):
         cases = {"twin": TwinParityArray, "single": SingleParityArray,
@@ -71,59 +80,14 @@ class TestResolution:
 
 
 class TestProtocolConformance:
-    """Structural conformance, checked at runtime for every registered
+    """Structural conformance, checked at runtime for every built-in
     backend (mypy checks the same statically via the asserts in
     repro/storage/backend.py)."""
 
     @pytest.mark.parametrize("name", ["parity-striped", "raid6", "single",
                                       "twin", "twin-parity-striped"])
     def test_satisfies_storage_backend(self, name):
-        spec = backend_spec(name)
-        array = spec.factory(
-            DBConfig(rda=spec.twin, backend=name, group_size=4,
-                     num_groups=4), None, None, None)
+        array = _build(name)
         assert isinstance(array, StorageBackend)
-        if spec.twin:
+        if BACKENDS[name][1]:
             assert isinstance(array, TwinBackend)
-
-
-class TestCustomBackend:
-    """The docs/architecture.md worked example: a new layout reaches
-    the whole engine through the registry alone."""
-
-    def test_register_run_database_and_recover(self):
-        calls = []
-
-        def _make_tagged_single(config, stats, tracer, metrics):
-            calls.append(config.backend)
-            from repro.storage.geometry import Geometry
-            geometry = Geometry(config.group_size, config.num_groups,
-                                twin=False)
-            return SingleParityArray(geometry, stats=stats, tracer=tracer,
-                                     metrics=metrics)
-
-        register_backend("test-layout", _make_tagged_single, twin=False,
-                         description="registry test double")
-        try:
-            config = preset("page-force-log", group_size=4, num_groups=6,
-                            buffer_capacity=8, backend="test-layout")
-            db = Database(config)
-            assert calls == ["test-layout"]
-            txn = db.begin()
-            db.write_page(txn, 0, make_page(b"via custom backend"))
-            db.commit(txn)
-            db.crash()
-            db.recover()
-            assert db.disk_page(0) == make_page(b"via custom backend")
-            assert db.verify_parity() == []
-        finally:
-            del _REGISTRY["test-layout"]
-
-    def test_rda_preset_rejects_custom_twinless_backend(self):
-        register_backend("test-twinless", lambda c, s, t, m: None,
-                         twin=False, description="")
-        try:
-            with pytest.raises(ModelError, match="no parity twins"):
-                Database(preset("page-force-rda", backend="test-twinless"))
-        finally:
-            del _REGISTRY["test-twinless"]

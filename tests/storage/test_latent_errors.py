@@ -76,18 +76,6 @@ class TestArrayRepair:
         assert array.read_page(5) == expected
         assert array.scrub() == []
 
-    def test_healing_read(self, array):
-        expected = array.peek_page(5)
-        self._corrupt(array, 5)
-        assert array.read_page_healing(5) == expected
-        # healed durably: a plain read now works
-        assert array.read_page(5) == expected
-
-    def test_healing_read_clean_page_no_extra_io(self, array):
-        with array.stats.window() as w:
-            array.read_page_healing(0)
-        assert w.total == 1
-
     def test_scrub_repair_sweep(self, array):
         expected = {p: array.peek_page(p) for p in (2, 9)}
         for page in expected:
@@ -97,21 +85,6 @@ class TestArrayRepair:
         for page, payload in expected.items():
             assert array.read_page(page) == payload
         assert array.scrub_repair() == []      # second sweep is clean
-
-    def test_hot_spare_pool(self, array):
-        assert array.spare_count == 0
-        from repro.errors import ArrayDegradedError
-        array.fail_disk(0)
-        with pytest.raises(ArrayDegradedError):
-            array.rebuild_with_spare(0)
-        array.provision_spares(2)
-        array.rebuild_with_spare(0)
-        assert array.spare_count == 1
-        assert array.scrub() == []
-
-    def test_spare_validation(self, array):
-        with pytest.raises(ValueError):
-            array.provision_spares(-1)
 
     def test_repair_cost_is_reconstruction(self, array):
         self._corrupt(array, 5)

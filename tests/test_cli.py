@@ -106,12 +106,6 @@ class TestCommands:
         assert "mirroring" in out
         assert "twin-parity" in out
 
-    def test_demo(self, capsys):
-        assert main(["demo"]) == 0
-        out = capsys.readouterr().out
-        assert "abort via parity twins" in out
-        assert "clean" in out
-
     def test_check_single_preset(self, capsys):
         assert main(["check", "--presets", "page-force-rda",
                      "--transactions", "10"]) == 0

@@ -9,7 +9,12 @@ the per-page write-back, a pluggable replacement policy, three
 ``DBConfig`` fields nobody set, forwarding methods between the Figure 3
 question and the Dirty_Set, restart state kept outside the restart);
 bringing any of them back is a design change that has to argue with
-docs/performance.md first.  The frame
+docs/performance.md first.  Code only its own tests reached (failure
+campaigns, script record/replay, a catalog, an unwired REDO-only cost
+model, hot spares, a healing read, a backend registry beside the
+factory table, three fault-script builders, the ``demo`` verb) is
+gone too, and ``tests/test_reachability.py`` keeps it from coming
+back unreached.  The frame
 budgets at the end hold the page path, what a parity group and a
 restored page add to a restart, and what a tracer and a registry may add
 to a transaction, to the number of Python frames they enter today.
@@ -27,6 +32,7 @@ import pytest
 
 import repro
 from repro.buffer import BufferPool
+from repro.cli import build_parser
 from repro.core import RDAManager
 from repro.db import Database, DBConfig, preset
 from repro.db.policy import (FORCE_TOC, NOFORCE_ACC, RDA_PROTECTION,
@@ -56,6 +62,17 @@ FORWARDERS = re.compile(
 RESTART_LEFTOVERS = re.compile(
     r"\b(_scanned|drop_scanned_twins|end_restart|_write_committed_group|"
     r"_note_on_disk)\b")
+# what only its own tests reached, and the second way to build an array
+TEST_ONLY = re.compile(
+    r"^\s*(?:def|class)\s+(crash_campaign|media_campaign|CampaignResult|"
+    r"TracingSimulator|ReplaySimulator|script_to_json|script_from_json|"
+    r"Catalog|CatalogError|log_cost_comparison|provision_spares|"
+    r"spare_count|rebuild_with_spare|read_page_healing|peek_committed|"
+    r"ArrayDegradedError|register_backend|BackendSpec|backend_spec|"
+    r"resolve_backend_name|_make_twin|_make_single|_make_parity_striped|"
+    r"_make_twin_parity_striped|_make_raid6|default_fault_workload|"
+    r"record_fault_workload|shard_aligned_fault_workload|_expected_state|"
+    r"_expected_records|_cmd_demo)\b", re.MULTILINE)
 
 
 @pytest.mark.parametrize("numpy_importable", [True, False])
@@ -116,6 +133,15 @@ def test_nothing_outlives_a_restart():
         assert list(inspect.signature(
             protection.restart_parity_phase).parameters) == \
             ["db", "restart", "fault"]
+
+
+def test_src_defines_nothing_only_its_tests_reached():
+    assert _defined(TEST_ONLY) == {}
+    for gone in ("sim/crash.py", "sim/trace.py", "db/catalog.py",
+                 "model/redo_only.py"):
+        assert not (SRC / gone).exists()
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["demo"])
 
 
 def test_buffer_pool_takes_one_writeback_callable():
