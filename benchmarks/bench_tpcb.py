@@ -6,7 +6,8 @@ page transfers per committed transaction.  The qualitative expectation
 from Figures 11/12 carries over: RDA helps, ¬FORCE/ACC helps more.
 """
 
-from repro.db import Database, preset, verify_database
+from repro.check import verify_database
+from repro.db import Database, preset
 from repro.sim import TPCB
 
 from .conftest import write_table

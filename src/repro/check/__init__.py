@@ -10,15 +10,15 @@ as executable oracles:
 
 ``history``
     Typed, JSON-serializable operation histories plus a recorder the
-    :class:`~repro.db.database.Database` drives, and a reconstructor
-    that rebuilds an equal history from ``history.*`` tracer events.
+    :class:`~repro.db.database.Database` drives.
 ``serializability``
     Conflict-graph serializability plus recoverable / ACA / strict
     classification of a recorded history.
 ``invariants``
-    Online invariant engine with pluggable rules evaluated at
-    commit/steal/checkpoint/restart barriers, and a deliberate
-    mutant per rule proving the rule fires.
+    The rule catalog — the one definition of a consistent database —
+    with a deliberate mutant per rule proving the rule fires; the
+    online engine evaluates it at commit/steal/checkpoint/restart
+    barriers, and :func:`verify_database` is its one-shot judge.
 ``differential``
     Replays the same seeded workload against a dict-based reference
     database and diffs read results and final committed states across
@@ -28,14 +28,17 @@ as executable oracles:
 from .differential import (ConformanceRun, DifferentialMirror,
                            ReferenceDatabase, conformance_matrix,
                            run_conformance)
-from .history import History, HistoryEvent, HistoryRecorder, history_from_trace
-from .invariants import (DirtySetBoundRule, InvariantEngine,
-                         LsnMonotonicityRule, MutantError, TwinPageLsnRule,
-                         TwinParityIdentityRule, WalBeforeDataRule,
-                         WriteBehindRule, check_restart, default_rules)
+from .history import History, HistoryEvent, HistoryRecorder
+from .invariants import (BufferModifierRule, DirtySetBoundRule,
+                         InvariantEngine, LsnMonotonicityRule, MutantError,
+                         ParityRule, SlottedPageRule, TwinPageLsnRule,
+                         TwinParityIdentityRule, Violation, WalBeforeDataRule,
+                         WriteBehindRule, default_rules, verify_database,
+                         violations_by_kind)
 from .serializability import SerializabilityReport, analyze
 
 __all__ = [
+    "BufferModifierRule",
     "ConformanceRun",
     "DifferentialMirror",
     "DirtySetBoundRule",
@@ -45,16 +48,19 @@ __all__ = [
     "InvariantEngine",
     "LsnMonotonicityRule",
     "MutantError",
+    "ParityRule",
     "ReferenceDatabase",
     "SerializabilityReport",
+    "SlottedPageRule",
     "TwinPageLsnRule",
     "TwinParityIdentityRule",
+    "Violation",
     "WalBeforeDataRule",
     "WriteBehindRule",
     "analyze",
-    "check_restart",
     "conformance_matrix",
     "default_rules",
-    "history_from_trace",
     "run_conformance",
+    "verify_database",
+    "violations_by_kind",
 ]

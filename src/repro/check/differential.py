@@ -23,12 +23,10 @@ from typing import Dict, List, Optional, Tuple
 from ..db import (Database, ShardedDatabase, all_preset_names,
                   extended_preset_names, make_sharded, preset)
 from ..db.slotted_page import SlottedPage
-from ..db.verify import verify_database
 from ..sim import Simulator, WorkloadSpec
-from ..sim.faultplan import Violation
 from ..storage.page import ZERO_PAGE
 from .history import History, HistoryRecorder
-from .invariants import InvariantEngine
+from .invariants import InvariantEngine, Violation, verify_database
 from .serializability import SerializabilityReport, analyze
 
 Resource = Tuple[int, Optional[int]]
@@ -249,8 +247,7 @@ def run_conformance(preset_name: str, transactions: int = 40, seed: int = 0,
         violations.extend(engine.violations)
         violations.extend(mirror.violations)
         violations.extend(mirror.final_state_diff(db))
-        violations.extend(Violation("verify", detail)
-                          for detail in verify_database(db))
+        violations.extend(verify_database(db))
         barrier_counts = dict(engine.barrier_counts)
     finally:
         if hasattr(db, "close"):

@@ -7,10 +7,7 @@ over exactly this object, so the recorder keeps it faithful: events
 are appended in execution order with a global sequence number and are
 immutable once recorded.
 
-Histories are JSON-serializable (one flat dict per event) and can be
-reconstructed from a tracer event stream: every recorded operation is
-mirrored as a ``history.<op>`` trace event, so a JSONL trace doubles
-as the history transport (:func:`history_from_trace`).
+Histories are JSON-serializable (one flat dict per event).
 """
 
 from __future__ import annotations
@@ -138,29 +135,3 @@ class HistoryRecorder:
         self.history.events.append(event)
         return event
 
-
-def history_from_trace(events) -> History:
-    """Rebuild a :class:`History` from tracer events.
-
-    ``events`` is an iterable of trace-event dicts (e.g. parsed JSONL
-    lines or :class:`~repro.obs.tracer.RingBufferSink` contents); only
-    ``history.*`` events contribute.  The result equals the history the
-    recorder captured in the same run.
-    """
-    rows = []
-    for event in events:
-        name = event.get("name", "")
-        if not name.startswith("history."):
-            continue
-        row = dict(event.get("attrs", {}))
-        row["op"] = name[len("history."):]
-        rows.append(row)
-    rows.sort(key=lambda row: row["seq"])
-    return History.from_dicts(rows)
-
-
-def history_from_trace_file(path) -> History:
-    """Rebuild a history from a JSONL trace file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        events = [json.loads(line) for line in handle if line.strip()]
-    return history_from_trace(events)

@@ -10,7 +10,6 @@ from .policy import RecoveryPolicy
 from .recovery import RecoveryManager
 from .sharded import ShardedDatabase, ShardScheduler, shard_config
 from .slotted_page import PageFullError, SlottedPage
-from .verify import verify_database
 from .workers import (WorkerCrashed, WorkerShardedDatabase, make_sharded,
                       workers_enabled_by_env)
 
@@ -34,7 +33,6 @@ __all__ = [
     "shard_config",
     "PageFullError",
     "SlottedPage",
-    "verify_database",
     "WorkerCrashed",
     "WorkerShardedDatabase",
     "make_sharded",

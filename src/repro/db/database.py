@@ -198,16 +198,9 @@ class Database:
     # -- conformance seams (see repro.check) --------------------------------------------
 
     def _h(self, op: str, **attrs) -> None:
-        """Record one logical operation in the attached history (and
-        mirror it onto the trace, so a JSONL trace doubles as the
-        history transport)."""
-        if self.history is None:
-            return
-        event = self.history.record(op, **attrs)
-        if self.tracer.enabled:
-            row = event.to_dict()
-            del row["op"]
-            self.tracer.emit("history." + op, **row)
+        """Record one logical operation in the attached history."""
+        if self.history is not None:
+            self.history.record(op, **attrs)
 
     def _barrier(self, name: str, **ctx) -> None:
         if self.invariants is not None:

@@ -48,7 +48,6 @@ from ..wal import CommitRecord, GroupCommitCoordinator, GroupCommitLog
 from .config import DBConfig
 from .database import Database, WriteCounters, statistics_of
 from .recovery import RESTART_COUNTERS
-from .verify import verify_database
 
 
 class ShardScheduler:
@@ -96,9 +95,11 @@ def _method(name: str):
     return lambda db, *args: getattr(db, name)(*args)
 
 
-def _check_restart(db: Database) -> list:
-    from ..check.invariants import check_restart
-    return check_restart(db)
+def _verify(db: Database) -> list:
+    # the one lazy import of the judge: repro.check imports repro.db,
+    # so repro.db cannot import repro.check at module level
+    from ..check.invariants import verify_database
+    return verify_database(db)
 
 
 SHARD_OPS: dict = {
@@ -117,8 +118,7 @@ SHARD_OPS: dict = {
     "in_buffer": lambda db, page: page in db.buffer,
     "metrics_snapshot": lambda db: (db.metrics.snapshot()
                                     if db.metrics is not None else {}),
-    "verify": verify_database,
-    "check_restart": _check_restart,
+    "verify": _verify,
 }
 """The shard protocol: ``op -> function(db, *args)``, arguments
 positional.  The in-process :meth:`ShardedDatabase._scatter` and the
@@ -488,13 +488,8 @@ class ShardedDatabase:
     # -- history (global ids) ------------------------------------------------
 
     def _h(self, op: str, **attrs) -> None:
-        if self.history is None:
-            return
-        event = self.history.record(op, **attrs)
-        if self.tracer.enabled:
-            row = event.to_dict()
-            del row["op"]
-            self.tracer.emit("history." + op, **row)
+        if self.history is not None:
+            self.history.record(op, **attrs)
 
     # -- bulk loading --------------------------------------------------------
 

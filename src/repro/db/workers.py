@@ -52,13 +52,15 @@ at that call:
   can neither hold nor have spent it.
 
 Nothing is one-way under NO-STEAL (``BufferFullError`` is the caller's
-to handle) and record operations always block (page overflow and dead
-slots depend on shard state); both are read off the shard's
-``DBConfig``.  What a one-way ``write_page`` can still hit is a storage
-fault on its buffer miss — the class of error that can already strike
-inside commit's FORCE flush.  *Hold-and-fail:* the worker holds such an
-error against the transaction and fails every later command naming it
-— the shard never commits a transaction whose write it lost — until
+to handle), no write is one-way under REDO-only (its write-behind gate
+can refuse a frame with the same error) and record operations always
+block (page overflow and dead slots depend on shard state); all three
+are read off the shard's ``DBConfig``.  What a one-way ``write_page``
+can still hit is a storage fault on its buffer miss — the class of
+error that can already strike inside commit's FORCE flush.
+*Hold-and-fail:* the worker holds such an error against the
+transaction and fails every later command naming it — the shard never
+commits a transaction whose write it lost — until
 ``abort`` clears the hold and rolls back; the error also rides the
 ``failed`` field of the worker's next reply, and the facade raises it
 from that transaction's next routed call without sending anything.
@@ -442,10 +444,13 @@ class _WorkerHandle:
         self._awaited: tuple = ()           # args of the command recv() answers
         self._gc_seen = 0
         self.owes_flush = False             # deferred forces not yet drained
-        # under NO-STEAL a write can raise BufferFullError, which its
-        # caller handles; record operations depend on page contents
-        self._oneway = spec.config.steal
-        self._oneway_writes = self._oneway and not spec.config.record_logging
+        # under NO-STEAL, and under REDO-only's write-behind gate, a
+        # write can raise BufferFullError, which its caller handles;
+        # record operations depend on page contents
+        config = spec.config
+        self._oneway = config.steal
+        self._oneway_writes = (self._oneway and not config.record_logging
+                               and not config.redo_only)
         self._pages: dict = {}              # page -> live txns that touched it
         self._touched: dict = {}            # txn -> pages it touched
         self._live: set = set()             # txns proven active on the shard

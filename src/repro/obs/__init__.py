@@ -35,8 +35,7 @@ from .export import export_chrome_trace, export_trace_file
 from .inspect import (aggregate_events, aggregate_trace_file, event_key,
                       format_cost_table, load_trace, model_expectation,
                       unpriced_ops)
-from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                      escape_label_value, prometheus_name)
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .recovery_profile import RecoveryProfile, format_recovery_profile
 from .tracer import (NULL_TRACER, BufferedJsonlSink, LabelledTracer,
                      NullSink, RingBufferSink, Span, Tracer, close_all)
@@ -54,8 +53,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "escape_label_value",
-    "prometheus_name",
     "aggregate_events",
     "aggregate_trace_file",
     "event_key",

@@ -25,41 +25,12 @@ series keyed ``name{k=v,...}`` (label keys sorted).
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 
 
 def _series_key(name: str, labels: dict) -> str:
     inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
     return f"{name}{{{inner}}}"
-
-
-def escape_label_value(value) -> str:
-    """Escape a label value per the Prometheus text-format spec:
-    backslash, double-quote and line feed become ``\\\\``, ``\\"`` and
-    ``\\n`` (in that order, so already-escaped backslashes survive)."""
-    return (str(value).replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-_NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def prometheus_name(name: str) -> str:
-    """A registry name as a valid Prometheus metric name (dots and any
-    other invalid characters become underscores)."""
-    sanitized = _NAME_SANITIZE.sub("_", name)
-    if sanitized and sanitized[0].isdigit():
-        sanitized = "_" + sanitized
-    return sanitized
-
-
-def _label_block(labels: dict) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{key}="{escape_label_value(labels[key])}"'
-                     for key in sorted(labels))
-    return f"{{{inner}}}"
 
 
 class _Scalar:
@@ -74,18 +45,17 @@ class _Scalar:
     sum, like two engines pushing into it would.
     """
 
-    __slots__ = ("name", "_pushed", "labels_dict", "_children", "_sources")
+    __slots__ = ("name", "_pushed", "_children", "_sources")
 
-    def __init__(self, name: str, labels_dict=None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self._pushed = 0
-        self.labels_dict = labels_dict
         self._children: dict = {}
         self._sources: list = []
 
     def add_source(self, read) -> None:
         """Add ``read() -> number`` to the series' value, evaluated at
-        every :attr:`value` read (``snapshot()``, ``to_prometheus()``)."""
+        every :attr:`value` read (``snapshot()``)."""
         self._sources.append(read)
 
     @property
@@ -100,8 +70,7 @@ class _Scalar:
         key = _series_key(self.name, labels)
         child = self._children.get(key)
         if child is None:
-            child = self._children[key] = type(self)(
-                key, labels_dict=dict(labels))
+            child = self._children[key] = type(self)(key)
         return child
 
     def collect(self, out: dict) -> None:
@@ -147,10 +116,9 @@ class Histogram:
     span durations)."""
 
     __slots__ = ("name", "buckets", "bucket_counts", "count", "total",
-                 "min", "max", "labels_dict", "_children")
+                 "min", "max", "_children")
 
-    def __init__(self, name: str, buckets=DEFAULT_BUCKETS,
-                 labels_dict=None) -> None:
+    def __init__(self, name: str, buckets=DEFAULT_BUCKETS) -> None:
         self.name = name
         self.buckets = tuple(sorted(buckets))
         self.bucket_counts = [0] * (len(self.buckets) + 1)  # last = +inf
@@ -158,7 +126,6 @@ class Histogram:
         self.total = 0.0
         self.min = None
         self.max = None
-        self.labels_dict = labels_dict
         self._children: dict = {}
 
     def observe(self, value) -> None:
@@ -181,7 +148,7 @@ class Histogram:
         key = _series_key(self.name, labels)
         child = self._children.get(key)
         if child is None:
-            child = Histogram(key, self.buckets, labels_dict=dict(labels))
+            child = Histogram(key, self.buckets)
             self._children[key] = child
         return child
 
@@ -258,52 +225,3 @@ class MetricsRegistry:
             instrument.collect(histograms)
         return {"counters": counters, "gauges": gauges,
                 "histograms": histograms}
-
-    def to_prometheus(self) -> str:
-        """Render everything in the Prometheus text exposition format.
-
-        Metric names are sanitized (``wal.records`` →
-        ``wal_records``); label values are escaped per the spec
-        (:func:`escape_label_value`), so values containing backslashes,
-        quotes or newlines round-trip through a text-format parser.
-        Histograms expose cumulative ``_bucket`` series plus ``_sum``
-        and ``_count``.
-        """
-        lines: list = []
-
-        def walk(instrument, inherited: dict):
-            labels = dict(inherited)
-            if instrument.labels_dict:
-                labels.update(instrument.labels_dict)
-            yield instrument, labels
-            for child in instrument._children.values():
-                yield from walk(child, labels)
-
-        for kind, instruments in (("counter", self._counters),
-                                  ("gauge", self._gauges)):
-            for root in instruments.values():
-                name = prometheus_name(root.name)
-                lines.append(f"# TYPE {name} {kind}")
-                for instrument, labels in walk(root, {}):
-                    lines.append(
-                        f"{name}{_label_block(labels)} {instrument.value}")
-        for root in self._histograms.values():
-            name = prometheus_name(root.name)
-            lines.append(f"# TYPE {name} histogram")
-            for instrument, labels in walk(root, {}):
-                cumulative = 0
-                for bound, count in zip(instrument.buckets,
-                                        instrument.bucket_counts):
-                    cumulative += count
-                    lines.append(
-                        f"{name}_bucket"
-                        f"{_label_block({**labels, 'le': bound})} "
-                        f"{cumulative}")
-                lines.append(
-                    f"{name}_bucket{_label_block({**labels, 'le': '+Inf'})} "
-                    f"{instrument.count}")
-                lines.append(
-                    f"{name}_sum{_label_block(labels)} {instrument.total}")
-                lines.append(
-                    f"{name}_count{_label_block(labels)} {instrument.count}")
-        return "\n".join(lines) + "\n" if lines else ""

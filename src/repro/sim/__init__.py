@@ -1,9 +1,5 @@
 """Workload generation, simulation driving, and crash-point fault sweeps."""
 
-from .faultplan import (CrashPointReached, FaultInjector, FaultPlan,
-                        FaultSweepReport, PlanOutcome, Violation, WriteRecord,
-                        fault_workload, record_fault_setup, record_schedule,
-                        run_plan, run_sweep, violations_by_kind)
 from .metrics import DEFAULT_T, SimulationReport
 from .simulator import Simulator, run_workload
 from .timed import TimedObserver
@@ -11,20 +7,25 @@ from .tpcb import TPCB, TPCBConfig
 from .workload import (HIGH_RETRIEVAL, HIGH_UPDATE, Access, TransactionScript,
                        WorkloadGenerator, WorkloadSpec)
 
+# last: faultplan imports the judge from repro.check, whose differential
+# module imports Simulator and WorkloadSpec from this package
+from .faultplan import (CrashPointReached, FaultInjector, FaultPlan,
+                        FaultSweepReport, PlanOutcome, WriteRecord,
+                        fault_workload, record_fault_setup, record_schedule,
+                        run_plan, run_sweep)
+
 __all__ = [
     "CrashPointReached",
     "FaultInjector",
     "FaultPlan",
     "FaultSweepReport",
     "PlanOutcome",
-    "Violation",
     "WriteRecord",
     "fault_workload",
     "record_fault_setup",
     "record_schedule",
     "run_plan",
     "run_sweep",
-    "violations_by_kind",
     "DEFAULT_T",
     "SimulationReport",
     "Simulator",

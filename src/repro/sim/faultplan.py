@@ -24,7 +24,7 @@ script once per schedule entry ``k`` under a :class:`FaultPlan`:
 After the cut the database crashes and restarts.  Every schedule must
 end in one of:
 
-* ``"recovered"`` — restart succeeds, :func:`~repro.db.verify.
+* ``"recovered"`` — restart succeeds, :func:`~repro.check.invariants.
   verify_database` is clean, and the surviving transactions match the
   committed-state oracle;
 * ``"detected"`` — restart refuses with
@@ -38,8 +38,9 @@ finished relative to the crash index: a commit whose writes all landed
 intact **must** survive; one whose final write was the perturbed one or
 that the cut interrupted **may** survive (e.g. a commit record durable
 on one duplex copy only); any other transaction **must not** survive.
-The expected page image is then derived from the transactions that
-actually won, applied in script commit order.
+The expected state is then the shared
+:class:`~repro.check.differential.ReferenceDatabase` with the script
+replayed into it, only the transactions that actually won committing.
 
 Workload scripts are tuples: ``("begin", t)``, ``("write", t, page,
 version)``, ``("update", t, page, version)`` (record mode: overwrite
@@ -49,7 +50,9 @@ touching the same page), since the replay executes them on a single
 thread and a lock wait would deadlock the script.  Record-mode scripts
 pair with a ``setup`` callable (see :func:`record_fault_setup`) that
 formats and seeds the touched pages before the injector attaches, so
-seeding writes never enter the schedule.
+seeding writes never enter the schedule.  A setup returns what it
+committed, ``{(page, slot): value}`` (slot ``None`` for a whole page):
+the reference database starts from it.
 """
 
 from __future__ import annotations
@@ -57,35 +60,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import NamedTuple
 
+# ``differential`` as a module: repro.check.differential imports
+# repro.sim, so an import that starts at repro.check reaches this line
+# while that module is still loading — its names are read at call time
+from ..check import differential
+from ..check.invariants import Violation, verify_database, violations_by_kind
 from ..db.recovery import RESTART_COUNTERS
-from ..db.slotted_page import SlottedPage
-from ..db.verify import verify_database
 from ..errors import ReproError, UnrecoverableDataError
-from ..storage.page import PAGE_SIZE, ZERO_PAGE, make_page
+from ..storage.page import PAGE_SIZE, make_page
 
 MODES = ("clean", "torn", "latent")
 """Recognised perturbations of the crash-point write."""
-
-
-class Violation(NamedTuple):
-    """One invariant violation: a machine-matchable kind + detail."""
-
-    kind: str
-    detail: str
-
-    def __str__(self) -> str:  # keeps old string-formatting call sites
-        return f"{self.kind}: {self.detail}"
-
-
-def violations_by_kind(violations) -> dict:
-    """Count violations per ``kind`` (plain strings count as "other")."""
-    counts: dict = {}
-    for violation in violations:
-        kind = violation.kind if isinstance(violation, Violation) else "other"
-        counts[kind] = counts.get(kind, 0) + 1
-    return counts
 
 
 class CrashPointReached(ReproError):
@@ -319,7 +305,7 @@ def record_fault_setup(ops):
     write-behind gate holds uncommitted pages in the buffer)."""
     pages = workload_pages(ops)
 
-    def setup(db) -> None:
+    def setup(db) -> dict:
         db.format_record_pages(pages)
         batches = ([[page] for page in pages]
                    if db.config.redo_only else [pages])
@@ -328,6 +314,7 @@ def record_fault_setup(ops):
             for page in batch:
                 db.insert_record(txn, page, RECORD_SEED)
             db.commit(txn)
+        return {(page, 0): RECORD_SEED for page in pages}
 
     return setup
 
@@ -408,21 +395,27 @@ def _oracle_sets(commit_spans: dict, plan: FaultPlan) -> tuple:
     return must, may
 
 
-def _expected(ops, winner_labels: set, record: bool) -> dict:
-    """Page image — slot-0 record value for a ``record`` script —
-    implied by the winning transactions, applied in script commit
-    order."""
-    initial, value_of = ((RECORD_SEED, record_payload_for) if record
-                         else (ZERO_PAGE, payload_for))
-    expected = {page: initial for page in workload_pages(ops)}
-    writes: dict = {}               # label -> {page: value}
+def _reference_diff(db, ops, winner_labels: set, seed: dict) -> list:
+    """Replay the script into the shared reference database, seeded with
+    what the setup committed — only the winners commit — and diff the
+    recovered state against it."""
+    mirror = differential.DifferentialMirror(
+        record_mode=any(op[0] == "update" for op in ops))
+    mirror.seed(seed)
     for op in ops:
-        if op[0] in ("write", "update"):
-            writes.setdefault(op[1], {})[op[2]] = value_of(op[1], op[2],
-                                                           op[3])
-        elif op[0] == "commit" and op[1] in winner_labels:
-            expected.update(writes.get(op[1], {}))
-    return expected
+        name, label = op[0], op[1]
+        if name == "begin":
+            mirror.begin(label)
+        elif name == "write":
+            mirror.write(label, op[2], None, payload_for(label, op[2], op[3]))
+        elif name == "update":
+            mirror.write(label, op[2], 0,
+                         record_payload_for(label, op[2], op[3]))
+        elif name == "commit" and label in winner_labels:
+            mirror.commit(label)
+        else:
+            mirror.abort(label)
+    return mirror.final_state_diff(db)
 
 
 def run_plan(make_db, ops, plan: FaultPlan, setup=None) -> PlanOutcome:
@@ -430,10 +423,10 @@ def run_plan(make_db, ops, plan: FaultPlan, setup=None) -> PlanOutcome:
     and judge the outcome against the committed-state oracle.
 
     ``setup(db)``, if given, runs *before* the injector attaches
-    (record-mode seeding: its writes stay out of the schedule)."""
+    (record-mode seeding: its writes stay out of the schedule); what it
+    returns seeds the reference database."""
     db = make_db()
-    if setup is not None:
-        setup(db)
+    seed = setup(db) if setup is not None else None
     injector = FaultInjector(db, plan)
     injector.attach()
     txn_ids: dict = {}
@@ -471,13 +464,7 @@ def run_plan(make_db, ops, plan: FaultPlan, setup=None) -> PlanOutcome:
         **{key: stats[key] for key in RESTART_COUNTERS if key in stats},
     }
 
-    for problem in verify_database(db):
-        violations.append(Violation("verify", problem))
-
-    # every surviving restart also satisfies the online invariants
-    # (lazy import: repro.check imports this module for Violation)
-    from ..check.invariants import check_restart
-    violations.extend(check_restart(db))
+    violations.extend(verify_database(db))
 
     label_of = {txn_id: label for label, txn_id in txn_ids.items()}
     winner_labels = {label_of[txn_id] for txn_id in stats["winners"]
@@ -494,17 +481,7 @@ def run_plan(make_db, ops, plan: FaultPlan, setup=None) -> PlanOutcome:
             f"transaction {label!r} never finished committing "
             "but survived recovery"))
 
-    record = any(op[0] == "update" for op in ops)
-    subject = ("page {} slot 0: on-disk record does" if record
-               else "page {}: on-disk bytes do")
-    for page, value in _expected(ops, winner_labels, record).items():
-        actual = db.disk_page(page)
-        if record:
-            actual = SlottedPage.from_bytes(actual).read(0)
-        if actual != value:
-            violations.append(Violation(
-                "state", f"{subject.format(page)} not match the oracle "
-                f"(winners {sorted(winner_labels, key=repr)})"))
+    violations.extend(_reference_diff(db, ops, winner_labels, seed or {}))
 
     outcome = "violation" if violations else "recovered"
     return PlanOutcome(plan, outcome, violations,

@@ -13,7 +13,7 @@ nemesis ticks:
                             │                (registry OPEN) → repair →
                             │                judge → registry CLOSE
                             └─ drain InvariantEngine + DifferentialMirror,
-                               structural verify + end-state diff,
+                               verify_database + end-state diff,
                                attribute to the active-fault set
 
 Judging happens *inside* each fault's open window, so every violation
@@ -39,14 +39,14 @@ from time import perf_counter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..check.differential import DifferentialMirror
-from ..check.invariants import InvariantEngine, MutantError, default_rules
+from ..check.invariants import (InvariantEngine, MutantError, Violation,
+                                default_rules, verify_database)
 from ..db.config import preset
 from ..db.database import Database
-from ..db.verify import verify_database
 from ..db.workers import WorkerShardedDatabase, make_sharded
 from ..errors import ModelError, RecoveryError, UnrecoverableDataError
 from ..obs.recovery_profile import RecoveryProfile
-from ..sim.faultplan import Violation, engines_of
+from ..sim.faultplan import engines_of
 from ..wal.records import CommitRecord
 from .nemesis import ActiveFaultRegistry, Nemesis, resolve_profile
 from .report import StressReport
@@ -202,8 +202,7 @@ class _Campaign:
         mirror_violations = self.mirror.violations
         found.extend(mirror_violations[self._mv_seen:])
         self._mv_seen = len(mirror_violations)
-        structural = [Violation("verify", detail)
-                      for detail in verify_database(self.db)]
+        structural = verify_database(self.db)
         structural.extend(self.mirror.final_state_diff(self.db))
         for violation in structural:
             key = (violation.kind, violation.detail)

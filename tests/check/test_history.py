@@ -1,13 +1,9 @@
-"""History recording, serialization, and trace-transport round trips."""
-
-import json
+"""History recording and serialization."""
 
 import pytest
 
-from repro.check import History, HistoryEvent, HistoryRecorder, history_from_trace
-from repro.check.history import history_from_trace_file
+from repro.check import History, HistoryEvent, HistoryRecorder
 from repro.db import Database, preset
-from repro.obs import RingBufferSink, Tracer
 from repro.storage import make_page
 
 
@@ -98,31 +94,3 @@ class TestDatabaseRecording:
         read = recorder.history.of_op("read")[0]
         assert read.slot == 0
 
-
-class TestTraceTransport:
-    def _traced_run(self):
-        recorder = HistoryRecorder()
-        sink = RingBufferSink(capacity=10_000)
-        db = Database(preset("page-force-rda", group_size=5, num_groups=12,
-                             buffer_capacity=4), tracer=Tracer(sink),
-                      history=recorder)
-        t = db.begin()
-        db.write_page(t, 0, make_page(b"a"))
-        db.buffer.flush_pages_of(t)
-        db.commit(t)
-        loser = db.begin()
-        db.write_page(loser, 1, make_page(b"b"))
-        db.abort(loser)
-        return recorder.history, sink.events()
-
-    def test_trace_rebuilds_equal_history(self):
-        history, events = self._traced_run()
-        assert history_from_trace(events) == history
-
-    def test_trace_file_rebuilds_equal_history(self, tmp_path):
-        history, events = self._traced_run()
-        path = tmp_path / "trace.jsonl"
-        with open(path, "w", encoding="utf-8") as handle:
-            for event in events:
-                handle.write(json.dumps(event) + "\n")
-        assert history_from_trace_file(path) == history

@@ -3,12 +3,16 @@ is caught by its rule, and barriers fire where the protocol says."""
 
 import pytest
 
-from repro.check import (DirtySetBoundRule, InvariantEngine,
-                         LsnMonotonicityRule, MutantError, TwinPageLsnRule,
+from repro.check import (BufferModifierRule, DirtySetBoundRule,
+                         InvariantEngine, LsnMonotonicityRule, MutantError,
+                         ParityRule, SlottedPageRule, TwinPageLsnRule,
                          TwinParityIdentityRule, WalBeforeDataRule,
-                         WriteBehindRule, check_restart, default_rules)
-from repro.db import Database, preset
+                         WriteBehindRule, default_rules, verify_database)
+from repro.db import (Database, extended_preset_names, make_sharded,
+                      preset)
+from repro.sim import Simulator, WorkloadSpec
 from repro.storage import make_page
+from repro.wal import AbortRecord, BOTRecord, CommitRecord
 
 
 def make_db(name="page-force-rda", engine=True, **kw):
@@ -86,17 +90,22 @@ class TestEngineWiring:
         with pytest.raises(AssertionError):
             db.invariants.assert_clean()
 
-    def test_check_restart_on_recovered_db(self):
+    def test_verify_database_on_recovered_db(self):
         db, _txn = dirty_db()
         db.crash()
         db.recover()
-        assert check_restart(db) == []
+        assert verify_database(db) == []
 
-    def test_default_rules_cover_all_six(self):
+    def test_default_rules_cover_all_nine(self):
         names = {rule.name for rule in default_rules()}
         assert names == {"twin-parity-identity", "dirty-set-bound",
                          "wal-before-data", "lsn-monotonicity",
-                         "write-behind", "twin-page-lsn"}
+                         "write-behind", "twin-page-lsn", "parity",
+                         "buffer-modifiers", "slotted-pages"}
+
+    def test_whole_database_sweeps_cost_nothing_per_commit(self):
+        for rule in (ParityRule(), BufferModifierRule(), SlottedPageRule()):
+            assert rule.barriers == ("restart",)
 
 
 class TestTwinParityIdentityRule:
@@ -433,3 +442,111 @@ class TestLsnMonotonicityRule:
         db.crash()
         db.recover()
         assert db.invariants.clean
+
+
+def kinds(violations):
+    return {violation.kind for violation in violations}
+
+
+class TestVerifyDatabase:
+    """The one-shot judge: clean wherever the engine is consistent, and
+    each corruption of the whole-database sweeps is a mutant it flags."""
+
+    CELLS = [(name, 1, False) for name in extended_preset_names()] + [
+        ("record-noforce-rda", 2, False), ("record-noforce-rda", 2, True)]
+
+    @pytest.mark.parametrize(
+        "name,shards,workers", CELLS,
+        ids=[name if shards == 1 else f"{name}@k{shards}"
+             + ("-workers" if workers else "")
+             for name, shards, workers in CELLS])
+    def test_clean_through_work_a_live_steal_and_crashes(self, name, shards,
+                                                          workers):
+        config = preset(name, group_size=4, num_groups=8, buffer_capacity=6)
+        db = (make_sharded(config, shards=shards, workers=workers)
+              if shards > 1 else Database(config))
+        try:
+            assert verify_database(db) == []
+            simulator = Simulator(db, WorkloadSpec(concurrency=3,
+                                                   pages_per_txn=4),
+                                  seed=5)
+            if simulator.record_mode:
+                simulator.seed_records()
+            simulator.run(24, crash_every=10)
+            assert verify_database(db) == []
+            txn = db.begin()
+            if simulator.record_mode:
+                db.update_record(txn, 0, 0, b"in flight")
+            else:
+                db.write_page(txn, 0, make_page(b"in flight"))
+            if shards == 1 and db.rda is not None:
+                db.buffer.flush_pages_of(txn)   # unlogged: group dirty
+            assert verify_database(db) == []
+            db.crash()
+            db.recover()
+            assert verify_database(db) == []
+        finally:
+            if hasattr(db, "close"):
+                db.close()
+
+    @pytest.mark.parametrize("name", ["page-force-rda", "page-force-log",
+                                      "page-force-raid6"])
+    def test_parity_mutant_caught_on_every_array(self, name):
+        db = make_db(name, engine=False)
+        txn = db.begin()
+        db.write_page(txn, 0, make_page(b"x"))
+        db.commit(txn)
+        db.buffer.flush_all_dirty()
+        ParityRule().mutate(db)
+        assert kinds(verify_database(db)) == {"parity"}
+
+    def test_lost_dirty_set_entry_caught(self):
+        db, _txn = dirty_db()
+        db.rda.dirty_set.clean(0)
+        found = verify_database(db)
+        assert kinds(found) == {"dirty-set-bound"}
+        assert "has no Dirty_Set entry" in found[0].detail
+
+    def test_duplex_divergence_caught(self):
+        db = make_db(engine=False)
+        txn = db.begin()
+        db.write_page(txn, 0, make_page(b"x"))
+        db.commit(txn)
+        db.undo_log.damage_copy(0, 0)
+        found = verify_database(db)
+        assert kinds(found) == {"log-shape"}
+        assert "duplex" in found[0].detail
+
+    def test_transaction_shape_caught(self):
+        db = make_db(engine=False)
+        for record in (BOTRecord(txn_id=77), BOTRecord(txn_id=77),
+                       CommitRecord(txn_id=77), AbortRecord(txn_id=77)):
+            db.undo_log.append(record)
+        details = [v.detail for v in verify_database(db)
+                   if v.kind == "log-shape"]
+        assert len(details) == 2
+        assert "BOT of txn 77 is not its first record" in details[0]
+        assert "record after EOT for txn 77" in details[1]
+        # the shape is judged where the log is whole, not per commit
+        assert LsnMonotonicityRule().check(db, "commit", {}) == []
+
+    def test_buffer_modifier_mutant_caught(self):
+        db = make_db(engine=False)
+        with pytest.raises(MutantError):
+            BufferModifierRule().mutate(db)
+        txn = db.begin()
+        db.write_page(txn, 0, make_page(b"x"))
+        BufferModifierRule().mutate(db)
+        found = verify_database(db)
+        assert kinds(found) == {"buffer-modifiers"}
+        assert f"finished txn {txn}" in found[0].detail
+
+    def test_slotted_page_mutant_caught(self):
+        db = make_db("record-force-rda", engine=False)
+        db.format_record_pages(range(db.num_data_pages))
+        assert verify_database(db) == []
+        SlottedPageRule().mutate(db)
+        found = [v for v in verify_database(db) if v.kind == "slotted-pages"]
+        assert found and "page 0: unparseable" in found[0].detail
+        with pytest.raises(MutantError):
+            SlottedPageRule().mutate(make_db(engine=False))

@@ -7,8 +7,8 @@ Count-based; no wall clock."""
 
 import pytest
 
-from repro.db import (ShardedDatabase, WorkerShardedDatabase, preset,
-                      verify_database)
+from repro.check import verify_database
+from repro.db import ShardedDatabase, WorkerShardedDatabase, preset
 from repro.sim.faultplan import FaultInjector, fault_workload, run_sweep
 from repro.storage import make_page
 from repro.stress import NemesisProfile, StressOptions, StressRunner
@@ -92,12 +92,14 @@ def test_fault_sweep_after_a_trim_still_covers_the_commit_log():
         return ShardedDatabase(CONFIG, shards=2, flush_horizon=2)
 
     def setup(db):
-        for page in (60, 61, 62, 63):
+        old = {page: make_page(b"old") for page in (60, 61, 62, 63)}
+        for page, payload in old.items():
             txn = db.begin()
-            db.write_page(txn, page, make_page(b"old"))
+            db.write_page(txn, page, payload)
             db.commit(txn)
         db.trim_log(archive_floor=NO_ARCHIVE)
         assert db.commit_log.size_bytes == 0
+        return {(page, None): payload for page, payload in old.items()}
 
     db = make_db()
     assert db.commit_log in FaultInjector(db)._logs()

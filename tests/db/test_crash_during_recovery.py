@@ -8,8 +8,8 @@ any number of times — must converge to the same committed state.
 
 import pytest
 
-from repro.check import check_restart
-from repro.db import Database, preset, verify_database
+from repro.check import verify_database
+from repro.db import Database, preset
 from repro.storage import make_page
 
 PRESETS = ["page-force-rda", "page-force-log",
@@ -465,7 +465,7 @@ def test_vouched_restart_survives_two_interruptions_and_keeps_no_twin(
                 db.recover(fault_hook=lambda label: seen.add(
                     kind_of(label)))
             assert_group_state(db, check)
-            assert check_restart(db) == []
+            assert verify_database(db) == []
             if finished:
                 break
             second += 1

@@ -20,7 +20,8 @@ hybrid (``record-noforce-rda-redo``, twin-covered steals with
 
 import pytest
 
-from repro.db import Database, preset, verify_database
+from repro.check import verify_database
+from repro.db import Database, preset
 from repro.db.slotted_page import SlottedPage
 from repro.errors import BufferFullError, RecoveryError
 from repro.sim import fault_workload, record_fault_setup, run_sweep

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.db import Database, ShardedDatabase, ShardScheduler, \
     WorkerShardedDatabase, preset, shard_config
 from repro.db import workers as workers_module
-from repro.db.verify import verify_database
+from repro.check import verify_database
 from repro.errors import ModelError, RecoveryError, TransactionError
 from repro.obs import MetricsRegistry
 from repro.storage import make_page

@@ -1,12 +1,16 @@
-"""Tests for the whole-database consistency verifier."""
+"""The one judge, ``repro.check.verify_database``, on small engine states.
+
+The corruptions it catches are the catalog rules' mutants in
+``tests/check/test_invariants.py``; these cases pin that a consistent
+database, fresh, after work, with a live unlogged steal, and after a crash
+and restart, draws no finding.
+"""
 
 import pytest
 
+from repro.check import verify_database
 from repro.db import Database, preset
-from repro.db.verify import verify_database
 from repro.storage import make_page
-from repro.storage.page import ParityHeader, TwinState
-from repro.wal.records import BOTRecord
 
 
 def make_db(name="page-force-rda", **kw):
@@ -52,61 +56,3 @@ class TestCleanStates:
         db.crash()
         db.recover()
         assert verify_database(db) == []
-
-
-class TestDetections:
-    def test_detects_parity_damage(self):
-        db = make_db()
-        t = db.begin()
-        db.write_page(t, 0, make_page(b"x"))
-        db.commit(t)
-        db.buffer.flush_all_dirty()
-        addr = db.array.geometry.data_address(0)
-        db.array.disks[addr.disk]._pages[addr.slot] = make_page(b"tampered")
-        problems = verify_database(db)
-        assert any("parity" in p for p in problems)
-
-    def test_detects_orphan_working_twin(self):
-        db = make_db()
-        t = db.begin()
-        db.write_page(t, 0, make_page(b"x"))
-        db.buffer.flush_pages_of(t)
-        group = db.array.geometry.group_of(0)
-        # simulate a lost Dirty_Set entry
-        db.rda.dirty_set.clean(group)
-        problems = verify_database(db)
-        assert any("missing from the Dirty_Set" in p for p in problems)
-
-    def test_detects_duplex_divergence(self):
-        db = make_db()
-        t = db.begin()
-        db.write_page(t, 0, make_page(b"x"))
-        db.commit(t)
-        db.undo_log.damage_copy(0, 0)
-        problems = verify_database(db)
-        assert any("duplex" in p for p in problems)
-
-    def test_detects_duplicate_bot(self):
-        db = make_db()
-        db.undo_log.append(BOTRecord(txn_id=77))
-        db.undo_log.append(BOTRecord(txn_id=77))
-        problems = verify_database(db)
-        assert any("duplicate BOT" in p for p in problems)
-
-    def test_detects_stale_modifier(self):
-        db = make_db()
-        t = db.begin()
-        db.write_page(t, 0, make_page(b"x"))
-        db.txns.finish(t, __import__("repro.txn", fromlist=["TxnState"]).TxnState.COMMITTED)
-        problems = verify_database(db)
-        assert any("finished txn" in p for p in problems)
-
-    def test_detects_garbage_record_page(self):
-        db = make_db("record-force-rda")
-        addr = db.array.geometry.data_address(0)
-        blob = bytearray(512)
-        blob[0:2] = (4).to_bytes(2, "little")     # 4 slots, bogus dir
-        blob[4:8] = (60000).to_bytes(2, "little") + (500).to_bytes(2, "little")
-        db.array.disks[addr.disk]._pages[addr.slot] = bytes(blob)
-        problems = verify_database(db)
-        assert any("unparseable" in p for p in problems)

@@ -15,8 +15,8 @@ commit a transaction the others never saw.
 
 import pytest
 
-from repro.db import (WorkerCrashed, WorkerShardedDatabase, preset,
-                      verify_database)
+from repro.check import verify_database
+from repro.db import WorkerCrashed, WorkerShardedDatabase, preset
 from repro.storage.page import make_page
 
 OVERRIDES = dict(group_size=5, num_groups=12, buffer_capacity=16)

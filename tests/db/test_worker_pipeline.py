@@ -14,9 +14,9 @@ import json
 
 import pytest
 
-from repro.check import HistoryRecorder
+from repro.check import HistoryRecorder, verify_database
 from repro.db import (LockWait, ShardedDatabase, WorkerCrashed,
-                      WorkerShardedDatabase, preset, verify_database)
+                      WorkerShardedDatabase, preset)
 from repro.db import workers as workers_module
 from repro.errors import (BufferFullError, InvalidTransactionState,
                           StorageError)

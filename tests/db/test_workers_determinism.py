@@ -16,9 +16,9 @@ import json
 
 import pytest
 
-from repro.check import HistoryRecorder, run_conformance
+from repro.check import HistoryRecorder, run_conformance, verify_database
 from repro.db import (ShardedDatabase, WorkerShardedDatabase, make_sharded,
-                      preset, verify_database)
+                      preset)
 from repro.sim import Simulator, WorkloadSpec
 from repro.storage.page import make_page
 
@@ -90,6 +90,30 @@ def test_worker_mode_byte_identical_redo_class(name, shards):
         assert inproc[0] == worker[0], "SimulationReport diverged"
         assert inproc[1] == worker[1], "recorded history diverged"
         assert inproc[2] == worker[2] == []
+
+
+def test_redo_only_writes_under_buffer_pressure_match_in_process():
+    """REDO-only's write-behind gate can refuse a frame with
+    ``BufferFullError`` — an error the writer sees at that call, as under
+    NO-STEAL — so a REDO-only write must never go one-way: a worker
+    would hold the error until the transaction's next call, and the run
+    would stall (and transfer) differently from in-process."""
+    spec = WorkloadSpec(concurrency=6, pages_per_txn=8,
+                        update_txn_fraction=0.9, update_probability=0.9,
+                        abort_probability=0, communality=0.3)
+    config = preset("page-noforce-redo", group_size=4, num_groups=8,
+                    buffer_capacity=12, checkpoint_interval=200)
+    reports = []
+    for cls in (ShardedDatabase, WorkerShardedDatabase):
+        db = cls(config, shards=2)
+        try:
+            reports.append(Simulator(db, spec, seed=3).run(200))
+        finally:
+            if hasattr(db, "close"):
+                db.close()
+    inproc, worker = reports
+    assert inproc.extra["buffer_stalls"] > 0, "the gate must refuse frames"
+    assert dataclasses.asdict(worker) == dataclasses.asdict(inproc)
 
 
 def test_worker_conformance_hybrid_cell_clean():

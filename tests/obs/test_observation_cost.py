@@ -8,7 +8,6 @@ import json
 
 import pytest
 
-from repro.check import HistoryRecorder
 from repro.db import Database, preset
 from repro.obs import (BufferedJsonlSink, MetricsRegistry, NullSink, Tracer,
                        load_trace)
@@ -19,10 +18,9 @@ SPEC = WorkloadSpec(concurrency=4, pages_per_txn=6, abort_probability=0.05)
 
 
 def simulate(name: str, tracer=None, metrics=None, transactions: int = 150,
-             seed: int = 3, history=None):
+             seed: int = 3):
     db = Database(preset(name, group_size=5, num_groups=12,
-                         buffer_capacity=16), tracer=tracer, metrics=metrics,
-                  history=history)
+                         buffer_capacity=16), tracer=tracer, metrics=metrics)
     simulator = Simulator(db, SPEC, seed=seed, buffer_feedback=False)
     if simulator.record_mode:
         simulator.seed_records()
@@ -55,11 +53,9 @@ def test_nobody_mutates_an_event_after_emit(tmp_path):
     tracer = Tracer(BufferedJsonlSink(path))
     at_emit = []
     tracer.add_observer(lambda event: at_emit.append(copy.deepcopy(event)))
-    # the history mirror rides the trace too (``history.*`` events)
-    simulate("record-noforce-rda", tracer=tracer, metrics=MetricsRegistry(),
-             history=HistoryRecorder())
+    simulate("record-noforce-rda", tracer=tracer, metrics=MetricsRegistry())
     tracer.close()
-    assert len(at_emit) > 2000
+    assert len(at_emit) > 1500
     assert load_trace(path) == json.loads(json.dumps(at_emit))
 
 
@@ -114,29 +110,3 @@ def test_two_databases_on_one_registry_sum():
     assert summed["gauges"]["rda.dirty_groups"] >= 1
     assert summed["counters"]["buffer.hits"] > first["counters"]["buffer.hits"]
 
-
-def test_prometheus_and_snapshot_agree_on_pulled_series():
-    registry = MetricsRegistry()
-    simulate("page-noforce-rda", metrics=registry)
-    snapshot = registry.snapshot()
-    exposed = {}
-    for line in registry.to_prometheus().splitlines():
-        if not line.startswith("#"):
-            series, _, value = line.rpartition(" ")
-            exposed[series] = float(value)
-    assert exposed["buffer_hits"] == snapshot["counters"]["buffer.hits"] > 0
-    assert exposed["buffer_evictions"] \
-        == snapshot["counters"]["buffer.evictions"] > 0
-    assert exposed['db_steals{mode="unlogged"}'] \
-        == snapshot["counters"]["db.steals{mode=unlogged}"] > 0
-    assert exposed["rda_unlogged_steals"] \
-        == snapshot["counters"]["rda.unlogged_steals"] > 0
-    assert exposed["rda_dirty_groups"] \
-        == snapshot["gauges"]["rda.dirty_groups"]
-    # every scalar series is exposed, with the value the snapshot has
-    scalars = {**snapshot["counters"], **snapshot["gauges"]}
-    exposed_scalars = [value for series, value in exposed.items()
-                       if "_bucket" not in series
-                       and not series.endswith(("_sum", "_count"))]
-    assert sorted(exposed_scalars) \
-        == sorted(float(value) for value in scalars.values())

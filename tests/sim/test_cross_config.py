@@ -10,9 +10,9 @@ injected at the same points.
 
 import pytest
 
+from repro.check import Violation, violations_by_kind
 from repro.db import Database, preset
-from repro.sim import (Simulator, Violation, WorkloadSpec,
-                       violations_by_kind)
+from repro.sim import Simulator, WorkloadSpec
 
 PAGE_PRESETS = ["page-force-rda", "page-force-log",
                 "page-noforce-rda", "page-noforce-log"]
@@ -69,8 +69,8 @@ class TestStructuredViolations:
         assert (kind, detail) == (violation.kind, violation.detail)
         assert violations_by_kind([
             violation, Violation("unrecoverable", "disk 2: twin lost"),
-            "a plain string"]) == {"verify": 1, "unrecoverable": 1,
-                                   "other": 1}
+            Violation("verify", "cycle 1")]) == {"verify": 2,
+                                                 "unrecoverable": 1}
         # str() preserves the old flat-message format for display
         assert str(violation) == \
             "verify: cycle 0: parity mismatch in group 1"

@@ -5,9 +5,12 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.check import Violation
 from repro.db import Database, preset
-from repro.sim import (FaultPlan, FaultSweepReport, Violation,
-                       fault_workload, record_schedule, run_plan, run_sweep)
+from repro.sim import (FaultPlan, FaultSweepReport, fault_workload,
+                       record_fault_setup, record_schedule, run_plan,
+                       run_sweep)
+from repro.storage import make_page
 
 SIZES = dict(group_size=4, num_groups=8, buffer_capacity=16)
 
@@ -86,6 +89,39 @@ class TestFaultPlan:
         outcome = run_plan(factory(), ops, FaultPlan(10 ** 6, "clean"))
         assert outcome.outcome == "recovered"
         assert outcome.winners == [0, 1]
+
+    @pytest.mark.parametrize("op", ["write", "update"])
+    def test_reference_oracle_flags_a_page_planted_after_restart(self, op):
+        """Restart succeeds, then a transaction outside the script
+        commits a wrong value onto a page the winners wrote: the state
+        stays structurally consistent, so only the reference database
+        can object."""
+        ops = fault_workload(transactions=2, group_size=4, op=op)
+        name = "record-force-rda" if op == "update" else "page-force-rda"
+
+        def make_db():
+            db = factory(name)()
+            recover = db.recover
+
+            def recover_then_plant():
+                stats = recover()
+                txn = db.begin()
+                if op == "update":
+                    db.update_record(txn, 0, 0, b"planted")
+                else:
+                    db.write_page(txn, 0, make_page(b"planted"))
+                db.commit(txn)
+                return stats
+
+            db.recover = recover_then_plant
+            return db
+
+        setup = record_fault_setup(ops) if op == "update" else None
+        outcome = run_plan(make_db, ops, FaultPlan(10 ** 6, "clean"),
+                           setup=setup)
+        assert outcome.winners == [0, 1]
+        assert outcome.outcome == "violation"
+        assert [v.kind for v in outcome.violations] == ["state-divergence"]
 
 
 class TestSweep:

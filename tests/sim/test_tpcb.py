@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.db import Database, preset, verify_database
+from repro.check import verify_database
+from repro.db import Database, preset
 from repro.errors import ModelError
 from repro.sim import TPCB, TPCBConfig
 

@@ -14,7 +14,11 @@ campaigns, script record/replay, a catalog, an unwired REDO-only cost
 model, hot spares, a healing read, a backend registry beside the
 factory table, three fault-script builders, the ``demo`` verb) is
 gone too, and ``tests/test_reachability.py`` keeps it from coming
-back unreached.  The frame
+back unreached.  There is one judge of consistency — the rule catalog
+in ``check/invariants.py`` and its one-shot ``verify_database`` — and
+no second one beside it (``db/verify.py``, ``check_restart``, the fault
+sweep's private expected state), nor the Prometheus exposition and the
+trace-borne history transport nothing rendered or read.  The frame
 budgets at the end hold the page path, what a parity group and a
 restored page add to a restart, and what a tracer and a registry may add
 to a transaction, to the number of Python frames they enter today.
@@ -38,6 +42,7 @@ from repro.db import Database, DBConfig, preset
 from repro.db.policy import (FORCE_TOC, NOFORCE_ACC, RDA_PROTECTION,
                              REDO_ONLY_DISCIPLINE, WAL_PROTECTION)
 from repro.db.recovery import RecoveryManager
+from repro.db.sharded import SHARD_OPS
 from repro.obs import (BufferedJsonlSink, MetricsRegistry, Tracer,
                        load_trace)
 from repro.storage import TwinState, kernels, make_page
@@ -73,6 +78,14 @@ TEST_ONLY = re.compile(
     r"_make_twin_parity_striped|_make_raid6|default_fault_workload|"
     r"record_fault_workload|shard_aligned_fault_workload|_expected_state|"
     r"_expected_records|_cmd_demo)\b", re.MULTILINE)
+# a second judge beside the rule catalog, and exports nothing read
+SECOND_JUDGES = re.compile(
+    r"^\s*(?:def|class)\s+(check_restart|_check_restart|_check_twins|"
+    r"_expected|history_from_trace|history_from_trace_file|to_prometheus|"
+    r"prometheus_name|escape_label_value|_label_block)\b", re.MULTILINE)
+VIOLATION = re.compile(r"^class\s+(Violation)\b", re.MULTILINE)
+LAZY_JUDGE = re.compile(r"^[ \t]+from\s+\S*check\S*\s+import\s+.*"
+                        r"\bverify_database\b", re.MULTILINE)
 
 
 @pytest.mark.parametrize("numpy_importable", [True, False])
@@ -142,6 +155,19 @@ def test_src_defines_nothing_only_its_tests_reached():
         assert not (SRC / gone).exists()
     with pytest.raises(SystemExit):
         build_parser().parse_args(["demo"])
+
+
+def test_one_judge():
+    assert _defined(SECOND_JUDGES) == {}
+    assert not (SRC / "db" / "verify.py").exists()
+    assert "check_restart" not in SHARD_OPS and "verify" in SHARD_OPS
+    assert _defined(VIOLATION) == {"check/invariants.py": ["Violation"]}
+    # faultplan imports the judge at module level; the shard op keeps
+    # the one lazy import (repro.db cannot import repro.check)
+    faultplan = (SRC / "sim" / "faultplan.py").read_text(encoding="utf-8")
+    assert not re.search(r"^[ \t]+(?:from|import) ", faultplan, re.MULTILINE)
+    assert _defined(LAZY_JUDGE) == {
+        "db/sharded.py": ["    from ..check.invariants import verify_database"]}
 
 
 def test_buffer_pool_takes_one_writeback_callable():

@@ -21,7 +21,8 @@ convergence to the committed reference state.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import Database, preset, verify_database
+from repro.check import verify_database
+from repro.db import Database, preset
 from repro.storage import make_page
 from repro.storage.page import ZERO_PAGE
 from repro.wal import NULL_LSN, LogManager, PageRedoEntry
