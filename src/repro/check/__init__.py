@@ -33,8 +33,8 @@ from .invariants import (BufferModifierRule, DirtySetBoundRule,
                          InvariantEngine, LsnMonotonicityRule, MutantError,
                          ParityRule, SlottedPageRule, TwinPageLsnRule,
                          TwinParityIdentityRule, Violation, WalBeforeDataRule,
-                         WriteBehindRule, default_rules, verify_database,
-                         violations_by_kind)
+                         WritebackNamedRule, WriteBehindRule, default_rules,
+                         verify_database, violations_by_kind)
 from .serializability import SerializabilityReport, analyze
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
     "TwinParityIdentityRule",
     "Violation",
     "WalBeforeDataRule",
+    "WritebackNamedRule",
     "WriteBehindRule",
     "analyze",
     "conformance_matrix",

@@ -12,9 +12,13 @@ correctness argument makes a claim about durable state:
     A buffer-pool writeback of uncommitted data just finished
     (:meth:`RecoveryPolicy.writeback`, once per stolen page).
 ``twin_write``
-    A twin-parity small write just landed (inside a steal; the
-    Dirty_Set may not reflect it yet, so only stateless-against-the-
-    Dirty_Set rules subscribe here).
+    A parity-tracking write just landed: a twin-parity small write
+    (inside a steal the Dirty_Set may not reflect it yet, so only
+    stateless-against-the-Dirty_Set rules subscribe here) or group
+    write, or their single-parity and RAID-6 counterparts.  The context
+    names the ``page`` (or the ``group`` and its ``pages``);
+    ``twin_first`` marks an unlogged steal's twin-first order and
+    ``changed`` whether a one-page write changed the page's bytes.
 ``flip``
     A commit just flipped one group's current-parity bit
     (:meth:`RDAManager.commit_txn`).
@@ -45,6 +49,7 @@ from collections import Counter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..db.policy import apply_record_image
+from ..db.recovery import named_pages
 from ..db.slotted_page import SlottedPage
 from ..storage.page import NO_TXN, TwinState, compute_parity, xor_pages
 from ..storage.twin_array import select_current_twin
@@ -575,6 +580,58 @@ class TwinPageLsnRule(InvariantRule):
                 f"{entry.group} on its working twin only")
 
 
+class WritebackNamedRule(InvariantRule):
+    """The restart scrub's bound: a data-then-parity write lands only on
+    a page the next restart would name, were the machine to die now.
+
+    A committed or logged write-back, the restore's group write and the
+    WAL small write put the data down before the parity, so a crash
+    between the two leaves a group whose parity disagrees with its data
+    and no header that says so — the write hole the restart scrub hunts.
+    The scrub checks only the groups of the pages the restart's log
+    names, and this rule asks the very function the restart does
+    (:func:`repro.db.recovery.named_pages`): the pages of the durable
+    redo tail (¬FORCE: past the last checkpoint; REDO-only: a winner's
+    chain past the page's durable LSN; FORCE: none) and of the durable
+    undo chains of the transactions with no EOT — active ones now, the
+    losers in a restart.
+
+    A restart's log is all durable, so the pages its restore writes are
+    named by the very records that sent the restore there.  Two writes
+    are exempt: an unlogged steal writes twin first (``twin_first``),
+    and its WORKING header shows the twin scan what it left behind; and
+    a write of the bytes the page already holds (not ``changed`` — a
+    record-mode rollback flushing a page it never stole) folds nothing
+    into the parity, so no crash inside it can leave a hole."""
+
+    name = "writeback-named"
+    barriers = ("twin_write",)
+
+    def check(self, db, barrier: str, ctx: dict) -> List[Violation]:
+        if ctx.get("twin_first") or not ctx.get("changed", True):
+            return []
+        named = named_pages(db)
+        return [Violation("writeback-named",
+                          f"page {page}: written data then parity, but no "
+                          f"durable record names it ({barrier})")
+                for page in ctx.get("pages", (ctx.get("page"),))
+                if page not in named]
+
+    def mutate(self, db) -> str:
+        """A write-back, data then parity, that changes a page nothing
+        names."""
+        named = named_pages(db)
+        page = next((page for page in range(db.num_data_pages)
+                     if page not in named and page not in db.buffer), None)
+        if page is None:
+            raise MutantError("every page is named or buffered")
+        payload = bytearray(db.array.peek_page(page))
+        payload[len(payload) // 2] ^= 0xFF
+        db.policy.protection.write_committed(db, page, bytes(payload))
+        return (f"wrote page {page} back, data then parity, though no "
+                f"durable record names it")
+
+
 class ParityRule(InvariantRule):
     """Every group's parity is the XOR of its data — on the twin
     array (the current twin), single parity and RAID-6 alike: it is
@@ -655,8 +712,8 @@ class SlottedPageRule(InvariantRule):
 def default_rules() -> List[InvariantRule]:
     return [TwinParityIdentityRule(), DirtySetBoundRule(),
             WalBeforeDataRule(), LsnMonotonicityRule(), WriteBehindRule(),
-            TwinPageLsnRule(), ParityRule(), BufferModifierRule(),
-            SlottedPageRule()]
+            TwinPageLsnRule(), WritebackNamedRule(), ParityRule(),
+            BufferModifierRule(), SlottedPageRule()]
 
 
 class InvariantEngine:
@@ -673,7 +730,7 @@ class InvariantEngine:
     def attach(cls, db, rules: Optional[List[InvariantRule]] = None
                ) -> "InvariantEngine":
         """Create an engine and wire it into the database's barrier
-        seams (``db.invariants``, the RDA flip hook and the twin-array
+        seams (``db.invariants``, the RDA flip hook and the array's
         write hook).
 
         On a :class:`~repro.db.sharded.ShardedDatabase` one child
@@ -696,13 +753,13 @@ class InvariantEngine:
                 child.violations = engine.violations
                 child.barrier_counts = engine.barrier_counts
                 shard.invariants = child
+                shard.array.barrier_hook = child.barrier
                 if shard.rda is not None:
                     shard.rda.barrier_hook = child.barrier
-                    shard.array.barrier_hook = child.barrier
             return engine
+        db.array.barrier_hook = engine.barrier
         if db.rda is not None:
             db.rda.barrier_hook = engine.barrier
-            db.array.barrier_hook = engine.barrier
         return engine
 
     @property

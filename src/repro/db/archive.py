@@ -67,8 +67,9 @@ class ArchiveManager:
 
         Replaces the disk, rewrites its data slots from the archive,
         rolls them forward from the redo log, and recomputes the parity
-        slots from the (now complete) group data.  Returns the page
-        transfers consumed.
+        slots from the (now complete) group data: the disk's own, and
+        the parity of each group whose restored page differs from what
+        the failed disk held.  Returns the page transfers consumed.
 
         Raises:
             RecoveryError: if no dump exists.
@@ -87,8 +88,9 @@ class ArchiveManager:
         disk = db.array.disks[disk_id]
         disk.replace()
 
+        geometry = db.array.geometry
         lost_pages = {page: slot
-                      for slot, page in db.array.geometry.pages_on_disk(disk_id)}
+                      for slot, page in geometry.pages_on_disk(disk_id)}
         restored = {page: copy.pages[page] for page in lost_pages}
         for record in replay:
             if record.page_id not in restored:
@@ -108,6 +110,19 @@ class ArchiveManager:
         for page, payload in restored.items():
             disk.write(lost_pages[page], payload)
 
-        for group in db.array.geometry.groups_with_parity_on(disk_id):
+        rebuilt = geometry.groups_with_parity_on(disk_id)
+        for group in rebuilt:
             db.array._rebuild_parity_slot(disk_id, group)
+        # a page whose committed change never reached the failed disk
+        # (¬FORCE residue), or whose stolen uncommitted one did, comes
+        # back other than the surviving parity covers: recompute that
+        # group's parity too, or it stays stale with no record to name it
+        stolen = set().union(*(txn.pages_stolen
+                               for txn in db.txns.active_transactions()))
+        for group in sorted({geometry.group_of(page) for page in lost_pages
+                             if page in db._residue or page in stolen}
+                            - set(rebuilt)):
+            db.array.rewrite_parity(group, [
+                db.array.read_page(page)
+                for page in geometry.group_pages(group)])
         return db.stats.total - before

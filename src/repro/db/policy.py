@@ -580,14 +580,19 @@ class RdaProtection:
 
     def restart_parity_phase(self, db, restart, fault) -> tuple:
         """Parity undo of unlogged stolen pages (must precede log
-        writes), then write-hole resync of clean groups.
+        writes), then write-hole resync of clean groups; returns
+        ``(groups resynced, pages undone)``.
 
         Interrupted *steals* are resolved through the twin headers
         (twin-first ordering makes them detectable and undoable); an
         interrupted *committed* write-back leaves stale parity with no
-        header evidence, so the remaining clean groups are scrubbed
-        against their data and repaired — the twin-substrate analogue
-        of :class:`WalProtection`'s restart resync.
+        header evidence, so clean groups are scrubbed against their data
+        and repaired — the twin-substrate analogue of
+        :class:`WalProtection`'s restart resync.  Such a write-back
+        changed a page the log names (the ``writeback-named`` rule), so
+        the scrub checks ``restart.named`` only; parity undo leaves no
+        hole in the groups it rewinds (their data is put back under the
+        committed twin).
 
         ``restart.named`` are the parity groups the log can make this
         restart write.  The twin scan hands back their current twins
@@ -610,7 +615,7 @@ class RdaProtection:
                 restart.twins.pop(entry.group, None)
                 parity_undone += 1
             span.set(pages=parity_undone)
-        holes = db.rda.find_parity_holes()
+        holes = db.rda.find_parity_holes(restart.named)
         if holes:
             with db.tracer.span("recovery.phase", stats=db.stats,
                                 log_split=True,
@@ -677,13 +682,17 @@ class WalProtection:
         """RAID write-hole resync: a crash between a small-write's data
         and parity transfers leaves the parity stale; recovery's own
         small writes assume it is current, so recompute it first.
+        Returns ``(groups resynced, 0)``.
 
-        Detection uses uncounted peeks (the restart scrub); the repair
-        writes are counted.  Clean restarts skip the phase entirely.
-        No header says what the disk holds: ``restart.disk_lsns`` stays
+        Detection uses uncounted peeks (the restart scrub) of the groups
+        the log names, ``restart.named`` — the only ones such a write can
+        have been changing (the ``writeback-named`` rule); the repair
+        writes are counted.  A restart that finds no hole has no
+        ``parity_resync`` span and calls the fault hook for none.  No
+        header says what the disk holds: ``restart.disk_lsns`` stays
         empty.
         """
-        stale = db.array.scrub()
+        stale = db.array.scrub(restart.named)
         if not stale:
             return 0, 0
         with db.tracer.span("recovery.phase", stats=db.stats,

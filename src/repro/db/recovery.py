@@ -59,12 +59,51 @@ from ..wal.records import (AbortRecord, BOTRecord, CommitRecord,
 from .policy import apply_record_image
 
 RESTART_COUNTERS = ("log_records", "log_decoded", "sectors_repaired",
-                    "parity_resynced", "parity_undone_pages", "redo_applied",
-                    "redo_skipped", "log_undo_applied", "pages_unchanged",
-                    "page_transfers")
+                    "groups_scrubbed", "parity_resynced",
+                    "parity_undone_pages", "redo_applied", "redo_skipped",
+                    "log_undo_applied", "pages_unchanged", "page_transfers")
 """The numeric fields of :meth:`RecoveryManager.crash_recover`'s result,
 in its order: what a sharded facade sums per shard and what the fault
 sweep copies."""
+
+
+def verdicts(db) -> tuple:
+    """``(winners, losers)`` off the log's record headers: the
+    transactions with a commit record, and those with a BOT but neither
+    a commit nor an abort record."""
+    undo_log = db.undo_log
+    winners = db.redo_log.txn_ids(CommitRecord)
+    return winners, (undo_log.txn_ids(BOTRecord) - winners
+                     - undo_log.txn_ids(AbortRecord))
+
+
+def restart_reads(db, winners: set, losers: set) -> tuple:
+    """``(redo tail, undo records)``: the only records a restart decodes
+    — the discipline's redo tail and the losers' before-images — and
+    the ones whose pages it names."""
+    replay = db.policy.discipline.redo_tail(db, winners)
+    undo_records = [
+        r for txn_id in losers for r in db.undo_log.records_of(txn_id)
+        if isinstance(r, (PageBeforeImage, RecordBeforeEntry))
+    ]
+    return replay, undo_records
+
+
+def named_pages(db) -> set:
+    """The data pages a restart would name were the machine to die now:
+    those of :func:`restart_reads` under :func:`verdicts`, less the
+    records a crash would lose.  On a recovered log, all of it durable,
+    they are the pages of ``Restart.where``; the ``writeback-named``
+    rule (:mod:`repro.check.invariants`) holds every data-then-parity
+    write to them, so the restart scrub need check no other group.  It
+    decodes nothing the restart would not."""
+    replay, undo_records = restart_reads(db, *verdicts(db))
+    redo_durable = db.redo_log.durable_lsn
+    undo_durable = db.undo_log.durable_lsn
+    pages = {r.page_id for r in replay if r.lsn <= redo_durable}
+    pages.update(r.page_id for r in undo_records if r.lsn <= undo_durable)
+    pages.discard(None)
+    return pages
 
 
 class Restart:
@@ -82,11 +121,7 @@ class Restart:
         self.losers = losers
         # a loser the twin scan adds later has no durable record — not
         # even its BOT
-        self.replay = db.policy.discipline.redo_tail(db, winners)
-        self.undo_records = [
-            r for txn_id in losers for r in db.undo_log.records_of(txn_id)
-            if isinstance(r, (PageBeforeImage, RecordBeforeEntry))
-        ]
+        self.replay, self.undo_records = restart_reads(db, winners, losers)
         pages = {r.page_id for r in self.replay}
         pages.update(r.page_id for r in self.undo_records)
         pages.discard(None)
@@ -163,7 +198,10 @@ class RecoveryManager:
         In the result ``log_records`` counts the records analysis
         recovered, each CRC-checked, and ``log_decoded`` the ones the
         restart turned into objects — the redo tail since the last
-        checkpoint and the losers' chains; ``redo_skipped`` counts the
+        checkpoint and the losers' chains; ``groups_scrubbed`` the
+        parity groups the write-hole scrub checked, the ones the log
+        names (so it grows with the work since the checkpoint, not with
+        G); ``redo_skipped`` counts the
         winners' records redo did not apply because the twin header
         vouched for the page, and ``pages_unchanged`` the restored pages
         the disk already held.
@@ -189,9 +227,7 @@ class RecoveryManager:
             # every record is CRC-checked, none is decoded: the verdicts
             # come from the headers
             checked = sum(log.after_crash() for log in logs)
-            winners = db.redo_log.txn_ids(CommitRecord)
-            losers = (undo_log.txn_ids(BOTRecord) - winners
-                      - undo_log.txn_ids(AbortRecord))
+            winners, losers = verdicts(db)
             span.set(winners=len(winners), losers=len(losers))
 
         # 0. media scan: repair latent sector errors (torn or corrupt
@@ -204,7 +240,8 @@ class RecoveryManager:
 
         # 0b/1. the protection policy's restart phase: RAID
         # write-hole resync (WAL) or parity undo of unlogged stolen
-        # pages (RDA; must precede log writes)
+        # pages (RDA; must precede log writes) — the scrub for holes
+        # checks the parity groups the log names
         parity_resynced, parity_undone = \
             db.policy.protection.restart_parity_phase(db, restart, fault)
 
@@ -287,6 +324,9 @@ class RecoveryManager:
             "log_records": checked,
             "log_decoded": sum(log.records_decoded for log in logs) - decoded,
             "sectors_repaired": sectors_repaired,
+            # parity undo cleaned every Dirty_Set entry before the
+            # scrub, so it checked each named group
+            "groups_scrubbed": len(restart.named),
             "parity_resynced": parity_resynced,
             "parity_undone_pages": parity_undone,
             "redo_applied": redone,

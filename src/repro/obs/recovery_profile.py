@@ -292,21 +292,25 @@ def format_recovery_profile(profile: dict) -> str:
         head += f", availability {availability:.4%}"
     lines = [head]
     phases = profile.get("phases", {})
-    # what analysis checked and the restart decoded: recover()'s counts
-    # (explicit cycle marks carry them), not span attributes
-    log_work = {}
-    for key in ("log_records", "log_decoded"):
+    # what analysis checked and the restart decoded, and the groups the
+    # write-hole scrub checked (RDA scrubs after parity undo): recover()'s
+    # counts (explicit cycle marks carry them), not span attributes
+    parity_row = ("parity_undo" if "parity_undo" in phases
+                  else "parity_resync")
+    stats_work: dict = {}
+    for phase, key in (("analysis", "log_records"),
+                       ("analysis", "log_decoded"),
+                       (parity_row, "groups_scrubbed")):
         counts = [cycle["stats"][key] for cycle in profile.get("cycles", ())
                   if key in cycle.get("stats", {})]
         if counts:
-            log_work[key] = sum(counts)
+            stats_work.setdefault(phase, {})[key] = sum(counts)
     if phases:
         lines.append(f"  {'phase':<14} {'count':>5} {'wall ms':>9} "
                      f"{'xfers':>7} {'log':>5}  work")
         for phase, data in phases.items():
             work = dict(data.get("work", {}))
-            if phase == "analysis":
-                work.update(log_work)
+            work.update(stats_work.get(phase, {}))
             work = ",".join(f"{k}={v}" for k, v in sorted(work.items()))
             lines.append(
                 f"  {phase:<14} {data['count']:>5} {data['wall_ms']:>9.3f} "

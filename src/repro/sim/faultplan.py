@@ -25,8 +25,10 @@ After the cut the database crashes and restarts.  Every schedule must
 end in one of:
 
 * ``"recovered"`` — restart succeeds, :func:`~repro.check.invariants.
-  verify_database` is clean, and the surviving transactions match the
-  committed-state oracle;
+  verify_database` is clean, no data-then-parity write of the replay or
+  the restart changed a page the log did not name (the online
+  ``writeback-named`` rule, which bounds the restart scrub), and the
+  surviving transactions match the committed-state oracle;
 * ``"detected"`` — restart refuses with
   :class:`~repro.errors.UnrecoverableDataError`; only acceptable when
   the plan actually destroyed data (``torn``/``latent`` modes);
@@ -65,7 +67,9 @@ from time import perf_counter
 # repro.sim, so an import that starts at repro.check reaches this line
 # while that module is still loading — its names are read at call time
 from ..check import differential
-from ..check.invariants import Violation, verify_database, violations_by_kind
+from ..check.invariants import (InvariantEngine, Violation,
+                                WritebackNamedRule, verify_database,
+                                violations_by_kind)
 from ..db.recovery import RESTART_COUNTERS
 from ..errors import ReproError, UnrecoverableDataError
 from ..storage.page import PAGE_SIZE, make_page
@@ -427,6 +431,7 @@ def run_plan(make_db, ops, plan: FaultPlan, setup=None) -> PlanOutcome:
     returns seeds the reference database."""
     db = make_db()
     seed = setup(db) if setup is not None else None
+    bound = InvariantEngine.attach(db, [WritebackNamedRule()])
     injector = FaultInjector(db, plan)
     injector.attach()
     txn_ids: dict = {}
@@ -465,6 +470,7 @@ def run_plan(make_db, ops, plan: FaultPlan, setup=None) -> PlanOutcome:
     }
 
     violations.extend(verify_database(db))
+    violations.extend(bound.violations)
 
     label_of = {txn_id: label for label, txn_id in txn_ids.items()}
     winner_labels = {label_of[txn_id] for txn_id in stats["winners"]

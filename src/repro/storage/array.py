@@ -61,6 +61,9 @@ class DiskArray:
             SimulatedDisk(d, geometry.capacity_per_disk, self.stats)
             for d in range(geometry.num_disks)
         ]
+        # conformance seam (repro.check): called as ("twin_write", ...)
+        # after every parity-tracking write
+        self.barrier_hook = None
 
     # -- basic addressing ------------------------------------------------------
 
@@ -293,28 +296,31 @@ class DiskArray:
         self.disks[addr.disk].write(addr.slot, payload)
         return payload
 
-    # -- verification (uncounted; used by tests and the scrubber) ----------------
+    # -- verification (uncounted: the judges, the scrubs, resync) ----------------
 
     def peek_page(self, page: int) -> bytes:
-        """Read a data page without accounting or failure checks (tests)."""
+        """Read a data page without accounting or failure checks (the
+        judges, the restart scrub, parity resync)."""
         addr = self.geometry.data_address(page)
         return self.disks[addr.disk].peek(addr.slot)
 
     def group_data_payloads(self, group: int) -> list:
-        """Uncounted payloads of all data pages of ``group`` (tests)."""
+        """Uncounted payloads of all data pages of ``group`` (the
+        judges, parity undo, parity resync)."""
         return [self.peek_page(p) for p in self.geometry.group_pages(group)]
 
-    def scrub(self) -> list:
-        """Return the list of groups whose parity does not match the data.
+    def scrub(self, groups=None) -> list:
+        """The groups among ``groups`` — every group by default, the
+        judges' exhaustive check — whose parity does not match the data,
+        in group order.  Restart passes the groups its log names.
 
         Uses uncounted peeks: scrubbing is a verification aid, not part
         of the modeled workload.
         """
-        bad = []
-        for group in range(self.geometry.num_groups):
-            if not self._group_consistent(group):
-                bad.append(group)
-        return bad
+        if groups is None:
+            groups = range(self.geometry.num_groups)
+        return [group for group in sorted(groups)
+                if not self._group_consistent(group)]
 
     def _group_consistent(self, group: int) -> bool:
         expected = compute_parity(self.group_data_payloads(group))
@@ -345,7 +351,8 @@ class SingleParityArray(DiskArray):
             raise ValueError(f"page payload must be {PAGE_SIZE} bytes")
         stats = self.stats
         reads, writes = stats.reads, stats.writes
-        mode, degraded = self._write_page_inner(page, new_data, old_data)
+        mode, degraded, old = self._write_page_inner(page, new_data,
+                                                     old_data)
         reads, writes = stats.reads - reads, stats.writes - writes
         if self._xfer_hist is not None:
             self._xfer_hist.observe(reads + writes)
@@ -354,10 +361,15 @@ class SingleParityArray(DiskArray):
                              buffered=old_data is not None,
                              degraded=degraded, reads=reads, writes=writes,
                              transfers=reads + writes)
+        if self.barrier_hook is not None:
+            self.barrier_hook("twin_write", page=page,
+                              changed=old != new_data)
 
     def _write_page_inner(self, page: int, new_data: bytes,
                           old_data: bytes | None) -> tuple:
-        """The write itself; returns ``(mode, degraded)`` for tracing."""
+        """The write itself; returns ``(mode, degraded)`` for tracing
+        and the page's old bytes (None where the plan never needed
+        them)."""
         addr = self.geometry.data_address(page)
         group = self.geometry.group_of(page)
         (parity_addr,) = self.geometry.parity_addresses(group)
@@ -373,11 +385,11 @@ class SingleParityArray(DiskArray):
             old_parity = self._read_at(parity_addr)
             new_parity = xor_pages(old_parity, old, new_data)
             self._write_at(parity_addr, new_parity)
-            return "small", True
+            return "small", True, old
 
         if parity_disk.failed:
             self._write_at(addr, new_data)
-            return "small", True
+            return "small", True, old_data
 
         # small write reads {old data?, old parity}; reconstruct-write
         # reads the N-1 group mates — take the cheaper plan
@@ -389,14 +401,14 @@ class SingleParityArray(DiskArray):
                      if mate != page]
             self._write_at(addr, new_data)
             self._write_at(parity_addr, compute_parity([*mates, new_data]))
-            return "reconstruct", False
+            return "reconstruct", False, old_data
 
         old = self._read_at(addr) if old_data is None else old_data
         old_parity = self._read_at(parity_addr)
         new_parity = xor_pages(old_parity, old, new_data)
         self._write_at(addr, new_data)
         self._write_at(parity_addr, new_parity)
-        return "small", False
+        return "small", False, old
 
     def write_group(self, group: int, writes: list,
                     before_write=unwatched) -> None:
@@ -408,6 +420,9 @@ class SingleParityArray(DiskArray):
         if self.geometry.group_size < 3 or not self._write_group_resident(
                 group, writes, parity_addr, None, before_write):
             super().write_group(group, writes, before_write)
+        elif self.barrier_hook is not None:
+            self.barrier_hook("twin_write", group=group,
+                              pages=[page for page, _, _ in writes])
 
     def full_stripe_write(self, group: int, payloads: list) -> None:
         """Write every data page of ``group`` plus fresh parity.

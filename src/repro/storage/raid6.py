@@ -65,7 +65,7 @@ class Raid6Array(DiskArray):
             raise ValueError(f"page payload must be {PAGE_SIZE} bytes")
         stats = self.stats
         reads, writes = stats.reads, stats.writes
-        self._write_page_inner(page, new_data, old_data)
+        old = self._write_page_inner(page, new_data, old_data)
         reads, writes = stats.reads - reads, stats.writes - writes
         if self._xfer_hist is not None:
             self._xfer_hist.observe(reads + writes)
@@ -73,9 +73,13 @@ class Raid6Array(DiskArray):
             self.tracer.emit("array.small_write", page=page, mode="pq",
                              buffered=old_data is not None, reads=reads,
                              writes=writes, transfers=reads + writes)
+        if self.barrier_hook is not None:
+            self.barrier_hook("twin_write", page=page,
+                              changed=old != new_data)
 
     def _write_page_inner(self, page: int, new_data: bytes,
-                          old_data: bytes | None) -> None:
+                          old_data: bytes | None) -> bytes:
+        """The write itself; returns the page's old bytes."""
         addr = self.geometry.data_address(page)
         group = self.geometry.group_of(page)
         index = self.geometry.index_in_group(page)
@@ -89,6 +93,7 @@ class Raid6Array(DiskArray):
         self._write_at(p_addr, page_xor(old_p, delta))
         self._write_at(q_addr,
                        page_xor(old_q, page_mul(_gen_coeff(index), delta)))
+        return old
 
     def full_stripe_write(self, group: int, payloads: list) -> None:
         """Write a whole group plus fresh P and Q (N + 2 transfers)."""

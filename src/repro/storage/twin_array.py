@@ -153,7 +153,6 @@ class TwinParityArray(DiskArray):
             raise ValueError("TwinParityArray requires a twin geometry")
         super().__init__(geometry, stats, tracer=tracer, metrics=metrics)
         self._clock = 0
-        self.barrier_hook = None    # conformance seam (repro.check)
         self.window = None          # open WindowTrace (traced_window)
 
     # -- timestamps ---------------------------------------------------------------
@@ -294,8 +293,8 @@ class TwinParityArray(DiskArray):
         else:
             stats = self.stats
             reads, writes = stats.reads, stats.writes
-            self._small_write_inner(page, new_data, updates, old_data,
-                                    twin_first)
+            old = self._small_write_inner(page, new_data, updates, old_data,
+                                          twin_first)
             reads, writes = stats.reads - reads, stats.writes - writes
         if self._xfer_hist is not None:
             self._xfer_hist.observe(reads + writes)
@@ -310,7 +309,8 @@ class TwinParityArray(DiskArray):
                                  reads=reads, writes=writes,
                                  transfers=reads + writes)
         if self.barrier_hook is not None:
-            self.barrier_hook("twin_write", page=page)
+            self.barrier_hook("twin_write", page=page, twin_first=twin_first,
+                              changed=old != new_data)
 
     def group_small_write(self, group: int, writes: list, which: int,
                           header: ParityHeader, before_write,
@@ -327,7 +327,8 @@ class TwinParityArray(DiskArray):
         if self._write_group_resident(group, writes, twin, header,
                                       before_write, parity_in_hand):
             if self.barrier_hook is not None:
-                self.barrier_hook("twin_write", group=group)
+                self.barrier_hook("twin_write", group=group,
+                                  pages=[page for page, _, _ in writes])
             return
         updates = [TwinUpdate(which, which, header)]
         for page, new_data, old_data in writes:
@@ -345,7 +346,9 @@ class TwinParityArray(DiskArray):
 
     def _small_write_inner(self, page: int, new_data: bytes, updates: list,
                            old_data: bytes | None,
-                           twin_first: bool = False) -> None:
+                           twin_first: bool = False) -> bytes:
+        """:meth:`small_write`'s general path; returns the page's old
+        bytes."""
         addr = self.geometry.data_address(page)
         group = self.geometry.group_of(page)
         data_disk = self.disks[addr.disk]
@@ -379,6 +382,7 @@ class TwinParityArray(DiskArray):
                             update.header)
         if twin_first and not data_disk.failed:
             data_disk.write(addr.slot, new_data)
+        return old
 
     def write_data_only(self, page: int, payload: bytes) -> None:
         """Write a data page WITHOUT touching parity (1 page transfer).

@@ -7,9 +7,11 @@ from repro.check import (BufferModifierRule, DirtySetBoundRule,
                          InvariantEngine, LsnMonotonicityRule, MutantError,
                          ParityRule, SlottedPageRule, TwinPageLsnRule,
                          TwinParityIdentityRule, WalBeforeDataRule,
-                         WriteBehindRule, default_rules, verify_database)
+                         WritebackNamedRule, WriteBehindRule, default_rules,
+                         verify_database)
 from repro.db import (Database, extended_preset_names, make_sharded,
                       preset)
+from repro.db.recovery import named_pages
 from repro.sim import Simulator, WorkloadSpec
 from repro.storage import make_page
 from repro.wal import AbortRecord, BOTRecord, CommitRecord
@@ -44,6 +46,7 @@ class TestEngineWiring:
     def test_attach_without_rda(self):
         db = make_db("page-force-log")
         assert db.invariants is not None
+        assert db.array.barrier_hook == db.invariants.barrier
 
     def test_unknown_barrier_rejected(self):
         db = make_db()
@@ -96,12 +99,12 @@ class TestEngineWiring:
         db.recover()
         assert verify_database(db) == []
 
-    def test_default_rules_cover_all_nine(self):
+    def test_default_rules_cover_all_ten(self):
         names = {rule.name for rule in default_rules()}
         assert names == {"twin-parity-identity", "dirty-set-bound",
                          "wal-before-data", "lsn-monotonicity",
-                         "write-behind", "twin-page-lsn", "parity",
-                         "buffer-modifiers", "slotted-pages"}
+                         "write-behind", "twin-page-lsn", "writeback-named",
+                         "parity", "buffer-modifiers", "slotted-pages"}
 
     def test_whole_database_sweeps_cost_nothing_per_commit(self):
         for rule in (ParityRule(), BufferModifierRule(), SlottedPageRule()):
@@ -409,6 +412,111 @@ class TestTwinPageLsnRule:
             TwinPageLsnRule().mutate(make_db("page-force-log"))
         with pytest.raises(MutantError):
             TwinPageLsnRule().mutate_one_sided_stamp(make_db())
+
+
+class TestWritebackNamedRule:
+    """The restart scrub's bound: a data-then-parity write that changes
+    a page lands on one the next restart would name."""
+
+    # the five recovery classes, each on twin parity (RDA) and on single
+    # parity
+    CLASSES = ["page-force-rda", "page-force-log", "page-noforce-rda",
+               "page-noforce-log", "record-force-rda", "record-force-log",
+               "record-noforce-rda", "record-noforce-log",
+               "record-noforce-rda-redo", "page-noforce-redo"]
+
+    @pytest.mark.parametrize("shards", [1, 2], ids=["k1", "k2"])
+    @pytest.mark.parametrize("name", CLASSES)
+    def test_silent_through_work_and_crashes_and_its_mutant_is_caught(
+            self, name, shards):
+        config = preset(name, group_size=4, num_groups=8, buffer_capacity=6)
+        db = (make_sharded(config, shards=shards, workers=False)
+              if shards > 1 else Database(config))
+        engine = InvariantEngine.attach(db)
+        simulator = Simulator(db, WorkloadSpec(concurrency=3,
+                                               pages_per_txn=4), seed=5)
+        if simulator.record_mode:
+            simulator.seed_records()
+        simulator.run(24, crash_every=10)
+        assert engine.barrier_counts["twin_write"] > 0
+        assert engine.clean, [str(v) for v in engine.violations]
+        target = db.shards[0] if shards > 1 else db
+        if target.checkpointer is not None:
+            target.checkpoint()         # ¬FORCE: its log names every page
+        detail = WritebackNamedRule().mutate(target)
+        assert "writeback-named" in kinds(engine.violations), detail
+
+    def test_a_restore_writes_only_pages_its_log_names(self):
+        db, _thief = TestTwinPageLsnRule.stamped_db("record-noforce-rda")
+        winner = db.begin()
+        db.update_record(winner, 0, 0, b"v2")
+        db.commit(winner)
+        db.crash()
+        counts = db.invariants.barrier_counts
+        before = counts["twin_write"]
+        db.recover()
+        assert counts["twin_write"] > before        # the restore wrote
+        assert db.invariants.clean
+
+    @pytest.mark.parametrize("name", CLASSES)
+    def test_a_restart_decodes_the_same_with_the_rule_attached(self, name):
+        """The rule asks the restart's own question, so judging the
+        restore's writes decodes no record the restart would not."""
+        def crashed(engine):
+            db = Database(preset(name, group_size=4, num_groups=8,
+                                 buffer_capacity=6))
+            if engine:
+                InvariantEngine.attach(db, [WritebackNamedRule()])
+            simulator = Simulator(db, WorkloadSpec(concurrency=3,
+                                                   pages_per_txn=4), seed=5)
+            if simulator.record_mode:
+                simulator.seed_records()
+            simulator.run(40)
+            # a loser whose stolen pages the restore writes back
+            loser = db.begin()
+            for page in (0, 1, 2):
+                if simulator.record_mode:
+                    db.update_record(loser, page, 0, b"lost")
+                else:
+                    db.write_page(loser, page, make_page(b"lost"))
+            db.buffer.flush_pages_of(loser)
+            db.crash()
+            return db
+
+        plain, judged = crashed(False), crashed(True)
+        before = judged.invariants.barrier_counts["twin_write"]
+        stats = judged.recover()
+        assert judged.invariants.barrier_counts["twin_write"] > before
+        assert judged.invariants.clean
+        assert stats["log_decoded"] == plain.recover()["log_decoded"]
+
+    def test_what_cannot_leave_a_hole_is_exempt(self):
+        db = make_db("page-noforce-log")
+        rule = WritebackNamedRule()
+        assert 5 not in named_pages(db)
+        assert rule.check(db, "twin_write", {"page": 5})
+        assert rule.check(db, "twin_write", {"page": 5,
+                                             "changed": False}) == []
+        assert rule.check(db, "twin_write", {"page": 5,
+                                             "twin_first": True}) == []
+
+    def test_a_committed_page_is_named_until_the_next_checkpoint(self):
+        db = make_db("page-noforce-rda")
+        txn = db.begin()
+        db.write_page(txn, 5, make_page(b"a"))
+        db.commit(txn)
+        assert 5 in named_pages(db)
+        db.checkpoint()
+        assert 5 not in named_pages(db)
+        assert db.invariants.clean
+
+    def test_the_mutant_needs_an_unnamed_page_off_the_buffer(self):
+        db = make_db("page-force-log", group_size=2, num_groups=2)
+        txn = db.begin()
+        for page in range(db.num_data_pages):
+            db.read_page(txn, page)
+        with pytest.raises(MutantError):
+            WritebackNamedRule().mutate(db)
 
 
 class TestLsnMonotonicityRule:

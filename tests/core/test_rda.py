@@ -471,7 +471,8 @@ class TestScannedTwins:
         _, header = rda.array.peek_twin(0, current)
         rda.array.write_twin(0, current, make_page(b"stale"), header)
         _, kept = rda.crash_scan(committed_txns=set(), keep={0})
-        assert rda.find_parity_holes() == [0]
+        assert rda.find_parity_holes(
+            range(rda.array.geometry.num_groups)) == [0]
         rda.resync_group(0)
         assert kept[0] != rda.array.peek_twin(0, current)[0]
         assert rda.array.scrub() == []
@@ -512,15 +513,16 @@ class TestParityHoleScrub:
         for page in range(geometry.num_data_pages):
             array.write_page(page, make_page(bytes([page + 1])))
         rda = RDAManager(array)
-        assert rda.find_parity_holes() == []
-        for group in range(geometry.num_groups):
+        groups = range(geometry.num_groups)
+        assert rda.find_parity_holes(groups) == []
+        for group in groups:
             current = rda.current_twin(group)
             payload, header = array.peek_twin(group, current)
             assert payload == compute_parity(array.group_data_payloads(group))
             array.write_twin(group, current, make_page(b"stale"), header)
-            assert rda.find_parity_holes() == [group]
+            assert rda.find_parity_holes(groups) == [group]
             rda.resync_group(group)
-        assert rda.find_parity_holes() == []
+        assert rda.find_parity_holes(groups) == []
 
     def test_skips_dirty_groups(self, rda):
         rda.write_uncommitted(0, make_page(b"x"), txn_id=1)
@@ -528,7 +530,7 @@ class TestParityHoleScrub:
         committed = 1 - rda.dirty_set.entry(group).working_twin
         _, header = rda.array.peek_twin(group, committed)
         rda.array.write_twin(group, committed, make_page(b"stale"), header)
-        assert rda.find_parity_holes() == []
+        assert rda.find_parity_holes([group]) == []
 
 
 class TestMediaHooks:

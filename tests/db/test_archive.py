@@ -127,6 +127,32 @@ class TestRestore:
         # the lost disk; the loser's change survives only in the log
         assert db.disk_page(0) == bytes(512)
 
+    @pytest.mark.parametrize("stolen", [False, True],
+                             ids=["unflushed-commit", "active-steal"])
+    def test_a_page_the_failed_disk_lacked_leaves_no_stale_parity(
+            self, stolen):
+        """¬FORCE: the failed disk never got a committed change, or held
+        an active transaction's stolen one; either way the restored page
+        differs from what the other disks' parity covers, so the restore
+        recomputes that parity — no log record would name the group to
+        a later restart's scrub once a checkpoint passed."""
+        db = make_db("page-noforce-log")
+        manager = ArchiveManager(db)
+        manager.dump()
+        t = db.begin()
+        db.write_page(t, 0, make_page(b"new"))
+        if stolen:
+            db.buffer.flush_pages_of(t)
+        else:
+            db.commit(t)
+        victim = db.array.geometry.data_address(0).disk
+        assert db.array.geometry.parity_addresses(0)[0].disk != victim
+        db.media_failure(victim)
+        manager.restore_failed_disk(victim)
+        assert db.disk_page(0) == (bytes(512) if stolen
+                                   else make_page(b"new"))
+        assert db.verify_parity() == []
+
     def test_record_mode_roll_forward(self):
         db = make_db("record-force-log")
         t = db.begin()

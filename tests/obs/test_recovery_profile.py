@@ -230,3 +230,16 @@ class TestFormatting:
         assert "availability" in text
         assert "analysis" in text
         assert "redo" in text
+
+    def test_format_puts_the_scrubbed_groups_on_the_parity_row(self):
+        report, _ = run_with_crashes("page-noforce-rda")
+        profile = report.extra["recovery_profile"]
+        scrubbed = sum(cycle["stats"]["groups_scrubbed"]
+                       for cycle in profile["cycles"])
+        assert scrubbed > 0
+        rows = [line.split() for line
+                in format_recovery_profile(profile).splitlines()]
+        (parity,) = [row for row in rows if row[0] == "parity_undo"]
+        assert f"groups_scrubbed={scrubbed}" in parity[-1].split(",")
+        assert all("groups_scrubbed" not in row[-1] for row in rows
+                   if row[0] != "parity_undo")

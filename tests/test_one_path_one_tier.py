@@ -36,6 +36,7 @@ import pytest
 
 import repro
 from repro.buffer import BufferPool
+from repro.check import ParityRule
 from repro.cli import build_parser
 from repro.core import RDAManager
 from repro.db import Database, DBConfig, preset
@@ -181,19 +182,39 @@ def test_buffer_pool_takes_one_writeback_callable():
 
 def _src_frames(call, *args) -> int:
     """Python frames under ``src/repro`` that one call enters."""
-    count = 0
+    return sum(_src_frames_apart(lambda: call(*args)))
+
+
+def _src_frames_apart(call, inner=None) -> tuple:
+    """``(outside, inside)``: the Python frames under ``src/repro`` that
+    ``call()`` enters outside every call of the function ``inner`` and
+    inside them (its own frames counted in)."""
+    counts = [0, 0]
+    depth = 0       # frames open inside a call of ``inner``
+    code = getattr(inner, "__code__", None)
 
     def profiler(frame, event, arg):
-        nonlocal count
-        if event == "call" and frame.f_code.co_filename.startswith(str(SRC)):
-            count += 1
+        nonlocal depth
+        in_src = frame.f_code.co_filename.startswith(str(SRC))
+        if depth:
+            if event == "call":
+                depth += 1
+                counts[1] += in_src
+            elif event == "return":
+                depth -= 1
+        elif event == "call" and in_src:
+            if frame.f_code is code:
+                depth = 1
+                counts[1] += 1
+            else:
+                counts[0] += 1
 
     sys.setprofile(profiler)
     try:
-        call(*args)
+        call()
     finally:
         sys.setprofile(None)
-    return count
+    return tuple(counts)
 
 
 def _budget_db(num_groups: int = 20):
@@ -247,34 +268,71 @@ def _crashed_db(num_groups: int):
 
 
 def test_one_more_parity_group_costs_a_restart_at_most_22_frames():
-    # 19, pinned there (38 with a lookup per twin, a header peek and a
-    # kernel dispatch per group; 24 and 40 for a group never written,
-    # whose twins are both OBSOLETE): the twin scan reads both twins
-    # through one address lookup and picks the current one from the two
-    # header states, the scrub XORs a stripe row without leaving its loop
+    # 7, pinned there: the twin scan's, which reads both twins through
+    # one address lookup and picks the current one from the two header
+    # states.  The scrub visits only the groups the log names, so an
+    # unnamed group adds none of its frames (19 when it XORed every
+    # stripe row; 38 with a lookup per twin, a header peek and a kernel
+    # dispatch per group)
     assert (_src_frames(_crashed_db(60).recover)
-            - _src_frames(_crashed_db(20).recover)) / 40 <= 19
+            - _src_frames(_crashed_db(20).recover)) / 40 <= 7
 
 
-def test_the_restart_scrub_still_visits_every_clean_group():
+def test_the_restart_scrub_leaves_an_unnamed_stale_group_to_the_judges():
+    """A stale group no record names is no write hole a crash can make:
+    restart does not look — twenty committed FORCE transactions leave
+    it nothing to name at all — and the exhaustive judges do."""
     db = _crashed_db(60)
     last = db.array.geometry.num_groups - 1
     _, header = db.array.peek_twin(last, 0)
     assert header.state is TwinState.COMMITTED      # the current twin
     db.array.write_twin(last, 0, make_page(b"stale"), header)
-    assert db.rda.find_parity_holes() == [last]
-    assert db.recover()["parity_resynced"] == 1
-    assert db.verify_parity() == []
+    assert db.array.scrub() == [last]
+    stats = db.recover()
+    assert (stats["parity_resynced"], stats["groups_scrubbed"]) == (0, 0)
+    assert db.verify_parity() == [last]
+    assert [violation.detail for violation in ParityRule().check(
+        db, "restart", {})] == [
+            f"group {last}: parity disagrees with the group data (restart)"]
+
+
+def _restart_after_fixed_work(num_groups: int) -> dict:
+    """A ¬FORCE restart after the same work since the last checkpoint,
+    whatever G: eight pages in five parity groups committed, one more
+    stolen by a loser, then a crash."""
+    db = Database(preset("page-noforce-rda", group_size=5,
+                         num_groups=num_groups, buffer_capacity=64))
+    setup = db.begin()
+    for page in range(0, 100, 3):           # before the checkpoint
+        db.write_page(setup, page, make_page(b"old"))
+    db.commit(setup)
+    db.checkpoint()
+    winner = db.begin()
+    for page in (1, 2, 11, 23, 47, 48, 90, 91):
+        db.write_page(winner, page, make_page(b"new"))
+    db.commit(winner)
+    loser = db.begin()
+    db.write_page(loser, 60, make_page(b"lost"))
+    db.buffer.flush_pages_of(loser)
+    db.crash()
+    return db.recover()
+
+
+def test_the_restart_scrub_grows_with_the_work_not_with_g():
+    small, large = (_restart_after_fixed_work(g) for g in (100, 1600))
+    assert small["groups_scrubbed"] == large["groups_scrubbed"] == 5
+    assert small["parity_undone_pages"] == large["parity_undone_pages"] == 1
 
 
 # -- what one more restored page may add to a restart (PR 21) --------------
 
 
-def _restore_frames(pages, on_disk=()) -> int:
+def _restore_frames(pages, on_disk=()) -> tuple:
     """Restart after one committed, unflushed ¬FORCE transaction that
     wrote ``pages`` and rewrote ``on_disk`` with the bytes the disk
     already holds: redo fills the cache, the restore writes back what
-    differs."""
+    differs.  The restart's frames apart from the write-hole scrub's,
+    and the scrub's."""
     db = Database(preset("page-noforce-rda", group_size=5, num_groups=20,
                          buffer_capacity=64))
     db.load_pages({page: make_page(b"v0")
@@ -286,7 +344,7 @@ def _restore_frames(pages, on_disk=()) -> int:
         db.write_page(txn, page, make_page(b"v0"))
     db.commit(txn)
     db.crash()
-    return _src_frames(db.recover)
+    return _src_frames_apart(db.recover, RDAManager.find_parity_holes)
 
 
 def test_a_restored_page_in_an_open_group_costs_fewer_frames_than_a_new_group():
@@ -306,23 +364,30 @@ def test_a_restored_page_in_an_open_group_costs_fewer_frames_than_a_new_group():
     # stamps the group's page LSNs against in one pass (a helper per
     # page read 19 against 14 in an open group).  Naming the log's pages
     # before the twin scan is free: the address lookup it makes is the
-    # one the restore loop used to make.
+    # one the restore loop used to make.  The write-hole scrub is
+    # counted apart: it checks only the groups the log names, so a new
+    # group pays it too (below).
     n = 5
-    sparse = _restore_frames([g * n for g in range(4)])
+    sparse, sparse_scrub = _restore_frames([g * n for g in range(4)])
     in_open_group = (_restore_frames([g * n + i for g in range(4)
-                                      for i in range(3)]) - sparse) / 8
-    in_new_group = (_restore_frames([g * n for g in range(12)])
-                    - sparse) / 8
+                                      for i in range(3)])[0] - sparse) / 8
+    new_group, new_group_scrub = _restore_frames([g * n for g in range(12)])
+    in_new_group = (new_group - sparse) / 8
     assert in_open_group <= 10
     assert in_new_group <= 31
     assert in_open_group < in_new_group
     # a page the disk already holds costs its read and the comparison:
     # no write, no label, and alone in its group no group chain either
-    dropped = (_restore_frames([g * n for g in range(4)],
-                               on_disk=[g * n + 1 for g in range(4, 12)])
-               - sparse) / 8
+    dropped, dropped_scrub = _restore_frames(
+        [g * n for g in range(4)], on_disk=[g * n + 1 for g in range(4, 12)])
+    dropped = (dropped - sparse) / 8
     assert dropped <= 5.125
     assert dropped < in_open_group
+    # and every named group pays the scrub, written or not (a hole can
+    # sit under a page that equals its base): 12 frames, the stripe
+    # row's peeks, its current twin's and their addresses
+    assert (new_group_scrub - sparse_scrub) / 8 <= 12
+    assert (dropped_scrub - sparse_scrub) / 8 <= 12
 
 
 # -- what being observed may add (PR 18) -----------------------------------
