@@ -33,7 +33,8 @@ from .invariants import (BufferModifierRule, DirtySetBoundRule,
                          InvariantEngine, LsnMonotonicityRule, MutantError,
                          ParityRule, SlottedPageRule, TwinPageLsnRule,
                          TwinParityIdentityRule, Violation, WalBeforeDataRule,
-                         WritebackNamedRule, WriteBehindRule, default_rules,
+                         WorkingOwnerRule, WritebackNamedRule,
+                         WriteBehindRule, default_rules,
                          verify_database, violations_by_kind)
 from .serializability import SerializabilityReport, analyze
 
@@ -56,6 +57,7 @@ __all__ = [
     "TwinParityIdentityRule",
     "Violation",
     "WalBeforeDataRule",
+    "WorkingOwnerRule",
     "WritebackNamedRule",
     "WriteBehindRule",
     "analyze",

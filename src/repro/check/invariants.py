@@ -580,6 +580,64 @@ class TwinPageLsnRule(InvariantRule):
                 f"{entry.group} on its working twin only")
 
 
+class WorkingOwnerRule(InvariantRule):
+    """A WORKING twin header on disk never names a transaction that
+    aborted: an abort — live, or restart's parity undo of a loser —
+    demotes the working twin to INVALID before the abort record is
+    written.  An anchored restart leans on it: a header owner the
+    checkpoint's transaction table shows finished before the anchor is
+    taken to have committed (:class:`repro.db.recovery.Committed`), so
+    a WORKING header left behind by an abort would be trusted as the
+    group's parity.  A twin write re-checks its own group; ``abort``
+    and ``restart`` check them all."""
+
+    name = "working-owner"
+    barriers = ("abort", "twin_write", "restart")
+
+    def check(self, db, barrier: str, ctx: dict) -> List[Violation]:
+        if db.rda is None:
+            return []
+        aborted = db.undo_log.txn_ids(AbortRecord)
+        if not aborted:
+            return []
+        geometry = db.array.geometry
+        if barrier == "twin_write":
+            groups = [ctx["group"] if "group" in ctx
+                      else geometry.group_of(ctx["page"])]
+        else:
+            groups = range(geometry.num_groups)
+        return [Violation("working-owner",
+                          f"group {group}: twin {which} is WORKING for "
+                          f"txn {header.txn_id}, which aborted ({barrier})")
+                for group in groups for which in (0, 1)
+                for header in (db.array.peek_twin(group, which)[1],)
+                if header.state is TwinState.WORKING
+                and header.txn_id in aborted]
+
+    def mutate(self, db) -> str:
+        """Parity undo that leaves the working twin's header WORKING."""
+        rda = db.rda
+        if rda is None:
+            raise MutantError("no parity twins to demote")
+        array = rda.array
+        undo = rda._undo_group_inner
+
+        def undo_without_demotion(group, new_data):
+            rewrite = array.rewrite_twin_header
+
+            def keep_working(group, which, header):
+                if header.state is not TwinState.INVALID:
+                    rewrite(group, which, header)
+            array.rewrite_twin_header = keep_working
+            try:
+                return undo(group, new_data)
+            finally:
+                array.rewrite_twin_header = rewrite
+
+        rda._undo_group_inner = undo_without_demotion
+        return "parity undo no longer demotes the working twin to INVALID"
+
+
 class WritebackNamedRule(InvariantRule):
     """The restart scrub's bound: a data-then-parity write lands only on
     a page the next restart would name, were the machine to die now.
@@ -712,7 +770,8 @@ class SlottedPageRule(InvariantRule):
 def default_rules() -> List[InvariantRule]:
     return [TwinParityIdentityRule(), DirtySetBoundRule(),
             WalBeforeDataRule(), LsnMonotonicityRule(), WriteBehindRule(),
-            TwinPageLsnRule(), WritebackNamedRule(), ParityRule(),
+            TwinPageLsnRule(), WorkingOwnerRule(), WritebackNamedRule(),
+            ParityRule(),
             BufferModifierRule(), SlottedPageRule()]
 
 

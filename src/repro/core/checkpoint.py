@@ -5,9 +5,13 @@
   needs no separate machinery; the paper models it with checkpoint cost
   ``c_c = 0``.
 * **ACC** (action-consistent): taken between update statements; flushes
-  the dirty buffer pages and writes a checkpoint record naming the
-  transactions active at the checkpoint.  Crash recovery REDOes
-  committed work from the last checkpoint record forward.
+  the dirty buffer pages and writes a checkpoint record carrying the
+  transaction table (the transactions active at the checkpoint, their
+  BOT LSNs, the next transaction id).  Crash recovery REDOes committed
+  work from the last checkpoint record forward, and — once the record
+  is forced — the checkpointer declares it the log's restart *anchor*:
+  analysis reads the log from there on and the table for what came
+  before (:meth:`~repro.wal.log.LogManager.declare_anchor`).
 
 :class:`ACCCheckpointer` is dependency-injected (flush / log / active-set
 callables) so it can be unit-tested without a full database; the
@@ -30,9 +34,10 @@ class ACCCheckpointer:
             returns the flushed page ids.
         append_and_force: callable taking a log record, appending it to
             the (redo) log and forcing it durable; returns the LSN.
-        active_txn_ids: zero-arg callable returning ids of transactions
-            active right now (the checkpoint is action-consistent, not
-            transaction-consistent, so these may be non-empty).
+        transaction_table: zero-arg callable returning ``(active txn
+            ids, their BOT LSNs (0 = none yet), next txn id)`` right now
+            (the checkpoint is action-consistent, not
+            transaction-consistent, so the active set may be non-empty).
         interval: cost units between automatic checkpoints (the model's
             ``I``); None disables :meth:`maybe_checkpoint`.
         tracer: event tracer; each checkpoint becomes a ``checkpoint``
@@ -43,15 +48,19 @@ class ACCCheckpointer:
         on_checkpoint: optional callable invoked with the checkpoint
             record's LSN after each checkpoint (the database's
             conformance barrier).
+        declare_anchor: optional callable invoked with the checkpoint
+            record's LSN once it is forced: the log's restart anchor.
     """
 
-    def __init__(self, flush_dirty, append_and_force, active_txn_ids,
+    def __init__(self, flush_dirty, append_and_force, transaction_table,
                  interval: float | None = None, tracer=None, stats=None,
-                 metrics=None, on_checkpoint=None) -> None:
+                 metrics=None, on_checkpoint=None,
+                 declare_anchor=None) -> None:
         self._flush_dirty = flush_dirty
         self._append_and_force = append_and_force
-        self._active_txn_ids = active_txn_ids
+        self._transaction_table = transaction_table
         self._on_checkpoint = on_checkpoint
+        self._declare_anchor = declare_anchor
         self.interval = interval
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._stats = stats
@@ -65,10 +74,14 @@ class ACCCheckpointer:
         """Take a checkpoint now; returns the checkpoint record's LSN."""
         with self.tracer.span("checkpoint", stats=self._stats) as span:
             flushed = tuple(self._flush_dirty())
-            record = CheckpointRecord(txn_id=0,
-                                      active_txns=tuple(self._active_txn_ids()),
-                                      flushed_pages=flushed)
+            active, bots, next_id = self._transaction_table()
+            record = CheckpointRecord(txn_id=0, active_txns=tuple(active),
+                                      flushed_pages=flushed,
+                                      bot_lsns=tuple(bots),
+                                      next_txn_id=next_id)
             lsn = self._append_and_force(record)
+            if self._declare_anchor is not None:
+                self._declare_anchor(lsn)
             span.set(flushed=len(flushed), lsn=lsn)
         if self._m_taken is not None:
             self._m_taken.inc()

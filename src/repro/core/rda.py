@@ -494,10 +494,12 @@ class RDAManager:
 
         Reads both twins of every group (the background bitmap
         reconstruction the paper schedules in idle periods), classifies
-        WORKING twins against the log's commit set, and re-registers
-        every *loser* transaction's unlogged stolen page in the
-        Dirty_Set.  Returns the loser :class:`DirtyEntry` list and
-        ``{group: current twin payload}``.
+        WORKING twins against the log's commit set — anything ``in``
+        answers for, restart's anchored
+        :class:`~repro.db.recovery.Committed` — and re-registers every
+        *loser* transaction's unlogged stolen page in the Dirty_Set.
+        Returns the loser :class:`DirtyEntry` list and ``{group:
+        current twin payload}``.
 
         The scan's reads are spent twice more.  For the groups in
         ``keep`` — the ones the log can send the restore to, so bounded

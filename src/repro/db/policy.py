@@ -340,22 +340,33 @@ class ForceToc:
         return dropped
 
 
+def _transaction_table(db) -> tuple:
+    """``(active txn ids, their BOT LSNs, next txn id)`` for a
+    checkpoint record."""
+    active = db.txns.active_transactions()
+    return ([txn.txn_id for txn in active],
+            [txn.bot_lsn or NULL_LSN for txn in active], db.txns.next_id)
+
+
 class NoForceAcc:
     """¬FORCE + ACC: commit forces only the log; ACC checkpoints bound
-    the restart REDO pass."""
+    the restart REDO pass, and each one forced becomes the log's restart
+    anchor — analysis reads the log from it on."""
 
     name = "noforce-acc"
     forces_at_commit = False
+    anchored = True
 
     def build_logs(self, db, log_factory) -> tuple:
         """One combined log plus the ACC checkpointer."""
         combined = log_factory(db, "log")
         checkpointer = ACCCheckpointer(
             db.buffer.flush_all_dirty, db._append_and_force_redo,
-            lambda: [t.txn_id for t in db.txns.active_transactions()],
+            lambda: _transaction_table(db),
             interval=db.config.checkpoint_interval,
             tracer=db.tracer, stats=db.stats, metrics=db.metrics,
-            on_checkpoint=db._on_checkpoint)
+            on_checkpoint=db._on_checkpoint,
+            declare_anchor=combined.declare_anchor if self.anchored else None)
         return combined, combined, checkpointer
 
     def flush_at_commit(self, db, txn_id: int) -> None:
@@ -420,6 +431,9 @@ class RedoOnlyDiscipline(NoForceAcc):
     unreflected record is ever discarded."""
 
     name = "redo-acc"
+    # a page's chain starts at its durable LSN, which no checkpoint
+    # bounds: restart reads the whole log, from no anchor
+    anchored = False
 
     def redo_tail(self, db, winners) -> list:
         """Winners' per-page chains from each page's on-disk LSN
@@ -604,7 +618,7 @@ class RdaProtection:
         with db.tracer.span("recovery.phase", stats=db.stats,
                             log_split=True, phase="parity_undo") as span:
             losers, restart.twins = db.rda.crash_scan(
-                restart.winners, keep=restart.named,
+                restart.committed, keep=restart.named,
                 next_lsn=db.redo_log.next_lsn)
             for entry in losers:
                 restart.losers.add(entry.txn_id)

@@ -58,8 +58,8 @@ from ..wal.records import (AbortRecord, BOTRecord, CommitRecord,
                            PageBeforeImage, RecordBeforeEntry)
 from .policy import apply_record_image
 
-RESTART_COUNTERS = ("log_records", "log_decoded", "sectors_repaired",
-                    "groups_scrubbed", "parity_resynced",
+RESTART_COUNTERS = ("log_records", "log_decoded", "anchored_logs",
+                    "sectors_repaired", "groups_scrubbed", "parity_resynced",
                     "parity_undone_pages", "redo_applied", "redo_skipped",
                     "log_undo_applied", "pages_unchanged", "page_transfers")
 """The numeric fields of :meth:`RecoveryManager.crash_recover`'s result,
@@ -67,14 +67,49 @@ in its order: what a sharded facade sums per shard and what the fault
 sweep copies."""
 
 
+class Committed:
+    """The twin scan's commit set: ``txn in committed`` is False exactly
+    for the owner of a live steal.
+
+    A WORKING twin header is a live steal iff its owner is in the
+    anchor checkpoint's transaction table with no end-of-transaction
+    record (EOT) after the anchor, or above the table's next-id
+    ``ceiling`` with no commit after it, or has a BOT after it and no
+    EOT — ``live`` holds the first and last kinds.  Any other owner
+    finished before the checkpoint, and since an abort demotes its
+    working twin to INVALID before the abort record is written, it
+    committed.  With no anchor the table is empty and the ceiling 0: a
+    header is trusted iff its owner has a commit record, the classic
+    rule."""
+
+    __slots__ = ("winners", "live", "ceiling")
+
+    def __init__(self, winners: set, live: set, ceiling: int) -> None:
+        self.winners = winners
+        self.live = live
+        self.ceiling = ceiling
+
+    def __contains__(self, txn_id: int) -> bool:
+        return txn_id in self.winners or not (txn_id in self.live
+                                              or txn_id >= self.ceiling)
+
+
 def verdicts(db) -> tuple:
-    """``(winners, losers)`` off the log's record headers: the
-    transactions with a commit record, and those with a BOT but neither
-    a commit nor an abort record."""
-    undo_log = db.undo_log
-    winners = db.redo_log.txn_ids(CommitRecord)
-    return winners, (undo_log.txn_ids(BOTRecord) - winners
-                     - undo_log.txn_ids(AbortRecord))
+    """``(winners, losers, committed)`` off the log's record headers
+    from the restart anchor on, plus the anchor checkpoint's
+    transaction table: the transactions with a commit record since the
+    anchor; those with a BOT — in the table or since the anchor — and
+    no EOT since; and the twin scan's :class:`Committed`.  Without an
+    anchor the headers are the whole retained log's."""
+    redo_log, undo_log = db.redo_log, db.undo_log
+    since = redo_log.anchor
+    table, ceiling = redo_log.transaction_table()
+    winners = redo_log.txn_ids(CommitRecord, since)
+    ended = winners | undo_log.txn_ids(AbortRecord, since)
+    begun = undo_log.txn_ids(BOTRecord, since)
+    losers = {txn for txn, bot in table.items() if bot} | begun
+    return (winners, losers - ended,
+            Committed(winners, (set(table) | begun) - ended, ceiling))
 
 
 def restart_reads(db, winners: set, losers: set) -> tuple:
@@ -97,7 +132,7 @@ def named_pages(db) -> set:
     rule (:mod:`repro.check.invariants`) holds every data-then-parity
     write to them, so the restart scrub need check no other group.  It
     decodes nothing the restart would not."""
-    replay, undo_records = restart_reads(db, *verdicts(db))
+    replay, undo_records = restart_reads(db, *verdicts(db)[:2])
     redo_durable = db.redo_log.durable_lsn
     undo_durable = db.undo_log.durable_lsn
     pages = {r.page_id for r in replay if r.lsn <= redo_durable}
@@ -107,18 +142,20 @@ def named_pages(db) -> set:
 
 
 class Restart:
-    """One crash restart's state: the log's verdicts, the only records
-    the restart decodes (``replay``, the redo tail; ``undo_records``)
-    and the pages and parity groups they name (``where``, ``named``);
-    the named groups' current twins and page LSNs, which the
-    protection's restart phase fills (``twins``, ``disk_lsns``); and
-    the page cache redo and undo fill.  It dies with the restart, so
-    nothing it holds can go stale."""
+    """One crash restart's state: the log's verdicts (:func:`verdicts`),
+    the only records the restart decodes (``replay``, the redo tail;
+    ``undo_records``) and the pages and parity groups they name
+    (``where``, ``named``); the named groups' current twins and page
+    LSNs, which the protection's restart phase fills (``twins``,
+    ``disk_lsns``); and the page cache redo and undo fill.  It dies with
+    the restart, so nothing it holds can go stale."""
 
-    def __init__(self, db, winners: set, losers: set) -> None:
+    def __init__(self, db, winners: set, losers: set,
+                 committed: Committed) -> None:
         self.array = db.array
         self.winners = winners
         self.losers = losers
+        self.committed = committed
         # a loser the twin scan adds later has no durable record — not
         # even its BOT
         self.replay, self.undo_records = restart_reads(db, winners, losers)
@@ -195,10 +232,15 @@ class RecoveryManager:
         reach).  The ``recovery.restart`` span of an interrupted restart
         carries the exception's name as ``error``.
 
-        In the result ``log_records`` counts the records analysis
-        recovered, each CRC-checked, and ``log_decoded`` the ones the
-        restart turned into objects — the redo tail since the last
-        checkpoint and the losers' chains; ``groups_scrubbed`` the
+        In the result ``winners`` are the commits analysis read — those
+        since the restart anchor, the last forced checkpoint (the whole
+        log's without one); ``log_records`` counts the records the
+        restart CRC-checked — analysis' walk from the anchor, plus the
+        log before it should a loser's chain reach back there — and
+        ``anchored_logs`` the logs whose walk began at an anchor;
+        ``log_decoded`` the records the restart turned into objects —
+        the redo tail since the last checkpoint and the losers'
+        chains; ``groups_scrubbed`` the
         parity groups the write-hole scrub checked, the ones the log
         names (so it grows with the work since the checkpoint, not with
         G); ``redo_skipped`` counts the
@@ -222,12 +264,15 @@ class RecoveryManager:
         logs = ((undo_log,) if db.redo_log is undo_log
                 else (undo_log, db.redo_log))
         decoded = sum(log.records_decoded for log in logs)
+        checked = sum(log.records_checked for log in logs)
         with db.tracer.span("recovery.phase", stats=db.stats,
                             log_split=True, phase="analysis") as span:
-            # every record is CRC-checked, none is decoded: the verdicts
-            # come from the headers
-            checked = sum(log.after_crash() for log in logs)
-            winners, losers = verdicts(db)
+            # every record from the anchor on is CRC-checked, none is
+            # decoded: the verdicts come from the headers and the
+            # anchor's transaction table
+            for log in logs:
+                log.after_crash()
+            winners, losers, committed = verdicts(db)
             span.set(winners=len(winners), losers=len(losers))
 
         # 0. media scan: repair latent sector errors (torn or corrupt
@@ -235,8 +280,8 @@ class RecoveryManager:
         # Under REDO-only a repaired data page also schedules
         # single-page recovery (its durable page LSN is reset, so
         # the redo phase below replays its whole retained chain).
-        sectors_repaired = self._media_scan(winners, fault)
-        restart = Restart(db, winners, losers)
+        sectors_repaired = self._media_scan(committed, fault)
+        restart = Restart(db, winners, losers, committed)
 
         # 0b/1. the protection policy's restart phase: RAID
         # write-hole resync (WAL) or parity undo of unlogged stolen
@@ -321,8 +366,9 @@ class RecoveryManager:
         return {
             "winners": sorted(winners),
             "losers": sorted(losers),
-            "log_records": checked,
+            "log_records": sum(log.records_checked for log in logs) - checked,
             "log_decoded": sum(log.records_decoded for log in logs) - decoded,
+            "anchored_logs": sum(bool(log.anchor) for log in logs),
             "sectors_repaired": sectors_repaired,
             # parity undo cleaned every Dirty_Set entry before the
             # scrub, so it checked each named group
@@ -337,7 +383,7 @@ class RecoveryManager:
 
     # ==================== media scan (restart phase 0) ====================
 
-    def _media_scan(self, winners: set, fault) -> int:
+    def _media_scan(self, committed: Committed, fault) -> int:
         """Repair latent sector errors surfaced by the restart scan.
 
         A crash can leave torn sectors (partial writes) whose checksums
@@ -358,11 +404,12 @@ class RecoveryManager:
                             log_split=True, phase="media_scan") as span:
             for disk_id, slot in bad:
                 fault(f"media repair disk {disk_id} slot {slot}")
-                self._repair_sector(disk_id, slot, winners)
+                self._repair_sector(disk_id, slot, committed)
             span.set(sectors=len(bad))
         return len(bad)
 
-    def _repair_sector(self, disk_id: int, slot: int, winners: set) -> None:
+    def _repair_sector(self, disk_id: int, slot: int,
+                       committed: Committed) -> None:
         """Rebuild one unreadable sector from the group's redundancy."""
         db = self.db
         geometry = db.array.geometry
@@ -396,7 +443,7 @@ class RecoveryManager:
         other_addr = addrs[1 - which]
         other = db.array.disks[other_addr.disk].read_header(other_addr.slot)
         if (other.state is TwinState.WORKING and other.txn_id != NO_TXN
-                and other.txn_id not in winners):
+                and other.txn_id not in committed):
             # the damaged twin was the committed parity of a dirty group:
             # it is the loser's only before-image, and the data already
             # holds the uncommitted value — detectable but not repairable

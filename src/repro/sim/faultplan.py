@@ -73,6 +73,7 @@ from ..check.invariants import (InvariantEngine, Violation,
 from ..db.recovery import RESTART_COUNTERS
 from ..errors import ReproError, UnrecoverableDataError
 from ..storage.page import PAGE_SIZE, make_page
+from ..wal.records import CommitRecord
 
 MODES = ("clean", "torn", "latent")
 """Recognised perturbations of the crash-point write."""
@@ -349,8 +350,14 @@ class PlanOutcome:
 def _execute(db, ops, txn_ids: dict, commit_spans: dict,
              position_of) -> None:
     """Run the script; ``commit_spans[label] = (start, end)`` records the
-    global write indices each *completed* commit spanned."""
+    global write indices each *completed* commit spanned.  An ACC
+    engine checkpoints on its own interval, a page write costing one
+    unit, between operations."""
+    checkpointer = db.checkpointer
     for op in ops:
+        if checkpointer is not None and op[0] in ("write", "update"):
+            checkpointer.note_work(1)
+            checkpointer.maybe_checkpoint()
         name, label = op[0], op[1]
         if name == "begin":
             txn_ids[label] = db.begin()
@@ -472,8 +479,14 @@ def run_plan(make_db, ops, plan: FaultPlan, setup=None) -> PlanOutcome:
     violations.extend(verify_database(db))
     violations.extend(bound.violations)
 
+    # the commits the whole durable log holds: an anchored restart's
+    # winners are only those since its anchor
+    logs = [engine.redo_log for engine in engines_of(db)]
+    if getattr(db, "commit_log", None) is not None:
+        logs.append(db.commit_log)
+    committed = set().union(*(log.txn_ids(CommitRecord) for log in logs))
     label_of = {txn_id: label for label, txn_id in txn_ids.items()}
-    winner_labels = {label_of[txn_id] for txn_id in stats["winners"]
+    winner_labels = {label_of[txn_id] for txn_id in committed
                      if txn_id in label_of}
     must, may = _oracle_sets(commit_spans, plan)
     for label in sorted(must - winner_labels, key=repr):

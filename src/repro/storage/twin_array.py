@@ -117,9 +117,10 @@ def select_current_twin(headers: tuple, committed_txns=None) -> int:
     Implements algorithm ``Current_Parity`` (paper Figure 7) extended
     with the four-state lifecycle of Figure 8: OBSOLETE and INVALID
     twins are never valid; a WORKING twin is valid only if its owning
-    transaction is known committed (``committed_txns``) or if the caller
-    passes ``committed_txns=None`` meaning "trust WORKING" (runtime use,
-    where the in-memory Dirty_Set tracks ownership).
+    transaction is known committed (``owner in committed_txns``: a set,
+    or restart's anchored :class:`~repro.db.recovery.Committed`) or if
+    the caller passes ``committed_txns=None`` meaning "trust WORKING"
+    (runtime use, where the in-memory Dirty_Set tracks ownership).
 
     Among valid candidates the larger timestamp wins, as in Figure 7.
     With no valid twin (e.g. a freshly formatted group), OBSOLETE twins

@@ -128,6 +128,11 @@ class TransactionManager:
                                     max(self._finished) + 1)
             self._finished.clear()
 
+    @property
+    def next_id(self) -> int:
+        """The id the next auto-allocated transaction gets."""
+        return self._next_id
+
     def lose_memory(self) -> None:
         """Crash simulation: the in-memory registry vanishes.
 

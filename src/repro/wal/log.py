@@ -13,14 +13,27 @@ the model counts.  :class:`LogManager` therefore:
 * maintains the per-transaction backward chain (``prev_lsn``), so a
   rollback reads only the aborting transaction's records instead of
   scanning the log (the paper's TWIST-style log chain);
-* survives crashes: :meth:`after_crash` re-checks every record of the
-  durable bytes and decodes on read — the rebuilt index holds each
-  record's header fields and byte span, and a record becomes an object
-  the first time :meth:`get`, :meth:`records_of`, :meth:`records_from`
-  or :meth:`records` reads it.  What restart analysis asks
-  of every record — the chain heads, the committed / aborted / begun
-  transaction ids (:meth:`txn_ids`), the last checkpoint
-  (:meth:`last_checkpoint_lsn`) — comes from the headers alone.
+* survives crashes from an **anchor**: the checkpointer names the
+  newest forced ACC checkpoint (:meth:`declare_anchor`) and every later
+  log page write carries that name out of band, as a page header would
+  — no transfer of its own.  :meth:`after_crash` reads it from the last
+  durable page of each copy and checks the records from the anchor to
+  the end of the log; the rebuilt index holds each record's header
+  fields and byte span, and a record becomes an object the first time
+  :meth:`get`, :meth:`records_of`, :meth:`records_from` or
+  :meth:`records` reads it.  The records before the anchor stay on the
+  devices unchecked until a read first reaches below it; then each is
+  checked on whichever copy holds it intact (the duplex mate is the
+  fallback).  What restart analysis asks — the committed / aborted /
+  begun transaction ids since the anchor (:meth:`txn_ids`), the
+  anchor's transaction table (:meth:`transaction_table`), the chain
+  heads, the last checkpoint (:meth:`last_checkpoint_lsn`) — comes
+  from the headers alone.  With no anchor the walk starts at the first
+  retained record, so the same path checks the whole log.
+
+A real log finds its last page by page sequence numbers; this one knows
+its durable length (:attr:`LogDevice.durable_size`), as the walk always
+has.
 """
 
 from __future__ import annotations
@@ -30,7 +43,8 @@ from ..errors import (LogCorruptionError, TornRecordError,
 from ..storage.iostats import IOStats
 from .records import (NULL_LSN, PAGE_CHAINED_TYPES, AbortRecord, BOTRecord,
                       CheckpointRecord, CommitRecord, LogRecord, RecordType,
-                      _DECODERS, chained_page_id, deserialize)
+                      _DECODERS, chained_page_id, deserialize, header_lsn,
+                      transaction_table)
 
 _CHECKPOINT = RecordType.CHECKPOINT.value
 _TXN_ID_TYPES = (BOTRecord, CommitRecord, AbortRecord)
@@ -50,6 +64,14 @@ def _txn_ids_of(*header_lists) -> dict:
             if header[0] in ids:
                 ids[header[0]].add(header[2])
     return ids
+
+
+def _shifted(anchor, dropped: int, base_lsn: int):
+    """``anchor`` after a trim dropped ``dropped`` leading bytes and
+    left ``base_lsn`` the first record (None once it is gone)."""
+    if anchor is None or anchor[0] < base_lsn:
+        return None
+    return anchor[0], anchor[1] - dropped
 
 
 class LogDevice:
@@ -77,6 +99,11 @@ class LogDevice:
         # the page never counts toward durable_size and is removed by
         # crash_truncate at the next crash.
         self.on_page_write = None
+        # the restart anchor, ``(checkpoint LSN, byte offset)`` or None:
+        # ``anchor`` is what the next page write carries out of band,
+        # ``carried`` what the last one that reached disk carried
+        self.anchor: tuple | None = None
+        self.carried: tuple | None = None
 
     def append(self, blob: bytes) -> None:
         """Append bytes, charging transfers as log pages fill."""
@@ -86,10 +113,13 @@ class LogDevice:
             if self.on_page_write is not None:
                 self.on_page_write(self.device_id, self._pages_charged)
             self.stats.record_write(self.device_id, self.transfers_per_page)
+            self.carried = self.anchor
             self._pages_charged += 1
 
     def force(self) -> None:
-        """Flush the current partial page (WAL rule at commit)."""
+        """Flush the current partial page (WAL rule at commit).  The
+        page written carries the anchor — also when the legacy model
+        lets the rewrite of an already charged page ride free."""
         if self.reforce_partial:
             partial_start = (len(self._data) // self.page_size) * self.page_size
             if len(self._data) > partial_start and \
@@ -100,16 +130,20 @@ class LogDevice:
                 self.stats.record_write(self.device_id,
                                         self.transfers_per_page)
             self._forced_len = len(self._data)
-            return
-        if len(self._data) > self._pages_charged * self.page_size:
+        elif len(self._data) > self._pages_charged * self.page_size:
             if self.on_page_write is not None:
                 self.on_page_write(self.device_id, self._pages_charged)
             self.stats.record_write(self.device_id, self.transfers_per_page)
             self._pages_charged += 1
+        self.carried = self.anchor
 
     @property
     def contents(self) -> bytes:
         return bytes(self._data)
+
+    def read(self, start: int, end: int | None = None) -> bytes:
+        """The bytes from ``start`` to ``end``, copied once."""
+        return bytes(memoryview(self._data)[start:end])
 
     @property
     def size(self) -> int:
@@ -130,15 +164,21 @@ class LogDevice:
         return lost
 
     def reset_to(self, contents: bytes) -> None:
-        """Rewind the device to a clean prefix (restart recovery: the
-        bytes after the last whole record are a torn fragment that would
-        poison future appends).
+        """Replace the device's bytes with ``contents`` (a trim), as
+        durable as :meth:`rewind` leaves them."""
+        self._data = bytearray(contents)
+        self.rewind(len(contents))
+
+    def rewind(self, size: int) -> None:
+        """Cut the device back to its first ``size`` bytes (restart
+        recovery: the bytes after the last whole record are a torn
+        fragment that would poison future appends).
 
         The prefix was read back from disk, so it *is* durable: the
         charge watermark rounds up, otherwise a short log would count as
         zero durable pages and evaporate at the next crash.
         """
-        self._data = bytearray(contents)
+        del self._data[size:]
         self._pages_charged = -(-len(self._data) // self.page_size)
         self._forced_len = len(self._data) if self.reforce_partial else 0
 
@@ -193,15 +233,25 @@ class LogManager:
         self._blob = b""
         self._last_lsn_of_txn: dict = {}
         self._last_lsn_of_page: dict = {}
-        # txn_ids()'s answer and the (base, next) LSNs it was read at
+        # txn_ids()'s answers: since -> (base, next) LSNs read at, ids
         self._txn_ids: dict = {}
-        self._txn_ids_at = None
         self._next_lsn = 1
-        self._base_lsn = 1          # first retained LSN (grows on truncation)
+        self._base_lsn = 1          # first indexed LSN (grows on truncation)
+        # bytes before the first indexed record that a restart left
+        # unchecked (the log before its anchor), the next-id ceiling of
+        # that anchor's table (no transaction at or above it has a
+        # record there), and an (lo, hi) LSN run of them that every
+        # copy lost once checked
+        self._unchecked = 0
+        self._unchecked_ceiling = 0
+        self._lost: tuple | None = None
+        self._table: tuple | None = None    # (anchor LSN, its table)
         # highest LSN known durable; a plain attribute (read-only to
         # everyone else): every page write-back stamps it on a twin
         self.forced_lsn = NULL_LSN
-        # recovered entries turned into records so far (restart work)
+        # recovered records CRC-checked and entries turned into records
+        # so far (restart work)
+        self.records_checked = 0
         self.records_decoded = 0
 
     # -- append path -----------------------------------------------------------
@@ -211,6 +261,8 @@ class LogManager:
         to every mirror copy, and index it.  Returns the LSN."""
         record.lsn = self._next_lsn
         self._next_lsn += 1
+        if self._unchecked:
+            self._chain_below_anchor(record)
         if record.txn_id:
             record.prev_lsn = self._last_lsn_of_txn.get(record.txn_id, NULL_LSN)
             self._last_lsn_of_txn[record.txn_id] = record.lsn
@@ -249,6 +301,8 @@ class LogManager:
         children = self._record_children
         for record in records:
             record.lsn = lsn
+            if self._unchecked:
+                self._chain_below_anchor(record)
             if record.txn_id:
                 record.prev_lsn = last_of.get(record.txn_id, NULL_LSN)
                 last_of[record.txn_id] = lsn
@@ -308,10 +362,11 @@ class LogManager:
 
     def records(self) -> list:
         """All records in append order."""
-        return self.records_from(self._base_lsn)
+        return self.records_from(NULL_LSN)
 
     def records_from(self, lsn: int) -> list:
         """The records with LSN ``lsn`` and up, in append order."""
+        self._reach(lsn)
         start = max(lsn - self._base_lsn, 0)
         out = self._records[start:]
         for i in range(min(len(self._entries) - start, len(out))):
@@ -324,7 +379,12 @@ class LogManager:
 
         Raises:
             LogCorruptionError: unknown or already-truncated LSN.
+            UnrecoverableDataError: a record before the anchor that
+                every copy lost.
         """
+        if lsn < self._base_lsn and self._unchecked:
+            self._check_below_anchor()
+        self._refuse(lsn)
         if not self._base_lsn <= lsn < self._next_lsn:
             raise LogCorruptionError(f"{self.name}: no record with lsn {lsn}")
         record = self._records[lsn - self._base_lsn]
@@ -344,21 +404,29 @@ class LogManager:
 
         A chain ending below the truncation point stops there (the
         truncated records were certified no-longer-needed)."""
-        out = []
+        # with none since the anchor, its newest record may lie before
+        self._reach(self._last_lsn_of_txn.get(txn_id, NULL_LSN))
         lsn = self._last_lsn_of_txn.get(txn_id, NULL_LSN)
+        out = []
         while lsn >= self._base_lsn:
             record = self.get(lsn)
             out.append(record)
             lsn = record.prev_lsn
+            if NULL_LSN < lsn < self._base_lsn and self._unchecked:
+                self._check_below_anchor()      # the chain crosses it
+                self._refuse(lsn)
         return out
 
     def page_chain_head(self, page_id: int) -> int:
         """Newest chained redo record of a page (:data:`NULL_LSN` when
         the page has no retained chain)."""
+        if self._unchecked or self._lost is not None:
+            self._reach(NULL_LSN)
         return self._last_lsn_of_page.get(page_id, NULL_LSN)
 
     def page_chain_heads(self) -> dict:
         """Snapshot of every page's chain head LSN."""
+        self._reach(NULL_LSN)
         return dict(self._last_lsn_of_page)
 
     def charge_read(self, records) -> int:
@@ -387,7 +455,8 @@ class LogManager:
         """LSN of the newest retained checkpoint record
         (:data:`NULL_LSN` if none), found by walking back over the
         appended records and then the recovered entries: nothing is
-        decoded."""
+        decoded.  An anchored restart indexed its anchor, a checkpoint,
+        so the answer never lies before it."""
         for record in reversed(self._records[len(self._entries):]):
             if isinstance(record, CheckpointRecord):
                 return record.lsn
@@ -396,28 +465,176 @@ class LogManager:
                 return entry[1]
         return NULL_LSN
 
-    def txn_ids(self, record_type) -> set:
+    def txn_ids(self, record_type, since: int = NULL_LSN) -> set:
         """Ids of the transactions with a retained ``record_type``
         record — :class:`BOTRecord`, :class:`CommitRecord` or
-        :class:`AbortRecord` — read off the headers, not decoded.
+        :class:`AbortRecord` — at LSN ``since`` or later (default: the
+        whole retained log), read off the headers, not decoded.
 
-        :meth:`after_crash` answers it from its own walk; otherwise the
-        answer is re-read when an append or a trim has moved the
-        retained LSNs since it was last asked."""
-        if self._txn_ids_at != (self._base_lsn, self._next_lsn):
+        :meth:`after_crash` answers it from its own walk, since the
+        anchor; otherwise the answer is re-read when an append or a
+        trim has moved the retained LSNs since it was last asked."""
+        self._reach(since)
+        since = max(since, self._base_lsn)
+        at = (self._base_lsn, self._next_lsn)
+        cached = self._txn_ids.get(since)
+        if cached is None or cached[0] != at:
+            start = since - self._base_lsn
             recovered = len(self._entries)
-            self._txn_ids = _txn_ids_of(
-                self._entries,
+            cached = self._txn_ids[since] = (at, _txn_ids_of(
+                self._entries[start:],
                 [(r.record_type.value, r.lsn, r.txn_id)
-                 for r in self._records[recovered:]])
-            self._txn_ids_at = (self._base_lsn, self._next_lsn)
-        return set(self._txn_ids[record_type.record_type.value])
+                 for r in self._records[max(start, recovered):]]))
+        return set(cached[1][record_type.record_type.value])
+
+    # -- the restart anchor --------------------------------------------------------
+
+    def declare_anchor(self, lsn: int) -> None:
+        """Name the checkpoint record at ``lsn`` the restart anchor.
+
+        The checkpointer calls this once the record is forced; from the
+        next log page write on, every page carries the anchor out of
+        band (zero counted transfers) and :meth:`after_crash` starts its
+        walk there.  A record not forced yet — a force a group-commit
+        window deferred — is ignored, leaving the previous anchor."""
+        if not self._base_lsn <= lsn <= self.forced_lsn:
+            return
+        index = lsn - self._base_lsn
+        recovered = len(self._entries)
+        offset = self._devices[0].size - sum(
+            entry[5] - entry[4] for entry in self._entries[index:]) - sum(
+            record.serialized_size
+            for record in self._records[max(index, recovered):])
+        for device in self._devices:
+            device.anchor = (lsn, offset)
+
+    @property
+    def anchor(self) -> int:
+        """LSN of the checkpoint restart analysis starts at
+        (:data:`NULL_LSN`: none, analysis reads the whole log)."""
+        anchor = self._devices[0].anchor
+        return anchor[0] if anchor is not None else NULL_LSN
+
+    def transaction_table(self) -> tuple:
+        """The anchor checkpoint's transaction table ``({active txn: BOT
+        LSN}, next txn id)`` — ``({}, 0)`` with no anchor.  A recovered
+        anchor's is read off its payload: the record stays undecoded,
+        so ``records_decoded`` counts only what redo and undo read."""
+        lsn = self.anchor
+        if lsn == NULL_LSN:
+            return {}, 0
+        if self._table is None or self._table[0] != lsn:
+            index = lsn - self._base_lsn
+            record = self._records[index]
+            self._table = (lsn, record.transaction_table if record is not None
+                           else transaction_table(self._blob,
+                                                  self._entries[index]))
+        return self._table[1]
+
+    def _reach(self, lsn: int) -> None:
+        """A read covers LSN ``lsn`` onward: check what lies before the
+        anchor first if it does, and refuse if that holds a record every
+        copy lost."""
+        if lsn < self._base_lsn and self._unchecked:
+            self._check_below_anchor()
+        if self._lost is not None and lsn < self._lost[1]:
+            raise self._lost_error()
+
+    def _refuse(self, lsn: int) -> None:
+        """Raise if every copy lost the record at ``lsn``."""
+        if self._lost is not None and self._lost[0] <= lsn < self._lost[1]:
+            raise self._lost_error()
+
+    def _lost_error(self) -> UnrecoverableDataError:
+        low, high = self._lost
+        return UnrecoverableDataError(
+            f"{self.name}: every duplex copy lost a record before the "
+            f"restart anchor (LSNs {low or '?'}..{high - 1})")
+
+    def _chain_below_anchor(self, record: LogRecord) -> None:
+        """An append whose chain link may lie in the unchecked bytes:
+        one of a transaction with no record since that began before
+        them (below their anchor's next-id ceiling), or of a page with
+        no chained record since."""
+        txn_id = record.txn_id
+        if (txn_id and txn_id not in self._last_lsn_of_txn
+                and txn_id < self._unchecked_ceiling) \
+                or (record.page_chained
+                    and record.page_id not in self._last_lsn_of_page):
+            self._check_below_anchor()
+
+    def _check_below_anchor(self) -> None:
+        """The first read below the anchor: check the records before it
+        in order, each on whichever copy holds it intact, and index
+        them.  Every copy is healed to those bytes.  A record no copy
+        holds intact ends the walk; the records before it stay
+        readable and the ones from it to the anchor are lost (with none
+        before it, the bytes stay unindexed)."""
+        if self._lost is not None:
+            return
+        end = self._unchecked
+        copies = list(dict.fromkeys(device.read(0, end)
+                                    for device in self._devices))
+        entries, clean = [], []
+        offset = 0
+        while offset < end:
+            # the longest run a copy checks from here: past a record
+            # one copy lost, its mate's
+            run, blob = max(((self._check_prefix(blob, offset)[0], blob)
+                             for blob in copies),
+                            key=lambda pair: len(pair[0]))
+            if not run:
+                break
+            entries += run
+            clean.append(blob[offset:run[-1][5]])
+            offset = run[-1][5]
+        self.records_checked += len(entries)
+        anchor = self._base_lsn
+        if offset < end:
+            first_lost = entries[-1][1] + 1 if entries else NULL_LSN
+            self._lost = (first_lost, anchor)
+            if not entries:
+                return
+            # the lost run keeps its LSN slots; a trim can drop it whole
+            entries += [(None, lsn, NULL_LSN, NULL_LSN, offset, end)
+                        for lsn in range(first_lost, anchor)]
+        prefix = b"".join(clean)
+        if offset == end:
+            for device in self._devices:
+                device._data[:end] = prefix
+        # the spans after the anchor counted from it: from byte 0 now
+        self._blob = prefix + copies[0][offset:] + self._blob
+        self._entries = entries + [
+            (kind, lsn, txn, prev, first + end, last + end)
+            for kind, lsn, txn, prev, first, last in self._entries]
+        self._unchecked = 0
+        self._records[:0] = [None] * len(entries)
+        self._base_lsn = entries[0][1]
+        self._txn_ids = {}
+        last_of_txn, last_of_page = self._chain_heads(entries, prefix)
+        last_of_txn.update(self._last_lsn_of_txn)
+        last_of_page.update(self._last_lsn_of_page)
+        self._last_lsn_of_txn = last_of_txn
+        self._last_lsn_of_page = last_of_page
+
+    @staticmethod
+    def _chain_heads(entries: list, blob: bytes) -> tuple:
+        """``({txn: newest LSN}, {page: newest chained LSN})`` over
+        checked entries."""
+        last_of_txn, last_of_page = {}, {}
+        for entry in entries:
+            if entry[2]:
+                last_of_txn[entry[2]] = entry[1]
+            if entry[0] in PAGE_CHAINED_TYPES:
+                last_of_page[chained_page_id(blob, entry)] = entry[1]
+        return last_of_txn, last_of_page
 
     # -- truncation ------------------------------------------------------------------
 
     @property
     def base_lsn(self) -> int:
         """First LSN still retained."""
+        self._reach(NULL_LSN)
         return self._base_lsn
 
     def truncate_before(self, lsn: int) -> int:
@@ -429,17 +646,31 @@ class LogManager:
         active transaction's BOT LSN)``, and no lower than any archive
         dump horizon still relied on for media recovery
         (:meth:`repro.db.database.Database.trim_log` computes this).
+        A cut at or past the restart anchor drops the log before it
+        unchecked.
         """
+        byte_offset = skipped = 0
+        if self._unchecked:
+            if lsn < self._base_lsn:
+                self._check_below_anchor()
+            else:
+                byte_offset = self._unchecked
+                skipped = self._base_lsn - header_lsn(
+                    self._devices[0]._data, 0)
+                self._unchecked, self._lost = 0, None
         lsn = max(lsn, self._base_lsn)
-        cut = min(lsn, self._next_lsn) - self._base_lsn
-        if cut <= 0:
+        if self._lost is not None and lsn > self._lost[0]:
+            if lsn < self._lost[1]:
+                raise self._lost_error()    # the cut falls in the lost run
+            self._lost = None
+        cut = max(min(lsn, self._next_lsn) - self._base_lsn, 0)
+        if cut == 0 and not byte_offset:
             return 0
         dropped = self._records[:cut]
-        byte_offset = 0
         recovered = self._entries[:cut]
         if recovered:
             # the recovered records lead, back to back in _blob
-            byte_offset = recovered[-1][5] - recovered[0][4]
+            byte_offset += recovered[-1][5] - recovered[0][4]
             dropped = dropped[len(recovered):]
             self._entries = self._entries[cut:]
             if not self._entries:
@@ -447,6 +678,7 @@ class LogManager:
         byte_offset += sum(r.serialized_size for r in dropped)
         self._records = self._records[cut:]
         self._base_lsn += cut
+        self._txn_ids = {}
         if not self._records:
             # the forced horizon may only point at retained records: a
             # trim that empties the log (its tail covered by a deferred
@@ -456,13 +688,17 @@ class LogManager:
             self.forced_lsn = NULL_LSN
         for device in self._devices:
             device.reset_to(device.contents[byte_offset:])
+            device.anchor = _shifted(device.anchor, byte_offset,
+                                     self._base_lsn)
+            device.carried = _shifted(device.carried, byte_offset,
+                                      self._base_lsn)
         for txn_id in [t for t, last in self._last_lsn_of_txn.items()
                        if last < self._base_lsn]:
             del self._last_lsn_of_txn[txn_id]
         for page_id in [p for p, last in self._last_lsn_of_page.items()
                         if last < self._base_lsn]:
             del self._last_lsn_of_page[page_id]
-        return cut
+        return cut + skipped
 
     # -- duplex integrity -----------------------------------------------------------
 
@@ -490,56 +726,73 @@ class LogManager:
 
     def after_crash(self) -> int:
         """Simulate restart: drop the in-memory index and rebuild it
-        from the durable bytes of the mirror copies.
+        from the durable bytes of the mirror copies, starting at the
+        restart anchor.
 
-        Each copy is checked greedily — every record's bounds, CRC
-        (header prefix + payload) and type; a truncated or corrupt tail
-        ends that copy's usable prefix (records are CRC-protected, so
+        The anchor is the newest one the copies' last durable pages
+        carry whose checkpoint record checks on some copy; with none —
+        never declared, trimmed away, or its record damaged on every
+        copy — the walk starts at the first retained record.  From
+        there each copy is checked greedily — every record's bounds,
+        CRC (header prefix + payload) and type; a truncated or corrupt
+        tail ends that copy's usable run (records are CRC-protected, so
         silent corruption is caught).  The copy with the longest valid
-        prefix wins, and **every copy is rewound to that prefix**: a
-        torn record fragment left at the tail would otherwise sit in
-        front of post-recovery appends and make them unparseable at the
-        next restart.  No record is decoded here: the index keeps each
-        one's ``check_only`` entry (see :func:`~repro.wal.records.
-        deserialize`), and the chain heads and :meth:`txn_ids` come
-        from the same headers.  Returns the number of records recovered.
+        run wins, and **every copy is rewound to it**: a torn record
+        fragment left at the tail would otherwise sit in front of
+        post-recovery appends and make them unparseable at the next
+        restart.  Each copy keeps its own bytes before the anchor,
+        unchecked until a read reaches them (then the mate is the
+        fallback for a record one copy lost).  No record is decoded
+        here: the index keeps each one's ``check_only`` entry (see
+        :func:`~repro.wal.records.deserialize`), and the chain heads
+        and :meth:`txn_ids` come from the same headers.  Returns the
+        number of records checked.
 
         Raises:
-            UnrecoverableDataError: if log bytes exist but every mirror
-                copy ends in a CRC/type failure — all copies are truly
-                corrupt, so silently adopting the longest prefix could
-                drop acknowledged-durable commits.
+            UnrecoverableDataError: if log bytes past the anchor exist
+                but every mirror copy ends in a CRC/type failure — all
+                copies are truly corrupt, so silently adopting the
+                longest run could drop acknowledged-durable commits.
         """
+        anchor = self._find_anchor()
+        start = anchor[1] if anchor is not None else 0
+        # the walk reads each copy from the anchor on, and the index's
+        # byte spans count from there
+        tails = [device.read(start) for device in self._devices]
         best: list = []
-        best_blob = b""
-        any_bytes = False
-        any_clean_stop = not self._devices
-        checked_blob = None
-        for device in self._devices:
-            any_bytes = any_bytes or device.size > 0
-            blob = device.contents
-            if blob != checked_blob:
+        best_tail = b""
+        any_clean_stop = not tails
+        checked = None
+        for tail in tails:
+            if tail != checked:
                 # mirrors agree byte for byte unless one was torn or
-                # damaged: an identical copy checks to the same prefix
-                entries, clean = self._check_prefix(blob)
-                checked_blob = blob
+                # damaged: an identical copy checks to the same run
+                entries, clean = self._check_prefix(tail)
+                checked = tail
             any_clean_stop = any_clean_stop or clean
             if len(entries) > len(best):
                 best = entries
-                best_blob = blob
-        if any_bytes and not any_clean_stop:
+                best_tail = tail
+        if any(tails) and not any_clean_stop:
             # every copy dies on a CRC/type error (not a torn crash
             # tail): the log may be missing acknowledged records past
             # the damage, so refusing is the only safe answer
             raise UnrecoverableDataError(
                 f"{self.name}: every duplex copy is corrupt")
-        # the prefix starts at byte 0, so the entries' spans hold in it
-        prefix = best_blob[:best[-1][5]] if best else b""
-        for device in self._devices:
-            device.reset_to(prefix)
+        end = best[-1][5] if best else 0
+        for device, tail in zip(self._devices, tails):
+            if tail != best_tail:
+                # the winner's run after the copy's own bytes before the
+                # anchor (every copy holds those: the anchor's record was
+                # forced on each before it was declared)
+                device._data[start:] = best_tail[:end]
+            device.rewind(start + end)
+            device.anchor = device.carried = anchor
         self._records = [None] * len(best)
         self._entries = best
-        self._blob = prefix
+        self._blob = best_tail[:end]
+        self._unchecked = start
+        self._lost = self._table = None
         if best:
             self._base_lsn = best[0][1]
             self._next_lsn = best[-1][1] + 1
@@ -548,29 +801,39 @@ class LogManager:
             # (unchanged) next position, and the base must follow it or
             # lsn-to-index arithmetic goes negative
             self._base_lsn = self._next_lsn
-        last_of_txn = self._last_lsn_of_txn = {}
-        last_of_page = self._last_lsn_of_page = {}
-        for entry in best:
-            if entry[2]:
-                last_of_txn[entry[2]] = entry[1]
-            if entry[0] in PAGE_CHAINED_TYPES:
-                last_of_page[chained_page_id(prefix, entry)] = entry[1]
-        self._txn_ids = _txn_ids_of(best)
-        self._txn_ids_at = (self._base_lsn, self._next_lsn)
+        self._last_lsn_of_txn, self._last_lsn_of_page = \
+            self._chain_heads(best, self._blob)
+        self._txn_ids = {self._base_lsn: ((self._base_lsn, self._next_lsn),
+                                          _txn_ids_of(best))}
         # the forced horizon can only cover records that still exist —
         # a damaged log that lost its whole tail is durable up to
         # nothing, not up to where the tail used to end
         self.forced_lsn = best[-1][1] if best else NULL_LSN
+        self._unchecked_ceiling = self.transaction_table()[1]
+        self.records_checked += len(best)
         return len(best)
 
+    def _find_anchor(self):
+        """The newest ``(lsn, offset)`` a copy's last durable page
+        carries whose checkpoint record checks on some copy, or None."""
+        carried = {device.carried for device in self._devices} - {None}
+        for lsn, offset in sorted(carried, reverse=True):
+            for device in self._devices:
+                try:
+                    entry, _ = deserialize(device._data, offset, True)
+                except (TornRecordError, LogCorruptionError):
+                    continue
+                if entry[0] == _CHECKPOINT and entry[1] == lsn:
+                    return lsn, offset
+        return None
+
     @staticmethod
-    def _check_prefix(blob: bytes) -> tuple:
-        """Check records until the bytes run out or stop making sense;
-        returns ``(entries, clean_stop)`` where ``clean_stop`` means
-        exhaustion or a torn crash tail (expected), as opposed to a
-        CRC/type failure (corruption)."""
+    def _check_prefix(blob: bytes, offset: int = 0) -> tuple:
+        """Check records from ``offset`` until the bytes run out or stop
+        making sense; returns ``(entries, clean_stop)`` where
+        ``clean_stop`` means exhaustion or a torn crash tail (expected),
+        as opposed to a CRC/type failure (corruption)."""
         entries = []
-        offset = 0
         size = len(blob)
         try:
             while offset < size:

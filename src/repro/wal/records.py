@@ -231,16 +231,32 @@ class CheckpointRecord(LogRecord):
     Attributes:
         active_txns: ids of transactions active at the checkpoint.
         flushed_pages: dirty pages written out by the checkpoint.
+        bot_lsns: each active transaction's BOT LSN, in ``active_txns``
+            order (0 for one that has written no BOT yet).
+        next_txn_id: the id the next transaction to begin would get.
+
+    The first, third and fourth fields are the checkpoint's
+    **transaction table**: restart analysis anchored at this record
+    (:meth:`~repro.wal.log.LogManager.after_crash`) reads it instead of
+    the log before it.
     """
 
     record_type = RecordType.CHECKPOINT
     active_txns: tuple = field(default_factory=tuple)
     flushed_pages: tuple = field(default_factory=tuple)
+    bot_lsns: tuple = field(default_factory=tuple)
+    next_txn_id: int = 0
 
     def payload_bytes(self) -> bytes:
         doc = {"active": list(self.active_txns),
-               "flushed": list(self.flushed_pages)}
+               "flushed": list(self.flushed_pages),
+               "bots": list(self.bot_lsns), "next": self.next_txn_id}
         return json.dumps(doc, separators=(",", ":")).encode("ascii")
+
+    @property
+    def transaction_table(self) -> tuple:
+        """``({active txn: BOT LSN}, next txn id)``."""
+        return dict(zip(self.active_txns, self.bot_lsns)), self.next_txn_id
 
 
 def _plain(cls):
@@ -260,7 +276,16 @@ def _imaged(cls, layout: struct.Struct):
 def _decode_checkpoint(blob: bytes, entry: tuple) -> CheckpointRecord:
     doc = json.loads(blob[entry[4] + _HEADER.size:entry[5]].decode("ascii"))
     return CheckpointRecord(entry[2], entry[1], entry[3],
-                            tuple(doc["active"]), tuple(doc["flushed"]))
+                            tuple(doc["active"]), tuple(doc["flushed"]),
+                            tuple(doc["bots"]), doc["next"])
+
+
+def transaction_table(blob: bytes, entry: tuple) -> tuple:
+    """A checked checkpoint entry's transaction table, as
+    :attr:`CheckpointRecord.transaction_table` gives it, read off the
+    payload: restart analysis reads it, the record stays undecoded."""
+    doc = json.loads(blob[entry[4] + _HEADER.size:entry[5]].decode("ascii"))
+    return dict(zip(doc["active"], doc["bots"])), doc["next"]
 
 
 # raw type value -> decoder(blob, entry), ``entry`` what deserialize
@@ -318,6 +343,11 @@ def deserialize(blob: bytes, offset: int = 0,
         raise LogCorruptionError(f"unknown record type {type_value}") from None
     entry = (type_value, lsn, txn_id, prev_lsn, offset, end)
     return (entry if check_only else decoder(blob, entry)), end
+
+
+def header_lsn(blob: bytes, offset: int) -> int:
+    """The LSN field of the record header at ``offset``, unchecked."""
+    return _HEADER.unpack_from(blob, offset)[1]
 
 
 def chained_page_id(blob: bytes, entry: tuple) -> int:

@@ -7,8 +7,8 @@ from repro.check import (BufferModifierRule, DirtySetBoundRule,
                          InvariantEngine, LsnMonotonicityRule, MutantError,
                          ParityRule, SlottedPageRule, TwinPageLsnRule,
                          TwinParityIdentityRule, WalBeforeDataRule,
-                         WritebackNamedRule, WriteBehindRule, default_rules,
-                         verify_database)
+                         WorkingOwnerRule, WritebackNamedRule,
+                         WriteBehindRule, default_rules, verify_database)
 from repro.db import (Database, extended_preset_names, make_sharded,
                       preset)
 from repro.db.recovery import named_pages
@@ -99,12 +99,13 @@ class TestEngineWiring:
         db.recover()
         assert verify_database(db) == []
 
-    def test_default_rules_cover_all_ten(self):
+    def test_default_rules_cover_all_eleven(self):
         names = {rule.name for rule in default_rules()}
         assert names == {"twin-parity-identity", "dirty-set-bound",
                          "wal-before-data", "lsn-monotonicity",
-                         "write-behind", "twin-page-lsn", "writeback-named",
-                         "parity", "buffer-modifiers", "slotted-pages"}
+                         "write-behind", "twin-page-lsn", "working-owner",
+                         "writeback-named", "parity", "buffer-modifiers",
+                         "slotted-pages"}
 
     def test_whole_database_sweeps_cost_nothing_per_commit(self):
         for rule in (ParityRule(), BufferModifierRule(), SlottedPageRule()):
@@ -412,6 +413,55 @@ class TestTwinPageLsnRule:
             TwinPageLsnRule().mutate(make_db("page-force-log"))
         with pytest.raises(MutantError):
             TwinPageLsnRule().mutate_one_sided_stamp(make_db())
+
+
+class TestWorkingOwnerRule:
+    """An anchored restart trusts a WORKING header whose owner finished
+    before the checkpoint, so no WORKING header may name an abort."""
+
+    # every twin preset: page / record × FORCE / ¬FORCE RDA, and the
+    # REDO-only hybrid
+    TWIN_PRESETS = ["page-force-rda", "page-noforce-rda", "record-force-rda",
+                    "record-noforce-rda", "record-noforce-rda-redo"]
+
+    @pytest.mark.parametrize("shards", [1, 2], ids=["k1", "k2"])
+    @pytest.mark.parametrize("name", TWIN_PRESETS)
+    def test_silent_through_work_and_crashes_and_its_mutant_is_caught(
+            self, name, shards):
+        config = preset(name, group_size=4, num_groups=8, buffer_capacity=6)
+        db = (make_sharded(config, shards=shards, workers=False)
+              if shards > 1 else Database(config))
+        engine = InvariantEngine.attach(db)
+        simulator = Simulator(db, WorkloadSpec(concurrency=3,
+                                               pages_per_txn=4), seed=5)
+        if simulator.record_mode:
+            simulator.seed_records()
+        simulator.run(24, crash_every=10)
+        assert engine.barrier_counts["restart"] > 0
+        assert engine.clean, [str(v) for v in engine.violations]
+        target = db.shards[0] if shards > 1 else db
+        detail = WorkingOwnerRule().mutate(target)
+        # an unlogged steal on the target, then its abort
+        txn = db.begin()
+        if simulator.record_mode:
+            db.update_record(txn, 0, 0, b"stolen")
+        else:
+            db.write_page(txn, 0, make_page(b"stolen"))
+        target.buffer.flush_pages_of(txn)
+        assert target.rda.dirty_set.groups_of(txn)
+        db.abort(txn)
+        assert "working-owner" in kinds(engine.violations), detail
+
+    def test_a_restart_demotes_its_losers_before_their_abort_records(self):
+        db, thief = dirty_db("page-noforce-rda")
+        db.crash()
+        db.recover()
+        assert thief in db.undo_log.txn_ids(AbortRecord)
+        assert WorkingOwnerRule().check(db, "restart", {}) == []
+
+    def test_mutant_needs_twins(self):
+        with pytest.raises(MutantError):
+            WorkingOwnerRule().mutate(make_db("page-force-log"))
 
 
 class TestWritebackNamedRule:

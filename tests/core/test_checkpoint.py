@@ -21,12 +21,13 @@ class Harness:
         self.records.append(record)
         return self.lsn
 
-    def active_ids(self):
-        return list(self.active)
+    def table(self):
+        return list(self.active), [7, 0], 9
 
-    def make(self, interval=None):
+    def make(self, interval=None, declare_anchor=None):
         return ACCCheckpointer(self.flush, self.append_and_force,
-                               self.active_ids, interval=interval)
+                               self.table, interval=interval,
+                               declare_anchor=declare_anchor)
 
 
 class TestCheckpoint:
@@ -40,8 +41,15 @@ class TestCheckpoint:
         assert isinstance(record, CheckpointRecord)
         assert record.active_txns == (3, 4)
         assert record.flushed_pages == (10, 11)
+        assert record.transaction_table == ({3: 7, 4: 0}, 9)
         assert cp.checkpoints_taken == 1
         assert cp.last_checkpoint_lsn == 1
+
+    def test_the_forced_record_is_declared_the_anchor(self):
+        h = Harness()
+        declared = []
+        cp = h.make(declare_anchor=declared.append)
+        assert cp.checkpoint() == 1 and declared == [1]
 
     def test_interval_triggering(self):
         h = Harness()

@@ -11,6 +11,7 @@ import pytest
 from repro.check import verify_database
 from repro.db import Database, preset
 from repro.storage import make_page
+from repro.wal import CheckpointRecord
 
 PRESETS = ["page-force-rda", "page-force-log",
            "page-noforce-rda", "page-noforce-log"]
@@ -656,3 +657,107 @@ def test_a_torn_page_behind_a_landed_page_is_a_double_fault():
     assert behind_a_landed_page(points, at_label)
     survives_a_death_at_every_next_label(build_group_scenario, name,
                                          at_label, "torn")
+
+
+ANCHORED_PRESETS = ["page-noforce-rda", "page-noforce-log",
+                    "record-noforce-rda"]
+
+
+def build_anchored_scenario(name, carried: bool = True):
+    """:func:`build_group_scenario`'s writes around a checkpoint, so the
+    restart reads its log from an anchor: the loser begins, steals page
+    9 and stays in the checkpoint's transaction table, and its chain
+    reaches back past the anchor; the winner commits after it, and its
+    force carries the anchor.  With ``carried`` False a second
+    checkpoint is forced just before the crash, and no page write
+    carries it: the restart reads from the first."""
+    db = Database(preset(name, group_size=4, num_groups=8,
+                         buffer_capacity=8))
+    record_mode = db.config.record_logging
+    if record_mode:
+        db.format_record_pages(range(db.num_data_pages))
+        setup = db.begin()
+        slots = {(page, who): db.insert_record(setup, page,
+                                               who.encode() + b"-")
+                 for page in (*SHARED_PAGES, 9) for who in ("w", "l")}
+        db.commit(setup)
+    loser = db.begin()
+    if record_mode:
+        db.update_record(loser, 9, slots[9, "l"], b"l9")
+    else:
+        db.write_page(loser, 9, make_page(b"lose"))
+    assert db.buffer.flush_page(9)
+    db.checkpoint()
+    winner = db.begin()
+    for page in SHARED_PAGES:
+        if record_mode:
+            db.update_record(winner, page, slots[page, "w"], b"w%d" % page)
+            db.update_record(loser, page, slots[page, "l"], b"l%d" % page)
+        else:
+            db.write_page(winner, page, make_page(b"win%d" % page))
+    db.commit(winner)
+    if record_mode:
+        db.buffer.flush_page(0)
+    else:
+        db.write_page(loser, 2, make_page(b"lose"))
+        assert db.buffer.flush_page(2)
+    if not carried:
+        db.checkpoint()
+    db.crash()
+
+    def check():
+        t = db.begin()
+        for page in SHARED_PAGES:
+            if record_mode:
+                assert db.read_record(t, page, slots[page, "w"]) == \
+                    b"w%d" % page
+            else:
+                assert db.read_page(t, page) == make_page(b"win%d" % page)
+        for page in (*SHARED_PAGES, 9) if record_mode else ():
+            assert db.read_record(t, page, slots[page, "l"]) == b"l-"
+        if not record_mode:
+            assert db.read_page(t, 9) == bytes(512)
+        db.commit(t)
+    return db, check
+
+
+def build_uncarried_scenario(name):
+    return build_anchored_scenario(name, carried=False)
+
+
+@pytest.mark.parametrize("build", [build_anchored_scenario,
+                                   build_uncarried_scenario],
+                         ids=["carried", "not-carried"])
+@pytest.mark.parametrize("name", ANCHORED_PRESETS)
+def test_an_anchored_restart_reads_the_losers_chain_past_its_anchor(
+        name, build):
+    db, check = build(name)
+    stats = db.recover()
+    assert stats["anchored_logs"] == 1 and len(stats["losers"]) == 1
+    first_checkpoint = next(r.lsn for r in db.undo_log.records()
+                            if isinstance(r, CheckpointRecord))
+    assert db.undo_log.anchor == first_checkpoint
+    assert_group_state(db, check)
+
+
+@pytest.mark.parametrize("mode", ["torn", "latent"])
+@pytest.mark.parametrize("build", [build_anchored_scenario,
+                                   build_uncarried_scenario],
+                         ids=["carried", "not-carried"])
+@pytest.mark.parametrize("name", ANCHORED_PRESETS)
+def test_an_anchored_restart_survives_a_perturbed_write_then_any_death(
+        name, build, mode):
+    """The slice above, read from an anchor — also the one a crash
+    between a checkpoint's force and the next page write leaves."""
+    db, check = build(name)
+    points = []
+    db.recover(fault_hook=points.append)
+    assert_group_state(db, check)
+    targets = [at for at, label in enumerate(points, start=1)
+               if kind_of(label) in PERTURBED
+               and not (db.config.record_logging
+                        and behind_a_landed_page(points, at))]
+    assert targets
+    for at_label in targets:
+        assert survives_a_death_at_every_next_label(build, name, at_label,
+                                                    mode) > 0

@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import LogCorruptionError, UnrecoverableDataError
 from repro.storage.iostats import IOStats
-from repro.wal import (BOTRecord, CommitRecord, LogManager, NULL_LSN,
-                       PageBeforeImage)
+from repro.wal import (BOTRecord, CheckpointRecord, CommitRecord,
+                       LogManager, NULL_LSN, PageBeforeImage)
 
 
 @pytest.fixture
@@ -198,3 +198,139 @@ class TestCrashRestart:
         log.crash()
         assert log.after_crash() == 1
         assert [r.txn_id for r in log.records()] == [1]
+
+
+def anchored_log(page_size: int = 128) -> tuple:
+    """Three records, a checkpoint declared the anchor, two records
+    after it, all durable: ``(log, anchor LSN, anchor byte offset)``."""
+    log = LogManager(name="test", page_size=page_size,
+                     transfers_per_log_page=1)
+    log.append(BOTRecord(txn_id=1))
+    log.append(PageBeforeImage(txn_id=1, page_id=3, image=b"img"))
+    log.append(BOTRecord(txn_id=2))
+    offset = log.size_bytes
+    anchor = log.append(CheckpointRecord(txn_id=0, active_txns=(1, 2),
+                                         bot_lsns=(1, 3), next_txn_id=3))
+    log.force()
+    log.declare_anchor(anchor)
+    log.append(CommitRecord(txn_id=2))
+    log.append(BOTRecord(txn_id=3))
+    log.force()
+    return log, anchor, offset
+
+
+class TestAnchor:
+    """Restart reads from the checkpoint the last durable page names:
+    damage after the anchor is judged as before, damage before it when a
+    read first reaches it."""
+
+    def test_analysis_checks_only_the_records_from_the_anchor(self):
+        log, anchor, _ = anchored_log()
+        log.crash()
+        assert log.after_crash() == 3
+        assert log.anchor == anchor == 4
+        assert log.transaction_table() == ({1: 1, 2: 3}, 3)
+        assert log.txn_ids(CommitRecord, anchor) == {2}
+        assert log.records_checked == 3 and log.records_decoded == 0
+        # the first read below the anchor checks the rest
+        assert [r.txn_id for r in log.records()] == [1, 1, 2, 0, 2, 3]
+        assert log.records_checked == 6
+        assert log.records_of(1)[-1].lsn == 1
+
+    def test_no_page_write_since_the_checkpoint_keeps_the_old_anchor(self):
+        """A crash between the checkpoint's force and the next page
+        write: the durable pages carry the anchor before it."""
+        log, anchor, _ = anchored_log()
+        later = log.append(CheckpointRecord(txn_id=0))
+        log.force()
+        log.declare_anchor(later)
+        log.crash()
+        log.after_crash()
+        assert log.anchor == anchor
+        # once a page write carries it, the next restart starts there
+        log.declare_anchor(later)
+        log.append(BOTRecord(txn_id=4))
+        log.force()
+        log.crash()
+        log.after_crash()
+        assert log.anchor == later
+
+    def test_an_unforced_checkpoint_is_not_an_anchor(self):
+        log, anchor, _ = anchored_log()
+        later = log.append(CheckpointRecord(txn_id=0))
+        log.declare_anchor(later)
+        assert log.anchor == anchor
+
+    def test_damage_after_the_anchor_uses_the_mate(self):
+        log, anchor, offset = anchored_log()
+        log.damage_copy(0, log.size_bytes - 2)
+        assert log.after_crash() == 3
+        assert log.verify_duplex()
+
+    def test_damage_after_the_anchor_on_both_copies_refuses(self):
+        log, _, _ = anchored_log()
+        log.damage_copy(0, log.size_bytes - 2)
+        log.damage_copy(1, log.size_bytes - 2)
+        with pytest.raises(UnrecoverableDataError):
+            log.after_crash()
+
+    def test_a_damaged_anchor_record_means_the_whole_walk(self):
+        log, _, offset = anchored_log()
+        log.damage_copy(0, offset + 1)
+        log.damage_copy(1, offset + 1)
+        # every copy dies on the checkpoint's CRC, as without an anchor
+        with pytest.raises(UnrecoverableDataError):
+            log.after_crash()
+
+    def test_damage_before_the_anchor_is_found_on_first_read(self):
+        """Restart does not look below the anchor; the first read there
+        finds copy 0's damage and reads, and heals from, copy 1."""
+        log, anchor, _ = anchored_log()
+        log.damage_copy(0, 5)
+        assert log.after_crash() == 3
+        assert not log.verify_duplex()          # not looked at yet
+        assert log.get(1).txn_id == 1
+        assert log.verify_duplex()              # healed from the mate
+
+    def test_each_record_before_the_anchor_from_whichever_copy_holds_it(
+            self):
+        """Different records damaged on the two copies before the
+        anchor: each is read from its mate."""
+        log, anchor, _ = anchored_log()
+        second = log.get(2).serialized_size
+        log.damage_copy(0, 5)                   # record 1, copy 0
+        log.damage_copy(1, 36 + second // 2)    # record 2, copy 1
+        log.after_crash()
+        assert [r.lsn for r in log.records()] == [1, 2, 3, 4, 5, 6]
+        assert log.verify_duplex()
+
+    def test_a_record_both_copies_lost_refuses_only_the_reads_needing_it(
+            self):
+        """The same record damaged on both copies before the anchor:
+        only the reads that need it refuse."""
+        log, anchor, _ = anchored_log()
+        log.damage_copy(0, 40)                  # record 2 on both copies
+        log.damage_copy(1, 40)
+        assert log.after_crash() == 3
+        assert log.txn_ids(CommitRecord, anchor) == {2}
+        assert log.records_from(anchor)[0].lsn == anchor
+        assert log.get(1).txn_id == 1
+        for read in (lambda: log.get(2), log.records,
+                     lambda: log.records_of(1)):
+            with pytest.raises(UnrecoverableDataError):
+                read()
+        # a trim at the anchor drops the lost run
+        assert log.truncate_before(anchor) == 3
+        assert [r.lsn for r in log.records()] == [4, 5, 6]
+
+    def test_a_trim_at_the_anchor_drops_the_log_before_it_unread(self):
+        log, anchor, offset = anchored_log()
+        log.crash()
+        log.after_crash()
+        size = log.size_bytes
+        assert log.truncate_before(anchor) == 3
+        assert log.records_checked == 3         # never read
+        assert log.size_bytes == size - offset
+        assert log.anchor == anchor
+        log.crash()
+        assert log.after_crash() == 3 and log.base_lsn == anchor

@@ -105,14 +105,14 @@ ANY_RECORD = st.one_of(
 )
 
 
-def eager_parse(copies: list) -> tuple:
+def eager_parse(copies: list, start: int = 0) -> tuple:
     """The oracle: every copy parsed record by record with
-    ``deserialize``, the longest valid prefix kept — ``(records,
-    prefix bytes)`` — and a refusal when log bytes exist but every copy
-    ends in a CRC or type failure."""
+    ``deserialize`` from byte ``start``, the longest valid run kept —
+    ``(records, its bytes)`` — and a refusal when log bytes past
+    ``start`` exist but every copy ends in a CRC or type failure."""
     best, prefix, any_clean = [], b"", False
     for blob in copies:
-        records, offset, clean = [], 0, True
+        records, offset, clean = [], start, True
         try:
             while offset < len(blob):
                 record, offset = deserialize(blob, offset)
@@ -123,10 +123,44 @@ def eager_parse(copies: list) -> tuple:
             clean = False
         any_clean = any_clean or clean
         if len(records) > len(best):
-            best, prefix = records, blob[:offset]
-    if any(copies) and not any_clean:
+            best, prefix = records, blob[start:offset]
+    if any(len(blob) > start for blob in copies) and not any_clean:
         raise UnrecoverableDataError("every copy is corrupt")
     return best, prefix
+
+
+def anchor_of(copies: list, carried: list):
+    """The newest ``(lsn, offset)`` a copy carries whose checkpoint
+    record parses at ``offset`` on some copy, or None."""
+    for lsn, offset in sorted({a for a in carried if a}, reverse=True):
+        for blob in copies:
+            try:
+                record, _ = deserialize(blob, offset)
+            except (TornRecordError, LogCorruptionError):
+                continue
+            if isinstance(record, CheckpointRecord) and record.lsn == lsn:
+                return lsn, offset
+    return None
+
+
+def merged_parse(copies: list, end: int) -> tuple:
+    """The records before the anchor, each parsed from whichever copy
+    holds it intact: ``(records, their bytes, lost)``, ``lost`` True
+    when a record no copy holds intact ended the walk."""
+    records, clean, offset = [], b"", 0
+    while offset < end:
+        for blob in copies:
+            try:
+                record, following = deserialize(blob[:end], offset)
+                break
+            except (TornRecordError, LogCorruptionError):
+                continue
+        else:
+            return records, clean, True
+        records.append(record)
+        clean += blob[offset:following]
+        offset = following
+    return records, clean, False
 
 
 class EagerModel:
@@ -206,23 +240,63 @@ def assert_agrees(log, model: EagerModel) -> None:
                                             if r.lsn >= middle]
 
 
-@settings(max_examples=60, deadline=None)
+def assert_lost(log, prefix: list, suffix: list, lost: range) -> None:
+    """A record before the anchor that every copy lost: reads that need
+    it refuse, the rest answer as the parse does."""
+    for record in prefix:
+        assert log.get(record.lsn) == record
+    for lsn in lost:
+        with pytest.raises(UnrecoverableDataError):
+            log.get(lsn)
+    assert log.records_from(lost.stop) == suffix
+    with pytest.raises(UnrecoverableDataError):
+        log.records()
+    known = {r.lsn: r for r in prefix + suffix}
+    for txn_id in range(1, 5):
+        newest = max((r.lsn for r in suffix if r.txn_id == txn_id),
+                     default=None)
+        chain, lsn = [], newest
+        while lsn in known:
+            chain.append(known[lsn])
+            lsn = known[lsn].prev_lsn
+        if newest is None or (lsn != NULL_LSN and lsn in lost):
+            with pytest.raises(UnrecoverableDataError):
+                log.records_of(txn_id)
+        else:
+            assert log.records_of(txn_id) == chain
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_the_lazy_index_answers_like_an_eager_parse(data):
-    """Random records of all ten types, forces, trims, crashes with
-    single-byte damage to either copy or both: at every restart the
-    log's answers — records, every LSN, every chain, the header-only
-    analysis answers, the LSN horizons, the device bytes after a trim,
-    the chain links of later appends — are an eager parse's, and it
-    refuses exactly when the parse refuses."""
+    """Random records of all ten types, forces, trims, checkpoints
+    declared the restart anchor, crashes with single-byte damage to
+    either copy or both: at every restart the log's answers — records,
+    every LSN, every chain, the header-only analysis answers, the LSN
+    horizons, the device bytes after a trim, the chain links of later
+    appends — are an eager parse's.  From the anchor on the parse is
+    the longest valid run and the log refuses exactly when it refuses;
+    before the anchor each record comes from whichever copy holds it
+    intact, and a read refuses only if it needs one no copy holds."""
     log = LogManager(page_size=data.draw(st.sampled_from([64, 256, 2048]),
                                          label="page_size"))
     model = EagerModel([], 1, NULL_LSN, b"")
     for _ in range(data.draw(st.integers(1, 40), label="steps")):
         action = data.draw(st.sampled_from(
-            ["append", "append", "append", "force", "truncate", "restart"]),
-            label="action")
-        if action == "append":
+            ["append", "append", "append", "force", "truncate", "restart",
+             "checkpoint"]), label="action")
+        if action == "checkpoint":
+            record = CheckpointRecord(txn_id=0, active_txns=(1,),
+                                      bot_lsns=(model.base_lsn,),
+                                      next_txn_id=5)
+            assert log.append(record) == model.links(record)[0]
+            model.add(record)
+            log.force()
+            model.forced_lsn = record.lsn
+            log.declare_anchor(record.lsn)
+            assert log.anchor == record.lsn
+            assert log.transaction_table() == record.transaction_table
+        elif action == "append":
             record = data.draw(ANY_RECORD, label="record")
             lsn, prev, prev_page = model.links(record)
             assert log.append(record) == lsn
@@ -247,16 +321,27 @@ def test_the_lazy_index_answers_like_an_eager_parse(data):
                     log.damage_copy(copy, data.draw(
                         st.integers(0, log.size_bytes - 1), label="offset"))
             copies = [device.contents for device in log._devices]
+            anchor = anchor_of(copies, [d.carried for d in log._devices])
+            start = anchor[1] if anchor else 0
             try:
-                records, prefix = eager_parse(copies)
+                records, tail = eager_parse(copies, start)
             except UnrecoverableDataError:
                 with pytest.raises(UnrecoverableDataError):
                     log.after_crash()
                 return
             assert log.after_crash() == len(records)
+            assert log.anchor == (anchor[0] if anchor else NULL_LSN)
+            prefix, clean, lost = merged_parse(copies, start)
+            if lost:
+                first_lost = prefix[-1].lsn + 1 if prefix else NULL_LSN
+                assert_lost(log, prefix, records,
+                            range(first_lost, records[0].lsn))
+                return
             # a log that lost its whole tail keeps counting LSNs on
-            model = EagerModel(records, records[-1].lsn + 1 if records
-                               else model.next_lsn,
+            model = EagerModel(prefix + records, records[-1].lsn + 1
+                               if records else model.next_lsn,
                                records[-1].lsn if records else NULL_LSN,
-                               prefix)
+                               clean + tail)
+            if data.draw(st.booleans(), label="read below the anchor now"):
+                continue        # or leave it unchecked for the next step
         assert_agrees(log, model)
