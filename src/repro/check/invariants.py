@@ -589,7 +589,10 @@ class WorkingOwnerRule(InvariantRule):
     taken to have committed (:class:`repro.db.recovery.Committed`), so
     a WORKING header left behind by an abort would be trusted as the
     group's parity.  A twin write re-checks its own group; ``abort``
-    and ``restart`` check them all."""
+    and ``restart`` check them all.  Only aborts since the restart
+    anchor are read: a skipped demotion is caught at the ``abort``
+    barrier, where its record is the newest, and restart's own aborts
+    follow the anchor — so the check never reaches the log before it."""
 
     name = "working-owner"
     barriers = ("abort", "twin_write", "restart")
@@ -597,22 +600,23 @@ class WorkingOwnerRule(InvariantRule):
     def check(self, db, barrier: str, ctx: dict) -> List[Violation]:
         if db.rda is None:
             return []
-        aborted = db.undo_log.txn_ids(AbortRecord)
-        if not aborted:
-            return []
         geometry = db.array.geometry
         if barrier == "twin_write":
             groups = [ctx["group"] if "group" in ctx
                       else geometry.group_of(ctx["page"])]
         else:
             groups = range(geometry.num_groups)
+        working = [(group, which, header.txn_id)
+                   for group in groups for which in (0, 1)
+                   for header in (db.array.peek_twin(group, which)[1],)
+                   if header.state is TwinState.WORKING]
+        if not working:
+            return []
+        aborted = db.undo_log.txn_ids(AbortRecord, db.undo_log.anchor)
         return [Violation("working-owner",
                           f"group {group}: twin {which} is WORKING for "
-                          f"txn {header.txn_id}, which aborted ({barrier})")
-                for group in groups for which in (0, 1)
-                for header in (db.array.peek_twin(group, which)[1],)
-                if header.state is TwinState.WORKING
-                and header.txn_id in aborted]
+                          f"txn {txn_id}, which aborted ({barrier})")
+                for group, which, txn_id in working if txn_id in aborted]
 
     def mutate(self, db) -> str:
         """Parity undo that leaves the working twin's header WORKING."""

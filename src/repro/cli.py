@@ -274,8 +274,7 @@ def _cmd_fault_sweep(args, overrides) -> int:
         mttr = recovery["mttr_ms"]
         print(f"recovery      : MTTR mean {mttr['mean']} ms / "
               f"max {mttr['max']} ms over {recovery['recovered_runs']} "
-              f"recovered runs, {recovery['page_transfers']} transfers, "
-              f"{recovery['anchored_logs']} anchored at a checkpoint")
+              f"recovered runs, {recovery['page_transfers']} transfers")
     if not report.clean:
         for kind, count in sorted(report.violations_by_kind().items()):
             print(f"  {kind}: {count}")

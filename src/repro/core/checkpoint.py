@@ -38,6 +38,8 @@ class ACCCheckpointer:
             ids, their BOT LSNs (0 = none yet), next txn id)`` right now
             (the checkpoint is action-consistent, not
             transaction-consistent, so the active set may be non-empty).
+        declare_anchor: callable invoked with the checkpoint record's
+            LSN once it is forced: the log's restart anchor.
         interval: cost units between automatic checkpoints (the model's
             ``I``); None disables :meth:`maybe_checkpoint`.
         tracer: event tracer; each checkpoint becomes a ``checkpoint``
@@ -48,14 +50,11 @@ class ACCCheckpointer:
         on_checkpoint: optional callable invoked with the checkpoint
             record's LSN after each checkpoint (the database's
             conformance barrier).
-        declare_anchor: optional callable invoked with the checkpoint
-            record's LSN once it is forced: the log's restart anchor.
     """
 
     def __init__(self, flush_dirty, append_and_force, transaction_table,
-                 interval: float | None = None, tracer=None, stats=None,
-                 metrics=None, on_checkpoint=None,
-                 declare_anchor=None) -> None:
+                 declare_anchor, interval: float | None = None, tracer=None,
+                 stats=None, metrics=None, on_checkpoint=None) -> None:
         self._flush_dirty = flush_dirty
         self._append_and_force = append_and_force
         self._transaction_table = transaction_table
@@ -80,8 +79,7 @@ class ACCCheckpointer:
                                       bot_lsns=tuple(bots),
                                       next_txn_id=next_id)
             lsn = self._append_and_force(record)
-            if self._declare_anchor is not None:
-                self._declare_anchor(lsn)
+            self._declare_anchor(lsn)
             span.set(flushed=len(flushed), lsn=lsn)
         if self._m_taken is not None:
             self._m_taken.inc()

@@ -28,8 +28,9 @@ from contextlib import nullcontext
 
 from ..core import ACCCheckpointer, RDAManager
 from ..errors import RecoveryError
-from ..wal import (NULL_LSN, PageAfterImage, PageBeforeImage, PageRedoEntry,
-                   RecordAfterEntry, RecordBeforeEntry, RecordRedoEntry)
+from ..wal import (NULL_LSN, CommitRecord, PageAfterImage, PageBeforeImage,
+                   PageRedoEntry, RecordAfterEntry, RecordBeforeEntry,
+                   RecordRedoEntry)
 from .slotted_page import SlottedPage
 
 
@@ -355,18 +356,16 @@ class NoForceAcc:
 
     name = "noforce-acc"
     forces_at_commit = False
-    anchored = True
 
     def build_logs(self, db, log_factory) -> tuple:
         """One combined log plus the ACC checkpointer."""
         combined = log_factory(db, "log")
         checkpointer = ACCCheckpointer(
             db.buffer.flush_all_dirty, db._append_and_force_redo,
-            lambda: _transaction_table(db),
+            lambda: _transaction_table(db), combined.declare_anchor,
             interval=db.config.checkpoint_interval,
             tracer=db.tracer, stats=db.stats, metrics=db.metrics,
-            on_checkpoint=db._on_checkpoint,
-            declare_anchor=combined.declare_anchor if self.anchored else None)
+            on_checkpoint=db._on_checkpoint)
         return combined, combined, checkpointer
 
     def flush_at_commit(self, db, txn_id: int) -> None:
@@ -431,16 +430,19 @@ class RedoOnlyDiscipline(NoForceAcc):
     unreflected record is ever discarded."""
 
     name = "redo-acc"
-    # a page's chain starts at its durable LSN, which no checkpoint
-    # bounds: restart reads the whole log, from no anchor
-    anchored = False
 
     def redo_tail(self, db, winners) -> list:
         """Winners' per-page chains from each page's on-disk LSN
-        forward."""
+        forward.  No checkpoint bounds a page's durable LSN, so the
+        chains reach back before the restart anchor: they are read off
+        the whole log, checked below the anchor on the way, and so are
+        the winners — ``winners``, the commits since the anchor, would
+        miss those that committed before it."""
         durable = db._durable_page_lsn
-        # the whole log, decoded: no checkpoint bounds a page's durable LSN
-        return [r for r in db.redo_log.records()
+        log = db.redo_log
+        records = log.records()
+        winners = log.txn_ids(CommitRecord)
+        return [r for r in records
                 if r.page_chained and r.txn_id in winners
                 and r.lsn > durable.get(r.page_id, 0)]
 

@@ -58,8 +58,8 @@ from ..wal.records import (AbortRecord, BOTRecord, CommitRecord,
                            PageBeforeImage, RecordBeforeEntry)
 from .policy import apply_record_image
 
-RESTART_COUNTERS = ("log_records", "log_decoded", "anchored_logs",
-                    "sectors_repaired", "groups_scrubbed", "parity_resynced",
+RESTART_COUNTERS = ("log_records", "log_decoded", "sectors_repaired",
+                    "groups_scrubbed", "parity_resynced",
                     "parity_undone_pages", "redo_applied", "redo_skipped",
                     "log_undo_applied", "pages_unchanged", "page_transfers")
 """The numeric fields of :meth:`RecoveryManager.crash_recover`'s result,
@@ -236,11 +236,10 @@ class RecoveryManager:
         since the restart anchor, the last forced checkpoint (the whole
         log's without one); ``log_records`` counts the records the
         restart CRC-checked — analysis' walk from the anchor, plus the
-        log before it should a loser's chain reach back there — and
-        ``anchored_logs`` the logs whose walk began at an anchor;
-        ``log_decoded`` the records the restart turned into objects —
-        the redo tail since the last checkpoint and the losers'
-        chains; ``groups_scrubbed`` the
+        log before it should a loser's chain (or REDO-only's page
+        chains) reach back there; ``log_decoded`` the records the
+        restart turned into objects — the redo tail since the last
+        checkpoint and the losers' chains; ``groups_scrubbed`` the
         parity groups the write-hole scrub checked, the ones the log
         names (so it grows with the work since the checkpoint, not with
         G); ``redo_skipped`` counts the
@@ -368,7 +367,6 @@ class RecoveryManager:
             "losers": sorted(losers),
             "log_records": sum(log.records_checked for log in logs) - checked,
             "log_decoded": sum(log.records_decoded for log in logs) - decoded,
-            "anchored_logs": sum(bool(log.anchor) for log in logs),
             "sectors_repaired": sectors_repaired,
             # parity undo cleaned every Dirty_Set entry before the
             # scrub, so it checked each named group

@@ -117,25 +117,24 @@ class LogDevice:
             self._pages_charged += 1
 
     def force(self) -> None:
-        """Flush the current partial page (WAL rule at commit).  The
-        page written carries the anchor — also when the legacy model
-        lets the rewrite of an already charged page ride free."""
-        if self.reforce_partial:
-            partial_start = (len(self._data) // self.page_size) * self.page_size
-            if len(self._data) > partial_start and \
-                    len(self._data) > self._forced_len:
+        """Flush the current partial page (WAL rule at commit).  A force
+        that writes a page carries the anchor — also when the legacy
+        model lets the rewrite of an already charged page ride free; a
+        force with no bytes since the last one writes nothing."""
+        size = len(self._data)
+        if size % self.page_size and size > self._forced_len:
+            if self.reforce_partial:
                 if self.on_page_write is not None:
-                    self.on_page_write(self.device_id,
-                                       len(self._data) // self.page_size)
+                    self.on_page_write(self.device_id, size // self.page_size)
                 self.stats.record_write(self.device_id,
                                         self.transfers_per_page)
-            self._forced_len = len(self._data)
-        elif len(self._data) > self._pages_charged * self.page_size:
-            if self.on_page_write is not None:
-                self.on_page_write(self.device_id, self._pages_charged)
-            self.stats.record_write(self.device_id, self.transfers_per_page)
-            self._pages_charged += 1
-        self.carried = self.anchor
+            elif size > self._pages_charged * self.page_size:
+                if self.on_page_write is not None:
+                    self.on_page_write(self.device_id, self._pages_charged)
+                self.stats.record_write(self.device_id, self.transfers_per_page)
+                self._pages_charged += 1
+            self.carried = self.anchor
+        self._forced_len = size
 
     @property
     def contents(self) -> bytes:

@@ -459,6 +459,53 @@ class TestWorkingOwnerRule:
         assert thief in db.undo_log.txn_ids(AbortRecord)
         assert WorkingOwnerRule().check(db, "restart", {}) == []
 
+    @pytest.mark.parametrize("name", ["page-noforce-rda",
+                                      "record-noforce-rda"])
+    def test_a_restart_checks_the_same_records_with_the_rules_attached(
+            self, name):
+        """The rule reads only the aborts since the anchor, so judging
+        the restart's twin writes checks no record below it — nor does
+        any other default rule but ``twin-page-lsn``, which judges a
+        stamp against its page's whole history and so reads the whole
+        log by design."""
+        def crashed(engine):
+            db = Database(preset(name, group_size=4, num_groups=8,
+                                 buffer_capacity=6))
+            if engine:
+                InvariantEngine.attach(db, [
+                    rule for rule in default_rules()
+                    if not isinstance(rule, TwinPageLsnRule)])
+            simulator = Simulator(db, WorkloadSpec(concurrency=3,
+                                                   pages_per_txn=4), seed=5)
+            if simulator.record_mode:
+                simulator.seed_records()
+            simulator.run(40)
+            db.checkpoint()
+            # a loser whose stolen pages the restart writes back, and a
+            # winner whose force carries the anchor
+            loser, winner = db.begin(), db.begin()
+            for page in (0, 1, 2):
+                if simulator.record_mode:
+                    db.update_record(loser, page, 0, b"lost")
+                else:
+                    db.write_page(loser, page, make_page(b"lost"))
+            db.buffer.flush_pages_of(loser)
+            if simulator.record_mode:
+                db.update_record(winner, 3, 0, b"won")
+            else:
+                db.write_page(winner, 3, make_page(b"won"))
+            db.commit(winner)
+            db.crash()
+            return db
+
+        plain, judged = crashed(False), crashed(True)
+        before = judged.invariants.barrier_counts["twin_write"]
+        stats = judged.recover()
+        assert judged.invariants.barrier_counts["twin_write"] > before
+        assert judged.invariants.clean
+        assert judged.redo_log.anchor
+        assert stats["log_records"] == plain.recover()["log_records"]
+
     def test_mutant_needs_twins(self):
         with pytest.raises(MutantError):
             WorkingOwnerRule().mutate(make_db("page-force-log"))

@@ -10,6 +10,7 @@ class Harness:
         self.records = []
         self.active = [3, 4]
         self.lsn = 0
+        self.declared = []
 
     def flush(self):
         self.flushes += 1
@@ -24,10 +25,10 @@ class Harness:
     def table(self):
         return list(self.active), [7, 0], 9
 
-    def make(self, interval=None, declare_anchor=None):
+    def make(self, interval=None):
         return ACCCheckpointer(self.flush, self.append_and_force,
-                               self.table, interval=interval,
-                               declare_anchor=declare_anchor)
+                               self.table, self.declared.append,
+                               interval=interval)
 
 
 class TestCheckpoint:
@@ -47,9 +48,8 @@ class TestCheckpoint:
 
     def test_the_forced_record_is_declared_the_anchor(self):
         h = Harness()
-        declared = []
-        cp = h.make(declare_anchor=declared.append)
-        assert cp.checkpoint() == 1 and declared == [1]
+        cp = h.make()
+        assert cp.checkpoint() == 1 and h.declared == [1]
 
     def test_interval_triggering(self):
         h = Harness()

@@ -200,11 +200,15 @@ class TestCrashRestart:
         assert [r.txn_id for r in log.records()] == [1]
 
 
-def anchored_log(page_size: int = 128) -> tuple:
+def anchored_log(page_size: int = 128, reforce: bool = False) -> tuple:
     """Three records, a checkpoint declared the anchor, two records
-    after it, all durable: ``(log, anchor LSN, anchor byte offset)``."""
+    after it, all durable: ``(log, anchor LSN, anchor byte offset)``.
+    ``reforce`` charges every force's partial page again (the
+    group-commit log's accounting)."""
     log = LogManager(name="test", page_size=page_size,
                      transfers_per_log_page=1)
+    for device in log._devices:
+        device.reforce_partial = reforce
     log.append(BOTRecord(txn_id=1))
     log.append(PageBeforeImage(txn_id=1, page_id=3, image=b"img"))
     log.append(BOTRecord(txn_id=2))
@@ -237,13 +241,19 @@ class TestAnchor:
         assert log.records_checked == 6
         assert log.records_of(1)[-1].lsn == 1
 
-    def test_no_page_write_since_the_checkpoint_keeps_the_old_anchor(self):
+    @pytest.mark.parametrize("reforce", [False, True])
+    def test_no_page_write_since_the_checkpoint_keeps_the_old_anchor(
+            self, reforce):
         """A crash between the checkpoint's force and the next page
-        write: the durable pages carry the anchor before it."""
-        log, anchor, _ = anchored_log()
+        write: the durable pages carry the anchor before it.  A force
+        with no bytes since the last one writes no page."""
+        log, anchor, _ = anchored_log(reforce=reforce)
         later = log.append(CheckpointRecord(txn_id=0))
         log.force()
         log.declare_anchor(later)
+        transfers = log.stats.snapshot().total
+        log.force()
+        assert log.stats.snapshot().total == transfers
         log.crash()
         log.after_crash()
         assert log.anchor == anchor
