@@ -107,6 +107,14 @@ class InvariantRule:
         return db.rda.dirty_set.entries()[0]
 
 
+def _restart_twin(headers: tuple, active: set) -> int:
+    """The twin a restart selects from a group's two ``headers``: a
+    WORKING owner not in ``active`` committed — rule ``working-owner``'s
+    premise, the one restart's ``Committed`` uses."""
+    return select_current_twin(headers, {h.txn_id for h in headers
+                                         if h.txn_id not in active})
+
+
 class TwinParityIdentityRule(InvariantRule):
     """Paper Section 4.2: for every dirty group, the working twin is
     the parity of the current data, and the twin XOR identity
@@ -158,10 +166,9 @@ class TwinParityIdentityRule(InvariantRule):
         group, txn = ctx["group"], ctx["txn"]
         (p0, h0) = db.array.peek_twin(group, 0)
         (p1, h1) = db.array.peek_twin(group, 1)
-        # only the two header owners can matter to the selection
-        committed = {txn} | {h.txn_id for h in (h0, h1)
-                             if db.txns.is_committed(h.txn_id)}
-        expected = select_current_twin((h0, h1), committed)
+        # the committing transaction counts as finished
+        active = {t.txn_id for t in db.txns.active_transactions()} - {txn}
+        expected = _restart_twin((h0, h1), active)
         actual = db.rda.current_twin(group)
         violations: List[Violation] = []
         if actual != expected:
@@ -584,15 +591,19 @@ class WorkingOwnerRule(InvariantRule):
     """A WORKING twin header on disk never names a transaction that
     aborted: an abort — live, or restart's parity undo of a loser —
     demotes the working twin to INVALID before the abort record is
-    written.  An anchored restart leans on it: a header owner the
-    checkpoint's transaction table shows finished before the anchor is
-    taken to have committed (:class:`repro.db.recovery.Committed`), so
-    a WORKING header left behind by an abort would be trusted as the
-    group's parity.  A twin write re-checks its own group; ``abort``
+    written.  It is the one premise for whose WORKING header committed:
+    an anchored restart takes an owner its anchor's table shows finished
+    to have committed (:class:`repro.db.recovery.Committed`), as the
+    flip check takes an owner no longer active, and a trim leaves the
+    header on disk — so one an abort left behind would be trusted as
+    the group's parity.  A twin write re-checks its own group; ``abort``
     and ``restart`` check them all.  Only aborts since the restart
     anchor are read: a skipped demotion is caught at the ``abort``
     barrier, where its record is the newest, and restart's own aborts
-    follow the anchor — so the check never reaches the log before it."""
+    follow the anchor — so the check never reaches the log before it.
+    Once a trim dropped that record, ``abort`` and ``restart`` judge
+    the premise itself: with the owners no longer active committed,
+    twin selection must pick the current twin."""
 
     name = "working-owner"
     barriers = ("abort", "twin_write", "restart")
@@ -613,10 +624,25 @@ class WorkingOwnerRule(InvariantRule):
         if not working:
             return []
         aborted = db.undo_log.txn_ids(AbortRecord, db.undo_log.anchor)
-        return [Violation("working-owner",
-                          f"group {group}: twin {which} is WORKING for "
-                          f"txn {txn_id}, which aborted ({barrier})")
-                for group, which, txn_id in working if txn_id in aborted]
+        violations = [Violation("working-owner",
+                                f"group {group}: twin {which} is WORKING "
+                                f"for txn {txn_id}, which aborted "
+                                f"({barrier})")
+                      for group, which, txn_id in working
+                      if txn_id in aborted]
+        if barrier == "twin_write":
+            return violations
+        active = {txn.txn_id for txn in db.txns.active_transactions()}
+        for group in sorted({group for group, _, txn_id in working
+                             if txn_id not in active}):
+            trusted = _restart_twin(tuple(db.array.peek_twin(group, which)[1]
+                                          for which in (0, 1)), active)
+            if trusted != db.rda.current_twin(group):
+                violations.append(Violation(
+                    "working-owner", f"group {group}: with its WORKING "
+                    f"owners committed, a restart takes twin {trusted} "
+                    f"for the current one ({barrier})"))
+        return violations
 
     def mutate(self, db) -> str:
         """Parity undo that leaves the working twin's header WORKING."""

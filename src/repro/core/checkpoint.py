@@ -8,10 +8,10 @@
   the dirty buffer pages and writes a checkpoint record carrying the
   transaction table (the transactions active at the checkpoint, their
   BOT LSNs, the next transaction id).  Crash recovery REDOes committed
-  work from the last checkpoint record forward, and — once the record
-  is forced — the checkpointer declares it the log's restart *anchor*:
-  analysis reads the log from there on and the table for what came
-  before (:meth:`~repro.wal.log.LogManager.declare_anchor`).
+  work from the last checkpoint record forward, and the record is
+  appended as the log's restart *anchor*: once it is durable, analysis
+  reads the log from there on and the table for what came before
+  (:meth:`~repro.wal.log.LogManager.append_anchor`).
 
 :class:`ACCCheckpointer` is dependency-injected (flush / log / active-set
 callables) so it can be unit-tested without a full database; the
@@ -32,14 +32,13 @@ class ACCCheckpointer:
     Args:
         flush_dirty: zero-arg callable flushing every dirty buffer page;
             returns the flushed page ids.
-        append_and_force: callable taking a log record, appending it to
-            the (redo) log and forcing it durable; returns the LSN.
+        append_anchor: callable taking the checkpoint record, appending
+            it to the (redo) log as the restart anchor and forcing it;
+            returns the LSN.
         transaction_table: zero-arg callable returning ``(active txn
             ids, their BOT LSNs (0 = none yet), next txn id)`` right now
             (the checkpoint is action-consistent, not
             transaction-consistent, so the active set may be non-empty).
-        declare_anchor: callable invoked with the checkpoint record's
-            LSN once it is forced: the log's restart anchor.
         interval: cost units between automatic checkpoints (the model's
             ``I``); None disables :meth:`maybe_checkpoint`.
         tracer: event tracer; each checkpoint becomes a ``checkpoint``
@@ -52,14 +51,13 @@ class ACCCheckpointer:
             conformance barrier).
     """
 
-    def __init__(self, flush_dirty, append_and_force, transaction_table,
-                 declare_anchor, interval: float | None = None, tracer=None,
-                 stats=None, metrics=None, on_checkpoint=None) -> None:
+    def __init__(self, flush_dirty, append_anchor, transaction_table,
+                 interval: float | None = None, tracer=None, stats=None,
+                 metrics=None, on_checkpoint=None) -> None:
         self._flush_dirty = flush_dirty
-        self._append_and_force = append_and_force
+        self._append_anchor = append_anchor
         self._transaction_table = transaction_table
         self._on_checkpoint = on_checkpoint
-        self._declare_anchor = declare_anchor
         self.interval = interval
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._stats = stats
@@ -78,8 +76,7 @@ class ACCCheckpointer:
                                       flushed_pages=flushed,
                                       bot_lsns=tuple(bots),
                                       next_txn_id=next_id)
-            lsn = self._append_and_force(record)
-            self._declare_anchor(lsn)
+            lsn = self._append_anchor(record)
             span.set(flushed=len(flushed), lsn=lsn)
         if self._m_taken is not None:
             self._m_taken.inc()

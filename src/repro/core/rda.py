@@ -395,44 +395,6 @@ class RDAManager:
             self.metrics.counter("rda.promotions").inc()
         return entry.txn_id, entry.page_id
 
-    # -- log-trim support ---------------------------------------------------------------------
-
-    def seal_stale_working_headers(self) -> int:
-        """Durably retire WORKING headers whose transaction has ended.
-
-        Commit is a main-memory bit flip, so a committed steal's twin
-        keeps its WORKING header on disk until the group is written
-        again; :meth:`crash_scan` resolves such headers against the
-        log's commit set.  Trimming the log can discard exactly those
-        commit records, after which a restart would misread the stale
-        header as an uncommitted steal (or refuse outright when a later
-        steal put a second WORKING header on the group).  Before a trim,
-        every WORKING header *not* owned by the Dirty_Set's active steal
-        is therefore re-stamped — COMMITTED for the group's current
-        parity, OBSOLETE for a superseded twin — keeping its timestamp
-        so Figure 7 twin selection is unchanged.  Idempotent; returns
-        the number of headers rewritten.
-        """
-        sealed = 0
-        for group in range(self.array.geometry.num_groups):
-            headers = self._cached_headers(group)
-            entry = self.dirty_set.get(group)
-            for which, header in enumerate(headers):
-                if header.state is not TwinState.WORKING:
-                    continue
-                if entry is not None and entry.working_twin == which:
-                    continue    # active unlogged steal: still load-bearing
-                state = (TwinState.COMMITTED
-                         if which == self.current_twin(group)
-                         else TwinState.OBSOLETE)
-                new_header = header.with_(state=state)
-                self.array.rewrite_twin_header(group, which, new_header)
-                headers[which] = new_header
-                sealed += 1
-        if sealed and self.tracer.enabled:
-            self.tracer.emit("rda.seal_headers", headers=sealed)
-        return sealed
-
     # -- crash recovery (Section 4.3) ---------------------------------------------------------
 
     def find_parity_holes(self, groups) -> list:
@@ -543,6 +505,12 @@ class RDAManager:
                 if lsns and max(lsns) >= next_lsn:
                     self._zero_lost_lsns(group, headers, next_lsn)
             s0, s1 = h0.state, h1.state
+            # a WORKING header whose owner committed — a commit flip or
+            # a trim leaves one behind — counts as COMMITTED in Figure 7
+            if s0 is working and h0.txn_id in committed_txns:
+                s0 = committed
+            if s1 is working and h1.txn_id in committed_txns:
+                s1 = committed
             if s0 is not working and s1 is not working and (
                     s0 is committed or s1 is committed):
                 # no steal to classify: Figure 7 reduces to the

@@ -268,11 +268,6 @@ class Database:
             # committed change is in the written frame)
             self._durable_page_lsn[page] = self.redo_log.page_chain_head(page)
 
-    def _append_and_force_redo(self, record) -> int:
-        lsn = self.redo_log.append(record)
-        self.redo_log.force()
-        return lsn
-
     # -- locking ------------------------------------------------------------------------------
 
     def _lock(self, txn_id: int, resource, mode: LockMode) -> None:
@@ -463,23 +458,17 @@ class Database:
         """Discard log records no future recovery can need.
 
         The safe point is the minimum of: the oldest active
-        transaction's BOT (its undo must stay reachable); under
-        ¬FORCE/ACC, the last checkpoint record (restart REDO starts
-        there — with no checkpoint yet, nothing can be trimmed, because
-        committed data may exist only in the log); and ``archive_floor``
-        — pass the ``dump_lsn`` of the oldest
+        transaction's BOT (its undo must stay reachable); the restart
+        anchor (under ¬FORCE/ACC the last checkpoint — with none yet,
+        nothing can be trimmed, because committed data may exist only in
+        the log; FORCE/TOC appends one here); and ``archive_floor`` —
+        pass the ``dump_lsn`` of the oldest
         :class:`~repro.db.archive.ArchiveCopy` you still intend to roll
         forward from, or leave None if archive media recovery is not in
         use.  Returns the number of records discarded.
         """
-        if self.rda is not None:
-            # committed steals leave stale WORKING twin headers behind
-            # (commit is a memory-only flip); the crash scan resolves
-            # them against the commit records this trim may discard, so
-            # seal them durably first
-            self.rda.seal_stale_working_headers()
-        # no header still needs a finished transaction's verdict and the
-        # log is about to drop its records: the registry forgets with it
+        # the log is about to drop finished transactions' records: the
+        # registry forgets with it
         self.txns.forget_finished()
         candidates = [self.undo_log.last_lsn + 1]
         for txn in self.txns.active_transactions():

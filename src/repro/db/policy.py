@@ -28,9 +28,9 @@ from contextlib import nullcontext
 
 from ..core import ACCCheckpointer, RDAManager
 from ..errors import RecoveryError
-from ..wal import (NULL_LSN, CommitRecord, PageAfterImage, PageBeforeImage,
-                   PageRedoEntry, RecordAfterEntry, RecordBeforeEntry,
-                   RecordRedoEntry)
+from ..wal import (NULL_LSN, CheckpointRecord, CommitRecord, PageAfterImage,
+                   PageBeforeImage, PageRedoEntry, RecordAfterEntry,
+                   RecordBeforeEntry, RecordRedoEntry)
 from .slotted_page import SlottedPage
 
 
@@ -302,8 +302,9 @@ class RedoRecordLogging(RecordLogging):
 
 
 class ForceToc:
-    """FORCE + TOC: commit flushes the transaction's pages; no
-    checkpoints, no restart REDO."""
+    """FORCE + TOC: commit flushes the transaction's pages; no ACC
+    checkpoints, no restart REDO.  Each trim appends the redo log's
+    restart anchor, a checkpoint record with no flushed pages."""
 
     name = "force-toc"
     forces_at_commit = True
@@ -327,23 +328,23 @@ class ForceToc:
         return 0, 0
 
     def trim_log(self, db, candidates: list, archive_floor) -> int:
-        # FORCE/TOC: the undo log only needs active transactions'
-        # records.  Dropping a finished transaction's BOT is always safe
-        # (it simply stops being a loser *candidate*).
+        # the undo log only needs active transactions' records; the
+        # redo log keeps its anchor and what archive roll-forward needs
+        active, bots, next_id = _transaction_table(db)
+        db.redo_log.append_anchor(CheckpointRecord(
+            txn_id=0, active_txns=tuple(active), bot_lsns=tuple(bots),
+            next_txn_id=next_id))
         dropped = db.undo_log.truncate_before(min(candidates))
-        # The redo log is cross-referenced by restart analysis: a BOT
-        # surviving in the undo log whose commit record was trimmed here
-        # would be misclassified as a loser.  Only a *quiescent* trim
-        # (no active transactions, hence no surviving BOTs) avoids the
-        # coupling; it is bounded by the archive roll-forward floor.
-        if archive_floor is not None and not db.txns.active_transactions():
-            dropped += db.redo_log.truncate_before(archive_floor + 1)
+        anchor = db.redo_log.anchor
+        if archive_floor is not None and anchor != NULL_LSN:
+            dropped += db.redo_log.truncate_before(
+                min(archive_floor + 1, anchor))
         return dropped
 
 
 def _transaction_table(db) -> tuple:
     """``(active txn ids, their BOT LSNs, next txn id)`` for a
-    checkpoint record."""
+    checkpoint record (the BOT LSNs are the undo log's)."""
     active = db.txns.active_transactions()
     return ([txn.txn_id for txn in active],
             [txn.bot_lsn or NULL_LSN for txn in active], db.txns.next_id)
@@ -361,8 +362,9 @@ class NoForceAcc:
         """One combined log plus the ACC checkpointer."""
         combined = log_factory(db, "log")
         checkpointer = ACCCheckpointer(
-            db.buffer.flush_all_dirty, db._append_and_force_redo,
-            lambda: _transaction_table(db), combined.declare_anchor,
+            db.buffer.flush_all_dirty,
+            lambda record: db.redo_log.append_anchor(record),
+            lambda: _transaction_table(db),
             interval=db.config.checkpoint_interval,
             tracer=db.tracer, stats=db.stats, metrics=db.metrics,
             on_checkpoint=db._on_checkpoint)
@@ -415,10 +417,10 @@ class NoForceAcc:
         return redone, skipped
 
     def trim_log(self, db, candidates: list, archive_floor) -> int:
-        checkpoint_lsn = db.redo_log.last_checkpoint_lsn()
-        if checkpoint_lsn == NULL_LSN:
+        anchor = db.redo_log.anchor
+        if anchor == NULL_LSN:
             return 0        # committed data may exist only in the log
-        candidates.append(checkpoint_lsn)
+        candidates.append(anchor)
         return db.undo_log.truncate_before(min(candidates))
 
 
@@ -472,10 +474,6 @@ class RedoOnlyDiscipline(NoForceAcc):
         unsafe here: the gate may have skipped a committed residue page
         at checkpoint time, leaving its older chain records the only
         copy of committed data.)"""
-        checkpoint_lsn = db.redo_log.last_checkpoint_lsn()
-        if checkpoint_lsn == NULL_LSN:
-            return 0        # committed data may exist only in the log
-        candidates.append(checkpoint_lsn)
         durable = db._durable_page_lsn
         log = db.redo_log
         base = log.base_lsn
@@ -488,7 +486,7 @@ class RedoOnlyDiscipline(NoForceAcc):
                 lsn = log.get(lsn).prev_page_lsn
             if earliest is not None:
                 candidates.append(earliest)
-        return db.undo_log.truncate_before(min(candidates))
+        return super().trim_log(db, candidates, archive_floor)
 
 
 # ==================== axis 3: steal protection ====================

@@ -69,18 +69,20 @@ sweep copies."""
 
 class Committed:
     """The twin scan's commit set: ``txn in committed`` is False exactly
-    for the owner of a live steal.
+    for the owner of a live steal — the one answer to whose WORKING
+    header committed.
 
     A WORKING twin header is a live steal iff its owner is in the
     anchor checkpoint's transaction table with no end-of-transaction
-    record (EOT) after the anchor, or above the table's next-id
+    record (EOT) after the anchor, or at or above the table's next-id
     ``ceiling`` with no commit after it, or has a BOT after it and no
     EOT — ``live`` holds the first and last kinds.  Any other owner
     finished before the checkpoint, and since an abort demotes its
-    working twin to INVALID before the abort record is written, it
-    committed.  With no anchor the table is empty and the ceiling 0: a
-    header is trusted iff its owner has a commit record, the classic
-    rule."""
+    working twin to INVALID before the abort record is written (rule
+    ``working-owner``), it committed — though a trim dropped its commit
+    record, no trim drops the anchor.  With no anchor the table is empty
+    and the ceiling 0: a header is trusted iff its owner has a commit
+    record, the classic rule."""
 
     __slots__ = ("winners", "live", "ceiling")
 
@@ -95,18 +97,20 @@ class Committed:
 
 
 def verdicts(db) -> tuple:
-    """``(winners, losers, committed)`` off the log's record headers
-    from the restart anchor on, plus the anchor checkpoint's
-    transaction table: the transactions with a commit record since the
-    anchor; those with a BOT — in the table or since the anchor — and
-    no EOT since; and the twin scan's :class:`Committed`.  Without an
-    anchor the headers are the whole retained log's."""
+    """``(winners, losers, committed)`` off each log's record headers
+    from its own restart anchor on (FORCE's two logs count LSNs apart),
+    plus the redo anchor's transaction table: the transactions with a
+    commit record since the anchor; those with a BOT — in the table, or
+    since and in it or at or above its ceiling (below, FORCE's undo log
+    keeps one that finished before the anchor) — and no EOT since; and
+    the twin scan's :class:`Committed`.  Without an anchor the headers
+    are the whole retained log's."""
     redo_log, undo_log = db.redo_log, db.undo_log
-    since = redo_log.anchor
     table, ceiling = redo_log.transaction_table()
-    winners = redo_log.txn_ids(CommitRecord, since)
-    ended = winners | undo_log.txn_ids(AbortRecord, since)
-    begun = undo_log.txn_ids(BOTRecord, since)
+    winners = redo_log.txn_ids(CommitRecord, redo_log.anchor)
+    ended = winners | undo_log.txn_ids(AbortRecord, undo_log.anchor)
+    begun = {txn for txn in undo_log.txn_ids(BOTRecord, undo_log.anchor)
+             if txn in table or txn >= ceiling}
     losers = {txn for txn, bot in table.items() if bot} | begun
     return (winners, losers - ended,
             Committed(winners, (set(table) | begun) - ended, ceiling))

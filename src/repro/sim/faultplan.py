@@ -347,17 +347,24 @@ class PlanOutcome:
     recovery: dict = field(default_factory=dict)
 
 
-def _execute(db, ops, txn_ids: dict, commit_spans: dict,
-             position_of) -> None:
+def _execute(db, ops, txn_ids: dict, commit_spans: dict, position_of,
+             trimmed: set) -> None:
     """Run the script; ``commit_spans[label] = (start, end)`` records the
     global write indices each *completed* commit spanned.  An ACC
     engine checkpoints on its own interval, a page write costing one
-    unit, between operations."""
+    unit, between operations.  A ``("trim",)`` op trims the log, which
+    may drop the commit records of the commits completed before it:
+    their labels join ``trimmed``."""
     checkpointer = db.checkpointer
     for op in ops:
         if checkpointer is not None and op[0] in ("write", "update"):
             checkpointer.note_work(1)
             checkpointer.maybe_checkpoint()
+        if op[0] == "trim":
+            db.trim_log()
+            trimmed.update(label for label, (_, end) in commit_spans.items()
+                           if end is not None)
+            continue
         name, label = op[0], op[1]
         if name == "begin":
             txn_ids[label] = db.begin()
@@ -414,6 +421,8 @@ def _reference_diff(db, ops, winner_labels: set, seed: dict) -> list:
         record_mode=any(op[0] == "update" for op in ops))
     mirror.seed(seed)
     for op in ops:
+        if op[0] == "trim":
+            continue
         name, label = op[0], op[1]
         if name == "begin":
             mirror.begin(label)
@@ -443,10 +452,11 @@ def run_plan(make_db, ops, plan: FaultPlan, setup=None) -> PlanOutcome:
     injector.attach()
     txn_ids: dict = {}
     commit_spans: dict = {}
+    trimmed: set = set()
     try:
         try:
             _execute(db, ops, txn_ids, commit_spans,
-                     lambda: injector.position)
+                     lambda: injector.position, trimmed)
         except CrashPointReached:
             pass
     finally:
@@ -479,15 +489,15 @@ def run_plan(make_db, ops, plan: FaultPlan, setup=None) -> PlanOutcome:
     violations.extend(verify_database(db))
     violations.extend(bound.violations)
 
-    # the commits the whole durable log holds: an anchored restart's
-    # winners are only those since its anchor
+    # the commits the whole durable log holds (an anchored restart's
+    # winners are those since its anchor) and those a trim dropped
     logs = [engine.redo_log for engine in engines_of(db)]
     if getattr(db, "commit_log", None) is not None:
         logs.append(db.commit_log)
     committed = set().union(*(log.txn_ids(CommitRecord) for log in logs))
     label_of = {txn_id: label for label, txn_id in txn_ids.items()}
-    winner_labels = {label_of[txn_id] for txn_id in committed
-                     if txn_id in label_of}
+    winner_labels = trimmed | {label_of[txn_id] for txn_id in committed
+                               if txn_id in label_of}
     must, may = _oracle_sets(commit_spans, plan)
     for label in sorted(must - winner_labels, key=repr):
         violations.append(Violation(
@@ -589,7 +599,7 @@ def record_schedule(make_db, ops, setup=None) -> list:
     injector = FaultInjector(db, plan=None)
     injector.attach()
     try:
-        _execute(db, ops, {}, {}, lambda: injector.position)
+        _execute(db, ops, {}, {}, lambda: injector.position, set())
     finally:
         injector.detach()
     return injector.schedule

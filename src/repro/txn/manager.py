@@ -8,8 +8,10 @@ is orchestrated by the recovery layer, which calls back into
 Registry lifetime: an active transaction is registered until it
 finishes; a finished one stays answerable through :meth:`get` until the
 next :meth:`forget_finished` (``Database.trim_log`` — the moment the
-log drops its records and stale WORKING twin headers are sealed) or
-:meth:`lose_memory` (crash).  Memory and every walk are therefore
+log drops its records; a WORKING twin header a finished owner left on
+disk needs no verdict from the registry: an owner no longer active
+committed, since an abort demotes its twin) or :meth:`lose_memory`
+(crash).  Memory and every walk are therefore
 bounded by live work plus what finished since the last trim, never by
 the number of transactions ever run.
 """
@@ -112,13 +114,6 @@ class TransactionManager:
     def active_transactions(self) -> list:
         """Active transactions, in begin order."""
         return list(self._active.values())
-
-    def is_committed(self, txn_id: int) -> bool:
-        """True if the id is a committed transaction the registry still
-        remembers (twin selection asks this about WORKING-header
-        owners; a forgotten owner's header was sealed at the trim)."""
-        txn = self._finished.get(txn_id)
-        return txn is not None and txn.state is TxnState.COMMITTED
 
     def forget_finished(self) -> None:
         """Drop every finished transaction (the log is forgetting them

@@ -13,10 +13,10 @@ the model counts.  :class:`LogManager` therefore:
 * maintains the per-transaction backward chain (``prev_lsn``), so a
   rollback reads only the aborting transaction's records instead of
   scanning the log (the paper's TWIST-style log chain);
-* survives crashes from an **anchor**: the checkpointer names the
-  newest forced ACC checkpoint (:meth:`declare_anchor`) and every later
-  log page write carries that name out of band, as a page header would
-  — no transfer of its own.  :meth:`after_crash` reads it from the last
+* survives crashes from an **anchor**: a checkpoint record appended as
+  one (:meth:`append_anchor`) is named by the page write that makes it
+  durable and every later one, out of band, as a page header would —
+  no transfer of its own.  :meth:`after_crash` reads it from the last
   durable page of each copy and checks the records from the anchor to
   the end of the log; the rebuilt index holds each record's header
   fields and byte span, and a record becomes an object the first time
@@ -67,11 +67,11 @@ def _txn_ids_of(*header_lists) -> dict:
 
 
 def _shifted(anchor, dropped: int, base_lsn: int):
-    """``anchor`` after a trim dropped ``dropped`` leading bytes and
-    left ``base_lsn`` the first record (None once it is gone)."""
+    """``anchor`` (LSN, byte offset, ...) after a trim dropped ``dropped``
+    leading bytes and left ``base_lsn`` the first record (or None)."""
     if anchor is None or anchor[0] < base_lsn:
         return None
-    return anchor[0], anchor[1] - dropped
+    return (anchor[0], anchor[1] - dropped, *anchor[2:])
 
 
 class LogDevice:
@@ -99,11 +99,17 @@ class LogDevice:
         # the page never counts toward durable_size and is removed by
         # crash_truncate at the next crash.
         self.on_page_write = None
-        # the restart anchor, ``(checkpoint LSN, byte offset)`` or None:
-        # ``anchor`` is what the next page write carries out of band,
-        # ``carried`` what the last one that reached disk carried
+        # the restart anchor the last page write to reach disk carried
+        # out of band, ``(checkpoint LSN, byte offset)`` or None, and
+        # one appended but not durable yet, ``(LSN, offset, size)``
         self.anchor: tuple | None = None
-        self.carried: tuple | None = None
+        self.pending: tuple | None = None
+
+    def _carry(self) -> None:
+        """The pending anchor, once its record is durable, is it."""
+        pending = self.pending
+        if self.durable_size >= pending[1] + pending[2]:
+            self.anchor, self.pending = pending[:2], None
 
     def append(self, blob: bytes) -> None:
         """Append bytes, charging transfers as log pages fill."""
@@ -113,14 +119,14 @@ class LogDevice:
             if self.on_page_write is not None:
                 self.on_page_write(self.device_id, self._pages_charged)
             self.stats.record_write(self.device_id, self.transfers_per_page)
-            self.carried = self.anchor
             self._pages_charged += 1
+        if self.pending is not None:
+            self._carry()
 
     def force(self) -> None:
-        """Flush the current partial page (WAL rule at commit).  A force
-        that writes a page carries the anchor — also when the legacy
-        model lets the rewrite of an already charged page ride free; a
-        force with no bytes since the last one writes nothing."""
+        """Flush the current partial page (WAL rule at commit); a force
+        with no bytes since the last one writes nothing.  A pending
+        anchor whose record is durable now is the anchor."""
         size = len(self._data)
         if size % self.page_size and size > self._forced_len:
             if self.reforce_partial:
@@ -133,8 +139,9 @@ class LogDevice:
                     self.on_page_write(self.device_id, self._pages_charged)
                 self.stats.record_write(self.device_id, self.transfers_per_page)
                 self._pages_charged += 1
-            self.carried = self.anchor
         self._forced_len = size
+        if self.pending is not None:
+            self._carry()
 
     @property
     def contents(self) -> bytes:
@@ -488,31 +495,29 @@ class LogManager:
 
     # -- the restart anchor --------------------------------------------------------
 
-    def declare_anchor(self, lsn: int) -> None:
-        """Name the checkpoint record at ``lsn`` the restart anchor.
+    def append_anchor(self, record: CheckpointRecord) -> int:
+        """Append a checkpoint record as the restart anchor and force
+        it; returns its LSN.
 
-        The checkpointer calls this once the record is forced; from the
-        next log page write on, every page carries the anchor out of
-        band (zero counted transfers) and :meth:`after_crash` starts its
-        walk there.  A record not forced yet — a force a group-commit
-        window deferred — is ignored, leaving the previous anchor."""
-        if not self._base_lsn <= lsn <= self.forced_lsn:
-            return
-        index = lsn - self._base_lsn
-        recovered = len(self._entries)
-        offset = self._devices[0].size - sum(
-            entry[5] - entry[4] for entry in self._entries[index:]) - sum(
-            record.serialized_size
-            for record in self._records[max(index, recovered):])
+        The page write that makes the record durable carries it out of
+        band (zero counted transfers), and so does every later one:
+        :meth:`after_crash` starts its walk there.  Until then — a force
+        a group-commit window deferred — the previous anchor stands."""
+        offset = self._devices[0].size
+        pending = (self._next_lsn, offset, record.serialized_size)
         for device in self._devices:
-            device.anchor = (lsn, offset)
+            device.pending = pending
+        lsn = self.append(record)
+        self.force()
+        return lsn
 
     @property
     def anchor(self) -> int:
-        """LSN of the checkpoint restart analysis starts at
+        """LSN of the checkpoint restart analysis starts at, carried by
+        every copy's last durable page — a trim keeps it
         (:data:`NULL_LSN`: none, analysis reads the whole log)."""
-        anchor = self._devices[0].anchor
-        return anchor[0] if anchor is not None else NULL_LSN
+        return min(device.anchor[0] if device.anchor is not None
+                   else NULL_LSN for device in self._devices)
 
     def transaction_table(self) -> tuple:
         """The anchor checkpoint's transaction table ``({active txn: BOT
@@ -689,7 +694,7 @@ class LogManager:
             device.reset_to(device.contents[byte_offset:])
             device.anchor = _shifted(device.anchor, byte_offset,
                                      self._base_lsn)
-            device.carried = _shifted(device.carried, byte_offset,
+            device.pending = _shifted(device.pending, byte_offset,
                                       self._base_lsn)
         for txn_id in [t for t, last in self._last_lsn_of_txn.items()
                        if last < self._base_lsn]:
@@ -728,10 +733,12 @@ class LogManager:
         from the durable bytes of the mirror copies, starting at the
         restart anchor.
 
-        The anchor is the newest one the copies' last durable pages
-        carry whose checkpoint record checks on some copy; with none —
-        never declared, trimmed away, or its record damaged on every
-        copy — the walk starts at the first retained record.  From
+        The anchor is the oldest one the copies' last durable pages
+        carry (a crash inside a force may leave the mate short of a new
+        one) if its checkpoint record checks on some copy; with none —
+        never appended, trimmed away, on one copy only, or its record
+        damaged on every copy — the walk starts at the first retained
+        record.  From
         there each copy is checked greedily — every record's bounds,
         CRC (header prefix + payload) and type; a truncated or corrupt
         tail ends that copy's usable run (records are CRC-protected, so
@@ -782,11 +789,11 @@ class LogManager:
         for device, tail in zip(self._devices, tails):
             if tail != best_tail:
                 # the winner's run after the copy's own bytes before the
-                # anchor (every copy holds those: the anchor's record was
-                # forced on each before it was declared)
+                # anchor (every copy holds those: each carries the
+                # anchor, so each made its record durable)
                 device._data[start:] = best_tail[:end]
             device.rewind(start + end)
-            device.anchor = device.carried = anchor
+            device.anchor, device.pending = anchor, None
         self._records = [None] * len(best)
         self._entries = best
         self._blob = best_tail[:end]
@@ -813,17 +820,20 @@ class LogManager:
         return len(best)
 
     def _find_anchor(self):
-        """The newest ``(lsn, offset)`` a copy's last durable page
-        carries whose checkpoint record checks on some copy, or None."""
-        carried = {device.carried for device in self._devices} - {None}
-        for lsn, offset in sorted(carried, reverse=True):
-            for device in self._devices:
-                try:
-                    entry, _ = deserialize(device._data, offset, True)
-                except (TornRecordError, LogCorruptionError):
-                    continue
-                if entry[0] == _CHECKPOINT and entry[1] == lsn:
-                    return lsn, offset
+        """The oldest ``(lsn, offset)`` the copies' last durable pages
+        carry, if every one carries one and its checkpoint record checks
+        on some copy, or None."""
+        carried = [device.anchor for device in self._devices]
+        if None in carried:
+            return None
+        lsn, offset = min(carried)
+        for device in self._devices:
+            try:
+                entry, _ = deserialize(device._data, offset, True)
+            except (TornRecordError, LogCorruptionError):
+                continue
+            if entry[0] == _CHECKPOINT and entry[1] == lsn:
+                return lsn, offset
         return None
 
     @staticmethod

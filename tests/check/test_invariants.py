@@ -12,8 +12,9 @@ from repro.check import (BufferModifierRule, DirtySetBoundRule,
 from repro.db import (Database, extended_preset_names, make_sharded,
                       preset)
 from repro.db.recovery import named_pages
+from repro.errors import InvalidTransactionState
 from repro.sim import Simulator, WorkloadSpec
-from repro.storage import make_page
+from repro.storage import TwinState, make_page
 from repro.wal import AbortRecord, BOTRecord, CommitRecord
 
 
@@ -152,25 +153,27 @@ class TestTwinParityIdentityRule:
 
 
 class TestFlipWithForgottenOwner:
-    """The flip check asks the registry about the two twin-header
-    owners only.  An owner the registry has forgotten must neither
-    raise a false alarm nor blind the rule."""
+    """The flip check takes a twin-header owner no longer active to have
+    committed — the premise restart's ``Committed`` uses.  An owner a
+    trim made the registry forget must neither raise a false alarm nor
+    blind the rule."""
 
     @staticmethod
     def restolen_group():
         """Group 0 with two WORKING headers: a stale one whose
-        committed owner is already forgotten (no trim, so no seal), and
-        the live steal of a second transaction."""
+        committed owner a trim forgot (the trim leaves the header as it
+        is), and the live steal of a second transaction."""
         db, first = dirty_db()
         db.commit(first)
-        db.txns.forget_finished()
+        db.trim_log()
         second = db.begin()
         db.write_page(second, 0, make_page(b"stolen again"))
         db.buffer.flush_pages_of(second)
         owners = {db.array.peek_twin(0, which)[1].txn_id
                   for which in (0, 1)}
         assert owners == {first, second}
-        assert not db.txns.is_committed(first)
+        with pytest.raises(InvalidTransactionState):
+            db.txns.get(first)
         return db, second
 
     def test_clean_flip_raises_no_alarm(self):
@@ -356,8 +359,9 @@ class TestTwinPageLsnRule:
         assert "beyond the redo log" in found[0].detail
 
     def test_an_entry_the_trimmed_log_once_issued_is_not(self):
-        """A quiescent trim empties the log and resets its forced LSN:
-        the stamps on disk are above it, and legal — the records they
+        """A quiescent trim with no archive floor to keep drops the log
+        before its anchor, the record the trim appended: the stamps on
+        disk are below the retained log, and legal — the records they
         name are gone, not pending."""
         db = make_db("page-force-rda")
         for version in (b"a", b"b"):
@@ -365,7 +369,8 @@ class TestTwinPageLsnRule:
             db.write_page(txn, 0, make_page(version))
             db.commit(txn)
         db.trim_log(archive_floor=1 << 62)
-        assert db.redo_log.durable_lsn == 0 < max(
+        log = db.redo_log
+        assert log.base_lsn == log.anchor == log.durable_lsn > max(
             db.array.peek_twin(0, db.rda.current_twin(0))[1].page_lsns)
         assert TwinPageLsnRule().check(db, "checkpoint", {}) == []
 
@@ -440,17 +445,41 @@ class TestWorkingOwnerRule:
         assert engine.barrier_counts["restart"] > 0
         assert engine.clean, [str(v) for v in engine.violations]
         target = db.shards[0] if shards > 1 else db
+
+        def stolen_then_aborted():
+            """An unlogged steal on the target, then its abort."""
+            txn = db.begin()
+            if simulator.record_mode:
+                db.update_record(txn, 0, 0, b"stolen")
+            else:
+                db.write_page(txn, 0, make_page(b"stolen"))
+            target.buffer.flush_pages_of(txn)
+            assert target.rda.dirty_set.groups_of(txn)
+            db.abort(txn)
+            return txn
+
+        # done right first: the group's current twin is COMMITTED, and
+        # older than the steal the mutant leaves WORKING
+        stolen_then_aborted()
+        assert engine.clean, [str(v) for v in engine.violations]
+        if db.checkpointer is not None:
+            db.checkpoint()             # the anchor the trim cuts at
         detail = WorkingOwnerRule().mutate(target)
-        # an unlogged steal on the target, then its abort
-        txn = db.begin()
-        if simulator.record_mode:
-            db.update_record(txn, 0, 0, b"stolen")
-        else:
-            db.write_page(txn, 0, make_page(b"stolen"))
-        target.buffer.flush_pages_of(txn)
-        assert target.rda.dirty_set.groups_of(txn)
-        db.abort(txn)
+        txn = stolen_then_aborted()
         assert "working-owner" in kinds(engine.violations), detail
+        # a trim leaves the aborted owner's WORKING header on disk, and
+        # the rule still fires: from the abort record where the trim
+        # keeps it (¬FORCE: it follows the anchor), and where a FORCE
+        # trim dropped it, from the premise — wherever a restart would
+        # trust the header.  A record-mode rollback rewrites the current
+        # twin after the steal, so a restart would not
+        db.trim_log()
+        assert (TwinState.WORKING, txn) in {
+            (header.state, header.txn_id) for header in
+            (target.array.peek_twin(0, which)[1] for which in (0, 1))}
+        found = WorkingOwnerRule().check(target, "restart", {})
+        assert found or (simulator.record_mode
+                         and db.config.force), detail
 
     def test_a_restart_demotes_its_losers_before_their_abort_records(self):
         db, thief = dirty_db("page-noforce-rda")

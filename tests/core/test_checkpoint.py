@@ -16,18 +16,18 @@ class Harness:
         self.flushes += 1
         return [10, 11]
 
-    def append_and_force(self, record):
+    def append_anchor(self, record):
         self.lsn += 1
         record.lsn = self.lsn
         self.records.append(record)
+        self.declared.append(self.lsn)
         return self.lsn
 
     def table(self):
         return list(self.active), [7, 0], 9
 
     def make(self, interval=None):
-        return ACCCheckpointer(self.flush, self.append_and_force,
-                               self.table, self.declared.append,
+        return ACCCheckpointer(self.flush, self.append_anchor, self.table,
                                interval=interval)
 
 

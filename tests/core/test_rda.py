@@ -380,15 +380,6 @@ class TestPageLsnVector:
         assert header.state is TwinState.COMMITTED
         assert header.page_lsns == (4, 2, 0, 0)         # no new stamp
 
-    def test_seal_keeps_the_vector(self, rda):
-        rda.write_uncommitted(0, make_page(b"s"), txn_id=1, lsn=4)
-        working = rda.dirty_set.entry(0).working_twin
-        rda.commit_txn(1)
-        assert rda.seal_stale_working_headers() == 1
-        _, header = rda.array.peek_twin(0, working)
-        assert header.state is TwinState.COMMITTED
-        assert header.page_lsns == (4, 0, 0, 0)
-
     def test_group_write_stamps_every_written_page_in_one_header(self, rda):
         pages = rda.array.geometry.group_pages(1)
         rda.write_committed(pages[3], make_page(b"c"), lsn=2)

@@ -667,10 +667,11 @@ def build_anchored_scenario(name, carried: bool = True):
     """:func:`build_group_scenario`'s writes around a checkpoint, so the
     restart reads its log from an anchor: the loser begins, steals page
     9 and stays in the checkpoint's transaction table, and its chain
-    reaches back past the anchor; the winner commits after it, and its
-    force carries the anchor.  With ``carried`` False a second
-    checkpoint is forced just before the crash, and no page write
-    carries it: the restart reads from the first."""
+    reaches back past the anchor; the winner commits after it.  With
+    ``carried`` False a second checkpoint is forced just before the
+    crash, with no log write since: the force that made it durable
+    carries it, and the restart reads from it, the loser still in its
+    table."""
     db = Database(preset(name, group_size=4, num_groups=8,
                          buffer_capacity=8))
     record_mode = db.config.record_logging
@@ -734,9 +735,9 @@ def test_an_anchored_restart_reads_the_losers_chain_past_its_anchor(
     db, check = build(name)
     stats = db.recover()
     assert len(stats["losers"]) == 1
-    first_checkpoint = next(r.lsn for r in db.undo_log.records()
-                            if isinstance(r, CheckpointRecord))
-    assert db.undo_log.anchor == first_checkpoint
+    last_checkpoint = [r.lsn for r in db.undo_log.records()
+                       if isinstance(r, CheckpointRecord)][-1]
+    assert db.undo_log.anchor == last_checkpoint
     assert_group_state(db, check)
 
 
@@ -748,7 +749,7 @@ def test_an_anchored_restart_reads_the_losers_chain_past_its_anchor(
 def test_an_anchored_restart_survives_a_perturbed_write_then_any_death(
         name, build, mode):
     """The slice above, read from an anchor — also the one a crash
-    between a checkpoint's force and the next page write leaves."""
+    right after a checkpoint's force, with no log write since, leaves."""
     db, check = build(name)
     points = []
     db.recover(fault_hook=points.append)

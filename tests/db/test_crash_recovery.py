@@ -15,6 +15,7 @@ from repro.db import Database, LockWait, SlottedPage, preset
 from repro.errors import BufferFullError, DeadlockError
 from repro.obs import RingBufferSink, Tracer
 from repro.storage import TwinState, make_page
+from repro.wal import CommitRecord
 from repro.wal import records as records_module
 
 PAGE_PRESETS = ["page-force-rda", "page-force-log",
@@ -478,13 +479,16 @@ def test_restore_on_a_degraded_array_compares_with_the_reconstructed_base():
     assert db.verify_parity() == []
 
 
-def test_an_unwritten_group_keeps_its_winners_working_header_until_the_seal():
+def test_an_unwritten_group_keeps_its_winners_working_header_across_a_trim():
     """A committed unlogged steal leaves a WORKING header on disk (commit
     is a memory-only flip).  Redo finds the stolen page already current,
     so the restore does not write the group and the header stays — the
     state of any group a restart does not touch: the crash scan resolves
-    it against the commit set, and ``trim_log`` seals it before the
-    commit record can go."""
+    it against the commit set.  A trim that drops the commit record
+    leaves the header WORKING, and a later restart still trusts it: the
+    owner is below the anchor's next-id ceiling and not in its table,
+    so it finished before the anchor, and an abort would have demoted
+    the twin."""
     db = make_db("page-noforce-rda")
     winner = db.begin()
     db.write_page(winner, 5, make_page(b"stolen"))
@@ -501,10 +505,12 @@ def test_an_unwritten_group_keeps_its_winners_working_header_until_the_seal():
     assert working == [db.rda.current_twin(group)]
     db.checkpoint()
     db.trim_log()
+    assert winner not in db.undo_log.txn_ids(CommitRecord)
     assert db.array.peek_twin(group, working[0])[1].state \
-        is TwinState.COMMITTED
+        is TwinState.WORKING
     db.crash()
-    assert db.recover()["parity_undone_pages"] == 0
+    stats = db.recover()
+    assert stats["parity_undone_pages"] == 0 and stats["losers"] == []
     assert db.committed_view(5) == make_page(b"stolen")
     assert db.verify_parity() == []
 

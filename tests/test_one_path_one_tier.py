@@ -18,7 +18,10 @@ back unreached.  There is one judge of consistency — the rule catalog
 in ``check/invariants.py`` and its one-shot ``verify_database`` — and
 no second one beside it (``db/verify.py``, ``check_restart``, the fault
 sweep's private expected state), nor the Prometheus exposition and the
-trace-borne history transport nothing rendered or read.  The frame
+trace-borne history transport nothing rendered or read.  One premise
+says whose WORKING twin header committed — the restart anchor's, kept
+by every class across a trim — with no header seal at the trim and no
+registry verdict beside it.  The frame
 budgets at the end hold the page path, what a parity group and a
 restored page add to a restart, and what a tracer and a registry may add
 to a transaction, to the number of Python frames they enter today.
@@ -47,6 +50,7 @@ from repro.db.sharded import SHARD_OPS
 from repro.obs import (BufferedJsonlSink, MetricsRegistry, Tracer,
                        load_trace)
 from repro.storage import TwinState, kernels, make_page
+from repro.txn import TransactionManager
 from repro.wal import LogManager
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
@@ -85,6 +89,13 @@ SECOND_JUDGES = re.compile(
     r"_expected|history_from_trace|history_from_trace_file|to_prometheus|"
     r"prometheus_name|escape_label_value|_label_block)\b", re.MULTILINE)
 VIOLATION = re.compile(r"^class\s+(Violation)\b", re.MULTILINE)
+# one answer to whose WORKING twin header committed — the restart
+# anchor's table, which every class keeps across a trim — and one way to
+# make an anchor: no header seal at the trim, no registry verdict
+# beside it, no anchor named apart from the record that carries it
+SECOND_VERDICTS = re.compile(
+    r"\b(seal_stale_working_headers|rda\.seal_headers|is_committed|"
+    r"declare_anchor)\b")
 LAZY_JUDGE = re.compile(r"^[ \t]+from\s+\S*check\S*\s+import\s+.*"
                         r"\bverify_database\b", re.MULTILINE)
 
@@ -169,6 +180,13 @@ def test_one_judge():
     assert not re.search(r"^[ \t]+(?:from|import) ", faultplan, re.MULTILINE)
     assert _defined(LAZY_JUDGE) == {
         "db/sharded.py": ["    from ..check.invariants import verify_database"]}
+
+
+def test_one_answer_to_whose_working_header_committed():
+    assert _defined(SECOND_VERDICTS) == {}
+    assert not hasattr(TransactionManager, "is_committed")
+    assert not hasattr(RDAManager, "seal_stale_working_headers")
+    assert not hasattr(LogManager, "declare_anchor")
 
 
 def test_buffer_pool_takes_one_writeback_callable():

@@ -21,13 +21,15 @@ class TestLifecycle:
         txn = tm.begin()
         tm.finish(txn.txn_id, TxnState.COMMITTED)
         assert txn.state is TxnState.COMMITTED
-        assert tm.is_committed(txn.txn_id)
+        assert tm.get(txn.txn_id) is txn
+        assert tm.active_transactions() == []
 
     def test_abort(self, tm):
         txn = tm.begin()
         tm.finish(txn.txn_id, TxnState.ABORTED)
         assert txn.state is TxnState.ABORTED
-        assert not tm.is_committed(txn.txn_id)
+        assert tm.get(txn.txn_id) is txn
+        assert tm.active_transactions() == []
 
     def test_finish_requires_active(self, tm):
         txn = tm.begin()

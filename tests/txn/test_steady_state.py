@@ -171,7 +171,9 @@ class RegistryMachine(RuleBasedStateMachine):
         self.tm.finish(txn.txn_id, TxnState.COMMITTED if commit
                        else TxnState.ABORTED)
         assert self.tm.get(txn.txn_id) is txn
-        assert self.tm.is_committed(txn.txn_id) == commit
+        assert txn.state is (TxnState.COMMITTED if commit
+                             else TxnState.ABORTED)
+        assert txn not in self.tm.active_transactions()
 
     @rule()
     def forget(self):
@@ -252,5 +254,38 @@ def test_restart_checks_the_work_since_the_checkpoint_not_history(name):
     assert len(first["losers"]) == len(last["losers"]) == 2
     assert last["log_records"] <= 1.5 * first["log_records"]
     retained = db.undo_log.next_lsn - db.undo_log.base_lsn
+    assert 20 * last["log_records"] < retained
+    assert db.verify_parity() == []
+
+
+def test_a_force_restart_checks_the_work_since_the_trim_not_history():
+    """4 000 FORCE transactions, a trim about every 60 with no archive
+    floor: the redo log keeps every commit record for media recovery,
+    but each trim appends the restart anchor, so the last restart checks
+    about as many records as the first — far fewer than the redo log
+    retains.  Each crash leaves two transactions in flight, begun since
+    the trim, with their pages stolen."""
+    db = Database(preset("page-force-rda", group_size=5, num_groups=20,
+                         buffer_capacity=16))
+    pages = db.num_data_pages
+    restarts = []
+    for n in range(1, 4001):
+        txn = db.begin()
+        db.write_page(txn, n % (pages - 2), make_page(b"v%d" % n))
+        db.commit(txn)
+        if n % 60 == 0:
+            db.trim_log()
+        if n in (1050, 3990):
+            for page in (pages - 1, pages - 2):
+                in_flight = db.begin()
+                db.write_page(in_flight, page, make_page(b"v%d" % n))
+                db.buffer.flush_pages_of(in_flight)
+            db.crash()
+            restarts.append(db.recover())
+            assert db.redo_log.anchor
+    first, last = restarts
+    assert len(first["losers"]) == len(last["losers"]) == 2
+    assert last["log_records"] <= 2 * first["log_records"]
+    retained = db.redo_log.next_lsn - db.redo_log.base_lsn
     assert 20 * last["log_records"] < retained
     assert db.verify_parity() == []

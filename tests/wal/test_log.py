@@ -5,7 +5,8 @@ import pytest
 from repro.errors import LogCorruptionError, UnrecoverableDataError
 from repro.storage.iostats import IOStats
 from repro.wal import (BOTRecord, CheckpointRecord, CommitRecord,
-                       LogManager, NULL_LSN, PageBeforeImage)
+                       GroupCommitCoordinator, GroupCommitLog, LogManager,
+                       NULL_LSN, PageBeforeImage)
 
 
 @pytest.fixture
@@ -201,22 +202,22 @@ class TestCrashRestart:
 
 
 def anchored_log(page_size: int = 128, reforce: bool = False) -> tuple:
-    """Three records, a checkpoint declared the anchor, two records
+    """Three records, a checkpoint appended as the anchor, two records
     after it, all durable: ``(log, anchor LSN, anchor byte offset)``.
     ``reforce`` charges every force's partial page again (the
-    group-commit log's accounting)."""
-    log = LogManager(name="test", page_size=page_size,
-                     transfers_per_log_page=1)
+    group-commit log's accounting); the log's coordinator defers its
+    forces inside a window either way."""
+    log = GroupCommitLog(name="test", page_size=page_size,
+                         transfers_per_log_page=1,
+                         coordinator=GroupCommitCoordinator())
     for device in log._devices:
         device.reforce_partial = reforce
     log.append(BOTRecord(txn_id=1))
     log.append(PageBeforeImage(txn_id=1, page_id=3, image=b"img"))
     log.append(BOTRecord(txn_id=2))
     offset = log.size_bytes
-    anchor = log.append(CheckpointRecord(txn_id=0, active_txns=(1, 2),
-                                         bot_lsns=(1, 3), next_txn_id=3))
-    log.force()
-    log.declare_anchor(anchor)
+    anchor = log.append_anchor(CheckpointRecord(
+        txn_id=0, active_txns=(1, 2), bot_lsns=(1, 3), next_txn_id=3))
     log.append(CommitRecord(txn_id=2))
     log.append(BOTRecord(txn_id=3))
     log.force()
@@ -244,32 +245,61 @@ class TestAnchor:
     @pytest.mark.parametrize("reforce", [False, True])
     def test_no_page_write_since_the_checkpoint_keeps_the_old_anchor(
             self, reforce):
-        """A crash between the checkpoint's force and the next page
-        write: the durable pages carry the anchor before it.  A force
-        with no bytes since the last one writes no page."""
+        """A crash before a page write reaches the end of a checkpoint
+        appended as the anchor — its force deferred by a group-commit
+        window and lost with the power: the durable pages carry the
+        anchor before it.  The force that does reach it carries it, so a
+        crash right after, with no log write since, starts the next
+        restart there.  A force with no bytes since the last one writes
+        no page."""
         log, anchor, _ = anchored_log(reforce=reforce)
-        later = log.append(CheckpointRecord(txn_id=0))
-        log.force()
-        log.declare_anchor(later)
+        with log.coordinator.deferred():
+            deferred = log.append_anchor(CheckpointRecord(txn_id=0))
+        log.crash()                     # undrained: the window is lost
+        log.after_crash()
+        # the legacy model lets bytes landing in the partial page its
+        # last force charged ride free, durable with no force at all
+        assert log.anchor == (anchor if reforce else deferred)
+        later = log.append_anchor(CheckpointRecord(txn_id=0))
         transfers = log.stats.snapshot().total
         log.force()
         assert log.stats.snapshot().total == transfers
         log.crash()
         log.after_crash()
-        assert log.anchor == anchor
-        # once a page write carries it, the next restart starts there
-        log.declare_anchor(later)
-        log.append(BOTRecord(txn_id=4))
-        log.force()
-        log.crash()
-        log.after_crash()
         assert log.anchor == later
 
     def test_an_unforced_checkpoint_is_not_an_anchor(self):
-        log, anchor, _ = anchored_log()
-        later = log.append(CheckpointRecord(txn_id=0))
-        log.declare_anchor(later)
+        log, anchor, _ = anchored_log(reforce=True)
+        with log.coordinator.deferred():
+            later = log.append_anchor(CheckpointRecord(txn_id=0))
         assert log.anchor == anchor
+        # the drain's page write carries it
+        log.coordinator.flush()
+        assert log.anchor == later
+
+    def test_a_crash_inside_the_anchors_force_restarts_at_the_older(self):
+        """Copy 0's page write makes a new anchor durable and the power
+        fails before copy 1's: the copies carry different anchors, and
+        the restart walks from the older one, so the walk — not the
+        unchecked bytes before an anchor — settles where they differ."""
+        log, anchor, _ = anchored_log(page_size=2020, reforce=True)
+
+        class PowerCut(Exception):
+            pass
+
+        def power_cut(device_id, page_index):
+            raise PowerCut
+
+        log._devices[1].on_page_write = power_cut
+        with pytest.raises(PowerCut):
+            log.append_anchor(CheckpointRecord(txn_id=0))
+        assert log._devices[0].anchor[0] > anchor
+        assert log._devices[1].anchor[0] == anchor == log.anchor
+        log._devices[1].on_page_write = None
+        log.crash()
+        log.after_crash()
+        assert log.anchor == anchor
+        assert log.verify_duplex()
 
     def test_damage_after_the_anchor_uses_the_mate(self):
         log, anchor, offset = anchored_log()

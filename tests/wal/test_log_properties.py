@@ -130,16 +130,19 @@ def eager_parse(copies: list, start: int = 0) -> tuple:
 
 
 def anchor_of(copies: list, carried: list):
-    """The newest ``(lsn, offset)`` a copy carries whose checkpoint
-    record parses at ``offset`` on some copy, or None."""
-    for lsn, offset in sorted({a for a in carried if a}, reverse=True):
-        for blob in copies:
-            try:
-                record, _ = deserialize(blob, offset)
-            except (TornRecordError, LogCorruptionError):
-                continue
-            if isinstance(record, CheckpointRecord) and record.lsn == lsn:
-                return lsn, offset
+    """The oldest ``(lsn, offset)`` the copies carry, if every copy
+    carries one and its checkpoint record parses at ``offset`` on some
+    copy, or None."""
+    if None in carried:
+        return None
+    lsn, offset = min(carried)
+    for blob in copies:
+        try:
+            record, _ = deserialize(blob, offset)
+        except (TornRecordError, LogCorruptionError):
+            continue
+        if isinstance(record, CheckpointRecord) and record.lsn == lsn:
+            return lsn, offset
     return None
 
 
@@ -270,7 +273,7 @@ def assert_lost(log, prefix: list, suffix: list, lost: range) -> None:
 @given(st.data())
 def test_the_lazy_index_answers_like_an_eager_parse(data):
     """Random records of all ten types, forces, trims, checkpoints
-    declared the restart anchor, crashes with single-byte damage to
+    appended as the restart anchor, crashes with single-byte damage to
     either copy or both: at every restart the log's answers — records,
     every LSN, every chain, the header-only analysis answers, the LSN
     horizons, the device bytes after a trim, the chain links of later
@@ -289,11 +292,9 @@ def test_the_lazy_index_answers_like_an_eager_parse(data):
             record = CheckpointRecord(txn_id=0, active_txns=(1,),
                                       bot_lsns=(model.base_lsn,),
                                       next_txn_id=5)
-            assert log.append(record) == model.links(record)[0]
+            assert log.append_anchor(record) == model.links(record)[0]
             model.add(record)
-            log.force()
             model.forced_lsn = record.lsn
-            log.declare_anchor(record.lsn)
             assert log.anchor == record.lsn
             assert log.transaction_table() == record.transaction_table
         elif action == "append":
@@ -321,7 +322,7 @@ def test_the_lazy_index_answers_like_an_eager_parse(data):
                     log.damage_copy(copy, data.draw(
                         st.integers(0, log.size_bytes - 1), label="offset"))
             copies = [device.contents for device in log._devices]
-            anchor = anchor_of(copies, [d.carried for d in log._devices])
+            anchor = anchor_of(copies, [d.anchor for d in log._devices])
             start = anchor[1] if anchor else 0
             try:
                 records, tail = eager_parse(copies, start)
