@@ -19,8 +19,12 @@ from dataclasses import dataclass, field
 class Frame:
     """One buffer slot.
 
+    A frame is in use while the pool's page table maps a page to it;
+    the pool sets every field when it takes a free frame, so a freed
+    frame keeps its last values until then.
+
     Attributes:
-        page_id: logical page held, or None when the frame is free.
+        page_id: logical page held (the last one, once free).
         payload: current in-buffer page contents.
         dirty: True when the payload differs from the on-disk copy.
         pin_count: number of outstanding pins; evictable only at zero.
@@ -34,19 +38,6 @@ class Frame:
     modifiers: set = field(default_factory=set)
 
     @property
-    def in_use(self) -> bool:
-        """True when the frame holds a page."""
-        return self.page_id is not None
-
-    @property
     def uncommitted(self) -> bool:
         """True when some active transaction has modified this page."""
         return bool(self.modifiers)
-
-    def clear(self) -> None:
-        """Return the frame to the free state."""
-        self.page_id = None
-        self.payload = b""
-        self.dirty = False
-        self.pin_count = 0
-        self.modifiers.clear()

@@ -105,9 +105,8 @@ class BufferPool:
             for field in _PUBLISHED:
                 metrics.counter("buffer." + field).add_source(
                     partial(self._lifetime_count, field))
-        # free-frame min-heap: the legacy linear probe always picked the
-        # lowest-indexed free frame, and a heap preserves that choice in
-        # O(log B) instead of O(B) per miss
+        # the frames the page table maps no page to, as a min-heap: a
+        # miss takes the lowest-indexed one in O(log B)
         self._free_heap = list(range(capacity))
         # txn id -> resident page ids it has uncommitted changes to;
         # turns flush_pages_of/clear_modifier from full-pool scans into
@@ -266,9 +265,10 @@ class BufferPool:
         """Checkpoint helper: write back every dirty frame (frames the
         write-behind gate refuses are skipped and stay dirty)."""
         gate = self._writeback_filter
+        table = self._table
         entries = []
-        for frame in self._frames:
-            if frame.in_use and frame.dirty \
+        for index, frame in enumerate(self._frames):
+            if frame.dirty and table.get(frame.page_id) == index \
                     and (gate is None or gate(frame.page_id, frame)):
                 entries.append((frame.page_id, frame.payload,
                                 frozenset(frame.modifiers)))
@@ -300,13 +300,19 @@ class BufferPool:
         frame = self._frames[index]
         if frame.modifiers:
             self._drop_modifiers(frame)
-        frame.clear()
         heapq.heappush(self._free_heap, index)
 
     def invalidate_all(self) -> None:
-        """Simulate losing main memory in a crash."""
-        for page_id in list(self._table):
-            self.invalidate(page_id)
+        """Simulate losing main memory in a crash: every frame is free
+        at once.  A frame holds a page only while the page table maps
+        that page to it, and :meth:`_frame_for` sets every field of the
+        frame it takes, so the table, the per-transaction index and the
+        free heap are reset and no frame is visited: the cost follows
+        nothing the buffer held."""
+        self._table.clear()
+        self._txn_pages.clear()
+        self._free_heap = list(range(self.capacity))
+        self._resident_cache = None
         for field in _PUBLISHED:
             self._lost_counts[field] += getattr(self.stats, field)
         self.stats = BufferStats()
@@ -316,7 +322,9 @@ class BufferPool:
 
     def dirty_pages(self) -> list:
         """Sorted ids of dirty buffered pages."""
-        return sorted(f.page_id for f in self._frames if f.in_use and f.dirty)
+        frames = self._frames
+        return sorted(page_id for page_id, index in self._table.items()
+                      if frames[index].dirty)
 
     # -- internals ----------------------------------------------------------------------
 
@@ -339,11 +347,8 @@ class BufferPool:
         return frame
 
     def _free_frame(self) -> int:
-        heap = self._free_heap
-        while heap:
-            index = heapq.heappop(heap)
-            if not self._frames[index].in_use:
-                return index
+        if self._free_heap:
+            return heapq.heappop(self._free_heap)
         return self._evict()
 
     def _choose_victim(self) -> int:
@@ -394,5 +399,4 @@ class BufferPool:
         self._resident_cache = None
         if frame.modifiers:
             self._drop_modifiers(frame)
-        frame.clear()
         return index

@@ -617,9 +617,12 @@ class WorkingOwnerRule(InvariantRule):
                       else geometry.group_of(ctx["page"])]
         else:
             groups = range(geometry.num_groups)
+        headers = {group: (db.array.peek_twin(group, 0)[1],
+                           db.array.peek_twin(group, 1)[1])
+                   for group in groups}
         working = [(group, which, header.txn_id)
-                   for group in groups for which in (0, 1)
-                   for header in (db.array.peek_twin(group, which)[1],)
+                   for group, pair in headers.items()
+                   for which, header in enumerate(pair)
                    if header.state is TwinState.WORKING]
         if not working:
             return []
@@ -635,8 +638,7 @@ class WorkingOwnerRule(InvariantRule):
         active = {txn.txn_id for txn in db.txns.active_transactions()}
         for group in sorted({group for group, _, txn_id in working
                              if txn_id not in active}):
-            trusted = _restart_twin(tuple(db.array.peek_twin(group, which)[1]
-                                          for which in (0, 1)), active)
+            trusted = _restart_twin(headers[group], active)
             if trusted != db.rda.current_twin(group):
                 violations.append(Violation(
                     "working-owner", f"group {group}: with its WORKING "

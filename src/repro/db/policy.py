@@ -344,10 +344,12 @@ class ForceToc:
 
 def _transaction_table(db) -> tuple:
     """``(active txn ids, their BOT LSNs, next txn id)`` for a
-    checkpoint record (the BOT LSNs are the undo log's)."""
-    active = db.txns.active_transactions()
+    checkpoint record (the BOT LSNs are the undo log's); the ids under
+    the next id are spent from here on
+    (:meth:`~repro.txn.TransactionManager.anchor_table`)."""
+    active, next_id = db.txns.anchor_table()
     return ([txn.txn_id for txn in active],
-            [txn.bot_lsn or NULL_LSN for txn in active], db.txns.next_id)
+            [txn.bot_lsn or NULL_LSN for txn in active], next_id)
 
 
 class NoForceAcc:

@@ -77,7 +77,10 @@ class Committed:
     record (EOT) after the anchor, or at or above the table's next-id
     ``ceiling`` with no commit after it, or has a BOT after it and no
     EOT — ``live`` holds the first and last kinds.  Any other owner
-    finished before the checkpoint, and since an abort demotes its
+    finished before the checkpoint — the registry spends every id under
+    the ceiling when the anchor is taken
+    (:meth:`~repro.txn.TransactionManager.anchor_table`), so none can
+    have begun since — and since an abort demotes its
     working twin to INVALID before the abort record is written (rule
     ``working-owner``), it committed — though a trim dropped its commit
     record, no trim drops the anchor.  With no anchor the table is empty

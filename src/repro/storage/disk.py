@@ -186,6 +186,44 @@ class SimulatedDisk:
         payload = self.read(slot)
         return payload, self._headers.get(slot, ParityHeader())
 
+    def read_many_with_headers(self, slots) -> list:
+        """:meth:`read_with_header` of each of ``slots``, in order, in
+        one call: ``[(payload, header), ...]``.
+
+        Every slot is one counted page transfer with one ``on_access``
+        call, in slot order, and its checksum is checked as it is read —
+        a latent sector error raises with the reads before it counted,
+        its own included, as one :meth:`read` per slot would leave them.
+        A failed disk or an out-of-range slot raises before any
+        transfer."""
+        if self.failed:
+            raise DiskFailedError(self.disk_id, "read")
+        if slots and not (0 <= min(slots) and max(slots) < self.capacity):
+            for slot in slots:
+                self._check(slot, "read")
+        pages, headers = self._pages, self._headers
+        blank = ParityHeader()
+        hook, suspect = self.on_access, self._suspect
+        stats, disk_id = self.stats, self.disk_id
+        per_disk = stats.per_disk_reads
+        if hook is None and not suspect:
+            stats.reads += len(slots)
+            per_disk[disk_id] = per_disk.get(disk_id, 0) + len(slots)
+            return [(pages.get(slot, ZERO_PAGE), headers.get(slot, blank))
+                    for slot in slots]
+        out = []
+        for slot in slots:
+            stats.reads += 1
+            per_disk[disk_id] = per_disk.get(disk_id, 0) + 1
+            if hook is not None:
+                hook(disk_id, slot, "read")
+            payload = pages.get(slot, ZERO_PAGE)
+            expected = suspect.get(slot)
+            if expected is not None and zlib.crc32(payload) != expected:
+                raise LatentSectorError(disk_id, slot)
+            out.append((payload, headers.get(slot, blank)))
+        return out
+
     def write_with_header(self, slot: int, payload: bytes, header: ParityHeader) -> None:
         """Write payload and header in one page transfer."""
         self.write(slot, payload)

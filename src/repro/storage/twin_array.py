@@ -155,6 +155,8 @@ class TwinParityArray(DiskArray):
         super().__init__(geometry, stats, tracer=tracer, metrics=metrics)
         self._clock = 0
         self.window = None          # open WindowTrace (traced_window)
+        # read_all_twins' per-disk reads, built once from the geometry
+        self._twin_plan = self._plan_twin_reads()
 
     # -- timestamps ---------------------------------------------------------------
 
@@ -181,6 +183,43 @@ class TwinParityArray(DiskArray):
         first, second = self.geometry.parity_addresses(group)
         return (self.disks[first.disk].read_with_header(first.slot),
                 self.disks[second.disk].read_with_header(second.slot))
+
+    def read_all_twins(self) -> tuple:
+        """Read both twins of every group: two lists indexed by group,
+        twin 0's ``(payload, header)`` and twin 1's; 2·G page transfers.
+
+        Each disk's parity slots are one
+        :meth:`~repro.storage.disk.SimulatedDisk.read_many_with_headers`
+        call, so every arm sees the slot sequence :meth:`read_twins`
+        group by group would give it, at one call per disk rather than
+        seven Python frames a group."""
+        reads, first, second = self._twin_plan
+        results = []
+        for disk, slots in reads:
+            results += self.disks[disk].read_many_with_headers(slots)
+        return [results[i] for i in first], [results[i] for i in second]
+
+    def _plan_twin_reads(self) -> tuple:
+        """``([(disk, its parity slots in group order), ...], positions
+        of twin 0, positions of twin 1)``: where each group's twins land
+        in the concatenated results of the per-disk reads."""
+        groups = range(self.geometry.num_groups)
+        by_disk: dict = {}
+        for group in groups:
+            for which, addr in enumerate(
+                    self.geometry.parity_addresses(group)):
+                by_disk.setdefault(addr.disk, []).append(
+                    (addr.slot, group, which))
+        reads = []
+        positions = ([0] * len(groups), [0] * len(groups))
+        at = 0
+        for disk in sorted(by_disk):
+            twins = by_disk[disk]
+            reads.append((disk, [slot for slot, _, _ in twins]))
+            for _, group, which in twins:
+                positions[which][group] = at
+                at += 1
+        return reads, *positions
 
     def write_twin(self, group: int, which: int, payload: bytes,
                    header: ParityHeader) -> None:

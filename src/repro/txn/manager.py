@@ -56,9 +56,10 @@ class TransactionManager:
         ids stay unique either way.  An id is accepted once: a pinned id
         is rejected if it is registered (active, or finished and not yet
         forgotten) or lies below the *spent floor* — the registry
-        raises that floor past every id it forgets, so ids under it
+        raises that floor past every id it forgets and to the next id
+        at every restart anchor (:meth:`anchor_table`), so ids under it
         count as spent whether or not they were ever issued, and pinned
-        ids must not trail a forgotten one.
+        ids must not trail a forgotten one or an anchor.
         """
         if txn_id is None:
             txn_id = self._next_id
@@ -67,7 +68,7 @@ class TransactionManager:
             if (txn_id < self._spent_below or txn_id in self._active
                     or txn_id in self._finished):
                 raise InvalidTransactionState(
-                    f"transaction id {txn_id} already registered")
+                    f"transaction id {txn_id} already registered or spent")
             self._next_id = max(self._next_id, txn_id + 1)
         txn = Transaction(txn_id=txn_id)
         self._active[txn_id] = txn
@@ -114,6 +115,17 @@ class TransactionManager:
     def active_transactions(self) -> list:
         """Active transactions, in begin order."""
         return list(self._active.values())
+
+    def anchor_table(self) -> tuple:
+        """``(active transactions in begin order, next id)``: the
+        transaction table a restart anchor records.  Every id under that
+        next id is spent from here on — a restart takes a WORKING twin
+        header whose owner lies under the anchor's ceiling, outside its
+        table and with no BOT since, for one that finished before the
+        anchor (:class:`~repro.db.recovery.Committed`), so no
+        transaction may begin under such an id afterwards."""
+        self._spent_below = max(self._spent_below, self._next_id)
+        return self.active_transactions(), self._next_id
 
     def forget_finished(self) -> None:
         """Drop every finished transaction (the log is forgetting them

@@ -17,6 +17,7 @@ import pytest
 
 from repro.check import verify_database
 from repro.db import Database, make_sharded, preset
+from repro.errors import InvalidTransactionState
 from repro.sim import (Simulator, WorkloadSpec, fault_workload,
                        record_fault_setup, run_sweep)
 from repro.storage import TwinState, make_page
@@ -136,4 +137,74 @@ def test_a_crash_right_after_a_trim_trusts_the_committed_steal(name, shards):
         db.commit(reader)
     else:
         assert db.committed_view(0) == make_page(b"stolen")
+    assert verify_database(db) == []
+
+
+PINNED = pytest.mark.parametrize("name", [
+    "page-noforce-rda", "page-force-rda", "record-noforce-rda",
+    "record-force-rda"])
+
+
+def _anchor(db) -> None:
+    """Take the class's restart anchor: an ACC checkpoint, or FORCE's
+    trim."""
+    if db.checkpointer is not None:
+        db.checkpoint()
+    else:
+        db.trim_log()
+
+
+def _write(db, txn: int, page: int, version: bytes) -> None:
+    if db.config.record_logging:
+        db.update_record(txn, page, 0, version)
+    else:
+        db.write_page(txn, page, make_page(version))
+
+
+@PINNED
+def test_an_anchor_spends_the_ids_under_its_ceiling(name):
+    """An id under the anchor's next-id ceiling and outside its table
+    finished before the anchor — that is how restart reads a WORKING
+    header whose owner left no record since.  So once the anchor is
+    taken no transaction may begin under it: pinning 7 after an anchor
+    at ceiling 41 is refused, where before it began a transaction whose
+    stolen page the restart then kept as committed."""
+    db = build(name, 1, num_groups=4, buffer_capacity=2)
+    if db.config.record_logging:
+        Simulator(db, WorkloadSpec()).seed_records()
+    elder = db.begin(txn_id=40)
+    _write(db, elder, 0, b"elder")
+    _anchor(db)
+    with pytest.raises(InvalidTransactionState):
+        db.begin(txn_id=7)
+    late = db.begin()
+    assert late == 41
+    before = db.committed_view(5)
+    _write(db, late, 5, b"lost")
+    db.buffer.flush_page(5)
+    db.crash()
+    stats = db.recover()
+    assert stats["losers"] == [40, 41]
+    assert db.committed_view(5) == before
+    assert verify_database(db) == []
+
+
+@PINNED
+def test_a_pinned_id_begun_before_the_anchor_is_in_its_table(name):
+    """An id pinned under the next id before the anchor is live in the
+    anchor's table, BOT or not: its stolen page is undone."""
+    db = build(name, 1, num_groups=4, buffer_capacity=2)
+    if db.config.record_logging:
+        Simulator(db, WorkloadSpec()).seed_records()
+    elder = db.begin(txn_id=40)
+    _write(db, elder, 0, b"elder")
+    pinned = db.begin(txn_id=7)
+    _anchor(db)
+    before = db.committed_view(5)
+    _write(db, pinned, 5, b"lost")
+    db.buffer.flush_page(5)
+    db.crash()
+    stats = db.recover()
+    assert stats["losers"] == [7, 40]
+    assert db.committed_view(5) == before
     assert verify_database(db) == []

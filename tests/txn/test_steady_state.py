@@ -187,6 +187,14 @@ class RegistryMachine(RuleBasedStateMachine):
                 self.tm.get(txn_id)
 
     @rule()
+    def anchor(self):
+        active = self.tm.active_transactions()
+        table, next_id = self.tm.anchor_table()
+        assert table == active
+        # every id under the anchor's ceiling is spent from here on
+        self.spent_below = max(self.spent_below, next_id)
+
+    @rule()
     def lose_memory(self):
         self.tm.lose_memory()
         self.lost = {t.txn_id for t in self.history}
