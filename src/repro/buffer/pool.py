@@ -206,21 +206,19 @@ class BufferPool:
         self._writeback_filter = filter_fn
 
     def mark_clean(self, page_id: int) -> None:
-        """The page was just written back by the write-back callable:
-        its frame stays resident and becomes clean."""
+        """The page's frame becomes clean and drops its uncommitted
+        modifiers: the write-back callable has just written the page
+        back (the frame stays resident), or the frame is leaving the
+        pool (:meth:`invalidate`, :meth:`_evict`)."""
         index = self._table.get(page_id)
         if index is None:
             return
         frame = self._frames[index]
         frame.dirty = False
-        if frame.modifiers:
-            self._drop_modifiers(frame)
-
-    def _drop_modifiers(self, frame: Frame) -> None:
         for txn_id in frame.modifiers:
             pages = self._txn_pages.get(txn_id)
             if pages is not None:
-                pages.discard(frame.page_id)
+                pages.discard(page_id)
                 if not pages:
                     del self._txn_pages[txn_id]
         frame.modifiers.clear()
@@ -293,13 +291,13 @@ class BufferPool:
         Used on abort for pages whose only uncommitted version lives in
         the buffer: the on-disk copy *is* the before-image.
         """
-        index = self._table.pop(page_id, None)
+        index = self._table.get(page_id)
         if index is None:
             return
+        if self._frames[index].modifiers:
+            self.mark_clean(page_id)
+        del self._table[page_id]
         self._resident_cache = None
-        frame = self._frames[index]
-        if frame.modifiers:
-            self._drop_modifiers(frame)
         heapq.heappush(self._free_heap, index)
 
     def invalidate_all(self) -> None:
@@ -395,8 +393,8 @@ class BufferPool:
                 raise BufferFullError(
                     f"write-back left eviction victim page "
                     f"{frame.page_id} dirty")
+        if frame.modifiers:
+            self.mark_clean(frame.page_id)
         del self._table[frame.page_id]
         self._resident_cache = None
-        if frame.modifiers:
-            self._drop_modifiers(frame)
         return index

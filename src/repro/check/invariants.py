@@ -10,7 +10,7 @@ correctness argument makes a claim about durable state:
 
 ``steal``
     A buffer-pool writeback of uncommitted data just finished
-    (:meth:`RecoveryPolicy.writeback`, once per stolen page).
+    (:meth:`RecoveryPolicy.writeback_batch`, once per stolen page).
 ``twin_write``
     A parity-tracking write just landed: a twin-parity small write
     (inside a steal the Dirty_Set may not reflect it yet, so only

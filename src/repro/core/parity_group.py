@@ -20,14 +20,14 @@ The transition rules (Figure 3):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ParityGroupError
 
 
-@dataclass(frozen=True)
-class DirtyEntry:
-    """One dirty group's bookkeeping.
+class DirtyEntry(NamedTuple):
+    """One dirty group's bookkeeping.  Immutable; a named tuple because
+    one is built for every unlogged steal.
 
     Attributes:
         group: the parity group id.
@@ -114,8 +114,9 @@ class DirtySet:
 
         Returns the entry that was removed.
         """
-        entry = self.entry(group)
-        del self._entries[group]
+        entry = self._entries.pop(group, None)
+        if entry is None:
+            raise ParityGroupError(f"group {group} is clean")
         owned = self._by_txn.get(entry.txn_id)
         if owned is not None:
             owned.discard(group)

@@ -142,11 +142,15 @@ class RDAManager:
         Raises:
             ParityGroupError: the write violates the rule.
         """
-        group = self.array.geometry.group_of(page)
+        array = self.array
+        where = array.geometry.locate(page)
+        group = where.group
         entry = self.dirty_set.get(group)
         if entry is None:
             # first steal: the committed twin seeds the free one
-            source = self.current_twin(group)
+            source = self._current.get(group)
+            if source is None:
+                source = self.current_twin(group)
             target = 1 - source
         elif entry.page_id == page and entry.txn_id == txn_id:
             source = target = entry.working_twin        # re-steal
@@ -155,29 +159,27 @@ class RDAManager:
                 f"unlogged write of page {page} (txn {txn_id}) into dirty "
                 f"group {group} (page {entry.page_id}, txn {entry.txn_id})"
             )
-        headers = self._cached_headers(group)
-        stamp = self.array.next_timestamp()
-        index = self.array.geometry.index_in_group(page)
-        # _with_lsn, inlined, and the header built positionally: every
-        # page of a FORCE commit window is a steal and comes through
-        # here, and a helper is a frame a page
+        headers = self._headers.get(group) or self._cached_headers(group)
+        stamp = array.next_timestamp()
+        index = where.index
+        # _with_lsn, inlined, the header built positionally and the twin
+        # update a plain triple: every page of a FORCE commit window is
+        # a steal and comes through here, and a helper is a frame a page
         lsns = headers[source].page_lsns or self._unknown
         header = ParityHeader(stamp, txn_id, index, TwinState.WORKING,
                               lsns[:index] + (lsn,) + lsns[index + 1:])
         # twin_first: the working twin is the steal's only undo source,
         # so it must reach disk before the data overwrite (the parity
         # analogue of the WAL rule)
-        self.array.small_write(page, payload,
-                               [TwinUpdate(source, target, header)],
-                               old_data=old_data, twin_first=True)
+        array.small_write(page, payload, ((source, target, header),),
+                          old_data=old_data, twin_first=True)
         headers[target] = header
-        self.dirty_set.mark_dirty(DirtyEntry(
-            group=group, txn_id=txn_id, page_id=page, page_index=index,
-            working_twin=target, working_timestamp=stamp))
+        self.dirty_set.mark_dirty(DirtyEntry(group, txn_id, page, index,
+                                             target, stamp))
         if entry is not None:
             return
         self.first_steals += 1
-        window = self.array.window
+        window = array.window
         if window is not None:
             # rides on the window's one costed event; the aggregator
             # expands it back into rda.group_dirty rows
@@ -192,10 +194,9 @@ class RDAManager:
         parity tracks the data; no undo information is consumed.  Every
         twin that absorbs the page's delta takes ``lsn`` as the page's
         header entry."""
-        geometry = self.array.geometry
-        group = geometry.group_of(page)
+        where = self.array.geometry.locate(page)
+        group, index = where.group, where.index
         headers = self._cached_headers(group)
-        index = geometry.index_in_group(page)
         entry = self.dirty_set.get(group)
         if entry is None:
             current = self.current_twin(group)

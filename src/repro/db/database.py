@@ -20,7 +20,7 @@ The buffer pool's one write-back callable (:meth:`Database.
 _writeback_batch`) leads to the paper's decision point: every steal
 either rides the parity twins or pays for a durable before-image first
 (the WAL rule is enforced, page by page, in :meth:`~repro.db.policy.
-RecoveryPolicy.writeback`).
+RecoveryPolicy.writeback_batch`).
 """
 
 from __future__ import annotations
@@ -220,26 +220,11 @@ class Database:
         commit window (see :meth:`RecoveryPolicy.writeback_batch`)."""
         self.policy.writeback_batch(self, entries)
 
-    def _old_disk_version(self, txn, page: int):
-        """The page's current on-disk bytes, if known (a page stolen by
-        a still-active transaction: what was written last, by whoever
-        wrote it; a sole modifier's — ``txn``'s — first steal: the
-        captured before-image).  Saves one read in the small-write
-        protocol — the model's ``a = 3`` case."""
-        known = self._last_written.get(page)
-        if known is not None or txn is None:
-            return known
-        before = txn.before_images.get(page)
-        if before is not None and page not in self._residue \
-                and page not in txn.logged_stolen:
-            return before
-        return None
-
     def _publish_logged_steals(self) -> None:
         """``db.steals{mode=logged}`` joins the registry at the first
         logged steal (a method of its own: a closure built inside
-        ``RecoveryPolicy.writeback`` would make ``db`` a cell variable
-        of that per-page function)."""
+        ``RecoveryPolicy.writeback_batch`` would make ``db`` a cell
+        variable of the write-back loop)."""
         self._logged_steals_published = True
         self.metrics.counter("db.steals").labels(mode="logged").add_source(
             lambda: self.counters.logged_steals)
@@ -422,8 +407,10 @@ class Database:
             self.redo_log.append(CommitRecord(txn_id=txn_id))
             self.undo_log.force()
             self.redo_log.force()
-            for group in self.policy.protection.commit_flips(self, txn_id):
-                self._h("flip", txn=txn_id, group=group)
+            flipped = self.policy.protection.commit_flips(self, txn_id)
+            if self.history is not None:
+                for group in flipped:
+                    self._h("flip", txn=txn_id, group=group)
             self.buffer.clear_modifier(txn_id)
             self.policy.discipline.note_commit_residue(self, txn)
         self.locks.release_all(txn_id)

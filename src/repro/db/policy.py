@@ -840,33 +840,90 @@ class RecoveryPolicy:
         return self.protection.covers_unlogged_steal(
             db, page, single, page in db._residue)
 
-    def writeback(self, db, page: int, payload: bytes,
-                  modifiers: frozenset) -> None:
-        """The paper's decision point, for one page: every steal either
-        rides the parity twins or pays for a durable before-image first
-        (the WAL rule is enforced here)."""
-        if not modifiers:
-            db._residue.discard(page)
-            db.counters.committed_writebacks += 1
-            db._write_committed(page, payload)
-            return
-        single = next(iter(modifiers)) if len(modifiers) == 1 else None
-        sole = db.txns.get(single) if single is not None else None
-        old = db._old_disk_version(sole, page)
-        was_residue = page in db._residue
-        db._residue.discard(page)
-        if self.protection.covers_unlogged_steal(db, page, single,
-                                                 was_residue):
-            db.rda.write_uncommitted(page, payload, single, old_data=old,
-                                     lsn=db.redo_log.forced_lsn)
-            db.counters.unlogged_steals += 1
-            sole.note_steal(page)
-            db._last_written[page] = payload
-            db._h("steal", txn=single, page=page, logged=False)
-            db._barrier("steal", page=page, txns=frozenset({single}),
-                        logged=False)
-            return
-        # logged steal: WAL — undo information durable before the write
+    def writeback_batch(self, db, entries: list) -> None:
+        """The buffer pool's write-back callable and the paper's
+        decision point: each ``(page, payload, modifiers)`` of
+        ``entries`` in turn — one entry for an eviction or
+        ``flush_page``, a FORCE commit's or a checkpoint's whole window
+        in frame order — is a committed write-back or a steal, and every
+        steal either rides the parity twins or pays for a durable
+        before-image first (the WAL rule is enforced here).
+
+        Each page's frame is marked clean right after its write-back,
+        so frame state tracks the write schedule, and its header-cache
+        and Dirty_Set updates are complete before the next page is
+        decided — two pages of one parity group need no special case.
+        With tracing on, a window of several pages coalesces its
+        single-twin small writes into one costed event (see
+        :meth:`~repro.storage.twin_array.TwinParityArray.traced_window`).
+
+        An unlogged steal is the page every FORCE commit window is made
+        of, so its path is kept short: the protection answers the
+        Figure 3 question once, the page's on-disk version and the
+        steal's note on the transaction are read here, and the history
+        and invariant engine are called only when attached.  Other
+        layers' methods are looked up per window, never captured at
+        construction, so an instance attribute put over one later (a
+        test's protection, a profiler's shim) is what the window calls.
+        """
+        redo_only = self.redo_only
+        covers = self.protection.covers_unlogged_steal
+        buffer, txns, counters = db.buffer, db.txns, db.counters
+        residue, last_written = db._residue, db._last_written
+        history, invariants = db.history, db.invariants
+        coalesce = (len(entries) > 1 and db.rda is not None
+                    and db.tracer.enabled)
+        with db.array.traced_window() if coalesce else _NO_WINDOW:
+            for page, payload, modifiers in entries:
+                if not modifiers:
+                    residue.discard(page)
+                    counters.committed_writebacks += 1
+                    db._write_committed(page, payload)
+                    buffer.mark_clean(page)
+                    continue
+                single = next(iter(modifiers)) if len(modifiers) == 1 \
+                    else None
+                was_residue = page in residue
+                unlogged = covers(db, page, single, was_residue)
+                if redo_only and not unlogged:
+                    # the write-behind gate admitted this frame, but an
+                    # earlier page of the window claimed its parity
+                    # group; with no undo log to fall back to, it stays
+                    # dirty behind the gate for a later flush
+                    continue
+                # the page's current on-disk bytes, if known, save the
+                # small write's old-data read (the model's a = 3): what
+                # a still-active transaction's steal wrote last, or the
+                # sole modifier's captured before-image at its first
+                old = last_written.get(page)
+                sole = None
+                if single is not None:
+                    sole = txns.get(single)
+                    if old is None and not was_residue \
+                            and page not in sole.logged_stolen:
+                        old = sole.before_images.get(page)
+                residue.discard(page)
+                if unlogged:
+                    db.rda.write_uncommitted(page, payload, single,
+                                             old_data=old,
+                                             lsn=db.redo_log.forced_lsn)
+                    counters.unlogged_steals += 1
+                    sole.pages_stolen.add(page)         # note_steal
+                    last_written[page] = payload
+                    if history is not None:
+                        db._h("steal", txn=single, page=page, logged=False)
+                    if invariants is not None:
+                        db._barrier("steal", page=page,
+                                    txns=frozenset({single}), logged=False)
+                else:
+                    self._logged_steal(db, page, payload, modifiers,
+                                       single, was_residue, old)
+                buffer.mark_clean(page)
+
+    def _logged_steal(self, db, page: int, payload: bytes, modifiers,
+                      single, was_residue: bool, old) -> None:
+        """A steal the twins cannot cover: WAL — the undo information of
+        every modifier durable before the write."""
         self.protection.note_forced_undo(db, page, single, was_residue)
         if db.metrics is not None and not db._logged_steals_published:
             db._publish_logged_steals()
@@ -881,33 +938,3 @@ class RecoveryPolicy:
             db._h("steal", txn=txn_id, page=page, logged=True)
         db._barrier("steal", page=page, txns=frozenset(modifiers),
                     logged=True)
-
-    def writeback_batch(self, db, entries: list) -> None:
-        """The buffer pool's write-back callable: :meth:`writeback` for
-        each ``(page, payload, modifiers)`` of ``entries`` in turn — one
-        entry for an eviction or ``flush_page``, a FORCE commit's or a
-        checkpoint's whole window in frame order.
-
-        Each page's frame is marked clean right after its write-back,
-        so frame state tracks the write schedule, and its header-cache
-        and Dirty_Set updates are complete before the next page is
-        decided — two pages of one parity group need no special case.
-        With tracing on, a window of several pages coalesces its
-        single-twin small writes into one costed event (see
-        :meth:`~repro.storage.twin_array.TwinParityArray.traced_window`).
-        """
-        redo_only = self.redo_only
-        mark_clean = db.buffer.mark_clean
-        coalesce = (len(entries) > 1 and db.rda is not None
-                    and db.tracer.enabled)
-        with db.array.traced_window() if coalesce else _NO_WINDOW:
-            for page, payload, modifiers in entries:
-                if redo_only and modifiers \
-                        and not self._twins_cover(db, page, modifiers):
-                    # the write-behind gate admitted this frame, but an
-                    # earlier page of the window claimed its parity
-                    # group; with no undo log to fall back to, it stays
-                    # dirty behind the gate for a later flush
-                    continue
-                self.writeback(db, page, payload, modifiers)
-                mark_clean(page)

@@ -27,7 +27,7 @@ then reach it with no engine changes (``docs/architecture.md``).
 from __future__ import annotations
 
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Protocol,
-                    Tuple, runtime_checkable)
+                    Sequence, Tuple, runtime_checkable)
 
 from ..errors import ModelError
 from .array import SingleParityArray
@@ -82,7 +82,7 @@ class TwinBackend(StorageBackend, Protocol):
     """The extended surface RDA recovery needs: parity twins with
     headers, timestamps, and a Dirty_Set-steered rebuild."""
 
-    def small_write(self, page: int, new_data: bytes, updates: List,
+    def small_write(self, page: int, new_data: bytes, updates: Sequence,
                     old_data: Optional[bytes] = None,
                     twin_first: bool = False) -> None: ...
     def group_small_write(self, group: int, writes: List, which: int,

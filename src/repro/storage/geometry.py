@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from ..errors import AddressError
 
@@ -46,6 +47,24 @@ class PhysAddr:
 
     disk: int
     slot: int
+
+
+class PageLocation(NamedTuple):
+    """Everything the small-write path needs to know about one logical
+    page, from one lookup (:meth:`Geometry.locate`).
+
+    Attributes:
+        group: the page's parity group (its slot on every disk).
+        index: the page's member index (0..N-1) within the group.
+        data: the page's :class:`PhysAddr`.
+        parity: the group's parity address(es), as
+            :meth:`Geometry.parity_addresses` gives them.
+    """
+
+    group: int
+    index: int
+    data: PhysAddr
+    parity: tuple
 
 
 class Geometry:
@@ -84,10 +103,9 @@ class Geometry:
             self._group_data_disks.append(data_disks)
 
         # logical page <-> physical address tables
-        self._page_to_addr: list = [None] * self.num_data_pages
+        self._locations: list = [None] * self.num_data_pages
         self._addr_to_page: dict = {}
         self._group_pages: list = [[None] * group_size for _ in range(num_groups)]
-        self._member_of: list = [0] * self.num_data_pages
         if self.placement is Placement.STRIPED:
             self._number_striped()
         else:
@@ -101,11 +119,10 @@ class Geometry:
         return (group % self.num_disks,)
 
     def _place(self, page: int, group: int, member: int, disk: int) -> None:
-        addr = PhysAddr(disk, group)
-        self._page_to_addr[page] = addr
+        self._locations[page] = PageLocation(
+            group, member, PhysAddr(disk, group), self._parity_addrs[group])
         self._addr_to_page[(disk, group)] = page
         self._group_pages[group][member] = page
-        self._member_of[page] = member
 
     def _number_striped(self) -> None:
         """Round-robin: group g holds logical pages g*N .. g*N+N-1."""
@@ -138,10 +155,19 @@ class Geometry:
         if not 0 <= group < self.num_groups:
             raise AddressError(f"group {group} out of range 0..{self.num_groups - 1}")
 
+    def locate(self, page: int) -> PageLocation:
+        """Group, member index, data address and parity addresses of
+        logical data page ``page``, precomputed: the one lookup a small
+        write makes."""
+        if 0 <= page < self.num_data_pages:
+            return self._locations[page]
+        self._check_page(page)
+        raise AssertionError("unreachable")
+
     def data_address(self, page: int) -> PhysAddr:
         """Physical location of logical data page ``page``."""
         if 0 <= page < self.num_data_pages:
-            return self._page_to_addr[page]
+            return self._locations[page].data
         self._check_page(page)
         raise AssertionError("unreachable")
 
@@ -152,14 +178,14 @@ class Geometry:
     def group_of(self, page: int) -> int:
         """Parity group containing logical page ``page``."""
         if 0 <= page < self.num_data_pages:
-            return self._page_to_addr[page].slot
+            return self._locations[page].group
         self._check_page(page)
         raise AssertionError("unreachable")
 
     def index_in_group(self, page: int) -> int:
         """Member index (0..N-1) of ``page`` within its parity group."""
         if 0 <= page < self.num_data_pages:
-            return self._member_of[page]
+            return self._locations[page].index
         self._check_page(page)
         raise AssertionError("unreachable")
 

@@ -27,6 +27,7 @@ Write-cost accounting matches the paper's model:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from ..errors import UnrecoverableDataError
 from .array import DiskArray
@@ -35,9 +36,10 @@ from .page import (PAGE_SIZE, ParityHeader, TwinState, compute_parity,
                    xor_pages)
 
 
-@dataclass(frozen=True)
-class TwinUpdate:
-    """One parity-twin update inside a small write.
+class TwinUpdate(NamedTuple):
+    """One parity-twin update inside a small write.  A named tuple:
+    :meth:`TwinParityArray.small_write` takes any ``(source, target,
+    header)`` triple, so a caller on the page path may pass a plain one.
 
     Attributes:
         source: twin index (0/1) whose *current contents* seed the new
@@ -271,14 +273,15 @@ class TwinParityArray(DiskArray):
                          [TwinUpdate(current, current, header)],
                          old_data=old_data)
 
-    def small_write(self, page: int, new_data: bytes, updates: list,
+    def small_write(self, page: int, new_data: bytes, updates: Sequence,
                     old_data: bytes | None = None,
                     twin_first: bool = False) -> None:
         """Write a data page, updating the listed parity twins.
 
-        Each :class:`TwinUpdate` reads its ``source`` twin, XORs in the
-        data delta (``old XOR new``), and writes the result to its
-        ``target`` twin with the supplied header.  Transfer cost:
+        Each :class:`TwinUpdate` — any ``(source, target, header)``
+        triple — reads its ``source`` twin, XORs in the data delta
+        (``old XOR new``), and writes the result to its ``target`` twin
+        with the supplied header.  Transfer cost:
         ``1 read (old data, unless supplied) + len(updates) reads +
         1 write (data) + len(updates) writes``.
 
@@ -291,9 +294,11 @@ class TwinParityArray(DiskArray):
 
         One twin on three healthy disks (data, source twin, target
         twin) — every unlogged steal and clean-group committed write —
-        takes the body inline: the same reads, writes, order and counts
-        as :meth:`_small_write_inner`, without its two-twin and
-        failed-disk handling.  Anything else takes the general path.
+        takes the body inline, from one geometry lookup
+        (:meth:`~repro.storage.geometry.Geometry.locate`): the same
+        reads, writes, order and counts as :meth:`_small_write_inner`,
+        without its two-twin and failed-disk handling.  Anything else
+        takes the general path.
         Degraded behaviour there: a failed twin disk is skipped (the
         group loses that twin until rebuild); a failed data disk absorbs
         the write into the surviving twins.
@@ -303,31 +308,27 @@ class TwinParityArray(DiskArray):
         if not updates:
             raise ValueError("small_write needs at least one TwinUpdate")
         disks = self.disks
-        addr = self.geometry.data_address(page)
-        data_disk = disks[addr.disk]
+        where = self.geometry.locate(page)
+        data_disk = disks[where.data.disk]
         inline = len(updates) == 1 and not data_disk.failed
         if inline:
-            update = updates[0]
-            # a group is a stripe row: its slot on every disk
-            parity = self.geometry.parity_addresses(addr.slot)
-            source = parity[update.source]
-            target = parity[update.target]
+            (seed, stamped, header), = updates
+            source, target = where.parity[seed], where.parity[stamped]
             source_disk = disks[source.disk]
             target_disk = disks[target.disk]
             inline = not (source_disk.failed or target_disk.failed)
         buffered = old_data is not None
         if inline:
-            old = old_data if buffered else data_disk.read(addr.slot)
+            slot = where.data.slot
+            old = old_data if buffered else data_disk.read(slot)
             twin = source_disk.read(source.slot)
             new_twin = xor_pages(old, new_data, twin)
             if twin_first:
-                target_disk.write_with_header(target.slot, new_twin,
-                                              update.header)
-                data_disk.write(addr.slot, new_data)
+                target_disk.write_with_header(target.slot, new_twin, header)
+                data_disk.write(slot, new_data)
             else:
-                data_disk.write(addr.slot, new_data)
-                target_disk.write_with_header(target.slot, new_twin,
-                                              update.header)
+                data_disk.write(slot, new_data)
+                target_disk.write_with_header(target.slot, new_twin, header)
             # twin read + two writes, + the old-data read unless buffered
             reads, writes = 2 - buffered, 2
         else:
@@ -384,13 +385,13 @@ class TwinParityArray(DiskArray):
         back into per-page rows.  Opened only with tracing on."""
         return WindowTrace(self)
 
-    def _small_write_inner(self, page: int, new_data: bytes, updates: list,
-                           old_data: bytes | None,
+    def _small_write_inner(self, page: int, new_data: bytes,
+                           updates: Sequence, old_data: bytes | None,
                            twin_first: bool = False) -> bytes:
         """:meth:`small_write`'s general path; returns the page's old
         bytes."""
-        addr = self.geometry.data_address(page)
-        group = self.geometry.group_of(page)
+        where = self.geometry.locate(page)
+        group, addr = where.group, where.data
         data_disk = self.disks[addr.disk]
 
         if data_disk.failed:
@@ -400,26 +401,23 @@ class TwinParityArray(DiskArray):
         delta = xor_pages(old, new_data)
 
         new_payloads = {}
-        for update in updates:
-            twin_addr = self.geometry.parity_addresses(group)[update.source]
-            if self.disks[twin_addr.disk].failed:
+        for source, target, _ in updates:
+            if self.disks[where.parity[source].disk].failed:
                 continue
-            if update.source in new_payloads and update.source == update.target:
-                source_payload = new_payloads[update.source]
+            if source in new_payloads and source == target:
+                source_payload = new_payloads[source]
             else:
-                source_payload, _ = self.read_twin(group, update.source)
-            new_payloads[update.target] = xor_pages(source_payload, delta)
+                source_payload, _ = self.read_twin(group, source)
+            new_payloads[target] = xor_pages(source_payload, delta)
 
         if not twin_first and not data_disk.failed:
             data_disk.write(addr.slot, new_data)
-        for update in updates:
-            if update.target not in new_payloads:
+        for _, target, header in updates:
+            if target not in new_payloads:
                 continue  # its source twin was on a failed disk
-            target_addr = self.geometry.parity_addresses(group)[update.target]
-            if self.disks[target_addr.disk].failed:
+            if self.disks[where.parity[target].disk].failed:
                 continue
-            self.write_twin(group, update.target, new_payloads[update.target],
-                            update.header)
+            self.write_twin(group, target, new_payloads[target], header)
         if twin_first and not data_disk.failed:
             data_disk.write(addr.slot, new_data)
         return old

@@ -10,10 +10,11 @@ any transfer.
 
 import pytest
 
-from repro.check import HistoryRecorder
+from repro.check import HistoryRecorder, InvariantEngine
 from repro.db import Database, preset
 from repro.db.policy import RdaProtection, RecoveryPolicy
 from repro.errors import ParityGroupError
+from repro.sim.timed import TimedObserver
 from repro.storage import make_page
 
 
@@ -133,3 +134,192 @@ def test_illegal_unlogged_steal_as_third_page_of_a_window():
     assert _transfers(db) == _transfers(reference)
     assert _disk_image(db) == _disk_image(reference)
     assert db.verify_parity() == []
+
+
+# -- a FORCE commit window: the paper's headline cell ----------------------
+
+
+class _RecordingEngine(InvariantEngine):
+    """The invariant engine, keeping every barrier it is asked in order
+    (the array's and the RDA manager's hooks bind this method too)."""
+
+    def __init__(self, db, rules=None):
+        super().__init__(db, rules)
+        self.seen = []
+
+    def barrier(self, name, **ctx):
+        self.seen.append((name, ctx))
+        return super().barrier(name, **ctx)
+
+
+def _force_db(observe):
+    """A ``page-force-rda`` engine with ``observe`` attached: nothing,
+    a history, or the (recording) invariant engine.  Every disk's
+    accesses are logged in order and timed."""
+    db = Database(preset("page-force-rda", group_size=4, num_groups=6,
+                         buffer_capacity=24),
+                  history=HistoryRecorder() if observe == "history"
+                  else None)
+    if observe == "invariants":
+        _RecordingEngine.attach(db)
+    timed = TimedObserver.attach(db)
+    db.accesses = []
+    for disk in db.array.disks:
+        def on_access(disk_id, slot, kind, timed_access=disk.on_access):
+            db.accesses.append((disk_id, slot, kind))
+            timed_access(disk_id, slot, kind)
+        disk.on_access = on_access
+    db.timed = timed
+    db.general_writes = []
+    general = db.array._small_write_inner
+
+    def small_write_inner(page, *args):
+        db.general_writes.append(page)
+        return general(page, *args)
+    db.array._small_write_inner = small_write_inner
+    return db
+
+
+def _force_observed(db):
+    seen = {"disks": _disk_image(db), "transfers": _transfers(db),
+            "accesses": db.accesses,
+            "arms": {d: (t.busy_ms, t.seeks)
+                     for d, t in db.timed.timers.items()},
+            "counters": vars(db.counters),
+            "dirty": db.buffer.dirty_pages(),
+            "dirty_set": db.rda.dirty_set.entries(),
+            "general_writes": db.general_writes}
+    if db.history is not None:
+        seen["history"] = db.history.history.to_dicts()
+    if db.invariants is not None:
+        db.invariants.assert_clean()
+        seen["barriers"] = db.invariants.seen
+    return seen
+
+
+def _force_window(db, committed_page: bool):
+    """One transaction's dirty frames, in frame order: unlogged steals
+    into clean groups 0 and 1, a re-steal (group 2, stolen once by a
+    flush), a second page of group 0 — which the window's first page
+    has just dirtied, so it must go logged — and, with
+    ``committed_page``, a committed frame of group 3 ahead of them.
+    The groups have been written and committed before, so their twin
+    headers are cached.  Returns the transaction and the pages in frame
+    order."""
+    group = db.array.geometry.group_pages
+    pages = [group(0)[0], group(1)[0], group(2)[0], group(0)[1]]
+    warm = db.begin()
+    for g in range(4):
+        db.write_page(warm, group(g)[2], make_page(b"warm"))
+    db.commit(warm)
+    txn = db.begin()
+    for page in pages[:3]:
+        db.write_page(txn, page, make_page(b"first"))
+    assert db.buffer.flush_page(pages[2])
+    db.write_page(txn, pages[2], make_page(b"again"))
+    db.write_page(txn, pages[3], make_page(b"logged"))
+    if committed_page:
+        # a committed frame, as a restart's restore leaves one: the
+        # warm commit's version, which its logged after-image names
+        # (its frame, loaded by that commit, comes first)
+        db.buffer.put_page(group(3)[2], make_page(b"warm"))
+        pages.insert(0, group(3)[2])
+    return txn, pages
+
+
+@pytest.mark.parametrize("observe", ["none", "history", "invariants"])
+def test_force_commit_window_is_its_pages_flushed_one_at_a_time(observe):
+    window, single = _force_db(observe), _force_db(observe)
+    txn, pages = _force_window(window, committed_page=False)
+    assert _force_window(single, committed_page=False) == (txn, pages)
+
+    for page in pages:
+        assert single.buffer.flush_page(page)
+    assert single.buffer.flush_pages_of(txn) == []
+    single.commit(txn)
+    window.commit(txn)
+
+    # the warm commit's four, the re-steal's first, the window's three
+    assert window.counters.unlogged_steals == 4 + 1 + 3
+    assert window.counters.logged_steals == 1
+    # the logged page's group is dirty: both twins, the general path
+    assert window.general_writes == [pages[3]]
+    # each steal was noted on the transaction, so the on-disk versions
+    # the engine kept for the small writes are forgotten with it
+    assert window._last_written == {}
+    assert _force_observed(window) == _force_observed(single)
+    assert window.verify_parity() == []
+
+
+@pytest.mark.parametrize("observe", ["none", "history", "invariants"])
+def test_force_window_with_a_committed_page(observe):
+    window, single = _force_db(observe), _force_db(observe)
+    txn, pages = _force_window(window, committed_page=True)
+    assert _force_window(single, committed_page=True) == (txn, pages)
+
+    assert window.buffer.flush_all_dirty() == pages
+    for page in pages:
+        assert single.buffer.flush_page(page)
+
+    assert window.counters.committed_writebacks == 1
+    assert window.counters.logged_steals == 1
+    assert window.rda.dirty_set.entries() \
+        == single.rda.dirty_set.entries()
+    assert [entry.group for entry in window.rda.dirty_set.entries()] \
+        == [0, 1, 2]
+    assert _force_observed(window) == _force_observed(single)
+    window.commit(txn)
+    single.commit(txn)
+    assert _force_observed(window) == _force_observed(single)
+    assert window.verify_parity() == []
+
+
+def _spared_pages(db):
+    """Three pages of three groups and the disk that holds only the
+    middle one's data: neither the others' data nor any of the three
+    groups' twins live there."""
+    geometry = db.array.geometry
+    for middle_group in range(geometry.num_groups):
+        middle = geometry.group_pages(middle_group)[0]
+        failed = geometry.data_address(middle).disk
+        chosen = []
+        for g in range(geometry.num_groups):
+            if g == middle_group or len(chosen) == 2 or any(
+                    addr.disk == failed
+                    for addr in geometry.parity_addresses(g)):
+                continue
+            chosen += [page for page in geometry.group_pages(g)
+                       if geometry.data_address(page).disk != failed][:1]
+        if len(chosen) == 2 and all(
+                addr.disk != failed
+                for addr in geometry.parity_addresses(middle_group)):
+            return [chosen[0], middle, chosen[1]], failed
+    raise AssertionError("no such pages")
+
+
+@pytest.mark.parametrize("observe", ["none", "history"])
+def test_force_window_with_a_failed_data_disk_mid_window(observe):
+    """The middle page's data disk has failed: that page alone takes
+    the general small write (its twins absorb the write), between two
+    inline ones, and the window still equals its pages one at a
+    time.  (The invariant engine judges a healthy array: its
+    twin-parity rule reads the failed disk's stale slot.)"""
+    window, single = _force_db(observe), _force_db(observe)
+    pages, failed = _spared_pages(window)
+    for db in (window, single):
+        warm = db.begin()
+        for page in pages:
+            db.write_page(warm, page, make_page(b"warm"))
+        db.commit(warm)
+        db.array.fail_disk(failed)
+        txn = db.begin()
+        for page in pages:
+            db.write_page(txn, page, make_page(b"stolen"))
+    for page in pages:
+        assert single.buffer.flush_page(page)
+    single.commit(txn)
+    window.commit(txn)
+
+    assert window.general_writes == [pages[1]]
+    assert window.counters.unlogged_steals == 3 + 3     # warm, window
+    assert _force_observed(window) == _force_observed(single)
