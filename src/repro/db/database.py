@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..buffer import BufferPool
-from ..errors import TransactionError
+from ..errors import DatabaseClosedError, TransactionError
 from ..obs.tracer import NULL_TRACER
 from ..storage import IOStats, create_backend
 from ..storage.kernels import active_tier, available_tiers
@@ -39,6 +39,25 @@ from .config import DBConfig
 from .policy import RecoveryPolicy
 from .recovery import RecoveryManager
 from .slotted_page import SlottedPage
+
+
+_RECORD_MODE = "record operations need record-logging mode"
+
+
+class _Closed:
+    """What :meth:`Database.close` leaves in place of each component it
+    drops: any use raises :class:`DatabaseClosedError`."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        raise DatabaseClosedError("the database is closed")
+
+    def __contains__(self, item):
+        raise DatabaseClosedError("the database is closed")
+
+
+_CLOSED = _Closed()
 
 
 class LockWait(TransactionError):
@@ -254,10 +273,8 @@ class Database:
             self._durable_page_lsn[page] = self.redo_log.page_chain_head(page)
 
     # -- locking ------------------------------------------------------------------------------
-
-    def _lock(self, txn_id: int, resource, mode: LockMode) -> None:
-        if not self.locks.acquire(txn_id, resource, mode):
-            raise LockWait(txn_id, resource)
+    # Each operation below asks ``locks.acquire`` itself and raises
+    # LockWait on a False: no helper frame on the read path.
 
     def grants_for(self, txn_id: int) -> bool:
         """True when the transaction holds no pending waits (safe to
@@ -274,7 +291,8 @@ class Database:
         it touches.
         """
         txn_id = self.txns.begin(txn_id=txn_id).txn_id
-        self._h("begin", txn=txn_id)
+        if self.history is not None:
+            self.history.record("begin", txn=txn_id)
         return txn_id
 
     def _ensure_bot(self, txn) -> None:
@@ -283,11 +301,13 @@ class Database:
 
     def read_page(self, txn_id: int, page: int) -> bytes:
         """Read a full page under a shared page lock."""
-        txn = self.txns.require_active(txn_id)
-        self._lock(txn_id, ("page", page), LockMode.SHARED)
+        self.txns.require_active(txn_id)
+        resource = ("page", page)
+        if not self.locks.acquire(txn_id, resource, LockMode.SHARED):
+            raise LockWait(txn_id, resource)
         payload = self.buffer.get_page(page)
-        txn.note_read(page)
-        self._h("read", txn=txn_id, page=page)
+        if self.history is not None:
+            self.history.record("read", txn=txn_id, page=page)
         return payload
 
     def write_page(self, txn_id: int, page: int, payload: bytes) -> None:
@@ -299,7 +319,9 @@ class Database:
         if len(payload) != PAGE_SIZE:
             raise ValueError(f"page payload must be {PAGE_SIZE} bytes")
         txn = self.txns.require_active(txn_id)
-        self._lock(txn_id, ("page", page), LockMode.EXCLUSIVE)
+        resource = ("page", page)
+        if not self.locks.acquire(txn_id, resource, LockMode.EXCLUSIVE):
+            raise LockWait(txn_id, resource)
         self._ensure_bot(txn)
         current = self.buffer.get_page(page)
         if page not in txn.before_images:
@@ -312,7 +334,8 @@ class Database:
                 self.counters.before_images_logged += 1
         self.buffer.put_page(page, payload, txn_id)
         txn.note_write(page)
-        self._h("write", txn=txn_id, page=page)
+        if self.history is not None:
+            self.history.record("write", txn=txn_id, page=page)
 
     # -- record API (record-logging mode) ------------------------------------------------------------
 
@@ -325,18 +348,16 @@ class Database:
         self._slotted_cache[page] = (payload, sp)
         return sp
 
-    def _require_record_mode(self) -> None:
-        if not self.config.record_logging:
-            raise TransactionError(
-                "record operations need record-logging mode")
-
     def read_record(self, txn_id: int, page: int, slot: int) -> bytes:
         """Read one record under a shared record lock."""
-        self._require_record_mode()
-        txn = self.txns.require_active(txn_id)
-        self._lock(txn_id, ("rec", page, slot), LockMode.SHARED)
-        txn.note_read(page)
-        self._h("read", txn=txn_id, page=page, slot=slot)
+        if not self.config.record_logging:
+            raise TransactionError(_RECORD_MODE)
+        self.txns.require_active(txn_id)
+        resource = ("rec", page, slot)
+        if not self.locks.acquire(txn_id, resource, LockMode.SHARED):
+            raise LockWait(txn_id, resource)
+        if self.history is not None:
+            self.history.record("read", txn=txn_id, page=page, slot=slot)
         return self._slotted(page).read(slot)
 
     def _record_modify(self, txn_id: int, page: int, slot: int,
@@ -357,14 +378,18 @@ class Database:
         self.buffer.put_page(page, data, txn_id)
         self._slotted_cache[page] = (data, sp)
         txn.note_record_write(page, slot)
-        self._h("write", txn=txn_id, page=page, slot=slot)
+        if self.history is not None:
+            self.history.record("write", txn=txn_id, page=page, slot=slot)
 
     def update_record(self, txn_id: int, page: int, slot: int,
                       data: bytes) -> None:
         """Overwrite one record under an exclusive record lock."""
-        self._require_record_mode()
+        if not self.config.record_logging:
+            raise TransactionError(_RECORD_MODE)
         self.txns.require_active(txn_id)
-        self._lock(txn_id, ("rec", page, slot), LockMode.EXCLUSIVE)
+        resource = ("rec", page, slot)
+        if not self.locks.acquire(txn_id, resource, LockMode.EXCLUSIVE):
+            raise LockWait(txn_id, resource)
         before = self._slotted(page).read(slot)
         self._record_modify(txn_id, page, slot, before, data,
                             lambda sp: sp.update(slot, data))
@@ -372,13 +397,18 @@ class Database:
     def insert_record(self, txn_id: int, page: int, data: bytes) -> int:
         """Insert a record; returns its slot.  Takes an exclusive *page*
         lock (structure modification)."""
-        self._require_record_mode()
+        if not self.config.record_logging:
+            raise TransactionError(_RECORD_MODE)
         self.txns.require_active(txn_id)
-        self._lock(txn_id, ("page", page), LockMode.EXCLUSIVE)
+        resource = ("page", page)
+        if not self.locks.acquire(txn_id, resource, LockMode.EXCLUSIVE):
+            raise LockWait(txn_id, resource)
         sp = self._slotted(page)
         probe = SlottedPage.from_bytes(sp.to_bytes())
         slot = probe.insert(data)       # find the slot without mutating
-        self._lock(txn_id, ("rec", page, slot), LockMode.EXCLUSIVE)
+        resource = ("rec", page, slot)
+        if not self.locks.acquire(txn_id, resource, LockMode.EXCLUSIVE):
+            raise LockWait(txn_id, resource)
         self._record_modify(txn_id, page, slot, b"", data,
                             lambda target: target.insert(data))
         return slot
@@ -386,9 +416,12 @@ class Database:
     def delete_record(self, txn_id: int, page: int, slot: int) -> bytes:
         """Delete a record under an exclusive record lock; returns the
         removed bytes."""
-        self._require_record_mode()
+        if not self.config.record_logging:
+            raise TransactionError(_RECORD_MODE)
         self.txns.require_active(txn_id)
-        self._lock(txn_id, ("rec", page, slot), LockMode.EXCLUSIVE)
+        resource = ("rec", page, slot)
+        if not self.locks.acquire(txn_id, resource, LockMode.EXCLUSIVE):
+            raise LockWait(txn_id, resource)
         before = self._slotted(page).read(slot)
         self._record_modify(txn_id, page, slot, before, b"",
                             lambda sp: sp.delete(slot))
@@ -417,8 +450,10 @@ class Database:
         self.txns.finish(txn_id, TxnState.COMMITTED)
         self._forget(txn)
         self.counters.transactions_committed += 1
-        self._h("commit", txn=txn_id)
-        self._barrier("commit", txn=txn_id)
+        if self.history is not None:
+            self.history.record("commit", txn=txn_id)
+        if self.invariants is not None:
+            self.invariants.barrier("commit", txn=txn_id)
 
     def _after_image(self, txn_id: int, page: int) -> bytes:
         if page in self.buffer:
@@ -519,6 +554,21 @@ class Database:
             others = [t.pages_stolen for t in self.txns.active_transactions()]
             for page in stolen.difference(*others):
                 self._last_written.pop(page, None)
+
+    def close(self) -> None:
+        """Release the engine: drop the array, buffer, locks, logs and
+        caches, so their memory goes back at once rather than when the
+        cyclic collector next runs.  Every later operation raises
+        :class:`~repro.errors.DatabaseClosedError`.  Idempotent."""
+        for name in ("array", "rda", "buffer", "locks", "txns", "undo_log",
+                     "redo_log", "checkpointer", "recovery"):
+            setattr(self, name, _CLOSED)
+        self.metrics = self.invariants = None
+        self._forced_undo_children = {}
+        self._slotted_cache = {}
+        self._last_written = {}
+        self._residue = set()
+        self._durable_page_lsn = {}
 
     # -- inspection (tests/examples; uncounted) ------------------------------------------------------------------
 

@@ -473,6 +473,11 @@ class ShardedDatabase:
         """What the transport adds to :meth:`statistics`."""
         return {}
 
+    def close(self) -> None:
+        """Release every shard engine (:meth:`Database.close`)."""
+        for shard in self.shards:
+            shard.close()
+
     # -- routing -------------------------------------------------------------
 
     def _route(self, page: int) -> tuple:

@@ -126,3 +126,8 @@ class ParityGroupError(ReproError):
 
 class ModelError(ReproError):
     """Analytical-model parameter validation failure."""
+
+
+class DatabaseClosedError(ReproError):
+    """An operation on a :class:`~repro.db.Database` after its
+    ``close()``."""

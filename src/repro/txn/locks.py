@@ -16,7 +16,7 @@ eagerly on enqueue by a wait-for-graph cycle search and raise
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ..errors import DeadlockError, LockError
@@ -29,18 +29,6 @@ class LockMode(Enum):
     EXCLUSIVE = "X"
 
 
-def _compatible(held: LockMode, wanted: LockMode) -> bool:
-    return held is LockMode.SHARED and wanted is LockMode.SHARED
-
-
-@dataclass
-class _Entry:
-    """State of one lockable resource."""
-
-    holders: dict = field(default_factory=dict)   # txn_id -> LockMode
-    waiters: deque = field(default_factory=deque)  # (txn_id, LockMode)
-
-
 @dataclass(frozen=True)
 class Grant:
     """A lock handed to a waiter after a release."""
@@ -51,11 +39,18 @@ class Grant:
 
 
 class LockManager:
-    """Strict two-phase locking with FIFO waiting and deadlock detection."""
+    """Strict two-phase locking with FIFO waiting and deadlock detection.
+
+    A held resource is one entry of ``_holders`` (``txn_id -> LockMode``,
+    never empty); a FIFO queue exists in ``_waiters`` only while some
+    request waits on the resource.  A resource that is queued on is
+    always held: a release that empties the holders promotes the head.
+    """
 
     def __init__(self) -> None:
-        self._entries: dict = {}
-        self._held_by_txn: dict = {}
+        self._holders: dict = {}      # resource -> {txn_id: LockMode}
+        self._waiters: dict = {}      # resource -> deque of (txn_id, LockMode)
+        self._held_by_txn: dict = {}  # txn_id -> set of resources
         self._wait_count: dict = {}   # txn_id -> queued requests
 
     # -- queries ------------------------------------------------------------------
@@ -63,13 +58,10 @@ class LockManager:
     def holds(self, txn_id: int, resource, mode: LockMode | None = None) -> bool:
         """True if the transaction holds a lock on ``resource``;
         with ``mode``, a lock at least that strong."""
-        entry = self._entries.get(resource)
-        if entry is None or txn_id not in entry.holders:
+        held = self._holders.get(resource, {}).get(txn_id)
+        if held is None:
             return False
-        if mode is None:
-            return True
-        held = entry.holders[txn_id]
-        return held is LockMode.EXCLUSIVE or held is mode
+        return mode is None or held is LockMode.EXCLUSIVE or held is mode
 
     def waiting(self, txn_id: int) -> bool:
         """True if the transaction is queued on some resource."""
@@ -78,6 +70,13 @@ class LockManager:
     def locks_of(self, txn_id: int) -> list:
         """Resources currently locked by the transaction."""
         return sorted(self._held_by_txn.get(txn_id, ()), key=repr)
+
+    def blockers(self, resource) -> set:
+        """Transactions a new request on ``resource`` would queue behind
+        if it waited: the holders and every queued requester."""
+        found = set(self._holders.get(resource, ()))
+        found.update(txn for txn, _mode in self._waiters.get(resource, ()))
+        return found
 
     # -- acquire / release ----------------------------------------------------------
 
@@ -90,40 +89,42 @@ class LockManager:
         Raises:
             DeadlockError: if enqueueing would close a wait-for cycle.
         """
-        entry = self._entries.get(resource)
-        if entry is None:
+        holders = self._holders.get(resource)
+        if holders is None:
             # uncontended first touch: grant without scanning anything
-            entry = self._entries[resource] = _Entry()
-            entry.holders[txn_id] = mode
+            self._holders[resource] = {txn_id: mode}
             held = self._held_by_txn.get(txn_id)
             if held is None:
                 self._held_by_txn[txn_id] = {resource}
             else:
                 held.add(resource)
             return True
-        held = entry.holders.get(txn_id)
+        held = holders.get(txn_id)
         if held is not None:
             if held is LockMode.EXCLUSIVE or held is mode:
                 return True
             # S -> X upgrade: immediate if sole holder and nobody queued
-            if len(entry.holders) == 1 and not entry.waiters:
-                entry.holders[txn_id] = LockMode.EXCLUSIVE
+            if len(holders) == 1 and resource not in self._waiters:
+                holders[txn_id] = LockMode.EXCLUSIVE
                 return True
-            self._enqueue(txn_id, resource, mode, entry)
-            return False
-        if not entry.waiters and all(
-                _compatible(h, mode) for h in entry.holders.values()):
-            entry.holders[txn_id] = mode
+        elif (mode is LockMode.SHARED and resource not in self._waiters
+              and LockMode.EXCLUSIVE not in holders.values()):
+            holders[txn_id] = mode
             self._held_by_txn.setdefault(txn_id, set()).add(resource)
             return True
-        self._enqueue(txn_id, resource, mode, entry)
+        self._enqueue(txn_id, resource, mode)
         return False
 
-    def _enqueue(self, txn_id: int, resource, mode: LockMode, entry: _Entry) -> None:
-        entry.waiters.append((txn_id, mode))
+    def _enqueue(self, txn_id: int, resource, mode: LockMode) -> None:
+        queue = self._waiters.get(resource)
+        if queue is None:
+            queue = self._waiters[resource] = deque()
+        queue.append((txn_id, mode))
         cycle = self._find_cycle(txn_id)
         if cycle:
-            entry.waiters.pop()
+            queue.pop()
+            if not queue:
+                del self._waiters[resource]
             raise DeadlockError(txn_id, tuple(cycle))
         self._wait_count[txn_id] = self._wait_count.get(txn_id, 0) + 1
 
@@ -139,69 +140,66 @@ class LockManager:
 
         Returns the :class:`Grant` list of waiters promoted as a result.
         """
-        grants = []
-        if not self._wait_count.get(txn_id):
-            # fast path: the transaction is queued nowhere, so only the
-            # entries it holds can change.  Grant order matches the full
-            # sweep (held resources in insertion order), and the sweep's
-            # re-promotion of untouched entries is a no-op because
-            # promotion is eager at every release.
-            for resource in list(self._held_by_txn.get(txn_id, ())):
-                entry = self._entries[resource]
-                del entry.holders[txn_id]
-                grants.extend(self._promote(resource, entry))
-                if not entry.holders and not entry.waiters:
-                    del self._entries[resource]
-            self._held_by_txn.pop(txn_id, None)
-            return grants
-        for resource in list(self._held_by_txn.get(txn_id, ())):
-            entry = self._entries[resource]
-            del entry.holders[txn_id]
-            grants.extend(self._promote(resource, entry))
-        self._held_by_txn.pop(txn_id, None)
-        for resource, entry in list(self._entries.items()):
-            entry.waiters = deque(
-                (t, m) for t, m in entry.waiters if t != txn_id)
-            grants.extend(self._promote(resource, entry))
-            if not entry.holders and not entry.waiters:
-                del self._entries[resource]
-        self._wait_count.pop(txn_id, None)
+        grants: list = []
+        table = self._holders
+        waiters = self._waiters
+        # each held resource loses one holder, and one with a queue
+        # promotes from it; grants come in the held set's (hash) order
+        for resource in self._held_by_txn.pop(txn_id, ()):
+            holders = table[resource]
+            del holders[txn_id]
+            queue = waiters.get(resource)
+            if queue is not None:
+                grants.extend(self._promote(resource, holders, queue))
+            elif not holders:
+                del table[resource]
+        if self._wait_count.pop(txn_id, None):
+            # withdraw its queued requests, promoting behind them in
+            # table order (a queue it was not on promotes nothing:
+            # promotion is eager at every release)
+            for resource in [r for r in table if r in waiters]:
+                queue = waiters[resource] = deque(
+                    (t, m) for t, m in waiters[resource] if t != txn_id)
+                grants.extend(self._promote(resource, table[resource], queue))
         return grants
 
     def release(self, txn_id: int, resource) -> list:
         """Release a single lock (non-strict use; tests and internals)."""
-        entry = self._entries.get(resource)
-        if entry is None or txn_id not in entry.holders:
+        holders = self._holders.get(resource)
+        if holders is None or txn_id not in holders:
             raise LockError(f"txn {txn_id} does not hold {resource!r}")
-        del entry.holders[txn_id]
+        del holders[txn_id]
         self._held_by_txn[txn_id].discard(resource)
-        grants = self._promote(resource, entry)
-        if not entry.holders and not entry.waiters:
-            del self._entries[resource]
+        queue = self._waiters.get(resource)
+        grants = (self._promote(resource, holders, queue)
+                  if queue is not None else [])
+        if not holders and resource not in self._waiters:
+            del self._holders[resource]
         return grants
 
-    def _promote(self, resource, entry: _Entry) -> list:
+    def _promote(self, resource, holders: dict, queue: deque) -> list:
+        """Grant the longest compatible prefix of ``queue``; the queue
+        leaves the table once it drains."""
         grants = []
-        while entry.waiters:
-            txn_id, mode = entry.waiters[0]
-            held = entry.holders.get(txn_id)
+        while queue:
+            txn_id, mode = queue[0]
+            held = holders.get(txn_id)
             if held is not None:
                 # queued upgrade: needs sole holdership
-                if len(entry.holders) == 1:
-                    entry.holders[txn_id] = LockMode.EXCLUSIVE
-                    entry.waiters.popleft()
-                    self._waiter_granted(txn_id)
-                    grants.append(Grant(txn_id, resource, LockMode.EXCLUSIVE))
-                    continue
+                if len(holders) != 1:
+                    break
+                mode = LockMode.EXCLUSIVE
+            elif holders and (mode is LockMode.EXCLUSIVE
+                              or LockMode.EXCLUSIVE in holders.values()):
                 break
-            if all(_compatible(h, mode) for h in entry.holders.values()):
-                entry.holders[txn_id] = mode
+            else:
                 self._held_by_txn.setdefault(txn_id, set()).add(resource)
-                entry.waiters.popleft()
-                self._waiter_granted(txn_id)
-                grants.append(Grant(txn_id, resource, mode))
-                continue
-            break
+            holders[txn_id] = mode
+            queue.popleft()
+            self._waiter_granted(txn_id)
+            grants.append(Grant(txn_id, resource, mode))
+        if not queue:
+            del self._waiters[resource]
         return grants
 
     # -- deadlock detection ------------------------------------------------------------
@@ -209,9 +207,14 @@ class LockManager:
     def wait_for_graph(self) -> dict:
         """``waiter -> {holders blocking it}`` over all resources."""
         graph: dict = {}
-        for entry in self._entries.values():
-            blockers = set(entry.holders)
-            for txn_id, _mode in entry.waiters:
+        waiters = self._waiters
+        # in table order: the cycle a DeadlockError names depends on it
+        for resource, holders in self._holders.items():
+            queue = waiters.get(resource)
+            if queue is None:
+                continue
+            blockers = set(holders)
+            for txn_id, _mode in queue:
                 edges = graph.setdefault(txn_id, set())
                 edges.update(b for b in blockers if b != txn_id)
                 blockers.add(txn_id)  # FIFO: later waiters wait on earlier

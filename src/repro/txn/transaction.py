@@ -1,11 +1,11 @@
 """Transactions.
 
 A :class:`Transaction` records what the recovery protocols need: its
-lifecycle state, the pages it has read and written, which of its written
-pages have been *stolen* to disk, under record logging the record-level
-writes, and the undo/redo information it holds in main memory until EOT.
-The object is bookkeeping only; commit/abort work is orchestrated by the
-recovery manager.
+lifecycle state, the pages it has written and which of them have been
+*stolen* to disk, under record logging the record-level writes, and the
+undo/redo information it holds in main memory until EOT.  The object
+is bookkeeping only; commit/abort work is orchestrated by the recovery
+manager.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class Transaction:
     Attributes:
         txn_id: unique id, also used to stamp parity twins and log records.
         state: current :class:`TxnState`.
-        pages_read: logical pages read.
         pages_written: logical pages with uncommitted modifications.
         pages_stolen: written pages that have reached disk before EOT.
         records_written: ``(page, slot)`` pairs under record logging.
@@ -51,7 +50,6 @@ class Transaction:
 
     txn_id: int
     state: TxnState = TxnState.ACTIVE
-    pages_read: set = field(default_factory=set)
     pages_written: set = field(default_factory=set)
     pages_stolen: set = field(default_factory=set)
     records_written: set = field(default_factory=set)
@@ -72,10 +70,6 @@ class Transaction:
     def is_update_transaction(self) -> bool:
         """True if it wrote anything (the model's update fraction f_u)."""
         return bool(self.pages_written or self.records_written)
-
-    def note_read(self, page: int) -> None:
-        """Record a page read."""
-        self.pages_read.add(page)
 
     def note_write(self, page: int) -> None:
         """Record a page modification."""

@@ -1,9 +1,13 @@
 """Odds-and-ends coverage for the Database facade."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.db import Database, preset
-from repro.errors import InvalidTransactionState, TransactionError
+from repro.db import Database, ShardedDatabase, preset
+from repro.errors import (DatabaseClosedError, InvalidTransactionState,
+                          TransactionError)
 from repro.storage import make_page
 
 
@@ -157,3 +161,69 @@ class TestResidueInteraction:
         assert db.counters.unlogged_steals == 0
         db.abort(loser)
         assert db.committed_view(0) == make_page(b"committed")
+
+
+class TestClose:
+    @pytest.mark.parametrize("name", ["page-force-rda", "record-noforce-rda",
+                                      "page-noforce-log", "page-noforce-redo",
+                                      "page-force-raid6"])
+    def test_close_frees_buffer_and_array_without_the_collector(self, name):
+        # a closed engine still referenced (a caller holding it across
+        # the next set-up) must not keep its pages alive until the
+        # cyclic collector happens to run
+        db = make_db(name)
+        txn = db.begin()
+        if db.config.record_logging:
+            db.format_record_pages(range(4))
+            db.insert_record(txn, 1, b"rec")
+        else:
+            db.write_page(txn, 1, make_page(b"page"))
+        db.commit(txn)
+        refs = [weakref.ref(db.buffer), weakref.ref(db.array)]
+        gc.disable()
+        try:
+            db.close()
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_every_operation_after_close_raises(self):
+        db = make_db("page-noforce-rda")
+        txn = db.begin()
+        db.close()
+        for call in (db.begin, lambda: db.read_page(txn, 0),
+                     lambda: db.write_page(txn, 0, make_page(b"x")),
+                     lambda: db.commit(txn), lambda: db.abort(txn),
+                     db.checkpoint, db.trim_log, db.crash, db.recover,
+                     db.statistics, db.verify_parity,
+                     lambda: db.committed_view(0),
+                     lambda: db.grants_for(txn)):
+            with pytest.raises(DatabaseClosedError):
+                call()
+        db.close()      # idempotent
+
+    def test_record_operations_after_close_raise(self):
+        db = make_db("record-noforce-rda")
+        db.format_record_pages(range(2))
+        txn = db.begin()
+        db.close()
+        for call in (lambda: db.read_record(txn, 0, 0),
+                     lambda: db.insert_record(txn, 0, b"x"),
+                     lambda: db.update_record(txn, 0, 0, b"x"),
+                     lambda: db.delete_record(txn, 0, 0)):
+            with pytest.raises(DatabaseClosedError):
+                call()
+
+    def test_in_process_sharded_facade_closes_its_shards(self):
+        db = ShardedDatabase(preset("page-force-rda", group_size=4,
+                                    num_groups=8, buffer_capacity=8),
+                             shards=2)
+        refs = [weakref.ref(shard.buffer) for shard in db.shards]
+        gc.disable()
+        try:
+            db.close()
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+        with pytest.raises(DatabaseClosedError):
+            db.begin()

@@ -22,8 +22,9 @@ trace-borne history transport nothing rendered or read.  One premise
 says whose WORKING twin header committed — the restart anchor's, kept
 by every class across a trim — with no header seal at the trim and no
 registry verdict beside it.  The frame
-budgets at the end hold the page path, what a parity group and a
-restored page add to a restart, what a buffered page adds to a crash,
+budgets at the end hold the page path, a buffered read, what a read
+lock adds to a commit, what a parity group and a restored page add to
+a restart, what a buffered page adds to a crash,
 and what a tracer and a registry may add to a transaction, to the
 number of Python frames they enter today.
 """
@@ -268,11 +269,53 @@ def test_one_more_page_in_a_commit_window_costs_at_most_31_frames():
     assert (_commit_frames(8) - _commit_frames(4)) / 4 <= 31
 
 
-def test_a_read_page_buffer_hit_costs_at_most_7_frames():
+def test_a_read_page_buffer_hit_costs_at_most_5_frames():
     db = _budget_db()
     txn = db.begin()
     db.read_page(txn, 3)
-    assert _src_frames(db.read_page, txn, 3) <= 7       # 8 before PR 17
+    # 8 with the forwarding layers; 7 with a locking helper, a read set
+    # and a history helper on every read; 4 once the facade asks the
+    # lock table and the attached history itself
+    assert _src_frames(db.read_page, txn, 3) <= 5
+
+
+def _record_db():
+    """Every page a slotted page holding one committed record (slot 0),
+    all of them buffered."""
+    db = Database(preset("record-noforce-rda", group_size=5, num_groups=20,
+                         buffer_capacity=128))
+    db.format_record_pages(range(db.num_data_pages))
+    txn = db.begin()
+    for page in range(db.num_data_pages):
+        db.insert_record(txn, page, b"seed")
+    db.commit(txn)
+    return db
+
+
+def test_a_read_record_buffer_hit_costs_at_most_7_frames():
+    db = _record_db()
+    txn = db.begin()
+    db.read_record(txn, 3, 0)
+    # 10 with a record-mode helper, a locking helper, a read set and a
+    # history helper; 6 once the record-mode check, the lock request
+    # and the history are inline, on a lock held or new
+    assert _src_frames(db.read_record, txn, 3, 0) <= 7
+    assert _src_frames(db.read_record, txn, 4, 0) <= 7
+
+
+def _read_only_commit_frames(reads: int) -> int:
+    db = _record_db()
+    txn = db.begin()
+    for page in range(reads):
+        db.read_record(txn, page, 0)
+    return _src_frames(db.commit, txn)
+
+
+def test_a_read_only_commit_costs_no_frame_per_read_lock():
+    # 19 for ten read locks and 49 for forty, a promote call per
+    # released lock; releasing with nobody waiting deletes the holder
+    # entries in one loop (7 either way)
+    assert _read_only_commit_frames(40) == _read_only_commit_frames(10)
 
 
 # -- what one more parity group may add to a restart (PR 19) ---------------

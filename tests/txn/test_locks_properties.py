@@ -8,14 +8,19 @@ API's observable results (True returns, :class:`Grant` lists,
 * promotions after a release form a FIFO queue *prefix* — no waiter
   is granted while an earlier incompatible waiter still queues;
 * deadlock detection is complete and sound against a brute-force
-  reachability check of the wait-for graph.
+  reachability check of the wait-for graph;
+* who a new request would queue behind (``blockers``) is what the
+  mirror says.
+
+The fixed cases at the end pin grant order through both release paths
+(a releaser queued nowhere, and one still queued elsewhere).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeadlockError, LockError
-from repro.txn import LockManager, LockMode
+from repro.txn import Grant, LockManager, LockMode
 
 TXNS = st.integers(min_value=1, max_value=5)
 RESOURCES = st.sampled_from(["a", "b", "c"])
@@ -60,6 +65,11 @@ class Mirror:
                 (t, m) for t, m in queue if t != grant.txn_id]
             self.holders.setdefault(grant.resource, {})[grant.txn_id] = \
                 grant.mode
+
+    def blockers(self, resource):
+        """Who a new request on ``resource`` would queue behind."""
+        return set(self.holders.get(resource, ())) | {
+            t for t, _m in self.queues.get(resource, ())}
 
     def check_compatibility(self):
         for resource, held in self.holders.items():
@@ -116,11 +126,8 @@ def test_lock_manager_properties(steps):
                 # completeness: enqueueing this request must close a
                 # cycle through txn in the brute-force graph
                 graph = dict(before_graph)
-                entry = manager._entries.get(resource)
-                blockers = set(entry.holders) if entry else set()
-                if entry:
-                    for waiter, _m in entry.waiters:
-                        blockers.add(waiter)
+                blockers = manager.blockers(resource)
+                assert blockers == mirror.blockers(resource)
                 graph.setdefault(txn, set()).update(
                     b for b in blockers if b != txn)
                 assert brute_force_cycle(graph, txn), \
@@ -150,6 +157,7 @@ def test_lock_manager_properties(steps):
         mirror.check_compatibility()
         for resource in ("a", "b", "c"):
             mirror.check_fifo_prefix(resource)
+            assert manager.blockers(resource) == mirror.blockers(resource)
 
 
 @given(STEPS)
@@ -207,3 +215,51 @@ def test_release_unheld_lock_raises():
     except LockError:
         return
     raise AssertionError("expected LockError")
+
+
+S, X = LockMode.SHARED, LockMode.EXCLUSIVE
+
+
+def _shared_then_upgrade_then_queue(manager):
+    """Resources 1 and 3: holders 1 (S) and 2 (S); 2 queues an upgrade,
+    then 3 queues S and 4 queues X behind it."""
+    for resource in (1, 3):
+        assert manager.acquire(1, resource, S)
+        assert manager.acquire(2, resource, S)
+        assert not manager.acquire(2, resource, X)     # upgrade waits on 1
+        assert not manager.acquire(3, resource, S)     # FIFO: behind 2
+        assert not manager.acquire(4, resource, X)
+
+
+def _release_order(manager, first):
+    """Release ``first`` (holder 1), then 2 and 3 in turn; the grants."""
+    return [manager.release_all(txn) for txn in (first, 2, 3)]
+
+
+PINNED = [
+    [Grant(2, 1, X), Grant(2, 3, X)],      # the upgrade, once 1 has gone
+    [Grant(3, 1, S), Grant(3, 3, S)],      # then the queued reader
+    [Grant(4, 1, X), Grant(4, 3, X)],      # then the queued writer
+]
+
+
+def test_grant_order_when_the_releaser_queues_nowhere():
+    manager = LockManager()
+    _shared_then_upgrade_then_queue(manager)
+    assert not manager.waiting(1)
+    assert _release_order(manager, 1) == PINNED
+    assert manager.holds(4, 1, X) and manager.holds(4, 3, X)
+    assert not any(manager.waiting(txn) for txn in (1, 2, 3, 4))
+
+
+def test_grant_order_when_the_releaser_still_queues():
+    manager = LockManager()
+    assert manager.acquire(5, 2, X)
+    _shared_then_upgrade_then_queue(manager)
+    assert not manager.acquire(1, 2, S)     # 1 now waits on 5 as well
+    assert manager.waiting(1)
+    assert _release_order(manager, 1) == PINNED
+    assert not manager.waiting(1)
+    assert manager.blockers(2) == {5}       # 1's queued request went too
+    assert manager.release_all(5) == []
+    assert manager.blockers(2) == set()

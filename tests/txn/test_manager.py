@@ -74,10 +74,8 @@ class TestCrashBookkeeping:
 class TestTransactionBookkeeping:
     def test_note_read_write_steal(self):
         txn = Transaction(txn_id=1)
-        txn.note_read(3)
         txn.note_write(4)
         txn.note_steal(4)
-        assert txn.pages_read == {3}
         assert txn.pages_written == {4}
         assert txn.pages_stolen == {4}
 
