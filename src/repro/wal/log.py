@@ -18,18 +18,24 @@ the model counts.  :class:`LogManager` therefore:
   durable and every later one, out of band, as a page header would —
   no transfer of its own.  :meth:`after_crash` reads it from the last
   durable page of each copy and checks the records from the anchor to
-  the end of the log; the rebuilt index holds each record's header
-  fields and byte span, and a record becomes an object the first time
-  :meth:`get`, :meth:`records_of`, :meth:`records_from` or
-  :meth:`records` reads it.  The records before the anchor stay on the
+  the end of the log.  The records before the anchor stay on the
   devices unchecked until a read first reaches below it; then each is
   checked on whichever copy holds it intact (the duplex mate is the
-  fallback).  What restart analysis asks — the committed / aborted /
-  begun transaction ids since the anchor (:meth:`txn_ids`), the
-  anchor's transaction table (:meth:`transaction_table`), the chain
-  heads, the last checkpoint (:meth:`last_checkpoint_lsn`) — comes
-  from the headers alone.  With no anchor the walk starts at the first
-  retained record, so the same path checks the whole log.
+  fallback).  With no anchor the walk starts at the first retained
+  record, so the same path checks the whole log.
+
+**The index** is one list of ``(type, lsn, txn_id, prev_lsn, start,
+end)`` entries (see :func:`~repro.wal.records.deserialize`), one per
+retained record: an append takes it from the header it wrote and the
+span of those bytes, a restart from its check of the bytes it read.
+Analysis (:meth:`txn_ids`, :meth:`transaction_table`, the chain heads,
+:meth:`last_checkpoint_lsn`) and the sizes a read or a trim charges
+read the entries alone.  **A record is an object** once the log has one
+— the one appended, or the one a read first decoded from copy 0's bytes
+at its span — and every later read returns it.  A restart walk checked
+each record a read can decode; once a copy is damaged, or a walk below
+the anchor leaves a record every copy lost, each decode checks its span
+again, on copy 0 or on the duplex mate.
 
 A real log finds its last page by page sequence numbers; this one knows
 its durable length (:attr:`LogDevice.durable_size`), as the walk always
@@ -54,15 +60,13 @@ DEFAULT_LOG_PAGE_SIZE = 2020
 """Physical log page size; the paper's model constant l_p."""
 
 
-def _txn_ids_of(*header_lists) -> dict:
+def _txn_ids_of(entries) -> dict:
     """Raw type value of each :data:`_TXN_ID_TYPES` -> the ids of the
-    transactions with such a record, over ``(type, lsn, txn_id, ...)``
-    headers."""
+    transactions with such a record, over ``entries``."""
     ids = {cls.record_type.value: set() for cls in _TXN_ID_TYPES}
-    for headers in header_lists:
-        for header in headers:
-            if header[0] in ids:
-                ids[header[0]].add(header[2])
+    for entry in entries:
+        if entry[0] in ids:
+            ids[entry[0]].add(entry[2])
     return ids
 
 
@@ -147,7 +151,7 @@ class LogDevice:
     def contents(self) -> bytes:
         return bytes(self._data)
 
-    def read(self, start: int, end: int | None = None) -> bytes:
+    def read(self, start: int, end: int) -> bytes:
         """The bytes from ``start`` to ``end``, copied once."""
         return bytes(memoryview(self._data)[start:end])
 
@@ -169,11 +173,11 @@ class LogDevice:
         self._forced_len = min(self._forced_len, len(self._data))
         return lost
 
-    def reset_to(self, contents: bytes) -> None:
-        """Replace the device's bytes with ``contents`` (a trim), as
+    def drop_front(self, size: int) -> None:
+        """Drop the first ``size`` bytes (a trim), leaving the rest as
         durable as :meth:`rewind` leaves them."""
-        self._data = bytearray(contents)
-        self.rewind(len(contents))
+        del self._data[:size]
+        self.rewind(len(self._data))
 
     def rewind(self, size: int) -> None:
         """Cut the device back to its first ``size`` bytes (restart
@@ -230,13 +234,12 @@ class LogManager:
             self._devices.append(
                 LogDevice(-LogManager._device_counter, page_size,
                           transfers_per_log_page, self.stats))
-        # one slot per retained LSN: its record, or None while a record
-        # recovered by after_crash is undecoded.  The recovered ones
-        # lead, and each keeps its check_only entry into _blob (type,
-        # header fields, byte span) until a trim drops it
-        self._records: list = []
+        # the index, spans counted from the log's first byte ever (a
+        # trim moves _origin, the offset of each copy's byte 0), and
+        # LSN -> the record's object once it has one
         self._entries: list = []
-        self._blob = b""
+        self._origin = 0
+        self._objects: dict = {}
         self._last_lsn_of_txn: dict = {}
         self._last_lsn_of_page: dict = {}
         # txn_ids()'s answers: since -> (base, next) LSNs read at, ids
@@ -252,11 +255,15 @@ class LogManager:
         self._unchecked_ceiling = 0
         self._lost: tuple | None = None
         self._table: tuple | None = None    # (anchor LSN, its table)
+        self._anchoring = None      # the record append_anchor is writing
+        # copy 0 holds what the last restart walk checked: no copy has
+        # been damaged since, and no record below the anchor was lost
+        self._verified = True
         # highest LSN known durable; a plain attribute (read-only to
         # everyone else): every page write-back stamps it on a twin
         self.forced_lsn = NULL_LSN
-        # recovered records CRC-checked and entries turned into records
-        # so far (restart work)
+        # records CRC-checked by restart walks and entries turned into
+        # records so far (restart work)
         self.records_checked = 0
         self.records_decoded = 0
 
@@ -265,62 +272,51 @@ class LogManager:
     def append(self, record: LogRecord) -> int:
         """Assign an LSN, chain the record to its transaction, write it
         to every mirror copy, and index it.  Returns the LSN."""
-        record.lsn = self._next_lsn
-        self._next_lsn += 1
-        if self._unchecked:
-            self._chain_below_anchor(record)
-        if record.txn_id:
-            record.prev_lsn = self._last_lsn_of_txn.get(record.txn_id, NULL_LSN)
-            self._last_lsn_of_txn[record.txn_id] = record.lsn
-        if record.page_chained:
-            record.prev_page_lsn = self._last_lsn_of_page.get(
-                record.page_id, NULL_LSN)
-            self._last_lsn_of_page[record.page_id] = record.lsn
-        blob = record.serialize()
-        for device in self._devices:
-            device.append(blob)
-        self._records.append(record)
-        if self._m_records is not None:
-            rtype = type(record).__name__
-            child = self._record_children.get(rtype)
-            if child is None:
-                child = self._record_children[rtype] = \
-                    self._m_records.labels(log=self.name, type=rtype)
-            child.inc()
-        return record.lsn
+        return self.append_batch((record,))
 
     def append_batch(self, records) -> int:
-        """Append several records as one call (the hot commit path).
-
-        Exactly equivalent to calling :meth:`append` once per record —
-        same LSNs, same per-device byte interleaving, same page-write
-        hook order — with the per-call bookkeeping hoisted out of the
-        loop.  Returns the last LSN assigned (``last_lsn`` unchanged
-        when ``records`` is empty).
-        """
+        """Append records in order, as one :meth:`append` each would
+        (LSNs, per-device byte interleaving, page-write hook order), and
+        return the last LSN assigned (``last_lsn`` when ``records`` is
+        empty).  Each is serialized once; its entry is the header it was
+        written with and the span of its bytes.  The check below an
+        anchor merges into the chain-head dicts in place, so the ones
+        hoisted here stay current."""
         lsn = self._next_lsn
-        last_of = self._last_lsn_of_txn
+        last_of_txn = self._last_lsn_of_txn
         last_of_page = self._last_lsn_of_page
         devices = self._devices
-        index = self._records
+        entries = self._entries
+        objects = self._objects
+        anchoring = self._anchoring
+        end = self._origin + len(devices[0]._data)
         m_records = self._m_records
         children = self._record_children
         for record in records:
             record.lsn = lsn
             if self._unchecked:
                 self._chain_below_anchor(record)
-            if record.txn_id:
-                record.prev_lsn = last_of.get(record.txn_id, NULL_LSN)
-                last_of[record.txn_id] = lsn
+            txn_id = record.txn_id
+            if txn_id:
+                record.prev_lsn = last_of_txn.get(txn_id, NULL_LSN)
+                last_of_txn[txn_id] = lsn
             if record.page_chained:
                 record.prev_page_lsn = last_of_page.get(record.page_id,
                                                         NULL_LSN)
                 last_of_page[record.page_id] = lsn
-            lsn += 1
+            self._next_lsn = lsn + 1
             blob = record.serialize()
+            start, end = end, end + len(blob)
+            if record is anchoring:
+                pending = (lsn, start - self._origin, end - start)
+                for device in devices:
+                    device.pending = pending
             for device in devices:
                 device.append(blob)
-            index.append(record)
+            # _value_: ``.value`` is a property call, once a record
+            entries.append((record.record_type._value_, lsn, txn_id,
+                            record.prev_lsn, start, end))
+            objects[lsn] = record
             if m_records is not None:
                 rtype = type(record).__name__
                 child = children.get(rtype)
@@ -328,7 +324,7 @@ class LogManager:
                     child = children[rtype] = m_records.labels(
                         log=self.name, type=rtype)
                 child.inc()
-        self._next_lsn = lsn
+            lsn += 1
         return lsn - 1
 
     def force(self) -> None:
@@ -337,7 +333,7 @@ class LogManager:
             device.force()
         if self._forces_child is not None:
             self._forces_child.inc()
-        if self._records:
+        if self._entries:
             self.forced_lsn = self._next_lsn - 1
 
     @property
@@ -357,7 +353,7 @@ class LogManager:
     @property
     def last_lsn(self) -> int:
         """Highest LSN appended (retained LSNs are contiguous)."""
-        return self._next_lsn - 1 if self._records else NULL_LSN
+        return self._next_lsn - 1 if self._entries else NULL_LSN
 
     @property
     def size_bytes(self) -> int:
@@ -373,37 +369,60 @@ class LogManager:
     def records_from(self, lsn: int) -> list:
         """The records with LSN ``lsn`` and up, in append order."""
         self._reach(lsn)
-        start = max(lsn - self._base_lsn, 0)
-        out = self._records[start:]
-        for i in range(min(len(self._entries) - start, len(out))):
-            if out[i] is None:
-                out[i] = self._decode(start + i)
-        return out
+        return self._decoded(self._entries[max(lsn - self._base_lsn, 0):])
 
     def get(self, lsn: int) -> LogRecord:
         """Record by LSN.
 
         Raises:
             LogCorruptionError: unknown or already-truncated LSN.
-            UnrecoverableDataError: a record before the anchor that
-                every copy lost.
+            UnrecoverableDataError: a record every copy lost.
         """
         if lsn < self._base_lsn and self._unchecked:
             self._check_below_anchor()
         self._refuse(lsn)
         if not self._base_lsn <= lsn < self._next_lsn:
             raise LogCorruptionError(f"{self.name}: no record with lsn {lsn}")
-        record = self._records[lsn - self._base_lsn]
-        if record is None:
-            return self._decode(lsn - self._base_lsn)
-        return record
+        return (self._objects.get(lsn)
+                or self._decoded((self._entries[lsn - self._base_lsn],))[0])
 
-    def _decode(self, index: int) -> LogRecord:
-        """Turn the recovered entry at ``index`` into its record, once."""
-        entry = self._entries[index]
-        record = self._records[index] = _DECODERS[entry[0]](self._blob, entry)
-        self.records_decoded += 1
-        return record
+    def _decoded(self, entries) -> list:
+        """The records ``entries`` index, each decoded from copy 0 if it
+        has no object yet — checked first, on copy 0 or its duplex mate
+        (:meth:`_checked`), unless ``_verified``."""
+        objects, origin = self._objects, self._origin
+        verified = self._verified
+        out = []
+        with memoryview(self._devices[0]._data) as copy0:
+            for entry in entries:
+                lsn = entry[1]
+                record = objects.get(lsn)
+                if record is None:
+                    blob = copy0
+                    if not verified:
+                        blob, entry = self._checked(entry)
+                    elif origin:
+                        entry = (*entry[:4], entry[4] - origin,
+                                 entry[5] - origin)
+                    record = objects[lsn] = _DECODERS[entry[0]](blob, entry)
+                    self.records_decoded += 1
+                out.append(record)
+        return out
+
+    def _checked(self, entry: tuple) -> tuple:
+        """``(bytes, their entry)`` of the record ``entry`` spans, read
+        from the first copy whose record passes its bounds, CRC and type
+        check."""
+        start, end = entry[4] - self._origin, entry[5] - self._origin
+        for device in self._devices:
+            blob = device.read(start, end)
+            try:
+                return blob, deserialize(blob, 0, True)[0]
+            except (TornRecordError, LogCorruptionError):
+                continue
+        raise UnrecoverableDataError(
+            f"{self.name}: every duplex copy lost the record at lsn "
+            f"{entry[1]}")
 
     def records_of(self, txn_id: int) -> list:
         """The transaction's records, newest first, via the log chain.
@@ -438,19 +457,13 @@ class LogManager:
     def charge_read(self, records) -> int:
         """Charge page transfers for reading the given records back from
         one log copy (rollback and restart both read the log; the model
-        counts those transfers).  Returns pages charged.
-
-        A recovered record's size is its entry's span: re-serializing
-        what restart just decoded would cost as much as the decode."""
-        total = 0
+        counts those transfers).  Returns pages charged.  Each record's
+        size is its entry's span."""
         base, entries = self._base_lsn, self._entries
-        recovered = len(entries)
+        total = 0
         for record in records:
-            index = record.lsn - base
-            if 0 <= index < recovered:
-                total += entries[index][5] - entries[index][4]
-            else:
-                total += record.serialized_size
+            entry = entries[record.lsn - base]
+            total += entry[5] - entry[4]
         if total == 0:
             return 0
         pages = -(-total // self._devices[0].page_size)
@@ -460,12 +473,8 @@ class LogManager:
     def last_checkpoint_lsn(self) -> int:
         """LSN of the newest retained checkpoint record
         (:data:`NULL_LSN` if none), found by walking back over the
-        appended records and then the recovered entries: nothing is
-        decoded.  An anchored restart indexed its anchor, a checkpoint,
-        so the answer never lies before it."""
-        for record in reversed(self._records[len(self._entries):]):
-            if isinstance(record, CheckpointRecord):
-                return record.lsn
+        entries: nothing is decoded.  An anchored restart indexed its
+        anchor, a checkpoint, so the answer never lies before it."""
         for entry in reversed(self._entries):
             if entry[0] == _CHECKPOINT:
                 return entry[1]
@@ -475,7 +484,7 @@ class LogManager:
         """Ids of the transactions with a retained ``record_type``
         record — :class:`BOTRecord`, :class:`CommitRecord` or
         :class:`AbortRecord` — at LSN ``since`` or later (default: the
-        whole retained log), read off the headers, not decoded.
+        whole retained log), read off the entries, not decoded.
 
         :meth:`after_crash` answers it from its own walk, since the
         anchor; otherwise the answer is re-read when an append or a
@@ -485,12 +494,8 @@ class LogManager:
         at = (self._base_lsn, self._next_lsn)
         cached = self._txn_ids.get(since)
         if cached is None or cached[0] != at:
-            start = since - self._base_lsn
-            recovered = len(self._entries)
             cached = self._txn_ids[since] = (at, _txn_ids_of(
-                self._entries[start:],
-                [(r.record_type.value, r.lsn, r.txn_id)
-                 for r in self._records[max(start, recovered):]]))
+                self._entries[since - self._base_lsn:]))
         return set(cached[1][record_type.record_type.value])
 
     # -- the restart anchor --------------------------------------------------------
@@ -503,11 +508,11 @@ class LogManager:
         band (zero counted transfers), and so does every later one:
         :meth:`after_crash` starts its walk there.  Until then — a force
         a group-commit window deferred — the previous anchor stands."""
-        offset = self._devices[0].size
-        pending = (self._next_lsn, offset, record.serialized_size)
-        for device in self._devices:
-            device.pending = pending
-        lsn = self.append(record)
+        self._anchoring = record
+        try:
+            lsn = self.append(record)
+        finally:
+            self._anchoring = None
         self.force()
         return lsn
 
@@ -521,18 +526,15 @@ class LogManager:
 
     def transaction_table(self) -> tuple:
         """The anchor checkpoint's transaction table ``({active txn: BOT
-        LSN}, next txn id)`` — ``({}, 0)`` with no anchor.  A recovered
-        anchor's is read off its payload: the record stays undecoded,
-        so ``records_decoded`` counts only what redo and undo read."""
+        LSN}, next txn id)`` — ``({}, 0)`` with no anchor — read off its
+        checked payload: the record stays undecoded, so
+        ``records_decoded`` counts only what redo and undo read."""
         lsn = self.anchor
         if lsn == NULL_LSN:
             return {}, 0
         if self._table is None or self._table[0] != lsn:
-            index = lsn - self._base_lsn
-            record = self._records[index]
-            self._table = (lsn, record.transaction_table if record is not None
-                           else transaction_table(self._blob,
-                                                  self._entries[index]))
+            self._table = (lsn, transaction_table(*self._checked(
+                self._entries[lsn - self._base_lsn])))
         return self._table[1]
 
     def _reach(self, lsn: int) -> None:
@@ -573,7 +575,10 @@ class LogManager:
         them.  Every copy is healed to those bytes.  A record no copy
         holds intact ends the walk; the records before it stay
         readable and the ones from it to the anchor are lost (with none
-        before it, the bytes stay unindexed)."""
+        before it, the bytes stay unindexed).
+
+        No trim ran since the restart (one checks or drops these bytes
+        first): ``_origin`` is 0 and the later entries keep their spans."""
         if self._lost is not None:
             return
         end = self._unchecked
@@ -594,6 +599,8 @@ class LogManager:
             offset = run[-1][5]
         self.records_checked += len(entries)
         anchor = self._base_lsn
+        prefix = b"".join(clean)
+        heads = self._chain_heads(entries, prefix)
         if offset < end:
             first_lost = entries[-1][1] + 1 if entries else NULL_LSN
             self._lost = (first_lost, anchor)
@@ -602,29 +609,24 @@ class LogManager:
             # the lost run keeps its LSN slots; a trim can drop it whole
             entries += [(None, lsn, NULL_LSN, NULL_LSN, offset, end)
                         for lsn in range(first_lost, anchor)]
-        prefix = b"".join(clean)
-        if offset == end:
+            self._verified = False      # copy 0 may hold a lost one's
+        else:
             for device in self._devices:
                 device._data[:end] = prefix
-        # the spans after the anchor counted from it: from byte 0 now
-        self._blob = prefix + copies[0][offset:] + self._blob
-        self._entries = entries + [
-            (kind, lsn, txn, prev, first + end, last + end)
-            for kind, lsn, txn, prev, first, last in self._entries]
+        self._entries[:0] = entries
         self._unchecked = 0
-        self._records[:0] = [None] * len(entries)
         self._base_lsn = entries[0][1]
         self._txn_ids = {}
-        last_of_txn, last_of_page = self._chain_heads(entries, prefix)
-        last_of_txn.update(self._last_lsn_of_txn)
-        last_of_page.update(self._last_lsn_of_page)
-        self._last_lsn_of_txn = last_of_txn
-        self._last_lsn_of_page = last_of_page
+        for older, newer in zip(heads, (self._last_lsn_of_txn,
+                                        self._last_lsn_of_page)):
+            older.update(newer)
+            newer.clear()
+            newer.update(older)
 
     @staticmethod
-    def _chain_heads(entries: list, blob: bytes) -> tuple:
+    def _chain_heads(entries: list, blob) -> tuple:
         """``({txn: newest LSN}, {page: newest chained LSN})`` over
-        checked entries."""
+        checked entries into ``blob``."""
         last_of_txn, last_of_page = {}, {}
         for entry in entries:
             if entry[2]:
@@ -653,12 +655,12 @@ class LogManager:
         A cut at or past the restart anchor drops the log before it
         unchecked.
         """
-        byte_offset = skipped = 0
+        front = skipped = 0
         if self._unchecked:
             if lsn < self._base_lsn:
                 self._check_below_anchor()
             else:
-                byte_offset = self._unchecked
+                front = self._unchecked
                 skipped = self._base_lsn - header_lsn(
                     self._devices[0]._data, 0)
                 self._unchecked, self._lost = 0, None
@@ -668,22 +670,20 @@ class LogManager:
                 raise self._lost_error()    # the cut falls in the lost run
             self._lost = None
         cut = max(min(lsn, self._next_lsn) - self._base_lsn, 0)
-        if cut == 0 and not byte_offset:
+        if cut == 0 and not front:
             return 0
-        dropped = self._records[:cut]
-        recovered = self._entries[:cut]
-        if recovered:
-            # the recovered records lead, back to back in _blob
-            byte_offset += recovered[-1][5] - recovered[0][4]
-            dropped = dropped[len(recovered):]
-            self._entries = self._entries[cut:]
-            if not self._entries:
-                self._blob = b""    # no entry left to decode from it
-        byte_offset += sum(r.serialized_size for r in dropped)
-        self._records = self._records[cut:]
+        entries = self._entries
+        # the new byte 0: the first kept record's, else the end of it all
+        origin = (entries[cut][4] if cut < len(entries)
+                  else entries[-1][5] if entries else self._origin + front)
+        dropped = origin - self._origin
+        for gone in range(self._base_lsn, self._base_lsn + cut):
+            self._objects.pop(gone, None)
+        del entries[:cut]
+        self._origin = origin
         self._base_lsn += cut
         self._txn_ids = {}
-        if not self._records:
+        if not entries:
             # the forced horizon may only point at retained records: a
             # trim that empties the log (its tail covered by a deferred
             # group-commit force) would otherwise leave forced_lsn
@@ -691,10 +691,9 @@ class LogManager:
             # re-anchor it
             self.forced_lsn = NULL_LSN
         for device in self._devices:
-            device.reset_to(device.contents[byte_offset:])
-            device.anchor = _shifted(device.anchor, byte_offset,
-                                     self._base_lsn)
-            device.pending = _shifted(device.pending, byte_offset,
+            device.drop_front(dropped)
+            device.anchor = _shifted(device.anchor, dropped, self._base_lsn)
+            device.pending = _shifted(device.pending, dropped,
                                       self._base_lsn)
         for txn_id in [t for t, last in self._last_lsn_of_txn.items()
                        if last < self._base_lsn]:
@@ -717,6 +716,7 @@ class LogManager:
         if offset >= device.size:
             raise ValueError("offset beyond end of log")
         device._data[offset] ^= 0xFF
+        self._verified = False
 
     # -- crash behaviour ---------------------------------------------------------------
 
@@ -749,10 +749,10 @@ class LogManager:
         restart.  Each copy keeps its own bytes before the anchor,
         unchecked until a read reaches them (then the mate is the
         fallback for a record one copy lost).  No record is decoded
-        here: the index keeps each one's ``check_only`` entry (see
+        here: the index is the walk's ``check_only`` entries (see
         :func:`~repro.wal.records.deserialize`), and the chain heads
-        and :meth:`txn_ids` come from the same headers.  Returns the
-        number of records checked.
+        and :meth:`txn_ids` come from them.  Returns the number of
+        records checked.
 
         Raises:
             UnrecoverableDataError: if log bytes past the anchor exist
@@ -762,41 +762,40 @@ class LogManager:
         """
         anchor = self._find_anchor()
         start = anchor[1] if anchor is not None else 0
-        # the walk reads each copy from the anchor on, and the index's
-        # byte spans count from there
-        tails = [device.read(start) for device in self._devices]
-        best: list = []
-        best_tail = b""
-        any_clean_stop = not tails
-        checked = None
-        for tail in tails:
-            if tail != checked:
-                # mirrors agree byte for byte unless one was torn or
-                # damaged: an identical copy checks to the same run
-                entries, clean = self._check_prefix(tail)
-                checked = tail
-            any_clean_stop = any_clean_stop or clean
-            if len(entries) > len(best):
-                best = entries
-                best_tail = tail
-        if any(tails) and not any_clean_stop:
+        devices = self._devices
+        # the walk checks each copy from the anchor on; mirrors agree
+        # byte for byte unless one was torn or damaged, and an
+        # identical copy checks to the same run
+        runs, checked, any_clean_stop = [], None, not devices
+        for device in devices:
+            if device._data != checked:
+                with memoryview(device._data) as view:
+                    entries, clean = self._check_prefix(view, start)
+                checked = device._data
+                any_clean_stop = any_clean_stop or clean
+            runs.append(entries)
+        if not any_clean_stop and any(device.size > start
+                                      for device in devices):
             # every copy dies on a CRC/type error (not a torn crash
             # tail): the log may be missing acknowledged records past
             # the damage, so refusing is the only safe answer
             raise UnrecoverableDataError(
                 f"{self.name}: every duplex copy is corrupt")
-        end = best[-1][5] if best else 0
-        for device, tail in zip(self._devices, tails):
-            if tail != best_tail:
+        best = max(runs, key=len)
+        winner = devices[runs.index(best)]._data
+        end = best[-1][5] if best else start
+        for device, run in zip(devices, runs):
+            if run is not best:
                 # the winner's run after the copy's own bytes before the
                 # anchor (every copy holds those: each carries the
                 # anchor, so each made its record durable)
-                device._data[start:] = best_tail[:end]
-            device.rewind(start + end)
+                device._data[start:] = winner[start:end]
+            device.rewind(end)
             device.anchor, device.pending = anchor, None
-        self._records = [None] * len(best)
         self._entries = best
-        self._blob = best_tail[:end]
+        self._origin = 0
+        self._objects = {}
+        self._verified = True
         self._unchecked = start
         self._lost = self._table = None
         if best:
@@ -808,7 +807,7 @@ class LogManager:
             # lsn-to-index arithmetic goes negative
             self._base_lsn = self._next_lsn
         self._last_lsn_of_txn, self._last_lsn_of_page = \
-            self._chain_heads(best, self._blob)
+            self._chain_heads(best, winner)
         self._txn_ids = {self._base_lsn: ((self._base_lsn, self._next_lsn),
                                           _txn_ids_of(best))}
         # the forced horizon can only cover records that still exist —
@@ -837,7 +836,7 @@ class LogManager:
         return None
 
     @staticmethod
-    def _check_prefix(blob: bytes, offset: int = 0) -> tuple:
+    def _check_prefix(blob, offset: int = 0) -> tuple:
         """Check records from ``offset`` until the bytes run out or stop
         making sense; returns ``(entries, clean_stop)`` where
         ``clean_stop`` means exhaustion or a torn crash tail (expected),

@@ -265,26 +265,28 @@ def _plain(cls):
 
 
 def _imaged(cls, layout: struct.Struct):
-    """Decoder for a payload of ``layout`` fields followed by the image."""
+    """Decoder for a payload of ``layout`` fields followed by the image
+    (``bytes`` whatever buffer it is cut from: the log decodes from a
+    view of its device bytes)."""
     unpack, fields = layout.unpack_from, _HEADER.size
     image = fields + layout.size
     return lambda blob, entry: cls(
         entry[2], entry[1], entry[3], *unpack(blob, entry[4] + fields),
-        blob[entry[4] + image:entry[5]])
+        bytes(blob[entry[4] + image:entry[5]]))
 
 
-def _decode_checkpoint(blob: bytes, entry: tuple) -> CheckpointRecord:
-    doc = json.loads(blob[entry[4] + _HEADER.size:entry[5]].decode("ascii"))
+def _decode_checkpoint(blob, entry: tuple) -> CheckpointRecord:
+    doc = json.loads(str(blob[entry[4] + _HEADER.size:entry[5]], "ascii"))
     return CheckpointRecord(entry[2], entry[1], entry[3],
                             tuple(doc["active"]), tuple(doc["flushed"]),
                             tuple(doc["bots"]), doc["next"])
 
 
-def transaction_table(blob: bytes, entry: tuple) -> tuple:
+def transaction_table(blob, entry: tuple) -> tuple:
     """A checked checkpoint entry's transaction table, as
     :attr:`CheckpointRecord.transaction_table` gives it, read off the
     payload: restart analysis reads it, the record stays undecoded."""
-    doc = json.loads(blob[entry[4] + _HEADER.size:entry[5]].decode("ascii"))
+    doc = json.loads(str(blob[entry[4] + _HEADER.size:entry[5]], "ascii"))
     return dict(zip(doc["active"], doc["bots"])), doc["next"]
 
 
@@ -308,9 +310,9 @@ PAGE_CHAINED_TYPES = frozenset((RecordType.PAGE_REDO.value,
 """Raw type values of the per-page redo-chain records (page id first)."""
 
 
-def deserialize(blob: bytes, offset: int = 0,
-                check_only: bool = False) -> tuple:
-    """Parse one record at ``offset``; returns ``(record, next_offset)``.
+def deserialize(blob, offset: int = 0, check_only: bool = False) -> tuple:
+    """Parse one record at ``offset`` of ``blob`` (any bytes-like
+    buffer); returns ``(record, next_offset)``.
 
     Every record is bounds-, CRC- and type-checked here.  With
     ``check_only`` it is not decoded: the first item is its *entry*

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.db import Database, HeapFile, PageFullError, preset
+from repro.check import verify_database
 from repro.db.database import LockWait
 from repro.errors import TransactionError
 
@@ -220,3 +221,34 @@ class TestHeapFile:
     def test_empty_heap_rejected(self, db):
         with pytest.raises(ValueError):
             HeapFile(db, [])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="at B = 2 the rollback's page fetches evict the "
+                          "aborting transaction's own frames after its "
+                          "parity undo: unlogged steals no undo reaches "
+                          "(ROADMAP item 1)")
+@pytest.mark.parametrize("name", ["record-force-rda", "record-noforce-rda"])
+def test_an_abort_at_two_frames_leaves_no_steal_of_its_own(name):
+    """Group size 4, two buffer frames: T1 updates pages 0, 4, 0 and
+    commits; T2 updates 8, 12, 0 and aborts.  The database must be
+    consistent before the crash, and page 0 must hold T1's value after
+    the restart — not T2's aborted one."""
+    db = make_db(name, num_groups=4, buffer_capacity=2)
+    seed = db.begin()
+    for page in (0, 4, 8, 12):
+        assert db.insert_record(seed, page, b"s%d" % page) == 0
+    db.commit(seed)
+    t1 = db.begin()
+    for page, value in ((0, b"t1a"), (4, b"t1b"), (0, b"t1c")):
+        db.update_record(t1, page, 0, value)
+    db.commit(t1)
+    t2 = db.begin()
+    for page, value in ((8, b"t2a"), (12, b"t2b"), (0, b"t2c")):
+        db.update_record(t2, page, 0, value)
+    db.abort(t2)
+    assert verify_database(db) == []
+    db.crash()
+    db.recover()
+    reader = db.begin()
+    assert db.read_record(reader, 0, 0) == b"t1c"

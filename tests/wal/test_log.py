@@ -6,7 +6,7 @@ from repro.errors import LogCorruptionError, UnrecoverableDataError
 from repro.storage.iostats import IOStats
 from repro.wal import (BOTRecord, CheckpointRecord, CommitRecord,
                        GroupCommitCoordinator, GroupCommitLog, LogManager,
-                       NULL_LSN, PageBeforeImage)
+                       NULL_LSN, PageBeforeImage, PageRedoEntry)
 
 
 @pytest.fixture
@@ -363,6 +363,19 @@ class TestAnchor:
         assert log.truncate_before(anchor) == 3
         assert [r.lsn for r in log.records()] == [4, 5, 6]
 
+    def test_a_record_before_a_lost_one_is_read_from_its_intact_copy(self):
+        """Copy 0 damaged in record 2's image, record 3 lost on both
+        copies: the walk below the anchor stops at 3 and leaves the
+        copies as they are, so record 2 is read from its mate."""
+        log, anchor, _ = anchored_log()
+        log.damage_copy(0, 36 + 36 + 8 + 1)     # record 2's image, copy 0
+        log.damage_copy(0, 90)                  # record 3 on both copies
+        log.damage_copy(1, 90)
+        log.after_crash()
+        assert log.get(2).image == b"img"
+        with pytest.raises(UnrecoverableDataError):
+            log.get(3)
+
     def test_a_trim_at_the_anchor_drops_the_log_before_it_unread(self):
         log, anchor, offset = anchored_log()
         log.crash()
@@ -374,3 +387,26 @@ class TestAnchor:
         assert log.anchor == anchor
         log.crash()
         assert log.after_crash() == 3 and log.base_lsn == anchor
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_an_append_chains_to_a_page_link_below_the_anchor(self,
+                                                              batched):
+        """A page whose only chained record lies before the anchor: the
+        first append to its chain after a restart links to it, whether
+        it goes in alone or in a batch (the batch keeps the chain-head
+        dicts it holds current across the check below the anchor)."""
+        log = LogManager(name="test", page_size=128)
+        log.append(BOTRecord(txn_id=1))
+        below = log.append(PageRedoEntry(txn_id=1, page_id=0, image=b"a"))
+        log.append(CommitRecord(txn_id=1))
+        anchor = log.append_anchor(CheckpointRecord(txn_id=0,
+                                                    next_txn_id=2))
+        log.crash()
+        assert log.after_crash() == 1 and log.anchor == anchor
+        record = PageRedoEntry(txn_id=2, page_id=0, image=b"b")
+        lsn = (log.append_batch([record]) if batched
+               else log.append(record))
+        assert (below, lsn) == (2, 5)
+        assert record.prev_page_lsn == below
+        assert log.page_chain_head(0) == lsn
+        assert log.get(lsn).prev_page_lsn == below

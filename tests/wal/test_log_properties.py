@@ -21,9 +21,8 @@ from repro.wal import (NULL_LSN, AbortRecord, BOTRecord, CheckpointRecord,
                        RecordBeforeEntry, RecordRedoEntry, deserialize)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_log_lifecycle_invariants(data):
+def lifecycle(data):
+    """One random life of a log: appends, forces, trims and crashes."""
     log = LogManager(page_size=data.draw(st.sampled_from([64, 256, 2048]),
                                          label="page_size"),
                      transfers_per_log_page=1)
@@ -78,6 +77,19 @@ def test_log_lifecycle_invariants(data):
     new_lsn = log.append(BOTRecord(txn_id=99))
     assert new_lsn > max(lsns, default=0)
     assert new_lsn not in shadow
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_log_lifecycle_invariants(data):
+    lifecycle(data)
+
+
+@pytest.mark.soak
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_log_lifecycle_invariants_soak(data):
+    lifecycle(data)
 
 
 # -- the lazy index against an eager parse ---------------------------------
@@ -269,25 +281,29 @@ def assert_lost(log, prefix: list, suffix: list, lost: range) -> None:
             assert log.records_of(txn_id) == chain
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_the_lazy_index_answers_like_an_eager_parse(data):
-    """Random records of all ten types, forces, trims, checkpoints
-    appended as the restart anchor, crashes with single-byte damage to
-    either copy or both: at every restart the log's answers — records,
-    every LSN, every chain, the header-only analysis answers, the LSN
-    horizons, the device bytes after a trim, the chain links of later
-    appends — are an eager parse's.  From the anchor on the parse is
-    the longest valid run and the log refuses exactly when it refuses;
-    before the anchor each record comes from whichever copy holds it
-    intact, and a read refuses only if it needs one no copy holds."""
+def damaged_reads(log, model: EagerModel, offset: int) -> None:
+    """One byte of copy 0 damaged between restarts: every read still
+    answers as the model does — a record not yet decoded is checked on
+    copy 0 and read from its mate when that fails.  The log before the
+    anchor is checked (and healed) first, so the mate is intact; the
+    byte is put back after."""
+    assert log.base_lsn == model.base_lsn       # decodes nothing
+    log.damage_copy(0, offset)
+    assert log.records() == model.records
+    for record in model.records:
+        assert log.get(record.lsn) == record
+    log.damage_copy(0, offset)
+
+
+def lazy_index(data):
+    """One random life of a log against an eager parse of its bytes."""
     log = LogManager(page_size=data.draw(st.sampled_from([64, 256, 2048]),
                                          label="page_size"))
     model = EagerModel([], 1, NULL_LSN, b"")
     for _ in range(data.draw(st.integers(1, 40), label="steps")):
         action = data.draw(st.sampled_from(
             ["append", "append", "append", "force", "truncate", "restart",
-             "checkpoint"]), label="action")
+             "checkpoint", "damaged read"]), label="action")
         if action == "checkpoint":
             record = CheckpointRecord(txn_id=0, active_txns=(1,),
                                       bot_lsns=(model.base_lsn,),
@@ -298,13 +314,21 @@ def test_the_lazy_index_answers_like_an_eager_parse(data):
             assert log.anchor == record.lsn
             assert log.transaction_table() == record.transaction_table
         elif action == "append":
-            record = data.draw(ANY_RECORD, label="record")
-            lsn, prev, prev_page = model.links(record)
-            assert log.append(record) == lsn
-            assert record.prev_lsn == prev
-            if prev_page is not None:
-                assert record.prev_page_lsn == prev_page
-            model.add(record)
+            # a commit window: one append_batch call, one to three records
+            window = data.draw(st.lists(ANY_RECORD, min_size=1, max_size=3),
+                               label="window")
+            assert log.append_batch(window) == model.next_lsn + len(window) - 1
+            for record in window:
+                lsn, prev, prev_page = model.links(record)
+                assert record.lsn == lsn
+                assert record.prev_lsn == prev
+                if prev_page is not None:
+                    assert record.prev_page_lsn == prev_page
+                model.add(record)
+        elif action == "damaged read":
+            if log.size_bytes:
+                damaged_reads(log, model, data.draw(
+                    st.integers(0, log.size_bytes - 1), label="offset"))
         elif action == "force":
             log.force()
             if model.records:
@@ -346,3 +370,27 @@ def test_the_lazy_index_answers_like_an_eager_parse(data):
             if data.draw(st.booleans(), label="read below the anchor now"):
                 continue        # or leave it unchecked for the next step
         assert_agrees(log, model)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_the_lazy_index_answers_like_an_eager_parse(data):
+    """Random records of all ten types appended in windows of one to
+    three, forces, trims, checkpoints appended as the restart anchor,
+    single-byte damage to copy 0 read through between restarts, and
+    crashes with single-byte damage to either copy or both: at every
+    restart the log's answers — records, every LSN, every chain, the
+    header-only analysis answers, the LSN horizons, the device bytes
+    after a trim, the chain links of later appends — are an eager
+    parse's.  From the anchor on the parse is the longest valid run and
+    the log refuses exactly when it refuses; before the anchor each
+    record comes from whichever copy holds it intact, and a read
+    refuses only if it needs one no copy holds."""
+    lazy_index(data)
+
+
+@pytest.mark.soak
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_the_lazy_index_answers_like_an_eager_parse_soak(data):
+    lazy_index(data)
