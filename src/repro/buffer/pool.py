@@ -155,6 +155,17 @@ class BufferPool:
             return self._frames[index].payload
         return self._frame_for(page_id).payload
 
+    def get_if_resident(self, page_id: int) -> bytes | None:
+        """The page's buffered contents — a hit, counted and moved to
+        the LRU end as :meth:`get_page` does — or None when it is not
+        buffered: nothing loaded, no miss counted."""
+        index = self._table.get(page_id)
+        if index is None:
+            return None
+        self.stats.hits += 1
+        self._table.move_to_end(page_id)
+        return self._frames[index].payload
+
     def put_page(self, page_id: int, payload: bytes,
                  txn_id: int | None = None) -> None:
         """Replace the page's contents in the buffer.

@@ -20,6 +20,7 @@ The transition rules (Figure 3):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from ..errors import ParityGroupError
@@ -47,22 +48,29 @@ class DirtyEntry(NamedTuple):
     working_timestamp: int
 
 
-class DirtySet:
-    """Main-memory table of dirty parity groups (the paper's Dirty_Set)."""
+new_entry = partial(tuple.__new__, DirtyEntry)
+"""``new_entry((group, txn_id, page_id, page_index, working_twin,
+working_timestamp))``: a :class:`DirtyEntry` from all six fields, built
+in C, with no frame for the named tuple's forwarding ``__new__`` — what
+every unlogged steal records."""
+
+
+class DirtySet(dict):
+    """Main-memory table of dirty parity groups (the paper's Dirty_Set):
+    a dict, group -> :class:`DirtyEntry`, so the Figure 3 question —
+    ``get(group)`` — and the steal that records its answer —
+    ``table[group] = entry`` — are one lookup each.  ``by_txn`` maps a
+    transaction to the groups it owns; a writer that stores an entry for
+    a new owner adds the group there too (:meth:`mark_dirty` does both,
+    and checks the rule first)."""
 
     def __init__(self) -> None:
-        self._entries: dict = {}
-        self._by_txn: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, group: int) -> bool:
-        return group in self._entries
+        super().__init__()
+        self.by_txn: dict = {}
 
     def is_dirty(self, group: int) -> bool:
         """True when the group has an unlogged uncommitted page on disk."""
-        return group in self._entries
+        return group in self
 
     def entry(self, group: int) -> DirtyEntry:
         """The group's :class:`DirtyEntry`.
@@ -71,20 +79,16 @@ class DirtySet:
             ParityGroupError: if the group is clean.
         """
         try:
-            return self._entries[group]
+            return self[group]
         except KeyError:
             raise ParityGroupError(f"group {group} is clean") from None
-
-    def get(self, group: int) -> DirtyEntry | None:
-        """The group's entry, or None when clean."""
-        return self._entries.get(group)
 
     def can_write_without_undo(self, group: int, page_id: int,
                                txn_id: int) -> bool:
         """The paper's write-back rule: no UNDO logging is needed iff the
         group is clean, or it is dirty *for this very page by this very
         transaction* (the re-steal self-loop of Figure 3)."""
-        entry = self._entries.get(group)
+        entry = self.get(group)
         if entry is None:
             return True
         return entry.page_id == page_id and entry.txn_id == txn_id
@@ -96,7 +100,7 @@ class DirtySet:
             ParityGroupError: on an illegal second unlogged page — the
                 invariant is one unlogged page per group.
         """
-        existing = self._entries.get(entry.group)
+        existing = self.get(entry.group)
         if existing is not None and (existing.page_id != entry.page_id
                                      or existing.txn_id != entry.txn_id):
             raise ParityGroupError(
@@ -104,36 +108,35 @@ class DirtySet:
                 f"{existing.page_id} (txn {existing.txn_id}); cannot add "
                 f"page {entry.page_id} (txn {entry.txn_id}) unlogged"
             )
-        if existing is not None:
-            self._by_txn[existing.txn_id].discard(entry.group)
-        self._entries[entry.group] = entry
-        self._by_txn.setdefault(entry.txn_id, set()).add(entry.group)
+        self[entry.group] = entry
+        if existing is None:
+            self.by_txn.setdefault(entry.txn_id, set()).add(entry.group)
 
     def clean(self, group: int) -> DirtyEntry:
         """Remove a group from the table (commit, abort, or promotion).
 
         Returns the entry that was removed.
         """
-        entry = self._entries.pop(group, None)
+        entry = self.pop(group, None)
         if entry is None:
             raise ParityGroupError(f"group {group} is clean")
-        owned = self._by_txn.get(entry.txn_id)
+        owned = self.by_txn.get(entry.txn_id)
         if owned is not None:
             owned.discard(group)
             if not owned:
-                del self._by_txn[entry.txn_id]
+                del self.by_txn[entry.txn_id]
         return entry
 
     def groups_of(self, txn_id: int) -> list:
         """Sorted dirty groups owned by a transaction."""
-        return sorted(self._by_txn.get(txn_id, ()))
+        return sorted(self.by_txn.get(txn_id, ()))
 
     def entries(self) -> list:
         """All entries, sorted by group."""
-        return [self._entries[g] for g in sorted(self._entries)]
+        return [self[g] for g in sorted(self)]
 
     def lose_memory(self) -> None:
         """Crash: the main-memory table vanishes (rebuilt by scanning
         the parity twins, Section 4.3)."""
-        self._entries.clear()
-        self._by_txn.clear()
+        self.clear()
+        self.by_txn.clear()

@@ -45,10 +45,10 @@ from operator import attrgetter, itemgetter
 
 from ..errors import ParityGroupError, RecoveryError
 from ..storage.page import (NO_PAGE, NO_TXN, ParityHeader, TwinState,
-                            compute_parity, xor_pages)
+                            compute_parity, new_header, xor_pages)
 from ..storage.twin_array import (DirtyGroupInfo, TwinParityArray,
                                   TwinUpdate, select_current_twin)
-from .parity_group import DirtyEntry, DirtySet
+from .parity_group import DirtyEntry, DirtySet, new_entry
 
 _HEADER, _PAGE_LSNS = itemgetter(1), attrgetter("page_lsns")
 
@@ -145,7 +145,8 @@ class RDAManager:
         array = self.array
         where = array.geometry.locate(page)
         group = where.group
-        entry = self.dirty_set.get(group)
+        dirty = self.dirty_set
+        entry = dirty.get(group)
         if entry is None:
             # first steal: the committed twin seeds the free one
             source = self._current.get(group)
@@ -160,24 +161,28 @@ class RDAManager:
                 f"group {group} (page {entry.page_id}, txn {entry.txn_id})"
             )
         headers = self._headers.get(group) or self._cached_headers(group)
-        stamp = array.next_timestamp()
+        # next_timestamp and _with_lsn, inlined, the header built
+        # positionally and the twin update a plain triple: every page of
+        # a FORCE commit window is a steal and comes through here, and a
+        # helper is a frame a page
+        array.clock += 1
+        stamp = array.clock
         index = where.index
-        # _with_lsn, inlined, the header built positionally and the twin
-        # update a plain triple: every page of a FORCE commit window is
-        # a steal and comes through here, and a helper is a frame a page
         lsns = headers[source].page_lsns or self._unknown
-        header = ParityHeader(stamp, txn_id, index, TwinState.WORKING,
-                              lsns[:index] + (lsn,) + lsns[index + 1:])
+        header = new_header((stamp, txn_id, index, TwinState.WORKING,
+                             lsns[:index] + (lsn,) + lsns[index + 1:]))
         # twin_first: the working twin is the steal's only undo source,
         # so it must reach disk before the data overwrite (the parity
         # analogue of the WAL rule)
         array.small_write(page, payload, ((source, target, header),),
-                          old_data=old_data, twin_first=True)
+                          old_data, True, where)
         headers[target] = header
-        self.dirty_set.mark_dirty(DirtyEntry(group, txn_id, page, index,
-                                             target, stamp))
+        # mark_dirty, inlined: the branch above has already asked its
+        # question, and a re-steal's owner already lists the group
+        dirty[group] = new_entry((group, txn_id, page, index, target, stamp))
         if entry is not None:
             return
+        dirty.by_txn.setdefault(txn_id, set()).add(group)
         self.first_steals += 1
         window = array.window
         if window is not None:
@@ -270,9 +275,12 @@ class RDAManager:
         parity.  Pure main-memory bit flips — **no page transfers**; the
         durable commit record in the log is what makes the WORKING twins
         valid at recovery time.  Returns the groups cleaned."""
-        groups = self.dirty_set.groups_of(txn_id)
+        # groups_of and a clean per group, inlined: the transaction's
+        # groups leave the table together
+        dirty = self.dirty_set
+        groups = sorted(dirty.by_txn.pop(txn_id, ()))
         for group in groups:
-            entry = self.dirty_set.clean(group)
+            entry = dirty.pop(group)
             self._current[group] = entry.working_twin
             if self.barrier_hook is not None:
                 self.barrier_hook("flip", group=group, txn=txn_id,

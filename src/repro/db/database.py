@@ -455,11 +455,6 @@ class Database:
         if self.invariants is not None:
             self.invariants.barrier("commit", txn=txn_id)
 
-    def _after_image(self, txn_id: int, page: int) -> bytes:
-        if page in self.buffer:
-            return self.buffer.get_page(page)
-        return self._last_written[page]
-
     def abort(self, txn_id: int) -> None:
         """Roll the transaction back (parity twins and/or log) and
         release its locks."""

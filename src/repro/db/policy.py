@@ -50,6 +50,18 @@ def apply_record_image(page_bytes: bytes, slot: int, image: bytes) -> bytes:
 # ==================== axis 1: logging granularity ====================
 
 
+def _after_images(db, pages) -> list:
+    """``(page, after-image)`` of each of ``pages``, in page order: the
+    buffered frame, read with one buffer call (a hit, as ``get_page``
+    counts it), else the bytes last written back."""
+    resident, last_written = db.buffer.get_if_resident, db._last_written
+    images = []
+    for page in sorted(pages):
+        image = resident(page)
+        images.append((page, last_written[page] if image is None else image))
+    return images
+
+
 class PageLogging:
     """Page-granularity logging: before/after images of whole pages."""
 
@@ -75,9 +87,8 @@ class PageLogging:
         """Page-mode REDO: append each written page's after-image."""
         txn_id = txn.txn_id
         db.redo_log.append_batch([
-            PageAfterImage(txn_id=txn_id, page_id=page,
-                           image=db._after_image(txn_id, page))
-            for page in sorted(txn.pages_written)])
+            PageAfterImage(txn_id, NULL_LSN, NULL_LSN, page, image)
+            for page, image in _after_images(db, txn.pages_written)])
 
     def rollback(self, db, txn) -> None:
         """Abort: parity undo, then restore logged steals from
@@ -223,9 +234,8 @@ class RedoPageLogging(PageLogging):
         chain (before the commit record, satisfying the WAL order)."""
         txn_id = txn.txn_id
         db.redo_log.append_batch([
-            PageRedoEntry(txn_id=txn_id, page_id=page,
-                          image=db._after_image(txn_id, page))
-            for page in sorted(txn.pages_written)])
+            PageRedoEntry(txn_id=txn_id, page_id=page, image=image)
+            for page, image in _after_images(db, txn.pages_written)])
 
     # rollback: PageLogging's path degenerates correctly — there are
     # never logged steals, parity undo rewinds the hybrid's covered
@@ -506,9 +516,16 @@ class RdaProtection:
 
     def covers_unlogged_steal(self, db, page: int, single,
                               was_residue: bool) -> bool:
-        return (single is not None and not was_residue
-                and db.rda.dirty_set.can_write_without_undo(
-                    db.array.geometry.group_of(page), page, single))
+        """The Figure 3 question, in one frame: the group is clean, or
+        dirty for this very page by this very transaction.  The page
+        is a buffered frame's, so its group is read off the geometry's
+        table unchecked; the write that follows locates it checked."""
+        if single is None or was_residue:
+            return False
+        entry = db.rda.dirty_set.get(
+            db.array.geometry.locations[page].group)
+        return entry is None or (entry.page_id == page
+                                 and entry.txn_id == single)
 
     def note_forced_undo(self, db, page: int, single,
                          was_residue: bool) -> None:
@@ -904,9 +921,8 @@ class RecoveryPolicy:
                         old = sole.before_images.get(page)
                 residue.discard(page)
                 if unlogged:
-                    db.rda.write_uncommitted(page, payload, single,
-                                             old_data=old,
-                                             lsn=db.redo_log.forced_lsn)
+                    db.rda.write_uncommitted(page, payload, single, old,
+                                             db.redo_log.forced_lsn)
                     counters.unlogged_steals += 1
                     sole.pages_stolen.add(page)         # note_steal
                     last_written[page] = payload

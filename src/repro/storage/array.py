@@ -170,7 +170,7 @@ class DiskArray:
         written = 0
         for addr in self.geometry.parity_addresses(group):
             if addr.disk == disk_id:
-                self.disks[disk_id].write_with_header(addr.slot, parity, ParityHeader())
+                self.disks[disk_id].write(addr.slot, parity, ParityHeader())
                 written += 1
         return written
 
@@ -250,7 +250,7 @@ class DiskArray:
         if header is None:
             parity_disk.write(parity_addr.slot, parity)
         else:
-            parity_disk.write_with_header(parity_addr.slot, parity, header)
+            parity_disk.write(parity_addr.slot, parity, header)
         pages = len(writes)
         reads = pages + 1 - buffered - in_hand
         if self._xfer_hist is not None:

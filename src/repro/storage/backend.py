@@ -31,7 +31,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Protocol,
 
 from ..errors import ModelError
 from .array import SingleParityArray
-from .geometry import Geometry
+from .geometry import Geometry, PageLocation
 from .iostats import IOStats
 from .parity_striping import make_parity_striped, make_twin_parity_striped
 from .raid5 import make_raid5, make_twin_raid5
@@ -82,9 +82,12 @@ class TwinBackend(StorageBackend, Protocol):
     """The extended surface RDA recovery needs: parity twins with
     headers, timestamps, and a Dirty_Set-steered rebuild."""
 
+    clock: int
+
     def small_write(self, page: int, new_data: bytes, updates: Sequence,
                     old_data: Optional[bytes] = None,
-                    twin_first: bool = False) -> None: ...
+                    twin_first: bool = False,
+                    where: Optional[PageLocation] = None) -> None: ...
     def group_small_write(self, group: int, writes: List, which: int,
                           header, before_write: Callable,
                           parity_in_hand: Optional[bytes] = None) -> None: ...

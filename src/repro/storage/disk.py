@@ -10,6 +10,12 @@ contents from parity.
 
 All I/O is counted against an :class:`~repro.storage.iostats.IOStats`
 instance, which is the cost model's unit of measure.
+
+A disk has one write body, :meth:`SimulatedDisk.write`: a parity
+twin's header travels with its page as ``write(slot, payload,
+header)``, so every write transfer — data page, parity page or twin —
+is one ``write`` call, with one fault-hook call, one ``on_access`` call
+and one counted transfer.
 """
 
 from __future__ import annotations
@@ -136,8 +142,11 @@ class SimulatedDisk:
                 raise LatentSectorError(self.disk_id, slot)
         return payload
 
-    def write(self, slot: int, payload: bytes) -> None:
-        """Write a full-page payload at ``slot``."""
+    def write(self, slot: int, payload: bytes,
+              header: ParityHeader | None = None) -> None:
+        """Write a full-page payload at ``slot``, and with it, when
+        given, the slot's out-of-band parity header: one page transfer
+        either way.  A fault hook that raises leaves both unwritten."""
         if self.failed:
             raise DiskFailedError(self.disk_id, "write")
         if not 0 <= slot < self.capacity:
@@ -156,6 +165,8 @@ class SimulatedDisk:
         if self.on_access is not None:
             self.on_access(self.disk_id, slot, "write")
         self._pages[slot] = bytes(stored)
+        if header is not None:
+            self._headers[slot] = header
         self._written.add(slot)
         if stored is not payload and stored != payload:
             # a mangled replacement landed: record the intended crc so
@@ -223,11 +234,6 @@ class SimulatedDisk:
                 raise LatentSectorError(disk_id, slot)
             out.append((payload, headers.get(slot, blank)))
         return out
-
-    def write_with_header(self, slot: int, payload: bytes, header: ParityHeader) -> None:
-        """Write payload and header in one page transfer."""
-        self.write(slot, payload)
-        self._headers[slot] = header
 
     # -- introspection (no transfer cost; test/debug only) -------------------
 

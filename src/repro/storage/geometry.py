@@ -102,8 +102,12 @@ class Geometry:
             data_disks = [d for d in range(self.num_disks) if d not in parity_disks]
             self._group_data_disks.append(data_disks)
 
-        # logical page <-> physical address tables
-        self._locations: list = [None] * self.num_data_pages
+        # logical page <-> physical address tables.  ``locations[page]``
+        # is what locate(page) returns, unchecked: a caller may index it
+        # for a page that entered the engine through a checked lookup
+        # (a buffered frame's), where a hot loop would pay a frame a
+        # page for locate's range check
+        self.locations: list = [None] * self.num_data_pages
         self._addr_to_page: dict = {}
         self._group_pages: list = [[None] * group_size for _ in range(num_groups)]
         if self.placement is Placement.STRIPED:
@@ -119,7 +123,7 @@ class Geometry:
         return (group % self.num_disks,)
 
     def _place(self, page: int, group: int, member: int, disk: int) -> None:
-        self._locations[page] = PageLocation(
+        self.locations[page] = PageLocation(
             group, member, PhysAddr(disk, group), self._parity_addrs[group])
         self._addr_to_page[(disk, group)] = page
         self._group_pages[group][member] = page
@@ -160,14 +164,14 @@ class Geometry:
         logical data page ``page``, precomputed: the one lookup a small
         write makes."""
         if 0 <= page < self.num_data_pages:
-            return self._locations[page]
+            return self.locations[page]
         self._check_page(page)
         raise AssertionError("unreachable")
 
     def data_address(self, page: int) -> PhysAddr:
         """Physical location of logical data page ``page``."""
         if 0 <= page < self.num_data_pages:
-            return self._locations[page].data
+            return self.locations[page].data
         self._check_page(page)
         raise AssertionError("unreachable")
 
@@ -178,14 +182,14 @@ class Geometry:
     def group_of(self, page: int) -> int:
         """Parity group containing logical page ``page``."""
         if 0 <= page < self.num_data_pages:
-            return self._locations[page].group
+            return self.locations[page].group
         self._check_page(page)
         raise AssertionError("unreachable")
 
     def index_in_group(self, page: int) -> int:
         """Member index (0..N-1) of ``page`` within its parity group."""
         if 0 <= page < self.num_data_pages:
-            return self._locations[page].index
+            return self.locations[page].index
         self._check_page(page)
         raise AssertionError("unreachable")
 

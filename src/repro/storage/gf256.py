@@ -85,19 +85,19 @@ def page_mul(coefficient: int, page: bytes) -> bytes:
         return bytes(len(page))
     if coefficient == 1:
         return bytes(page)
-    return _kernels.get_kernel().gf_scale(coefficient, page)
+    return _kernels.active.gf_scale(coefficient, page)
 
 
 def page_xor(a: bytes, b: bytes) -> bytes:
     """Add two pages (XOR)."""
-    return _kernels.get_kernel().xor(a, b)
+    return _kernels.active.xor(a, b)
 
 
 def q_parity(pages: list) -> bytes:
     """The Q syndrome: ``Σ g^i · D_i`` with g = 2 and i the member index."""
     if not pages:
         raise ValueError("q_parity needs at least one page")
-    return _kernels.get_kernel().gf_scale_accumulate(
+    return _kernels.active.gf_scale_accumulate(
         [(GEN_POWERS[index % 255], page) for index, page in enumerate(pages)],
         len(pages[0]))
 
@@ -128,7 +128,7 @@ def solve_two_erasures(index_a: int, index_b: int, p_syndrome: bytes,
     if index_a == index_b:
         raise ValueError("erasure indices must differ")
     g_b, inv = _erasure_coefficients(index_a, index_b)
-    kernel = _kernels.get_kernel()
+    kernel = _kernels.active
     numerator = kernel.xor(kernel.gf_scale(g_b, p_syndrome), q_syndrome)
     d_a = kernel.gf_scale(inv, numerator)
     d_b = kernel.xor(p_syndrome, d_a)

@@ -27,7 +27,12 @@ This module provides both in two interchangeable **tiers**:
 :func:`set_kernel`) swaps the active tier for tests and benchmarks —
 ``use_kernel("reference")`` is how a test runs the engine on the
 oracle, and the ledger swaps in a counting stand-in the same way.
-Callers therefore fetch :func:`get_kernel` at call time.
+The active tier is the module attribute :data:`active`, rebound by
+every swap, so a caller reads it at call time —
+``kernels.active.xor_accumulate(...)``, one frame, the operation's own
+— and never keeps it: a tier held from an earlier call would miss the
+next swap.  :func:`get_kernel` returns the same class, for callers
+outside the package.
 
 Each tier exposes the same six static operations; callers validate
 page lengths (hoisted out of the hot loops) and the kernels assume
@@ -212,7 +217,8 @@ KERNELS = {
     ReferenceKernel.name: ReferenceKernel,
 }
 
-_active = StdlibKernel
+active = StdlibKernel
+"""The active tier; read it at call time (see the module doc)."""
 
 
 def available_tiers() -> tuple:
@@ -222,23 +228,23 @@ def available_tiers() -> tuple:
 
 def get_kernel():
     """The active kernel tier (class with the six static operations)."""
-    return _active
+    return active
 
 
 def active_tier() -> str:
     """Name of the active tier."""
-    return _active.name
+    return active.name
 
 
 def set_kernel(name: str) -> str:
     """Activate a registered tier by name; returns the previously
     active name.  Tests and benchmarks prefer :func:`use_kernel`."""
-    global _active
+    global active
     if name not in KERNELS:
         raise ValueError(
             f"unknown kernel tier {name!r}; available: {available_tiers()}")
-    previous = _active.name
-    _active = KERNELS[name]
+    previous = active.name
+    active = KERNELS[name]
     return previous
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import struct
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 from . import kernels as _kernels
@@ -102,6 +103,14 @@ class ParityHeader(NamedTuple):
         return self._replace(**changes)
 
 
+new_header = partial(tuple.__new__, ParityHeader)
+"""``new_header((timestamp, txn_id, dirty_page_index, state, page_lsns))``:
+a :class:`ParityHeader` from all five fields, built in C.  Calling the
+class runs the named tuple's Python-level ``__new__``, a frame that only
+forwards the fields to ``tuple.__new__``; every steal of a commit window
+builds one header, and takes this instead."""
+
+
 def header_size(page_lsns: int) -> int:
     """Packed size of a header carrying ``page_lsns`` page LSNs."""
     return HEADER_SIZE + 8 * page_lsns
@@ -166,14 +175,14 @@ def xor_pages(*pages: bytes) -> bytes:
             raise ValueError(f"xor_pages operand has {len(page)} bytes, want {PAGE_SIZE}")
     if not pages:
         return ZERO_PAGE
-    return _kernels.get_kernel().xor_accumulate(pages, PAGE_SIZE)
+    return _kernels.active.xor_accumulate(pages, PAGE_SIZE)
 
 
 def xor_into(accumulator: bytearray, page: bytes) -> None:
     """XOR ``page`` into ``accumulator`` in place (hot path for rebuilds)."""
     if len(page) != PAGE_SIZE or len(accumulator) != PAGE_SIZE:
         raise ValueError("xor_into operands must be full pages")
-    _kernels.get_kernel().xor_inplace(accumulator, page)
+    _kernels.active.xor_inplace(accumulator, page)
 
 
 def make_page(fill: bytes | str | int = b"") -> bytes:

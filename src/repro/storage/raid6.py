@@ -158,7 +158,7 @@ class Raid6Array(DiskArray):
                 continue
             survivors[index] = self._read_at(self.geometry.data_address(member))
 
-        kernel = _kernels.get_kernel()
+        kernel = _kernels.active
         if len(failed) == 1:
             index = failed[0]
             if p_ok:

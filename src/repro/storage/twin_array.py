@@ -30,8 +30,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from ..errors import UnrecoverableDataError
+from . import kernels as _kernels
 from .array import DiskArray
-from .geometry import Geometry
+from .geometry import Geometry, PageLocation
 from .page import (PAGE_SIZE, ParityHeader, TwinState, compute_parity,
                    xor_pages)
 
@@ -155,7 +156,9 @@ class TwinParityArray(DiskArray):
         if not geometry.twin:
             raise ValueError("TwinParityArray requires a twin geometry")
         super().__init__(geometry, stats, tracer=tracer, metrics=metrics)
-        self._clock = 0
+        # the last twin stamp handed out: :meth:`next_timestamp` bumps
+        # it, and so does the RDA manager's steal, inline
+        self.clock = 0
         self.window = None          # open WindowTrace (traced_window)
         # read_all_twins' per-disk reads, built once from the geometry
         self._twin_plan = self._plan_twin_reads()
@@ -164,13 +167,13 @@ class TwinParityArray(DiskArray):
 
     def next_timestamp(self) -> int:
         """Monotonically increasing stamp for twin ordering."""
-        self._clock += 1
-        return self._clock
+        self.clock += 1
+        return self.clock
 
     def observe_timestamp(self, timestamp: int) -> None:
         """Advance the clock past a stamp seen on disk (crash recovery)."""
-        if timestamp > self._clock:
-            self._clock = timestamp
+        if timestamp > self.clock:
+            self.clock = timestamp
 
     # -- twin I/O -------------------------------------------------------------------
 
@@ -227,7 +230,7 @@ class TwinParityArray(DiskArray):
                    header: ParityHeader) -> None:
         """Write one parity twin (payload + header); 1 page transfer."""
         addr = self.geometry.parity_addresses(group)[which]
-        self.disks[addr.disk].write_with_header(addr.slot, payload, header)
+        self.disks[addr.disk].write(addr.slot, payload, header)
 
     def rewrite_twin_header(self, group: int, which: int,
                             header: ParityHeader) -> None:
@@ -244,7 +247,7 @@ class TwinParityArray(DiskArray):
         # an in-controller-cached header sector would
         self.stats.reads -= 1
         self.stats.per_disk_reads[addr.disk] -= 1
-        disk.write_with_header(addr.slot, payload, header)
+        disk.write(addr.slot, payload, header)
 
     def peek_twin(self, group: int, which: int) -> tuple:
         """Uncounted twin read for tests: ``(payload, header)``."""
@@ -275,7 +278,8 @@ class TwinParityArray(DiskArray):
 
     def small_write(self, page: int, new_data: bytes, updates: Sequence,
                     old_data: bytes | None = None,
-                    twin_first: bool = False) -> None:
+                    twin_first: bool = False,
+                    where: PageLocation | None = None) -> None:
         """Write a data page, updating the listed parity twins.
 
         Each :class:`TwinUpdate` — any ``(source, target, header)``
@@ -295,10 +299,13 @@ class TwinParityArray(DiskArray):
         One twin on three healthy disks (data, source twin, target
         twin) — every unlogged steal and clean-group committed write —
         takes the body inline, from one geometry lookup
-        (:meth:`~repro.storage.geometry.Geometry.locate`): the same
-        reads, writes, order and counts as :meth:`_small_write_inner`,
-        without its two-twin and failed-disk handling.  Anything else
-        takes the general path.
+        (:meth:`~repro.storage.geometry.Geometry.locate`; ``where`` is
+        that lookup's result when the caller has already made it): the
+        same reads, writes, order and counts as
+        :meth:`_small_write_inner`, without its two-twin and failed-disk
+        handling, its XOR one call of the active kernel tier and each
+        of its writes one :meth:`~repro.storage.disk.SimulatedDisk.write`.
+        Anything else takes the general path.
         Degraded behaviour there: a failed twin disk is skipped (the
         group loses that twin until rebuild); a failed data disk absorbs
         the write into the surviving twins.
@@ -308,7 +315,8 @@ class TwinParityArray(DiskArray):
         if not updates:
             raise ValueError("small_write needs at least one TwinUpdate")
         disks = self.disks
-        where = self.geometry.locate(page)
+        if where is None:
+            where = self.geometry.locate(page)
         data_disk = disks[where.data.disk]
         inline = len(updates) == 1 and not data_disk.failed
         if inline:
@@ -320,15 +328,25 @@ class TwinParityArray(DiskArray):
         buffered = old_data is not None
         if inline:
             slot = where.data.slot
-            old = old_data if buffered else data_disk.read(slot)
+            if not buffered:
+                old = data_disk.read(slot)
+            elif len(old_data) == PAGE_SIZE:
+                old = old_data
+            else:
+                raise ValueError(f"old_data has {len(old_data)} bytes, "
+                                 f"want {PAGE_SIZE}")
             twin = source_disk.read(source.slot)
-            new_twin = xor_pages(old, new_data, twin)
+            # xor_pages, inlined: new_data is checked above and the disk
+            # returns whole pages, so only the caller's old_data needed
+            # its length checked
+            new_twin = _kernels.active.xor_accumulate(
+                (old, new_data, twin), PAGE_SIZE)
             if twin_first:
-                target_disk.write_with_header(target.slot, new_twin, header)
+                target_disk.write(target.slot, new_twin, header)
                 data_disk.write(slot, new_data)
             else:
                 data_disk.write(slot, new_data)
-                target_disk.write_with_header(target.slot, new_twin, header)
+                target_disk.write(target.slot, new_twin, header)
             # twin read + two writes, + the old-data read unless buffered
             reads, writes = 2 - buffered, 2
         else:

@@ -82,7 +82,7 @@ class TwistStore:
             disk, slot = self._address(page, twin)
             header = ParityHeader(timestamp=self._stamp(),
                                   state=TwinState.COMMITTED)
-            self.disks[disk].write_with_header(slot, payload, header)
+            self.disks[disk].write(slot, payload, header)
 
     def read(self, page: int) -> bytes:
         """Current contents of a logical page (1 transfer)."""
@@ -117,7 +117,7 @@ class TwistStore:
         disk, slot = self._address(page, twin)
         header = ParityHeader(timestamp=self._stamp(), txn_id=txn_id,
                               dirty_page_index=page, state=TwinState.WORKING)
-        self.disks[disk].write_with_header(slot, payload, header)
+        self.disks[disk].write(slot, payload, header)
         self._owner[page] = txn_id
         self._pages_of.setdefault(txn_id, set()).add(page)
 

@@ -9,7 +9,13 @@ the model counts.  :class:`LogManager` therefore:
   byte-for-byte (:meth:`verify_duplex`);
 * charges a configurable number of page transfers per filled log page
   per copy (``transfers_per_log_page``, default 2: a log page write is a
-  sequential append, but lands on both mirror copies);
+  sequential append, but lands on both mirror copies).
+  :meth:`LogManager.append_batch` is the one append body: it extends
+  both copies' bytes itself, record by record, and calls a copy only
+  when a record fills one of its pages or an anchor is pending there
+  (:meth:`LogDevice.charge_filled`: each filled page's write hook, then
+  its charge, then the anchor carry) — the hooks in the order one
+  append per record and copy ran them;
 * maintains the per-transaction backward chain (``prev_lsn``), so a
   rollback reads only the aborting transaction's records instead of
   scanning the log (the paper's TWIST-style log chain);
@@ -115,14 +121,22 @@ class LogDevice:
         if self.durable_size >= pending[1] + pending[2]:
             self.anchor, self.pending = pending[:2], None
 
-    def append(self, blob: bytes) -> None:
-        """Append bytes, charging transfers as log pages fill."""
-        self._data.extend(blob)
+    def charge_filled(self) -> None:
+        """Charge the log pages the bytes appended since the last call
+        filled, in page order, each after its page-write hook; then a
+        pending anchor whose record is durable now is the anchor.
+        :meth:`LogManager.append_batch` extends the bytes and calls
+        this only when a page has filled or an anchor is pending."""
         filled = len(self._data) // self.page_size
+        stats, device_id = self.stats, self.device_id
         while self._pages_charged < filled:
             if self.on_page_write is not None:
-                self.on_page_write(self.device_id, self._pages_charged)
-            self.stats.record_write(self.device_id, self.transfers_per_page)
+                self.on_page_write(device_id, self._pages_charged)
+            # record_write(device_id, transfers_per_page), inlined
+            stats.writes += self.transfers_per_page
+            stats.per_disk_writes[device_id] = \
+                stats.per_disk_writes.get(device_id, 0) \
+                + self.transfers_per_page
             self._pages_charged += 1
         if self.pending is not None:
             self._carry()
@@ -275,13 +289,16 @@ class LogManager:
         return self.append_batch((record,))
 
     def append_batch(self, records) -> int:
-        """Append records in order, as one :meth:`append` each would
-        (LSNs, per-device byte interleaving, page-write hook order), and
-        return the last LSN assigned (``last_lsn`` when ``records`` is
-        empty).  Each is serialized once; its entry is the header it was
-        written with and the span of its bytes.  The check below an
-        anchor merges into the chain-head dicts in place, so the ones
-        hoisted here stay current."""
+        """Append records in order — LSNs, chains, each record's bytes
+        on copy 0 then copy 1, the page-write hooks of the pages it
+        fills on each copy in that order — and return the last LSN
+        assigned (``last_lsn`` when ``records`` is empty).  Each is
+        serialized once; its entry is the header it was written with
+        and the span of its bytes.  Both copies are extended here: a
+        copy is called (:meth:`LogDevice.charge_filled`) only when the
+        record fills one of its pages or an anchor is pending on it.
+        The check below an anchor merges into the chain-head dicts in
+        place, so the ones hoisted here stay current."""
         lsn = self._next_lsn
         last_of_txn = self._last_lsn_of_txn
         last_of_page = self._last_lsn_of_page
@@ -312,7 +329,11 @@ class LogManager:
                 for device in devices:
                     device.pending = pending
             for device in devices:
-                device.append(blob)
+                data = device._data
+                data.extend(blob)
+                if (len(data) // device.page_size > device._pages_charged
+                        or device.pending is not None):
+                    device.charge_filled()
             # _value_: ``.value`` is a property call, once a record
             entries.append((record.record_type._value_, lsn, txn_id,
                             record.prev_lsn, start, end))

@@ -47,18 +47,6 @@ _PAGE_CHAINED = struct.Struct("<qq")    # page_id, prev_page_lsn
 _SLOT_CHAINED = struct.Struct("<qiq")   # page_id, slot, prev_page_lsn
 
 
-def _record_crc(prefix: bytes, payload: bytes) -> int:
-    """CRC32 over the header prefix *and* the payload.
-
-    Covering only the payload would let a torn write that lands in a
-    header field (txn_id, lsn, prev_lsn) parse cleanly with silently
-    altered attribution — and win duplex healing's longest-prefix tie
-    against the intact mirror copy.  The stress nemesis found exactly
-    that hole; every header bit is covered now.
-    """
-    return zlib.crc32(payload, zlib.crc32(prefix))
-
-
 class RecordType(Enum):
     """Discriminator for serialized log records."""
 
@@ -97,11 +85,23 @@ class LogRecord:
         return b""
 
     def serialize(self) -> bytes:
-        """Full wire form: header (with header+payload CRC32) + payload."""
+        """Full wire form: header (with header+payload CRC32) + payload.
+
+        The CRC covers the header prefix *and* the payload.  Covering
+        only the payload would let a torn write that lands in a header
+        field (txn_id, lsn, prev_lsn) parse cleanly with silently
+        altered attribution — and win duplex healing's longest-prefix
+        tie against the intact mirror copy.  The stress nemesis found
+        exactly that hole; every header bit is covered now.  Every
+        record of every workload comes through here, so the type's int
+        is read without the enum's ``value`` property and the CRC is
+        computed inline: the payload is this method's one call.
+        """
         payload = self.payload_bytes()
-        prefix = _PREFIX.pack(self.record_type.value, self.lsn, self.txn_id,
-                              self.prev_lsn, len(payload))
-        return prefix + _CRC.pack(_record_crc(prefix, payload)) + payload
+        prefix = _PREFIX.pack(self.record_type._value_, self.lsn,
+                              self.txn_id, self.prev_lsn, len(payload))
+        return (prefix + _CRC.pack(zlib.crc32(payload, zlib.crc32(prefix)))
+                + payload)
 
     @property
     def serialized_size(self) -> int:
@@ -130,10 +130,6 @@ class AbortRecord(LogRecord):
     record_type = RecordType.ABORT
 
 
-def _pack_page(page_id: int, payload: bytes) -> bytes:
-    return _PAGE.pack(page_id) + payload
-
-
 @dataclass
 class PageBeforeImage(LogRecord):
     """UNDO information: the page's contents before the update."""
@@ -143,7 +139,7 @@ class PageBeforeImage(LogRecord):
     image: bytes = b""
 
     def payload_bytes(self) -> bytes:
-        return _pack_page(self.page_id, self.image)
+        return _PAGE.pack(self.page_id) + self.image
 
 
 @dataclass
@@ -155,11 +151,7 @@ class PageAfterImage(LogRecord):
     image: bytes = b""
 
     def payload_bytes(self) -> bytes:
-        return _pack_page(self.page_id, self.image)
-
-
-def _pack_record(page_id: int, slot: int, payload: bytes) -> bytes:
-    return _SLOT.pack(page_id, slot) + payload
+        return _PAGE.pack(self.page_id) + self.image
 
 
 @dataclass
@@ -172,7 +164,7 @@ class RecordBeforeEntry(LogRecord):
     image: bytes = b""
 
     def payload_bytes(self) -> bytes:
-        return _pack_record(self.page_id, self.slot, self.image)
+        return _SLOT.pack(self.page_id, self.slot) + self.image
 
 
 @dataclass
@@ -185,7 +177,7 @@ class RecordAfterEntry(LogRecord):
     image: bytes = b""
 
     def payload_bytes(self) -> bytes:
-        return _pack_record(self.page_id, self.slot, self.image)
+        return _SLOT.pack(self.page_id, self.slot) + self.image
 
 
 @dataclass
@@ -335,7 +327,7 @@ def deserialize(blob, offset: int = 0, check_only: bool = False) -> tuple:
     end = start + payload_len
     if end > size:
         raise TornRecordError("truncated log record payload")
-    # _record_crc, inlined: restart pays this once per record in the log
+    # the CRC serialize wrote: restart pays this once per record
     if zlib.crc32(blob[start:end],
                   zlib.crc32(blob[offset:offset + _PREFIX.size])) != crc:
         raise LogCorruptionError("log record CRC mismatch (header or payload)")

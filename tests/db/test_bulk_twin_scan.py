@@ -149,8 +149,8 @@ def test_a_failed_twin_disk_stops_the_restart():
 def _written_disk() -> SimulatedDisk:
     disk = SimulatedDisk(3, 16)
     for slot in (1, 4, 9):
-        disk.write_with_header(slot, make_page(b"s%d" % slot),
-                               ParityHeader(timestamp=slot))
+        disk.write(slot, make_page(b"s%d" % slot),
+                   ParityHeader(timestamp=slot))
     return disk
 
 

@@ -15,7 +15,7 @@ from repro.db import Database, preset
 from repro.db.policy import RdaProtection, RecoveryPolicy
 from repro.errors import ParityGroupError
 from repro.sim.timed import TimedObserver
-from repro.storage import make_page
+from repro.storage import kernels, make_page
 
 
 def _db():
@@ -323,3 +323,156 @@ def test_force_window_with_a_failed_data_disk_mid_window(observe):
     assert window.general_writes == [pages[1]]
     assert window.counters.unlogged_steals == 3 + 3     # warm, window
     assert _force_observed(window) == _force_observed(single)
+
+
+# -- a FORCE window's six writes: faults, the kernel tier, the disk -------
+
+
+class _PowerCut(Exception):
+    pass
+
+
+def _three_page_window(db):
+    """Three pages of three groups, each group written and committed
+    before (twin headers cached), then stolen by one transaction:
+    three unlogged steals, six array writes — each twin, then its
+    data page.  Returns the transaction and the pages in frame order."""
+    group = db.array.geometry.group_pages
+    pages = [group(g)[0] for g in range(3)]
+    warm = db.begin()
+    for page in pages:
+        db.write_page(warm, page, make_page(b"warm"))
+    db.commit(warm)
+    txn = db.begin()
+    for page in pages:
+        db.write_page(txn, page, make_page(b"stolen%d" % page))
+    return txn, pages
+
+
+def _cut_at(db, write: int) -> list:
+    """Make the array's ``write``-th disk write from now on raise
+    (1-based; 0: none does).  Returns the list each write's
+    ``(disk, slot)`` lands in."""
+    landed = []
+
+    def hook(disk_id, slot, payload):
+        if len(landed) + 1 == write:
+            raise _PowerCut
+        landed.append((disk_id, slot))
+
+    for disk in db.array.disks:
+        disk.fault_hook = hook
+    return landed
+
+
+def _window_state(db, landed):
+    rda = db.rda
+    return {"disks": _disk_image(db), "transfers": _transfers(db),
+            "landed": landed,
+            "dirty": db.buffer.dirty_pages(),
+            "dirty_set": rda.dirty_set.entries(),
+            "owners": {txn: sorted(groups)
+                       for txn, groups in rda.dirty_set.by_txn.items()},
+            "headers": {group: list(pair)
+                        for group, pair in rda._headers.items()},
+            "first_steals": rda.first_steals,
+            "last_written": dict(db._last_written),
+            "counters": vars(db.counters)}
+
+
+@pytest.mark.parametrize("write", range(7))
+def test_a_window_cut_at_each_write_equals_its_pages_cut_there(write):
+    window, single = _force_db("none"), _force_db("none")
+    txn, pages = _three_page_window(window)
+    assert _three_page_window(single) == (txn, pages)
+    landed = {db: _cut_at(db, write) for db in (window, single)}
+
+    if write:
+        with pytest.raises(_PowerCut):
+            window.buffer.flush_pages_of(txn)
+        with pytest.raises(_PowerCut):
+            for page in pages:
+                single.buffer.flush_page(page)
+    else:
+        assert window.buffer.flush_pages_of(txn) == pages
+        for page in pages:
+            assert single.buffer.flush_page(page)
+
+    assert len(landed[window]) == (write - 1 if write else 6)
+    # twin before data, page by page
+    geometry = window.array.geometry
+    twins = {(addr.disk, addr.slot) for page in pages
+             for addr in geometry.locate(page).parity}
+    assert [write in twins for write in landed[window]] \
+        == [True, False, True, False, True, False][:len(landed[window])]
+    assert _window_state(window, landed[window]) \
+        == _window_state(single, landed[single])
+    # a cut leaves the page it hit, and every later one, dirty
+    hit = (write - 1) // 2 if write else 3
+    assert window.buffer.dirty_pages() == sorted(pages[hit:])
+
+
+def _committed_window(tier=None):
+    db = _force_db("none")
+    txn, pages = _three_page_window(db)
+    if tier is None:
+        db.commit(txn)
+    else:
+        with kernels.use_kernel(tier):
+            db.commit(txn)
+    return db
+
+
+def _counting_tier():
+    calls = []
+    real = kernels.StdlibKernel
+
+    def counted(op):
+        def call(*args):
+            calls.append(op)
+            return getattr(real, op)(*args)
+        return staticmethod(call)
+
+    tier = type("CountingKernel", (), {
+        "name": "counting",
+        **{op: counted(op) for op in (
+            "xor", "xor_blocks", "xor_accumulate", "xor_inplace",
+            "gf_scale", "gf_scale_accumulate")}})
+    return tier, calls
+
+
+def test_the_window_xors_through_the_active_tier():
+    stdlib, reference = _committed_window(), _committed_window("reference")
+    assert _disk_image(reference) == _disk_image(stdlib)
+    assert reference.verify_parity() == []
+    # the tier is read when the steal runs, not when the array is built
+    db = _force_db("none")
+    txn, pages = _three_page_window(db)
+    tier, calls = _counting_tier()
+    kernels.KERNELS["counting"] = tier
+    try:
+        with kernels.use_kernel("counting"):
+            db.commit(txn)
+    finally:
+        del kernels.KERNELS["counting"]
+    assert calls == ["xor_accumulate"] * len(pages)
+    assert _disk_image(db) == _disk_image(stdlib)
+
+
+def test_each_write_transfer_is_one_disk_write_call():
+    db = _force_db("none")
+    txn, pages = _three_page_window(db)
+    calls = {}
+    for disk in db.array.disks:
+        def write(slot, payload, header=None, disk=disk,
+                  real=disk.write):
+            calls[disk.disk_id] = calls.get(disk.disk_id, 0) + 1
+            return real(slot, payload, header)
+        disk.write = write
+    before = {d: n for d, n in db.stats.per_disk_writes.items() if d >= 0}
+    db.commit(txn)
+    after = {d: n for d, n in db.stats.per_disk_writes.items() if d >= 0}
+    written = {d: after[d] - before.get(d, 0) for d in after
+               if after[d] != before.get(d, 0)}
+    assert calls == written
+    assert sum(calls.values()) == 2 * len(pages)

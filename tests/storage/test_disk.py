@@ -56,13 +56,27 @@ class TestHeaders:
         disk.write_header(7, header)
         assert disk.read_header(7) == header
 
-    def test_write_with_header_single_transfer(self, disk):
+    def test_write_with_a_header_is_one_transfer(self, disk):
         before = disk.stats.total
-        disk.write_with_header(0, make_page(1), ParityHeader(timestamp=1))
+        disk.write(0, make_page(1), ParityHeader(timestamp=1))
         assert disk.stats.total - before == 1
+        assert disk.peek_header(0) == ParityHeader(timestamp=1)
+        # a write without one leaves the slot's header as it was
+        disk.write(0, make_page(2))
+        assert disk.peek_header(0) == ParityHeader(timestamp=1)
+
+    def test_a_faulted_write_lands_neither_payload_nor_header(self, disk):
+        def refuse(disk_id, slot, payload):
+            raise OSError("power cut")
+        disk.fault_hook = refuse
+        with pytest.raises(OSError):
+            disk.write(0, make_page(1), ParityHeader(timestamp=1))
+        assert disk.peek(0) == ZERO_PAGE
+        assert disk.peek_header(0) == ParityHeader()
+        assert disk.stats.total == 0
 
     def test_read_with_header_single_transfer(self, disk):
-        disk.write_with_header(0, make_page(1), ParityHeader(timestamp=1))
+        disk.write(0, make_page(1), ParityHeader(timestamp=1))
         before = disk.stats.total
         payload, header = disk.read_with_header(0)
         assert disk.stats.total - before == 1

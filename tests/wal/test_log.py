@@ -410,3 +410,62 @@ class TestAnchor:
         assert record.prev_page_lsn == below
         assert log.page_chain_head(0) == lsn
         assert log.get(lsn).prev_page_lsn == below
+
+
+def _one_append_per_record(devices, sizes) -> tuple:
+    """What appending records of ``sizes`` bytes one ``LogDevice.append``
+    each did to ``devices`` (copy 0 then copy 1, a record at a time):
+    each filled page's ``(device, page)`` hook call in order, and each
+    copy's ``(anchor, pending)`` after — worked out on numbers from the
+    devices' state, nothing appended."""
+    state = [[d.size, d._pages_charged, d._forced_len, d.anchor, d.pending]
+             for d in devices]
+    hooks = []
+    for size in sizes:
+        for device, copy in zip(devices, state):
+            copy[0] += size
+            while copy[1] < copy[0] // device.page_size:
+                hooks.append((device.device_id, copy[1]))
+                copy[1] += 1
+            pending = copy[4]
+            durable = min(copy[0], max(copy[1] * device.page_size, copy[2]))
+            if pending is not None and durable >= pending[1] + pending[2]:
+                copy[3], copy[4] = pending[:2], None
+    return hooks, [(copy[3], copy[4]) for copy in state]
+
+
+@pytest.mark.parametrize("anchored", [True, False])
+def test_a_batch_writes_the_pages_one_append_a_record_did(anchored):
+    """A batch whose records fill two log pages of each copy — with an
+    anchor pending on both (its force deferred by a group-commit
+    window), or none: the same page-write hooks in the same order, the
+    same transfers, and a pending anchor carried by the page write that
+    makes it durable, as one device append per record and copy wrote
+    them."""
+    log, anchor, _ = anchored_log(reforce=anchored)
+    devices = log._devices
+    if anchored:
+        with log.coordinator.deferred():
+            anchor_after = log.append_anchor(CheckpointRecord(txn_id=0))
+        assert [device.pending[0] for device in devices] \
+            == [anchor_after] * 2
+        assert log.anchor == anchor
+    else:
+        anchor_after = anchor
+        assert [device.pending for device in devices] == [None] * 2
+    records = [PageBeforeImage(txn_id=5, page_id=page, image=bytes(60))
+               for page in range(5)]
+    hooks, anchors = _one_append_per_record(
+        devices, [record.serialized_size for record in records])
+    seen = []
+    for device in devices:
+        device.on_page_write = lambda device_id, page: seen.append(
+            (device_id, page))
+    transfers = log.stats.log_transfers
+    log.append_batch(records)
+    assert seen == hooks
+    assert len(seen) >= 2 * len(devices)
+    assert log.stats.log_transfers - transfers == len(seen)
+    assert [(device.anchor, device.pending) for device in devices] \
+        == anchors
+    assert log.anchor == anchor_after
