@@ -26,8 +26,10 @@ from dataclasses import dataclass
 from functools import partial
 
 from ..errors import BufferFullError, PageNotPinnedError
-from ..obs.tracer import NULL_TRACER
+from ..obs.tracer import NULL_TRACER, shape
 from .frame import Frame
+
+_EVICT = shape("buffer.evict", "page", "dirty", "steal")
 
 
 @dataclass
@@ -389,9 +391,8 @@ class BufferPool:
         frame = self._frames[index]
         self.stats.evictions += 1
         if self.tracer.enabled:
-            self.tracer.emit("buffer.evict", page=frame.page_id,
-                             dirty=frame.dirty,
-                             steal=frame.dirty and frame.uncommitted)
+            self.tracer.append(_EVICT, frame.page_id, frame.dirty,
+                               frame.dirty and frame.uncommitted)
         if frame.dirty:
             self.stats.dirty_evictions += 1
             if frame.uncommitted:

@@ -44,6 +44,7 @@ from __future__ import annotations
 from operator import attrgetter, itemgetter
 
 from ..errors import ParityGroupError, RecoveryError
+from ..obs.tracer import shape
 from ..storage.page import (NO_PAGE, NO_TXN, ParityHeader, TwinState,
                             compute_parity, new_header, xor_pages)
 from ..storage.twin_array import (DirtyGroupInfo, TwinParityArray,
@@ -51,6 +52,7 @@ from ..storage.twin_array import (DirtyGroupInfo, TwinParityArray,
 from .parity_group import DirtyEntry, DirtySet, new_entry
 
 _HEADER, _PAGE_LSNS = itemgetter(1), attrgetter("page_lsns")
+_COMMIT = shape("rda.commit", "txn", "groups", "reads", "writes", "transfers")
 
 
 def _top_page_lsn(twins) -> int:
@@ -75,7 +77,10 @@ class RDAManager:
         self.tracer = array.tracer
         self.metrics = array.metrics
         self.first_steals = 0          # clean groups made dirty by a steal
-        self._m_commits = self._m_flips = None   # resolved at first commit
+        # committed update transactions and their twin flips, counted
+        # for a registry: rda.commits / rda.twin_flips read them from
+        # the first one on
+        self.commits = self.twin_flips = 0
         if self.metrics is not None:
             # read when the registry is exported, not pushed per page
             self.metrics.gauge("rda.dirty_groups").add_source(
@@ -291,14 +296,15 @@ class RDAManager:
             # per-group flips ride on the commit event's ``groups``
             # count; the trace aggregator expands them back into
             # ``rda.twin_flip`` rows (coalesced dispatch)
-            self.tracer.emit("rda.commit", txn=txn_id, groups=len(groups),
-                             reads=0, writes=0, transfers=0)
+            self.tracer.append(_COMMIT, txn_id, len(groups), 0, 0, 0)
         if self.metrics is not None:
-            if self._m_commits is None:
-                self._m_commits = self.metrics.counter("rda.commits")
-                self._m_flips = self.metrics.counter("rda.twin_flips")
-            self._m_commits.inc()
-            self._m_flips.inc(len(groups))
+            if not self.commits:
+                self.metrics.counter("rda.commits").add_source(
+                    lambda: self.commits)
+                self.metrics.counter("rda.twin_flips").add_source(
+                    lambda: self.twin_flips)
+            self.commits += 1
+            self.twin_flips += len(groups)
         return groups
 
     def abort_txn(self, txn_id: int, buffered=None) -> dict:

@@ -555,6 +555,11 @@ class Database:
         caches, so their memory goes back at once rather than when the
         cyclic collector next runs.  Every later operation raises
         :class:`~repro.errors.DatabaseClosedError`.  Idempotent."""
+        # a registry's sources read the layers and the layers hold the
+        # registry: cut the layers' side so neither keeps the other
+        for layer in (self.array, self.rda):
+            if layer is not None and layer is not _CLOSED:
+                layer.metrics = None
         for name in ("array", "rda", "buffer", "locks", "txns", "undo_log",
                      "redo_log", "checkpointer", "recovery"):
             setattr(self, name, _CLOSED)
@@ -573,9 +578,8 @@ class Database:
 
     def committed_view(self, page: int) -> bytes:
         """The page as a new reader would see it (buffer-first)."""
-        if page in self.buffer:
-            return self.buffer.get_page(page)
-        return self.array.peek_page(page)
+        current = self.buffer.get_if_resident(page)
+        return current if current is not None else self.array.peek_page(page)
 
     def verify_parity(self) -> list:
         """Groups whose parity disagrees with their data (should be [])."""

@@ -28,10 +28,13 @@ from contextlib import nullcontext
 
 from ..core import ACCCheckpointer, RDAManager
 from ..errors import RecoveryError
+from ..obs.tracer import shape
 from ..wal import (NULL_LSN, CheckpointRecord, CommitRecord, PageAfterImage,
                    PageBeforeImage, PageRedoEntry, RecordAfterEntry,
                    RecordBeforeEntry, RecordRedoEntry)
 from .slotted_page import SlottedPage
+
+_FORCED_UNDO = shape("wal.forced_undo", "page", "reason")
 
 
 def apply_record_image(page_bytes: bytes, slot: int, image: bytes) -> bytes:
@@ -538,7 +541,7 @@ class RdaProtection:
         else:
             reason = "dirty_group"
         if db.tracer.enabled:
-            db.tracer.emit("wal.forced_undo", page=page, reason=reason)
+            db.tracer.append(_FORCED_UNDO, page, reason)
         if db.metrics is not None:
             cache = db._forced_undo_children
             child = cache.get(reason)
@@ -763,12 +766,10 @@ class RedoRdaProtection(RdaProtection):
         # the XOR rewind needs the page's *on-disk* bytes (what the
         # steal wrote), not the live buffer, which may be newer
         on_disk = db._last_written.get(page)
-        if page in db.buffer:
-            current = db.buffer.get_page(page)
-        elif on_disk is not None:
-            current = on_disk
-        else:
-            current = db.array.read_page(page)
+        current = db.buffer.get_if_resident(page)
+        if current is None:
+            current = (on_disk if on_disk is not None
+                       else db.array.read_page(page))
         # rewind the disk through the twins; the owner's version lives
         # on in the buffer, where the gate will hold it (the frame is
         # about to gain a second modifier)

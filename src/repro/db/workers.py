@@ -102,11 +102,12 @@ import multiprocessing as mp
 import os
 import pickle
 import signal
+import sys
 import weakref
 
 from ..errors import ModelError, RecoveryError
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracer import NULL_TRACER, Tracer
+from ..obs.tracer import NULL_TRACER, Tracer, decode
 from ..storage.page import PAGE_SIZE
 from ..wal import GroupCommitCoordinator, GroupCommitLog
 from .config import DBConfig
@@ -172,17 +173,21 @@ class WorkerSpec:
 
 
 class _ListSink:
-    """Per-command event buffer: drained into each reply."""
+    """Per-command record buffer: drained, as event dicts, into each
+    reply (a shape id means nothing in another process)."""
+
+    flush_every = sys.maxsize       # drained per command, never flushed
 
     def __init__(self) -> None:
-        self._events: list = []
-
-    def emit(self, event: dict) -> None:
-        self._events.append(event)
+        self.pending: list = []
 
     def drain(self) -> list:
-        events, self._events = self._events, []
+        events = [decode(record) for record in self.pending]
+        self.pending.clear()
         return events
+
+    def flush(self) -> None:
+        pass
 
     def close(self) -> None:
         pass

@@ -4,8 +4,9 @@ The paper's argument is an *accounting* argument — every cost is a
 countable page-transfer event.  This package makes those events
 first-class:
 
-* :class:`~repro.obs.tracer.Tracer` emits typed, timestamped events to a
-  pluggable sink (:class:`~repro.obs.tracer.BufferedJsonlSink`,
+* :class:`~repro.obs.tracer.Tracer` emits typed, timestamped events —
+  one flat tuple each, over an interned :func:`~repro.obs.tracer.shape`
+  — to a pluggable sink (:class:`~repro.obs.tracer.BufferedJsonlSink`,
   :class:`~repro.obs.tracer.RingBufferSink`,
   :class:`~repro.obs.tracer.NullSink`), with *spans* for multi-step
   operations (recovery phases, checkpoints, rebuilds) that carry their
@@ -38,7 +39,8 @@ from .inspect import (aggregate_events, aggregate_trace_file, event_key,
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .recovery_profile import RecoveryProfile, format_recovery_profile
 from .tracer import (NULL_TRACER, BufferedJsonlSink, LabelledTracer,
-                     NullSink, RingBufferSink, Span, Tracer, close_all)
+                     NullSink, RingBufferSink, Span, Tracer, close_all,
+                     decode, shape)
 
 __all__ = [
     "NULL_TRACER",
@@ -49,6 +51,8 @@ __all__ = [
     "RingBufferSink",
     "BufferedJsonlSink",
     "close_all",
+    "decode",
+    "shape",
     "Counter",
     "Gauge",
     "Histogram",

@@ -113,10 +113,12 @@ counts (the interesting values are small integers: 3, 4, 5...)."""
 
 class Histogram:
     """Distribution of an observed value (per-operation transfers,
-    span durations)."""
+    span durations): part *pushed* (``observe``), part folded at export
+    from sources — ``read() -> {value: count}`` tallies a layer keeps
+    (``add_source``)."""
 
     __slots__ = ("name", "buckets", "bucket_counts", "count", "total",
-                 "min", "max", "_children")
+                 "min", "max", "_children", "_sources")
 
     def __init__(self, name: str, buckets=DEFAULT_BUCKETS) -> None:
         self.name = name
@@ -127,6 +129,13 @@ class Histogram:
         self.min = None
         self.max = None
         self._children: dict = {}
+        self._sources: list = []
+
+    def add_source(self, read) -> None:
+        """Fold ``read() -> {value: count}`` into the series at every
+        export, as if each value had been observed ``count`` times
+        (integer values: the sum is then exact in any order)."""
+        self._sources.append(read)
 
     def observe(self, value) -> None:
         """Record one observation."""
@@ -153,16 +162,28 @@ class Histogram:
         return child
 
     def collect(self, out: dict) -> None:
+        count, total = self.count, self.total
+        low, high = self.min, self.max
+        bucket_counts = list(self.bucket_counts)
+        for read in self._sources:
+            for value, times in read().items():
+                count += times
+                total += value * times
+                if low is None or value < low:
+                    low = value
+                if high is None or value > high:
+                    high = value
+                bucket_counts[bisect_left(self.buckets, value)] += times
         doc = {
-            "count": self.count,
-            "sum": self.total,
-            "mean": round(self.mean, 4),
-            "min": self.min,
-            "max": self.max,
+            "count": count,
+            "sum": total,
+            "mean": round(total / count if count else 0.0, 4),
+            "min": low,
+            "max": high,
             "buckets": {
-                **{f"le_{bound}": count
-                   for bound, count in zip(self.buckets, self.bucket_counts)},
-                "le_inf": self.bucket_counts[-1],
+                **{f"le_{bound}": n
+                   for bound, n in zip(self.buckets, bucket_counts)},
+                "le_inf": bucket_counts[-1],
             },
         }
         out[self.name] = doc

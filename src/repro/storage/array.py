@@ -21,6 +21,8 @@ k-1 pairwise passes.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from ..errors import AddressError, LatentSectorError, UnrecoverableDataError
 from ..obs.tracer import NULL_TRACER
 from .disk import SimulatedDisk
@@ -55,8 +57,13 @@ class DiskArray:
         self.stats = stats if stats is not None else IOStats()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        self._xfer_hist = (metrics.histogram("array.small_write_transfers")
-                           if metrics is not None else None)
+        # transfers of one small write -> writes that took that many,
+        # tallied while a registry folds them into its histogram
+        self._xfer_counts: Counter | None = None
+        if metrics is not None:
+            counts = self._xfer_counts = Counter()
+            metrics.histogram("array.small_write_transfers").add_source(
+                lambda: counts)
         self.disks = [
             SimulatedDisk(d, geometry.capacity_per_disk, self.stats)
             for d in range(geometry.num_disks)
@@ -253,8 +260,8 @@ class DiskArray:
             parity_disk.write(parity_addr.slot, parity, header)
         pages = len(writes)
         reads = pages + 1 - buffered - in_hand
-        if self._xfer_hist is not None:
-            self._xfer_hist.observe(reads + pages + 1)
+        if self._xfer_counts is not None:
+            self._xfer_counts[reads + pages + 1] += 1
         if self.tracer.enabled:
             # one costed event for the group, not a small-write row per
             # page that would price the shared twin k times
@@ -354,8 +361,8 @@ class SingleParityArray(DiskArray):
         mode, degraded, old = self._write_page_inner(page, new_data,
                                                      old_data)
         reads, writes = stats.reads - reads, stats.writes - writes
-        if self._xfer_hist is not None:
-            self._xfer_hist.observe(reads + writes)
+        if self._xfer_counts is not None:
+            self._xfer_counts[reads + writes] += 1
         if self.tracer.enabled:
             self.tracer.emit("array.small_write", page=page, mode=mode,
                              buffered=old_data is not None,

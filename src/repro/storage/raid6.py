@@ -67,8 +67,8 @@ class Raid6Array(DiskArray):
         reads, writes = stats.reads, stats.writes
         old = self._write_page_inner(page, new_data, old_data)
         reads, writes = stats.reads - reads, stats.writes - writes
-        if self._xfer_hist is not None:
-            self._xfer_hist.observe(reads + writes)
+        if self._xfer_counts is not None:
+            self._xfer_counts[reads + writes] += 1
         if self.tracer.enabled:
             self.tracer.emit("array.small_write", page=page, mode="pq",
                              buffered=old_data is not None, reads=reads,

@@ -27,9 +27,10 @@ Write-cost accounting matches the paper's model:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from ..errors import UnrecoverableDataError
+from ..obs.tracer import shape
 from . import kernels as _kernels
 from .array import DiskArray
 from .geometry import Geometry, PageLocation
@@ -55,16 +56,25 @@ class TwinUpdate(NamedTuple):
     header: ParityHeader
 
 
+_SMALL_WRITE = shape("array.small_write", "page", "buffered", "twins",
+                     "reads", "writes", "transfers")
+_SMALL_WRITE_BATCH = shape("array.small_write_batch", "first_steals", "pages",
+                           "buffered_pages", "reads", "writes", "transfers")
+
+
 class WindowTrace:
     """An open :meth:`TwinParityArray.traced_window`: what the window
     has written so far through the inline body of ``small_write``
     (``first_steals`` is the RDA manager's count).  While entered it is
-    the array's ``window``; leaving emits the window's one event."""
+    the array's ``window``; leaving emits the window's one event and
+    zeroes the counts.  An array keeps one and reuses it — a write-back
+    never opens another window — and it refers to its array only while
+    open, so the two do not hold each other."""
 
     __slots__ = ("_array", "pages", "buffered_pages", "first_steals")
 
-    def __init__(self, array: "TwinParityArray") -> None:
-        self._array = array
+    def __init__(self) -> None:
+        self._array: Any = None       # the array, while open
         self.pages = self.buffered_pages = self.first_steals = 0
 
     def __enter__(self) -> "WindowTrace":
@@ -72,16 +82,18 @@ class WindowTrace:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._array.window = None
-        pages = self.pages
+        array = self._array
+        self._array = array.window = None
+        pages, buffered = self.pages, self.buffered_pages
+        first_steals = self.first_steals
+        self.pages = self.buffered_pages = self.first_steals = 0
         if pages:
             # per inline page: twin read + two writes, + the old-data
             # read unless buffered
-            reads = 2 * pages - self.buffered_pages
-            self._array.tracer.emit(
-                "array.small_write_batch", first_steals=self.first_steals,
-                pages=pages, buffered_pages=self.buffered_pages,
-                reads=reads, writes=2 * pages, transfers=reads + 2 * pages)
+            reads = 2 * pages - buffered
+            array.tracer.append(_SMALL_WRITE_BATCH, first_steals, pages,
+                                buffered, reads, 2 * pages,
+                                reads + 2 * pages)
 
 
 @dataclass(frozen=True)
@@ -160,6 +172,7 @@ class TwinParityArray(DiskArray):
         # it, and so does the RDA manager's steal, inline
         self.clock = 0
         self.window = None          # open WindowTrace (traced_window)
+        self._window_trace = WindowTrace()
         # read_all_twins' per-disk reads, built once from the geometry
         self._twin_plan = self._plan_twin_reads()
 
@@ -355,18 +368,17 @@ class TwinParityArray(DiskArray):
             old = self._small_write_inner(page, new_data, updates, old_data,
                                           twin_first)
             reads, writes = stats.reads - reads, stats.writes - writes
-        if self._xfer_hist is not None:
-            self._xfer_hist.observe(reads + writes)
+        if self._xfer_counts is not None:
+            self._xfer_counts[reads + writes] += 1
         if self.tracer.enabled:
             window = self.window
             if inline and window is not None:
                 window.pages += 1
                 window.buffered_pages += buffered
             else:
-                self.tracer.emit("array.small_write", page=page,
-                                 buffered=buffered, twins=len(updates),
-                                 reads=reads, writes=writes,
-                                 transfers=reads + writes)
+                self.tracer.append(_SMALL_WRITE, page, buffered,
+                                   len(updates), reads, writes,
+                                   reads + writes)
         if self.barrier_hook is not None:
             self.barrier_hook("twin_write", page=page, twin_first=twin_first,
                               changed=old != new_data)
@@ -401,7 +413,9 @@ class TwinParityArray(DiskArray):
         (general-path writes keep theirs); leaving emits the one costed
         ``array.small_write_batch`` event the trace aggregators expand
         back into per-page rows.  Opened only with tracing on."""
-        return WindowTrace(self)
+        trace = self._window_trace
+        trace._array = self
+        return trace
 
     def _small_write_inner(self, page: int, new_data: bytes,
                            updates: Sequence, old_data: bytes | None,

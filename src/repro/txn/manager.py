@@ -19,8 +19,12 @@ the number of transactions ever run.
 from __future__ import annotations
 
 from ..errors import InvalidTransactionState
-from ..obs.tracer import NULL_TRACER
+from ..obs.tracer import NULL_TRACER, shape
 from .transaction import Transaction, TxnState
+
+_TXN_SPAN = shape("txn", "txn", "outcome", "dur_ms")
+_TXN_SPAN_COSTED = shape("txn", "txn", "outcome", "dur_ms", "reads",
+                         "writes", "transfers")
 
 
 class TransactionManager:
@@ -33,7 +37,8 @@ class TransactionManager:
             transfers performed while it ran.
         stats: shared :class:`~repro.storage.iostats.IOStats` to bind
             to the transaction spans.
-        metrics: optional registry for ``txn.finished{outcome=...}``.
+        metrics: optional registry for ``txn.finished{outcome=...}``,
+            read from :attr:`outcome_counts`.
     """
 
     def __init__(self, tracer=None, stats=None, metrics=None) -> None:
@@ -43,10 +48,15 @@ class TransactionManager:
         self._spent_below = 1           # every id under this is spent
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._stats = stats
+        self._span_shape = _TXN_SPAN if stats is None else _TXN_SPAN_COSTED
+        # finished transactions by outcome value, counted for a registry
+        # whose txn.finished{outcome} series reads them from each
+        # outcome's first one on
+        self.outcome_counts = {TxnState.COMMITTED._value_: 0,
+                               TxnState.ABORTED._value_: 0}
         self._m_finished = (metrics.counter("txn.finished")
                             if metrics is not None else None)
-        self._m_outcomes: dict = {}     # outcome -> txn.finished child
-        self._spans: dict = {}
+        self._spans: dict = {}          # txn id -> Tracer.open_span state
 
     def begin(self, txn_id: int | None = None) -> Transaction:
         """Start a new transaction (the BOT event).
@@ -73,8 +83,7 @@ class TransactionManager:
         txn = Transaction(txn_id=txn_id)
         self._active[txn_id] = txn
         if self.tracer.enabled:
-            self._spans[txn_id] = self.tracer.start_span(
-                "txn", stats=self._stats, txn=txn_id)
+            self._spans[txn_id] = self.tracer.open_span(self._stats)
         return txn
 
     def get(self, txn_id: int) -> Transaction:
@@ -103,13 +112,18 @@ class TransactionManager:
         self._finished[txn_id] = txn
         span = self._spans.pop(txn_id, None)
         if span is not None:
-            span.finish(outcome=outcome.value)
+            # _value_: ``.value`` is a property call
+            self.tracer.close_span(span, self._stats, self._span_shape,
+                                   txn_id, outcome._value_)
         if self._m_finished is not None:
-            child = self._m_outcomes.get(outcome)
-            if child is None:
-                child = self._m_outcomes[outcome] = \
-                    self._m_finished.labels(outcome=outcome.value)
-            child.inc()
+            counts = self.outcome_counts
+            value = outcome._value_
+            counts[value] += 1
+            if counts[value] == 1:
+                # reads the dict, not the manager: the manager holds
+                # the series
+                self._m_finished.labels(outcome=value).add_source(
+                    lambda: counts[value])
         return txn
 
     def active_transactions(self) -> list:

@@ -219,8 +219,9 @@ class LogManager:
         duplex: keep two mirror copies (the paper's assumption); set
             False for single-copy ablations.
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
-            records appended are counted per record type
-            (``wal.records{log=...,type=...}``), plus forces.
+            reads the records appended per record type
+            (``wal.records{log=...,type=...}``, from
+            :attr:`record_counts`) and the forces (:attr:`forces`).
     """
 
     _device_counter = 0
@@ -230,16 +231,15 @@ class LogManager:
                  duplex: bool = True, metrics=None) -> None:
         self.name = name
         self.stats = stats if stats is not None else IOStats()
+        self.forces = 0
+        # record class -> records appended, counted while a registry
+        # reads them; a class's series is registered at its first record
+        self.record_counts: dict = {}
         self._m_records = (metrics.counter("wal.records")
                            if metrics is not None else None)
-        self._m_forces = (metrics.counter("wal.forces")
-                          if metrics is not None else None)
-        # labelled-counter children are stable per label set; cache them
-        # per record type so the hot append path skips the label-key
-        # construction inside ``Counter.labels``
-        self._record_children: dict = {}
-        self._forces_child = (self._m_forces.labels(log=self.name)
-                              if self._m_forces is not None else None)
+        if metrics is not None:
+            metrics.counter("wal.forces").labels(log=self.name).add_source(
+                lambda: self.forces)
         copies = 2 if duplex else 1
         # device ids are negative so they never collide with array disks
         self._devices = []
@@ -307,8 +307,7 @@ class LogManager:
         objects = self._objects
         anchoring = self._anchoring
         end = self._origin + len(devices[0]._data)
-        m_records = self._m_records
-        children = self._record_children
+        counts = self.record_counts if self._m_records is not None else None
         for record in records:
             record.lsn = lsn
             if self._unchecked:
@@ -338,22 +337,28 @@ class LogManager:
             entries.append((record.record_type._value_, lsn, txn_id,
                             record.prev_lsn, start, end))
             objects[lsn] = record
-            if m_records is not None:
-                rtype = type(record).__name__
-                child = children.get(rtype)
-                if child is None:
-                    child = children[rtype] = m_records.labels(
-                        log=self.name, type=rtype)
-                child.inc()
+            if counts is not None:
+                try:
+                    counts[record.__class__] += 1
+                except KeyError:
+                    self._count_first(record.__class__)
             lsn += 1
         return lsn - 1
+
+    def _count_first(self, cls) -> None:
+        """Count the first record of class ``cls`` and register the
+        series that reads its count."""
+        counts = self.record_counts
+        counts[cls] = 1
+        # reads the dict, not the log: the log holds the series
+        self._m_records.labels(log=self.name, type=cls.__name__).add_source(
+            lambda: counts[cls])
 
     def force(self) -> None:
         """Make everything appended so far durable (flush partial pages)."""
         for device in self._devices:
             device.force()
-        if self._forces_child is not None:
-            self._forces_child.inc()
+        self.forces += 1
         if self._entries:
             self.forced_lsn = self._next_lsn - 1
 

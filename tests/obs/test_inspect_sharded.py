@@ -66,8 +66,7 @@ def traces(request):
     simulator = Simulator(db, WorkloadSpec(concurrency=3, pages_per_txn=3),
                           seed=5)
     simulator.run(40)
-    events = tracer.sink._buffer
-    batched = list(events)
+    batched = tracer.sink.events()
     return batched, legacy_expansion(batched)
 
 

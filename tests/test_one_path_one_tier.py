@@ -50,7 +50,7 @@ from repro.db.policy import (FORCE_TOC, NOFORCE_ACC, RDA_PROTECTION,
 from repro.db.recovery import RecoveryManager
 from repro.db.sharded import SHARD_OPS
 from repro.obs import (BufferedJsonlSink, MetricsRegistry, Tracer,
-                       load_trace)
+                       load_trace, shape)
 from repro.storage import TwinState, kernels, make_page
 from repro.storage import disk as disk_module
 from repro.txn import TransactionManager
@@ -554,7 +554,9 @@ def _observed_txn_frames(tmp_path, observed: bool) -> int:
 
 
 def test_being_observed_costs_a_transaction_at_most_50_frames(tmp_path):
-    # 32 today; 94 before PR 18: counters pushed per page that
+    # 7 today; 32 while every event was a dict and a txn span a Span
+    # object, and every wal.records / rda.commits / txn.finished count
+    # a Counter.inc; 94 earlier still, with counters pushed per page that
     # mirrored a layer's own, a gauge set per write, a histogram fed
     # through a TransferCounts, by-name lookups on every commit
     assert (_observed_txn_frames(tmp_path, True)
@@ -583,3 +585,26 @@ def test_emit_runs_no_json_frame(tmp_path):
         assert (tmp_path / "trace.jsonl").read_text() == ""
     assert in_json == []
     assert len(load_trace(tmp_path / "trace.jsonl")) == 3
+
+
+def test_an_observed_event_is_one_tracer_frame_and_no_sink_frame(tmp_path):
+    """An event is one append: emitting it enters the tracer's method
+    and nothing else — no sink frame, no encoder — until a chunk is
+    full; a detached span (the ``txn`` span) is one frame to open and
+    one to close."""
+    evict = shape("buffer.evict", "page", "dirty", "steal")
+    txn = shape("txn", "txn", "outcome", "dur_ms", "reads", "writes",
+                "transfers")
+    with Tracer(BufferedJsonlSink(tmp_path / "trace.jsonl")) as tracer:
+        tracer.emit("plain", page=3)            # interns its shape
+        stats = Database(preset("page-force-rda")).stats
+        assert _src_frames(tracer.append, evict, 3, False, False) == 1
+        assert _src_frames(lambda: tracer.emit("plain", page=4)) == 1
+        state = tracer.open_span(stats)
+        assert _src_frames(tracer.open_span, stats) == 1
+        assert _src_frames(tracer.close_span, state, stats, txn, 7,
+                           "committed") == 1
+        assert tracer.sink.count == 4
+        assert (tmp_path / "trace.jsonl").read_text() == ""
+    assert [event["name"] for event in load_trace(tmp_path / "trace.jsonl")
+            ] == ["plain", "buffer.evict", "plain", "txn"]
