@@ -222,10 +222,6 @@ def _cmd_fault_sweep(args, overrides) -> int:
     from .sim import fault_workload, record_fault_setup, run_sweep
 
     config = preset(args.preset, **overrides)
-    if config.record_logging and args.shards > 1:
-        print("fault-sweep: the sharded script drives write_page; "
-              "record-logging presets sweep at --shards 1")
-        return 2
     if getattr(args, "workers", None):
         print("fault-sweep: recovery fault hooks cannot cross the worker "
               "pipe; running the sweep in-process")

@@ -162,59 +162,65 @@ class RecordLogging:
         """Record-mode REDO entries were appended at modification time."""
 
     def rollback(self, db, txn) -> None:
-        """Abort: parity undo, then re-apply record before-entries
-        (logged + still-pending) backward, flushing corrected pages."""
+        """Abort: parity undo, then the record before-entries (pending,
+        then the logged chain under undo logging) newest first — on the
+        resident frames before any page is fetched, so no eviction writes
+        this transaction's changes — then, under undo logging, a flush of
+        every corrected page (docs/protocols.md §2).
+
+        A page parity undo restored needs no entry unless it is in
+        ``txn.logged_stolen``: the restored bytes still hold the values
+        of an earlier steal of it that a promotion made logged."""
         txn_id = txn.txn_id
+        buffer = db.buffer
         restored = db.policy.protection.parity_undo_for_abort(db, txn_id)
         for page in restored:
-            if page in db.buffer:
-                # single-modifier invariant: only this transaction's
-                # changes were buffered for an unlogged stolen page
-                db.buffer.invalidate(page)
-
-        chain = db.undo_log.records_of(txn_id)
-        db.undo_log.charge_read(chain)
-        logged = [r for r in reversed(chain)
-                  if isinstance(r, (RecordBeforeEntry, PageBeforeImage))]
-        ordered = logged + txn.pending_undo   # forward; pending is newest
-
-        touched = {}
-        for entry in reversed(ordered):
+            buffer.invalidate(page)
+        entries = txn.pending_undo[::-1]              # newest first
+        if self.logs_undo:
+            chain = db.undo_log.records_of(txn_id)    # newest first
+            db.undo_log.charge_read(chain)
+            entries += [r for r in chain if isinstance(r, RecordBeforeEntry)]
+        undo = {}
+        for entry in entries:
             page = entry.page_id
-            if isinstance(entry, PageBeforeImage):
-                touched[page] = entry.image
-                continue
-            payload = touched.get(page)
-            if payload is None:
-                payload = db.buffer.get_page(page)
-            touched[page] = apply_record_image(payload, entry.slot, entry.image)
+            if page not in restored or page in txn.logged_stolen:
+                undo.setdefault(page, []).append(entry)
 
-        # The abort record that follows asserts "undo is durable", so the
-        # corrected pages must reach disk now even under ¬FORCE —
-        # otherwise a crash after the abort would resurrect the aborted
-        # values (aborted transactions are excluded from restart undo).
-        for page in sorted(touched):
+        # resident pages first: correcting a frame fetches nothing
+        for page in sorted(undo, key=lambda page: (page not in buffer, page)):
+            payload = buffer.get_page(page)
+            for entry in undo[page]:
+                payload = apply_record_image(payload, entry.slot, entry.image)
             # another transaction's unlogged steal may be outstanding on
-            # this page (record locking shares pages); the committed
-            # write below would silently invalidate its parity-undo
+            # this page (record locking shares pages); writing the
+            # corrected payload would silently invalidate its parity-undo
             # baseline, so promote that steal to logged undo first
             db.policy.protection.maybe_promote(db, page, txn_id)
             # the corrected payload still carries the uncommitted slots
             # of every other modifier of the frame: they stay modifiers,
-            # so the flush is a steal and the Figure 3 / WAL rule makes
-            # their undo information durable — never a committed write
-            others = db.buffer.modifiers_of(page) - {txn_id}
-            db.buffer.invalidate(page)
-            db.buffer.put_page(page, touched[page], None)
+            # so its write-back is a steal and the Figure 3 / WAL rule
+            # makes their undo information durable — never a committed
+            # write
+            others = buffer.modifiers_of(page) - {txn_id}
+            buffer.invalidate(page)
+            buffer.put_page(page, payload, None)
             for other in sorted(others):
-                db.buffer.put_page(page, touched[page], other)
+                buffer.put_page(page, payload, other)
             if others and page in txn.logged_stolen:
                 # the disk copy holds this transaction's stolen values,
                 # so a twin-covered steal would keep them as the page's
                 # before-image and restart's parity undo would bring
                 # them back; as with residue, the log must carry the undo
                 db._residue.add(page)
-            db.buffer.flush_page(page)
+
+        if self.logs_undo:
+            # the abort record that follows asserts "undo is durable", so
+            # the corrected pages reach disk now even under ¬FORCE: a
+            # crash after the abort must not resurrect the aborted values
+            # (aborted transactions are excluded from restart undo)
+            for page in sorted(undo):
+                buffer.flush_page(page)
 
 
 class RedoPageLogging(PageLogging):
@@ -250,7 +256,11 @@ class RedoRecordLogging(RecordLogging):
     """REDO-only at record granularity (the RDA hybrid's logging): undo
     entries stay in memory for live aborts and are never logged; redo
     entries are staged per transaction and appended at commit as chained
-    :class:`~repro.wal.records.RecordRedoEntry` records."""
+    :class:`~repro.wal.records.RecordRedoEntry` records.  An abort is
+    :meth:`RecordLogging.rollback` with no undo chain to read and no
+    flush (``logs_undo`` is False): the transaction's data reached disk
+    only through the covered steals parity undo rewinds, and its staged
+    redo entries never reach the log."""
 
     name = "redo-record"
     logs_undo = False
@@ -276,39 +286,6 @@ class RedoRecordLogging(RecordLogging):
         staged, txn.pending_redo = txn.pending_redo, []
         if staged:
             db.redo_log.append_batch(staged)
-
-    def rollback(self, db, txn) -> None:
-        """Abort from memory: parity undo rewinds covered steals on
-        disk, then the staged before-entries are re-applied backward
-        onto the buffered pages.  Nothing is flushed — an aborted
-        transaction's data was never durable except via covered steals
-        (just rewound), and its staged redo entries never reach the
-        log, so a later crash cannot resurrect it."""
-        txn_id = txn.txn_id
-        restored = db.policy.protection.parity_undo_for_abort(db, txn_id)
-        for page in restored:
-            if page in db.buffer:
-                # single-modifier + no-residue steal rule: the frame
-                # held only this transaction's changes beyond the
-                # restored disk image
-                db.buffer.invalidate(page)
-
-        touched = {}
-        for entry in reversed(txn.pending_undo):
-            page = entry.page_id
-            if page in restored:
-                continue
-            payload = touched.get(page)
-            if payload is None:
-                payload = db.buffer.get_page(page)
-            touched[page] = apply_record_image(payload, entry.slot,
-                                               entry.image)
-        for page in sorted(touched):
-            db.buffer.put_page(page, touched[page], None)
-        # drop only this transaction's modifier marks: a co-modifier's
-        # uncommitted slots stay tracked so the write-behind gate keeps
-        # holding their pages in the buffer
-        db.buffer.clear_modifier(txn_id)
 
 
 # ==================== axis 2: commit discipline ====================

@@ -359,21 +359,19 @@ class BufferedJsonlSink:
 class Span:
     """One in-flight multi-step operation.
 
-    Created by :meth:`Tracer.span` (lexical, joins the tracer's span
-    stack) or :meth:`Tracer.start_span` (detached, for operations whose
-    begin and end live in different call frames).  Emits a single event
-    when finished, carrying duration and — when bound to an
+    Created by :meth:`Tracer.span` as a context manager; it joins the
+    tracer's span stack while open.  Emits a single event when finished,
+    carrying duration and — when bound to an
     :class:`~repro.storage.iostats.IOStats` — the page transfers
     performed while it was open.  A per-operation span on a hot path
     keeps no object: :meth:`Tracer.open_span` / :meth:`Tracer.close_span`.
     """
 
     __slots__ = ("_tracer", "name", "span_id", "parent_id", "attrs",
-                 "_t0", "_stats", "_before", "_log_before", "_lexical",
-                 "_done")
+                 "_t0", "_stats", "_before", "_log_before", "_done")
 
     def __init__(self, tracer: "Tracer", name: str, span_id: int,
-                 parent_id, attrs: dict, stats, lexical: bool,
+                 parent_id, attrs: dict, stats,
                  log_split: bool = False) -> None:
         self._tracer = tracer
         self.name = name
@@ -389,7 +387,6 @@ class Span:
         # phases and other rare spans, never the per-operation hot path)
         self._log_before = (stats.log_transfers
                             if log_split and stats is not None else None)
-        self._lexical = lexical
         self._done = False
         self._t0 = _now_ns()
 
@@ -417,8 +414,7 @@ class Span:
                 self.attrs["log_transfers"] = (stats.log_transfers
                                                - self._log_before)
         tracer = self._tracer
-        if self._lexical:
-            tracer._pop_span(self)
+        tracer._pop_span(self)
         tracer._emit_event(self.name, self.attrs, self.span_id,
                            self.parent_id)
 
@@ -630,21 +626,10 @@ class Tracer:
         if not self.enabled:
             return _NULL_SPAN
         span = Span(self, name, self._next_span_id, self._top, attrs, stats,
-                    lexical=True, log_split=log_split)
+                    log_split=log_split)
         self._next_span_id += 1
         self._stack.append(span.span_id)
         self._top = span.span_id
-        return span
-
-    def start_span(self, name: str, stats=None, log_split: bool = False,
-                   **attrs):
-        """A detached span: caller keeps the handle and calls
-        :meth:`Span.finish` later (possibly from another call frame)."""
-        if not self.enabled:
-            return _NULL_SPAN
-        span = Span(self, name, self._next_span_id, self._top, attrs, stats,
-                    lexical=False, log_split=log_split)
-        self._next_span_id += 1
         return span
 
     def open_span(self, stats=None) -> tuple:
@@ -752,11 +737,6 @@ class LabelledTracer:
     def span(self, name: str, stats=None, log_split: bool = False, **attrs):
         return self._inner.span(name, stats=stats, log_split=log_split,
                                 **{**self._labels, **attrs})
-
-    def start_span(self, name: str, stats=None, log_split: bool = False,
-                   **attrs):
-        return self._inner.start_span(name, stats=stats, log_split=log_split,
-                                      **{**self._labels, **attrs})
 
     def open_span(self, stats=None) -> tuple:
         return self._inner.open_span(stats)

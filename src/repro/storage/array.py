@@ -353,9 +353,16 @@ class SingleParityArray(DiskArray):
         Degraded cases: if the parity disk is failed the data is written
         without a parity update; if the data disk is failed the write is
         absorbed into parity alone (the page stays reconstructable).
+
+        A reconstruct-write never reads the old bytes, so with a barrier
+        listening they are peeked first (uncounted): the barrier says
+        whether the write changed the page, never "unknown" as changed.
         """
         if len(new_data) != PAGE_SIZE:
             raise ValueError(f"page payload must be {PAGE_SIZE} bytes")
+        peeked = (self.peek_page(page)
+                  if old_data is None and self.barrier_hook is not None
+                  else None)
         stats = self.stats
         reads, writes = stats.reads, stats.writes
         mode, degraded, old = self._write_page_inner(page, new_data,
@@ -370,7 +377,8 @@ class SingleParityArray(DiskArray):
                              transfers=reads + writes)
         if self.barrier_hook is not None:
             self.barrier_hook("twin_write", page=page,
-                              changed=old != new_data)
+                              changed=(peeked if old is None else old)
+                              != new_data)
 
     def _write_page_inner(self, page: int, new_data: bytes,
                           old_data: bytes | None) -> tuple:

@@ -221,22 +221,25 @@ class LockManager:
         return graph
 
     def _find_cycle(self, start: int):
+        """The first cycle a depth-first walk of the wait-for graph from
+        ``start`` re-enters its path at (from that node on), or None.
+        Iterative: a self-referencing closure would leave a reference
+        cycle behind every check for the cyclic collector.  A node
+        walked to the end without one reaches no cycle, so it is not
+        walked again."""
         graph = self.wait_for_graph()
-        path, on_path = [], set()
-
-        def visit(node):
-            if node in on_path:
-                return path[path.index(node):]
-            if node not in graph:
-                return None
-            path.append(node)
-            on_path.add(node)
-            for succ in graph[node]:
-                found = visit(succ)
-                if found:
-                    return found
-            path.pop()
-            on_path.discard(node)
+        if start not in graph:
             return None
-
-        return visit(start)
+        path, walks, done = [start], [iter(graph[start])], set()
+        while walks:
+            for succ in walks[-1]:
+                if succ in path:
+                    return path[path.index(succ):]
+                if succ in graph and succ not in done:
+                    path.append(succ)
+                    walks.append(iter(graph[succ]))
+                    break
+            else:
+                done.add(path.pop())
+                walks.pop()
+        return None

@@ -223,11 +223,6 @@ class TestHeapFile:
             HeapFile(db, [])
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="at B = 2 the rollback's page fetches evict the "
-                          "aborting transaction's own frames after its "
-                          "parity undo: unlogged steals no undo reaches "
-                          "(ROADMAP item 1)")
 @pytest.mark.parametrize("name", ["record-force-rda", "record-noforce-rda"])
 def test_an_abort_at_two_frames_leaves_no_steal_of_its_own(name):
     """Group size 4, two buffer frames: T1 updates pages 0, 4, 0 and
@@ -252,3 +247,43 @@ def test_an_abort_at_two_frames_leaves_no_steal_of_its_own(name):
     db.recover()
     reader = db.begin()
     assert db.read_record(reader, 0, 0) == b"t1c"
+
+
+@pytest.mark.parametrize("name", ["record-force-rda", "record-noforce-rda"])
+def test_an_abort_undoes_a_promoted_steal_under_its_re_steal(name):
+    """T steals page 0, U's update of another slot promotes that steal
+    to logged undo, U commits, and T updates and steals the page again.
+    The abort's parity undo rewinds only the re-steal: the restored
+    bytes still hold T's first value, which only the logged entry
+    undoes.  Slot 0 must read the seed and slot 1 U's value, after the
+    abort and after a restart."""
+    db = make_db(name, num_groups=4, buffer_capacity=2)
+    seed = db.begin()
+    for value in (b"s0", b"s1"):
+        db.insert_record(seed, 0, value)
+    db.commit(seed)
+    db.buffer.flush_page(0)
+    t, u = db.begin(), db.begin()
+    db.update_record(t, 0, 0, b"t-first")
+    db.buffer.flush_page(0)                   # T's unlogged steal
+    db.update_record(u, 0, 1, b"u")           # promotes it
+    db.commit(u)
+    db.buffer.flush_page(0)
+    db.update_record(t, 0, 0, b"t-again")
+    db.buffer.flush_page(0)                   # T's unlogged re-steal
+    assert db.counters.promotions == 1
+    assert 0 in db.txns.get(t).logged_stolen
+    assert db.rda.dirty_set.get(0).txn_id == t
+    db.abort(t)
+    reader = db.begin()
+    assert [db.read_record(reader, 0, slot) for slot in (0, 1)] == [b"s0",
+                                                                   b"u"]
+    db.commit(reader)
+    assert verify_database(db) == []
+    db.crash()
+    db.recover()
+    reader = db.begin()
+    assert [db.read_record(reader, 0, slot) for slot in (0, 1)] == [b"s0",
+                                                                   b"u"]
+    db.commit(reader)
+    assert verify_database(db) == []

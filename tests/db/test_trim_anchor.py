@@ -50,12 +50,7 @@ def trimming_workload(transactions: int, shards: int, op: str) -> list:
 
 
 @pytest.mark.parametrize("name, shards", [
-    (name, 1) for name in TWIN_PRESETS] + [
-    # the record-logging script routes record updates only single-shard
-    # (the CLI sweeps those presets at --shards 1); the REDO-only hybrid
-    # holds at K = 2 as it is
-    ("page-force-rda", 2), ("page-noforce-rda", 2),
-    ("record-noforce-rda-redo", 2)])
+    (name, shards) for shards in (1, 2) for name in TWIN_PRESETS])
 def test_every_crash_point_of_a_trimming_script_recovers(name, shards):
     """Five transactions, the third aborting and a trim after it, a
     checkpoint every six page writes under ¬FORCE: every crash point,

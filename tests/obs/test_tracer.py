@@ -24,7 +24,6 @@ def test_null_tracer_is_shared_and_disabled():
     # the stateless no-op span: same object every time, ignores set()
     assert NULL_TRACER.span("other") is span
     span.set(a=1).finish()
-    assert NULL_TRACER.start_span("z") is span
 
 
 def test_emit_records_name_attrs_and_sequence():
@@ -82,16 +81,20 @@ def test_nested_spans_link_parent_and_children():
     assert "parent" not in outer
 
 
-def test_detached_span_finishes_from_another_frame():
+def test_span_finish_is_idempotent():
     sink = RingBufferSink()
     tracer = Tracer(sink)
-    span = tracer.start_span("txn", txn=7)
-    tracer.emit("unrelated")
+    span = tracer.span("txn", txn=7)
+    tracer.emit("inside")
     span.finish(outcome="committed")
     span.finish(outcome="twice")      # idempotent: second finish ignored
-    events = sink.events()
-    assert len(events) == 2
-    assert events[-1]["attrs"]["outcome"] == "committed"
+    with span:                        # and the exit's finish too
+        pass
+    inside, closed = sink.events()
+    assert inside["span"] == closed["span"]
+    assert closed["attrs"]["outcome"] == "committed"
+    tracer.emit("after")
+    assert "span" not in sink.events()[-1]
 
 
 def test_span_records_error_attribute_on_exception():

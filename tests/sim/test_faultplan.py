@@ -144,6 +144,25 @@ class TestSweep:
         report = run_sweep(factory(name), ops)
         assert report.clean, [str(v) for v in report.violations]
 
+    @pytest.mark.parametrize("name, group_size, buffer", [
+        ("record-force-rda", 4, 2), ("record-noforce-rda", 4, 2),
+        ("record-noforce-rda-redo", 4, 2), ("record-force-log", 2, 2),
+        ("record-force-log", 2, 3)])
+    def test_record_sweep_at_the_smallest_buffers(self, name, group_size,
+                                                  buffer):
+        """Record updates with an abort at two or three frames: the
+        rollback corrects its resident frames before it fetches, so no
+        eviction steals them; and at two-page groups, where a
+        reconstruct-write never reads the old bytes, the rollback's
+        flush of a page it never stole names no unnamed change."""
+        ops = fault_workload(transactions=5, group_size=group_size,
+                             op="update")
+        report = run_sweep(
+            lambda: Database(preset(name, group_size=group_size,
+                                    num_groups=12, buffer_capacity=buffer)),
+            ops, setup=record_fault_setup(ops))
+        assert report.clean, report.violations_by_kind()
+
     def test_report_json_round_trip(self, ops):
         report = run_sweep(factory(), ops, modes=("clean",))
         data = json.loads(report.to_json())
@@ -194,10 +213,18 @@ class TestCli:
         assert "0 violations" in capsys.readouterr().out
 
     def test_fault_sweep_runs_record_mode(self, capsys):
-        # record-mode sweeps used to be refused; since the REDO-only PR
-        # the record fault workload (with its seeding setup) unlocks
-        # them at K=1
+        # the record fault workload (with its seeding setup) sweeps a
+        # record-logging preset
         rc = main(["simulate", "--fault-sweep",
                    "--preset", "record-force-rda"])
+        assert rc == 0
+        assert "0 violations" in capsys.readouterr().out
+
+    def test_fault_sweep_runs_record_mode_on_shards(self, capsys):
+        # each transaction of the K-shard script updates records of one
+        # shard only, as its page writes do
+        rc = main(["simulate", "--fault-sweep", "--preset",
+                   "record-noforce-rda", "--shards", "2", "--buffer", "2",
+                   "--num-groups", "12"])
         assert rc == 0
         assert "0 violations" in capsys.readouterr().out

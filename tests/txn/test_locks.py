@@ -1,5 +1,7 @@
 """Tests for the lock manager: modes, queues, upgrades, deadlocks."""
 
+import gc
+
 import pytest
 
 from repro.errors import DeadlockError, LockError
@@ -135,6 +137,22 @@ class TestDeadlock:
         # victim can still release and let 1 proceed
         grants = lm.release_all(2)
         assert any(g.txn_id == 1 for g in grants)
+
+    def test_a_deadlock_check_leaves_no_garbage(self, lm):
+        """A request that has to wait runs the cycle search; it must
+        leave nothing behind that only the cyclic collector frees."""
+        for txn, res in ((1, "a"), (2, "b"), (3, "c")):
+            lm.acquire(txn, res, X)
+        assert not lm.acquire(1, "b", X)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert not lm.acquire(2, "c", X)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_no_false_positive(self, lm):
         lm.acquire(1, "a", X)
