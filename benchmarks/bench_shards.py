@@ -14,8 +14,9 @@ forces so H commits' records ride the same page flushes.  The
 acceptance criterion is the PR's headline: **at every K >= 2, H=8
 spends fewer log transfers per committed transaction than H=1.**
 
-The **worker cells** rerun the K sweep with each shard in its own OS
-process (:class:`~repro.db.workers.WorkerShardedDatabase`).  Like the
+The **worker cells** rerun the K sweep with the K shards in K OS
+processes (:class:`~repro.db.workers.WorkerShardedDatabase`: a worker
+per shard but the last, which the facade's process serves).  Like the
 rest of this reproduction, throughput there is scored in *simulated
 disk time*: each shard owns an independent array whose arms run in
 parallel, so the disk-time critical path of a run is the busiest

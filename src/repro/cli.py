@@ -459,9 +459,10 @@ def _add_worker_flags(sub) -> None:
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--workers", dest="workers", action="store_true",
                        default=None,
-                       help="run each shard in its own worker process "
-                            "(sharded engines only; default honours "
-                            "REPRO_WORKERS=on)")
+                       help="run K shards in K processes: every shard "
+                            "but the last in its own worker process, the "
+                            "last in this one (sharded engines only; "
+                            "default honours REPRO_WORKERS=on)")
     group.add_argument("--no-workers", dest="workers", action="store_false",
                        help="force the in-process sharded engine even when "
                             "REPRO_WORKERS=on")

@@ -36,6 +36,7 @@ globally committed transaction surfaced as a loser on any shard.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import fields, replace
 
@@ -193,11 +194,14 @@ class _BufferFacade(_View):
         self.stats = _BufferStatsView(owner)
 
     def resident_pages(self) -> list:
-        """Sorted *global* ids of pages buffered on any shard."""
-        return sorted(self._owner.global_page(i, local)
-                      for i, locals_ in enumerate(
-                          self._owner._gather("resident_pages"))
-                      for local in locals_)
+        """Sorted *global* ids of pages buffered on any shard: each
+        shard's list is sorted and ``global_page`` is monotone in the
+        local id, so one merge of the K mapped lists is sorted."""
+        global_page = self._owner.global_page
+        return list(heapq.merge(*(
+            [global_page(i, local) for local in locals_]
+            for i, locals_ in enumerate(
+                self._owner._gather("resident_pages")))))
 
     def __contains__(self, page: int) -> bool:
         shard, local = self._owner._route(page)
@@ -330,10 +334,12 @@ class ShardedDatabase:
     Every cross-shard operation and every view is written once, over
     :meth:`_scatter`; how a scatter *runs* is the transport.  Here the
     shards are :class:`Database` objects called in order on this
-    thread; :class:`~repro.db.workers.WorkerShardedDatabase` hosts them
-    in worker processes and overrides only the transport section below
-    (plus healing dead workers before :meth:`crash`).  Operations routed
-    to a single shard call ``self.shards[i]`` directly.
+    thread; :class:`~repro.db.workers.WorkerShardedDatabase` runs them
+    in K processes — shards 0 … K − 2 in worker processes, shard K − 1
+    served by the facade's own process through the same command body —
+    and overrides only the transport section below (plus healing dead
+    workers before :meth:`crash`).  Operations routed to a single shard
+    call ``self.shards[i]`` directly.
 
     Args:
         config: the *global* configuration; groups and buffer frames

@@ -1,14 +1,26 @@
-"""True multicore sharding: each shard engine in its own worker process.
+"""True multicore sharding: K shard engines in K processes.
 
 The in-process :class:`~repro.db.sharded.ShardedDatabase` runs K shard
 engines on one Python thread, taking turns.  This module is its second
 *transport*: the facade, its views and every cross-shard operation are
-the inherited ones, but each shard :class:`~repro.db.database.Database`
-lives in a separate OS process, driven over a typed command/reply
-protocol — Wu et al.'s per-core-logging blueprint (*Fast Failure
-Recovery for Main-Memory DBMSs on Multicores*): per-shard WALs, one
-cross-shard barrier, and restart recovery that fans out to every worker
-concurrently.
+the inherited ones, but shards 0 … K − 2 each live in a worker OS
+process, driven over a typed command/reply protocol, and the facade's
+own process serves shard K − 1 through the same command body — Wu et
+al.'s per-core-logging blueprint (*Fast Failure Recovery for
+Main-Memory DBMSs on Multicores*): one partition per core, the
+coordinator on one of those cores rather than on a core of its own,
+per-shard WALs, one cross-shard barrier, and restart recovery that fans
+out to every shard concurrently.
+
+**The hosted shard.**  :class:`_HostedShard` has a worker handle's
+interface and no pipe: ``send`` runs :meth:`_WorkerState.execute` (the
+worker loop's per-command body) on the facade's thread and holds the
+reply, ``recv`` hands it over, and its events are ingested at its place
+in the scheduler order, as a worker's are.  A scatter sends to every
+worker first and runs the hosted shard's command last, so its work
+overlaps theirs.  It cannot die: it keeps no journal, and the death
+seams (:meth:`WorkerSupervisor.kill`, :meth:`~WorkerSupervisor.
+arm_death`) refuse it.  At K = 1 no worker is spawned.
 
 **Protocol.**  One duplex pipe per worker; a frame is one plain
 ``pickle`` (protocol 5) over ``send_bytes``.  A command is
@@ -25,7 +37,7 @@ cumulative deferred-force count (folded into the facade coordinator's
 accounting against a per-worker watermark) and ``failed`` reports
 one-way commands that raised (below).  Cross-shard operations
 (begin/commit/abort/crash/recover/flush) are *scatter-gather*: the
-facade sends the command to every worker before collecting any reply,
+facade sends the command to every shard before collecting any reply,
 so all K engines execute concurrently; replies are consumed in
 scheduler order, which keeps the observable stream byte-identical to
 the in-process engine.
@@ -65,10 +77,11 @@ commits a transaction whose write it lost — until
 ``failed`` field of the worker's next reply, and the facade raises it
 from that transaction's next routed call without sending anything.
 
-**The coordinator is the only barrier.**  Each worker owns a *local*
-:class:`~repro.wal.group_commit.GroupCommitCoordinator`; the worker's
-own ``commit`` handler opens the deferral window around its shard
-commit, so WAL-rule forces stay synchronous inside the worker and
+**The coordinator is the only barrier.**  Each shard server (a worker
+or the hosted shard) owns a *local*
+:class:`~repro.wal.group_commit.GroupCommitCoordinator`; its own
+``commit`` handler opens the deferral window around its shard commit,
+so WAL-rule forces stay synchronous inside the server and
 ``durable_lsn``/``covers`` semantics are evaluated where the log lives
 — no per-force message crosses a process boundary.  The facade-side
 :class:`_FacadeCoordinator` counts commits against the flush horizon.
@@ -76,7 +89,7 @@ The commit that reaches the horizon carries the flush with it (each
 worker drains its pendings right after its shard commit, before the
 facade forces the commit-log record that follows them); every other
 drain — ``crash``, ``trim_log``, an explicit flush — broadcasts one
-``gc_flush``, and only if some worker has deferred a force since it
+``gc_flush``, and only if some shard has deferred a force since it
 last drained.
 
 **Crash propagation.**  Every state-changing command, one-way or not,
@@ -194,14 +207,67 @@ class _ListSink:
 
 
 class _WorkerState:
-    """The worker loop's context: engine, coordinator, sink, fault arm."""
+    """One shard's command server: engine, coordinator, sink, fault arm
+    and the one-way failures held against transactions.  A worker
+    process serves its pipe with one, the facade serves its hosted shard
+    with another: both run every command through :meth:`execute`."""
 
-    def __init__(self, db: Database, coordinator: GroupCommitCoordinator,
-                 sink: _ListSink | None) -> None:
-        self.db = db
-        self.coordinator = coordinator
-        self.sink = sink
+    def __init__(self, spec: WorkerSpec) -> None:
+        self.sink = _ListSink() if spec.traced else None
+        self.tracer = Tracer(self.sink) if spec.traced else NULL_TRACER
+        metrics = MetricsRegistry() if spec.with_metrics else None
+        coordinator = self.coordinator = GroupCommitCoordinator(
+            flush_horizon=1)
+
+        def log_factory(db: Database, name: str) -> GroupCommitLog:
+            return GroupCommitLog(
+                name=name,
+                transfers_per_log_page=db.config.log_transfers_per_page,
+                stats=db.stats, metrics=db.metrics, coordinator=coordinator)
+
+        self.db = Database(spec.config, tracer=self.tracer, metrics=metrics,
+                           log_factory=log_factory)
         self.die_on: str | None = None      # test seam: exit inside a handler
+        # txn -> the error one of its one-way commands raised, and the
+        # part of that no reply has reported yet
+        self.held: dict = {}
+        self.failed: dict = {}
+
+    def reply(self, status: str, value) -> tuple:
+        """``(status, value, events, gc, failed)``: the events since the
+        last reply, the cumulative deferred-force count, and the held
+        failures no reply has reported yet."""
+        events = self.sink.drain() if self.sink is not None else ()
+        failed, self.failed = self.failed, {}
+        return status, value, events, self.coordinator.deferred_forces, failed
+
+    def execute(self, op: str, args: tuple, oneway: bool) -> tuple | None:
+        """Run one command: its reply, or None when it is one-way (a
+        one-way failure is held against its transaction instead)."""
+        held = self.held
+        try:
+            if op in _TXN_OPS and args[0] in held:
+                # hold-and-fail: the shard lost one of this
+                # transaction's writes, so it may roll back, nothing else
+                if op != "abort":
+                    raise held[args[0]]
+                del held[args[0]]
+                self.failed.pop(args[0], None)
+            handler = _WORKER_OPS.get(op)
+            value = (handler(self, *args) if handler is not None
+                     else SHARD_OPS[op](self.db, *args))
+            status = "ok"
+            if op == "crash":
+                held.clear()        # the transactions died with memory
+                self.failed.clear()
+        except Exception as exc:                    # noqa: BLE001
+            value = _picklable(exc)
+            status = "err"
+        if not oneway:
+            return self.reply(status, value)
+        if status == "err" and args[0] not in held:
+            held[args[0]] = self.failed[args[0]] = value
+        return None
 
 
 def _die() -> None:
@@ -315,31 +381,8 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
     from ..obs import tracer as tracer_mod
     tracer_mod._LIVE_TRACERS.clear()
 
-    sink = _ListSink() if spec.traced else None
-    tracer = Tracer(sink) if spec.traced else NULL_TRACER
-    metrics = MetricsRegistry() if spec.with_metrics else None
-    coordinator = GroupCommitCoordinator(flush_horizon=1)
-
-    def log_factory(db: Database, name: str) -> GroupCommitLog:
-        return GroupCommitLog(
-            name=name,
-            transfers_per_log_page=db.config.log_transfers_per_page,
-            stats=db.stats, metrics=db.metrics, coordinator=coordinator)
-
-    db = Database(spec.config, tracer=tracer, metrics=metrics,
-                  log_factory=log_factory)
-    state = _WorkerState(db, coordinator, sink)
-
-    held: dict = {}         # txn -> the error one of its one-way commands raised
-    failed: dict = {}       # the part of ``held`` no reply has reported yet
-
-    def reply(status: str, value) -> None:
-        events = sink.drain() if sink is not None else ()
-        _send(conn, (status, value, events, coordinator.deferred_forces,
-                     failed))
-        failed.clear()
-
-    reply("ok", shard_info(db))
+    state = _WorkerState(spec)
+    _send(conn, state.reply("ok", shard_info(state.db)))
 
     # clean exits *return* rather than os._exit: the multiprocessing
     # bootstrap then finishes normally, letting subprocess coverage
@@ -353,39 +396,20 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
             return
         try:
             if op == "shutdown":
-                reply("ok", None)
+                _send(conn, state.reply("ok", None))
                 return
             if op == "die":
                 when, = args
                 if when == "now":
                     _die()
                 state.die_on = when
-                reply("ok", when)
+                _send(conn, state.reply("ok", when))
                 continue
             if state.die_on == "next_command":
                 _die()
-            try:
-                if op in _TXN_OPS and args[0] in held:
-                    # hold-and-fail: the shard lost one of this
-                    # transaction's writes, so it may roll back, nothing else
-                    if op != "abort":
-                        raise held[args[0]]
-                    del held[args[0]]
-                    failed.pop(args[0], None)
-                handler = _WORKER_OPS.get(op)
-                value = (handler(state, *args) if handler is not None
-                         else SHARD_OPS[op](db, *args))
-                status = "ok"
-                if op == "crash":
-                    held.clear()    # the transactions died with memory
-                    failed.clear()
-            except Exception as exc:                # noqa: BLE001
-                value = _picklable(exc)
-                status = "err"
-            if not oneway:
-                reply(status, value)
-            elif status == "err" and args[0] not in held:
-                held[args[0]] = failed[args[0]] = value
+            message = state.execute(op, args, oneway)
+            if message is not None:
+                _send(conn, message)
         except (BrokenPipeError, OSError):
             return
 
@@ -415,14 +439,11 @@ def _reap(procs: list) -> None:
             pass
 
 
-class _WorkerHandle:
-    """One worker: process + pipe + command journal + the one-way filter.
-
-    The journal holds every state-changing command ever sent, one-way
-    or not.  On death, :meth:`heal` respawns the process and replays it
-    — replies (and their event batches) are discarded, because the
-    facade already consumed the acknowledged prefix and the in-flight
-    command's reply is reported lost via :class:`WorkerCrashed`.
+class _ShardHandle:
+    """One shard the facade drives by command: the one-way filter and
+    the reply bookkeeping, whatever carries the commands.
+    :class:`_WorkerHandle` carries them over a pipe to a worker process;
+    :class:`_HostedShard` runs them in the facade's own process.
 
     **The filter.**  Every lock request and release of the shard passes
     through here as a command, so the handle can tell which pages the
@@ -441,11 +462,7 @@ class _WorkerHandle:
         self.supervisor = supervisor
         self.shard = shard
         self.spec = spec
-        self.journal: list = []             # (op, args, oneway)
         self.info: dict = {}
-        self._proc = None
-        self._conn = None
-        self._reply_lost = False
         self._awaited: tuple = ()           # args of the command recv() answers
         self._gc_seen = 0
         self.owes_flush = False             # deferred forces not yet drained
@@ -461,6 +478,112 @@ class _WorkerHandle:
         self._live: set = set()             # txns proven active on the shard
         self._max_txn = 0                   # highest txn id carried so far
         self._failed: dict = {}             # txn -> held one-way error
+
+    def call(self, op: str, *args):
+        if (self._failed and op in _TXN_OPS and op != "abort"
+                and args[0] in self._failed):
+            raise self._failed[args[0]]     # the shard would refuse it too
+        if op == "write_page" and self._write_is_free(*args):
+            return self.post(op, args)
+        self.send(op, args)
+        return self.recv(op)
+
+    def _accept(self, reply: tuple, op: str):
+        """Take in one reply: its events, deferrals and held failures;
+        its value, or its error raised."""
+        status, value, events, gc, failed = reply
+        self._absorb(events, gc)
+        if failed:
+            self._failed.update(failed)
+        if status == "err":
+            raise value
+        self._settle(op, self._awaited, value)
+        return value
+
+    # -- the filter ----------------------------------------------------------
+
+    def _note(self, op: str, args: tuple, oneway: bool) -> None:
+        """What sending a command tells the filter."""
+        if op in _PAGE_OPS and len(args) > 1:
+            self._pages.setdefault(args[1], set()).add(args[0])
+            self._touched.setdefault(args[0], set()).add(args[1])
+        elif op == "begin" and args and type(args[0]) is int:
+            # spent from here on, whatever becomes of the reply
+            self._max_txn = max(self._max_txn, args[0])
+            if oneway:
+                self._live.add(args[0])
+
+    def begin_is_fresh(self, txn_id=None) -> bool:
+        """True when ``begin(txn_id)`` cannot be refused: the id is past
+        every id this handle has carried, so the shard's registry has
+        neither registered nor spent it."""
+        return (self._oneway and type(txn_id) is int
+                and txn_id > self._max_txn)
+
+    def _write_is_free(self, txn_id, page, payload) -> bool:
+        """True when ``write_page`` can neither wait nor be refused: the
+        transaction is live, the arguments are well-formed, and no
+        *other* live transaction has touched the page — the shard's
+        lock table holds entries of live transactions only, and the
+        sole toucher's S -> X upgrade is immediate."""
+        if not (self._oneway_writes and txn_id in self._live
+                and type(page) is int
+                and 0 <= page < self.info["num_data_pages"]
+                and type(payload) is bytes and len(payload) == PAGE_SIZE):
+            return False
+        touchers = self._pages.get(page)
+        return not touchers or (len(touchers) == 1 and txn_id in touchers)
+
+    def _settle(self, op: str, args: tuple, value) -> None:
+        """What an acknowledged command proves."""
+        if op == "begin":
+            self._live.add(value)
+            self._max_txn = max(self._max_txn, value)
+        elif op == "commit" or op == "abort":
+            txn_id = args[0]
+            self._live.discard(txn_id)
+            self._failed.pop(txn_id, None)
+            for page in self._touched.pop(txn_id, ()):
+                touchers = self._pages[page]
+                touchers.discard(txn_id)
+                if not touchers:
+                    del self._pages[page]
+            if len(args) > 1 and args[1]:
+                self.owes_flush = False     # the commit drained as well
+        elif op == "gc_flush":
+            self.owes_flush = False
+        elif op == "crash":
+            self._pages.clear()
+            self._touched.clear()
+            self._live.clear()
+            self._failed.clear()
+
+    def _absorb(self, events, gc_cumulative: int) -> None:
+        self.supervisor.absorb(self.shard, events)
+        delta = gc_cumulative - self._gc_seen
+        self._gc_seen = gc_cumulative
+        if delta > 0:
+            self.owes_flush = True
+            self.supervisor.coordinator.absorb_deferred(delta)
+
+
+class _WorkerHandle(_ShardHandle):
+    """One worker: process + pipe + command journal.
+
+    The journal holds every state-changing command ever sent, one-way
+    or not.  On death, :meth:`heal` respawns the process and replays it
+    — replies (and their event batches) are discarded, because the
+    facade already consumed the acknowledged prefix and the in-flight
+    command's reply is reported lost via :class:`WorkerCrashed`.
+    """
+
+    def __init__(self, supervisor: "WorkerSupervisor", shard: int,
+                 spec: WorkerSpec) -> None:
+        super().__init__(supervisor, shard, spec)
+        self.journal: list = []             # (op, args, oneway)
+        self._proc = None
+        self._conn = None
+        self._reply_lost = False
         self._spawn(replaying=False)
 
     # -- lifecycle -----------------------------------------------------------
@@ -566,14 +689,7 @@ class _WorkerHandle:
         run the command: journaled first)."""
         if op in _MUTATING:
             self.journal.append((op, args, oneway))
-        if op in _PAGE_OPS and len(args) > 1:
-            self._pages.setdefault(args[1], set()).add(args[0])
-            self._touched.setdefault(args[0], set()).add(args[1])
-        elif op == "begin" and args and type(args[0]) is int:
-            # spent from here on, whatever becomes of the reply
-            self._max_txn = max(self._max_txn, args[0])
-            if oneway:
-                self._live.add(args[0])
+        self._note(op, args, oneway)
         try:
             _send(self._conn, (op, args, oneway))
         except (BrokenPipeError, OSError):
@@ -586,86 +702,52 @@ class _WorkerHandle:
             self._reply_lost = False
             raise WorkerCrashed(self.shard, op)
         try:
-            status, value, events, gc, failed = _recv(self._conn)
+            reply = _recv(self._conn)
         except (EOFError, OSError):
             self.heal()
             raise WorkerCrashed(self.shard, op) from None
+        return self._accept(reply, op)
+
+
+class _HostedShard(_ShardHandle):
+    """The last shard, served in the facade's own process: ``send`` runs
+    the worker loop's command body (:meth:`_WorkerState.execute`) here
+    and holds its reply for ``recv``.  No pipe and no process, so no
+    journal, no death and nothing to heal."""
+
+    def __init__(self, supervisor: "WorkerSupervisor", shard: int,
+                 spec: WorkerSpec) -> None:
+        super().__init__(supervisor, shard, spec)
+        self.state = _WorkerState(spec)
+        self._reply: tuple | None = None
+        _, self.info, events, gc, _ = self.state.reply(
+            "ok", shard_info(self.state.db))
         self._absorb(events, gc)
-        if failed:
-            self._failed.update(failed)
-        if status == "err":
-            raise value
-        self._settle(op, self._awaited, value)
-        return value
 
-    def call(self, op: str, *args):
-        if (self._failed and op in _TXN_OPS and op != "abort"
-                and args[0] in self._failed):
-            raise self._failed[args[0]]     # the worker would refuse it too
-        if op == "write_page" and self._write_is_free(*args):
-            return self.post(op, args)
-        self.send(op, args)
-        return self.recv(op)
+    def send(self, op: str, args: tuple) -> None:
+        self._note(op, args, False)
+        self._reply = self.state.execute(op, args, False)
+        self._awaited = args
 
-    # -- the filter ----------------------------------------------------------
+    def post(self, op: str, args: tuple) -> None:
+        self._note(op, args, True)
+        self.state.execute(op, args, True)
 
-    def begin_is_fresh(self, txn_id=None) -> bool:
-        """True when ``begin(txn_id)`` cannot be refused: the id is past
-        every id this handle has carried, so the shard's registry has
-        neither registered nor spent it."""
-        return (self._oneway and type(txn_id) is int
-                and txn_id > self._max_txn)
+    def recv(self, op: str):
+        reply, self._reply = self._reply, None
+        return self._accept(reply, op)
 
-    def _write_is_free(self, txn_id, page, payload) -> bool:
-        """True when ``write_page`` can neither wait nor be refused: the
-        transaction is live, the arguments are well-formed, and no
-        *other* live transaction has touched the page — the shard's
-        lock table holds entries of live transactions only, and the
-        sole toucher's S -> X upgrade is immediate."""
-        if not (self._oneway_writes and txn_id in self._live
-                and type(page) is int
-                and 0 <= page < self.info["num_data_pages"]
-                and type(payload) is bytes and len(payload) == PAGE_SIZE):
-            return False
-        touchers = self._pages.get(page)
-        return not touchers or (len(touchers) == 1 and txn_id in touchers)
-
-    def _settle(self, op: str, args: tuple, value) -> None:
-        """What an acknowledged command proves."""
-        if op == "begin":
-            self._live.add(value)
-            self._max_txn = max(self._max_txn, value)
-        elif op == "commit" or op == "abort":
-            txn_id = args[0]
-            self._live.discard(txn_id)
-            self._failed.pop(txn_id, None)
-            for page in self._touched.pop(txn_id, ()):
-                touchers = self._pages[page]
-                touchers.discard(txn_id)
-                if not touchers:
-                    del self._pages[page]
-            if len(args) > 1 and args[1]:
-                self.owes_flush = False     # the commit drained as well
-        elif op == "gc_flush":
-            self.owes_flush = False
-        elif op == "crash":
-            self._pages.clear()
-            self._touched.clear()
-            self._live.clear()
-            self._failed.clear()
-
-    def _absorb(self, events, gc_cumulative: int) -> None:
-        self.supervisor.absorb(self.shard, events)
-        delta = gc_cumulative - self._gc_seen
-        self._gc_seen = gc_cumulative
-        if delta > 0:
-            self.owes_flush = True
-            self.supervisor.coordinator.absorb_deferred(delta)
+    def shutdown(self) -> None:
+        self.state.db.close()
+        self.state.tracer.close()
 
 
 class WorkerSupervisor:
-    """Owns the K worker processes: lifecycle, scatter-gather dispatch,
-    death detection, and journal-replay healing."""
+    """Owns the K shards of a worker engine: shards 0 … K − 2 in worker
+    processes (``handles``), shard K − 1 in the facade's own process
+    (``hosted``), so K shards take K processes.  Lifecycle,
+    scatter-gather dispatch, death detection and journal-replay
+    healing."""
 
     def __init__(self, per_shard: DBConfig, shards: int, tracer,
                  coordinator: GroupCommitCoordinator,
@@ -675,12 +757,15 @@ class WorkerSupervisor:
         self.coordinator = coordinator
         self.procs: list = []       # mutated in place; _reap sees updates
         self.worker_deaths = 0
-        self.handles = [
-            _WorkerHandle(self, i, WorkerSpec(
-                shard=i, config=per_shard, traced=tracer.enabled,
-                with_metrics=with_metrics))
-            for i in range(shards)
-        ]
+        specs = [WorkerSpec(shard=i, config=per_shard, traced=tracer.enabled,
+                            with_metrics=with_metrics)
+                 for i in range(shards)]
+        # the workers first: a fork copies the facade, which should not
+        # hold an engine of its own yet
+        self.handles = [_WorkerHandle(self, spec.shard, spec)
+                        for spec in specs[:-1]]
+        self.hosted = _HostedShard(self, shards - 1, specs[-1])
+        self.by_shard: list = [*self.handles, self.hosted]
 
     def track(self, proc) -> None:
         self.procs[:] = [p for p in self.procs if p.is_alive()]
@@ -700,35 +785,42 @@ class WorkerSupervisor:
 
     # -- dispatch ------------------------------------------------------------
 
+    def _sending(self, order) -> list:
+        """The shards of ``order``, the hosted one last: it runs its
+        command as it is sent, so every worker has its own first and
+        the two run at once."""
+        last = self.hosted.shard
+        return [i for i in order if i != last] + [last] * (last in order)
+
     def scatter(self, order, op: str, args: tuple = ()) -> dict:
         """Send ``op`` to every shard in ``order`` before collecting any
-        reply (all workers execute concurrently); gather in the same
-        order.  If a worker dies, the remaining replies are still
-        drained — the pipes stay in lockstep — and the first death is
-        re-raised after the sweep.
+        reply (the workers, then the hosted shard: all execute
+        concurrently); gather in ``order``.  If a worker dies, the
+        remaining replies are still drained — the pipes stay in
+        lockstep — and the first death is re-raised after the sweep.
 
         Two commands are recognised.  A ``begin`` under an id every
         handle can prove fresh cannot be refused, so it goes one-way
         and nothing is gathered.  The ``commit`` that reaches the flush
-        horizon carries the horizon flush with it: each worker drains
+        horizon carries the horizon flush with it: each shard drains
         its local coordinator right after its shard commit and the
         forced-log counts are credited to the facade coordinator's
         next drain."""
-        handles = self.handles
-        if op == "begin" and all(handles[i].begin_is_fresh(*args)
+        by_shard = self.by_shard
+        if op == "begin" and all(by_shard[i].begin_is_fresh(*args)
                                  for i in order):
             return self._post_all(order, op, args)
         drains = op == "commit" and self.coordinator.at_horizon()
         if drains:
             args += (True,)
-        for i in order:
-            handles[i].send(op, args)
+        for i in self._sending(order):
+            by_shard[i].send(op, args)
         results: dict = {}
         death: WorkerCrashed | None = None
         error: BaseException | None = None
         for i in order:
             try:
-                results[i] = handles[i].recv(op)
+                results[i] = by_shard[i].recv(op)
             except WorkerCrashed as crash:
                 if death is None:
                     death = crash
@@ -748,9 +840,9 @@ class WorkerSupervisor:
         a pipe turns out broken on the way (its healed worker replays
         it), and the first such death is raised after the sweep."""
         death: WorkerCrashed | None = None
-        for i in order:
+        for i in self._sending(order):
             try:
-                self.handles[i].post(op, args)
+                self.by_shard[i].post(op, args)
             except WorkerCrashed as crash:
                 if death is None:
                     death = crash
@@ -759,13 +851,20 @@ class WorkerSupervisor:
         return dict.fromkeys(order, args[0])
 
     def broadcast_flush(self) -> int:
-        """Drain every worker's local coordinator; returns how many logs
-        were forced across all workers.  No message is sent when no
-        worker has deferred a force since it last drained."""
-        if not any(handle.owes_flush for handle in self.handles):
+        """Drain every shard's local coordinator; returns how many logs
+        were forced across all shards.  No command is sent when no
+        shard has deferred a force since it last drained."""
+        if not any(handle.owes_flush for handle in self.by_shard):
             return 0
-        results = self.scatter(range(len(self.handles)), "gc_flush")
+        results = self.scatter(range(len(self.by_shard)), "gc_flush")
         return sum(results.values())
+
+    def _worker(self, shard: int) -> _WorkerHandle:
+        if shard == self.hosted.shard:
+            raise ModelError(
+                f"shard {shard} runs in the facade's own process: it has "
+                "no worker to kill")
+        return self.handles[shard]
 
     def arm_death(self, shard: int, when: str) -> str:
         """Fault-injection seam: make one worker exit at a chosen point.
@@ -774,8 +873,9 @@ class WorkerSupervisor:
         ``"before_commit"`` / ``"after_commit"`` (around the shard
         commit inside the commit window), or ``"mid_flush"`` (force one
         pending log of a batched flush, then die — a torn batch the
-        journal-replay drain must finish)."""
-        return self.handles[shard].call("die", when)
+        journal-replay drain must finish).  The facade-hosted last
+        shard has no worker: arming it raises :class:`ModelError`."""
+        return self._worker(shard).call("die", when)
 
     def heal_dead(self) -> int:
         """Bring any dead workers back (journal replay), quietly —
@@ -789,11 +889,14 @@ class WorkerSupervisor:
         return healed
 
     def kill(self, shard: int) -> None:
-        self.handles[shard].kill()
+        """SIGKILL one shard's worker (:class:`ModelError` for the
+        facade-hosted last shard)."""
+        self._worker(shard).kill()
 
     def close(self) -> None:
         for handle in self.handles:
             handle.shutdown()
+        self.hosted.shutdown()
         _reap(self.procs)
 
 
@@ -896,14 +999,16 @@ class _FacadeCoordinator(GroupCommitCoordinator):
 
 
 class WorkerShardedDatabase(ShardedDatabase):
-    """`ShardedDatabase` with one OS process per shard.
+    """`ShardedDatabase` with its K shards in K OS processes: shards
+    0 … K − 2 in workers, shard K − 1 in the facade's own.
 
-    Only the transport differs: the shards are spawned under a
+    Only the transport differs: the shards are built under a
     :class:`WorkerSupervisor`, and :meth:`_scatter` sends a command to
-    every worker before collecting any reply, so all K engines execute
-    it concurrently.  Every operation and view is the inherited one.
-    Use as a context manager (or call :meth:`close`) to reap the
-    workers; a GC finalizer backstops leaked instances.
+    every worker, then runs it on the hosted shard, before collecting
+    any reply, so all K engines execute it concurrently.  Every
+    operation and view is the inherited one.  Use as a context manager
+    (or call :meth:`close`) to reap the workers; a GC finalizer
+    backstops leaked instances.
     """
 
     def _open(self, per_shard: DBConfig, flush_horizon: int,
@@ -915,9 +1020,9 @@ class WorkerShardedDatabase(ShardedDatabase):
             coordinator=coordinator, with_metrics=metrics is not None)
         self.coordinator = coordinator
         self.shards = [ShardProxy(handle)
-                       for handle in self.supervisor.handles]
+                       for handle in self.supervisor.by_shard]
         self._finalizer = weakref.finalize(self, _reap, self.supervisor.procs)
-        return self.supervisor.handles[0].info
+        return self.supervisor.hosted.info
 
     def _scatter(self, order, op: str, args: tuple = ()) -> dict:
         if op == "recover" and args != (None,):

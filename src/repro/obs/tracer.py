@@ -710,11 +710,35 @@ class LabelledTracer:
     the label's place and takes the event's value.
     """
 
-    __slots__ = ("_inner", "_labels")
+    __slots__ = ("_inner", "_labels", "_values", "_shapes")
 
     def __init__(self, inner, **labels) -> None:
+        if isinstance(inner, LabelledTracer):
+            # one view over the tracer, the labels merged as nesting
+            # would merge them
+            labels = {**inner._labels, **labels}
+            inner = inner._inner
         self._inner = inner
         self._labels = labels
+        self._values = tuple(labels.values())
+        # event shape id -> (labelled shape id, value order or None)
+        self._shapes: dict = {}
+
+    def _labelled(self, shape_id: int) -> tuple:
+        """Intern the labelled form of a shape, once: ``(name, *labels,
+        *keys)``.  A key that shares a label's name keeps the label's
+        place and takes the event's value: the record's values are then
+        picked out of ``(*label values, *event values)``."""
+        name, keys, _ = _SHAPES[shape_id]
+        labels = tuple(self._labels)
+        merged = (*labels, *(key for key in keys if key not in labels))
+        order = None
+        if len(merged) < len(labels) + len(keys):
+            named = (*keys[::-1], *labels[::-1])   # the values, reversed
+            order = tuple(len(named) - 1 - named.index(key)
+                          for key in merged)
+        entry = self._shapes[shape_id] = (_shape(name, merged), order)
+        return entry
 
     @property
     def enabled(self) -> bool:
@@ -725,8 +749,25 @@ class LabelledTracer:
         return self._inner.events_emitted
 
     def append(self, shape_id: int, *values) -> None:
-        name, keys, _ = _SHAPES[shape_id]
-        self._inner.emit(name, **{**self._labels, **dict(zip(keys, values))})
+        """:meth:`Tracer.append` under the labels, in one frame: the
+        labelled shape, the label values ahead of the event's."""
+        inner = self._inner
+        if not inner.enabled:
+            return
+        labelled, order = (self._shapes.get(shape_id)
+                           or self._labelled(shape_id))
+        values = self._values + values
+        if order is not None:
+            values = tuple(map(values.__getitem__, order))
+        inner._seq = seq = inner._seq + 1
+        pending = inner._pending
+        record = (labelled, seq, _now_ns() - inner._t0_ns, inner._top,
+                  None) + values
+        pending.append(record)
+        if len(pending) >= inner._flush_every:
+            inner.sink.flush()
+        if inner._observers:
+            inner._notify(record)
 
     def emit(self, name: str, **attrs) -> None:
         self._inner.emit(name, **{**self._labels, **attrs})

@@ -64,7 +64,8 @@ FAULT_KINDS = ("crash", "media", "latent", "torn_log", "trim",
     to this fault.  Weight 0 in every production profile; the
     ``mutation`` profile and the attribution tests enable it.
 ``worker_kill``
-    Worker-process mode only: SIGKILL one shard's worker process with
+    Worker-process mode only: SIGKILL one shard's worker process (one
+    of shards 0 … K − 2: the last runs in the facade's process) with
     no warning (possibly mid-commit-window or mid-flush), then drive
     the facade crash contract — the supervisor heals the worker by
     journal replay, the group-commit drain makes every acknowledged

@@ -75,9 +75,10 @@ class StressOptions:
     ``ops`` bounds completed transactions; ``duration_s`` (soak mode)
     bounds wall-clock instead — whichever trips first ends the
     campaign.  ``clock`` is injectable for deterministic reports.
-    ``workers`` (sharded cells only) hosts each shard engine in its own
-    worker process and enables the ``worker_kill`` fault kind; ``None``
-    honors the ``REPRO_WORKERS`` environment variable.
+    ``workers`` (sharded cells only) hosts every shard engine but the
+    last in its own worker process and enables the ``worker_kill``
+    fault kind; ``None`` honors the ``REPRO_WORKERS`` environment
+    variable.
     """
 
     preset: str = "page-noforce-rda"
@@ -451,8 +452,8 @@ class _Campaign:
         self._close(fault, tick, repaired)
 
     def _do_worker_kill(self, tick: int) -> None:
-        """SIGKILL one shard's worker process, then drive the crash
-        contract.
+        """SIGKILL one shard's worker process (one of shards 0 … K − 2:
+        the last shard has none), then drive the crash contract.
 
         The kill is unceremonious — whatever the worker was holding
         (deferred group-commit forces, buffered state) dies with it.
@@ -464,7 +465,7 @@ class _Campaign:
         judge of record for the atomicity claim.
         """
         rng = self.nemesis.rng
-        victim = rng.randrange(self.options.shards)
+        victim = rng.randrange(len(self.db.supervisor.handles))
         fault = self.registry.open(
             "worker_kill", f"SIGKILL shard {victim} worker + heal "
                            "+ restart", tick)

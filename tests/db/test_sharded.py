@@ -113,6 +113,31 @@ class TestConfigAndRouting:
             assert locals_ == set(range(len(locals_)))
 
 
+@given(st.sampled_from([1, 2, 4]), st.data())
+def test_resident_pages_merge_is_the_sorted_answer(shards, data):
+    """The facade merges the shards' sorted resident lists instead of
+    re-sorting them: on any buffer it is the sorted list of every
+    buffered page's global id."""
+    db = ShardedDatabase(preset("page-noforce-rda", group_size=4,
+                                num_groups=8, buffer_capacity=8),
+                         shards=shards)
+    pages = data.draw(st.lists(
+        st.integers(min_value=0, max_value=db.num_data_pages - 1),
+        max_size=40))
+    txn = db.begin()
+    for page in pages:
+        if data.draw(st.booleans()):
+            db.write_page(txn, page, make_page(b"%d" % page))
+        else:
+            db.read_page(txn, page)
+    expected = sorted(db.global_page(i, local)
+                      for i, shard in enumerate(db.shards)
+                      for local in shard.buffer.resident_pages())
+    assert db.buffer.resident_pages() == expected
+    assert expected == sorted(page for page in set(pages)
+                              if page in db.buffer)
+
+
 class TestTransactions:
     def test_commit_visible_on_every_shard(self, make_db):
         db = make_db(shards=2)

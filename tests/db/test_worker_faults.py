@@ -35,10 +35,10 @@ def test_sigkill_idle_worker_raises_then_heals():
         db.write_page(t, 0, make_page(b"a"))
         db.write_page(t, 1, make_page(b"b"))
         db.commit(t)
-        db.supervisor.kill(1)
+        db.supervisor.kill(0)
         with pytest.raises(WorkerCrashed) as excinfo:
             db.begin()
-        assert excinfo.value.shard == 1
+        assert excinfo.value.shard == 0
         db.crash()
         recovery = db.recover()
         assert t in recovery["winners"]
@@ -60,7 +60,7 @@ def test_worker_death_mid_commit_window(when):
         t = db.begin()
         db.write_page(t, 0, make_page(b"x"))
         db.write_page(t, 1, make_page(b"y"))
-        db.supervisor.arm_death(1, when)
+        db.supervisor.arm_death(0, when)
         with pytest.raises(WorkerCrashed):
             db.commit(t)
         db.crash()
@@ -127,8 +127,9 @@ def test_scatter_death_is_all_or_nothing():
 
 def test_repeated_kills_accumulate_and_stay_consistent():
     """Several kills across a run: the journal replays the whole life
-    of the shard each time, and the engine keeps converging."""
-    with build() as db:
+    of the shard each time, and the engine keeps converging.  K = 3,
+    so the kills alternate between two workers."""
+    with build(shards=3) as db:
         committed = {}
         for round_no in range(3):
             t = db.begin()
@@ -161,4 +162,26 @@ def test_fault_hook_rejected_in_worker_mode():
         with pytest.raises(ModelError):
             db.recover(fault_hook=lambda *a: None)
         db.recover()
+        assert verify_database(db) == []
+
+
+@pytest.mark.parametrize("shards", [1, 2, 4])
+def test_the_hosted_shard_has_no_worker_to_kill(shards):
+    """K shards run in K processes: the last shard is served by the
+    facade itself, so the death seams refuse it by name and leave the
+    engine untouched."""
+    from repro.errors import ModelError
+    with build(shards=shards) as db:
+        last = shards - 1
+        with pytest.raises(ModelError, match=f"shard {last} runs in the "
+                                             "facade's own process"):
+            db.supervisor.kill(last)
+        with pytest.raises(ModelError, match=f"shard {last} runs in the "
+                                             "facade's own process"):
+            db.supervisor.arm_death(last, "now")
+        t = db.begin()
+        db.write_page(t, last, make_page(b"h"))
+        db.commit(t)
+        assert db.committed_view(last) == make_page(b"h")
+        assert db.worker_deaths == 0
         assert verify_database(db) == []

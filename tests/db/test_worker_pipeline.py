@@ -94,12 +94,14 @@ def one_run(cls, name, shards, crash_every):
 
 
 @pytest.mark.parametrize("crash_every", [None, 9])
-@pytest.mark.parametrize("shards", [1, 2, 4])
+@pytest.mark.parametrize("shards", [2, 3, 4])
 @pytest.mark.parametrize("name", ["page-force-rda", "page-noforce-rda"])
 def test_contended_workload_is_byte_identical(name, shards, crash_every,
                                               round_trips):
     """communality 0.9: most references hit pages another client holds,
-    so one-way and blocking writes interleave on the same pages."""
+    so one-way and blocking writes interleave on the same pages.  Every
+    K here has a worker to count answers from (K = 1 has none: its one
+    shard runs in the facade's process)."""
     inproc = one_run(ShardedDatabase, name, shards, crash_every)
     worker = one_run(WorkerShardedDatabase, name, shards, crash_every)
     answered = [op for _, op in round_trips].count("write_page")
@@ -120,62 +122,62 @@ def test_sigkill_with_one_way_writes_unanswered():
         db.write_page(done, 1, make_page(b"b"))
         db.commit(done)
         lost = db.begin()
-        for page in (1, 3, 5):
+        for page in (0, 2, 4):
             db.write_page(lost, page, make_page(b"lost"))   # unanswered
-        db.supervisor.kill(1)
+        db.supervisor.kill(0)
         with pytest.raises(WorkerCrashed) as excinfo:
-            db.read_page(lost, 1)
-        assert excinfo.value.shard == 1
+            db.read_page(lost, 0)
+        assert excinfo.value.shard == 0
         db.crash()
         recovery = db.recover()
         assert done in recovery["winners"] and lost not in recovery["winners"]
         assert db.committed_view(0) == make_page(b"a")
         assert db.committed_view(1) == make_page(b"b")
-        for page in (3, 5):
+        for page in (2, 4):
             assert db.committed_view(page) == make_page(b"")
         assert verify_database(db) == []
         assert db.worker_deaths == 1
         # the filter died with the crash: the page is free again
         again = db.begin()
-        db.write_page(again, 1, make_page(b"c"))
+        db.write_page(again, 0, make_page(b"c"))
         db.commit(again)
-        assert db.committed_view(1) == make_page(b"c")
+        assert db.committed_view(0) == make_page(b"c")
 
 
 # -- (c) a one-way write that fails in the worker -----------------------------
 
 
-def _break_shard_1(db):
-    """A double media failure on shard 1: a buffer miss there cannot be
+def _break_shard_0(db):
+    """A double media failure on shard 0: a buffer miss there cannot be
     served any more."""
-    for disk in range(db.disks_per_shard, db.disks_per_shard + 3):
+    for disk in range(3):
         db.media_failure(disk)
 
 
 def test_failed_one_way_write_is_held_against_its_transaction():
     with build() as db:
-        _break_shard_1(db)
+        _break_shard_0(db)
         doomed, quitter, bystander = db.begin(), db.begin(), db.begin()
-        db.write_page(doomed, 1, make_page(b"x"))       # fails, unanswered
-        db.write_page(quitter, 11, make_page(b"y"))     # fails, unanswered
-        db.write_page(bystander, 0, make_page(b"z"))
+        db.write_page(doomed, 0, make_page(b"x"))       # fails, unanswered
+        db.write_page(quitter, 10, make_page(b"y"))     # fails, unanswered
+        db.write_page(bystander, 1, make_page(b"z"))
         # the shard refuses to commit a transaction whose write it lost
         with pytest.raises(StorageError):
             db.commit(doomed)
-        assert db.shards[1].txn_flags(doomed)["is_active"]
+        assert db.shards[0].txn_flags(doomed)["is_active"]
         # that reply reported the other failure too: the facade raises
         # it from the transaction's next call on the shard, unsent
-        sent = len(db.supervisor.handles[1].journal)
+        sent = len(db.supervisor.handles[0].journal)
         with pytest.raises(StorageError):
-            db.write_page(quitter, 13, make_page(b"y"))
-        assert len(db.supervisor.handles[1].journal) == sent
+            db.write_page(quitter, 12, make_page(b"y"))
+        assert len(db.supervisor.handles[0].journal) == sent
         db.abort(quitter)                               # clears the hold
         with pytest.raises(InvalidTransactionState):
-            db.shards[1].commit(quitter)
+            db.shards[0].commit(quitter)
         db.commit(bystander)                            # unaffected
-        assert db.committed_view(0) == make_page(b"z")
-        db.shards[1].abort(doomed)
-        assert db.shards[1].active_txns() == []
+        assert db.committed_view(1) == make_page(b"z")
+        db.shards[0].abort(doomed)
+        assert db.shards[0].active_txns() == []
 
 
 # -- (d) the round-trip budget ------------------------------------------------
@@ -183,9 +185,10 @@ def test_failed_one_way_write_is_held_against_its_transaction():
 
 @pytest.mark.parametrize("flush_horizon", [1, 8])
 def test_round_trip_budget(round_trips, flush_horizon):
-    """Exact counts: an uncontended transaction pays for its reads and
-    for one commit scatter — also when that commit carries the horizon
-    flush (H = 1: every commit does)."""
+    """Exact counts: an uncontended transaction pays for its reads on
+    the worker's shard and for one commit scatter — one round trip at
+    K = 2, the other shard being the facade's own — also when that
+    commit carries the horizon flush (H = 1: every commit does)."""
     with build(flush_horizon=flush_horizon) as db:
         def cost(body) -> int:
             before = len(round_trips)
@@ -200,18 +203,19 @@ def test_round_trip_budget(round_trips, flush_horizon):
                 db.read_page(txn, page)
             db.commit(txn)
 
-        assert cost(six_writes) == 2                    # the commit scatter
-        assert cost(lambda: six_writes(reads=3)) == 2 + 3
+        assert cost(six_writes) == 1                    # the commit scatter
+        # pages 0 and 2 live on the worker's shard, page 1 on the facade's
+        assert cost(lambda: six_writes(reads=3)) == 1 + 2
 
         def contended():
             holder, txn = db.begin(), db.begin()
-            assert cost(lambda: db.read_page(holder, 7)) == 1
+            assert cost(lambda: db.read_page(holder, 6)) == 1
             with pytest.raises(LockWait):
-                db.write_page(txn, 7, make_page(b"c"))  # answered: +1
+                db.write_page(txn, 6, make_page(b"c"))  # answered: +1
             db.write_page(txn, 8, make_page(b"c"))      # free: +0
             db.abort(txn)
             db.commit(holder)
-        assert cost(contended) == 1 + 1 + 2 + 2
+        assert cost(contended) == 1 + 1 + 1 + 1
         assert verify_database(db) == []
 
 
@@ -223,10 +227,11 @@ def test_a_pinned_id_that_may_be_spent_is_a_blocking_begin(round_trips):
         with pytest.raises(InvalidTransactionState):
             db.begin(txn_id=40)
         # below a carried id: not provably unspent, so the shards answer
+        # (one round trip each: shard 1 is the facade's own)
         assert db.begin(txn_id=7) == 7
-        assert [op for _, op in round_trips].count("begin") == 4
+        assert [op for _, op in round_trips].count("begin") == 2
         assert db.begin() == 41
-        assert [op for _, op in round_trips].count("begin") == 4
+        assert [op for _, op in round_trips].count("begin") == 2
 
 
 def test_nothing_is_one_way_under_no_steal(round_trips):
@@ -236,11 +241,11 @@ def test_nothing_is_one_way_under_no_steal(round_trips):
                                  steal=False, buffer_capacity=4)
     with WorkerShardedDatabase(config, shards=2) as db:
         txn = db.begin()
-        assert len(round_trips) == 2
+        assert len(round_trips) == 1        # the worker's; shard 1 is hosted
         with pytest.raises(BufferFullError):
             for page in range(0, 12, 2):
                 db.write_page(txn, page, make_page(b"n"))
-        assert len(round_trips) == 2 + 3    # two fit, the third is refused
+        assert len(round_trips) == 1 + 3    # two fit, the third is refused
         db.abort(txn)
 
 
@@ -256,3 +261,13 @@ def test_malformed_writes_raise_at_the_call():
         db.commit(txn)
         with pytest.raises(InvalidTransactionState):
             db.write_page(txn, 0, make_page(b"x"))
+
+
+@pytest.mark.parametrize("shards", [1, 2, 4])
+def test_k_shards_take_k_processes(shards):
+    """The facade serves the last shard itself: K shards, K − 1
+    workers (none at K = 1)."""
+    with build(shards=shards) as db:
+        assert len(db.supervisor.procs) == shards - 1
+        assert all(proc.is_alive() for proc in db.supervisor.procs)
+        assert len(db.shards) == shards

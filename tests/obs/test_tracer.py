@@ -212,6 +212,43 @@ def test_labelled_tracer_delegates_observers():
     labelled.remove_observer(seen.append)
 
 
+@pytest.mark.parametrize("labels", [
+    {"shard": 3}, {"shard": 3, "zone": "a"}, {"page": 9},
+    {"dirty": 0, "shard": 3}, {"steal": 1, "page": 9, "shard": 3}])
+def test_labelled_append_is_the_labelled_emit(labels):
+    """The tuple path gives the event the dict merge gives it: labels
+    first, a key that shares a label's name in the label's place with
+    the event's value, then the event's other keys in order."""
+    from repro.obs import LabelledTracer
+    from repro.obs.tracer import shape
+    evict = shape("buffer.evict", "page", "dirty", "steal")
+    sink = RingBufferSink()
+    tracer = Tracer(sink)
+    labelled = LabelledTracer(tracer, **labels)
+    for _ in range(2):                  # the second reads the interned shape
+        labelled.append(evict, 5, True, False)
+        labelled.emit("buffer.evict", page=5, dirty=True, steal=False)
+    events = sink.events()
+    expected = {**labels, "page": 5, "dirty": True, "steal": False}
+    for event in events:
+        assert event["name"] == "buffer.evict"
+        assert list(event["attrs"].items()) == list(expected.items())
+    assert len({record[0] for record in sink.pending}) == 1
+
+
+def test_nested_labelled_tracers_merge_their_labels():
+    from repro.obs import LabelledTracer
+    from repro.obs.tracer import shape
+    sink = RingBufferSink()
+    tracer = Tracer(sink)
+    outer = LabelledTracer(LabelledTracer(tracer, shard=1, zone="a"),
+                           zone="b")
+    outer.append(shape("op", "page"), 4)
+    outer.emit("op", page=4)
+    assert [event["attrs"] for event in sink.events()] == [
+        {"shard": 1, "zone": "b", "page": 4}] * 2
+
+
 def test_atexit_flushes_buffered_sink_on_sys_exit(tmp_path):
     """Satellite guarantee: a run killed mid-flight (sys.exit without
     tracer.close()) still leaves a parseable, complete trace — the

@@ -21,8 +21,8 @@ class FakeClock:
         return self.now
 
 
-def run_worker_cell(seed, ops=96, **kwargs):
-    options = StressOptions(preset="page-force-rda", shards=2, seed=seed,
+def run_worker_cell(seed, ops=96, shards=2, **kwargs):
+    options = StressOptions(preset="page-force-rda", shards=shards, seed=seed,
                             ops=ops, batch_size=8, baseline=False,
                             workers=True, clock=FakeClock(), **kwargs)
     return StressRunner(options).run()
@@ -53,6 +53,18 @@ class TestWorkerKillNemesis:
                   if any(label.startswith("worker_kill#")
                          for label in violation["active_faults"])]
         assert blamed == []
+
+    def test_worker_kill_draws_only_shards_with_a_worker(self):
+        """The last shard runs in the facade's own process: at K = 3 the
+        nemesis kills shard 0 or 1, never shard 2."""
+        report = run_worker_cell(seed=7, shards=3)
+        assert report.clean, report.violations[:3]
+        kills = [fault["detail"] for fault in report.faults
+                 if fault["kind"] == "worker_kill"]
+        assert kills, "campaign never drew worker_kill"
+        assert all(detail.startswith(("SIGKILL shard 0 ",
+                                      "SIGKILL shard 1 "))
+                   for detail in kills), kills
 
     def test_worker_mode_gates_in_process_only_faults(self):
         """latent/torn_log/mutant reach into shard engine internals and

@@ -608,3 +608,19 @@ def test_an_observed_event_is_one_tracer_frame_and_no_sink_frame(tmp_path):
         assert (tmp_path / "trace.jsonl").read_text() == ""
     assert [event["name"] for event in load_trace(tmp_path / "trace.jsonl")
             ] == ["plain", "buffer.evict", "plain", "txn"]
+
+
+def test_a_labelled_event_is_one_tracer_frame(tmp_path):
+    """An in-process shard's event is one append too: the labelled
+    shape is interned once, and after that the view appends the record
+    itself — no dict, no re-emit through the tracer it labels."""
+    from repro.obs import LabelledTracer
+    evict = shape("buffer.evict", "page", "dirty", "steal")
+    with Tracer(BufferedJsonlSink(tmp_path / "trace.jsonl")) as tracer:
+        labelled = LabelledTracer(tracer, shard=1)
+        labelled.append(evict, 2, True, False)  # interns its shape
+        assert _src_frames(labelled.append, evict, 3, False, False) == 1
+        assert tracer.sink.count == 2
+    assert [event["attrs"] for event in load_trace(tmp_path / "trace.jsonl")
+            ] == [{"shard": 1, "page": 2, "dirty": True, "steal": False},
+                  {"shard": 1, "page": 3, "dirty": False, "steal": False}]
