@@ -34,7 +34,7 @@ import argparse
 import json
 
 from .db import (Database, ShardedDatabase, all_preset_names,
-                 extended_preset_names, make_sharded, preset)
+                 extended_preset_names, make_sharded, preset, shard_config)
 from .errors import ModelError
 from .model import figures as figure_module
 from .model.reliability import paper_motivation_table
@@ -249,6 +249,20 @@ def _cmd_fault_sweep(args, overrides) -> int:
         print(f"fault-sweep: workload needs {needed} pages; raise "
               f"--num-groups (have {probe.num_data_pages})")
         return 2
+    if config.redo_only and not config.rda:
+        # the class never steals: a transaction's pages stay buffered
+        # until it ends
+        pages: dict = {}
+        for op in ops:
+            if op[0] in ("write", "update"):
+                pages.setdefault(op[1], set()).add(op[2])
+        most = max(map(len, pages.values()))
+        frames = shard_config(config, max(args.shards, 1)).buffer_capacity
+        if frames < most:
+            print(f"fault-sweep: refused: {config.algorithm_name} never "
+                  f"steals, so a buffer needs the {most} pages one "
+                  f"transaction of the script holds (have {frames})")
+            return 2
 
     report = run_sweep(make_db, ops, modes=modes, tracer=tracer, setup=setup)
     counts = report.counts

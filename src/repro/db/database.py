@@ -168,8 +168,8 @@ class Database:
 
         # REDO-only class: the stand-in for each page's on-disk header
         # LSN — page -> highest chain LSN known reflected on disk.  It
-        # deliberately survives crash() (it models durable state) and is
-        # advanced only by _write_committed and restart's restore.
+        # deliberately survives crash() (it models durable state) and
+        # only rises, by _write_committed and restart's restore.
         self._durable_page_lsn: dict = {}
         if self.policy.redo_only:
             self.buffer.set_writeback_filter(
@@ -267,10 +267,12 @@ class Database:
         if page in self._last_written:
             self._last_written[page] = payload
         if self.policy.redo_only:
-            # the page image now reflects its whole chain (chained
-            # records exist only for committed transactions, and every
-            # committed change is in the written frame)
-            self._durable_page_lsn[page] = self.redo_log.page_chain_head(page)
+            # the page image now reflects its whole chain (chains hold
+            # committed work only); a head the log does not index lies
+            # at or below the marker already
+            durable = self._durable_page_lsn
+            durable[page] = max(durable.get(page, 0),
+                                self.redo_log.page_chain_head(page))
 
     # -- locking ------------------------------------------------------------------------------
     # Each operation below asks ``locks.acquire`` itself and raises

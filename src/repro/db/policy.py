@@ -345,7 +345,8 @@ def _transaction_table(db) -> tuple:
 class NoForceAcc:
     """¬FORCE + ACC: commit forces only the log; ACC checkpoints bound
     the restart REDO pass, and each one forced becomes the log's restart
-    anchor — analysis reads the log from it on."""
+    anchor — analysis reads the log from it on, redo from its redo
+    point (:attr:`~repro.wal.log.LogManager.redo_point`)."""
 
     name = "noforce-acc"
     forces_at_commit = False
@@ -355,7 +356,8 @@ class NoForceAcc:
         combined = log_factory(db, "log")
         checkpointer = ACCCheckpointer(
             db.buffer.flush_all_dirty,
-            lambda record: db.redo_log.append_anchor(record),
+            lambda record: db.redo_log.append_anchor(
+                record, db._durable_page_lsn),
             lambda: _transaction_table(db),
             interval=db.config.checkpoint_interval,
             tracer=db.tracer, stats=db.stats, metrics=db.metrics,
@@ -371,11 +373,10 @@ class NoForceAcc:
                 db._residue.add(page)
 
     def redo_tail(self, db, winners) -> list:
-        """The records restart reads for REDO: everything since the
-        last ACC checkpoint — the only ones it decodes, beside the
-        losers' chains."""
+        """The records restart reads for REDO: those from the redo
+        point — the only ones it decodes, beside the losers' chains."""
         log = db.redo_log
-        return log.records_from(log.last_checkpoint_lsn() + 1)
+        return log.records_from(log.redo_point)
 
     def restart_redo(self, db, restart) -> tuple:
         """Replay the winners' after-images of the restart's redo tail
@@ -409,76 +410,47 @@ class NoForceAcc:
         return redone, skipped
 
     def trim_log(self, db, candidates: list, archive_floor) -> int:
-        anchor = db.redo_log.anchor
+        log = db.redo_log
+        anchor = log.anchor
         if anchor == NULL_LSN:
             return 0        # committed data may exist only in the log
-        candidates.append(anchor)
+        candidates += (anchor, log.redo_point)
         return db.undo_log.truncate_before(min(candidates))
 
 
 class RedoOnlyDiscipline(NoForceAcc):
     """¬FORCE with REDO-only restart: no undo phase is ever needed —
     the write-behind gate guarantees disk never holds data the log
-    cannot redo past.  Restart replays each page's redo chain forward
-    from its durable page LSN; trim walks every page's chain so no
-    unreflected record is ever discarded."""
+    cannot redo past.  Restart replays each page's chained records past
+    its write-back marker; the redo point, before the anchor when the
+    gate kept a committed page from the checkpoint, bounds the tail and
+    the trim."""
 
     name = "redo-acc"
 
-    def redo_tail(self, db, winners) -> list:
-        """Winners' per-page chains from each page's on-disk LSN
-        forward.  No checkpoint bounds a page's durable LSN, so the
-        chains reach back before the restart anchor: they are read off
-        the whole log, checked below the anchor on the way, and so are
-        the winners — ``winners``, the commits since the anchor, would
-        miss those that committed before it."""
-        durable = db._durable_page_lsn
-        log = db.redo_log
-        records = log.records()
-        winners = log.txn_ids(CommitRecord)
-        return [r for r in records
-                if r.page_chained and r.txn_id in winners
-                and r.lsn > durable.get(r.page_id, 0)]
-
     def restart_redo(self, db, restart) -> tuple:
-        """Replay the restart's redo tail (absolute images: idempotent
-        and prefix-closed).  The durable page LSNs already bounded it;
-        ``restart.disk_lsns`` is not consulted."""
-        redone = 0
+        """Replay the tail's chained records of the commits since the
+        redo point (``restart.winners`` are those since the anchor) past
+        their page's write-back marker — absolute images: idempotent
+        and prefix-closed.  ``restart.disk_lsns`` is not consulted."""
+        log = db.redo_log
+        winners = log.txn_ids(CommitRecord, log.redo_point)
+        durable = db._durable_page_lsn
+        replay = [r for r in restart.replay
+                  if r.page_chained and r.txn_id in winners
+                  and r.lsn > durable.get(r.page_id, 0)]
         with db.tracer.span("recovery.phase", stats=db.stats,
                             log_split=True, phase="redo") as span:
-            db.redo_log.charge_read(restart.replay)
-            for record in restart.replay:
+            log.charge_read(replay)
+            for record in replay:
                 if isinstance(record, PageRedoEntry):
                     restart.cache[record.page_id] = record.image
                 else:
                     restart.cache[record.page_id] = apply_record_image(
                         restart.base(record.page_id), record.slot,
                         record.image)
-                redone += 1
-            span.set(applied=redone)
-        return redone, 0
-
-    def trim_log(self, db, candidates: list, archive_floor) -> int:
-        """ACC bound plus a chain walk: for every page whose chain head
-        is past its durable LSN, retain back to the earliest record the
-        page's replay could still need.  (The checkpoint bound alone is
-        unsafe here: the gate may have skipped a committed residue page
-        at checkpoint time, leaving its older chain records the only
-        copy of committed data.)"""
-        durable = db._durable_page_lsn
-        log = db.redo_log
-        base = log.base_lsn
-        for page, head in log.page_chain_heads().items():
-            floor = durable.get(page, 0)
-            lsn = head
-            earliest = None
-            while lsn >= base and lsn > floor:
-                earliest = lsn
-                lsn = log.get(lsn).prev_page_lsn
-            if earliest is not None:
-                candidates.append(earliest)
-        return super().trim_log(db, candidates, archive_floor)
+            span.set(applied=len(replay))
+        return len(replay), 0
 
 
 # ==================== axis 3: steal protection ====================

@@ -242,11 +242,11 @@ class RecoveryManager:
         In the result ``winners`` are the commits analysis read — those
         since the restart anchor, the last forced checkpoint (the whole
         log's without one); ``log_records`` counts the records the
-        restart CRC-checked — analysis' walk from the anchor, plus the
-        log before it should a loser's chain (or REDO-only's page
-        chains) reach back there; ``log_decoded`` the records the
-        restart turned into objects — the redo tail since the last
-        checkpoint and the losers' chains; ``groups_scrubbed`` the
+        restart CRC-checked — analysis' walk from the anchor's redo
+        point, plus the log before it should a loser's chain reach back
+        there; ``log_decoded`` the records the restart turned into
+        objects — the redo tail and the losers' chains;
+        ``groups_scrubbed`` the
         parity groups the write-hole scrub checked, the ones the log
         names (so it grows with the work since the checkpoint, not with
         G); ``redo_skipped`` counts the
@@ -283,9 +283,8 @@ class RecoveryManager:
 
         # 0. media scan: repair latent sector errors (torn or corrupt
         # sectors left by the crash) before anything reads them.
-        # Under REDO-only a repaired data page also schedules
-        # single-page recovery (its durable page LSN is reset, so
-        # the redo phase below replays its whole retained chain).
+        # Under REDO-only a repaired data page is where its marker
+        # says, and the redo phase below replays its records past it.
         sectors_repaired = self._media_scan(committed, fault)
         restart = Restart(db, winners, losers, committed)
 
@@ -356,10 +355,10 @@ class RecoveryManager:
                 if redo_only:
                     # the disk holds the page's whole chain now
                     for page, _, _ in writes:
-                        durable[page] = head(page)
+                        durable[page] = max(durable.get(page, 0), head(page))
             if redo_only:
                 for page in unchanged:      # and it held the dropped ones
-                    durable[page] = head(page)
+                    durable[page] = max(durable.get(page, 0), head(page))
 
             fault("abort records")
             for txn_id in sorted(losers):
@@ -425,16 +424,11 @@ class RecoveryManager:
             # write completes or rolls back, matching what parity undo /
             # log undo will conclude from the same headers
             db.array.repair_page(page)
-            if db.policy.redo_only:
-                # single-page recovery: the repair may have rolled the
-                # page back behind its durable marker (torn write
-                # resolved to the old version), so forget the marker —
-                # the redo phase replays the page's whole retained
-                # chain forward (trim keeps chains replayable onto any
-                # disk version a twin rollback can expose)
-                db._durable_page_lsn.pop(page, None)
-                if db.tracer.enabled:
-                    db.tracer.emit("redo.single_page", page=page)
+            if db.policy.redo_only and db.tracer.enabled:
+                # single-page recovery: a marker moves only once its
+                # write-back has landed whole, so redo replays the
+                # page's records past it
+                db.tracer.emit("redo.single_page", page=page)
             return
 
         group = slot

@@ -22,13 +22,13 @@ the model counts.  :class:`LogManager` therefore:
 * survives crashes from an **anchor**: a checkpoint record appended as
   one (:meth:`append_anchor`) is named by the page write that makes it
   durable and every later one, out of band, as a page header would —
-  no transfer of its own.  :meth:`after_crash` reads it from the last
-  durable page of each copy and checks the records from the anchor to
-  the end of the log.  The records before the anchor stay on the
-  devices unchecked until a read first reaches below it; then each is
-  checked on whichever copy holds it intact (the duplex mate is the
-  fallback).  With no anchor the walk starts at the first retained
-  record, so the same path checks the whole log.
+  no transfer of its own — with its **redo point**.  :meth:`after_crash`
+  reads them from the last durable page of each copy and checks the
+  records from the redo point to the end of the log.  The records
+  before it stay on the devices unchecked until a read first reaches
+  below it; then each is checked on whichever copy holds it intact (the
+  duplex mate is the fallback).  With no anchor the walk starts at the
+  first retained record, so the same path checks the whole log.
 
 **The index** is one list of ``(type, lsn, txn_id, prev_lsn, start,
 end)`` entries (see :func:`~repro.wal.records.deserialize`), one per
@@ -77,11 +77,16 @@ def _txn_ids_of(entries) -> dict:
 
 
 def _shifted(anchor, dropped: int, base_lsn: int):
-    """``anchor`` (LSN, byte offset, ...) after a trim dropped ``dropped``
-    leading bytes and left ``base_lsn`` the first record (or None)."""
+    """``anchor`` (LSN, offset, redo point, offset, ...) after a trim
+    dropped ``dropped`` leading bytes and left ``base_lsn`` the first
+    record (or None), which a redo point it cut past moves to."""
     if anchor is None or anchor[0] < base_lsn:
         return None
-    return (anchor[0], anchor[1] - dropped, *anchor[2:])
+    lsn, offset, redo, redo_offset = anchor[:4]
+    if redo is not None and redo < base_lsn:
+        redo, redo_offset = base_lsn, dropped
+    return (lsn, offset - dropped, redo,
+            None if redo is None else redo_offset - dropped, *anchor[4:])
 
 
 class LogDevice:
@@ -110,16 +115,17 @@ class LogDevice:
         # crash_truncate at the next crash.
         self.on_page_write = None
         # the restart anchor the last page write to reach disk carried
-        # out of band, ``(checkpoint LSN, byte offset)`` or None, and
-        # one appended but not durable yet, ``(LSN, offset, size)``
+        # out of band, ``(checkpoint LSN, byte offset, redo point, its
+        # offset)`` (a redo point None: no page lagged) or None, and one
+        # appended but not durable yet, the same plus the record's size
         self.anchor: tuple | None = None
         self.pending: tuple | None = None
 
     def _carry(self) -> None:
         """The pending anchor, once its record is durable, is it."""
         pending = self.pending
-        if self.durable_size >= pending[1] + pending[2]:
-            self.anchor, self.pending = pending[:2], None
+        if self.durable_size >= pending[1] + pending[4]:
+            self.anchor, self.pending = pending[:4], None
 
     def charge_filled(self) -> None:
         """Charge the log pages the bytes appended since the last call
@@ -261,7 +267,7 @@ class LogManager:
         self._next_lsn = 1
         self._base_lsn = 1          # first indexed LSN (grows on truncation)
         # bytes before the first indexed record that a restart left
-        # unchecked (the log before its anchor), the next-id ceiling of
+        # unchecked (the log before its walk), the next-id ceiling of
         # that anchor's table (no transaction at or above it has a
         # record there), and an (lo, hi) LSN run of them that every
         # copy lost once checked
@@ -270,8 +276,9 @@ class LogManager:
         self._lost: tuple | None = None
         self._table: tuple | None = None    # (anchor LSN, its table)
         self._anchoring = None      # the record append_anchor is writing
+        self._anchor_redo: tuple = (None, None)     # and its redo point
         # copy 0 holds what the last restart walk checked: no copy has
-        # been damaged since, and no record below the anchor was lost
+        # been damaged since, and no record below the walk was lost
         self._verified = True
         # highest LSN known durable; a plain attribute (read-only to
         # everyone else): every page write-back stamps it on a twin
@@ -324,7 +331,8 @@ class LogManager:
             blob = record.serialize()
             start, end = end, end + len(blob)
             if record is anchoring:
-                pending = (lsn, start - self._origin, end - start)
+                pending = (lsn, start - self._origin, *self._anchor_redo,
+                           end - start)
                 for device in devices:
                     device.pending = pending
             for device in devices:
@@ -469,16 +477,10 @@ class LogManager:
         return out
 
     def page_chain_head(self, page_id: int) -> int:
-        """Newest chained redo record of a page (:data:`NULL_LSN` when
-        the page has no retained chain)."""
-        if self._unchecked or self._lost is not None:
-            self._reach(NULL_LSN)
+        """Newest indexed chained redo record of a page
+        (:data:`NULL_LSN`: none, or none since the last restart's walk
+        start that a read indexed)."""
         return self._last_lsn_of_page.get(page_id, NULL_LSN)
-
-    def page_chain_heads(self) -> dict:
-        """Snapshot of every page's chain head LSN."""
-        self._reach(NULL_LSN)
-        return dict(self._last_lsn_of_page)
 
     def charge_read(self, records) -> int:
         """Charge page transfers for reading the given records back from
@@ -526,21 +528,51 @@ class LogManager:
 
     # -- the restart anchor --------------------------------------------------------
 
-    def append_anchor(self, record: CheckpointRecord) -> int:
+    def append_anchor(self, record: CheckpointRecord, marks=None) -> int:
         """Append a checkpoint record as the restart anchor and force
         it; returns its LSN.
 
         The page write that makes the record durable carries it out of
-        band (zero counted transfers), and so does every later one:
+        band (zero counted transfers), and so does every later one,
+        with its redo point over ``marks`` (:meth:`_redo_from`):
         :meth:`after_crash` starts its walk there.  Until then — a force
         a group-commit window deferred — the previous anchor stands."""
         self._anchoring = record
+        self._anchor_redo = self._redo_from(marks or {})
         try:
             lsn = self.append(record)
         finally:
             self._anchoring = None
         self.force()
         return lsn
+
+    def _redo_from(self, marks) -> tuple:
+        """``(redo point, its byte offset)`` of an anchor appended now,
+        or ``(None, None)`` when no page lags.
+
+        A page lags when its chain head is past its mark: ``marks[page]``,
+        the newest chained LSN its disk image reflects, raised to what
+        holds for every page — the records before the first indexed one
+        are reflected, and so are those the carried anchor vouches for
+        (the ones before its redo point; with none, the ones up to it).
+        The redo point is the lowest mark + 1 of the pages that lag."""
+        if not self._last_lsn_of_page:
+            return None, None       # no page chains: nothing can lag
+        floor = self._base_lsn - 1
+        carried = [device.anchor for device in self._devices
+                   if device.anchor is not None]
+        if carried:
+            lsn, _, redo, _ = min(carried, key=lambda anchor: anchor[0])
+            floor = max(floor, lsn if redo is None else redo - 1)
+        lowest = None
+        for page, head in self._last_lsn_of_page.items():
+            mark = max(marks.get(page, NULL_LSN), floor)
+            if head > mark and (lowest is None or mark < lowest):
+                lowest = mark
+        if lowest is None:
+            return None, None
+        redo = lowest + 1
+        return redo, self._entries[redo - self._base_lsn][4] - self._origin
 
     @property
     def anchor(self) -> int:
@@ -549,6 +581,23 @@ class LogManager:
         (:data:`NULL_LSN`: none, analysis reads the whole log)."""
         return min(device.anchor[0] if device.anchor is not None
                    else NULL_LSN for device in self._devices)
+
+    @property
+    def redo_point(self) -> int:
+        """The first LSN a restart's REDO may need: the lowest redo
+        point the copies' anchors carry, else the one after the newest
+        checkpoint — after the newest anchor, if a later checkpoint no
+        copy carries may have left a page chain behind.  A trim keeps
+        it."""
+        carried = [device.anchor for device in self._devices
+                   if device.anchor is not None]
+        lagged = [anchor[2] for anchor in carried if anchor[2] is not None]
+        if lagged:
+            return min(lagged)
+        last = self.last_checkpoint_lsn()
+        newest = max((anchor[0] for anchor in carried), default=NULL_LSN)
+        return (newest if last > newest and self._last_lsn_of_page
+                else last) + 1
 
     def transaction_table(self) -> tuple:
         """The anchor checkpoint's transaction table ``({active txn: BOT
@@ -586,17 +635,14 @@ class LogManager:
     def _chain_below_anchor(self, record: LogRecord) -> None:
         """An append whose chain link may lie in the unchecked bytes:
         one of a transaction with no record since that began before
-        them (below their anchor's next-id ceiling), or of a page with
-        no chained record since."""
+        them (below their anchor's next-id ceiling)."""
         txn_id = record.txn_id
         if (txn_id and txn_id not in self._last_lsn_of_txn
-                and txn_id < self._unchecked_ceiling) \
-                or (record.page_chained
-                    and record.page_id not in self._last_lsn_of_page):
+                and txn_id < self._unchecked_ceiling):
             self._check_below_anchor()
 
     def _check_below_anchor(self) -> None:
-        """The first read below the anchor: check the records before it
+        """The first read below the walk: check the records before it
         in order, each on whichever copy holds it intact, and index
         them.  Every copy is healed to those bytes.  A record no copy
         holds intact ends the walk; the records before it stay
@@ -678,7 +724,7 @@ class LogManager:
         active transaction's BOT LSN)``, and no lower than any archive
         dump horizon still relied on for media recovery
         (:meth:`repro.db.database.Database.trim_log` computes this).
-        A cut at or past the restart anchor drops the log before it
+        A cut at or past the restart walk's start drops the log before it
         unchecked.
         """
         front = skipped = 0
@@ -757,14 +803,15 @@ class LogManager:
     def after_crash(self) -> int:
         """Simulate restart: drop the in-memory index and rebuild it
         from the durable bytes of the mirror copies, starting at the
-        restart anchor.
+        restart anchor's redo point.
 
         The anchor is the oldest one the copies' last durable pages
         carry (a crash inside a force may leave the mate short of a new
-        one) if its checkpoint record checks on some copy; with none —
-        never appended, trimmed away, on one copy only, or its record
-        damaged on every copy — the walk starts at the first retained
-        record.  From
+        one) if its checkpoint record checks on some copy, and the walk
+        starts at the lowest redo point they carry (the anchor when none
+        does); with no anchor — never appended, trimmed away, on one
+        copy only, or its record damaged on every copy — at the first
+        retained record.  From
         there each copy is checked greedily — every record's bounds,
         CRC (header prefix + payload) and type; a truncated or corrupt
         tail ends that copy's usable run (records are CRC-protected, so
@@ -772,7 +819,7 @@ class LogManager:
         run wins, and **every copy is rewound to it**: a torn record
         fragment left at the tail would otherwise sit in front of
         post-recovery appends and make them unparseable at the next
-        restart.  Each copy keeps its own bytes before the anchor,
+        restart.  Each copy keeps its own bytes before the walk,
         unchecked until a read reaches them (then the mate is the
         fallback for a record one copy lost).  No record is decoded
         here: the index is the walk's ``check_only`` entries (see
@@ -781,13 +828,16 @@ class LogManager:
         records checked.
 
         Raises:
-            UnrecoverableDataError: if log bytes past the anchor exist
-                but every mirror copy ends in a CRC/type failure — all
-                copies are truly corrupt, so silently adopting the
-                longest run could drop acknowledged-durable commits.
+            UnrecoverableDataError: if log bytes past the walk's start
+                exist but every mirror copy ends in a CRC/type failure —
+                all copies are truly corrupt, so silently adopting the
+                longest run could drop acknowledged-durable commits — or
+                every copy lost a record between the walk's start and
+                the anchor.
         """
         anchor = self._find_anchor()
-        start = anchor[1] if anchor is not None else 0
+        start = (0 if anchor is None else anchor[1] if anchor[2] is None
+                 else anchor[3])
         devices = self._devices
         # the walk checks each copy from the anchor on; mirrors agree
         # byte for byte unless one was torn or damaged, and an
@@ -808,13 +858,17 @@ class LogManager:
             raise UnrecoverableDataError(
                 f"{self.name}: every duplex copy is corrupt")
         best = max(runs, key=len)
+        if anchor is not None and (not best or best[-1][1] < anchor[0]):
+            raise UnrecoverableDataError(
+                f"{self.name}: every duplex copy lost a record before the "
+                f"restart anchor")
         winner = devices[runs.index(best)]._data
         end = best[-1][5] if best else start
         for device, run in zip(devices, runs):
             if run is not best:
                 # the winner's run after the copy's own bytes before the
-                # anchor (every copy holds those: each carries the
-                # anchor, so each made its record durable)
+                # walk (every copy holds those: each carries the anchor,
+                # so each made its record durable)
                 device._data[start:] = winner[start:end]
             device.rewind(end)
             device.anchor, device.pending = anchor, None
@@ -845,20 +899,23 @@ class LogManager:
         return len(best)
 
     def _find_anchor(self):
-        """The oldest ``(lsn, offset)`` the copies' last durable pages
-        carry, if every one carries one and its checkpoint record checks
-        on some copy, or None."""
+        """The oldest anchor the copies' last durable pages carry, if
+        every one carries one and its checkpoint record checks on some
+        copy, with the lowest redo point they carry (capped at it), or
+        None."""
         carried = [device.anchor for device in self._devices]
         if None in carried:
             return None
-        lsn, offset = min(carried)
+        lsn, offset = min(carried, key=lambda anchor: anchor[0])[:2]
         for device in self._devices:
             try:
                 entry, _ = deserialize(device._data, offset, True)
             except (TornRecordError, LogCorruptionError):
                 continue
             if entry[0] == _CHECKPOINT and entry[1] == lsn:
-                return lsn, offset
+                redo = [anchor[2:] for anchor in carried if anchor[2]]
+                return (lsn, offset, *(min(*redo, (lsn, offset))
+                                       if redo else (None, None)))
         return None
 
     @staticmethod

@@ -185,9 +185,11 @@ class PageRedoEntry(LogRecord):
     """REDO-only class: a chained full-page after-image.
 
     ``prev_page_lsn`` threads the per-*page* redo chain (distinct from
-    ``prev_lsn``'s per-transaction chain): restart replays a page's
-    chain forward from its on-disk state, so each record must name the
-    page's previous chain link for trim safety and single-page repair.
+    ``prev_lsn``'s per-transaction chain): the page's previous chained
+    record at or after the last restart's walk start — one before it
+    only if a read indexed it since, :data:`NULL_LSN` otherwise.
+    Restart and trim read no chain (the anchor's redo point bounds
+    both); the link is there for a walk of one page's history.
     """
 
     record_type = RecordType.PAGE_REDO

@@ -9,10 +9,11 @@ hybrid (``record-noforce-rda-redo``, twin-covered steals with
 * the write-behind gate keeps uncommitted data off the disk (pure
   class) or behind a parity twin (hybrid);
 * the durable page marker advances on *every* committed write-back
-  path — per-page and batched — and bounds both restart replay and
-  chain-walk trimming;
-* a latent sector repair schedules single-page recovery: the page's
-  retained chain is replayed even though its marker said up-to-date;
+  path — per-page and batched — and bounds restart replay; each
+  anchor's redo point, read off the markers, bounds the restart's log
+  read and the trim;
+* a latent sector repair leaves a page where its marker says: a torn
+  write-back the repair rolls back is replayed from the marker on;
 * the exhaustive crash-point fault sweep (clean / torn / latent)
   recovers at every point once buffer pressure puts data writes into
   the schedule.
@@ -26,7 +27,7 @@ from repro.db.slotted_page import SlottedPage
 from repro.errors import BufferFullError, RecoveryError
 from repro.sim import fault_workload, record_fault_setup, run_sweep
 from repro.storage import make_page
-from repro.storage.page import ZERO_PAGE
+from repro.storage.page import PAGE_SIZE, ZERO_PAGE
 from repro.wal.records import CheckpointRecord
 
 SIZES = dict(group_size=5, num_groups=12, buffer_capacity=8)
@@ -240,14 +241,72 @@ class TestSinglePageRecovery:
         db.crash()
         stats = db.recover()
         assert stats["sectors_repaired"] == 1
-        # the repair popped the marker, so restart replayed the page's
-        # retained chain even though the marker had said "up to date"
-        assert stats["redo_applied"] >= 1
+        # the repair rebuilt the image the marker vouches for: nothing
+        # to replay
+        assert stats["redo_applied"] == 0
         t = db.begin()
         if db.config.record_logging:
             assert db.read_record(t, 0, 0) == b"repairme"
         else:
             assert db.read_page(t, 0) == make_page(b"repairme")
+        assert verify_database(db) == []
+
+    @pytest.mark.parametrize("name", ["page-noforce-redo",
+                                      "record-noforce-rda-redo"])
+    def test_torn_writeback_replays_past_the_marker(self, name):
+        """A write-back torn by the power cut: its data sector lands
+        half written and the parity write never happens, so the repair
+        rolls the page back to the version its marker vouches for (the
+        marker moves only once a write-back has landed whole).  The
+        records past the marker lie past the anchor's redo point, so
+        the restart's walk holds them and redo replays them."""
+        if name == "record-noforce-rda-redo":
+            db = hybrid_db()
+            write = lambda txn, value: db.update_record(txn, 0, 0, value)
+        else:
+            db = pure_db()
+            write = lambda txn, value: db.write_page(txn, 0,
+                                                     make_page(value))
+        for value in (b"v1", b"v2"):
+            txn = db.begin()
+            write(txn, value)
+            db.commit(txn)
+            if value == b"v1":
+                db.checkpoint()         # v1 on disk, marker at its head
+        marker = db._durable_page_lsn[0]
+        assert db.redo_log.page_chain_head(0) > marker
+
+        class PowerCut(Exception):
+            pass
+
+        addr = db.array.geometry.data_address(0)
+        torn = []
+
+        def hook(disk_id, slot, payload):
+            if torn:
+                raise PowerCut          # the write after the torn one
+            if (disk_id, slot) == (addr.disk, addr.slot):
+                torn.append(slot)
+                old = db.array.disks[disk_id].peek(slot)
+                return payload[:PAGE_SIZE // 2] + old[PAGE_SIZE // 2:]
+            return None
+
+        for disk in db.array.disks:
+            disk.fault_hook = hook
+        with pytest.raises(PowerCut):
+            db.buffer.flush_page(0)
+        for disk in db.array.disks:
+            disk.fault_hook = None
+        assert db._durable_page_lsn[0] == marker
+        db.crash()
+        stats = db.recover()
+        assert stats["sectors_repaired"] == 1
+        assert stats["redo_applied"] >= 1
+        t = db.begin()
+        if db.config.record_logging:
+            assert db.read_record(t, 0, 0) == b"v2"
+        else:
+            assert db.read_page(t, 0) == make_page(b"v2")
         assert verify_database(db) == []
 
 

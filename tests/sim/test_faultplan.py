@@ -220,6 +220,24 @@ class TestCli:
         assert rc == 0
         assert "0 violations" in capsys.readouterr().out
 
+    def test_fault_sweep_refuses_a_pure_redo_pool_below_a_transaction(
+            self, capsys):
+        """The pure REDO-only class never steals: a pool smaller than
+        the pages one transaction of the script holds is refused up
+        front, in one line naming the class and the bound, rather than
+        dying of a full buffer mid-schedule."""
+        argv = ["simulate", "--preset", "page-noforce-redo", "--fault-sweep",
+                "--fault-transactions", "5", "--group-size", "2",
+                "--num-groups", "12"]
+        assert main(argv + ["--buffer", "2"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert "REDO-only never steals" in lines[0]
+        assert "the 3 pages one transaction" in lines[0]
+        assert "(have 2)" in lines[0]
+        assert main(argv + ["--buffer", "3", "--fault-modes", "clean"]) == 0
+        assert "0 violations" in capsys.readouterr().out
+
     def test_fault_sweep_runs_record_mode_on_shards(self, capsys):
         # each transaction of the K-shard script updates records of one
         # shard only, as its page writes do

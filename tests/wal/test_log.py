@@ -389,27 +389,122 @@ class TestAnchor:
         assert log.after_crash() == 3 and log.base_lsn == anchor
 
     @pytest.mark.parametrize("batched", [False, True])
-    def test_an_append_chains_to_a_page_link_below_the_anchor(self,
-                                                              batched):
-        """A page whose only chained record lies before the anchor: the
-        first append to its chain after a restart links to it, whether
-        it goes in alone or in a batch (the batch keeps the chain-head
-        dicts it holds current across the check below the anchor)."""
+    def test_an_append_chains_a_page_from_the_walk_start(self, batched):
+        """A page whose only chained record lies before the walk (its
+        marker vouches for it, so the anchor's redo point is the anchor
+        itself): the first append to its chain after a restart, alone
+        or in a batch, links to nothing and reads nothing below the
+        walk; a read that reaches below indexes that record, and the
+        head stays the newest."""
         log = LogManager(name="test", page_size=128)
         log.append(BOTRecord(txn_id=1))
         below = log.append(PageRedoEntry(txn_id=1, page_id=0, image=b"a"))
         log.append(CommitRecord(txn_id=1))
         anchor = log.append_anchor(CheckpointRecord(txn_id=0,
-                                                    next_txn_id=2))
+                                                    next_txn_id=2),
+                                   {0: below})
         log.crash()
         assert log.after_crash() == 1 and log.anchor == anchor
         record = PageRedoEntry(txn_id=2, page_id=0, image=b"b")
         lsn = (log.append_batch([record]) if batched
                else log.append(record))
         assert (below, lsn) == (2, 5)
-        assert record.prev_page_lsn == below
+        assert record.prev_page_lsn == NULL_LSN
+        assert log.records_checked == 1         # nothing below the walk
         assert log.page_chain_head(0) == lsn
-        assert log.get(lsn).prev_page_lsn == below
+        assert [r.lsn for r in log.records()] == [1, 2, 3, 4, 5]
+        assert log.page_chain_head(0) == lsn
+
+
+class TestRedoPoint:
+    """An anchor carries the first LSN a restart's REDO may need: the
+    lowest marker + 1 of the pages whose chain head is past their
+    marker, never below the previous anchor's."""
+
+    @staticmethod
+    def lagging_log() -> LogManager:
+        """LSNs 1-4: a BOT, page 0's and page 1's redo records, a
+        commit; the anchor at 5 with page 0 reflected and page 1's
+        image lagging behind LSN 3."""
+        log = LogManager(name="test", page_size=128)
+        log.append(BOTRecord(txn_id=1))
+        log.append(PageRedoEntry(txn_id=1, page_id=0, image=b"a"))
+        log.append(PageRedoEntry(txn_id=1, page_id=1, image=b"b"))
+        log.append(CommitRecord(txn_id=1))
+        assert log.append_anchor(CheckpointRecord(txn_id=0, next_txn_id=2),
+                                 {0: 2, 1: 1}) == 5
+        return log
+
+    def test_no_chains_no_redo_point(self):
+        log, anchor, _ = anchored_log()
+        assert [device.anchor[2:] for device in log._devices] \
+            == [(None, None)] * 2
+        log.append(CheckpointRecord(txn_id=0))
+        # no page lagged: the record after the newest checkpoint
+        assert log.redo_point == log.last_lsn + 1
+
+    def test_a_lagging_page_starts_the_walk_at_its_redo_point(self):
+        log = self.lagging_log()
+        assert log.redo_point == 2
+        log.crash()
+        assert log.after_crash() == 4           # LSNs 2 .. 5
+        assert (log.anchor, log.redo_point) == (5, 2)
+        assert log.txn_ids(CommitRecord, 2) == {1}
+        assert log.records_checked == 4
+
+    def test_a_redo_point_never_falls_below_the_previous(self):
+        log = self.lagging_log()
+        log.append(BOTRecord(txn_id=2))
+        log.append(PageRedoEntry(txn_id=2, page_id=2, image=b"c"))
+        log.append(CommitRecord(txn_id=2))
+        # page 2 has no marker (never written back), but the anchor
+        # before vouched for every record below its redo point
+        log.append_anchor(CheckpointRecord(txn_id=0, next_txn_id=3),
+                          {0: 2, 1: 3})
+        assert log.redo_point == 2
+        # once every page is reflected, no page lags
+        log.append_anchor(CheckpointRecord(txn_id=0, next_txn_id=3),
+                          {0: 2, 1: 3, 2: 7})
+        assert log.redo_point == log.last_lsn + 1
+
+    @pytest.mark.parametrize("chained", [False, True])
+    def test_a_checkpoint_no_copy_carries_vouches_for_no_chain(self,
+                                                                chained):
+        """Two anchors appended in one deferred group-commit window: a
+        page fill makes the first durable and not the second, so no
+        copy carries either (a copy holds one pending anchor).  Redo
+        after the crash starts after that newest checkpoint when the
+        log holds no page chain, and at the first record when one may
+        lag behind it."""
+        log = GroupCommitLog(name="test", page_size=128,
+                             transfers_per_log_page=1,
+                             coordinator=GroupCommitCoordinator())
+        for device in log._devices:
+            device.reforce_partial = True
+        if chained:
+            log.append(PageRedoEntry(txn_id=1, page_id=0, image=b"a"))
+        size = CheckpointRecord(txn_id=0).serialized_size
+        # pad until a page boundary falls inside the second checkpoint
+        while -(log.size_bytes + size) % 128 >= size:
+            log.append(BOTRecord(txn_id=1))
+        log.force()
+        with log.coordinator.deferred():
+            first = log.append_anchor(CheckpointRecord(txn_id=0), {0: 0})
+            log.append_anchor(CheckpointRecord(txn_id=0), {0: 0})
+            assert log._devices[0].durable_size >= log.size_bytes - size
+            assert [device.anchor for device in log._devices] == [None] * 2
+            log.crash()
+        log.after_crash()
+        assert (log.anchor, log.last_checkpoint_lsn()) == (NULL_LSN, first)
+        assert log.redo_point == (1 if chained else first + 1)
+
+    def test_a_trim_keeps_the_redo_point_and_moves_its_offset(self):
+        log = self.lagging_log()
+        assert log.truncate_before(log.redo_point) == 1
+        assert [device.anchor[2] for device in log._devices] == [2, 2]
+        log.crash()
+        assert log.after_crash() == 4
+        assert [r.lsn for r in log.records()] == [2, 3, 4, 5]
 
 
 def _one_append_per_record(devices, sizes) -> tuple:
@@ -429,8 +524,8 @@ def _one_append_per_record(devices, sizes) -> tuple:
                 copy[1] += 1
             pending = copy[4]
             durable = min(copy[0], max(copy[1] * device.page_size, copy[2]))
-            if pending is not None and durable >= pending[1] + pending[2]:
-                copy[3], copy[4] = pending[:2], None
+            if pending is not None and durable >= pending[1] + pending[4]:
+                copy[3], copy[4] = pending[:4], None
     return hooks, [(copy[3], copy[4]) for copy in state]
 
 

@@ -144,17 +144,21 @@ def eager_parse(copies: list, start: int = 0) -> tuple:
 def anchor_of(copies: list, carried: list):
     """The oldest ``(lsn, offset)`` the copies carry, if every copy
     carries one and its checkpoint record parses at ``offset`` on some
-    copy, or None."""
+    copy, with the lowest redo point the copies carry, no later than it
+    (``(None, None)``: none does) — or None."""
     if None in carried:
         return None
-    lsn, offset = min(carried)
+    lsn, offset = min(carried, key=lambda anchor: anchor[0])[:2]
     for blob in copies:
         try:
             record, _ = deserialize(blob, offset)
         except (TornRecordError, LogCorruptionError):
             continue
         if isinstance(record, CheckpointRecord) and record.lsn == lsn:
-            return lsn, offset
+            redo = [anchor[2:] for anchor in carried
+                    if anchor[2] is not None]
+            return (lsn, offset,
+                    *(min(*redo, (lsn, offset)) if redo else (None, None)))
     return None
 
 
@@ -183,12 +187,15 @@ class EagerModel:
     answer, computed from the record objects alone."""
 
     def __init__(self, records: list, next_lsn: int, forced_lsn: int,
-                 device_bytes: bytes) -> None:
+                 device_bytes: bytes, walk_start: int = NULL_LSN) -> None:
         self.records = records
         self.next_lsn = next_lsn
         self.base_lsn = records[0].lsn if records else next_lsn
         self.forced_lsn = forced_lsn
         self.device_bytes = device_bytes
+        # the first LSN the last restart checked: a page's previous
+        # record before it is linked only if a read indexed it since
+        self.walk_start = walk_start
 
     def last_of(self, key) -> int:
         return max((r.lsn for r in self.records if key(r)), default=NULL_LSN)
@@ -236,7 +243,8 @@ def assert_agrees(log, model: EagerModel) -> None:
     for cls in (BOTRecord, CommitRecord, AbortRecord):
         assert log.txn_ids(cls) == {r.txn_id for r in model.records
                                     if isinstance(r, cls)}
-    assert log.page_chain_heads() == {
+    assert {page: log.page_chain_head(page) for page in range(6)
+            if log.page_chain_head(page)} == {
         r.page_id: r.lsn for r in model.records if r.page_chained}
     assert (log.base_lsn, log.next_lsn, log.forced_lsn) == (
         model.base_lsn, model.next_lsn, model.forced_lsn)
@@ -323,7 +331,9 @@ def lazy_index(data):
                 assert record.lsn == lsn
                 assert record.prev_lsn == prev
                 if prev_page is not None:
-                    assert record.prev_page_lsn == prev_page
+                    assert record.prev_page_lsn == prev_page or (
+                        record.prev_page_lsn == NULL_LSN
+                        and prev_page < model.walk_start)
                 model.add(record)
         elif action == "damaged read":
             if log.size_bytes:
@@ -347,9 +357,14 @@ def lazy_index(data):
                         st.integers(0, log.size_bytes - 1), label="offset"))
             copies = [device.contents for device in log._devices]
             anchor = anchor_of(copies, [d.anchor for d in log._devices])
-            start = anchor[1] if anchor else 0
+            start = (0 if anchor is None else anchor[1] if anchor[2] is None
+                     else anchor[3])
             try:
                 records, tail = eager_parse(copies, start)
+                if anchor and (not records or records[-1].lsn < anchor[0]):
+                    # every copy lost a record between the redo point
+                    # and the anchor
+                    raise UnrecoverableDataError("no anchor in the walk")
             except UnrecoverableDataError:
                 with pytest.raises(UnrecoverableDataError):
                     log.after_crash()
@@ -366,7 +381,8 @@ def lazy_index(data):
             model = EagerModel(prefix + records, records[-1].lsn + 1
                                if records else model.next_lsn,
                                records[-1].lsn if records else NULL_LSN,
-                               clean + tail)
+                               clean + tail, records[0].lsn if records
+                               else model.next_lsn)
             if data.draw(st.booleans(), label="read below the anchor now"):
                 continue        # or leave it unchecked for the next step
         assert_agrees(log, model)
