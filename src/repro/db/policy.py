@@ -428,29 +428,33 @@ class RedoOnlyDiscipline(NoForceAcc):
 
     name = "redo-acc"
 
-    def restart_redo(self, db, restart) -> tuple:
-        """Replay the tail's chained records of the commits since the
-        redo point (``restart.winners`` are those since the anchor) past
-        their page's write-back marker — absolute images: idempotent
-        and prefix-closed.  ``restart.disk_lsns`` is not consulted."""
+    def redo_tail(self, db, winners) -> list:
+        """The chained records from the redo point of the commits since
+        it (``winners`` are those since the anchor) past their page's
+        write-back marker: the records restart replays."""
         log = db.redo_log
         winners = log.txn_ids(CommitRecord, log.redo_point)
         durable = db._durable_page_lsn
-        replay = [r for r in restart.replay
-                  if r.page_chained and r.txn_id in winners
-                  and r.lsn > durable.get(r.page_id, 0)]
+        return [r for r in super().redo_tail(db, winners)
+                if r.page_chained and r.txn_id in winners
+                and r.lsn > durable.get(r.page_id, 0)]
+
+    def restart_redo(self, db, restart) -> tuple:
+        """Replay the restart's redo tail (absolute images: idempotent
+        and prefix-closed).  The write-back markers already bounded it;
+        ``restart.disk_lsns`` is not consulted."""
         with db.tracer.span("recovery.phase", stats=db.stats,
                             log_split=True, phase="redo") as span:
-            log.charge_read(replay)
-            for record in replay:
+            db.redo_log.charge_read(restart.replay)
+            for record in restart.replay:
                 if isinstance(record, PageRedoEntry):
                     restart.cache[record.page_id] = record.image
                 else:
                     restart.cache[record.page_id] = apply_record_image(
                         restart.base(record.page_id), record.slot,
                         record.image)
-            span.set(applied=len(replay))
-        return len(replay), 0
+            span.set(applied=len(restart.replay))
+        return len(restart.replay), 0
 
 
 # ==================== axis 3: steal protection ====================

@@ -26,9 +26,10 @@ the model counts.  :class:`LogManager` therefore:
   reads them from the last durable page of each copy and checks the
   records from the redo point to the end of the log.  The records
   before it stay on the devices unchecked until a read first reaches
-  below it; then each is checked on whichever copy holds it intact (the
-  duplex mate is the fallback).  With no anchor the walk starts at the
-  first retained record, so the same path checks the whole log.
+  below it; then, as from the redo point to the anchor, each is checked
+  on whichever copy holds it intact (the duplex mate is the fallback).
+  With no anchor the walk starts at the first retained record, so the
+  same path checks the whole log.
 
 **The index** is one list of ``(type, lsn, txn_id, prev_lsn, start,
 end)`` entries (see :func:`~repro.wal.records.deserialize`), one per
@@ -49,6 +50,8 @@ has.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from ..errors import (LogCorruptionError, TornRecordError,
                       UnrecoverableDataError)
@@ -76,17 +79,31 @@ def _txn_ids_of(entries) -> dict:
     return ids
 
 
-def _shifted(anchor, dropped: int, base_lsn: int):
-    """``anchor`` (LSN, offset, redo point, offset, ...) after a trim
-    dropped ``dropped`` leading bytes and left ``base_lsn`` the first
-    record (or None), which a redo point it cut past moves to."""
-    if anchor is None or anchor[0] < base_lsn:
+class Anchor(NamedTuple):
+    """A restart anchor as log pages carry it out of band: its
+    checkpoint record's LSN, byte offset and size, and its redo point —
+    the first LSN a restart's REDO may need, below the anchor when a
+    page lagged — with that record's offset (both None: none lagged)."""
+
+    lsn: int
+    offset: int
+    size: int
+    redo: int | None
+    redo_offset: int | None
+
+
+def _shifted(anchor: Anchor | None, dropped: int, base_lsn: int):
+    """``anchor`` after a trim dropped ``dropped`` leading bytes and left
+    ``base_lsn`` the first record (or None), which a redo point it cut
+    past moves to."""
+    if anchor is None or anchor.lsn < base_lsn:
         return None
-    lsn, offset, redo, redo_offset = anchor[:4]
-    if redo is not None and redo < base_lsn:
-        redo, redo_offset = base_lsn, dropped
-    return (lsn, offset - dropped, redo,
-            None if redo is None else redo_offset - dropped, *anchor[4:])
+    redo, redo_offset = anchor.redo, anchor.redo_offset
+    if redo is not None:
+        redo, redo_offset = ((base_lsn, 0) if redo < base_lsn
+                             else (redo, redo_offset - dropped))
+    return anchor._replace(offset=anchor.offset - dropped, redo=redo,
+                           redo_offset=redo_offset)
 
 
 class LogDevice:
@@ -115,22 +132,21 @@ class LogDevice:
         # crash_truncate at the next crash.
         self.on_page_write = None
         # the restart anchor the last page write to reach disk carried
-        # out of band, ``(checkpoint LSN, byte offset, redo point, its
-        # offset)`` (a redo point None: no page lagged) or None, and one
-        # appended but not durable yet, the same plus the record's size
-        self.anchor: tuple | None = None
-        self.pending: tuple | None = None
+        # out of band, or None, and those appended but not durable yet,
+        # oldest first
+        self.anchor: Anchor | None = None
+        self.pending: list = []
 
     def _carry(self) -> None:
-        """The pending anchor, once its record is durable, is it."""
-        pending = self.pending
-        if self.durable_size >= pending[1] + pending[4]:
-            self.anchor, self.pending = pending[:4], None
+        """Each pending anchor, once its record is durable, is it."""
+        pending, durable = self.pending, self.durable_size
+        while pending and durable >= pending[0].offset + pending[0].size:
+            self.anchor = pending.pop(0)
 
     def charge_filled(self) -> None:
         """Charge the log pages the bytes appended since the last call
-        filled, in page order, each after its page-write hook; then a
-        pending anchor whose record is durable now is the anchor.
+        filled, in page order, each after its page-write hook; then the
+        newest pending anchor whose record is durable now is the anchor.
         :meth:`LogManager.append_batch` extends the bytes and calls
         this only when a page has filled or an anchor is pending."""
         filled = len(self._data) // self.page_size
@@ -144,13 +160,13 @@ class LogDevice:
                 stats.per_disk_writes.get(device_id, 0) \
                 + self.transfers_per_page
             self._pages_charged += 1
-        if self.pending is not None:
+        if self.pending:
             self._carry()
 
     def force(self) -> None:
         """Flush the current partial page (WAL rule at commit); a force
-        with no bytes since the last one writes nothing.  A pending
-        anchor whose record is durable now is the anchor."""
+        with no bytes since the last one writes nothing.  The newest
+        pending anchor whose record is durable now is the anchor."""
         size = len(self._data)
         if size % self.page_size and size > self._forced_len:
             if self.reforce_partial:
@@ -164,7 +180,7 @@ class LogDevice:
                 self.stats.record_write(self.device_id, self.transfers_per_page)
                 self._pages_charged += 1
         self._forced_len = size
-        if self.pending is not None:
+        if self.pending:
             self._carry()
 
     @property
@@ -317,9 +333,13 @@ class LogManager:
         counts = self.record_counts if self._m_records is not None else None
         for record in records:
             record.lsn = lsn
-            if self._unchecked:
-                self._chain_below_anchor(record)
             txn_id = record.txn_id
+            if (self._unchecked and txn_id and txn_id not in last_of_txn
+                    and txn_id < self._unchecked_ceiling):
+                # its chain link may lie in the unchecked bytes: it began
+                # before them (below their anchor's next-id ceiling) and
+                # has no record since
+                self._check_below_anchor()
             if txn_id:
                 record.prev_lsn = last_of_txn.get(txn_id, NULL_LSN)
                 last_of_txn[txn_id] = lsn
@@ -331,15 +351,15 @@ class LogManager:
             blob = record.serialize()
             start, end = end, end + len(blob)
             if record is anchoring:
-                pending = (lsn, start - self._origin, *self._anchor_redo,
-                           end - start)
+                anchor = Anchor(lsn, start - self._origin, end - start,
+                                *self._anchor_redo)
                 for device in devices:
-                    device.pending = pending
+                    device.pending.append(anchor)
             for device in devices:
                 data = device._data
                 data.extend(blob)
                 if (len(data) // device.page_size > device._pages_charged
-                        or device.pending is not None):
+                        or device.pending):
                     device.charge_filled()
             # _value_: ``.value`` is a property call, once a record
             entries.append((record.record_type._value_, lsn, txn_id,
@@ -562,8 +582,9 @@ class LogManager:
         carried = [device.anchor for device in self._devices
                    if device.anchor is not None]
         if carried:
-            lsn, _, redo, _ = min(carried, key=lambda anchor: anchor[0])
-            floor = max(floor, lsn if redo is None else redo - 1)
+            oldest = min(carried, key=lambda anchor: anchor.lsn)
+            floor = max(floor, oldest.lsn if oldest.redo is None
+                        else oldest.redo - 1)
         lowest = None
         for page, head in self._last_lsn_of_page.items():
             mark = max(marks.get(page, NULL_LSN), floor)
@@ -579,25 +600,24 @@ class LogManager:
         """LSN of the checkpoint restart analysis starts at, carried by
         every copy's last durable page — a trim keeps it
         (:data:`NULL_LSN`: none, analysis reads the whole log)."""
-        return min(device.anchor[0] if device.anchor is not None
+        return min(device.anchor.lsn if device.anchor is not None
                    else NULL_LSN for device in self._devices)
 
     @property
     def redo_point(self) -> int:
         """The first LSN a restart's REDO may need: the lowest redo
-        point the copies' anchors carry, else the one after the newest
-        checkpoint — after the newest anchor, if a later checkpoint no
-        copy carries may have left a page chain behind.  A trim keeps
-        it."""
-        carried = [device.anchor for device in self._devices
-                   if device.anchor is not None]
-        lagged = [anchor[2] for anchor in carried if anchor[2] is not None]
+        point of the anchors the copies carry or hold pending, else the
+        one after the newest checkpoint — but the first record when no
+        anchor is carried and pages have chains, which no checkpoint
+        record vouches for by itself.  A trim keeps it."""
+        lagged = [anchor.redo for device in self._devices
+                  for anchor in (device.anchor, *device.pending)
+                  if anchor is not None and anchor.redo is not None]
         if lagged:
             return min(lagged)
-        last = self.last_checkpoint_lsn()
-        newest = max((anchor[0] for anchor in carried), default=NULL_LSN)
-        return (newest if last > newest and self._last_lsn_of_page
-                else last) + 1
+        if self._last_lsn_of_page and self.anchor == NULL_LSN:
+            return self._base_lsn
+        return self.last_checkpoint_lsn() + 1
 
     def transaction_table(self) -> tuple:
         """The anchor checkpoint's transaction table ``({active txn: BOT
@@ -632,15 +652,6 @@ class LogManager:
             f"{self.name}: every duplex copy lost a record before the "
             f"restart anchor (LSNs {low or '?'}..{high - 1})")
 
-    def _chain_below_anchor(self, record: LogRecord) -> None:
-        """An append whose chain link may lie in the unchecked bytes:
-        one of a transaction with no record since that began before
-        them (below their anchor's next-id ceiling)."""
-        txn_id = record.txn_id
-        if (txn_id and txn_id not in self._last_lsn_of_txn
-                and txn_id < self._unchecked_ceiling):
-            self._check_below_anchor()
-
     def _check_below_anchor(self) -> None:
         """The first read below the walk: check the records before it
         in order, each on whichever copy holds it intact, and index
@@ -654,24 +665,9 @@ class LogManager:
         if self._lost is not None:
             return
         end = self._unchecked
-        copies = list(dict.fromkeys(device.read(0, end)
-                                    for device in self._devices))
-        entries, clean = [], []
-        offset = 0
-        while offset < end:
-            # the longest run a copy checks from here: past a record
-            # one copy lost, its mate's
-            run, blob = max(((self._check_prefix(blob, offset)[0], blob)
-                             for blob in copies),
-                            key=lambda pair: len(pair[0]))
-            if not run:
-                break
-            entries += run
-            clean.append(blob[offset:run[-1][5]])
-            offset = run[-1][5]
+        entries, prefix, offset = self._check_merged(0, end)
         self.records_checked += len(entries)
         anchor = self._base_lsn
-        prefix = b"".join(clean)
         heads = self._chain_heads(entries, prefix)
         if offset < end:
             first_lost = entries[-1][1] + 1 if entries else NULL_LSN
@@ -694,6 +690,31 @@ class LogManager:
             older.update(newer)
             newer.clear()
             newer.update(older)
+
+    def _check_merged(self, start: int, end: int) -> tuple:
+        """Check the records from byte ``start`` to ``end`` in order,
+        each on whichever copy holds it intact: ``(their entries, their
+        bytes, the offset the check stopped at)`` — ``end`` unless a
+        record no copy holds intact stopped it."""
+        copies = list(dict.fromkeys(device.read(start, end)
+                                    for device in self._devices))
+        entries, clean = [], []
+        offset, size = 0, end - start
+        while offset < size:
+            # the longest run a copy checks from here: past a record
+            # one copy lost, its mate's
+            run, blob = max(((self._check_prefix(blob, offset)[0], blob)
+                             for blob in copies),
+                            key=lambda pair: len(pair[0]))
+            if not run:
+                break
+            entries += run
+            clean.append(blob[offset:run[-1][5]])
+            offset = run[-1][5]
+        if start:
+            entries = [(*entry[:4], entry[4] + start, entry[5] + start)
+                       for entry in entries]
+        return entries, b"".join(clean), start + offset
 
     @staticmethod
     def _chain_heads(entries: list, blob) -> tuple:
@@ -765,8 +786,9 @@ class LogManager:
         for device in self._devices:
             device.drop_front(dropped)
             device.anchor = _shifted(device.anchor, dropped, self._base_lsn)
-            device.pending = _shifted(device.pending, dropped,
-                                      self._base_lsn)
+            device.pending = [anchor for anchor in (
+                _shifted(pending, dropped, self._base_lsn)
+                for pending in device.pending) if anchor is not None]
         for txn_id in [t for t, last in self._last_lsn_of_txn.items()
                        if last < self._base_lsn]:
             del self._last_lsn_of_txn[txn_id]
@@ -807,19 +829,20 @@ class LogManager:
 
         The anchor is the oldest one the copies' last durable pages
         carry (a crash inside a force may leave the mate short of a new
-        one) if its checkpoint record checks on some copy, and the walk
-        starts at the lowest redo point they carry (the anchor when none
-        does); with no anchor — never appended, trimmed away, on one
-        copy only, or its record damaged on every copy — at the first
-        retained record.  From
-        there each copy is checked greedily — every record's bounds,
+        one) if its checkpoint record checks on some copy; with none —
+        never appended, trimmed away, on one copy only, or its record
+        damaged on every copy — the walk starts at the first retained
+        record.  Below an anchor, from the lowest redo point the copies
+        carry, each record is checked on whichever copy holds it intact,
+        and every copy is healed to those bytes.  From the anchor on
+        each copy is checked greedily — every record's bounds,
         CRC (header prefix + payload) and type; a truncated or corrupt
         tail ends that copy's usable run (records are CRC-protected, so
         silent corruption is caught).  The copy with the longest valid
         run wins, and **every copy is rewound to it**: a torn record
         fragment left at the tail would otherwise sit in front of
         post-recovery appends and make them unparseable at the next
-        restart.  Each copy keeps its own bytes before the walk,
+        restart.  Each copy keeps its own bytes before the redo point,
         unchecked until a read reaches them (then the mate is the
         fallback for a record one copy lost).  No record is decoded
         here: the index is the walk's ``check_only`` entries (see
@@ -828,17 +851,26 @@ class LogManager:
         records checked.
 
         Raises:
-            UnrecoverableDataError: if log bytes past the walk's start
-                exist but every mirror copy ends in a CRC/type failure —
-                all copies are truly corrupt, so silently adopting the
+            UnrecoverableDataError: if log bytes past the anchor exist
+                but every mirror copy ends in a CRC/type failure — all
+                copies are truly corrupt, so silently adopting the
                 longest run could drop acknowledged-durable commits — or
-                every copy lost a record between the walk's start and
+                if every copy lost a record between the redo point and
                 the anchor.
         """
         anchor = self._find_anchor()
-        start = (0 if anchor is None else anchor[1] if anchor[2] is None
-                 else anchor[3])
+        start = walk = 0 if anchor is None else anchor.offset
         devices = self._devices
+        below = []
+        if anchor is not None and anchor.redo is not None:
+            walk = anchor.redo_offset
+            below, clean, reached = self._check_merged(walk, start)
+            if reached < start:
+                raise UnrecoverableDataError(
+                    f"{self.name}: every duplex copy lost a record between "
+                    f"the redo point and the restart anchor")
+            for device in devices:
+                device._data[walk:start] = clean
         # the walk checks each copy from the anchor on; mirrors agree
         # byte for byte unless one was torn or damaged, and an
         # identical copy checks to the same run
@@ -858,25 +890,22 @@ class LogManager:
             raise UnrecoverableDataError(
                 f"{self.name}: every duplex copy is corrupt")
         best = max(runs, key=len)
-        if anchor is not None and (not best or best[-1][1] < anchor[0]):
-            raise UnrecoverableDataError(
-                f"{self.name}: every duplex copy lost a record before the "
-                f"restart anchor")
         winner = devices[runs.index(best)]._data
         end = best[-1][5] if best else start
         for device, run in zip(devices, runs):
             if run is not best:
                 # the winner's run after the copy's own bytes before the
-                # walk (every copy holds those: each carries the anchor,
-                # so each made its record durable)
+                # anchor (every copy holds those: each carries the
+                # anchor, so each made its record durable)
                 device._data[start:] = winner[start:end]
             device.rewind(end)
-            device.anchor, device.pending = anchor, None
+            device.anchor, device.pending = anchor, []
+        best[:0] = below
         self._entries = best
         self._origin = 0
         self._objects = {}
         self._verified = True
-        self._unchecked = start
+        self._unchecked = walk
         self._lost = self._table = None
         if best:
             self._base_lsn = best[0][1]
@@ -898,7 +927,7 @@ class LogManager:
         self.records_checked += len(best)
         return len(best)
 
-    def _find_anchor(self):
+    def _find_anchor(self) -> Anchor | None:
         """The oldest anchor the copies' last durable pages carry, if
         every one carries one and its checkpoint record checks on some
         copy, with the lowest redo point they carry (capped at it), or
@@ -906,16 +935,18 @@ class LogManager:
         carried = [device.anchor for device in self._devices]
         if None in carried:
             return None
-        lsn, offset = min(carried, key=lambda anchor: anchor[0])[:2]
+        oldest = min(carried, key=lambda anchor: anchor.lsn)
         for device in self._devices:
             try:
-                entry, _ = deserialize(device._data, offset, True)
+                entry, _ = deserialize(device._data, oldest.offset, True)
             except (TornRecordError, LogCorruptionError):
                 continue
-            if entry[0] == _CHECKPOINT and entry[1] == lsn:
-                redo = [anchor[2:] for anchor in carried if anchor[2]]
-                return (lsn, offset, *(min(*redo, (lsn, offset))
-                                       if redo else (None, None)))
+            if entry[0] == _CHECKPOINT and entry[1] == oldest.lsn:
+                lagged = [(anchor.redo, anchor.redo_offset)
+                          for anchor in carried if anchor.redo is not None]
+                redo, redo_offset = (min(*lagged, oldest[:2]) if lagged
+                                     else (None, None))
+                return oldest._replace(redo=redo, redo_offset=redo_offset)
         return None
 
     @staticmethod

@@ -216,18 +216,22 @@ def test_the_restart_read_no_longer_grows_with_history():
     anchor's redo point: the read stays bounded while the retained log
     grows (it used to be all of it, 1 578 → 9 460 records on the pure
     class, 2 211 → 10 222 on the hybrid), and redo replays the same
-    records at the same transfers as the whole-log read did."""
+    records at the same transfers, naming the same parity groups for
+    the scrub, as the whole-log read did."""
     same = {
         "page-noforce-redo": ([100, 68, 82, 87, 86, 95],
-                              [237, 200, 226, 213, 226, 206]),
+                              [237, 200, 226, 213, 226, 206],
+                              [48, 46, 48, 45, 46, 44]),
         "record-noforce-rda-redo": ([77, 99, 74, 80, 86, 97],
-                                    [329, 370, 350, 337, 343, 370]),
+                                    [329, 370, 350, 337, 343, 370],
+                                    [49, 61, 48, 49, 53, 54]),
     }
-    for name, (applied, transfers) in same.items():
+    for name, (applied, transfers, scrubbed) in same.items():
         restarts, held = probe(name)
         checked = [stats["log_records"] for stats in restarts]
         assert [stats["redo_applied"] for stats in restarts] == applied
         assert [stats["page_transfers"] for stats in restarts] == transfers
+        assert [stats["groups_scrubbed"] for stats in restarts] == scrubbed
         assert checked[0] < held[0]
         assert max(checked) <= 2 * checked[0], checked
         assert checked[-1] * 4 < held[-1], (checked, held)

@@ -293,8 +293,8 @@ class TestAnchor:
         log._devices[1].on_page_write = power_cut
         with pytest.raises(PowerCut):
             log.append_anchor(CheckpointRecord(txn_id=0))
-        assert log._devices[0].anchor[0] > anchor
-        assert log._devices[1].anchor[0] == anchor == log.anchor
+        assert log._devices[0].anchor.lsn > anchor
+        assert log._devices[1].anchor.lsn == anchor == log.anchor
         log._devices[1].on_page_write = None
         log.crash()
         log.after_crash()
@@ -437,7 +437,7 @@ class TestRedoPoint:
 
     def test_no_chains_no_redo_point(self):
         log, anchor, _ = anchored_log()
-        assert [device.anchor[2:] for device in log._devices] \
+        assert [device.anchor[3:] for device in log._devices] \
             == [(None, None)] * 2
         log.append(CheckpointRecord(txn_id=0))
         # no page lagged: the record after the newest checkpoint
@@ -467,22 +467,16 @@ class TestRedoPoint:
                           {0: 2, 1: 3, 2: 7})
         assert log.redo_point == log.last_lsn + 1
 
-    @pytest.mark.parametrize("chained", [False, True])
-    def test_a_checkpoint_no_copy_carries_vouches_for_no_chain(self,
-                                                                chained):
-        """Two anchors appended in one deferred group-commit window: a
-        page fill makes the first durable and not the second, so no
-        copy carries either (a copy holds one pending anchor).  Redo
-        after the crash starts after that newest checkpoint when the
-        log holds no page chain, and at the first record when one may
-        lag behind it."""
+    def test_a_page_fill_carries_each_anchor_it_makes_durable(self):
+        """Two anchors appended in one deferred group-commit window: the
+        page fill that makes the first durable carries it, and its redo
+        point, while the second waits for its own page write."""
         log = GroupCommitLog(name="test", page_size=128,
                              transfers_per_log_page=1,
                              coordinator=GroupCommitCoordinator())
         for device in log._devices:
             device.reforce_partial = True
-        if chained:
-            log.append(PageRedoEntry(txn_id=1, page_id=0, image=b"a"))
+        log.append(PageRedoEntry(txn_id=1, page_id=0, image=b"a"))
         size = CheckpointRecord(txn_id=0).serialized_size
         # pad until a page boundary falls inside the second checkpoint
         while -(log.size_bytes + size) % 128 >= size:
@@ -490,18 +484,87 @@ class TestRedoPoint:
         log.force()
         with log.coordinator.deferred():
             first = log.append_anchor(CheckpointRecord(txn_id=0), {0: 0})
-            log.append_anchor(CheckpointRecord(txn_id=0), {0: 0})
+            second = log.append_anchor(CheckpointRecord(txn_id=0), {0: 1})
             assert log._devices[0].durable_size >= log.size_bytes - size
-            assert [device.anchor for device in log._devices] == [None] * 2
+            assert [(device.anchor.lsn, [a.lsn for a in device.pending])
+                    for device in log._devices] == [(first, [second])] * 2
+            assert log.redo_point == 1
             log.crash()
         log.after_crash()
-        assert (log.anchor, log.last_checkpoint_lsn()) == (NULL_LSN, first)
-        assert log.redo_point == (1 if chained else first + 1)
+        assert (log.anchor, log.last_checkpoint_lsn()) == (first, first)
+        assert log.redo_point == 1
+
+    def test_a_pending_anchor_holds_the_redo_point_back(self):
+        """An anchor whose force a group-commit window deferred bounds
+        the redo point already: the window drains before a crash, so
+        it may be the next restart's anchor."""
+        log = GroupCommitLog(name="test", page_size=2020,
+                             transfers_per_log_page=1,
+                             coordinator=GroupCommitCoordinator())
+        for device in log._devices:
+            device.reforce_partial = True
+        log.append_anchor(CheckpointRecord(txn_id=0), {})
+        with log.coordinator.deferred():
+            lagging = log.append(PageRedoEntry(txn_id=1, page_id=0,
+                                               image=b"a"))
+            log.append_anchor(CheckpointRecord(txn_id=0), {})
+            assert [len(device.pending) for device in log._devices] == [1, 1]
+            assert log.redo_point == lagging
+
+    @pytest.mark.parametrize("chained", [False, True])
+    def test_a_checkpoint_no_copy_carries_vouches_for_no_chain(self,
+                                                                chained):
+        """The power fails inside the first anchor's force, between the
+        copies' page writes: the mate carries no anchor, so the restart
+        walks the whole log.  Redo starts after the checkpoint the walk
+        found when the log holds no page chain, and at the first record
+        when one may lag behind it."""
+        log = LogManager(name="test", page_size=2020)
+        if chained:
+            log.append(PageRedoEntry(txn_id=1, page_id=0, image=b"a"))
+        log.append(BOTRecord(txn_id=1))
+
+        class PowerCut(Exception):
+            pass
+
+        def power_cut(device_id, page_index):
+            raise PowerCut
+
+        log._devices[1].on_page_write = power_cut
+        with pytest.raises(PowerCut):
+            checkpoint = log.append_anchor(CheckpointRecord(txn_id=0), {})
+        log._devices[1].on_page_write = None
+        log.crash()
+        log.after_crash()
+        assert log.anchor == NULL_LSN
+        assert log.redo_point == (1 if chained
+                                  else log.last_checkpoint_lsn() + 1)
+        assert log.last_checkpoint_lsn() == log.last_lsn
+
+    def test_records_below_the_anchor_from_whichever_copy_holds_them(self):
+        """Different records between the redo point and the anchor
+        damaged on the two copies: restart checks each on its mate and
+        heals both copies."""
+        log = self.lagging_log()
+        log.crash()
+        log.damage_copy(0, log._entries[2][4] + 1)      # LSN 3, copy 0
+        log.damage_copy(1, log._entries[3][4] + 1)      # LSN 4, copy 1
+        assert log.after_crash() == 4
+        assert log.verify_duplex()
+        assert [r.lsn for r in log.records_from(2)] == [2, 3, 4, 5]
+
+    def test_a_record_both_copies_lost_below_the_anchor_refuses(self):
+        log = self.lagging_log()
+        log.crash()
+        for copy in (0, 1):
+            log.damage_copy(copy, log._entries[2][4] + 1)   # LSN 3
+        with pytest.raises(UnrecoverableDataError):
+            log.after_crash()
 
     def test_a_trim_keeps_the_redo_point_and_moves_its_offset(self):
         log = self.lagging_log()
         assert log.truncate_before(log.redo_point) == 1
-        assert [device.anchor[2] for device in log._devices] == [2, 2]
+        assert [device.anchor.redo for device in log._devices] == [2, 2]
         log.crash()
         assert log.after_crash() == 4
         assert [r.lsn for r in log.records()] == [2, 3, 4, 5]
@@ -522,10 +585,9 @@ def _one_append_per_record(devices, sizes) -> tuple:
             while copy[1] < copy[0] // device.page_size:
                 hooks.append((device.device_id, copy[1]))
                 copy[1] += 1
-            pending = copy[4]
             durable = min(copy[0], max(copy[1] * device.page_size, copy[2]))
-            if pending is not None and durable >= pending[1] + pending[4]:
-                copy[3], copy[4] = pending[:4], None
+            while copy[4] and durable >= copy[4][0].offset + copy[4][0].size:
+                copy[3], copy[4] = copy[4][0], copy[4][1:]
     return hooks, [(copy[3], copy[4]) for copy in state]
 
 
@@ -542,12 +604,12 @@ def test_a_batch_writes_the_pages_one_append_a_record_did(anchored):
     if anchored:
         with log.coordinator.deferred():
             anchor_after = log.append_anchor(CheckpointRecord(txn_id=0))
-        assert [device.pending[0] for device in devices] \
-            == [anchor_after] * 2
+        assert [[anchor.lsn for anchor in device.pending]
+                for device in devices] == [[anchor_after]] * 2
         assert log.anchor == anchor
     else:
         anchor_after = anchor
-        assert [device.pending for device in devices] == [None] * 2
+        assert [device.pending for device in devices] == [[]] * 2
     records = [PageBeforeImage(txn_id=5, page_id=page, image=bytes(60))
                for page in range(5)]
     hooks, anchors = _one_append_per_record(

@@ -142,31 +142,33 @@ def eager_parse(copies: list, start: int = 0) -> tuple:
 
 
 def anchor_of(copies: list, carried: list):
-    """The oldest ``(lsn, offset)`` the copies carry, if every copy
-    carries one and its checkpoint record parses at ``offset`` on some
-    copy, with the lowest redo point the copies carry, no later than it
-    (``(None, None)``: none does) — or None."""
+    """The oldest anchor the copies carry, if every copy carries one and
+    its checkpoint record parses at its offset on some copy, with the
+    lowest redo point the copies carry, no later than it (None: none
+    does) — or None."""
     if None in carried:
         return None
-    lsn, offset = min(carried, key=lambda anchor: anchor[0])[:2]
+    oldest = min(carried, key=lambda anchor: anchor.lsn)
     for blob in copies:
         try:
-            record, _ = deserialize(blob, offset)
+            record, _ = deserialize(blob, oldest.offset)
         except (TornRecordError, LogCorruptionError):
             continue
-        if isinstance(record, CheckpointRecord) and record.lsn == lsn:
-            redo = [anchor[2:] for anchor in carried
-                    if anchor[2] is not None]
-            return (lsn, offset,
-                    *(min(*redo, (lsn, offset)) if redo else (None, None)))
+        if isinstance(record, CheckpointRecord) and record.lsn == oldest.lsn:
+            lagged = [(anchor.redo, anchor.redo_offset) for anchor in carried
+                      if anchor.redo is not None]
+            redo, offset = (min(*lagged, (oldest.lsn, oldest.offset))
+                            if lagged else (None, None))
+            return oldest._replace(redo=redo, redo_offset=offset)
     return None
 
 
-def merged_parse(copies: list, end: int) -> tuple:
-    """The records before the anchor, each parsed from whichever copy
+def merged_parse(copies: list, end: int, offset: int = 0) -> tuple:
+    """The records from byte ``offset`` to ``end`` (before the redo
+    point, or from it to the anchor), each parsed from whichever copy
     holds it intact: ``(records, their bytes, lost)``, ``lost`` True
     when a record no copy holds intact ended the walk."""
-    records, clean, offset = [], b"", 0
+    records, clean = [], b""
     while offset < end:
         for blob in copies:
             try:
@@ -357,21 +359,24 @@ def lazy_index(data):
                         st.integers(0, log.size_bytes - 1), label="offset"))
             copies = [device.contents for device in log._devices]
             anchor = anchor_of(copies, [d.anchor for d in log._devices])
-            start = (0 if anchor is None else anchor[1] if anchor[2] is None
-                     else anchor[3])
+            start = walk = 0 if anchor is None else anchor.offset
+            if anchor is not None and anchor.redo is not None:
+                walk = anchor.redo_offset
+            # from the redo point to the anchor record by record, from
+            # the anchor on the longest run
+            below, checked, lost = merged_parse(copies, start, walk)
             try:
+                if lost:
+                    raise UnrecoverableDataError("both copies lost one")
                 records, tail = eager_parse(copies, start)
-                if anchor and (not records or records[-1].lsn < anchor[0]):
-                    # every copy lost a record between the redo point
-                    # and the anchor
-                    raise UnrecoverableDataError("no anchor in the walk")
             except UnrecoverableDataError:
                 with pytest.raises(UnrecoverableDataError):
                     log.after_crash()
                 return
+            records, tail = below + records, checked + tail
             assert log.after_crash() == len(records)
-            assert log.anchor == (anchor[0] if anchor else NULL_LSN)
-            prefix, clean, lost = merged_parse(copies, start)
+            assert log.anchor == (anchor.lsn if anchor else NULL_LSN)
+            prefix, clean, lost = merged_parse(copies, walk)
             if lost:
                 first_lost = prefix[-1].lsn + 1 if prefix else NULL_LSN
                 assert_lost(log, prefix, records,
